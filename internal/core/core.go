@@ -715,6 +715,13 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 			delete(blocked, c.Target)
 		}
 	}
+	// Sorted, so the evidence and the verdict below name the same
+	// variable on every compile of the same source.
+	bnames := make([]string, 0, len(pres.Blocked))
+	for n := range pres.Blocked {
+		bnames = append(bnames, n)
+	}
+	sort.Strings(bnames)
 	if len(pres.PrivateScalars)+len(usableArrays)+len(pres.Blocked) > 0 {
 		var ev []string
 		for _, s := range pres.PrivateScalars {
@@ -726,11 +733,6 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		for _, a := range usableArrays {
 			ev = append(ev, "private array "+a)
 		}
-		bnames := make([]string, 0, len(pres.Blocked))
-		for n := range pres.Blocked {
-			bnames = append(bnames, n)
-		}
-		sort.Strings(bnames)
 		for _, n := range bnames {
 			ev = append(ev, fmt.Sprintf("not privatizable %s: %s", n, pres.Blocked[n]))
 		}
@@ -744,7 +746,11 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 	// the dependence test decides whether their accesses conflict
 	// across iterations. Scalars are: an unprivatizable assigned
 	// scalar serializes the loop.
-	for name, why := range blocked {
+	for _, name := range bnames {
+		why, still := blocked[name]
+		if !still {
+			continue
+		}
 		if sym := unit.Symbols.Lookup(name); sym != nil && sym.IsArray() {
 			continue
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"polaris/internal/core"
@@ -215,6 +216,31 @@ func TestBlockedScalarSerializes(t *testing.T) {
 	l := loopByIndex(res, "I")
 	if l.Parallel {
 		t.Errorf("loop with carried scalar wrongly parallel")
+	}
+}
+
+// TestBlockedScalarReasonIsStable: a loop serialized by two scalars
+// names the same one on every compile (the blocked set is a map; the
+// verdict used to name whichever Go's iteration order yielded first).
+func TestBlockedScalarReasonIsStable(t *testing.T) {
+	src := `
+      SUBROUTINE S(N, A)
+      INTEGER N, I
+      REAL A(N), T1, T2
+      T1 = 0.0
+      T2 = 0.0
+      DO I = 1, N
+        A(I) = T1 + T2
+        T2 = A(I) + 1.0
+        T1 = A(I) * 2.0
+      END DO
+      END
+`
+	for i := 0; i < 20; i++ {
+		res := compile(t, src, core.PolarisOptions())
+		if r := loopByIndex(res, "I").Reason; !strings.HasPrefix(r, "scalar T1:") {
+			t.Fatalf("compile %d: reason %q, want the first blocked scalar by name, T1", i, r)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package deps
 
 import (
 	"polaris/internal/ir"
-	"polaris/internal/rng"
 	"polaris/internal/symbolic"
 )
 
@@ -53,10 +52,10 @@ func (t *Tester) pairEnv(root *ir.DoStmt, a, b Access) *symbolic.Env {
 	}
 	// Facts valid when each access executes (guards + trip counts).
 	for _, f := range t.Ranges.Facts(a.Stmt) {
-		rng.AddFactGE(env, f)
+		t.Ranges.AddFactGE(env, f)
 	}
 	for _, f := range t.Ranges.Facts(b.Stmt) {
-		rng.AddFactGE(env, f)
+		t.Ranges.AddFactGE(env, f)
 	}
 	// Positivity of power atoms with positive integer base (stride
 	// expressions like 2**(L-1) from multiplicative induction): the

@@ -89,20 +89,34 @@ func (ev *editLog) unitSigs(prog *ir.Program, sitesByName map[string][]callSite)
 		}
 	}
 	out := map[string]string{}
-	add := func(unit, part string) {
-		if out[unit] != "" {
-			out[unit] += ";"
+	var sig strings.Builder
+	part := func(head, name string, evs []string) {
+		if sig.Len() > 0 {
+			sig.WriteByte(';')
 		}
-		out[unit] += part
+		sig.WriteString(head)
+		sig.WriteString(name)
+		sig.WriteByte('[')
+		for i, e := range evs {
+			if i > 0 {
+				sig.WriteByte(',')
+			}
+			sig.WriteString(e)
+		}
+		sig.WriteByte(']')
 	}
 	for _, u := range prog.Units {
+		sig.Reset()
 		if evs := ev.selfEvents[u.Name]; len(evs) > 0 {
-			add(u.Name, "self["+strings.Join(evs, ",")+"]")
+			part("self", "", evs)
 		}
 		names := calleesOf[u.Name]
 		sort.Strings(names)
 		for _, name := range names {
-			add(u.Name, "call-"+name+"["+strings.Join(ev.argDrops[name], ",")+"]")
+			part("call-", name, ev.argDrops[name])
+		}
+		if sig.Len() > 0 {
+			out[u.Name] = sig.String()
 		}
 	}
 	return out

@@ -214,3 +214,59 @@ func runProbe(t *testing.T, prog *ir.Program) float64 {
 	v, _ := in.Probe("OUT", "RESULT")
 	return v
 }
+
+// TestUnitSigsGolden pins the signature text of a unit that is both
+// specialized itself and a caller of three specialized callees: the
+// strings are unit-memo key material, so their bytes are a contract.
+func TestUnitSigsGolden(t *testing.T) {
+	_, rep := propagate(t, `
+      PROGRAM P
+      REAL X(64)
+      CALL MID(X, 7, 2)
+      CALL ZA(X, 4)
+      END
+
+      SUBROUTINE MID(A, N, M)
+      INTEGER N, M
+      REAL A(64)
+      CALL ZC(A, 6, 3)
+      CALL ZA(A, 4)
+      CALL ZB(A, 5)
+      CALL ZC(A, 6, 3)
+      A(N) = A(M)
+      END
+
+      SUBROUTINE ZA(A, K)
+      INTEGER K
+      REAL A(64)
+      A(K) = 1.0
+      END
+
+      SUBROUTINE ZB(A, K)
+      INTEGER K
+      REAL A(64)
+      A(K) = 2.0
+      END
+
+      SUBROUTINE ZC(A, K, L)
+      INTEGER K, L
+      REAL A(64)
+      A(K) = A(L)
+      END
+`)
+	want := map[string]string{
+		"P":   "call-MID[1=7,1=2];call-ZA[1=4]",
+		"MID": "self[1:N=7,1:M=2];call-ZA[1=4];call-ZB[1=5];call-ZC[1=6,1=3]",
+		"ZA":  "self[1:K=4]",
+		"ZB":  "self[1:K=5]",
+		"ZC":  "self[1:K=6,1:L=3]",
+	}
+	if len(rep.UnitSigs) != len(want) {
+		t.Errorf("signatures for %d units, want %d: %q", len(rep.UnitSigs), len(want), rep.UnitSigs)
+	}
+	for unit, sig := range want {
+		if got := rep.UnitSigs[unit]; got != sig {
+			t.Errorf("UnitSigs[%s] = %q, want %q", unit, got, sig)
+		}
+	}
+}

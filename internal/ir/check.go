@@ -14,10 +14,9 @@ import "fmt"
 //
 // Check returns the first violation found, or nil.
 func (p *Program) Check() error {
-	seenExpr := map[Expr]string{}
-	seenStmt := map[Stmt]string{}
+	seen := newSeenNodes(p.Units)
 	for _, u := range p.Units {
-		if err := u.check(seenExpr, seenStmt); err != nil {
+		if err := u.check(seen); err != nil {
 			return err
 		}
 	}
@@ -26,10 +25,39 @@ func (p *Program) Check() error {
 
 // Check verifies the unit in isolation.
 func (u *ProgramUnit) Check() error {
-	return u.check(map[Expr]string{}, map[Stmt]string{})
+	return u.check(newSeenNodes([]*ProgramUnit{u}))
 }
 
-func (u *ProgramUnit) check(seenExpr map[Expr]string, seenStmt map[Stmt]string) error {
+// seenNodes records, for every node met so far, the unit it was first
+// reached from, which is what an aliasing error has to name.
+type seenNodes struct {
+	exprs map[Expr]*ProgramUnit
+	stmts map[Stmt]*ProgramUnit
+}
+
+// newSeenNodes sizes both maps for the units about to be checked, so
+// filling them never rehashes.
+func newSeenNodes(units []*ProgramUnit) *seenNodes {
+	var stmts, exprs int
+	countExpr := func(Expr) bool { exprs++; return true }
+	for _, u := range units {
+		// Not WalkStmtExprs: there StmtExprs' slices escape to the heap,
+		// one per statement; here they stay on the stack.
+		WalkStmts(u.Body, func(s Stmt) bool {
+			stmts++
+			for _, e := range StmtExprs(s) {
+				WalkExpr(e, countExpr)
+			}
+			return true
+		})
+	}
+	return &seenNodes{
+		exprs: make(map[Expr]*ProgramUnit, exprs),
+		stmts: make(map[Stmt]*ProgramUnit, stmts),
+	}
+}
+
+func (u *ProgramUnit) check(seen *seenNodes) error {
 	if u.Symbols == nil || u.Body == nil {
 		return &ConsistencyError{Msg: fmt.Sprintf("unit %s: nil symbol table or body", u.Name)}
 	}
@@ -39,7 +67,15 @@ func (u *ProgramUnit) check(seenExpr map[Expr]string, seenStmt map[Stmt]string) 
 		}
 	}
 	var err error
-	where := func(s Stmt) string { return fmt.Sprintf("unit %s", u.Name) }
+	// One closure per unit, not per expression tree: it is called for
+	// every node of the program.
+	visitExpr := func(n Expr) bool {
+		if err != nil {
+			return false
+		}
+		err = u.checkExprNode(n, seen)
+		return err == nil
+	}
 	WalkStmts(u.Body, func(s Stmt) bool {
 		if err != nil {
 			return false
@@ -51,22 +87,26 @@ func (u *ProgramUnit) check(seenExpr map[Expr]string, seenStmt map[Stmt]string) 
 		switch s.(type) {
 		case *ReturnStmt, *StopStmt, *ContinueStmt:
 		default:
-			if prev, dup := seenStmt[s]; dup {
-				err = &ConsistencyError{Msg: fmt.Sprintf("statement aliased between %s and %s", prev, where(s))}
+			if prev, dup := seen.stmts[s]; dup {
+				err = &ConsistencyError{Msg: fmt.Sprintf("statement aliased between unit %s and unit %s", prev.Name, u.Name)}
 				return false
 			}
-			seenStmt[s] = where(s)
+			seen.stmts[s] = u
 		}
-		if e := u.checkStmt(s, seenExpr); e != nil {
-			err = e
+		if err = u.checkStmt(s); err != nil {
 			return false
 		}
-		return true
+		for _, e := range StmtExprs(s) {
+			WalkExpr(e, visitExpr)
+		}
+		return err == nil
 	})
 	return err
 }
 
-func (u *ProgramUnit) checkStmt(s Stmt, seenExpr map[Expr]string) error {
+// checkStmt verifies the statement's own invariants; its expressions
+// are the caller's to walk.
+func (u *ProgramUnit) checkStmt(s Stmt) error {
 	switch x := s.(type) {
 	case *AssignStmt:
 		switch lhs := x.LHS.(type) {
@@ -99,50 +139,35 @@ func (u *ProgramUnit) checkStmt(s Stmt, seenExpr map[Expr]string) error {
 			return &ConsistencyError{Msg: fmt.Sprintf("unit %s: IF has nil THEN block", u.Name)}
 		}
 	}
-	for _, e := range StmtExprs(s) {
-		if err := u.checkExpr(e, seenExpr); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-func (u *ProgramUnit) checkExpr(e Expr, seenExpr map[Expr]string) error {
-	var err error
-	WalkExpr(e, func(n Expr) bool {
-		if err != nil {
-			return false
+// checkExprNode verifies one expression node: not reachable from two
+// places, and consistent with the unit's symbol table.
+func (u *ProgramUnit) checkExprNode(n Expr, seen *seenNodes) error {
+	if prev, dup := seen.exprs[n]; dup {
+		return &ConsistencyError{Msg: fmt.Sprintf("expression %s aliased (first seen in unit %s, again in unit %s)", n, prev.Name, u.Name)}
+	}
+	seen.exprs[n] = u
+	switch x := n.(type) {
+	case *ArrayRef:
+		sym := u.Symbols.Lookup(x.Name)
+		if sym == nil {
+			// A subscripted reference to an undeclared name is a
+			// function call in Fortran; the parser resolves this,
+			// so by IR-check time it must be declared.
+			return &ConsistencyError{Msg: fmt.Sprintf("unit %s: array %s undeclared", u.Name, x.Name)}
 		}
-		if prev, dup := seenExpr[n]; dup {
-			err = &ConsistencyError{Msg: fmt.Sprintf("expression %s aliased (first seen in %s, again in unit %s)", n, prev, u.Name)}
-			return false
+		if sym.IsArray() && len(x.Subs) != len(sym.Dims) {
+			return &ConsistencyError{Msg: fmt.Sprintf("unit %s: %s has rank %d, referenced with %d subscripts", u.Name, x.Name, len(sym.Dims), len(x.Subs))}
 		}
-		seenExpr[n] = "unit " + u.Name
-		switch x := n.(type) {
-		case *ArrayRef:
-			sym := u.Symbols.Lookup(x.Name)
-			if sym == nil {
-				// A subscripted reference to an undeclared name is a
-				// function call in Fortran; the parser resolves this,
-				// so by IR-check time it must be declared.
-				err = &ConsistencyError{Msg: fmt.Sprintf("unit %s: array %s undeclared", u.Name, x.Name)}
-				return false
-			}
-			if sym.IsArray() && len(x.Subs) != len(sym.Dims) {
-				err = &ConsistencyError{Msg: fmt.Sprintf("unit %s: %s has rank %d, referenced with %d subscripts", u.Name, x.Name, len(sym.Dims), len(x.Subs))}
-				return false
-			}
-			if !sym.IsArray() {
-				err = &ConsistencyError{Msg: fmt.Sprintf("unit %s: %s subscripted but declared scalar", u.Name, x.Name)}
-				return false
-			}
-		case *VarRef:
-			u.Symbols.Declare(x.Name)
-		case *Wildcard:
-			err = &ConsistencyError{Msg: fmt.Sprintf("unit %s: wildcard %s escaped into program text", u.Name, x.ID)}
-			return false
+		if !sym.IsArray() {
+			return &ConsistencyError{Msg: fmt.Sprintf("unit %s: %s subscripted but declared scalar", u.Name, x.Name)}
 		}
-		return true
-	})
-	return err
+	case *VarRef:
+		u.Symbols.Declare(x.Name)
+	case *Wildcard:
+		return &ConsistencyError{Msg: fmt.Sprintf("unit %s: wildcard %s escaped into program text", u.Name, x.ID)}
+	}
+	return nil
 }

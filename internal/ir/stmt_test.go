@@ -199,15 +199,77 @@ func TestSymbolTable(t *testing.T) {
 	st.Insert(&Symbol{Name: "IVAL"})
 }
 
+// TestCheckCatchesAliasing: a node reachable from two places is an
+// error that names the unit it was first reached from and the unit it
+// was reached from again, within one unit and across units.
 func TestCheckCatchesAliasing(t *testing.T) {
-	u := NewUnit(UnitProgram, "MAIN")
-	shared := Add(Var("X"), Int(1))
-	u.Body.Append(&AssignStmt{LHS: Var("Y"), RHS: shared})
-	u.Body.Append(&AssignStmt{LHS: Var("Z"), RHS: shared}) // aliased!
+	twoUnits := func() (*Program, *ProgramUnit, *ProgramUnit) {
+		p := NewProgram()
+		a, b := NewUnit(UnitProgram, "MAIN"), NewUnit(UnitSubroutine, "SUB")
+		p.Add(a)
+		p.Add(b)
+		return p, a, b
+	}
+	cases := []struct {
+		name  string
+		build func() *Program
+		want  string
+	}{
+		{"expression, same unit", func() *Program {
+			p, u, _ := twoUnits()
+			shared := Add(Var("X"), Int(1))
+			u.Body.Append(&AssignStmt{LHS: Var("Y"), RHS: shared})
+			u.Body.Append(&AssignStmt{LHS: Var("Z"), RHS: shared})
+			return p
+		}, "ir: consistency: expression X+1 aliased (first seen in unit MAIN, again in unit MAIN)"},
+		{"expression, across units", func() *Program {
+			p, a, b := twoUnits()
+			shared := Add(Var("X"), Int(1))
+			a.Body.Append(&AssignStmt{LHS: Var("Y"), RHS: shared})
+			b.Body.Append(&AssignStmt{LHS: Var("Z"), RHS: Mul(Int(2), shared)})
+			return p
+		}, "ir: consistency: expression X+1 aliased (first seen in unit MAIN, again in unit SUB)"},
+		{"statement, same unit", func() *Program {
+			p, u, _ := twoUnits()
+			s := &CallStmt{Name: "F"}
+			u.Body.Append(s)
+			u.Body.Append(&IfStmt{Cond: Var("L"), Then: NewBlock(s)})
+			return p
+		}, "ir: consistency: statement aliased between unit MAIN and unit MAIN"},
+		{"statement, across units", func() *Program {
+			p, a, b := twoUnits()
+			s := &CallStmt{Name: "F"}
+			a.Body.Append(s)
+			b.Body.Append(s)
+			return p
+		}, "ir: consistency: statement aliased between unit MAIN and unit SUB"},
+	}
+	for _, c := range cases {
+		err := c.build().Check()
+		if err == nil {
+			t.Errorf("%s: Check missed the aliasing", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCheckExemptsZeroSizedStatements: RETURN, STOP and CONTINUE carry
+// no state, so Go may give separate allocations one address; sharing
+// them, within a unit or across units, is not aliasing.
+func TestCheckExemptsZeroSizedStatements(t *testing.T) {
 	p := NewProgram()
-	p.Add(u)
-	if err := p.Check(); err == nil {
-		t.Errorf("Check missed aliased expression")
+	a, b := NewUnit(UnitProgram, "MAIN"), NewUnit(UnitSubroutine, "SUB")
+	p.Add(a)
+	p.Add(b)
+	ret, stop, cont := &ReturnStmt{}, &StopStmt{}, &ContinueStmt{}
+	for _, u := range []*ProgramUnit{a, b} {
+		u.Body.Append(cont)
+		u.Body.Append(cont)
+		u.Body.Append(&IfStmt{Cond: Var("L"), Then: NewBlock(ret), Else: NewBlock(stop)})
+	}
+	if err := p.Check(); err != nil {
+		t.Errorf("Check rejected shared zero-sized statements: %v", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package lexer
 import (
 	"strings"
 	"testing"
+
+	"polaris/internal/fuzzgen"
 )
 
 func kinds(toks []Token) []Kind {
@@ -167,5 +169,45 @@ func TestEmptyAndBlankLines(t *testing.T) {
 	}
 	if len(kinds(toks)) != 5 {
 		t.Errorf("token count = %d", len(toks))
+	}
+}
+
+// TestLexAllocationBudget holds Lex to its slab contract on a
+// 10k-line program: one allocation for the token slab, one per token
+// whose text is not the source's own bytes (lower-case identifiers,
+// D exponents), and a small constant, never one per line. The
+// lower-cased source shows the per-token share is the only other term.
+func TestLexAllocationBudget(t *testing.T) {
+	var src string
+	for _, spec := range fuzzgen.MegaCorpus() {
+		if spec.Name == "mega10k" {
+			src = spec.Generate().Source
+		}
+	}
+	if n := strings.Count(src, "\n"); n < 9000 {
+		t.Fatalf("mega10k has %d lines", n)
+	}
+	const slack = 4
+	for _, c := range []struct{ name, src string }{{"as generated", src}, {"lower-cased", strings.ToLower(src)}} {
+		lines := strings.Split(c.src, "\n")
+		toks := lex(t, c.src)
+		if cap(toks) > len(toks)*5/4 {
+			t.Errorf("%s: slab holds %d tokens for %d lexed: the size estimate over-runs by more than a quarter", c.name, cap(toks), len(toks))
+		}
+		respelled := 0
+		for _, tok := range toks {
+			if tok.Col > 0 && !strings.HasPrefix(lines[tok.Line-1][tok.Col-1:], tok.Text) {
+				respelled++
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Lex(c.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if budget := float64(1 + respelled + slack); allocs > budget {
+			t.Errorf("%s: Lex allocates %.0f times on %d lines (%d tokens, %d re-spelled); budget %.0f",
+				c.name, allocs, len(lines), len(toks), respelled, budget)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"polaris/internal/ir"
-	"polaris/internal/rng"
 	"polaris/internal/symbolic"
 )
 
@@ -327,7 +326,7 @@ func (a *analyzer) regionEnv(r *region) *symbolic.Env {
 		env.Push(d.Index, symbolic.Bound{Lo: lo, Hi: hi})
 	}
 	for _, f := range a.ranges.Facts(r.stmt) {
-		rng.AddFactGE(env, f)
+		a.ranges.AddFactGE(env, f)
 	}
 	return env
 }
@@ -523,7 +522,7 @@ func (a *analyzer) contains(w, r *region) bool {
 	}
 	env := a.regionEnv(r)
 	for _, f := range a.ranges.Facts(w.stmt) {
-		rng.AddFactGE(env, f)
+		a.ranges.AddFactGE(env, f)
 	}
 	// Loop-variant scalars in region bounds (the paper's P) get their
 	// monotonic bounds as facts.

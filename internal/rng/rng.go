@@ -28,6 +28,10 @@ type Analyzer struct {
 	facts map[ir.Stmt][]*symbolic.Expr
 	// loopRanges caches converted DO bounds per loop statement.
 	loopRanges map[*ir.DoStmt]loopRange
+	// factBounds caches each fact's decomposition into variable bounds,
+	// keyed by the fact's pointer (stable because facts caches the
+	// slices that hold them).
+	factBounds map[*symbolic.Expr][]factBound
 }
 
 type loopRange struct {
@@ -46,6 +50,7 @@ func New(u *ir.ProgramUnit) *Analyzer {
 		consts:     map[string]*symbolic.Expr{},
 		facts:      map[ir.Stmt][]*symbolic.Expr{},
 		loopRanges: map[*ir.DoStmt]loopRange{},
+		factBounds: map[*symbolic.Expr][]factBound{},
 	}
 	for _, name := range u.Symbols.Names() {
 		s := u.Symbols.Lookup(name)
@@ -345,51 +350,75 @@ func (a *Analyzer) isIntExpr(e ir.Expr) bool {
 	return ok
 }
 
+// factBound is one variable bound implied by a fact e >= 0: v >= bound
+// when lower, v <= bound otherwise.
+type factBound struct {
+	v     string
+	bound *symbolic.Expr
+	lower bool
+}
+
 // AddFactGE folds the fact e >= 0 into the environment as variable
 // bounds: for every variable v where e has the shape  +v + rest  or
 // -v + rest  with v of degree one, the implied bound on v is recorded
 // unless a tighter one already exists on that side. Facts that do not
 // decompose are dropped (the prover works from bounds only).
-func AddFactGE(env *symbolic.Env, e *symbolic.Expr) {
+//
+// The decomposition depends on the fact alone, so it is computed once
+// per fact and replayed against each environment; only the comparison
+// with the bound already in env is per call. It is kept under e's
+// pointer for the life of the Analyzer, so e should be a fact Facts
+// returned, not one built for the call.
+func (a *Analyzer) AddFactGE(env *symbolic.Env, e *symbolic.Expr) {
+	bounds, hit := a.factBounds[e]
+	if !hit {
+		bounds = decompose(e)
+		a.factBounds[e] = bounds
+	}
+	for _, fb := range bounds {
+		b, _ := env.Lookup(fb.v)
+		side := &b.Hi
+		if fb.lower {
+			side = &b.Lo
+		}
+		if better(fb.bound, *side, fb.lower) {
+			*side = fb.bound
+			env.Push(fb.v, b)
+		}
+	}
+}
+
+// decompose lists the variable bounds e >= 0 implies, in variable-name
+// order.
+func decompose(e *symbolic.Expr) []factBound {
 	set := e.Vars()
 	vars := make([]string, 0, len(set))
 	for v := range set {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
+	var out []factBound
 	for _, v := range vars {
 		coeffs, ok := e.CoeffsIn(v)
 		if !ok || len(coeffs) != 2 {
 			continue
 		}
-		c, isInt := coeffs[1].ConstInt64()
-		if !isInt {
-			continue
-		}
-		b, _ := env.Lookup(v)
-		switch {
-		case c == 1:
+		switch c, _ := coeffs[1].ConstInt64(); c {
+		case 1:
 			// v + rest >= 0  =>  v >= -rest
-			lo := symbolic.Neg(coeffs[0])
-			if better(env, lo, b.Lo, true) {
-				b.Lo = lo
-				env.Push(v, b)
-			}
-		case c == -1:
+			out = append(out, factBound{v: v, bound: symbolic.Neg(coeffs[0]), lower: true})
+		case -1:
 			// -v + rest >= 0  =>  v <= rest
-			hi := coeffs[0]
-			if better(env, hi, b.Hi, false) {
-				b.Hi = hi
-				env.Push(v, b)
-			}
+			out = append(out, factBound{v: v, bound: coeffs[0]})
 		}
 	}
+	return out
 }
 
 // better reports whether the candidate bound should replace the
 // current one: always when none exists; when both are constants, the
 // tighter wins.
-func better(env *symbolic.Env, cand, cur *symbolic.Expr, isLower bool) bool {
+func better(cand, cur *symbolic.Expr, isLower bool) bool {
 	if cur == nil {
 		return true
 	}
@@ -417,7 +446,7 @@ func (a *Analyzer) EnvForStmt(target ir.Stmt) *symbolic.Env {
 		env.Push(d.Index, symbolic.Bound{Lo: lo, Hi: hi})
 	}
 	for _, f := range a.Facts(target) {
-		AddFactGE(env, f)
+		a.AddFactGE(env, f)
 	}
 	return env
 }

@@ -218,10 +218,11 @@ func TestAndGuard(t *testing.T) {
 }
 
 func TestAddFactGEMergesTighter(t *testing.T) {
+	a := New(mainUnit(t, "      PROGRAM P\n      END\n"))
 	env := symbolic.NewEnv()
-	AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(1))) // N >= 1
-	AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(5))) // N >= 5 (tighter)
-	AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(3))) // looser, ignored
+	a.AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(1))) // N >= 1
+	a.AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(5))) // N >= 5 (tighter)
+	a.AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(3))) // looser, ignored
 	b, ok := env.Lookup("N")
 	if !ok || b.Lo == nil {
 		t.Fatalf("no bound recorded")

@@ -10,6 +10,7 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/obsv"
+	"polaris/internal/telemetry"
 )
 
 // TestCacheEvictChurnAccounting is the supersede-then-evict audit as a
@@ -70,31 +71,33 @@ func TestCacheEvictChurnAccounting(t *testing.T) {
 				}
 				opt.Observer = obs
 				opt.TraceLabel = fmt.Sprintf("w%d-%d", w, i)
+				// own is the error this call's compile function returns if the
+				// call ends up leading.
+				var own error
+				fn := okCompile(k)
 				switch rng.Intn(4) {
 				case 0: // failing leader: key must be released, nothing accounted
-					_, _, err := c.CompileOutcome(context.Background(), p, opt,
-						func(context.Context, core.Options) (*core.Result, error) {
-							return nil, errBoom
-						})
-					if err != nil && !errors.Is(err, errBoom) {
-						t.Errorf("failing leader: unexpected error %v", err)
-					}
+					own = errBoom
 				case 1: // canceled leader: waiters supersede and re-elect
-					_, _, err := c.CompileOutcome(context.Background(), p, opt,
-						func(context.Context, core.Options) (*core.Result, error) {
-							return nil, context.Canceled
-						})
-					// A live waiter retries past the dead leader; its own
-					// attempt may also "die", so context.Canceled is a legal
-					// terminal answer here — but never errBoom.
-					if err != nil && !errors.Is(err, context.Canceled) {
-						t.Errorf("canceled leader: unexpected error %v", err)
+					own = context.Canceled
+				} // otherwise a successful compile (insert, maybe evicting)
+				if own != nil {
+					fn = func(context.Context, core.Options) (*core.Result, error) { return nil, own }
+				}
+				_, out, err := c.CompileOutcome(context.Background(), p, opt, fn)
+				switch {
+				case out.Kind == telemetry.OutcomeCold:
+					// The call led: it ran its own function and reports
+					// exactly that function's answer.
+					if !errors.Is(err, own) {
+						t.Errorf("leader: got error %v, its own compile returns %v", err, own)
 					}
-				default: // successful compile (insert, maybe evicting)
-					if _, _, err := c.CompileOutcome(context.Background(), p, opt, okCompile(k)); err != nil &&
-						!errors.Is(err, context.Canceled) && !errors.Is(err, errBoom) {
-						t.Errorf("compile: %v", err)
-					}
+				case err != nil && !errors.Is(err, errBoom):
+					// The call rode another leader's compile and inherits its
+					// answer: success, or a failing leader's errBoom. Never
+					// context.Canceled: a live waiter retries past a canceled
+					// leader (and reports its own error only if it then leads).
+					t.Errorf("coalesced behind another leader: unexpected error %v", err)
 				}
 			}
 		}()
