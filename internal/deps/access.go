@@ -178,23 +178,30 @@ func (t *Tester) exprAnalyzable(root *ir.DoStmt, e *symbolic.Expr, indices map[s
 		}
 	}
 	written := t.writtenIn(root)
-	for _, atom := range e.OpaqueAtoms() {
-		if atom.Call {
-			if atom.Name != "IDIV" && atom.Name != "IPOW" {
-				return false // unknown function: not provably pure
-			}
-		} else if written[atom.Name] {
-			return false // subscript array modified in the nest
+	ok := true
+	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
+		ok = t.atomAnalyzable(root, atom, written, indices)
+		return ok
+	})
+	return ok
+}
+
+func (t *Tester) atomAnalyzable(root *ir.DoStmt, atom symbolic.Atom, written, indices map[string]bool) bool {
+	if atom.Call {
+		if atom.Name != "IDIV" && atom.Name != "IPOW" {
+			return false // unknown function: not provably pure
 		}
-		// Gate atoms have no args slice entries but Args != nil with
-		// len 0; they carry loop-variant values.
-		if len(atom.Args) == 0 && !atom.Call {
+	} else if written[atom.Name] {
+		return false // subscript array modified in the nest
+	}
+	// Gate atoms have no args slice entries but Args != nil with
+	// len 0; they carry loop-variant values.
+	if len(atom.Args) == 0 && !atom.Call {
+		return false
+	}
+	for _, arg := range atom.Args {
+		if !t.exprAnalyzable(root, arg, indices) {
 			return false
-		}
-		for _, arg := range atom.Args {
-			if !t.exprAnalyzable(root, arg, indices) {
-				return false
-			}
 		}
 	}
 	return true

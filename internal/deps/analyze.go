@@ -250,12 +250,12 @@ func (t *Tester) pairIndependent(root, target *ir.DoStmt, ranged map[string]bool
 // hasArrayAtom reports whether the subscript contains an opaque
 // array-element atom (a subscripted subscript).
 func hasArrayAtom(e *symbolic.Expr) bool {
-	for _, atom := range e.OpaqueAtoms() {
-		if !atom.Call {
-			return true
-		}
-	}
-	return false
+	found := false
+	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
+		found = !atom.Call
+		return !found
+	})
+	return found
 }
 
 // commonNest returns the loop chain for the linear tests: the target

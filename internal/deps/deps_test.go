@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"strings"
 	"testing"
 
 	"polaris/internal/induction"
@@ -477,5 +478,39 @@ func TestIntDivMarginSoundness(t *testing.T) {
 	v2 := tester2.AnalyzeLoop(ir.Loops(u2.Body)[0], Config{})
 	if !v2.Parallel {
 		t.Errorf("exactly-divisible subscript not parallel: %s", v2.Reason)
+	}
+}
+
+// TestPowerFactOrderIsStable compiles a loop whose subscripts hold two
+// power atoms twenty times and requires one trace: the same verdict and
+// the same elimination order in every pair's proof environment, the
+// IPOW(c, x) >= 1 bounds entering it in the polynomial's term order.
+// They used to be pushed while ranging over a map, so the order the
+// prover eliminates them in followed Go's map order.
+func TestPowerFactOrderIsStable(t *testing.T) {
+	const src = `
+      SUBROUTINE S(N, K, L, A)
+      INTEGER N, K, L, I
+      REAL A(*)
+      DO I = 1, N
+        A(I*2**K + 3**L) = A(I*3**L + 2**K) + 1.0
+      END DO
+      END
+`
+	const want = "I N @IPOW(2,K^1) @IPOW(3,L^1)"
+	for i := 0; i < 20; i++ {
+		u, tester := prep(t, src)
+		loop := ir.Loops(u.Body)[0]
+		if v := tester.AnalyzeLoop(loop, Config{}); v.Parallel {
+			t.Fatalf("compile %d: verdict flipped to parallel: %s", i, v.Reason)
+		}
+		accs := CollectAccesses(loop, nil)
+		for _, a := range accs {
+			for _, b := range accs {
+				if got := strings.Join(tester.pairEnv(loop, a, b).Names(), " "); got != want {
+					t.Fatalf("compile %d: elimination order %q, want %q", i, got, want)
+				}
+			}
+		}
 	}
 }

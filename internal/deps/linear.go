@@ -29,11 +29,11 @@ func ExtractLinear(e *symbolic.Expr, indices []string) (LinearForm, bool) {
 		if !ok || len(coeffs) > 2 {
 			return lf, false
 		}
-		c, isConst := coeffs[1].Const()
-		if !isConst || !c.IsInt() || !c.Num().IsInt64() {
+		c, isConst := coeffs[1].ConstInt64()
+		if !isConst {
 			return lf, false
 		}
-		lf.Coef[v] = c.Num().Int64()
+		lf.Coef[v] = c
 		rest = coeffs[0]
 	}
 	// No index may remain (e.g. inside an opaque atom argument).
@@ -53,12 +53,9 @@ func (t *Tester) loopBoundsConst(d *ir.DoStmt) (lo, hi int64, ok bool) {
 	if !okR {
 		return 0, 0, false
 	}
-	lc, ok1 := l.Const()
-	hc, ok2 := h.Const()
-	if !ok1 || !ok2 || !lc.IsInt() || !hc.IsInt() || !lc.Num().IsInt64() || !hc.Num().IsInt64() {
-		return 0, 0, false
-	}
-	return lc.Num().Int64(), hc.Num().Int64(), true
+	lc, ok1 := l.ConstInt64()
+	hc, ok2 := h.ConstInt64()
+	return lc, hc, ok1 && ok2
 }
 
 // Direction is one component of a dependence direction vector.
@@ -131,11 +128,11 @@ func (iv interval) scale(c int64) interval {
 // (respectively t in [-(U-L), -1]) treating i and t as independent.
 func (t *Tester) banerjeeDV(f, g LinearForm, loops []*ir.DoStmt, dirs []Direction) (independent bool, applicable bool) {
 	diff := symbolic.Sub(f.Const, g.Const)
-	dc, isConst := diff.Const()
-	if !isConst || !dc.IsInt() || !dc.Num().IsInt64() {
+	dc, isConst := diff.ConstInt64()
+	if !isConst {
 		return false, false
 	}
-	total := interval{dc.Num().Int64(), dc.Num().Int64()}
+	total := interval{dc, dc}
 	for li, d := range loops {
 		lo, hi, ok := t.loopBoundsConst(d)
 		if !ok {

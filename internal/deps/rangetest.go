@@ -73,15 +73,17 @@ func addPowerFacts(env *symbolic.Env, acc Access) {
 		if !conv.OK {
 			continue
 		}
-		for key, atom := range conv.E.OpaqueAtoms() {
-			if !atom.Call || atom.Name != "IPOW" || len(atom.Args) != 2 {
-				continue
+		// In term order: the order bounds enter env is the prover's
+		// elimination order.
+		conv.E.EachOpaqueAtom(func(key string, atom symbolic.Atom) bool {
+			if atom.Call && atom.Name == "IPOW" && len(atom.Args) == 2 {
+				one := symbolic.Int(1)
+				if s, isConst := symbolic.ConstCompare(atom.Args[0], one); isConst && s >= 0 {
+					env.Push(key, symbolic.Bound{Lo: one})
+				}
 			}
-			base, isConst := atom.Args[0].Const()
-			if isConst && base.Sign() > 0 && base.Num().Cmp(base.Denom()) >= 0 {
-				env.Push(key, symbolic.Bound{Lo: symbolic.Int(1)})
-			}
-		}
+			return true
+		})
 	}
 }
 

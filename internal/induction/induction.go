@@ -116,7 +116,7 @@ func isSimpleCandidate(ranges *rng.Analyzer, loop *ir.DoStmt, c *candidate) bool
 		if !conv.OK {
 			return false
 		}
-		if _, isConst := conv.E.Const(); !isConst {
+		if _, isConst := conv.E.ConstSign(); !isConst {
 			return false
 		}
 	}
@@ -459,7 +459,7 @@ func (s *solver) loopRangeUnitStep(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bool
 	if !step.OK {
 		return nil, nil, false
 	}
-	if c, isC := step.E.Const(); !isC || !symbolic.RatIsInt(c) || c.Sign() <= 0 || c.Num().Int64() != 1 {
+	if c, isC := step.E.ConstInt64(); !isC || c != 1 {
 		return nil, nil, false
 	}
 	init := s.ranges.Conv(d.Init)

@@ -66,11 +66,7 @@ func constStep(ra *rng.Analyzer, d *ir.DoStmt) (int64, bool) {
 	if !conv.OK {
 		return 0, false
 	}
-	c, isC := conv.E.Const()
-	if !isC || !c.IsInt() || !c.Num().IsInt64() {
-		return 0, false
-	}
-	return c.Num().Int64(), true
+	return conv.E.ConstInt64()
 }
 
 // constTrips reports whether init and limit are compile-time constants.
@@ -80,8 +76,8 @@ func constTrips(ra *rng.Analyzer, d *ir.DoStmt) bool {
 	if !i.OK || !l.OK {
 		return false
 	}
-	_, okI := i.E.Const()
-	_, okL := l.E.Const()
+	_, okI := i.E.ConstSign()
+	_, okL := l.E.ConstSign()
 	return okI && okL
 }
 

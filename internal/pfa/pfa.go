@@ -92,12 +92,9 @@ func isTinyLoop(compiled *core.Result, unitName string, d *ir.DoStmt) bool {
 	if !ok {
 		return false
 	}
-	lc, ok1 := lo.Const()
-	hc, ok2 := hi.Const()
-	if !ok1 || !ok2 || !lc.IsInt() || !hc.IsInt() {
-		return false
-	}
-	return hc.Num().Int64()-lc.Num().Int64()+1 <= 8
+	lc, ok1 := lo.ConstInt64()
+	hc, ok2 := hi.ConstInt64()
+	return ok1 && ok2 && hc-lc+1 <= 8
 }
 
 // CodegenFactor models PFA's low-level loop transformations (loop
@@ -150,12 +147,9 @@ func containsTinyLoop(compiled *core.Result, lr *core.LoopReport) bool {
 		if !ok {
 			continue
 		}
-		lc, ok1 := lo.Const()
-		hc, ok2 := hi.Const()
-		if !ok1 || !ok2 || !lc.IsInt() || !hc.IsInt() {
-			continue
-		}
-		if hc.Num().Int64()-lc.Num().Int64()+1 <= 8 {
+		lc, ok1 := lo.ConstInt64()
+		hc, ok2 := hi.ConstInt64()
+		if ok1 && ok2 && hc-lc+1 <= 8 {
 			return true
 		}
 	}

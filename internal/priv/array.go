@@ -274,12 +274,7 @@ func (a *analyzer) isDense(e *symbolic.Expr, elim []string, usedVars map[string]
 	if !ok || len(coeffs) != 2 {
 		return false
 	}
-	c, isC := coeffs[1].Const()
-	if !isC {
-		return false
-	}
-	one := c.Num().Int64()
-	if !c.IsInt() || (one != 1 && one != -1) {
+	if c, isC := coeffs[1].ConstInt64(); !isC || (c != 1 && c != -1) {
 		return false
 	}
 	usedVars[v] = true
@@ -338,8 +333,8 @@ func (a *analyzer) loopRangeResolved(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bo
 	if !step.OK {
 		return nil, nil, false
 	}
-	c, isC := step.E.Const()
-	if !isC || c.Sign() == 0 {
+	sign, isC := step.E.ConstSign()
+	if !isC || sign == 0 {
 		return nil, nil, false
 	}
 	init := a.convAt(d, d.Init)
@@ -347,7 +342,7 @@ func (a *analyzer) loopRangeResolved(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bo
 	if !init.OK || !limit.OK {
 		return nil, nil, false
 	}
-	if c.Sign() > 0 {
+	if sign > 0 {
 		return init.E, limit.E, true
 	}
 	return limit.E, init.E, true
@@ -399,17 +394,15 @@ func (a *analyzer) convAtRead(at ir.Stmt, e ir.Expr) symbolic.Conv {
 // hasGate reports whether the value contains a GSA gating atom
 // (zero-argument non-call opaque).
 func hasGate(e *symbolic.Expr) bool {
-	for _, atom := range e.OpaqueAtoms() {
-		if !atom.Call && len(atom.Args) == 0 {
-			return true
-		}
+	found := false
+	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
+		found = !atom.Call && len(atom.Args) == 0
 		for _, arg := range atom.Args {
-			if hasGate(arg) {
-				return true
-			}
+			found = found || hasGate(arg)
 		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 func (a *analyzer) assignedInBody(name string) bool {

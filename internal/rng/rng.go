@@ -167,11 +167,11 @@ func (a *Analyzer) loopRange(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bool) {
 	if !step.OK {
 		return nil, nil, false
 	}
-	c, isConst := step.E.Const()
-	if !isConst || c.Sign() == 0 {
+	sign, isConst := step.E.ConstSign()
+	if !isConst || sign == 0 {
 		return nil, nil, false
 	}
-	if c.Sign() > 0 {
+	if sign > 0 {
 		return init.E, limit.E, true
 	}
 	return limit.E, init.E, true

@@ -80,7 +80,7 @@ func reduceLoop(u *ir.ProgramUnit, ra *rng.Analyzer, loop *ir.DoStmt, res *Resul
 	if !step.OK {
 		return
 	}
-	if c, ok := step.E.Const(); !ok || c.Sign() <= 0 || !c.IsInt() || c.Num().Int64() != 1 {
+	if c, ok := step.E.ConstInt64(); !ok || c != 1 {
 		return
 	}
 	v := loop.Index

@@ -1,9 +1,6 @@
 package symbolic
 
-import (
-	"math/big"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Bound is a symbolic interval for an integer-valued atom. A nil field
 // means unbounded on that side.
@@ -219,7 +216,7 @@ func (v *Env) prove(e *Expr, strict bool, depth int) bool {
 // proveMask is the memoized masked prover: positions set in m are
 // treated as eliminated from the environment.
 func (v *Env) proveMask(e *Expr, strict bool, depth int, m elimMask) bool {
-	if s, ok := e.constSign(); ok {
+	if s, ok := e.ConstSign(); ok {
 		if strict {
 			return s > 0
 		}
@@ -257,7 +254,7 @@ func (v *Env) proveSearch(e *Expr, strict bool, depth int, m elimMask) bool {
 		if !strict {
 			return true
 		}
-		if e.constTermSign() > 0 {
+		if e.constCoef().Sign() > 0 {
 			return true
 		}
 	}
@@ -343,7 +340,7 @@ func (v *Env) atomNonNeg(key string, m elimMask) bool {
 		// Eliminated: its bound is no longer usable.
 		return false
 	}
-	if s, isC := b.Lo.constSign(); isC {
+	if s, isC := b.Lo.ConstSign(); isC {
 		return s >= 0
 	}
 	rest := m
@@ -478,7 +475,3 @@ func (v *Env) Compare(a, b *Expr) CompareResult {
 	}
 	return CmpUnknown
 }
-
-// RatIsInt reports whether r is an integer (helper for callers deciding
-// the strict-separation threshold for rational relaxations).
-func RatIsInt(r *big.Rat) bool { return r.IsInt() }

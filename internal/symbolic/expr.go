@@ -6,18 +6,18 @@
 // range-based monotonicity reasoning (the machinery of the range test
 // of Blume & Eigenmann and of range propagation).
 //
-// Exprs are immutable after construction and cache their canonical
-// fingerprints (term monomial keys, atom keys, the rendered String)
-// plus forward differences and negations on first use. The caches make repeated
-// comparisons allocation-free but are not synchronized: values built
-// during one compilation must not be shared across goroutines (each
-// compilation builds its own expressions, so this never arises in
-// practice).
+// An Expr is one slice of terms sorted by monomial key. Exprs are
+// immutable after construction and cache their canonical fingerprints:
+// atom and monomial keys when a term is built, the rendered String,
+// forward differences and negations on first use. The caches make
+// repeated comparisons allocation-free but are not synchronized: values
+// built during one compilation must not be shared across goroutines
+// (each compilation builds its own expressions, so this never arises
+// in practice).
 package symbolic
 
 import (
 	"math/big"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -63,59 +63,53 @@ type factor struct {
 	pow  int
 }
 
-// atomKey returns the factor's atom key, caching it in place (factors
-// are never shared before their enclosing term is finalized).
-func (f *factor) atomKey() string {
-	if f.atom.ck == "" {
-		f.atom.ck = f.atom.computeKey()
-	}
-	return f.atom.ck
-}
+// atomKey returns the factor's atom key. Every factor is built by Var
+// or OpaqueAtom, which compute the key up front, so reading it never
+// writes to a factor slice that terms share.
+func (f *factor) atomKey() string { return f.atom.ck }
 
 // term is a rational coefficient times a product of factors. Factors
-// are kept sorted by atom key and never mutated once the term is
-// finalized, so clones share the factor slice and the cached key.
+// are sorted by atom key and, like mk, never change once the term is
+// built: terms are copied between polynomials by value and share the
+// factor slice.
 type term struct {
 	coef    qv
 	factors []factor
-	// mk caches monoKey ("" is the valid key of the constant term, so
-	// mkSet records computation).
-	mk    string
-	mkSet bool
+	// mk is the monomial key the enclosing Expr sorts by, computed when
+	// the term is built ("" for the constant term).
+	mk string
 }
 
-func (t *term) monoKey() string {
-	if t.mkSet {
-		return t.mk
-	}
-	if len(t.factors) == 0 {
-		t.mk, t.mkSet = "", true
+// monoKey renders a sorted factor list as the monomial key.
+func monoKey(fs []factor) string {
+	if len(fs) == 0 {
 		return ""
 	}
+	n := len(fs) - 1
+	for i := range fs {
+		n += len(fs[i].atomKey()) + 1 + len(strconv.Itoa(fs[i].pow))
+	}
 	var b strings.Builder
-	for i := range t.factors {
+	b.Grow(n)
+	for i := range fs {
 		if i > 0 {
 			b.WriteByte('*')
 		}
-		b.WriteString(t.factors[i].atomKey())
+		b.WriteString(fs[i].atomKey())
 		b.WriteByte('^')
-		b.WriteString(strconv.Itoa(t.factors[i].pow))
+		b.WriteString(strconv.Itoa(fs[i].pow))
 	}
-	t.mk, t.mkSet = b.String(), true
-	return t.mk
+	return b.String()
 }
 
-// clone returns a copy safe to re-coefficient: factors (immutable) and
-// the cached monomial key are shared.
-func (t *term) clone() *term {
-	return &term{coef: t.coef, factors: t.factors, mk: t.mk, mkSet: t.mkSet}
-}
-
-// Expr is a canonical sum of terms, keyed by monomial. The zero
-// polynomial has no terms. Exprs are immutable: all operations return
-// new values.
+// Expr is a canonical sum of terms. The zero polynomial has no terms.
+// Exprs are immutable: all operations return new values.
 type Expr struct {
-	terms map[string]*term
+	// terms is sorted by strictly ascending monomial key, so the
+	// constant term (key "") comes first, and holds no zero
+	// coefficient. Only a builder may write to it, and only before the
+	// Expr has been returned to anyone (see insert).
+	terms []term
 	// str caches the canonical rendering ("" = not computed; the zero
 	// polynomial renders as "0", never "").
 	str string
@@ -138,68 +132,57 @@ type substKey struct {
 	repl string
 }
 
-func newExpr() *Expr { return &Expr{terms: map[string]*term{}} }
-
-// newExprCap returns an empty polynomial with room for n terms.
-func newExprCap(n int) *Expr { return &Expr{terms: make(map[string]*term, n)} }
-
-func (e *Expr) addTerm(t *term) {
+// insert adds t to e, merging it into a term of the same monomial.
+// It is the one place a polynomial is written after allocation, and is
+// only for a polynomial its builder has not returned yet: e.terms must
+// be e's own slice, never another Expr's.
+func (e *Expr) insert(t term) {
 	if t.coef.Sign() == 0 {
 		return
 	}
-	k := t.monoKey()
-	if old, ok := e.terms[k]; ok {
-		old.coef = qvAdd(old.coef, t.coef)
-		if old.coef.Sign() == 0 {
-			delete(e.terms, k)
+	// Builders mostly produce terms in ascending order: scan from the end.
+	i := len(e.terms)
+	for i > 0 && e.terms[i-1].mk > t.mk {
+		i--
+	}
+	if i > 0 && e.terms[i-1].mk == t.mk {
+		if c := qvAdd(e.terms[i-1].coef, t.coef); c.Sign() != 0 {
+			e.terms[i-1].coef = c
+		} else {
+			e.terms = append(e.terms[:i-1], e.terms[i:]...)
 		}
 		return
 	}
-	e.terms[k] = t.clone()
+	e.terms = append(e.terms, term{})
+	copy(e.terms[i+1:], e.terms[i:])
+	e.terms[i] = t
 }
 
-// addOwnedTerm inserts a term the caller owns outright (freshly
-// allocated, reachable from no other Expr), skipping the defensive
-// clone addTerm performs. The term must not be used by the caller
-// afterwards.
-func (e *Expr) addOwnedTerm(t *term) {
+// single returns the polynomial of the one term t, the Expr and its
+// term slice in one allocation.
+func single(t term) *Expr {
 	if t.coef.Sign() == 0 {
-		return
+		return Zero()
 	}
-	k := t.monoKey()
-	if old, ok := e.terms[k]; ok {
-		old.coef = qvAdd(old.coef, t.coef)
-		if old.coef.Sign() == 0 {
-			delete(e.terms, k)
-		}
-		return
-	}
-	e.terms[k] = t
+	box := &struct {
+		e Expr
+		t [1]term
+	}{t: [1]term{t}}
+	box.e.terms = box.t[:]
+	return &box.e
 }
 
 // Zero returns the zero polynomial.
-func Zero() *Expr { return newExpr() }
+func Zero() *Expr { return &Expr{} }
 
 // Int returns the constant polynomial v.
-func Int(v int64) *Expr {
-	e := newExpr()
-	e.addTerm(&term{coef: qvInt(v)})
-	return e
-}
+func Int(v int64) *Expr { return single(term{coef: qvInt(v)}) }
 
 // Rat returns the constant polynomial r.
-func Rat(r *big.Rat) *Expr {
-	e := newExpr()
-	e.addTerm(&term{coef: qvFromRat(r)})
-	return e
-}
+func Rat(r *big.Rat) *Expr { return single(term{coef: qvFromRat(r)}) }
 
 // Var returns the polynomial consisting of the single variable name.
-func Var(name string) *Expr {
-	e := newExpr()
-	e.addTerm(&term{coef: qvInt(1), factors: []factor{{atom: Atom{Name: name, ck: name}, pow: 1}}})
-	return e
-}
+func Var(name string) *Expr { return OpaqueAtom(Atom{Name: name, ck: name}) }
 
 // Opaque returns a polynomial consisting of the single opaque term
 // name(args...).
@@ -215,9 +198,8 @@ func OpaqueAtom(a Atom) *Expr {
 	if a.ck == "" {
 		a.ck = a.computeKey()
 	}
-	e := newExpr()
-	e.addTerm(&term{coef: qvInt(1), factors: []factor{{atom: a, pow: 1}}})
-	return e
+	// The key is monoKey of the one factor, spelled out to save its builder.
+	return single(term{coef: qvInt(1), factors: []factor{{atom: a, pow: 1}}, mk: a.ck + "^1"})
 }
 
 // Add returns a + b.
@@ -228,15 +210,7 @@ func Add(a, b *Expr) *Expr {
 	if len(b.terms) == 0 {
 		return a
 	}
-	e := newExprCap(len(a.terms) + len(b.terms))
-	for k, t := range a.terms {
-		// Keys within one polynomial are distinct: plain insert.
-		e.terms[k] = t.clone()
-	}
-	for _, t := range b.terms {
-		e.addTerm(t)
-	}
-	return e
+	return merge(a.terms, b.terms, false)
 }
 
 // Sub returns a - b.
@@ -247,16 +221,45 @@ func Sub(a, b *Expr) *Expr {
 	if len(a.terms) == 0 {
 		return Neg(b)
 	}
-	e := newExprCap(len(a.terms) + len(b.terms))
-	for k, t := range a.terms {
-		e.terms[k] = t.clone()
+	return merge(a.terms, b.terms, true)
+}
+
+// merge returns a + b, or a - b when negB: one linear merge of two
+// sorted term lists into a slice a counting pass has sized.
+func merge(a, b []term, negB bool) *Expr {
+	n := len(a) + len(b)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].mk, b[j].mk); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n--
+			i++
+			j++
+		}
 	}
-	for _, t := range b.terms {
-		c := t.clone()
-		c.coef = qvNeg(c.coef)
-		e.addOwnedTerm(c)
+	out := make([]term, 0, n)
+	i := 0
+	for _, tb := range b {
+		for i < len(a) && a[i].mk < tb.mk {
+			out = append(out, a[i])
+			i++
+		}
+		if negB {
+			tb.coef = qvNeg(tb.coef)
+		}
+		if i < len(a) && a[i].mk == tb.mk {
+			tb.coef = qvAdd(a[i].coef, tb.coef)
+			i++
+			if tb.coef.Sign() == 0 {
+				continue
+			}
+		}
+		out = append(out, tb)
 	}
-	return e
+	return &Expr{terms: append(out, a[i:]...)}
 }
 
 // Neg returns -a, memoized: the result links back so Neg(Neg(a))
@@ -264,28 +267,23 @@ func Sub(a, b *Expr) *Expr {
 // (ProveLE/ProveLT, both monotonicity probes of every elimination
 // step), so the cache turns those into pointer loads.
 func Neg(a *Expr) *Expr {
-	if a.neg != nil {
-		return a.neg
+	if a.neg == nil {
+		a.neg = scale(a, qv{n: -1, d: 1})
+		a.neg.neg = a
 	}
-	e := newExprCap(len(a.terms))
-	for k, t := range a.terms {
-		c := t.clone()
-		c.coef = qvNeg(c.coef)
-		e.terms[k] = c // negation preserves the monomial key
-	}
-	e.neg = a
-	a.neg = e
-	return e
+	return a.neg
 }
 
-// scale returns a with every coefficient multiplied by q (sharing the
-// factor slices; q must be nonzero).
+// scale returns a with every coefficient multiplied by q, sharing the
+// factor slices (a nonzero q makes no term vanish or move).
 func scale(a *Expr, q qv) *Expr {
-	e := newExprCap(len(a.terms))
-	for k, t := range a.terms {
-		c := t.clone()
-		c.coef = qvMul(c.coef, q)
-		e.terms[k] = c // nonzero q cannot zero or merge terms
+	if q.Sign() == 0 {
+		return Zero()
+	}
+	e := &Expr{terms: make([]term, len(a.terms))}
+	for i, t := range a.terms {
+		t.coef = qvMul(t.coef, q)
+		e.terms[i] = t
 	}
 	return e
 }
@@ -294,56 +292,51 @@ func scale(a *Expr, q qv) *Expr {
 func Mul(a, b *Expr) *Expr {
 	// Constant operands reduce to scaling, sharing factor slices.
 	if c, ok := a.constQV(); ok {
-		if c.Sign() == 0 {
-			return Zero()
-		}
 		return scale(b, c)
 	}
 	if c, ok := b.constQV(); ok {
-		if c.Sign() == 0 {
-			return Zero()
-		}
 		return scale(a, c)
 	}
-	e := newExprCap(len(a.terms) * len(b.terms))
-	for _, ta := range a.terms {
-		for _, tb := range b.terms {
-			e.addOwnedTerm(mulTerms(ta, tb))
+	e := &Expr{terms: make([]term, 0, len(a.terms)*len(b.terms))}
+	for i := range a.terms {
+		for j := range b.terms {
+			e.insert(mulTerms(&a.terms[i], &b.terms[j]))
 		}
 	}
 	return e
 }
 
-func mulTerms(a, b *term) *term {
-	t := &term{coef: qvMul(a.coef, b.coef)}
-	t.factors = append(t.factors, a.factors...)
-	for _, f := range b.factors {
-		t.factors = appendFactor(t.factors, f)
+// mulTerms returns the product term. A constant operand leaves the
+// other's factor slice and key shared; otherwise the two sorted factor
+// lists merge into a new one, powers of a common atom adding.
+func mulTerms(a, b *term) term {
+	t := term{coef: qvMul(a.coef, b.coef), factors: a.factors, mk: a.mk}
+	switch {
+	case len(b.factors) == 0:
+	case len(a.factors) == 0:
+		t.factors, t.mk = b.factors, b.mk
+	default:
+		fs := make([]factor, 0, len(a.factors)+len(b.factors))
+		i := 0
+		for _, fb := range b.factors {
+			for i < len(a.factors) && a.factors[i].atomKey() < fb.atomKey() {
+				fs = append(fs, a.factors[i])
+				i++
+			}
+			if i < len(a.factors) && a.factors[i].atomKey() == fb.atomKey() {
+				fb.pow += a.factors[i].pow
+				i++
+			}
+			fs = append(fs, fb)
+		}
+		t.factors = append(fs, a.factors[i:]...)
+		t.mk = monoKey(t.factors)
 	}
-	sort.Slice(t.factors, func(i, j int) bool { return t.factors[i].atomKey() < t.factors[j].atomKey() })
 	return t
 }
 
-func appendFactor(fs []factor, f factor) []factor {
-	fk := f.atomKey()
-	for i := range fs {
-		if fs[i].atomKey() == fk {
-			out := make([]factor, len(fs))
-			copy(out, fs)
-			out[i].pow += f.pow
-			return out
-		}
-	}
-	return append(append([]factor(nil), fs...), f)
-}
-
 // MulRat returns a scaled by the rational r.
-func MulRat(a *Expr, r *big.Rat) *Expr {
-	if r.Sign() == 0 {
-		return Zero()
-	}
-	return scale(a, qvFromRat(r))
-}
+func MulRat(a *Expr, r *big.Rat) *Expr { return scale(a, qvFromRat(r)) }
 
 // DivInt returns a divided by the nonzero integer d (exact rational
 // division; see package comment for the soundness discussion).
@@ -375,39 +368,39 @@ func Pow(a *Expr, n int) *Expr {
 // IsZero reports whether e is the zero polynomial.
 func (e *Expr) IsZero() bool { return len(e.terms) == 0 }
 
+// constCoef returns the coefficient of the constant term (zero if
+// none).
+func (e *Expr) constCoef() qv {
+	if len(e.terms) > 0 && e.terms[0].mk == "" {
+		return e.terms[0].coef
+	}
+	return qv{n: 0, d: 1}
+}
+
 // constQV returns the value as a qv and true if e is a constant
 // polynomial (no allocation).
 func (e *Expr) constQV() (qv, bool) {
-	switch len(e.terms) {
-	case 0:
-		return qv{n: 0, d: 1}, true
-	case 1:
-		if t, ok := e.terms[""]; ok {
-			return t.coef, true
-		}
+	if len(e.terms) == 0 || len(e.terms) == 1 && e.terms[0].mk == "" {
+		return e.constCoef(), true
 	}
 	return qv{}, false
 }
 
-// constSign returns the sign of e and true when e is constant,
+// ConstSign returns the sign of e and true when e is constant,
 // without allocating.
-func (e *Expr) constSign() (int, bool) {
+func (e *Expr) ConstSign() (int, bool) {
+	c, ok := e.constQV()
+	return c.Sign(), ok
+}
+
+// ConstInt64 returns the value and true when e is a constant integer
+// polynomial fitting int64, without allocating.
+func (e *Expr) ConstInt64() (int64, bool) {
 	c, ok := e.constQV()
 	if !ok {
 		return 0, false
 	}
-	return c.Sign(), true
-}
-
-// ConstInt64 returns the value and true when e is a constant integer
-// polynomial fitting int64, without allocating (the small-coefficient
-// fast path of the prover's fact decomposition).
-func (e *Expr) ConstInt64() (int64, bool) {
-	c, ok := e.constQV()
-	if !ok || c.r != nil || c.d != 1 {
-		return 0, false
-	}
-	return c.n, true
+	return c.int64()
 }
 
 // ConstCompare returns sign(a-b) and true when both polynomials are
@@ -421,7 +414,9 @@ func ConstCompare(a, b *Expr) (int, bool) {
 	return qvCmp(ca, cb), true
 }
 
-// Const returns the value and true if e is a constant polynomial.
+// Const returns the value and true if e is a constant polynomial. It
+// allocates the big.Rat: callers that want only a sign, an int64 or a
+// comparison use ConstSign, ConstInt64 or ConstCompare.
 func (e *Expr) Const() (*big.Rat, bool) {
 	c, ok := e.constQV()
 	if !ok {
@@ -431,30 +426,15 @@ func (e *Expr) Const() (*big.Rat, bool) {
 }
 
 // ConstTerm returns the constant term of e (zero if none).
-func (e *Expr) ConstTerm() *big.Rat {
-	if t, ok := e.terms[""]; ok {
-		return t.coef.Rat()
-	}
-	return big.NewRat(0, 1)
-}
-
-// constTermSign returns the sign of the constant term, without
-// allocating.
-func (e *Expr) constTermSign() int {
-	if t, ok := e.terms[""]; ok {
-		return t.coef.Sign()
-	}
-	return 0
-}
+func (e *Expr) ConstTerm() *big.Rat { return e.constCoef().Rat() }
 
 // Equal reports whether a and b are the same polynomial.
 func Equal(a, b *Expr) bool {
 	if len(a.terms) != len(b.terms) {
 		return false
 	}
-	for k, ta := range a.terms {
-		tb, ok := b.terms[k]
-		if !ok || qvCmp(ta.coef, tb.coef) != 0 {
+	for i := range a.terms {
+		if a.terms[i].mk != b.terms[i].mk || qvCmp(a.terms[i].coef, b.terms[i].coef) != 0 {
 			return false
 		}
 	}
@@ -464,11 +444,19 @@ func Equal(a, b *Expr) bool {
 // ContainsVar reports whether e references the plain variable name,
 // including inside opaque-atom arguments.
 func (e *Expr) ContainsVar(name string) bool {
-	for _, t := range e.terms {
-		for i := range t.factors {
-			if atomContainsVar(t.factors[i].atom, name) {
-				return true
-			}
+	for i := range e.terms {
+		if termContainsVar(&e.terms[i], name) {
+			return true
+		}
+	}
+	return false
+}
+
+// termContainsVar reports whether any factor of t references name.
+func termContainsVar(t *term, name string) bool {
+	for i := range t.factors {
+		if atomContainsVar(t.factors[i].atom, name) {
+			return true
 		}
 	}
 	return false
@@ -495,8 +483,8 @@ func (e *Expr) Vars() map[string]bool {
 }
 
 func (e *Expr) collectVars(set map[string]bool) {
-	for _, t := range e.terms {
-		for _, f := range t.factors {
+	for i := range e.terms {
+		for _, f := range e.terms[i].factors {
 			if f.atom.Args == nil {
 				set[f.atom.Name] = true
 			} else {
@@ -510,8 +498,8 @@ func (e *Expr) collectVars(set map[string]bool) {
 
 // HasOpaque reports whether e contains any opaque atom.
 func (e *Expr) HasOpaque() bool {
-	for _, t := range e.terms {
-		for _, f := range t.factors {
+	for i := range e.terms {
+		for _, f := range e.terms[i].factors {
 			if f.atom.Args != nil {
 				return true
 			}
@@ -520,27 +508,46 @@ func (e *Expr) HasOpaque() bool {
 	return false
 }
 
-// OpaqueAtoms returns the distinct opaque atoms of e keyed canonically.
-func (e *Expr) OpaqueAtoms() map[string]Atom {
-	out := map[string]Atom{}
-	for _, t := range e.terms {
-		for i := range t.factors {
-			if t.factors[i].atom.Args != nil {
-				out[t.factors[i].atomKey()] = t.factors[i].atom
+// EachOpaqueAtom calls f with the canonical key and value of each
+// distinct opaque atom of e, in term order, until f returns false.
+// Atoms nested in an atom's arguments are not visited. Unlike
+// OpaqueAtoms it allocates nothing and its order is fixed.
+func (e *Expr) EachOpaqueAtom(f func(key string, a Atom) bool) {
+	for i := range e.terms {
+		for j := range e.terms[i].factors {
+			fc := &e.terms[i].factors[j]
+			if fc.atom.Args == nil || e.hasAtomBefore(i, fc.atomKey()) {
+				continue
+			}
+			if !f(fc.atomKey(), fc.atom) {
+				return
 			}
 		}
 	}
-	return out
 }
 
-// termContainsVar reports whether any factor of t references name.
-func termContainsVar(t *term, name string) bool {
-	for i := range t.factors {
-		if atomContainsVar(t.factors[i].atom, name) {
-			return true
+// hasAtomBefore reports whether a term before the i-th has the atom as
+// a factor (within one term atoms are distinct).
+func (e *Expr) hasAtomBefore(i int, atomKey string) bool {
+	for _, t := range e.terms[:i] {
+		for j := range t.factors {
+			if t.factors[j].atomKey() == atomKey {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// OpaqueAtoms returns the distinct opaque atoms of e keyed canonically,
+// for callers that need the set; predicates use EachOpaqueAtom.
+func (e *Expr) OpaqueAtoms() map[string]Atom {
+	out := map[string]Atom{}
+	e.EachOpaqueAtom(func(key string, a Atom) bool {
+		out[key] = a
+		return true
+	})
+	return out
 }
 
 // Subst returns e with every occurrence of the plain variable name
@@ -564,34 +571,32 @@ func (e *Expr) Subst(name string, repl *Expr) *Expr {
 }
 
 func (e *Expr) substSlow(name string, repl *Expr) *Expr {
-	out := newExprCap(len(e.terms))
-	for _, t := range e.terms {
+	out := &Expr{terms: make([]term, 0, len(e.terms))}
+	for i := range e.terms {
+		t := &e.terms[i]
 		// Terms not touching name carry over unchanged (the common
 		// case: elimination rewrites one variable of many).
 		if !termContainsVar(t, name) {
-			out.addTerm(t)
+			out.insert(*t)
 			continue
 		}
 		// Split the term: factors free of name stay a raw monomial
 		// (rest); only the touched factors expand into polynomials.
-		rest := &term{coef: t.coef}
+		rest := term{coef: t.coef}
 		var expanded *Expr
-		for _, f := range t.factors {
+		for j := range t.factors {
+			f := &t.factors[j]
 			var base *Expr
 			switch {
 			case f.atom.Args == nil && f.atom.Name == name:
 				base = repl
-			case f.atom.Args == nil:
-				rest.factors = append(rest.factors, f)
+			case !atomContainsVar(f.atom, name):
+				rest.factors = append(rest.factors, *f)
 				continue
 			default:
-				if !atomContainsVar(f.atom, name) {
-					rest.factors = append(rest.factors, f)
-					continue
-				}
 				args := make([]*Expr, len(f.atom.Args))
-				for i, a := range f.atom.Args {
-					args[i] = a.Subst(name, repl)
+				for k, a := range f.atom.Args {
+					args[k] = a.Subst(name, repl)
 				}
 				base = OpaqueAtom(Atom{Name: f.atom.Name, Args: args, Call: f.atom.Call})
 			}
@@ -602,54 +607,45 @@ func (e *Expr) substSlow(name string, repl *Expr) *Expr {
 				expanded = Mul(expanded, p)
 			}
 		}
-		// termContainsVar guaranteed at least one touched factor.
-		for _, pt := range expanded.terms {
-			// mulTerms yields a fresh term; expanded may be repl
-			// itself (Pow(x, 1) returns x) and is never mutated.
-			out.addOwnedTerm(mulTerms(pt, rest))
+		rest.mk = monoKey(rest.factors)
+		// termContainsVar guaranteed at least one touched factor;
+		// expanded may be repl itself (Pow(x, 1) returns x) and is only
+		// read.
+		for j := range expanded.terms {
+			out.insert(mulTerms(&expanded.terms[j], &rest))
 		}
 	}
 	return out
 }
 
-// ratTerm returns the constant polynomial with coefficient q.
-func ratTerm(q qv) *Expr {
-	e := newExpr()
-	e.addTerm(&term{coef: q})
-	return e
-}
-
 // SubstAtom replaces every occurrence of the atom with key atomKey by
 // repl (used to resolve opaque terms such as gated values).
 func (e *Expr) SubstAtom(atomKey string, repl *Expr) *Expr {
-	out := newExpr()
-	for _, t := range e.terms {
+	out := &Expr{}
+	for i := range e.terms {
+		t := &e.terms[i]
 		touched := false
-		for i := range t.factors {
-			if t.factors[i].atomKey() == atomKey {
+		for j := range t.factors {
+			if t.factors[j].atomKey() == atomKey {
 				touched = true
 				break
 			}
 		}
 		if !touched {
-			out.addTerm(t)
+			out.insert(*t)
 			continue
 		}
-		part := ratTerm(t.coef)
-		for i := range t.factors {
-			f := &t.factors[i]
-			var base *Expr
-			if f.atomKey() == atomKey {
-				base = repl
-			} else if f.atom.Args == nil {
-				base = Var(f.atom.Name)
-			} else {
+		part := single(term{coef: t.coef})
+		for j := range t.factors {
+			f := &t.factors[j]
+			base := repl
+			if f.atomKey() != atomKey {
 				base = OpaqueAtom(f.atom)
 			}
 			part = Mul(part, Pow(base, f.pow))
 		}
 		for _, pt := range part.terms {
-			out.addOwnedTerm(pt)
+			out.insert(pt)
 		}
 	}
 	return out
@@ -676,8 +672,8 @@ func (e *Expr) ForwardDiff(v string) *Expr {
 // atom arguments (in which case polynomial operations on v such as
 // closed-form summation are not available).
 func (e *Expr) DegreeIn(v string) (deg int, inOpaque bool) {
-	for _, t := range e.terms {
-		for _, f := range t.factors {
+	for i := range e.terms {
+		for _, f := range e.terms[i].factors {
 			if f.atom.Args == nil && f.atom.Name == v {
 				if f.pow > deg {
 					deg = f.pow
@@ -706,20 +702,24 @@ func (e *Expr) CoeffsIn(v string) (coeffs []*Expr, ok bool) {
 	for i := range coeffs {
 		coeffs[i] = Zero()
 	}
-	for _, t := range e.terms {
-		d := 0
-		rest := &term{coef: t.coef}
-		for _, f := range t.factors {
-			if f.atom.Args == nil && f.atom.Name == v {
-				d = f.pow
-			} else {
-				rest.factors = append(rest.factors, f)
+	for i := range e.terms {
+		t := &e.terms[i]
+		at := -1
+		for j := range t.factors {
+			if t.factors[j].atom.Args == nil && t.factors[j].atom.Name == v {
+				at = j
 			}
 		}
-		// rest is freshly built, and distinct terms of e cannot collide
-		// in the same coefficient bucket (same d and same residual
-		// monomial would mean the same monomial of e).
-		coeffs[d].addOwnedTerm(rest)
+		if at < 0 {
+			coeffs[0].insert(*t)
+			continue
+		}
+		// Distinct terms of e cannot collide in one coefficient (same
+		// power and same residual monomial would be the same monomial
+		// of e), but dropping v can reorder them: insert, not append.
+		rest := make([]factor, 0, len(t.factors)-1)
+		rest = append(append(rest, t.factors[:at]...), t.factors[at+1:]...)
+		coeffs[t.factors[at].pow].insert(term{coef: t.coef, factors: rest, mk: monoKey(rest)})
 	}
 	return coeffs, true
 }
@@ -729,9 +729,9 @@ func (e *Expr) CoeffsIn(v string) (coeffs []*Expr, ok bool) {
 // canonical key after evaluating nothing (the env receives the atom).
 func (e *Expr) Eval(env func(Atom) (*big.Rat, bool)) (*big.Rat, bool) {
 	total := big.NewRat(0, 1)
-	for _, t := range e.terms {
-		v := t.coef.Rat()
-		for _, f := range t.factors {
+	for i := range e.terms {
+		v := e.terms[i].coef.Rat()
+		for _, f := range e.terms[i].factors {
 			av, ok := env(f.atom)
 			if !ok {
 				return nil, false
@@ -764,8 +764,8 @@ func (e *Expr) EvalInt(vals map[string]int64) (*big.Rat, bool) {
 // denominators (1 for integer polynomials).
 func (e *Expr) DenominatorLCM() *big.Int {
 	l := big.NewInt(1)
-	for _, t := range e.terms {
-		d := t.coef.Rat().Denom()
+	for i := range e.terms {
+		d := e.terms[i].coef.Rat().Denom()
 		g := new(big.Int).GCD(nil, nil, l, d)
 		l.Div(l, g)
 		l.Mul(l, d)
@@ -773,10 +773,10 @@ func (e *Expr) DenominatorLCM() *big.Int {
 	return l
 }
 
-// String renders the polynomial canonically: monomials sorted by key,
-// coefficients as integers or fractions. The rendering doubles as the
-// expression's canonical fingerprint (the prover's memo key) and is
-// cached on first use.
+// String renders the polynomial canonically: terms in monomial-key
+// order, coefficients as integers or fractions. The rendering doubles
+// as the expression's canonical fingerprint (the prover's memo key) and
+// is cached on first use.
 func (e *Expr) String() string {
 	if e.str != "" {
 		return e.str
@@ -785,44 +785,25 @@ func (e *Expr) String() string {
 		e.str = "0"
 		return e.str
 	}
-	keys := make([]string, 0, len(e.terms))
-	for k := range e.terms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		t := e.terms[k]
-		c := t.coef
-		neg := c.Sign() < 0
-		abs := new(big.Rat).Abs(c.big())
-		if i == 0 {
-			if neg {
-				b.WriteString("-")
-			}
-		} else if neg {
-			b.WriteString("-")
-		} else {
-			b.WriteString("+")
+	var stack [96]byte
+	b := stack[:0]
+	for i := range e.terms {
+		t := &e.terms[i]
+		if t.coef.Sign() < 0 {
+			b = append(b, '-')
+		} else if i > 0 {
+			b = append(b, '+')
 		}
-		mono := t.monoKey()
-		one := abs.Cmp(ratOne) == 0
 		switch {
-		case mono == "":
-			b.WriteString(ratString(abs))
-		case one:
-			b.WriteString(mono)
+		case t.mk == "":
+			b = t.coef.appendAbs(b)
+		case t.coef.absIsOne():
+			b = append(b, t.mk...)
 		default:
-			b.WriteString(ratString(abs) + "*" + mono)
+			b = append(t.coef.appendAbs(b), '*')
+			b = append(b, t.mk...)
 		}
 	}
-	e.str = b.String()
+	e.str = string(b)
 	return e.str
-}
-
-func ratString(r *big.Rat) string {
-	if r.IsInt() {
-		return r.Num().String()
-	}
-	return r.Num().String() + "/" + r.Denom().String()
 }

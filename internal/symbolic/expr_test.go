@@ -142,20 +142,21 @@ func TestStringCanonical(t *testing.T) {
 // Property: ring laws hold under random evaluation.
 func TestRingLawsProperty(t *testing.T) {
 	f := func(a, b, c int8, x, y int8) bool {
-		A := Add(Mul(Int(int64(a)), Var("X")), Int(int64(b)))
-		B := Add(Mul(Int(int64(c)), Var("Y")), Int(int64(a)))
-		C := Mul(Var("X"), Var("Y"))
+		ck := func(e *Expr) *Expr { checkInvariant(t, e); return e }
+		A := ck(Add(ck(Mul(Int(int64(a)), Var("X"))), Int(int64(b))))
+		B := ck(Add(ck(Mul(Int(int64(c)), Var("Y"))), Int(int64(a))))
+		C := ck(Mul(Var("X"), Var("Y")))
 		vals := map[string]int64{"X": int64(x), "Y": int64(y)}
 		ev := func(e *Expr) *big.Rat {
-			v, ok := e.EvalInt(vals)
+			v, ok := ck(e).EvalInt(vals)
 			if !ok {
 				t.Fatalf("eval failed")
 			}
 			return v
 		}
 		// distributivity: A*(B+C) == A*B + A*C
-		lhs := ev(Mul(A, Add(B, C)))
-		rhs := ev(Add(Mul(A, B), Mul(A, C)))
+		lhs := ev(Mul(A, ck(Add(B, C))))
+		rhs := ev(Add(ck(Mul(A, B)), ck(Mul(A, C))))
 		if lhs.Cmp(rhs) != 0 {
 			return false
 		}
@@ -164,7 +165,7 @@ func TestRingLawsProperty(t *testing.T) {
 			return false
 		}
 		// subtraction inverse: (A-B)+B == A
-		return ev(Add(Sub(A, B), B)).Cmp(ev(A)) == 0
+		return ev(Add(ck(Sub(A, B)), B)).Cmp(ev(A)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -177,6 +178,7 @@ func TestSubstEvalProperty(t *testing.T) {
 		e := Add(Mul(Int(int64(a)), Pow(Var("I"), 2)), Mul(Int(int64(b)), Var("I")))
 		repl := Add(Var("J"), Int(3))
 		sub := e.Subst("I", repl)
+		checkInvariant(t, e, repl, sub)
 		v1, ok1 := sub.EvalInt(map[string]int64{"J": int64(x)})
 		v2, ok2 := e.EvalInt(map[string]int64{"I": int64(x) + 3})
 		return ok1 && ok2 && v1.Cmp(v2) == 0
@@ -220,6 +222,7 @@ func TestFaulhaberProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
+		checkInvariant(t, e, closed, powerSumAt(d, Var("N")))
 		got, _ := closed.EvalInt(nil)
 		brute := big.NewRat(0, 1)
 		for k := lo; k <= hi; k++ {

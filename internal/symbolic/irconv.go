@@ -2,7 +2,6 @@ package symbolic
 
 import (
 	"math/big"
-	"sort"
 
 	"polaris/internal/ir"
 )
@@ -106,17 +105,14 @@ func (c *converter) conv(e ir.Expr) *Expr {
 		case ir.OpMul:
 			return Mul(l, r)
 		case ir.OpDiv:
-			if rc, ok := r.Const(); ok && rc.Sign() != 0 {
+			if rc, ok := r.constQV(); ok && rc.Sign() != 0 {
 				c.intDiv = true
-				return MulRat(l, new(big.Rat).Inv(rc))
+				return scale(l, qvInv(rc))
 			}
 			return OpaqueAtom(Atom{Name: "IDIV", Args: []*Expr{l, r}, Call: true})
 		case ir.OpPow:
-			if rc, ok := r.Const(); ok && rc.IsInt() && rc.Num().IsInt64() {
-				n := rc.Num().Int64()
-				if n >= 0 && n <= 16 {
-					return Pow(l, int(n))
-				}
+			if n, ok := r.ConstInt64(); ok && n >= 0 && n <= 16 {
+				return Pow(l, int(n))
 			}
 			return OpaqueAtom(Atom{Name: "IPOW", Args: []*Expr{l, r}, Call: true})
 		}
@@ -147,17 +143,11 @@ func sumToIR(e *Expr) ir.Expr {
 	if len(e.terms) == 0 {
 		return ir.Int(0)
 	}
-	keys := make([]string, 0, len(e.terms))
-	for k := range e.terms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var out ir.Expr
-	for _, k := range keys {
-		t := e.terms[k]
+	for i := range e.terms {
+		t := &e.terms[i]
 		neg := t.coef.Sign() < 0
-		abs := new(big.Rat).Abs(t.coef.Rat())
-		piece := termToIR(abs, t.factors)
+		piece := termToIR(t.coef, t.factors)
 		switch {
 		case out == nil && neg:
 			out = ir.Neg(piece)
@@ -172,11 +162,16 @@ func sumToIR(e *Expr) ir.Expr {
 	return out
 }
 
-func termToIR(coef *big.Rat, fs []factor) ir.Expr {
-	ir.Assert(coef.IsInt(), "symbolic.ToIR: non-integer coefficient after scaling")
+// termToIR renders |coef| times the factors.
+func termToIR(coef qv, fs []factor) ir.Expr {
+	abs, isInt := coef.int64()
+	ir.Assert(isInt, "symbolic.ToIR: coefficient after scaling is not an int64")
 	var out ir.Expr
-	if coef.Cmp(big.NewRat(1, 1)) != 0 || len(fs) == 0 {
-		out = ir.Int(coef.Num().Int64())
+	if !coef.absIsOne() || len(fs) == 0 {
+		if abs < 0 {
+			abs = -abs
+		}
+		out = ir.Int(abs)
 	}
 	for _, f := range fs {
 		base := atomToIR(f.atom)

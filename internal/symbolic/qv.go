@@ -1,6 +1,9 @@
 package symbolic
 
-import "math/big"
+import (
+	"math/big"
+	"strconv"
+)
 
 // qv is a rational coefficient with a small-integer fast path. The
 // overwhelming majority of coefficients in real subscript algebra are
@@ -69,8 +72,6 @@ func (q qv) Sign() int {
 	return 0
 }
 
-func (q qv) IsZero() bool { return q.Sign() == 0 }
-
 // small reports whether both operands are safely inside the small
 // range for one multiply/add round.
 func (q qv) small() bool {
@@ -133,20 +134,48 @@ func qvCmp(a, b qv) int {
 	return a.big().Cmp(b.big())
 }
 
-// isInt reports whether the value is an integer.
-func (q qv) isInt() bool {
-	if q.r != nil {
-		return q.r.IsInt()
+// qvInv returns 1/a for nonzero a.
+func qvInv(a qv) qv {
+	switch {
+	case a.r != nil:
+		return qvFromRat(new(big.Rat).Inv(a.r))
+	case a.n < 0:
+		return qv{n: -a.d, d: -a.n}
 	}
-	return q.d == 1
+	return qv{n: a.d, d: a.n}
 }
 
-// isOne reports whether the value is exactly 1.
-func (q qv) isOne() bool {
+// int64 returns the value and true when it is an integer fitting int64.
+func (q qv) int64() (int64, bool) {
 	if q.r != nil {
-		return q.r.Cmp(ratOne) == 0
+		return q.r.Num().Int64(), q.r.IsInt() && q.r.Num().IsInt64()
 	}
-	return q.n == 1 && q.d == 1
+	return q.n, q.d == 1
 }
 
-var ratOne = big.NewRat(1, 1)
+// absIsOne reports whether the value is 1 or -1 (a promoted value never
+// is: arithmetic demotes whatever fits the small path).
+func (q qv) absIsOne() bool {
+	return q.r == nil && q.d == 1 && (q.n == 1 || q.n == -1)
+}
+
+// appendAbs appends |q| as the canonical rendering spells it: an
+// integer, or numerator/denominator.
+func (q qv) appendAbs(b []byte) []byte {
+	if q.r != nil {
+		b = new(big.Int).Abs(q.r.Num()).Append(b, 10)
+		if !q.r.IsInt() {
+			b = q.r.Denom().Append(append(b, '/'), 10)
+		}
+		return b
+	}
+	n := q.n
+	if n < 0 {
+		n = -n
+	}
+	b = strconv.AppendInt(b, n, 10)
+	if q.d != 1 {
+		b = strconv.AppendInt(append(b, '/'), q.d, 10)
+	}
+	return b
+}
