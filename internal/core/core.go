@@ -246,8 +246,10 @@ func CompileContext(ctx context.Context, prog *ir.Program, opt Options) (*Result
 // the pre-parallel pipeline); on the parallel path each unit emits
 // into a private detached capture, and after the pool barrier the
 // captures are replayed to obs in unit order — reconstructing the
-// exact serial stream regardless of completion order. fn must confine
-// its remaining writes to per-index slots. On failure no captures are
+// exact serial stream regardless of completion order. With no
+// observer there is no stream to reconstruct, and fn gets nil, which
+// records nothing, in place of a capture. fn must confine its
+// remaining writes to per-index slots. On failure no captures are
 // replayed (a failed compilation discards its Result; the serial and
 // parallel schedules agree on the returned error, not on the partial
 // trace).
@@ -262,6 +264,9 @@ func forEachUnit(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer,
 			}
 		}
 		return nil
+	}
+	if obs == nil {
+		return c.ForEach(len(units), func(sub *passes.Context, i int) error { return fn(sub, i, nil) })
 	}
 	captures := make([]*obsv.Observer, len(units))
 	err := c.ForEach(len(units), func(sub *passes.Context, i int) error {

@@ -547,10 +547,7 @@ func (st *incrState) forEach(c *passes.Context, units []*ir.ProgramUnit, obs *ob
 // replay into the pass's per-index slots.
 func (st *incrState) emit(c *passes.Context, rec *unitPassRecord, obs *obsv.Observer,
 	replay func(i int, rec *unitPassRecord), i int) {
-	for _, d := range rec.decisions {
-		d.Label = st.label
-		obs.Decision(d)
-	}
+	obs.ReplayDecisions(rec.decisions, st.label)
 	for k, v := range rec.counters {
 		c.Count(k, v)
 	}

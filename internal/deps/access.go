@@ -24,7 +24,49 @@ type Access struct {
 	// the analyzed nest (outermost first), excluding loops outside the
 	// nest root.
 	Loops []*ir.DoStmt
+	// conv holds the subscripts as converted for the nest the access was
+	// collected in (newNest), indexed like Subs and filled on first use.
+	conv []subConv
 }
+
+// subConv is one subscript of one access, converted once per nest: conv
+// under the nest's resolver with its analyzable verdict (convSubscript),
+// pow without a resolver, so that its IPOW atom keys are spelled as
+// addPowerFacts must push them.
+type subConv struct {
+	done, analyzable bool
+	conv, pow        symbolic.Conv
+}
+
+// nest is what AnalyzeLoop derives once per root loop and every pair
+// test under that root reads: the indices of the loops below the root
+// and the collected accesses with their conversion slots. It lives for
+// one AnalyzeLoop call, during which the IR does not change, so nothing
+// in it is ever invalidated.
+type nest struct {
+	root     *ir.DoStmt
+	inner    map[string]bool
+	accesses []Access
+}
+
+func newNest(root *ir.DoStmt, skip map[ir.Stmt]bool) *nest {
+	n := &nest{root: root, inner: map[string]bool{}, accesses: CollectAccesses(root, skip)}
+	for _, d := range ir.Loops(root.Body) {
+		n.inner[d.Index] = true
+	}
+	total := 0
+	for _, a := range n.accesses {
+		total += len(a.Subs)
+	}
+	slab := make([]subConv, total)
+	for i := range n.accesses {
+		k := len(n.accesses[i].Subs)
+		n.accesses[i].conv, slab = slab[:k:k], slab[k:]
+	}
+	return n
+}
+
+func (n *nest) isIndex(name string) bool { return name == n.root.Index || n.inner[name] }
 
 // CollectAccesses gathers every array access in the body of root
 // (including nested loops), tagging each with its enclosing loops
@@ -126,6 +168,16 @@ func (t *Tester) writtenIn(root *ir.DoStmt) map[string]bool {
 	return w
 }
 
+// sub returns acc's d-th subscript converted for the nest, converting
+// it the first time any pair asks.
+func (t *Tester) sub(n *nest, acc Access, d int) *subConv {
+	sc := &acc.conv[d]
+	if !sc.done {
+		*sc = t.convSubscript(n, acc, acc.Subs[d])
+	}
+	return sc
+}
+
 // convSubscript converts a subscript expression at a statement into
 // symbolic form usable for dependence testing. The result is
 // analyzable only when every symbol is a nest loop index, a scalar
@@ -134,59 +186,60 @@ func (t *Tester) writtenIn(root *ir.DoStmt) map[string]bool {
 // else (loop-variant scalars resolving to gated values, subscripted
 // subscripts into arrays written in the nest) is unanalyzable and the
 // caller must assume a dependence (the LRPD candidate path).
-func (t *Tester) convSubscript(root *ir.DoStmt, acc Access, e ir.Expr) (conv symbolic.Conv, analyzable bool) {
-	indices := map[string]bool{}
-	for _, d := range ir.Loops(root.Body) {
-		indices[d.Index] = true
-	}
-	indices[root.Index] = true
-	for _, d := range acc.Loops {
-		indices[d.Index] = true
-	}
-	resolver := func(name string) *symbolic.Expr {
-		if indices[name] {
-			return nil
-		}
-		if !t.assignedInNest(root, name) {
-			if c := t.Ranges.Consts()[name]; c != nil {
-				return c
-			}
-			return nil
-		}
-		// Loop-variant scalar: resolve through GSA (catches simple
-		// chains like M = IND(L)).
-		v := t.GSA.ValueBefore(acc.Stmt, name, 4)
-		if symbolic.Equal(v, symbolic.Var(name)) {
-			return nil
-		}
+func (t *Tester) convSubscript(n *nest, acc Access, e ir.Expr) subConv {
+	resolved := false
+	sc := subConv{done: true, conv: symbolic.FromIR(e, func(name string) *symbolic.Expr {
+		v := t.resolve(n, acc.Stmt, name)
+		resolved = resolved || v != nil
 		return v
+	})}
+	// Where the resolver substituted nothing, the resolver-free
+	// conversion is the same walk with the same result.
+	sc.pow = sc.conv
+	if resolved {
+		sc.pow = symbolic.FromIR(e, nil)
 	}
-	conv = symbolic.FromIR(e, resolver)
-	if !conv.OK {
-		return conv, false
-	}
-	return conv, t.exprAnalyzable(root, conv.E, indices)
+	sc.analyzable = sc.conv.OK && t.exprAnalyzable(n, sc.conv.E)
+	return sc
 }
 
-func (t *Tester) exprAnalyzable(root *ir.DoStmt, e *symbolic.Expr, indices map[string]bool) bool {
+// resolve is convSubscript's resolver: the value to substitute for a
+// scalar read at stmt, nil to leave it a free variable.
+func (t *Tester) resolve(n *nest, stmt ir.Stmt, name string) *symbolic.Expr {
+	if n.isIndex(name) {
+		return nil
+	}
+	if !t.assignedInNest(n.root, name) {
+		return t.Ranges.Consts()[name]
+	}
+	// Loop-variant scalar: resolve through GSA (catches simple
+	// chains like M = IND(L)).
+	v := t.GSA.ValueBefore(stmt, name, 4)
+	if symbolic.Equal(v, symbolic.Var(name)) {
+		return nil
+	}
+	return v
+}
+
+func (t *Tester) exprAnalyzable(n *nest, e *symbolic.Expr) bool {
 	for v := range e.Vars() {
-		if indices[v] {
+		if n.isIndex(v) {
 			continue
 		}
-		if t.assignedInNest(root, v) {
+		if t.assignedInNest(n.root, v) {
 			return false
 		}
 	}
-	written := t.writtenIn(root)
+	written := t.writtenIn(n.root)
 	ok := true
 	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
-		ok = t.atomAnalyzable(root, atom, written, indices)
+		ok = t.atomAnalyzable(n, atom, written)
 		return ok
 	})
 	return ok
 }
 
-func (t *Tester) atomAnalyzable(root *ir.DoStmt, atom symbolic.Atom, written, indices map[string]bool) bool {
+func (t *Tester) atomAnalyzable(n *nest, atom symbolic.Atom, written map[string]bool) bool {
 	if atom.Call {
 		if atom.Name != "IDIV" && atom.Name != "IPOW" {
 			return false // unknown function: not provably pure
@@ -200,7 +253,7 @@ func (t *Tester) atomAnalyzable(root *ir.DoStmt, atom symbolic.Atom, written, in
 		return false
 	}
 	for _, arg := range atom.Args {
-		if !t.exprAnalyzable(root, arg, indices) {
+		if !t.exprAnalyzable(n, arg) {
 			return false
 		}
 	}

@@ -81,18 +81,14 @@ func (t *Tester) AnalyzeLoop(loop *ir.DoStmt, cfg Config) Verdict {
 	if hasCall(loop, cfg.SkipStmts) {
 		return Verdict{Parallel: false, Reason: "CALL statement in loop body", HasCall: true, Blocker: "CALL"}
 	}
-	accesses := CollectAccesses(loop, cfg.SkipStmts)
-	ranged := map[string]bool{}
-	for _, d := range ir.Loops(loop.Body) {
-		ranged[d.Index] = true
-	}
-	v := t.analyzeTarget(loop, loop, ranged, accesses, cfg)
+	n := newNest(loop, cfg.SkipStmts)
+	v := t.analyzeTarget(n, loop, n.inner, cfg)
 	if v.Parallel || !cfg.Permutation || len(v.Unanalyzable) > 0 {
 		return v
 	}
 	// Identity order failed: try the permuted whole-nest test over the
 	// perfect chain rooted here; success proves full independence.
-	if ok, perm := t.permutedNestTest(loop, accesses, cfg); ok {
+	if ok, perm := t.permutedNestTest(n, cfg); ok {
 		return Verdict{
 			Parallel:    true,
 			Reason:      fmt.Sprintf("range test with permuted loop order %v", perm),
@@ -104,9 +100,9 @@ func (t *Tester) AnalyzeLoop(loop *ir.DoStmt, cfg Config) Verdict {
 }
 
 // analyzeTarget tests one target loop under a given inner-variable view.
-func (t *Tester) analyzeTarget(root, target *ir.DoStmt, ranged map[string]bool, accesses []Access, cfg Config) Verdict {
+func (t *Tester) analyzeTarget(n *nest, target *ir.DoStmt, ranged map[string]bool, cfg Config) Verdict {
 	byArray := map[string][]Access{}
-	for _, a := range accesses {
+	for _, a := range n.accesses {
 		if cfg.ExcludeArrays[a.Array] {
 			continue
 		}
@@ -141,12 +137,12 @@ func (t *Tester) analyzeTarget(root, target *ir.DoStmt, ranged map[string]bool, 
 				if i == j {
 					// A single access pairs with itself across
 					// iterations (write-write on the same subscript).
-					if !t.pairIndependent(root, target, ranged, a, a, cfg, unanalyzable, &tr) {
+					if !t.pairIndependent(n, target, ranged, a, a, cfg, unanalyzable, &tr) {
 						return t.failVerdict(name, unanalyzable)
 					}
 					continue
 				}
-				if !t.pairIndependent(root, target, ranged, a, b, cfg, unanalyzable, &tr) {
+				if !t.pairIndependent(n, target, ranged, a, b, cfg, unanalyzable, &tr) {
 					return t.failVerdict(name, unanalyzable)
 				}
 			}
@@ -186,7 +182,7 @@ type analysisTrace struct {
 // pairIndependent proves no dependence between a and b carried by
 // target. It records unanalyzable arrays, and range-test usage in tr,
 // as side effects.
-func (t *Tester) pairIndependent(root, target *ir.DoStmt, ranged map[string]bool, a, b Access, cfg Config, unanalyzable map[string]bool, tr *analysisTrace) bool {
+func (t *Tester) pairIndependent(n *nest, target *ir.DoStmt, ranged map[string]bool, a, b Access, cfg Config, unanalyzable map[string]bool, tr *analysisTrace) bool {
 	if cfg.Stats != nil {
 		cfg.Stats.PairsTested++
 	}
@@ -202,11 +198,11 @@ func (t *Tester) pairIndependent(root, target *ir.DoStmt, ranged map[string]bool
 	anyAnalyzable := false
 	sawIndexArray := false
 	for d := range a.Subs {
-		ca, okA := t.convSubscript(root, a, a.Subs[d])
-		cb, okB := t.convSubscript(root, b, b.Subs[d])
-		if !okA || !okB {
+		sa, sb := t.sub(n, a, d), t.sub(n, b, d)
+		if !sa.analyzable || !sb.analyzable {
 			continue
 		}
+		ca, cb := sa.conv, sb.conv
 		anyAnalyzable = true
 		if hasArrayAtom(ca.E) || hasArrayAtom(cb.E) {
 			sawIndexArray = true
@@ -232,7 +228,7 @@ func (t *Tester) pairIndependent(root, target *ir.DoStmt, ranged map[string]bool
 	if cfg.Stats != nil {
 		cfg.Stats.RangeTests++
 	}
-	if t.RangeTestPair(root, target, ranged, a, b) {
+	if t.RangeTestPair(n, target, ranged, a, b) {
 		if tr != nil {
 			tr.usedRange = true
 		}
@@ -282,8 +278,9 @@ func (t *Tester) commonNest(target *ir.DoStmt, ranged map[string]bool, a, b Acce
 // chain rooted at root; if some order proves every level free of
 // carried dependences, the whole iteration space is independent and
 // every loop in the chain is parallel.
-func (t *Tester) permutedNestTest(root *ir.DoStmt, accesses []Access, cfg Config) (bool, []string) {
-	chain := perfectChain(root)
+func (t *Tester) permutedNestTest(n *nest, cfg Config) (bool, []string) {
+	accesses := n.accesses
+	chain := perfectChain(n.root)
 	if len(chain) < 2 || len(chain) > 5 {
 		return false, nil
 	}
@@ -315,7 +312,7 @@ func (t *Tester) permutedNestTest(root *ir.DoStmt, accesses []Access, cfg Config
 					if b.Write && j < i {
 						continue
 					}
-					if !t.pairIndependent(root, target, ranged, a, b, cfg, unanalyzable, nil) {
+					if !t.pairIndependent(n, target, ranged, a, b, cfg, unanalyzable, nil) {
 						ok = false
 					}
 				}

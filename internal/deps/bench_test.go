@@ -6,6 +6,7 @@ import (
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 // triangularSrc is the TRFD-style nest whose linearized triangular
@@ -23,7 +24,7 @@ const triangularSrc = `
       END
 `
 
-func benchNest(b *testing.B) (*Tester, *ir.DoStmt, []Access) {
+func benchNest(b *testing.B) (*Tester, *ir.DoStmt, *nest) {
 	b.Helper()
 	prog, err := parser.ParseProgram(triangularSrc)
 	if err != nil {
@@ -32,13 +33,14 @@ func benchNest(b *testing.B) (*Tester, *ir.DoStmt, []Access) {
 	u := prog.Main()
 	t := NewTester(u, rng.New(u))
 	root := ir.Loops(u.Body)[0]
-	return t, root, CollectAccesses(root, nil)
+	return t, root, newNest(root, nil)
 }
 
 // BenchmarkRangeTestPair measures one range-test pair query on the
 // triangular subscript: the per-pair unit of the O(n^2) scan.
 func BenchmarkRangeTestPair(b *testing.B) {
-	t, root, accesses := benchNest(b)
+	t, root, n := benchNest(b)
+	accesses := n.accesses
 	var wr, rd *Access
 	for i := range accesses {
 		if accesses[i].Array != "A" {
@@ -55,13 +57,13 @@ func BenchmarkRangeTestPair(b *testing.B) {
 		b.Fatal("triangular accesses not found")
 	}
 	ranged := map[string]bool{"J": true}
-	if !t.RangeTestPair(root, root, ranged, *wr, *rd) {
+	if !t.RangeTestPair(n, root, ranged, *wr, *rd) {
 		b.Fatal("triangular pair not proved independent")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !t.RangeTestPair(root, root, ranged, *wr, *rd) {
+		if !t.RangeTestPair(n, root, ranged, *wr, *rd) {
 			b.Fatal("triangular pair not proved independent")
 		}
 	}
@@ -80,5 +82,53 @@ func BenchmarkAnalyzeLoop(b *testing.B) {
 		if v := t.AnalyzeLoop(root, Config{}); !v.Parallel {
 			b.Fatalf("triangular nest not parallel: %s", v.Reason)
 		}
+	}
+}
+
+// TestAnalyzeLoopAllocBudget holds the whole analysis of a fixed
+// three-deep nest with six accesses to its allocation count. Every
+// access is converted once for the nest, not once per pair it appears
+// in; a per-pair conversion, index set or fact list shows up here as a
+// multiple of the budget, which is the measured count plus a tenth.
+func TestAnalyzeLoopAllocBudget(t *testing.T) {
+	prog, err := parser.ParseProgram(`
+      PROGRAM P
+      INTEGER N, I, J, K
+      PARAMETER (N=20)
+      REAL A(8000), B(8000)
+      DO I = 1, N
+        DO J = 1, N
+          DO K = 1, N
+            A(K + N*(J-1) + N*N*(I-1)) = A(K + N*(J-1) + N*N*(I-1)) + B(K + N*(J-1))
+            IF (K .GT. 1) THEN
+              B(K + N*N*(I-1)) = A(K + N*(J-1) + N*N*(I-1)) * B(K + N*(J-1))
+            END IF
+          END DO
+        END DO
+      END DO
+      END
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	u := prog.Main()
+	tester := NewTester(u, rng.New(u))
+	root := ir.Loops(u.Body)[0]
+	if n := len(newNest(root, nil).accesses); n != 6 {
+		t.Fatalf("nest has %d accesses, want 6", n)
+	}
+	var stats Stats
+	cfg := Config{Permutation: true, Stats: &stats}
+	diffChecks := symbolic.ReadProverStats().DiffChecks
+	tester.AnalyzeLoop(root, cfg)
+	if want := (Stats{PairsTested: 12, LinearDecided: 6, RangeTests: 6, Permutations: 5}); stats != want {
+		t.Fatalf("fixture tests %+v, want %+v", stats, want)
+	}
+	if symbolic.ReadProverStats().DiffChecks != diffChecks {
+		t.Skip("-tags proverdiff: the reference prover allocates too")
+	}
+	const budget = 1729 // 1572 measured (3038 before the nest context) plus a tenth
+	if allocs := testing.AllocsPerRun(20, func() { tester.AnalyzeLoop(root, cfg) }); allocs > budget {
+		t.Errorf("AnalyzeLoop allocates %.0f times on the fixed nest; budget %d", allocs, budget)
 	}
 }

@@ -504,10 +504,10 @@ func TestPowerFactOrderIsStable(t *testing.T) {
 		if v := tester.AnalyzeLoop(loop, Config{}); v.Parallel {
 			t.Fatalf("compile %d: verdict flipped to parallel: %s", i, v.Reason)
 		}
-		accs := CollectAccesses(loop, nil)
-		for _, a := range accs {
-			for _, b := range accs {
-				if got := strings.Join(tester.pairEnv(loop, a, b).Names(), " "); got != want {
+		n := newNest(loop, nil)
+		for _, a := range n.accesses {
+			for _, b := range n.accesses {
+				if got := strings.Join(tester.pairEnv(n, a, b).Names(), " "); got != want {
 					t.Fatalf("compile %d: elimination order %q, want %q", i, got, want)
 				}
 			}

@@ -1,0 +1,191 @@
+package deps_test
+
+import (
+	"testing"
+
+	"polaris/internal/core"
+	"polaris/internal/deps"
+	"polaris/internal/fuzzgen"
+	"polaris/internal/ir"
+	"polaris/internal/parser"
+	"polaris/internal/rng"
+	"polaris/internal/suite"
+	"polaris/internal/symbolic"
+)
+
+// refConvSubscript is the per-pair conversion the nest's slots replaced,
+// from its own index map down: the reference a stored conversion is
+// compared with.
+func refConvSubscript(t *deps.Tester, root *ir.DoStmt, acc deps.Access, e ir.Expr) (conv symbolic.Conv, analyzable bool) {
+	indices := map[string]bool{}
+	for _, d := range ir.Loops(root.Body) {
+		indices[d.Index] = true
+	}
+	indices[root.Index] = true
+	for _, d := range acc.Loops {
+		indices[d.Index] = true
+	}
+	resolver := func(name string) *symbolic.Expr {
+		if indices[name] {
+			return nil
+		}
+		if !t.AssignedInNest(root, name) {
+			if c := t.Ranges.Consts()[name]; c != nil {
+				return c
+			}
+			return nil
+		}
+		// Loop-variant scalar: resolve through GSA (catches simple
+		// chains like M = IND(L)).
+		v := t.GSA.ValueBefore(acc.Stmt, name, 4)
+		if symbolic.Equal(v, symbolic.Var(name)) {
+			return nil
+		}
+		return v
+	}
+	conv = symbolic.FromIR(e, resolver)
+	if !conv.OK {
+		return conv, false
+	}
+	return conv, refExprAnalyzable(t, root, conv.E, indices)
+}
+
+func refExprAnalyzable(t *deps.Tester, root *ir.DoStmt, e *symbolic.Expr, indices map[string]bool) bool {
+	for v := range e.Vars() {
+		if indices[v] {
+			continue
+		}
+		if t.AssignedInNest(root, v) {
+			return false
+		}
+	}
+	written := t.WrittenIn(root)
+	ok := true
+	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
+		ok = refAtomAnalyzable(t, root, atom, written, indices)
+		return ok
+	})
+	return ok
+}
+
+func refAtomAnalyzable(t *deps.Tester, root *ir.DoStmt, atom symbolic.Atom, written, indices map[string]bool) bool {
+	if atom.Call {
+		if atom.Name != "IDIV" && atom.Name != "IPOW" {
+			return false // unknown function: not provably pure
+		}
+	} else if written[atom.Name] {
+		return false // subscript array modified in the nest
+	}
+	// Gate atoms have no args slice entries but Args != nil with
+	// len 0; they carry loop-variant values.
+	if len(atom.Args) == 0 && !atom.Call {
+		return false
+	}
+	for _, arg := range atom.Args {
+		if !refExprAnalyzable(t, root, arg, indices) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNestConvMatchesFresh takes every loop of the 16 suite programs
+// and of mega10k, as parsed and as compiled, as the root of its own
+// nest, runs the pair tests over it so the conversion slots fill in the
+// order the analysis asks for them, and then requires of every
+// subscript of every access that the slot holds what a conversion made
+// from scratch for that one access would: under the nest's resolver
+// with its analyzable verdict, and without a resolver, where the slot
+// may be sharing the first conversion.
+func TestNestConvMatchesFresh(t *testing.T) {
+	type source struct{ name, src string }
+	var sources []source
+	for _, p := range suite.All() {
+		sources = append(sources, source{p.Name, p.Source})
+	}
+	for _, spec := range fuzzgen.MegaCorpus() {
+		if spec.Name == "mega10k" {
+			sources = append(sources, source{spec.Name, spec.Generate().Source})
+		}
+	}
+	if len(sources) != 17 {
+		t.Fatalf("%d sources, want the 16 suite programs and mega10k", len(sources))
+	}
+	// None of those keeps a power atom in a subscript. Here the resolver
+	// folds 2**K to 8 while the resolver-free conversion, whose keys
+	// addPowerFacts pushes, must keep IPOW(2,K) beside IPOW(3,L).
+	sources = append(sources, source{"powers", `
+      SUBROUTINE S(N, L, A)
+      INTEGER N, K, L, I
+      PARAMETER (K=3)
+      REAL A(*)
+      DO I = 1, N
+        A(I*2**K + 3**L) = A(I*3**L + 2**K) + 1.0
+      END DO
+      END
+`})
+	same := func(got, want symbolic.Conv) bool {
+		if got.OK != want.OK || got.IntDivApprox != want.IntDivApprox {
+			return false
+		}
+		return !want.OK || got.E.String() == want.E.String()
+	}
+	var subs, resolved, unanalyzable, powers int
+	for _, s := range sources {
+		parsed, err := parser.ParseProgram(s.src)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		res, err := core.Compile(parser.MustParse(s.src), core.PolarisOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for _, prog := range []*ir.Program{parsed, res.Program} {
+			for _, u := range prog.Units {
+				tester := deps.NewTester(u, rng.New(u))
+				for _, root := range ir.Loops(u.Body) {
+					n := deps.NewNest(root, nil)
+					tester.AnalyzeNest(n, deps.Config{})
+					for _, acc := range n.Accesses() {
+						for d, sub := range acc.Subs {
+							conv, pow, analyzable := tester.Sub(n, acc, d)
+							wantConv, wantAnalyzable := refConvSubscript(tester, root, acc, sub)
+							wantPow := symbolic.FromIR(sub, nil)
+							if !same(conv, wantConv) || analyzable != wantAnalyzable {
+								t.Errorf("%s/%s: %s(%s) under DO %s: stored %v (analyzable %v), fresh %v (%v)",
+									s.name, u.Name, acc.Array, sub, root.Index, conv, analyzable, wantConv, wantAnalyzable)
+							}
+							if !same(pow, wantPow) {
+								t.Errorf("%s/%s: %s(%s) under DO %s: stored resolver-free %v, fresh %v",
+									s.name, u.Name, acc.Array, sub, root.Index, pow, wantPow)
+							}
+							subs++
+							if wantConv.OK && wantPow.OK && wantConv.E.String() != wantPow.E.String() {
+								resolved++
+							}
+							if !wantAnalyzable {
+								unanalyzable++
+							}
+							if wantPow.OK {
+								wantPow.E.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
+									if atom.Call && atom.Name == "IPOW" {
+										powers++
+									}
+									return true
+								})
+							}
+						}
+					}
+					if t.Failed() {
+						return
+					}
+				}
+			}
+		}
+	}
+	// Every branch of the comparison has to have been taken.
+	if subs < 10000 || resolved == 0 || unanalyzable == 0 || powers == 0 {
+		t.Errorf("%d subscripts, %d changed by the resolver, %d unanalyzable, %d power atoms: the walk is not reaching them",
+			subs, resolved, unanalyzable, powers)
+	}
+}

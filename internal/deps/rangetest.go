@@ -9,7 +9,7 @@ import (
 // target loop: bounds for every loop index of the nest (innermost
 // first), the enclosing context of the nest root, and the guard and
 // trip-count facts that hold whenever both accesses execute.
-func (t *Tester) pairEnv(root *ir.DoStmt, a, b Access) *symbolic.Env {
+func (t *Tester) pairEnv(n *nest, a, b Access) *symbolic.Env {
 	env := symbolic.NewEnv()
 	// Subtree loops, innermost-first: collect with depths.
 	type entry struct {
@@ -28,7 +28,7 @@ func (t *Tester) pairEnv(root *ir.DoStmt, a, b Access) *symbolic.Env {
 			walk(in, depth+1)
 		}
 	}
-	walk(root, 0)
+	walk(n.root, 0)
 	// Push by depth descending (innermost first), stable among equals,
 	// so a bound may reference any outer index.
 	for d := maxDepth; d >= 0; d-- {
@@ -43,7 +43,7 @@ func (t *Tester) pairEnv(root *ir.DoStmt, a, b Access) *symbolic.Env {
 		}
 	}
 	// Enclosing loops of the root (fixed outer context).
-	for _, d := range ir.EnclosingLoops(t.Unit.Body, root) {
+	for _, d := range ir.EnclosingLoops(t.Unit.Body, n.root) {
 		lo, hi, ok := t.Ranges.LoopRange(d)
 		if !ok {
 			continue
@@ -60,16 +60,16 @@ func (t *Tester) pairEnv(root *ir.DoStmt, a, b Access) *symbolic.Env {
 	// Positivity of power atoms with positive integer base (stride
 	// expressions like 2**(L-1) from multiplicative induction): the
 	// value is always >= 1.
-	addPowerFacts(env, a)
-	addPowerFacts(env, b)
+	t.addPowerFacts(env, n, a)
+	t.addPowerFacts(env, n, b)
 	return env
 }
 
 // addPowerFacts pushes IPOW(c, x) >= 1 bounds for constant c >= 1,
 // scanning the access's subscripts.
-func addPowerFacts(env *symbolic.Env, acc Access) {
-	for _, sub := range acc.Subs {
-		conv := symbolic.FromIR(sub, nil)
+func (t *Tester) addPowerFacts(env *symbolic.Env, n *nest, acc Access) {
+	for d := range acc.Subs {
+		conv := t.sub(n, acc, d).pow
 		if !conv.OK {
 			continue
 		}
@@ -203,22 +203,22 @@ func (t *Tester) noCarriedDepRange(env *symbolic.Env, target string, ra, rb rang
 // (free) — the permuted visitation order of the paper. It tests each
 // array dimension independently; disjointness in any one dimension
 // suffices.
-func (t *Tester) RangeTestPair(root *ir.DoStmt, target *ir.DoStmt, ranged map[string]bool, a, b Access) bool {
+func (t *Tester) RangeTestPair(n *nest, target *ir.DoStmt, ranged map[string]bool, a, b Access) bool {
 	if len(a.Subs) != len(b.Subs) {
 		return false
 	}
-	env := t.pairEnv(root, a, b)
+	env := t.pairEnv(n, a, b)
 	tLo, tHi, tOK := t.Ranges.LoopRange(target)
 	tBound := symbolic.Bound{}
 	if tOK {
 		tBound = symbolic.Bound{Lo: tLo, Hi: tHi}
 	}
 	for d := range a.Subs {
-		ca, okA := t.convSubscript(root, a, a.Subs[d])
-		cb, okB := t.convSubscript(root, b, b.Subs[d])
-		if !okA || !okB {
+		sa, sb := t.sub(n, a, d), t.sub(n, b, d)
+		if !sa.analyzable || !sb.analyzable {
 			continue
 		}
+		ca, cb := sa.conv, sb.conv
 		ra := rangeInfo{approx: ca.IntDivApprox}
 		rb := rangeInfo{approx: cb.IntDivApprox}
 		var ok bool

@@ -1,6 +1,10 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+	"slices"
+)
 
 // Check verifies the internal consistency invariants the Polaris IR
 // enforces (Section 2 of the paper):
@@ -14,7 +18,7 @@ import "fmt"
 //
 // Check returns the first violation found, or nil.
 func (p *Program) Check() error {
-	seen := newSeenNodes(p.Units)
+	seen := findAliased(p.Units)
 	for _, u := range p.Units {
 		if err := u.check(seen); err != nil {
 			return err
@@ -25,39 +29,83 @@ func (p *Program) Check() error {
 
 // Check verifies the unit in isolation.
 func (u *ProgramUnit) Check() error {
-	return u.check(newSeenNodes([]*ProgramUnit{u}))
+	return u.check(findAliased([]*ProgramUnit{u}))
 }
 
-// seenNodes records, for every node met so far, the unit it was first
-// reached from, which is what an aliasing error has to name.
-type seenNodes struct {
-	exprs map[Expr]*ProgramUnit
-	stmts map[Stmt]*ProgramUnit
+// aliased holds the nodes reachable from two places, keyed by address.
+// The value is the unit the checking walk first reached the node from,
+// which an aliasing error has to name, and is nil until it has. A
+// consistent program has none, and its map is nil.
+type aliased map[uintptr]*ProgramUnit
+
+// findAliased sorts the address of every node of the units: 8 bytes a
+// node, where remembering every node in a map cost five times that.
+func findAliased(units []*ProgramUnit) aliased {
+	n := 0
+	eachNode(units, func(any) { n++ })
+	addrs := make([]uintptr, 0, n)
+	eachNode(units, func(node any) { addrs = append(addrs, addrOf(node)) })
+	slices.Sort(addrs)
+	var dups aliased
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i] == addrs[i-1] {
+			if dups == nil {
+				dups = aliased{}
+			}
+			dups[addrs[i]] = nil
+		}
+	}
+	return dups
 }
 
-// newSeenNodes sizes both maps for the units about to be checked, so
-// filling them never rehashes.
-func newSeenNodes(units []*ProgramUnit) *seenNodes {
-	var stmts, exprs int
-	countExpr := func(Expr) bool { exprs++; return true }
+// eachNode visits every statement and expression node of the units.
+// Stateless statements (RETURN/STOP/CONTINUE) are zero-sized: Go may
+// give distinct allocations the same address, and sharing them is
+// harmless anyway, so they are exempt from the aliasing check.
+func eachNode(units []*ProgramUnit, visit func(node any)) {
+	visitExpr := func(e Expr) bool { visit(e); return true }
 	for _, u := range units {
 		// Not WalkStmtExprs: there StmtExprs' slices escape to the heap,
 		// one per statement; here they stay on the stack.
 		WalkStmts(u.Body, func(s Stmt) bool {
-			stmts++
+			if !stateless(s) {
+				visit(s)
+			}
 			for _, e := range StmtExprs(s) {
-				WalkExpr(e, countExpr)
+				WalkExpr(e, visitExpr)
 			}
 			return true
 		})
 	}
-	return &seenNodes{
-		exprs: make(map[Expr]*ProgramUnit, exprs),
-		stmts: make(map[Stmt]*ProgramUnit, stmts),
-	}
 }
 
-func (u *ProgramUnit) check(seen *seenNodes) error {
+func stateless(s Stmt) bool {
+	switch s.(type) {
+	case *ReturnStmt, *StopStmt, *ContinueStmt:
+		return true
+	}
+	return false
+}
+
+// addrOf returns the address of a node; every node type is a pointer.
+func addrOf(node any) uintptr { return reflect.ValueOf(node).Pointer() }
+
+// again reports whether the walk has reached node before, returning
+// the unit it was first reached from.
+func (seen aliased) again(node any, u *ProgramUnit) (first *ProgramUnit, dup bool) {
+	if seen == nil {
+		return nil, false
+	}
+	addr := addrOf(node)
+	first, dup = seen[addr]
+	if dup && first == nil {
+		seen[addr] = u
+		return nil, false
+	}
+	return first, dup
+}
+
+func (u *ProgramUnit) check(seen aliased) error {
 	if u.Symbols == nil || u.Body == nil {
 		return &ConsistencyError{Msg: fmt.Sprintf("unit %s: nil symbol table or body", u.Name)}
 	}
@@ -80,18 +128,11 @@ func (u *ProgramUnit) check(seen *seenNodes) error {
 		if err != nil {
 			return false
 		}
-		// Stateless statements (RETURN/STOP/CONTINUE) are zero-sized:
-		// Go may give distinct allocations the same address, and
-		// sharing them is harmless anyway — exempt them from the
-		// aliasing check.
-		switch s.(type) {
-		case *ReturnStmt, *StopStmt, *ContinueStmt:
-		default:
-			if prev, dup := seen.stmts[s]; dup {
+		if !stateless(s) {
+			if prev, dup := seen.again(s, u); dup {
 				err = &ConsistencyError{Msg: fmt.Sprintf("statement aliased between unit %s and unit %s", prev.Name, u.Name)}
 				return false
 			}
-			seen.stmts[s] = u
 		}
 		if err = u.checkStmt(s); err != nil {
 			return false
@@ -144,11 +185,10 @@ func (u *ProgramUnit) checkStmt(s Stmt) error {
 
 // checkExprNode verifies one expression node: not reachable from two
 // places, and consistent with the unit's symbol table.
-func (u *ProgramUnit) checkExprNode(n Expr, seen *seenNodes) error {
-	if prev, dup := seen.exprs[n]; dup {
+func (u *ProgramUnit) checkExprNode(n Expr, seen aliased) error {
+	if prev, dup := seen.again(n, u); dup {
 		return &ConsistencyError{Msg: fmt.Sprintf("expression %s aliased (first seen in unit %s, again in unit %s)", n, prev.Name, u.Name)}
 	}
-	seen.exprs[n] = u
 	switch x := n.(type) {
 	case *ArrayRef:
 		sym := u.Symbols.Lookup(x.Name)

@@ -8,11 +8,12 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
 // Kind classifies tokens.
-type Kind int
+type Kind uint8
 
 // Token kinds.
 const (
@@ -26,14 +27,23 @@ const (
 	LABEL   // statement label (leading integer on a line)
 )
 
-// Token is one lexical unit.
+// Token is one lexical unit, packed into 24 bytes: the slab of them is
+// the largest single allocation of a parse.
 type Token struct {
-	Kind Kind
 	Text string
-	Line int
+	Line int32
 	// Col is the 1-based source column of the token's first
-	// character (0 for synthesized NEWLINE/EOF tokens).
-	Col int
+	// character (0 for synthesized NEWLINE/EOF tokens). It only feeds
+	// error positions and saturates at 65535.
+	Col  uint16
+	Kind Kind
+}
+
+func newToken(kind Kind, text string, line, col int) Token {
+	if col > math.MaxUint16 {
+		col = math.MaxUint16
+	}
+	return Token{Text: text, Line: int32(line), Col: uint16(col), Kind: kind}
 }
 
 func (t Token) String() string {
@@ -110,11 +120,11 @@ func Lex(src string) ([]Token, error) {
 			return nil, err
 		}
 		if !contNext {
-			toks = append(toks, Token{Kind: NEWLINE, Line: line})
+			toks = append(toks, newToken(NEWLINE, "", line, 0))
 		}
 		cont = contNext
 	}
-	toks = append(toks, Token{Kind: EOF, Line: line})
+	toks = append(toks, newToken(EOF, "", line, 0))
 	return toks, nil
 }
 
@@ -165,7 +175,7 @@ func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
 		if j < n && (s[j] == ' ' || s[j] == '\t') {
 			rest := strings.TrimSpace(s[j:])
 			if rest != "" && !isExprStart(rest) {
-				toks = append(toks, Token{Kind: LABEL, Text: s[i:j], Line: line, Col: i + 1})
+				toks = append(toks, newToken(LABEL, s[i:j], line, i+1))
 				i = j
 			}
 		}
@@ -182,7 +192,7 @@ func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
 			for j < n && (isAlpha(s[j]) || isDigit(s[j]) || s[j] == '_') {
 				j++
 			}
-			toks = append(toks, Token{Kind: IDENT, Text: strings.ToUpper(s[i:j]), Line: line, Col: i + 1})
+			toks = append(toks, newToken(IDENT, strings.ToUpper(s[i:j]), line, i+1))
 			i = j
 		case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1]) && !startsDotOp(s[i:])):
 			tok, j, err := lexNumber(s, i, line)
@@ -204,7 +214,7 @@ func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
 					if word == "TRUE" || word == "FALSE" {
 						kind = LOGICAL
 					}
-					toks = append(toks, Token{Kind: kind, Text: text, Line: line, Col: i + 1})
+					toks = append(toks, newToken(kind, text, line, i+1))
 					i = j + 1
 					continue
 				}
@@ -212,38 +222,38 @@ func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
 			return nil, &Error{Line: line, Col: i + 1, Msg: "unexpected '.'"}
 		case c == '*':
 			if i+1 < n && s[i+1] == '*' {
-				toks = append(toks, Token{Kind: OP, Text: "**", Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, "**", line, i+1))
 				i += 2
 			} else {
-				toks = append(toks, Token{Kind: OP, Text: "*", Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, "*", line, i+1))
 				i++
 			}
 		case c == '<' || c == '>':
 			if i+1 < n && s[i+1] == '=' {
-				toks = append(toks, Token{Kind: OP, Text: map[byte]string{'<': ".LE.", '>': ".GE."}[c], Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, map[byte]string{'<': ".LE.", '>': ".GE."}[c], line, i+1))
 				i += 2
 			} else {
-				toks = append(toks, Token{Kind: OP, Text: map[byte]string{'<': ".LT.", '>': ".GT."}[c], Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, map[byte]string{'<': ".LT.", '>': ".GT."}[c], line, i+1))
 				i++
 			}
 		case c == '=':
 			if i+1 < n && s[i+1] == '=' {
-				toks = append(toks, Token{Kind: OP, Text: ".EQ.", Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, ".EQ.", line, i+1))
 				i += 2
 			} else {
-				toks = append(toks, Token{Kind: OP, Text: "=", Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, "=", line, i+1))
 				i++
 			}
 		case c == '/':
 			if i+1 < n && s[i+1] == '=' {
-				toks = append(toks, Token{Kind: OP, Text: ".NE.", Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, ".NE.", line, i+1))
 				i += 2
 			} else {
-				toks = append(toks, Token{Kind: OP, Text: "/", Line: line, Col: i + 1})
+				toks = append(toks, newToken(OP, "/", line, i+1))
 				i++
 			}
 		case strings.IndexByte("+-(),:", c) >= 0:
-			toks = append(toks, Token{Kind: OP, Text: s[i : i+1], Line: line, Col: i + 1})
+			toks = append(toks, newToken(OP, s[i:i+1], line, i+1))
 			i++
 		default:
 			return nil, &Error{Line: line, Col: i + 1, Msg: fmt.Sprintf("unexpected character %q", c)}
@@ -285,7 +295,7 @@ func lexNumber(s string, i, line int) (Token, int, error) {
 	if isReal {
 		kind = REAL
 	}
-	return Token{Kind: kind, Text: text, Line: line, Col: i + 1}, j, nil
+	return newToken(kind, text, line, i+1), j, nil
 }
 
 // startsDotOp reports whether s (starting with '.') begins a .XX.

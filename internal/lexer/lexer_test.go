@@ -3,6 +3,7 @@ package lexer
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"polaris/internal/fuzzgen"
 )
@@ -146,11 +147,20 @@ func TestLineNumbers(t *testing.T) {
 	var yLine int
 	for _, tok := range toks {
 		if tok.Text == "Y" {
-			yLine = tok.Line
+			yLine = int(tok.Line)
 		}
 	}
 	if yLine != 2 {
 		t.Errorf("Y on line %d, want 2", yLine)
+	}
+}
+
+// TestColumnSaturates: Col is 16 bits wide and pins at 65535 on a line
+// longer than that, it does not wrap.
+func TestColumnSaturates(t *testing.T) {
+	toks := lex(t, strings.Repeat(" ", 70000)+"X = 1\n")
+	if toks[0].Text != "X" || toks[0].Col != 65535 || toks[0].Line != 1 {
+		t.Errorf("first token %+v, want X at 1:65535", toks[0])
 	}
 }
 
@@ -186,6 +196,9 @@ func TestLexAllocationBudget(t *testing.T) {
 	}
 	if n := strings.Count(src, "\n"); n < 9000 {
 		t.Fatalf("mega10k has %d lines", n)
+	}
+	if size := unsafe.Sizeof(Token{}); size != 24 {
+		t.Errorf("Token is %d bytes, want 24: the slab is the largest allocation of a parse", size)
 	}
 	const slack = 4
 	for _, c := range []struct{ name, src string }{{"as generated", src}, {"lower-cased", strings.ToLower(src)}} {

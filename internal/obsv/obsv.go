@@ -25,6 +25,7 @@
 package obsv
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,6 +234,37 @@ func (o *Observer) Decision(d Decision) {
 	o.next.Decision(d)
 }
 
+// ReplayDecisions records ds in order, each under label: the replay of
+// provenance kept beside a cached or memoized result. The records are
+// appended in one reservation of len(ds); the trace writer, then the
+// next observer, receive the whole batch in the same order.
+func (o *Observer) ReplayDecisions(ds []Decision, label string) {
+	o.appendDecisions(ds, &label)
+}
+
+// appendDecisions is ReplayDecisions; a nil label keeps each record's own.
+func (o *Observer) appendDecisions(ds []Decision, label *string) {
+	if o == nil || len(ds) == 0 {
+		return
+	}
+	o.mu.Lock()
+	o.decisions = append(slices.Grow(o.decisions, len(ds)), ds...)
+	// Records are never written after this, so the batch can be read
+	// outside the lock even if a later append moves the slice.
+	batch := o.decisions[len(o.decisions)-len(ds):]
+	if label != nil {
+		for i := range batch {
+			batch[i].Label = *label
+		}
+	}
+	t := o.trace
+	o.mu.Unlock()
+	for _, d := range batch {
+		t.EmitDecision(d)
+	}
+	o.next.appendDecisions(batch, nil)
+}
+
 // Span records one pass execution.
 func (o *Observer) Span(s Span) {
 	if o == nil {
@@ -388,7 +420,7 @@ func (o *Observer) ReplayTo(dst *Observer) {
 		return
 	}
 	o.mu.Lock()
-	decisions := append([]Decision(nil), o.decisions...)
+	decisions := o.decisions // records are never written once appended
 	spans := append([]Span(nil), o.spans...)
 	runs := append([]RunMetrics(nil), o.runs...)
 	counters := make(map[string]int64, len(o.counters))
@@ -396,9 +428,7 @@ func (o *Observer) ReplayTo(dst *Observer) {
 		counters[k] = v
 	}
 	o.mu.Unlock()
-	for _, d := range decisions {
-		dst.Decision(d)
-	}
+	dst.appendDecisions(decisions, nil)
 	for _, s := range spans {
 		dst.Span(s)
 	}

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -202,5 +203,65 @@ func TestCounters(t *testing.T) {
 	got["loops_analyzed"] = 99
 	if o.Counters()["loops_analyzed"] != 5 {
 		t.Fatal("Counters returned a live map, want a copy")
+	}
+}
+
+// TestReplayDecisionsMatchesOneByOne: a batch replay leaves the
+// observer, its trace and the observer it forwards to exactly as
+// recording the relabeled records one at a time does, leaves the
+// caller's slice alone, and grows the record list once however long
+// the batch is.
+func TestReplayDecisionsMatchesOneByOne(t *testing.T) {
+	ds := make([]Decision, 30)
+	for i := range ds {
+		ds[i] = Decision{Label: "filled-by", Pass: "dependence", Loop: "MAIN/L" + string(rune('A'+i)), Evidence: []string{"e"}}
+	}
+	record := func(batch bool) (string, []Decision, []Decision) {
+		var buf bytes.Buffer
+		next := NewObserver()
+		next.SetTrace(NewTraceWriter(&buf))
+		next.Decision(Decision{Label: "hit", Pass: "inline"})
+		o := NewCapture(next)
+		if batch {
+			o.ReplayDecisions(ds, "hit")
+		} else {
+			for _, d := range ds {
+				d.Label = "hit"
+				o.Decision(d)
+			}
+		}
+		o.Decision(Decision{Label: "hit", Pass: "verdict", Final: true})
+		return buf.String(), o.Decisions(), next.Decisions()
+	}
+	wantTrace, wantOwn, wantNext := record(false)
+	gotTrace, gotOwn, gotNext := record(true)
+	if gotTrace != wantTrace {
+		t.Errorf("trace after a batch replay:\n%s\nwant:\n%s", gotTrace, wantTrace)
+	}
+	if len(gotOwn) != len(ds)+1 || len(gotNext) != len(ds)+2 {
+		t.Fatalf("recorded %d and forwarded %d decisions, want %d and %d", len(gotOwn), len(gotNext), len(ds)+1, len(ds)+2)
+	}
+	if !reflect.DeepEqual(gotOwn, wantOwn) {
+		t.Errorf("recorded decisions:\n%+v\nwant:\n%+v", gotOwn, wantOwn)
+	}
+	if !reflect.DeepEqual(gotNext, wantNext) {
+		t.Errorf("forwarded decisions:\n%+v\nwant:\n%+v", gotNext, wantNext)
+	}
+	if ds[0].Label != "filled-by" {
+		t.Errorf("ReplayDecisions relabeled the caller's records")
+	}
+	// One block of records on top of what an empty observer costs (two
+	// under the race detector, where slices.Grow makes its temporary);
+	// record by record it was six growths and a heap copy per record.
+	empty := testing.AllocsPerRun(20, func() { NewObserver().ReplayDecisions(nil, "hit") })
+	if allocs := testing.AllocsPerRun(20, func() { NewObserver().ReplayDecisions(ds, "hit") }); allocs > empty+2 {
+		t.Errorf("replaying %d decisions into a fresh observer allocates %.0f times, an empty observer %.0f", len(ds), allocs, empty)
+	}
+	// With no trace attached, recording allocates only to grow the list.
+	o := NewObserver()
+	o.ReplayDecisions(ds, "hit")
+	o.decisions = o.decisions[:0]
+	if allocs := testing.AllocsPerRun(20, func() { o.Decision(ds[0]); o.decisions = o.decisions[:0] }); allocs != 0 {
+		t.Errorf("Decision with no trace allocates %.0f times a record, want 0", allocs)
 	}
 }

@@ -79,8 +79,15 @@ func (t *TraceWriter) Err() error {
 // EmitSpan writes one span record.
 func (t *TraceWriter) EmitSpan(s Span) { t.emit(Envelope{Type: TypeSpan, Span: &s}) }
 
-// EmitDecision writes one decision record.
-func (t *TraceWriter) EmitDecision(d Decision) { t.emit(Envelope{Type: TypeDecision, Decision: &d}) }
+// EmitDecision writes one decision record. Only the copy escapes, so a
+// nil writer, which most observers have, costs no allocation.
+func (t *TraceWriter) EmitDecision(d Decision) {
+	if t == nil {
+		return
+	}
+	rec := d
+	t.emit(Envelope{Type: TypeDecision, Decision: &rec})
+}
 
 // EmitRun writes one run-metrics record.
 func (t *TraceWriter) EmitRun(r RunMetrics) { t.emit(Envelope{Type: TypeRun, Run: &r}) }

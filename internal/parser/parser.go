@@ -53,14 +53,8 @@ type parser struct {
 // ParseProgram parses a whole source file into a Program and validates
 // it with the IR consistency checker.
 func ParseProgram(src string) (*ir.Program, error) {
-	toks, err := lexer.Lex(src)
+	toks, err := lex(src)
 	if err != nil {
-		// Lexical failures cross the package boundary as ParseError
-		// too, so callers have one error type to match.
-		var lerr *lexer.Error
-		if errors.As(err, &lerr) {
-			return nil, &ParseError{Line: lerr.Line, Col: lerr.Col, Msg: lerr.Msg}
-		}
 		return nil, err
 	}
 	p := &parser{toks: toks, funcs: map[string]bool{}}
@@ -88,7 +82,7 @@ func ParseProgram(src string) (*ir.Program, error) {
 		if p.at(lexer.EOF) {
 			break
 		}
-		start := p.cur().Line
+		start := int(p.cur().Line)
 		u, err := p.parseUnit()
 		if err != nil {
 			return nil, err
@@ -100,7 +94,7 @@ func ParseProgram(src string) (*ir.Program, error) {
 		// the same function set — parse to identical IR wherever they
 		// sit in a file. Incremental compilation keys untouched units by
 		// exactly this pair.
-		if end := p.toks[p.pos-1].Line; start >= 1 && start <= end && end <= len(lines) {
+		if end := int(p.toks[p.pos-1].Line); start >= 1 && start <= end && end <= len(lines) {
 			u.Source = strings.Join(lines[start-1:end], "")
 		}
 		if prog.Unit(u.Name) != nil {
@@ -123,9 +117,20 @@ func ParseProgram(src string) (*ir.Program, error) {
 	return prog, nil
 }
 
+// lex tokenizes src. Lexical failures cross the package boundary as
+// ParseError too, so callers have one error type to match.
+func lex(src string) ([]lexer.Token, error) {
+	toks, err := lexer.Lex(src)
+	var lerr *lexer.Error
+	if errors.As(err, &lerr) {
+		return nil, &ParseError{Line: lerr.Line, Col: lerr.Col, Msg: lerr.Msg}
+	}
+	return toks, err
+}
+
 // ParseExpr parses a single expression (used by tests and tools).
 func ParseExpr(src string) (ir.Expr, error) {
-	toks, err := lexer.Lex(src)
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +201,7 @@ func (p *parser) skipNewlines() {
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
-	return &ParseError{Line: p.cur().Line, Col: p.cur().Col, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: int(p.cur().Line), Col: int(p.cur().Col), Msg: fmt.Sprintf(format, args...)}
 }
 
 // parseUnit parses one program unit up to its END.

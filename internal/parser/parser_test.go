@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -39,10 +40,23 @@ func TestParseExprBasics(t *testing.T) {
 }
 
 func TestParseExprErrors(t *testing.T) {
-	for _, src := range []string{"1 +", "A(", "(1+2", "X 3", ".FOO."} {
-		if _, err := ParseExpr(src); err == nil {
+	for _, src := range []string{"1 +", "A(", "(1+2", "X 3", ".FOO.", "X # 1"} {
+		_, err := ParseExpr(src)
+		if err == nil {
 			t.Errorf("ParseExpr(%q) succeeded, want error", src)
+			continue
 		}
+		// Lexical failures included: one error type at the boundary.
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("ParseExpr(%q) returned %T (%v), want *ParseError", src, err, err)
+		}
+	}
+	// A lexical failure keeps its position and message.
+	_, err := ParseExpr("X # 1")
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 1 || pe.Col != 3 || pe.Msg != `unexpected character '#'` {
+		t.Errorf(`ParseExpr("X # 1") = %#v, want *ParseError at 1:3: unexpected character '#'`, err)
 	}
 }
 

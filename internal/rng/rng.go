@@ -26,11 +26,15 @@ type Analyzer struct {
 	// the same statement's facts once per access pair (O(n^2) times).
 	// Callers must not mutate the returned slices.
 	facts map[ir.Stmt][]*symbolic.Expr
+	// elemFacts holds the facts one enclosing DO or IF branch
+	// contributes, built once, so every statement below it carries the
+	// same fact pointers and factBounds decomposes each fact once.
+	elemFacts map[pathElem][]*symbolic.Expr
 	// loopRanges caches converted DO bounds per loop statement.
 	loopRanges map[*ir.DoStmt]loopRange
 	// factBounds caches each fact's decomposition into variable bounds,
-	// keyed by the fact's pointer (stable because facts caches the
-	// slices that hold them).
+	// keyed by the fact's pointer (stable because elemFacts holds the
+	// one copy of each).
 	factBounds map[*symbolic.Expr][]factBound
 }
 
@@ -49,6 +53,7 @@ func New(u *ir.ProgramUnit) *Analyzer {
 		unit:       u,
 		consts:     map[string]*symbolic.Expr{},
 		facts:      map[ir.Stmt][]*symbolic.Expr{},
+		elemFacts:  map[pathElem][]*symbolic.Expr{},
 		loopRanges: map[*ir.DoStmt]loopRange{},
 		factBounds: map[*symbolic.Expr][]factBound{},
 	}
@@ -193,12 +198,16 @@ func (a *Analyzer) Facts(target ir.Stmt) []*symbolic.Expr {
 	var facts []*symbolic.Expr
 	if path, found := a.pathTo(target); found {
 		for _, pe := range path {
-			switch {
-			case pe.do != nil:
-				facts = append(facts, a.loopFacts(pe.do)...)
-			case pe.ifStmt != nil:
-				facts = append(facts, a.condFacts(pe.ifStmt.Cond, pe.inElse)...)
+			f, hit := a.elemFacts[pe]
+			if !hit {
+				if pe.do != nil {
+					f = a.loopFacts(pe.do)
+				} else {
+					f = a.condFacts(pe.ifStmt.Cond, pe.inElse)
+				}
+				a.elemFacts[pe] = f
 			}
+			facts = append(facts, f...)
 		}
 	}
 	a.facts[target] = facts

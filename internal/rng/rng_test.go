@@ -256,3 +256,111 @@ func TestEnvOrderingInnermostFirst(t *testing.T) {
 		t.Errorf("J <= N not provable through triangular chain")
 	}
 }
+
+// refFacts is the per-statement construction Facts replaced: every
+// enclosing loop's and guard's facts built afresh for the one target.
+func refFacts(a *Analyzer, target ir.Stmt) []*symbolic.Expr {
+	var facts []*symbolic.Expr
+	if path, found := a.pathTo(target); found {
+		for _, pe := range path {
+			switch {
+			case pe.do != nil:
+				facts = append(facts, a.loopFacts(pe.do)...)
+			case pe.ifStmt != nil:
+				facts = append(facts, a.condFacts(pe.ifStmt.Cond, pe.inElse)...)
+			}
+		}
+	}
+	return facts
+}
+
+// TestFactsSharedAlongPath: statements under one loop, and under one
+// branch of one IF, carry the very same fact objects for what encloses
+// them both, so the per-fact bound memo decomposes each distinct fact
+// once however many statements ask; the facts themselves read as the
+// per-statement construction built them.
+func TestFactsSharedAlongPath(t *testing.T) {
+	u := mainUnit(t, `
+      PROGRAM P
+      INTEGER I, J, N, M
+      REAL A(100), B(100)
+      DO I = 1, N
+        A(I) = 0.0
+        B(I) = 1.0
+        IF (M .GT. I .AND. N .LE. 50) THEN
+          A(I) = 2.0
+          B(I) = 3.0
+        ELSE
+          A(I) = 4.0
+          DO J = I, M
+            B(J) = 5.0
+          END DO
+        END IF
+      END DO
+      END
+`)
+	a := New(u)
+	var assigns []ir.Stmt
+	ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
+		if _, ok := s.(*ir.AssignStmt); ok {
+			assigns = append(assigns, s)
+		}
+		return true
+	})
+	if len(assigns) != 6 {
+		t.Fatalf("found %d assignments, want 6", len(assigns))
+	}
+	distinct := map[*symbolic.Expr]bool{}
+	for _, s := range assigns {
+		got, want := a.Facts(s), refFacts(a, s)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d facts, reference %d", s, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].String() != want[i].String() {
+				t.Errorf("%s: fact %d is %v, reference %v", s, i, got[i], want[i])
+			}
+			distinct[got[i]] = true
+		}
+	}
+	// 3 for DO I; 2 for the THEN branch (.AND. of two relations), 1 for
+	// the ELSE (the negated .AND. yields none, but DO J gives 3).
+	samePrefix := func(x, y []*symbolic.Expr, n int) bool {
+		if len(x) < n || len(y) < n {
+			return false
+		}
+		for i := 0; i < n; i++ {
+			if x[i] != y[i] {
+				return false
+			}
+		}
+		return true
+	}
+	body0, body1 := a.Facts(assigns[0]), a.Facts(assigns[1])
+	then0, then1 := a.Facts(assigns[2]), a.Facts(assigns[3])
+	else0, inner := a.Facts(assigns[4]), a.Facts(assigns[5])
+	if len(body0) != 3 || !samePrefix(body0, body1, 3) {
+		t.Errorf("two statements of one loop body do not share the loop's facts: %v vs %v", body0, body1)
+	}
+	if len(then0) != 5 || !samePrefix(then0, then1, 5) {
+		t.Errorf("two statements of one IF branch do not share loop and guard facts: %v vs %v", then0, then1)
+	}
+	if !samePrefix(body0, then0, 3) || !samePrefix(body0, else0, 3) || !samePrefix(else0, inner, len(else0)) {
+		t.Errorf("nested statements do not share the enclosing path's facts")
+	}
+	if len(distinct) != 3+2+3 {
+		t.Errorf("%d distinct fact objects, want 8 (DO I 3, THEN guard 2, DO J 3)", len(distinct))
+	}
+	// The bound memo is keyed by fact pointer: folding every statement's
+	// facts into an environment decomposes each distinct fact once.
+	before := len(a.factBounds)
+	for _, s := range assigns {
+		env := symbolic.NewEnv()
+		for _, f := range a.Facts(s) {
+			a.AddFactGE(env, f)
+		}
+	}
+	if grew := len(a.factBounds) - before; grew != len(distinct) {
+		t.Errorf("factBounds grew by %d over %d distinct facts", grew, len(distinct))
+	}
+}

@@ -72,10 +72,7 @@ func RouteKey(src string, opt core.Options) string {
 // exactly as for a locally compiled entry.
 func Fill(res *core.Result, decisions []obsv.Decision) func(context.Context, core.Options) (*core.Result, error) {
 	return func(_ context.Context, opt core.Options) (*core.Result, error) {
-		for _, d := range decisions {
-			d.Label = opt.TraceLabel
-			opt.Observer.Decision(d)
-		}
+		opt.Observer.ReplayDecisions(decisions, opt.TraceLabel)
 		return res, nil
 	}
 }
@@ -443,10 +440,7 @@ func (e *compiledEntry) replay(label string, obs *obsv.Observer) {
 	if !first {
 		return
 	}
-	for _, d := range e.decisions {
-		d.Label = label
-		obs.Decision(d)
-	}
+	obs.ReplayDecisions(e.decisions, label)
 }
 
 // CompileBaseline is the PFA analogue of Compile (no provenance: the
