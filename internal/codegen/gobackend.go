@@ -269,8 +269,8 @@ func (g *goEmitter) header() {
 // unit binds first, exactly as bindCommon does.
 func (g *goEmitter) collectCommons() {
 	for _, u := range g.p.Units {
-		for _, name := range u.Symbols.Names() {
-			sym := u.Symbols.Lookup(name)
+		for _, sym := range u.Symbols.All() {
+			name := sym.Name
 			if sym.Common == "" {
 				continue
 			}
@@ -390,8 +390,8 @@ func collectScalars(u *ir.ProgramUnit) []string {
 			set[name] = true
 		}
 	}
-	for _, name := range u.Symbols.Names() {
-		sym := u.Symbols.Lookup(name)
+	for _, sym := range u.Symbols.All() {
+		name := sym.Name
 		if !sym.IsArray() {
 			add(name)
 		}
@@ -448,8 +448,8 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 	g.open("%s {", sig.String())
 
 	// Bindings for commons and locals.
-	for _, name := range u.Symbols.Names() {
-		sym := u.Symbols.Lookup(name)
+	for _, sym := range u.Symbols.All() {
+		name := sym.Name
 		if sym.Common == "" {
 			continue
 		}
@@ -476,8 +476,8 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 
 	// Prologue pass 1: PARAMETER constants, in declaration order (their
 	// expressions may reference formals and earlier parameters).
-	for _, name := range u.Symbols.Names() {
-		sym := u.Symbols.Lookup(name)
+	for _, sym := range u.Symbols.All() {
+		name := sym.Name
 		if sym.Param == nil {
 			continue
 		}
@@ -494,8 +494,8 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 
 	// Prologue pass 2: COMMON wiring, formal reshapes, local arrays —
 	// one declaration-order walk, as newFrame does.
-	for _, name := range u.Symbols.Names() {
-		sym := u.Symbols.Lookup(name)
+	for _, sym := range u.Symbols.All() {
+		name := sym.Name
 		switch {
 		case sym.Common != "":
 			m := g.commonIdx[sym.Common+"\x00"+name]

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -282,6 +283,21 @@ func forEachUnit(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer,
 	return nil
 }
 
+// evidenceLines renders one Decision evidence line per entry of m
+// with format, which takes the key and the value, in key order.
+func evidenceLines[V any](format string, m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ev := make([]string, len(keys))
+	for i, k := range keys {
+		ev[i] = fmt.Sprintf(format, k, m[k])
+	}
+	return ev
+}
+
 // buildPipeline registers the technique passes selected by opt, in the
 // paper's order. Every pass closure writes its findings into res and
 // reports mutation counts through the pass Context.
@@ -316,20 +332,11 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 				st.interSigs = irep.UnitSigs
 			}
 			c.Count("constants_propagated", int64(len(irep.Propagated)))
-			if len(irep.Propagated) > 0 {
-				keys := make([]string, 0, len(irep.Propagated))
-				for k := range irep.Propagated {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				ev := make([]string, len(keys))
-				for i, k := range keys {
-					ev[i] = fmt.Sprintf("%s = %d", k, irep.Propagated[k])
-				}
+			if obs != nil && len(irep.Propagated) > 0 {
 				obs.Decision(obsv.Decision{
 					Label: label, Pass: "interproc-constants",
 					Detail:   "constant actual arguments propagated into callees",
-					Evidence: ev,
+					Evidence: evidenceLines("%s = %d", irep.Propagated),
 				})
 			}
 			return nil
@@ -344,20 +351,11 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 			res.InlineSkipped = rep.Skipped
 			c.Count("calls_inlined", int64(rep.Expanded))
 			c.Count("calls_skipped", int64(len(rep.Skipped)))
-			if rep.Expanded > 0 || len(rep.Skipped) > 0 {
-				callees := make([]string, 0, len(rep.Skipped))
-				for name := range rep.Skipped {
-					callees = append(callees, name)
-				}
-				sort.Strings(callees)
-				ev := make([]string, len(callees))
-				for i, name := range callees {
-					ev[i] = fmt.Sprintf("skipped %s: %s", name, rep.Skipped[name])
-				}
+			if obs != nil && (rep.Expanded > 0 || len(rep.Skipped) > 0) {
 				obs.Decision(obsv.Decision{
 					Label: label, Unit: unit.Name, Pass: "inline",
 					Detail:   fmt.Sprintf("%d call sites expanded", rep.Expanded),
-					Evidence: ev,
+					Evidence: evidenceLines("skipped %s: %s", rep.Skipped),
 				})
 			}
 			return nil
@@ -503,12 +501,19 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 			}
 			return nil
 		}, func(ui int, rec *unitPassRecord) {
-			reportsByUnit[ui] = fromMemoReports(rec.reports)
+			// Read, not copied: the one copy is the append below, into
+			// the fresh array the downstream passes may update.
+			reportsByUnit[ui] = rec.reports
 			statsByUnit[ui] = rec.stats
 		})
 		if err != nil {
 			return err
 		}
+		n := 0
+		for _, reports := range reportsByUnit {
+			n += len(reports)
+		}
+		res.Loops = slices.Grow(res.Loops, n) // nil stays nil without loops
 		for _, reports := range reportsByUnit {
 			res.Loops = append(res.Loops, reports...)
 		}

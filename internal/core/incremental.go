@@ -47,7 +47,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
+	"hash"
+	"strings"
 	"sync"
 
 	"polaris/internal/deps"
@@ -76,46 +77,52 @@ func incrFingerprint(o Options) string {
 		o.InterprocConstants)
 }
 
-// unitHash keys one program unit under the "ir" scheme: the memo
-// version, the technique fingerprint, and the unit's canonical
-// post-prologue rendering. srcHash is the rendering-free "src" scheme
-// for prologue-untouched units; the scheme tags domain-separate the
-// two, so a key can never alias across schemes. SHA-256 is load-
+// unitHasher computes the unit keys of one compilation under the two
+// schemes the package comment describes, whose tags domain-separate
+// them so a key can never alias across schemes. SHA-256 is load-
 // bearing, not ceremony: the memo is shared across compile-service
 // requests, so an attacker-constructed collision would replay one
 // program's unit into another — the hash must be collision-resistant
 // against adversarial input.
-func unitHash(opt Options, u *ir.ProgramUnit) [32]byte {
-	h := sha256.New()
-	io.WriteString(h, unitMemoVersion)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, incrFingerprint(opt))
-	io.WriteString(h, "\x00ir\x00")
-	io.WriteString(h, u.Fortran())
-	var k [32]byte
-	h.Sum(k[:0])
+//
+// One digest, one fingerprint and one copy buffer serve every unit:
+// hash.Hash takes bytes, and handing it each string converted would
+// copy the unit's text to the heap to hash it.
+type unitHasher struct {
+	h    hash.Hash
+	salt string // memo version and technique fingerprint
+	buf  [4096]byte
+}
+
+func newUnitHasher(opt Options) *unitHasher {
+	return &unitHasher{h: sha256.New(), salt: unitMemoVersion + "\x00" + incrFingerprint(opt)}
+}
+
+// key hashes the salt, the scheme tag and the parts, NUL-separated:
+// "ir" over the unit's canonical post-prologue rendering; "src", for a
+// unit the prologue cannot have touched, over the program's function-
+// name signature (the complete parse context), the interproc pass's
+// edit signature for the unit ("" when the pass left it alone) and the
+// unit's raw parse-time source.
+func (uh *unitHasher) key(scheme string, parts ...string) (k [32]byte) {
+	uh.h.Reset()
+	uh.write(uh.salt)
+	uh.write("\x00")
+	uh.write(scheme)
+	for _, part := range parts {
+		uh.write("\x00")
+		uh.write(part)
+	}
+	uh.h.Sum(k[:0])
 	return k
 }
 
-// srcHash keys a unit the inliner cannot touch by its raw parse-time
-// source, the program's function-name signature (the complete parse
-// context), and the interproc pass's edit signature for the unit (""
-// when the pass left it alone) — per the soundness argument in the
-// package comment.
-func srcHash(opt Options, funcsSig, interSig string, u *ir.ProgramUnit) [32]byte {
-	h := sha256.New()
-	io.WriteString(h, unitMemoVersion)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, incrFingerprint(opt))
-	io.WriteString(h, "\x00src\x00")
-	io.WriteString(h, funcsSig)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, interSig)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, u.Source)
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
+func (uh *unitHasher) write(s string) {
+	for len(s) > 0 {
+		n := copy(uh.buf[:], s)
+		uh.h.Write(uh.buf[:n])
+		s = s[n:]
+	}
 }
 
 // unitPassRecord is what one per-unit pass produced for one unit: the
@@ -408,20 +415,15 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 	st.keys = make([][32]byte, len(work.Units))
 	st.keyLen = make([]int, len(work.Units))
 	top := work.Main()
+	uh := newUnitHasher(opt)
 	for i, u := range work.Units {
 		if u.Source == "" || work.FuncsSig == "" || (opt.Inline && u == top) {
 			rendered := u.Fortran()
 			st.keyLen[i] = len(rendered)
-			h := sha256.New()
-			io.WriteString(h, unitMemoVersion)
-			io.WriteString(h, "\x00")
-			io.WriteString(h, incrFingerprint(opt))
-			io.WriteString(h, "\x00ir\x00")
-			io.WriteString(h, rendered)
-			h.Sum(st.keys[i][:0])
+			st.keys[i] = uh.key("ir", rendered)
 		} else {
 			st.keyLen[i] = len(u.Source)
-			st.keys[i] = srcHash(opt, work.FuncsSig, st.interSigs[u.Name], u)
+			st.keys[i] = uh.key("src", work.FuncsSig, st.interSigs[u.Name], u.Source)
 		}
 	}
 	reuse, pending, err := st.memo.acquire(c.Context(), st.keys)
@@ -567,6 +569,10 @@ func (st *incrState) commit(work *ir.Program) {
 			continue
 		}
 		e.unit = work.Units[i]
+		// The parser slices Source out of the whole input; an entry
+		// owns its bytes, or it would keep the source of the compile
+		// that filled it alive for as long as it stays in the memo.
+		e.unit.Source = strings.Clone(e.unit.Source)
 		e.recs = st.recs[i]
 		e.size = entrySize(st.keyLen[i], e.recs)
 		st.memo.complete(e)
@@ -596,15 +602,5 @@ func toMemoReports(reports []LoopReport) []LoopReport {
 	for j := range out {
 		out[j].LRPD = append([]string(nil), out[j].LRPD...)
 	}
-	return out
-}
-
-// fromMemoReports rebuilds a unit's loop reports from its memo record:
-// a struct copy into a fresh slice the downstream passes may update.
-// The Loop pointers point into the memoized unit, which is exactly the
-// object installed in this compilation's program.
-func fromMemoReports(mrs []LoopReport) []LoopReport {
-	out := make([]LoopReport, len(mrs))
-	copy(out, mrs)
 	return out
 }

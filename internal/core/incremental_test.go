@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -280,7 +283,7 @@ func TestUnitHashLocality(t *testing.T) {
 		}
 		out := map[string][32]byte{}
 		for _, u := range prog.Units {
-			out[u.Name] = unitHash(PolarisOptions(), u)
+			out[u.Name] = newUnitHasher(PolarisOptions()).key("ir", u.Fortran())
 		}
 		return out
 	}
@@ -305,7 +308,35 @@ func TestUnitHashLocality(t *testing.T) {
 	}
 	opt2 := PolarisOptions()
 	opt2.RangeTest = false
-	if unitHash(PolarisOptions(), prog.Units[0]) == unitHash(opt2, prog.Units[0]) {
+	if text := prog.Units[0].Fortran(); newUnitHasher(PolarisOptions()).key("ir", text) == newUnitHasher(opt2).key("ir", text) {
 		t.Error("unit hash ignores the technique fingerprint")
+	}
+}
+
+// TestUnitKeysArePinned holds the unit keys to their bytes: both values
+// were printed by the commit before unitHasher, whose unitHash and
+// srcHash wrote each part to a fresh digest with io.WriteString. A
+// change of key is a change of unitMemoVersion, never a side effect.
+func TestUnitKeysArePinned(t *testing.T) {
+	prog, err := parser.ParseProgram("      SUBROUTINE S(A, N)\n      REAL A(N)\n      DO I = 1, N\n        A(I) = A(I) * 2.0\n      END DO\n      END\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, uh := prog.Units[0], newUnitHasher(PolarisOptions())
+	// One hasher, three keys: the digest is reset between them.
+	for i := 0; i < 2; i++ {
+		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "621ebedab7e5bf8bd1dfe31097d05e3a945d509cb7741213525521d229da3f20" {
+			t.Errorf("ir key %s", got)
+		}
+	}
+	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "f5d771b238167bcc9fdc0b938081e92feef4de2ff042010917aae416f6dd8f3c" {
+		t.Errorf("src key %s", got)
+	}
+	// A text longer than the hasher's copy buffer goes through in pieces.
+	long := strings.Repeat("      X = X + 1\n", 1000)
+	h := sha256.New()
+	h.Write([]byte(unitMemoVersion + "\x00" + incrFingerprint(PolarisOptions()) + "\x00ir\x00" + long))
+	if got := uh.key("ir", long); !bytes.Equal(got[:], h.Sum(nil)) {
+		t.Error("a 16 KB text does not hash to the digest of its bytes")
 	}
 }

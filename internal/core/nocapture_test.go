@@ -14,10 +14,11 @@ import (
 )
 
 // observerAllocs counts the objects the heap profile attributes to an
-// Observer recording decisions or to a capture being made, over the
-// life of the process. Meaningful between two calls while
+// Observer recording decisions, to a capture being made, or to the two
+// whole-program prologue passes rendering their Decision evidence, over
+// the life of the process. Meaningful between two calls while
 // runtime.MemProfileRate is 1.
-func observerAllocs(t *testing.T) int64 {
+func observerAllocs(t *testing.T) (recording, evidence int64) {
 	t.Helper()
 	// The profile is published two collections behind.
 	runtime.GC()
@@ -29,7 +30,6 @@ func observerAllocs(t *testing.T) int64 {
 		if n, ok = runtime.MemProfile(recs, true); !ok {
 			continue
 		}
-		var total int64
 		for _, r := range recs[:n] {
 			frames := runtime.CallersFrames(r.Stack())
 			for {
@@ -37,7 +37,11 @@ func observerAllocs(t *testing.T) int64 {
 				if strings.Contains(f.Function, "obsv.(*Observer).Decision") ||
 					strings.Contains(f.Function, "obsv.(*Observer).appendDecisions") ||
 					strings.Contains(f.Function, "obsv.NewCapture") {
-					total += r.AllocObjects
+					recording += r.AllocObjects
+					break
+				}
+				if strings.Contains(f.Function, "core.evidenceLines") {
+					evidence += r.AllocObjects
 					break
 				}
 				if !more {
@@ -45,17 +49,20 @@ func observerAllocs(t *testing.T) int64 {
 				}
 			}
 		}
-		return total
+		return recording, evidence
 	}
 }
 
 // TestNoObserverNoCapture: a compilation nobody observes records
 // nothing on the unit-parallel schedule either. The pool used to give
 // every unit a detached capture and replay it into the nil observer
-// after the barrier. With every allocation profiled, no object may come
-// from recording a decision or making a capture at 2 or 8 workers, and
-// the Result must be the one the serial schedule gives. A compilation
-// that is observed shows the count is not zero for want of looking.
+// after the barrier, and interproc-constants and inline used to sort
+// and format one evidence line per propagated constant and per skipped
+// callee before handing them to it. With every allocation profiled, no
+// object may come from recording a decision, making a capture or
+// rendering evidence at 2 or 8 workers, and the Result must be the one
+// the serial schedule gives. A compilation that is observed shows the
+// counts are not zero for want of looking.
 func TestNoObserverNoCapture(t *testing.T) {
 	src := megaFor(t, 4000).Source
 	type outcome struct {
@@ -94,16 +101,16 @@ func TestNoObserverNoCapture(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 
-	before := observerAllocs(t)
+	rec0, ev0 := observerAllocs(t)
 	compile(2, obsv.NewObserver())
-	if got := observerAllocs(t) - before; got <= 0 {
-		t.Fatalf("an observed 2-worker compile shows %d observer allocations: the profile is not seeing them", got)
+	if rec, ev := observerAllocs(t); rec <= rec0 || ev <= ev0 {
+		t.Fatalf("an observed 2-worker compile shows %d recording and %d evidence allocations: the profile is not seeing them", rec-rec0, ev-ev0)
 	}
 	for _, workers := range []int{2, 8} {
-		before := observerAllocs(t)
+		rec0, ev0 := observerAllocs(t)
 		got := compile(workers, nil)
-		if n := observerAllocs(t) - before; n != 0 {
-			t.Errorf("workers=%d, no observer: %d objects allocated recording decisions", workers, n)
+		if rec, ev := observerAllocs(t); rec != rec0 || ev != ev0 {
+			t.Errorf("workers=%d, no observer: %d objects allocated recording decisions, %d rendering evidence", workers, rec-rec0, ev-ev0)
 		}
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d, no observer: Result differs from the serial schedule's", workers)

@@ -163,8 +163,8 @@ func validateCallee(u *ir.ProgramUnit) error {
 	// renaming below would sever that aliasing (the callee's writes
 	// would land in fresh caller locals instead of the shared block),
 	// so COMMON callees are analyzed intraprocedurally instead.
-	for _, name := range u.Symbols.Names() {
-		if sym := u.Symbols.Lookup(name); sym != nil && sym.Common != "" {
+	for _, sym := range u.Symbols.All() {
+		if sym.Common != "" {
 			return fmt.Errorf("%s uses COMMON /%s/", u.Name, sym.Common)
 		}
 	}
@@ -224,8 +224,8 @@ func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, cal
 
 	// Rename remaining locals into the caller's namespace and hoist
 	// their declarations.
-	for _, name := range work.Symbols.Names() {
-		sym := work.Symbols.Lookup(name)
+	for _, sym := range work.Symbols.All() {
+		name := sym.Name
 		if sym.Formal {
 			continue
 		}

@@ -253,8 +253,8 @@ func (in *Interp) newFrame(u *ir.ProgramUnit, formalCells map[string]*cell, form
 	// PARAMETER constants first: array declarators (including those of
 	// formals, which precede declarations in the symbol table) may
 	// reference them.
-	for _, name := range u.Symbols.Names() {
-		sym := u.Symbols.Lookup(name)
+	for _, sym := range u.Symbols.All() {
+		name := sym.Name
 		if sym.Param == nil {
 			continue
 		}
@@ -266,8 +266,8 @@ func (in *Interp) newFrame(u *ir.ProgramUnit, formalCells map[string]*cell, form
 		c.store(v)
 		fr.scalars[name] = c
 	}
-	for _, name := range u.Symbols.Names() {
-		sym := u.Symbols.Lookup(name)
+	for _, sym := range u.Symbols.All() {
+		name := sym.Name
 		if sym.Param != nil {
 			continue
 		}

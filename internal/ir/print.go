@@ -43,16 +43,14 @@ func (u *ProgramUnit) write(b *strings.Builder) {
 func (u *ProgramUnit) writeDecls(b *strings.Builder) {
 	// PARAMETER constants first (they may appear in dimension bounds),
 	// in declaration order; then typed declarations; then COMMONs.
-	for _, name := range u.Symbols.Names() {
-		s := u.Symbols.Lookup(name)
+	for _, s := range u.Symbols.All() {
 		if s.Param == nil {
 			continue
 		}
 		fmt.Fprintf(b, "      %s %s\n", s.Type, s.Name)
 		fmt.Fprintf(b, "      PARAMETER (%s=%s)\n", s.Name, s.Param)
 	}
-	for _, name := range u.Symbols.Names() {
-		s := u.Symbols.Lookup(name)
+	for _, s := range u.Symbols.All() {
 		if s.Param != nil {
 			continue
 		}
@@ -77,8 +75,7 @@ func (u *ProgramUnit) writeDecls(b *strings.Builder) {
 	// COMMON blocks, preserving member order.
 	blocks := map[string][]string{}
 	var blockOrder []string
-	for _, name := range u.Symbols.Names() {
-		s := u.Symbols.Lookup(name)
+	for _, s := range u.Symbols.All() {
 		if s.Common == "" {
 			continue
 		}

@@ -89,57 +89,102 @@ func (s *Symbol) Clone() *Symbol {
 // SymbolTable maps names to symbols and remembers declaration order.
 // Lookups of undeclared names follow the Fortran implicit rule
 // (I..N integer, otherwise real) when implicit typing is enabled.
+//
+// The table is its declaration-ordered slice plus one hash word per
+// symbol, which a lookup scans before it compares any name. Program
+// units declare a few dozen names: that is as fast as a map and a
+// fraction of its memory. A table that outgrows indexAbove gets a map
+// beside the slice, so a unit of any size parses in linear time.
 type SymbolTable struct {
-	syms  map[string]*Symbol
-	order []string
+	syms   []*Symbol
+	hashes []uint32           // hashes[i] is nameHash(syms[i].Name)
+	index  map[string]*Symbol // nil up to indexAbove symbols
 }
 
+const indexAbove = 32
+
 // NewSymbolTable returns an empty symbol table.
-func NewSymbolTable() *SymbolTable {
-	return &SymbolTable{syms: map[string]*Symbol{}}
-}
+func NewSymbolTable() *SymbolTable { return &SymbolTable{} }
 
 // Clone deep-copies the table.
 func (t *SymbolTable) Clone() *SymbolTable {
-	c := NewSymbolTable()
-	for _, name := range t.order {
-		c.Insert(t.syms[name].Clone())
+	c := &SymbolTable{syms: make([]*Symbol, len(t.syms)), hashes: append([]uint32(nil), t.hashes...)}
+	for i, s := range t.syms {
+		c.syms[i] = s.Clone()
+	}
+	if t.index != nil {
+		c.buildIndex()
 	}
 	return c
+}
+
+func (t *SymbolTable) buildIndex() {
+	t.index = make(map[string]*Symbol, len(t.syms))
+	for _, s := range t.syms {
+		t.index[s.Name] = s
+	}
+}
+
+// nameHash is FNV-1a.
+func nameHash(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return h
+}
+
+// find returns the position of name in the table, or -1.
+func (t *SymbolTable) find(name string) int {
+	h := nameHash(name)
+	for i, hi := range t.hashes {
+		if hi == h && t.syms[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Insert adds sym to the table. Inserting a name twice is an internal
 // consistency error (the Polaris aliasing rule).
 func (t *SymbolTable) Insert(sym *Symbol) {
 	Assert(sym.Name != "", "SymbolTable.Insert: empty name")
-	if _, dup := t.syms[sym.Name]; dup {
+	if t.Lookup(sym.Name) != nil {
 		panic(&ConsistencyError{Msg: fmt.Sprintf("duplicate symbol %s", sym.Name)})
 	}
-	t.syms[sym.Name] = sym
-	t.order = append(t.order, sym.Name)
+	t.syms = append(t.syms, sym)
+	t.hashes = append(t.hashes, nameHash(sym.Name))
+	if t.index != nil {
+		t.index[sym.Name] = sym
+	} else if len(t.syms) > indexAbove {
+		t.buildIndex()
+	}
 }
 
 // Lookup returns the symbol for name, or nil.
-func (t *SymbolTable) Lookup(name string) *Symbol { return t.syms[name] }
+func (t *SymbolTable) Lookup(name string) *Symbol {
+	if t.index != nil {
+		return t.index[name]
+	}
+	if i := t.find(name); i >= 0 {
+		return t.syms[i]
+	}
+	return nil
+}
 
 // Remove deletes name from the table; missing names are ignored.
 func (t *SymbolTable) Remove(name string) {
-	if _, ok := t.syms[name]; !ok {
-		return
-	}
-	delete(t.syms, name)
-	for i, n := range t.order {
-		if n == name {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	if i := t.find(name); i >= 0 {
+		t.syms = append(t.syms[:i], t.syms[i+1:]...)
+		t.hashes = append(t.hashes[:i], t.hashes[i+1:]...)
+		delete(t.index, name)
 	}
 }
 
 // Declare returns the symbol for name, creating it with the implicit
 // Fortran type if it does not exist.
 func (t *SymbolTable) Declare(name string) *Symbol {
-	if s := t.syms[name]; s != nil {
+	if s := t.Lookup(name); s != nil {
 		return s
 	}
 	s := &Symbol{Name: name, Type: ImplicitType(name)}
@@ -147,8 +192,19 @@ func (t *SymbolTable) Declare(name string) *Symbol {
 	return s
 }
 
-// Names returns the declared names in declaration order.
-func (t *SymbolTable) Names() []string { return append([]string(nil), t.order...) }
+// All returns the symbols in declaration order without copying: the
+// slice is the table's own, for callers that read it and neither keep
+// it nor change the table while they range over it.
+func (t *SymbolTable) All() []*Symbol { return t.syms }
+
+// Names returns a snapshot of the declared names in declaration order.
+func (t *SymbolTable) Names() []string {
+	names := make([]string, len(t.syms))
+	for i, s := range t.syms {
+		names[i] = s.Name
+	}
+	return names
+}
 
 // SortedNames returns the declared names sorted alphabetically.
 func (t *SymbolTable) SortedNames() []string {
@@ -158,7 +214,7 @@ func (t *SymbolTable) SortedNames() []string {
 }
 
 // Len returns the number of symbols.
-func (t *SymbolTable) Len() int { return len(t.order) }
+func (t *SymbolTable) Len() int { return len(t.syms) }
 
 // FreshName returns a name with the given prefix that does not collide
 // with any declared symbol, and declares it with the given type.

@@ -66,66 +66,198 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("line %d: %s", e.Line, e.Msg) }
 
-// dotOps maps the words recognized between dots to their token text.
-var dotOps = map[string]string{
-	"LT": ".LT.", "LE": ".LE.", "GT": ".GT.", "GE": ".GE.", "EQ": ".EQ.", "NE": ".NE.",
-	"AND": ".AND.", "OR": ".OR.", "NOT": ".NOT.", "TRUE": ".TRUE.", "FALSE": ".FALSE.",
+// dotOps are the operators and logical constants spelled between dots.
+var dotOps = [...]string{".LT.", ".LE.", ".GT.", ".GE.", ".EQ.", ".NE.",
+	".AND.", ".OR.", ".NOT.", ".TRUE.", ".FALSE."}
+
+// dotOpAt returns the one of dotOps that s, which starts at a '.',
+// begins with in either letter case, or "": a real literal's fraction
+// or exponent begins with none.
+func dotOpAt(s string) string {
+	if len(s) < 4 || !isAlpha(s[1]) {
+		return ""
+	}
+	for _, op := range dotOps {
+		if len(s) >= len(op) && strings.EqualFold(s[:len(op)], op) {
+			return op
+		}
+	}
+	return ""
 }
 
 // Lex tokenizes src. Every source line produces its tokens followed by
 // a NEWLINE token; continuation lines ('&' at end) suppress the
 // NEWLINE. The token stream always ends with EOF.
 //
-// All tokens live in one slab sized up front from the source, and token
-// text is a slice of src wherever the source is already in canonical
-// (upper-case) form, so lexing allocates the slab plus one string per
-// identifier or literal that needs case-folding.
+// It is the loop over a Scanner that keeps every statement, in one
+// slab sized up front from the source, for callers that want the whole
+// stream at once; the parser reads the Scanner directly.
 func Lex(src string) ([]Token, error) {
 	toks := make([]Token, 0, slabSize(src))
-	cont := false
-	line := 0
-	for rest, more := src, true; more; {
-		var raw string
-		raw, rest, more = strings.Cut(rest, "\n")
-		line++
-		// Comment lines.
-		trimmedFull := strings.TrimRight(raw, " \t\r")
-		if trimmedFull == "" {
-			continue
-		}
-		if c := raw[0]; c == 'C' || c == 'c' || c == '*' || c == '!' {
-			// A full-line comment only if it is not a statement
-			// starting with one of those letters: Fortran fixed form
-			// says column 1; we honor that.
-			if !cont {
-				continue
-			}
-		}
-		s := trimmedFull
-		// Trailing '!' comment (not inside our subset's strings; we
-		// support no string literals in executable code).
-		if i := strings.IndexByte(s, '!'); i >= 0 {
-			s = strings.TrimRight(s[:i], " \t")
-			if s == "" {
-				continue
-			}
-		}
-		contNext := false
-		if strings.HasSuffix(s, "&") {
-			contNext = true
-			s = strings.TrimRight(s[:len(s)-1], " \t")
-		}
-		var err error
-		if toks, err = lexLine(toks, s, line, cont); err != nil {
+	for sc := NewScanner(src); ; {
+		stmt, err := sc.Next()
+		if err != nil {
 			return nil, err
 		}
-		if !contNext {
-			toks = append(toks, newToken(NEWLINE, "", line, 0))
+		toks = append(toks, stmt...)
+		if stmt[len(stmt)-1].Kind == EOF {
+			return toks, nil
 		}
-		cont = contNext
 	}
-	toks = append(toks, newToken(EOF, "", line, 0))
-	return toks, nil
+}
+
+// Scanner tokenizes a source one statement at a time, into a buffer it
+// reuses, so scanning costs no token storage that grows with the
+// source. Identifier, literal and label text comes from the scanner's
+// own intern table (one string per distinct canonical spelling) and
+// operator text from constants: no token aliases the source, and
+// whatever is built from token text keeps alive the spellings it uses
+// and nothing else.
+type Scanner struct {
+	cursor
+	toks  []Token
+	buf   []byte // one spelling being canonicalized
+	words interner
+}
+
+// cursor is a position between two source lines.
+type cursor struct {
+	rest string // the lines not yet read
+	more bool   // false once the last line has been read
+	line int    // lines read so far
+}
+
+// NewScanner returns a Scanner at the start of src.
+func NewScanner(src string) *Scanner {
+	return &Scanner{cursor: cursor{rest: src, more: true}}
+}
+
+// Next returns the tokens of the next statement: a line and the lines
+// joined to it by a closing '&', ended by its NEWLINE. After the last
+// statement it returns a lone EOF, except that a statement whose last
+// line still closes with '&' is ended by that EOF in place of a
+// NEWLINE. The slice is valid until the next call.
+func (s *Scanner) Next() ([]Token, error) {
+	s.toks = s.toks[:0]
+	for cont := false; ; cont = true {
+		text, joined, ok := s.readLine(cont)
+		if !ok {
+			s.toks = append(s.toks, newToken(EOF, "", s.line, 0))
+			return s.toks, nil
+		}
+		if err := s.lexLine(text, cont); err != nil {
+			return nil, err
+		}
+		if !joined {
+			s.toks = append(s.toks, newToken(NEWLINE, "", s.line, 0))
+			return s.toks, nil
+		}
+	}
+}
+
+// NextContaining is Next for a reader that wants only the statements
+// with a line that spells word (upper-case letters) in any letter
+// case: the others are passed over without being tokenized. The
+// statement holding the EOF is always returned.
+func (s *Scanner) NextContaining(word string) ([]Token, error) {
+	for {
+		start, hit := s.cursor, false
+		for cont, joined := false, true; joined && !hit; cont = true {
+			var text string
+			var ok bool
+			text, joined, ok = s.readLine(cont)
+			hit = !ok || containsFold(text, word)
+		}
+		if hit {
+			s.cursor = start
+			return s.Next()
+		}
+	}
+}
+
+// readLine reads up to the next line that carries statement text and
+// returns that text: without the trailing comment and blanks, and
+// without the closing '&', which joined reports. Blank lines and
+// comment lines are passed over; inside a continuation (cont) column
+// one does not make a comment. ok is false at the end of the source.
+func (s *Scanner) readLine(cont bool) (text string, joined, ok bool) {
+	for s.more {
+		var raw string
+		raw, s.rest, s.more = strings.Cut(s.rest, "\n")
+		s.line++
+		text = strings.TrimRight(raw, " \t\r")
+		if text == "" {
+			continue
+		}
+		// Fortran fixed form says column 1; we honor that.
+		if c := raw[0]; !cont && (c == 'C' || c == 'c' || c == '*' || c == '!') {
+			continue
+		}
+		// Trailing '!' comment (the subset has no string literals).
+		if i := strings.IndexByte(text, '!'); i >= 0 {
+			if text = strings.TrimRight(text[:i], " \t"); text == "" {
+				continue
+			}
+		}
+		if joined = strings.HasSuffix(text, "&"); joined {
+			text = strings.TrimRight(text[:len(text)-1], " \t")
+		}
+		return text, joined, true
+	}
+	return "", false, false
+}
+
+// containsFold reports whether s spells word, given in upper-case
+// letters, in any letter case.
+func containsFold(s, word string) bool {
+	for i := 0; i+len(word) <= len(s); i++ {
+		if s[i]&^0x20 == word[0] && strings.EqualFold(s[i:i+len(word)], word) {
+			return true
+		}
+	}
+	return false
+}
+
+// interner is the scanner's table of spellings: open addressing, a
+// free slot has the empty string (no token text is empty).
+type interner struct {
+	slots []spelling
+	used  int
+}
+
+type spelling struct {
+	hash uint32
+	text string
+}
+
+// intern returns the table's string with the bytes of b, whose hash is
+// h, adding it on first sight: the only allocation a spelling costs.
+func (t *interner) intern(h uint32, b []byte) string {
+	if 2*t.used >= len(t.slots) {
+		old := t.slots
+		t.slots = make([]spelling, max(64, 2*len(old)))
+		for _, sp := range old {
+			if sp.text != "" {
+				*t.slot(sp.hash, nil) = sp // no text matches nil: the free slot
+			}
+		}
+	}
+	sp := t.slot(h, b)
+	if sp.text == "" {
+		t.used++
+		*sp = spelling{hash: h, text: string(b)}
+	}
+	return sp.text
+}
+
+// slot finds the slot that holds text, or the free slot it belongs in.
+func (t *interner) slot(h uint32, text []byte) *spelling {
+	mask := uint32(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if sp := &t.slots[i]; sp.text == "" || sp.hash == h && sp.text == string(text) {
+			return sp
+		}
+	}
 }
 
 // slabSize sizes the slab: a count of the places a token can start,
@@ -155,11 +287,16 @@ func slabSize(src string) int {
 	return n
 }
 
-// lexLine appends the tokens of one statement line to toks, the
-// caller's slab, and returns it.
-func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
+// lexLine appends the tokens of one line of statement text to the
+// statement buffer.
+func (sc *Scanner) lexLine(s string, cont bool) error {
 	i := 0
 	n := len(s)
+	toks := sc.toks
+	emit := func(kind Kind, text string, width int) {
+		toks = append(toks, newToken(kind, text, sc.line, i+1))
+		i += width
+	}
 	skip := func() {
 		for i < n && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r') {
 			i++
@@ -167,23 +304,23 @@ func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
 	}
 	skip()
 	// Statement label: a leading integer followed by more tokens.
-	if !cont && i < n && s[i] >= '0' && s[i] <= '9' {
+	if !cont && i < n && isDigit(s[i]) {
 		j := i
-		for j < n && s[j] >= '0' && s[j] <= '9' {
+		for j < n && isDigit(s[j]) {
 			j++
 		}
 		if j < n && (s[j] == ' ' || s[j] == '\t') {
 			rest := strings.TrimSpace(s[j:])
 			if rest != "" && !isExprStart(rest) {
-				toks = append(toks, newToken(LABEL, s[i:j], line, i+1))
-				i = j
+				emit(LABEL, sc.spell(LABEL, s[i:j]), j-i)
 			}
 		}
 	}
 	for {
 		skip()
 		if i >= n {
-			break
+			sc.toks = toks
+			return nil
 		}
 		c := s[i]
 		switch {
@@ -192,85 +329,91 @@ func lexLine(toks []Token, s string, line int, cont bool) ([]Token, error) {
 			for j < n && (isAlpha(s[j]) || isDigit(s[j]) || s[j] == '_') {
 				j++
 			}
-			toks = append(toks, newToken(IDENT, strings.ToUpper(s[i:j]), line, i+1))
-			i = j
-		case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1]) && !startsDotOp(s[i:])):
-			tok, j, err := lexNumber(s, i, line)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, tok)
-			i = j
+			emit(IDENT, sc.spell(IDENT, s[i:j]), j-i)
+		case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1])):
+			j, kind := numberEnd(s, i)
+			emit(kind, sc.spell(kind, s[i:j]), j-i)
 		case c == '.':
-			// .OP. or .TRUE./.FALSE.
-			j := i + 1
-			for j < n && isAlpha(s[j]) {
-				j++
+			text := dotOpAt(s[i:])
+			if text == "" {
+				return &Error{Line: sc.line, Col: i + 1, Msg: "unexpected '.'"}
 			}
-			if j < n && s[j] == '.' {
-				word := strings.ToUpper(s[i+1 : j])
-				if text, ok := dotOps[word]; ok {
-					kind := OP
-					if word == "TRUE" || word == "FALSE" {
-						kind = LOGICAL
-					}
-					toks = append(toks, newToken(kind, text, line, i+1))
-					i = j + 1
-					continue
-				}
+			kind := OP
+			if text == ".TRUE." || text == ".FALSE." {
+				kind = LOGICAL
 			}
-			return nil, &Error{Line: line, Col: i + 1, Msg: "unexpected '.'"}
-		case c == '*':
-			if i+1 < n && s[i+1] == '*' {
-				toks = append(toks, newToken(OP, "**", line, i+1))
-				i += 2
-			} else {
-				toks = append(toks, newToken(OP, "*", line, i+1))
-				i++
-			}
-		case c == '<' || c == '>':
-			if i+1 < n && s[i+1] == '=' {
-				toks = append(toks, newToken(OP, map[byte]string{'<': ".LE.", '>': ".GE."}[c], line, i+1))
-				i += 2
-			} else {
-				toks = append(toks, newToken(OP, map[byte]string{'<': ".LT.", '>': ".GT."}[c], line, i+1))
-				i++
-			}
-		case c == '=':
-			if i+1 < n && s[i+1] == '=' {
-				toks = append(toks, newToken(OP, ".EQ.", line, i+1))
-				i += 2
-			} else {
-				toks = append(toks, newToken(OP, "=", line, i+1))
-				i++
-			}
-		case c == '/':
-			if i+1 < n && s[i+1] == '=' {
-				toks = append(toks, newToken(OP, ".NE.", line, i+1))
-				i += 2
-			} else {
-				toks = append(toks, newToken(OP, "/", line, i+1))
-				i++
-			}
-		case strings.IndexByte("+-(),:", c) >= 0:
-			toks = append(toks, newToken(OP, s[i:i+1], line, i+1))
-			i++
+			emit(kind, text, len(text))
 		default:
-			return nil, &Error{Line: line, Col: i + 1, Msg: fmt.Sprintf("unexpected character %q", c)}
+			next := byte(0)
+			if i+1 < n {
+				next = s[i+1]
+			}
+			text, width := operator(c, next)
+			if width == 0 {
+				return &Error{Line: sc.line, Col: i + 1, Msg: fmt.Sprintf("unexpected character %q", c)}
+			}
+			emit(OP, text, width)
 		}
 	}
-	return toks, nil
 }
 
-func lexNumber(s string, i, line int) (Token, int, error) {
+// oneByte maps a byte to the text of the token it is on its own.
+var oneByte = [256]string{'+': "+", '-': "-", '(': "(", ')': ")", ',': ",", ':': ":",
+	'*': "*", '=': "=", '/': "/", '<': ".LT.", '>': ".GT."}
+
+// operator returns the token text of the operator or punctuation mark
+// that starts with c, given the byte after it, and how many bytes it
+// spans: none if c starts no token.
+func operator(c, next byte) (text string, width int) {
+	switch {
+	case c == '*' && next == '*':
+		return "**", 2
+	case next != '=':
+	case c == '<':
+		return ".LE.", 2
+	case c == '>':
+		return ".GE.", 2
+	case c == '=':
+		return ".EQ.", 2
+	case c == '/':
+		return ".NE.", 2
+	}
+	if text = oneByte[c]; text != "" {
+		width = 1
+	}
+	return text, width
+}
+
+// spell returns the canonical spelling of an identifier, literal or
+// label from the intern table: letters upper-cased, and the exponent
+// letter of a REAL always E.
+func (sc *Scanner) spell(kind Kind, raw string) string {
+	b, h := sc.buf[:0], uint32(2166136261) // FNV-1a
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c == 'D' && kind == REAL {
+			c = 'E'
+		}
+		b, h = append(b, c), (h^uint32(c))*16777619
+	}
+	sc.buf = b
+	return sc.words.intern(h, b)
+}
+
+// numberEnd returns where the numeric literal that starts at s[i] ends
+// and whether it is an INT or a REAL.
+func numberEnd(s string, i int) (int, Kind) {
 	n := len(s)
 	j := i
-	isReal := false
+	kind := INT
 	for j < n && isDigit(s[j]) {
 		j++
 	}
-	if j < n && s[j] == '.' && !startsDotOp(s[j:]) {
-		isReal = true
+	if j < n && s[j] == '.' && dotOpAt(s[j:]) == "" {
+		kind = REAL
 		j++
 		for j < n && isDigit(s[j]) {
 			j++
@@ -282,37 +425,14 @@ func lexNumber(s string, i, line int) (Token, int, error) {
 			k++
 		}
 		if k < n && isDigit(s[k]) {
-			isReal = true
+			kind = REAL
 			j = k
 			for j < n && isDigit(s[j]) {
 				j++
 			}
 		}
 	}
-	text := strings.ToUpper(strings.Replace(s[i:j], "d", "E", 1))
-	text = strings.Replace(text, "D", "E", 1)
-	kind := INT
-	if isReal {
-		kind = REAL
-	}
-	return newToken(kind, text, line, i+1), j, nil
-}
-
-// startsDotOp reports whether s (starting with '.') begins a .XX.
-// operator like .LT. rather than a real-literal fraction.
-func startsDotOp(s string) bool {
-	if len(s) < 3 || s[0] != '.' {
-		return false
-	}
-	j := 1
-	for j < len(s) && isAlpha(s[j]) {
-		j++
-	}
-	if j == 1 || j >= len(s) || s[j] != '.' {
-		return false
-	}
-	_, ok := dotOps[strings.ToUpper(s[1:j])]
-	return ok
+	return j, kind
 }
 
 // isExprStart reports whether rest looks like a continuation of an

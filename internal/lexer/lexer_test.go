@@ -182,35 +182,58 @@ func TestEmptyAndBlankLines(t *testing.T) {
 	}
 }
 
-// TestLexAllocationBudget holds Lex to its slab contract on a
-// 10k-line program: one allocation for the token slab, one per token
-// whose text is not the source's own bytes (lower-case identifiers,
-// D exponents), and a small constant, never one per line. The
-// lower-cased source shows the per-token share is the only other term.
-func TestLexAllocationBudget(t *testing.T) {
-	var src string
+func mega10k(t *testing.T) string {
+	t.Helper()
 	for _, spec := range fuzzgen.MegaCorpus() {
 		if spec.Name == "mega10k" {
-			src = spec.Generate().Source
+			src := spec.Generate().Source
+			if n := strings.Count(src, "\n"); n < 9000 {
+				t.Fatalf("mega10k has %d lines", n)
+			}
+			return src
 		}
 	}
-	if n := strings.Count(src, "\n"); n < 9000 {
-		t.Fatalf("mega10k has %d lines", n)
+	t.Fatal("no mega10k in the corpus")
+	return ""
+}
+
+// spellings counts the distinct texts of the tokens that carry one of
+// their own: what the intern table must hold.
+func spellings(toks []Token) int {
+	distinct := map[string]bool{}
+	for _, tok := range toks {
+		if tok.Kind == IDENT || tok.Kind == INT || tok.Kind == REAL || tok.Kind == LABEL {
+			distinct[tok.Text] = true
+		}
 	}
+	return len(distinct)
+}
+
+// scanSlack covers what a scan allocates besides spellings: the
+// Scanner, the doublings of its statement and spelling buffers and of
+// the intern table.
+const scanSlack = 24
+
+// TestLexAllocationBudget holds Lex to its contract on a 10k-line
+// program: one allocation for the token slab, one per distinct
+// spelling, and a small constant — never one per line or per token.
+// Lower-casing the source, which used to cost one string per
+// identifier token (34 105 of them), changes nothing. No token's text
+// may point into the source.
+func TestLexAllocationBudget(t *testing.T) {
+	src := mega10k(t)
 	if size := unsafe.Sizeof(Token{}); size != 24 {
-		t.Errorf("Token is %d bytes, want 24: the slab is the largest allocation of a parse", size)
+		t.Errorf("Token is %d bytes, want 24: the slab is the largest allocation of Lex", size)
 	}
-	const slack = 4
 	for _, c := range []struct{ name, src string }{{"as generated", src}, {"lower-cased", strings.ToLower(src)}} {
-		lines := strings.Split(c.src, "\n")
 		toks := lex(t, c.src)
 		if cap(toks) > len(toks)*5/4 {
 			t.Errorf("%s: slab holds %d tokens for %d lexed: the size estimate over-runs by more than a quarter", c.name, cap(toks), len(toks))
 		}
-		respelled := 0
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(c.src)))
 		for _, tok := range toks {
-			if tok.Col > 0 && !strings.HasPrefix(lines[tok.Line-1][tok.Col-1:], tok.Text) {
-				respelled++
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(tok.Text))); tok.Text != "" && p >= lo && p < lo+uintptr(len(c.src)) {
+				t.Fatalf("%s: text of %q at %d:%d is a slice of the source", c.name, tok.Text, tok.Line, tok.Col)
 			}
 		}
 		allocs := testing.AllocsPerRun(5, func() {
@@ -218,9 +241,38 @@ func TestLexAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if budget := float64(1 + respelled + slack); allocs > budget {
-			t.Errorf("%s: Lex allocates %.0f times on %d lines (%d tokens, %d re-spelled); budget %.0f",
-				c.name, allocs, len(lines), len(toks), respelled, budget)
+		distinct := spellings(toks)
+		if budget := float64(1 + distinct + scanSlack); allocs > budget {
+			t.Errorf("%s: Lex allocates %.0f times on %d tokens with %d distinct spellings; budget %.0f",
+				c.name, allocs, len(toks), distinct, budget)
 		}
+	}
+}
+
+// TestScannerAllocationBudget: read a statement at a time, the same
+// program costs its spellings and the slack, with no slab, and reading
+// it four times over costs not one allocation more: token storage does
+// not depend on the number of lines.
+func TestScannerAllocationBudget(t *testing.T) {
+	src := mega10k(t)
+	scan := func(src string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			for sc := NewScanner(src); ; {
+				toks, err := sc.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if toks[len(toks)-1].Kind == EOF {
+					return
+				}
+			}
+		})
+	}
+	once := scan(src)
+	if budget := float64(spellings(lex(t, src)) + scanSlack); once > budget {
+		t.Errorf("scanning mega10k allocates %.0f times, budget %.0f", once, budget)
+	}
+	if four := scan(strings.Repeat(src, 4)); four != once {
+		t.Errorf("scanning mega10k four times over allocates %.0f times, once %.0f", four, once)
 	}
 }

@@ -4,29 +4,19 @@ import (
 	"errors"
 	"testing"
 
+	"polaris/internal/fuzzgen"
 	"polaris/internal/parser"
 )
 
 // FuzzParseProgram checks the parser's boundary contract on arbitrary
 // input: it must never panic, every failure must surface as a
-// *ParseError with a sane position, and anything it accepts must
-// render back to Fortran without panicking. Run with
+// *ParseError with a sane position, and anything it accepts must carry
+// unit sources cut from the input and render back to Fortran that
+// parses. Run with
 //
 //	go test -fuzz=FuzzParseProgram -fuzztime=30s ./internal/parser
 func FuzzParseProgram(f *testing.F) {
-	seeds := []string{
-		"      PROGRAM P\n      END\n",
-		"      PROGRAM P\n      REAL A(10)\n      DO I = 1, 10\n        A(I) = I\n      END DO\n      END\n",
-		"      PROGRAM P\n      X = 1 +\n      END\n",
-		"      PROGRAM P\n      IF (X .GT. 1) THEN\n      END\n",
-		"      SUBROUTINE S(A, N)\n      REAL A(N)\n      A(1) = 2.0\n      RETURN\n      END\n",
-		"      PROGRAM P\n      DO 10 I = 1, 5\n   10 CONTINUE\n      END\n",
-		"      PROGRAM P",
-		"",
-		"\x00\xff",
-		"      PROGRAM P\n      A(1 = 2\n      END\n",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzgen.ParserSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -40,6 +30,10 @@ func FuzzParseProgram(f *testing.F) {
 				t.Fatalf("bad error position %d:%d for %q", perr.Line, perr.Col, src)
 			}
 			return
+		}
+		// Every unit's Source is the unit's own lines of the input.
+		if err := sourcesInOrder(src, prog); err != nil {
+			t.Fatalf("%v\ninput: %q", err, src)
 		}
 		// Accepted input must round-trip through the printer and parse
 		// again (the printer's output is the IR's canonical form).

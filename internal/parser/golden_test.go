@@ -1,0 +1,180 @@
+package parser_test
+
+import (
+	"crypto/sha256"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"polaris/internal/fuzzgen"
+	"polaris/internal/ir"
+	"polaris/internal/parser"
+	"polaris/internal/suite"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/parse.golden from this build's ParseProgram")
+
+type input struct{ name, src string }
+
+// corpus is what the goldens cover: the 16 suite programs, mega10k as
+// generated and lower-cased, and the fuzz seeds.
+func corpus() []input {
+	var in []input
+	for _, p := range suite.All() {
+		in = append(in, input{"suite/" + p.Name, p.Source})
+	}
+	src := mega10k()
+	in = append(in, input{"mega10k", src}, input{"mega10k/lower", strings.ToLower(src)})
+	for i, s := range fuzzgen.ParserSeeds {
+		in = append(in, input{fmt.Sprintf("seed/%d", i), s})
+	}
+	return in
+}
+
+func mega10k() string {
+	for _, spec := range fuzzgen.MegaCorpus() {
+		if spec.Name == "mega10k" {
+			return spec.Generate().Source
+		}
+	}
+	panic("no mega10k in the corpus")
+}
+
+// parseDigest is one golden line's value: the SHA-256 of the program's
+// rendering, its FuncsSig and every unit's Source, or the error.
+func parseDigest(src string) string {
+	prog, err := parser.ParseProgram(src)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s", prog.Fortran(), prog.FuncsSig)
+	for _, u := range prog.Units {
+		fmt.Fprintf(h, "\x00%s", u.Source)
+	}
+	return fmt.Sprintf("%x %d units", h.Sum(nil), len(prog.Units))
+}
+
+// TestParseGolden compares ParseProgram with the ParseProgram it
+// replaced: the golden file was written by the slab-taking parser of
+// the commit before the Scanner (run there with -update).
+func TestParseGolden(t *testing.T) {
+	const path = "testdata/parse.golden"
+	var got strings.Builder
+	for _, in := range corpus() {
+		fmt.Fprintf(&got, "%s\t%s\n", in.name, parseDigest(in.src))
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(string(want), "\n")
+	for i, line := range strings.Split(got.String(), "\n") {
+		if i >= len(wantLines) || line != wantLines[i] {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, line, append(wantLines, "<none>")[min(i, len(wantLines))])
+		}
+	}
+}
+
+// sourcesInOrder checks that every unit's Source is a slice of src
+// itself, not a copy, and that the slices follow one another.
+func sourcesInOrder(src string, prog *ir.Program) error {
+	base := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	end := 0
+	for _, u := range prog.Units {
+		if u.Source == "" {
+			return fmt.Errorf("unit %s has no Source", u.Name)
+		}
+		off := int(uintptr(unsafe.Pointer(unsafe.StringData(u.Source))) - base)
+		if off < end || off+len(u.Source) > len(src) {
+			return fmt.Errorf("unit %s: Source is not the next slice of the input (offset %d after %d of %d)", u.Name, off, end, len(src))
+		}
+		end = off + len(u.Source)
+	}
+	return nil
+}
+
+func TestSourceIsSliceOfInput(t *testing.T) {
+	for _, in := range corpus() {
+		prog, err := parser.ParseProgram(in.src)
+		if err != nil {
+			continue
+		}
+		if err := sourcesInOrder(in.src, prog); err != nil {
+			t.Errorf("%s: %v", in.name, err)
+		}
+	}
+}
+
+// TestFirstErrorInSourceOrder: the scanner feeds the parser a statement
+// at a time, so a lexical error no longer outranks a parse error on an
+// earlier line, and the FUNCTION pre-scan, which tokenizes ahead of the
+// main pass, does not report what it trips over.
+func TestFirstErrorInSourceOrder(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		line, col int
+		expr      bool
+	}{
+		{name: "ParseExpr, parse error before lexical error", src: "A +\n#", line: 1, expr: true},
+		{name: "ParseExpr, lexical error after a whole expression", src: "A + 1\n  #", line: 2, col: 3, expr: true},
+		{"parse error before lexical error",
+			"      PROGRAM P\n      X = 1 +\n      Y = 2\n      Z = 3\n      W = #\n      END\n", 2, 0, false},
+		{"lexical error before parse error",
+			"      PROGRAM P\n      X = #\n      Y = 2\n      Z = 3\n      W = 1 +\n      END\n", 2, 11, false},
+		{"lexical error on a FUNCTION line after a parse error",
+			"      PROGRAM P\n      X = 1 +\n      END\n      REAL FUNCTION F(Y) #\n      F = Y\n      END\n", 2, 0, false},
+		{"lexical error on a FUNCTION line before a parse error",
+			"      REAL FUNCTION F(Y) #\n      F = Y\n      END\n      PROGRAM P\n      X = 1 +\n      END\n", 1, 26, false},
+		{"lexical error after the last unit",
+			"      PROGRAM P\n      END\n      #\n", 3, 7, false},
+	} {
+		_, err := parser.ParseProgram(c.src)
+		if c.expr {
+			_, err = parser.ParseExpr(c.src)
+		}
+		var perr *parser.ParseError
+		if !errors.As(err, &perr) {
+			t.Errorf("%s: error %T (%v), want *ParseError", c.name, err, err)
+			continue
+		}
+		if perr.Line != c.line || (c.col > 0 && perr.Col != c.col) {
+			t.Errorf("%s: error at %d:%d (%s), want line %d col %d", c.name, perr.Line, perr.Col, perr.Msg, c.line, c.col)
+		}
+	}
+}
+
+// TestParseBytesPerLine holds ParseProgram to what it hands back: the
+// IR, the symbol tables and one string per distinct spelling. It read
+// 519 bytes per line of mega10k when the parser took a token slab,
+// split the source into a line table and kept a map per symbol table.
+func TestParseBytesPerLine(t *testing.T) {
+	src := mega10k()
+	lines := strings.Count(src, "\n")
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := parser.ParseProgram(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perLine := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(lines)
+	const budget = 245 // measured 222.4, plus 10%
+	t.Logf("%.1f bytes per line over %d lines", perLine, lines)
+	if perLine > budget {
+		t.Errorf("ParseProgram allocates %.1f bytes per line of mega10k, budget %d", perLine, budget)
+	}
+}

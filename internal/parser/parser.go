@@ -42,26 +42,54 @@ func (e *ParseError) Error() string {
 type Error = ParseError
 
 type parser struct {
+	sc *lexer.Scanner
+	// toks is the statement being parsed, in the scanner's buffer; its
+	// last token is a NEWLINE or the EOF, so toks[pos+1] exists wherever
+	// the grammar looks one token ahead.
 	toks []lexer.Token
 	pos  int
-	unit *ir.ProgramUnit
+	// lastLine is the line of the token consumed last.
+	lastLine int
+	// lexErr is the lexical error that ended the token stream early.
+	lexErr error
+	unit   *ir.ProgramUnit
 	// funcs records names of FUNCTION units so calls parse as Call
 	// expressions rather than array references.
 	funcs map[string]bool
+	// src, and the byte offset at which its 1-based line number line
+	// starts: the cursor unit sources are sliced with.
+	src       string
+	line, off int
+}
+
+func newParser(src string) *parser {
+	p := &parser{sc: lexer.NewScanner(src), funcs: map[string]bool{}, src: src, line: 1}
+	p.fill()
+	return p
 }
 
 // ParseProgram parses a whole source file into a Program and validates
-// it with the IR consistency checker.
+// it with the IR consistency checker. The error is the first one in
+// source order, lexical or syntactic.
 func ParseProgram(src string) (*ir.Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, funcs: map[string]bool{}}
-	// Pre-scan for FUNCTION names so forward calls resolve.
-	for i := 0; i+1 < len(toks); i++ {
-		if toks[i].Kind == lexer.IDENT && toks[i].Text == "FUNCTION" && toks[i+1].Kind == lexer.IDENT {
-			p.funcs[toks[i+1].Text] = true
+	p := newParser(src)
+	// Pre-scan for FUNCTION names so forward calls resolve. A FUNCTION
+	// token needs its eight letters on one line, so only statements
+	// that spell them are tokenized. A lexical error ends the pre-scan:
+	// the main pass reports it, or an error before it, and no program
+	// comes back to carry the incomplete set.
+	for pre := lexer.NewScanner(src); ; {
+		toks, err := pre.NextContaining("FUNCTION")
+		if err != nil {
+			break
+		}
+		for i := 0; i+1 < len(toks); i++ {
+			if toks[i].Kind == lexer.IDENT && toks[i].Text == "FUNCTION" && toks[i+1].Kind == lexer.IDENT {
+				p.funcs[toks[i+1].Text] = true
+			}
+		}
+		if toks[len(toks)-1].Kind == lexer.EOF {
+			break
 		}
 	}
 	prog := ir.NewProgram()
@@ -76,7 +104,7 @@ func ParseProgram(src string) (*ir.Program, error) {
 	}
 	sort.Strings(names)
 	prog.FuncsSig = "f:" + strings.Join(names, ",")
-	lines := strings.SplitAfter(src, "\n")
+	units := map[string]bool{}
 	for {
 		p.skipNewlines()
 		if p.at(lexer.EOF) {
@@ -85,28 +113,32 @@ func ParseProgram(src string) (*ir.Program, error) {
 		start := int(p.cur().Line)
 		u, err := p.parseUnit()
 		if err != nil {
-			return nil, err
+			return nil, p.firstError(err)
 		}
-		// Slice the unit's raw source from its first to its last
-		// consumed token. The lexer is line-local (the '&' continuation
-		// flag never crosses a unit boundary) and the IR carries no
-		// source positions, so two units with identical slices — under
-		// the same function set — parse to identical IR wherever they
-		// sit in a file. Incremental compilation keys untouched units by
-		// exactly this pair.
-		if end := int(p.toks[p.pos-1].Line); start >= 1 && start <= end && end <= len(lines) {
-			u.Source = strings.Join(lines[start-1:end], "")
-		}
-		if prog.Unit(u.Name) != nil {
+		// Slice the unit's raw source from the line of its first token
+		// to the line of its last. The lexer is line-local (the '&'
+		// continuation flag never crosses a unit boundary) and the IR
+		// carries no source positions, so two units with identical
+		// slices — under the same function set — parse to identical IR
+		// wherever they sit in a file. Incremental compilation keys
+		// untouched units by exactly this pair.
+		u.Source = src[p.lineStart(start):p.lineStart(p.lastLine+1)]
+		if units[u.Name] {
 			// Program.Add panics on duplicates (an IR consistency
 			// invariant); source-level duplicates are a parse error.
+			// The set stands in for Add's scan of every unit so far,
+			// which is quadratic in the units of a megaprogram.
 			return nil, &ParseError{Line: 1, Msg: fmt.Sprintf("duplicate program unit %s", u.Name)}
 		}
-		prog.Add(u)
+		units[u.Name] = true
+		prog.Units = append(prog.Units, u)
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
 	if err := prog.Check(); err != nil {
 		// Semantic validation failures cross the boundary as
-		// ParseError too — same contract as lexical errors above. The
+		// ParseError too — same contract as lexical errors. The
 		// consistency checker has no token positions; Col stays 0.
 		var cerr *ir.ConsistencyError
 		if errors.As(err, &cerr) {
@@ -117,31 +149,59 @@ func ParseProgram(src string) (*ir.Program, error) {
 	return prog, nil
 }
 
-// lex tokenizes src. Lexical failures cross the package boundary as
-// ParseError too, so callers have one error type to match.
-func lex(src string) ([]lexer.Token, error) {
-	toks, err := lexer.Lex(src)
-	var lerr *lexer.Error
-	if errors.As(err, &lerr) {
-		return nil, &ParseError{Line: lerr.Line, Col: lerr.Col, Msg: lerr.Msg}
+// fill makes the next statement the current one. A lexical error is
+// kept, as a ParseError so callers have one error type to match, and
+// the parser is handed the end of the input in the statement's place.
+func (p *parser) fill() {
+	toks, err := p.sc.Next()
+	if err != nil {
+		var lerr *lexer.Error
+		if errors.As(err, &lerr) {
+			err = &ParseError{Line: lerr.Line, Col: lerr.Col, Msg: lerr.Msg}
+		}
+		p.lexErr = err
+		toks = []lexer.Token{{Kind: lexer.EOF}}
 	}
-	return toks, err
+	p.toks, p.pos = toks, 0
+}
+
+// firstError picks the error to report. Once the scanner has failed,
+// every statement before the failure has parsed, so whatever the
+// parser then made of the cut-off input lies after the lexical error.
+func (p *parser) firstError(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+// lineStart returns the byte offset at which line n of the source
+// starts, or the source's length when it has fewer lines. Calls come
+// with non-decreasing n, so together they walk the source once.
+func (p *parser) lineStart(n int) int {
+	for p.line < n {
+		i := strings.IndexByte(p.src[p.off:], '\n')
+		if i < 0 {
+			return len(p.src)
+		}
+		p.off += i + 1
+		p.line++
+	}
+	return p.off
 }
 
 // ParseExpr parses a single expression (used by tests and tools).
 func ParseExpr(src string) (ir.Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, funcs: map[string]bool{}, unit: ir.NewUnit(ir.UnitProgram, "X")}
+	p := newParser(src)
+	p.unit = ir.NewUnit(ir.UnitProgram, "X")
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		if p.skipNewlines(); !p.at(lexer.EOF) {
+			err = p.errorf("trailing tokens after expression")
+		}
 	}
-	p.skipNewlines()
-	if !p.at(lexer.EOF) {
-		return nil, p.errorf("trailing tokens after expression")
+	if err = p.firstError(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -161,8 +221,12 @@ func (p *parser) atIdent(text string) bool {
 
 func (p *parser) next() lexer.Token {
 	t := p.toks[p.pos]
-	if t.Kind != lexer.EOF {
-		p.pos++
+	if t.Kind == lexer.EOF {
+		return t
+	}
+	p.lastLine = int(t.Line)
+	if p.pos++; p.pos == len(p.toks) {
+		p.fill()
 	}
 	return t
 }

@@ -57,11 +57,10 @@ func New(u *ir.ProgramUnit) *Analyzer {
 		loopRanges: map[*ir.DoStmt]loopRange{},
 		factBounds: map[*symbolic.Expr][]factBound{},
 	}
-	for _, name := range u.Symbols.Names() {
-		s := u.Symbols.Lookup(name)
+	for _, s := range u.Symbols.All() {
 		if s.Param != nil {
 			if c := symbolic.FromIR(s.Param, a.Resolver()); c.OK {
-				a.consts[name] = c.E
+				a.consts[s.Name] = c.E
 			}
 		}
 	}
@@ -82,9 +81,9 @@ func (a *Analyzer) propagateConstants() {
 	for _, name := range a.unit.Formals {
 		disqualified[name] = true
 	}
-	for _, name := range a.unit.Symbols.Names() {
-		if s := a.unit.Symbols.Lookup(name); s.Common != "" {
-			disqualified[name] = true
+	for _, s := range a.unit.Symbols.All() {
+		if s.Common != "" {
+			disqualified[s.Name] = true
 		}
 	}
 	ir.WalkStmts(a.unit.Body, func(s ir.Stmt) bool {

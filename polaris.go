@@ -36,6 +36,7 @@ package polaris
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -137,6 +138,7 @@ func wrapResult(res *core.Result, factor float64) *Result {
 	out := &Result{inner: res, CodegenFactor: factor,
 		InlinedCalls: res.InlinedCalls, InductionVariables: res.InductionVars,
 		UnitsReused: res.UnitsReused, UnitsRecompiled: res.UnitsRecompiled}
+	out.Loops = slices.Grow(out.Loops, len(res.Loops))
 	for _, lr := range res.Loops {
 		out.Loops = append(out.Loops, LoopInfo{
 			ID: lr.ID, Unit: lr.Unit, Index: lr.Index, Depth: lr.Depth,
