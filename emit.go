@@ -44,7 +44,10 @@ func WithEmitLabel(label string) EmitOption {
 }
 
 // Emit writes the compiled program to w in the selected target
-// language. With no options it emits annotated Fortran.
+// language. With no options it emits annotated Fortran. It does not
+// stream: either backend builds the whole text in memory — the Fortran
+// one in a single buffer sized from the source — and w receives it in
+// one Write, so peak memory includes the output.
 func (r *Result) Emit(w io.Writer, opts ...EmitOption) error {
 	cfg := emitConfig{procs: r.processors}
 	for _, o := range opts {

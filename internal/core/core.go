@@ -306,6 +306,21 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 	obs := opt.Observer
 	label := opt.TraceLabel
 
+	// analyzers holds each unit's range analyzer from one per-unit pass
+	// to the next (DESIGN.md §10d): rangesOf builds it for the first pass
+	// to reach the unit, a pass that rewrote the unit drops it — the
+	// constant table is read off the unit's text — and the next pass to
+	// ask builds a fresh one. A worker touches only its own unit's slot;
+	// each sizes the slice ahead of the fan-out, once the prologue has
+	// fixed the unit list.
+	var analyzers []*rng.Analyzer
+	rangesOf := func(i int) *rng.Analyzer {
+		if analyzers[i] == nil {
+			analyzers[i] = rng.New(work.Units[i])
+		}
+		return analyzers[i]
+	}
+
 	// each dispatches a per-unit pass: the plain unit sweep without a
 	// memo, or the incremental clean/dirty schedule with one. replay
 	// folds a memoized record into the pass's per-index slots for clean
@@ -313,6 +328,9 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 	each := func(c *passes.Context, pass string,
 		live func(sub *passes.Context, i int, uo *obsv.Observer) error,
 		replay func(i int, rec *unitPassRecord)) error {
+		if analyzers == nil {
+			analyzers = make([]*rng.Analyzer, len(work.Units))
+		}
 		if st == nil {
 			return forEachUnit(c, work.Units, obs, live)
 		}
@@ -377,7 +395,7 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 	}
 
 	// 2. Loop normalization (unit step), per unit. Subsequent passes
-	// rebuild their range analyzers from the rewritten text, so the
+	// see a range analyzer built from the rewritten text, so the
 	// per-pass unit sweep is equivalent to the per-unit pass sweep.
 	// Units are independent here — normalization never looks across
 	// unit boundaries — so the pass fans units over the worker pool.
@@ -386,7 +404,10 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 			counts := make([]int, len(work.Units))
 			err := each(c, "normalize", func(sub *passes.Context, i int, uo *obsv.Observer) error {
 				u := work.Units[i]
-				nres := normalize.Run(u, rng.New(u))
+				nres := normalize.Run(u, rangesOf(i))
+				if nres.Normalized > 0 {
+					analyzers[i] = nil
+				}
 				counts[i] = nres.Normalized
 				sub.Count("loops_normalized", int64(nres.Normalized))
 				if rec := st.dirtyRec(i, "normalize"); rec != nil {
@@ -422,7 +443,10 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 			solvedByUnit := make([][]string, len(work.Units))
 			err := each(c, "induction", func(sub *passes.Context, i int, uo *obsv.Observer) error {
 				u := work.Units[i]
-				ires := induction.RunWith(u, rng.New(u), iopt)
+				ires := induction.RunWith(u, rangesOf(i), iopt)
+				if len(ires.Solved) > 0 {
+					analyzers[i] = nil
+				}
 				var solved []string
 				for _, s := range ires.Solved {
 					solvedByUnit[i] = append(solvedByUnit[i], u.Name+"."+s.Name)
@@ -463,7 +487,7 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 		err := each(c, "dependence-analysis", func(sub *passes.Context, ui int, uo *obsv.Observer) error {
 			u := work.Units[ui]
 			assignLoopIDs(u)
-			ranges := rng.New(u)
+			ranges := rangesOf(ui)
 			tester := deps.NewTester(u, ranges)
 			// The unit's analyzeLoop calls see a per-unit options copy:
 			// decision records go to the unit observer (the shared one on
@@ -495,6 +519,10 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 				reports[i], reports[j] = reports[j], reports[i]
 			}
 			reportsByUnit[ui] = reports
+			// Only the constant table crosses the barrier to strength
+			// reduction: every unit's fact tables held until then would
+			// be the pass's peak memory.
+			ranges.ReleaseCaches()
 			if rec := st.dirtyRec(ui, "dependence-analysis"); rec != nil {
 				rec.reports = toMemoReports(reports)
 				rec.stats = statsByUnit[ui]
@@ -556,7 +584,8 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 			counts := make([]int, len(work.Units))
 			err := each(c, "strength-reduction", func(sub *passes.Context, ui int, uo *obsv.Observer) error {
 				u := work.Units[ui]
-				sres := strength.Run(u, rng.New(u))
+				sres := strength.Run(u, rangesOf(ui))
+				analyzers[ui] = nil // last use
 				counts[ui] = sres.Reduced
 				sub.Count("accumulators_introduced", int64(sres.Reduced))
 				rec := st.dirtyRec(ui, "strength-reduction")

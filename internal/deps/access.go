@@ -8,6 +8,8 @@
 package deps
 
 import (
+	"slices"
+
 	"polaris/internal/gsa"
 	"polaris/internal/ir"
 	"polaris/internal/rng"
@@ -32,10 +34,26 @@ type Access struct {
 // subConv is one subscript of one access, converted once per nest: conv
 // under the nest's resolver with its analyzable verdict (convSubscript),
 // pow without a resolver, so that its IPOW atom keys are spelled as
-// addPowerFacts must push them.
+// addPowerFacts must push them, and lin, conv's affine form over the
+// index list linFor (nil until a pair asks).
 type subConv struct {
 	done, analyzable bool
 	conv, pow        symbolic.Conv
+	lin              LinearForm
+	linOK            bool
+	linFor           []string
+}
+
+// linear returns ExtractLinear(sc.conv.E, indices). The index list is
+// the pair's common nest, so it can differ from the one the stored form
+// was extracted for: it is compared, and the form extracted again when
+// it does.
+func (sc *subConv) linear(indices []string) (LinearForm, bool) {
+	if !slices.Equal(sc.linFor, indices) {
+		sc.lin, sc.linOK = ExtractLinear(sc.conv.E, indices)
+		sc.linFor = indices
+	}
+	return sc.lin, sc.linOK
 }
 
 // nest is what AnalyzeLoop derives once per root loop and every pair
@@ -146,24 +164,7 @@ func (t *Tester) writtenIn(root *ir.DoStmt) map[string]bool {
 		return w
 	}
 	w := map[string]bool{}
-	ir.WalkStmts(root.Body, func(s ir.Stmt) bool {
-		if a, ok := s.(*ir.AssignStmt); ok {
-			if ref, ok := a.LHS.(*ir.ArrayRef); ok {
-				w[ref.Name] = true
-			}
-		}
-		if c, ok := s.(*ir.CallStmt); ok {
-			// A whole array passed to a call may be written.
-			for _, arg := range c.Args {
-				if v, ok := arg.(*ir.VarRef); ok {
-					if sym := t.Unit.Symbols.Lookup(v.Name); sym != nil && sym.IsArray() {
-						w[v.Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
+	ir.EachArrayWritten(root.Body, t.Unit.Symbols, func(name string) { w[name] = true })
 	t.writtenArrays[root] = w
 	return w
 }

@@ -207,8 +207,8 @@ func (t *Tester) pairIndependent(n *nest, target *ir.DoStmt, ranged map[string]b
 		if hasArrayAtom(ca.E) || hasArrayAtom(cb.E) {
 			sawIndexArray = true
 		}
-		fa, linA := ExtractLinear(ca.E, indices)
-		fb, linB := ExtractLinear(cb.E, indices)
+		fa, linA := sa.linear(indices)
+		fb, linB := sb.linear(indices)
 		if linA && linB && !ca.IntDivApprox && !cb.IntDivApprox {
 			if ind, app := t.LinearNoCarriedDep(fa, fb, nestLoops, 0); app && ind {
 				if cfg.Stats != nil {

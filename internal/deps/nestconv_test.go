@@ -189,3 +189,141 @@ func TestNestConvMatchesFresh(t *testing.T) {
 			subs, resolved, unanalyzable, powers)
 	}
 }
+
+// TestLinearFormSlotMatchesFresh walks the same corpus pair by pair, in
+// the order the analysis tests them, in the identity view of every nest
+// and — where the nest is a perfect chain — in the view of its innermost
+// loop with the others ranged, as the permuted test sees it. For both
+// accesses of every pair and every dimension it requires the linear form
+// read through the slot to be the form ExtractLinear gives for that
+// pair's index list. The list is the pair's common nest, so it changes
+// between pairs whose accesses sit under different inner loops: the hand
+// nest makes sure of one, and the slot has to extract again there and
+// reuse everywhere else.
+func TestLinearFormSlotMatchesFresh(t *testing.T) {
+	type source struct{ name, src string }
+	var sources []source
+	for _, p := range suite.All() {
+		sources = append(sources, source{p.Name, p.Source})
+	}
+	for _, spec := range fuzzgen.MegaCorpus() {
+		if spec.Name == "mega10k" {
+			sources = append(sources, source{spec.Name, spec.Generate().Source})
+		}
+	}
+	if len(sources) != 17 {
+		t.Fatalf("%d sources, want the 16 suite programs and mega10k", len(sources))
+	}
+	sources = append(sources, source{"siblings", `
+      SUBROUTINE S(N, M, A)
+      INTEGER N, M, I, J, K
+      REAL A(100, *)
+      DO I = 1, N
+        DO J = 1, M
+          A(I, J) = 0.0
+        END DO
+        DO K = 1, M
+          A(I, K + M) = A(I, K) + A(2*I, K*K)
+        END DO
+      END DO
+      END
+`})
+	sameForm := func(got, want deps.LinearForm) bool {
+		if len(got.Coef) != len(want.Coef) || (got.Const == nil) != (want.Const == nil) {
+			return false
+		}
+		for v, c := range want.Coef {
+			if gc, ok := got.Coef[v]; !ok || gc != c {
+				return false
+			}
+		}
+		return want.Const == nil || got.Const.String() == want.Const.String()
+	}
+	var pairs, reused, extracted, nonlinear, siblingsExtracted int
+	for _, s := range sources {
+		parsed, err := parser.ParseProgram(s.src)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		res, err := core.Compile(parser.MustParse(s.src), core.PolarisOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for _, prog := range []*ir.Program{parsed, res.Program} {
+			for _, u := range prog.Units {
+				tester := deps.NewTester(u, rng.New(u))
+				for _, root := range ir.Loops(u.Body) {
+					n := deps.NewNest(root, nil)
+					// The analysis first, so the walk below starts from
+					// whatever the pair tests left in the slots.
+					tester.AnalyzeNest(n, deps.Config{})
+					type view struct {
+						target *ir.DoStmt
+						ranged map[string]bool
+					}
+					views := []view{{root, n.Inner()}}
+					if chain := deps.PerfectChain(root); len(chain) > 1 {
+						ranged := map[string]bool{}
+						for _, d := range chain[:len(chain)-1] {
+							ranged[d.Index] = true
+						}
+						views = append(views, view{chain[len(chain)-1], ranged})
+					}
+					for _, vw := range views {
+						for _, a := range n.Accesses() {
+							if !a.Write {
+								continue
+							}
+							for _, b := range n.Accesses() {
+								if b.Array != a.Array || len(b.Subs) != len(a.Subs) {
+									continue
+								}
+								var indices []string
+								for _, d := range tester.CommonNest(vw.target, vw.ranged, a, b) {
+									indices = append(indices, d.Index)
+								}
+								pairs++
+								for _, acc := range []deps.Access{a, b} {
+									for d := range acc.Subs {
+										conv, _, analyzable := tester.Sub(n, acc, d)
+										if !analyzable {
+											continue
+										}
+										got, gotOK, hit := tester.Linear(n, acc, d, indices)
+										want, wantOK := deps.ExtractLinear(conv.E, indices)
+										if gotOK != wantOK || !sameForm(got, want) {
+											t.Errorf("%s/%s: %s(%s) under DO %s over %v: slot holds %v (%v), fresh %v (%v)",
+												s.name, u.Name, acc.Array, acc.Subs[d], vw.target.Index, indices, got, gotOK, want, wantOK)
+										}
+										switch {
+										case hit:
+											reused++
+										case s.name == "siblings":
+											siblingsExtracted++
+											fallthrough
+										default:
+											extracted++
+										}
+										if !wantOK {
+											nonlinear++
+										}
+									}
+								}
+							}
+						}
+					}
+					if t.Failed() {
+						return
+					}
+				}
+			}
+		}
+	}
+	// The hand nest's eight subscripts, each extracted for two or three
+	// different lists in each of its nests and views: were the slot
+	// filled once and never compared, this would read eight.
+	if pairs < 5000 || reused < extracted || nonlinear == 0 || siblingsExtracted < 24 {
+		t.Errorf("%d pairs, %d forms reused, %d extracted (%d in the hand nest), %d nonlinear: the walk is not reaching them",
+			pairs, reused, extracted, siblingsExtracted, nonlinear)
+	}
+}

@@ -93,7 +93,7 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 		Schema:             EntrySchema,
 		RouteKey:           routeKey,
 		Rendered:           rendered,
-		RenderedSHA256:     sumHex(rendered),
+		RenderedSHA256:     sumHexString(rendered),
 		InlinedCalls:       res.InlinedCalls,
 		InlineSkipped:      res.InlineSkipped,
 		InductionVars:      res.InductionVars,
@@ -128,7 +128,7 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 	if err != nil {
 		return nil, "", err
 	}
-	return entry, sumHex(string(entry)), nil
+	return entry, sumHex(entry), nil
 }
 
 // DecodeEntry reconstructs a compiled result from wire bytes. wantKey
@@ -137,7 +137,7 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 // reconstruction that fails the render-roundtrip proof — returns an
 // error and the caller falls back to a local compile.
 func DecodeEntry(entry []byte, checksum, wantKey string) (*core.Result, []obsv.Decision, error) {
-	if got := sumHex(string(entry)); got != checksum {
+	if got := sumHex(entry); got != checksum {
 		return nil, nil, fmt.Errorf("fabric: entry checksum mismatch (got %.12s want %.12s)", got, checksum)
 	}
 	var e Entry
@@ -150,7 +150,7 @@ func DecodeEntry(entry []byte, checksum, wantKey string) (*core.Result, []obsv.D
 	if e.RouteKey != wantKey {
 		return nil, nil, fmt.Errorf("fabric: stale entry: route key %.20s..., want %.20s...", e.RouteKey, wantKey)
 	}
-	if got := sumHex(e.Rendered); got != e.RenderedSHA256 {
+	if got := sumHexString(e.Rendered); got != e.RenderedSHA256 {
 		return nil, nil, fmt.Errorf("fabric: rendered program checksum mismatch")
 	}
 
@@ -198,7 +198,7 @@ func DecodeEntry(entry []byte, checksum, wantKey string) (*core.Result, []obsv.D
 	// re-attached, so the directives reappear) must reproduce the
 	// owner's rendering byte for byte. A program that does not
 	// round-trip is rejected rather than trusted.
-	if sumHex(prog.Fortran()) != e.RenderedSHA256 {
+	if sumHexString(prog.Fortran()) != e.RenderedSHA256 {
 		return nil, nil, fmt.Errorf("fabric: reconstruction failed the render-roundtrip check")
 	}
 	if len(e.Report) > 0 {
@@ -207,7 +207,22 @@ func DecodeEntry(entry []byte, checksum, wantKey string) (*core.Result, []obsv.D
 	return res, e.Decisions, nil
 }
 
-func sumHex(s string) string {
-	sum := sha256.Sum256([]byte(s))
+func sumHex(b []byte) string {
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// sumHexString is sumHex of a string, fed to the digest through a
+// buffer on the stack: converting the string would copy a whole entry
+// or rendering to the heap to hash it.
+func sumHexString(s string) string {
+	h := sha256.New()
+	var buf [4096]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }

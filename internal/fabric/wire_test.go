@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 
@@ -220,7 +222,7 @@ func TestWireRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeEntry(raw, sumHex(string(raw)), key); err == nil {
+		if _, _, err := DecodeEntry(raw, sumHex(raw), key); err == nil {
 			t.Fatal("future-schema entry accepted")
 		}
 	})
@@ -234,8 +236,47 @@ func TestWireRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeEntry(raw, sumHex(string(raw)), key); err == nil {
+		if _, _, err := DecodeEntry(raw, sumHex(raw), key); err == nil {
 			t.Fatal("tampered rendering accepted")
 		}
 	})
+}
+
+// TestChecksumsPinned pins the two checksums of one known entry — TRFD
+// compiled, its timing report dropped so the bytes repeat — to the
+// values the commit before sumHex stopped copying its input produced:
+// peers of different builds verify each other's entries, so the hash of
+// given bytes may never move. It then holds both spellings to
+// crypto/sha256 on lengths either side of the string path's buffer.
+func TestChecksumsPinned(t *testing.T) {
+	p, _ := suite.ByName("trfd")
+	res, decisions, _ := compileCaptured(t, p.Source, "trfd")
+	res.Report = nil
+	entry, checksum, err := EncodeEntry("pinned-key", res, decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Entry
+	if err := json.Unmarshal(entry, &e); err != nil {
+		t.Fatal(err)
+	}
+	const wantEntry = "48e6a6af27c882ab8d433bb6928c9c060f73f30955d84501666343bec96e4c1a"
+	const wantRendered = "7aad8adba2584d0beafb760ad85ea004a7d5f816ee6bb06d9ecc8654616bc879"
+	if checksum != wantEntry || e.RenderedSHA256 != wantRendered {
+		t.Errorf("entry checksum %s, rendering %s; pinned %s, %s", checksum, e.RenderedSHA256, wantEntry, wantRendered)
+	}
+	if _, _, err := DecodeEntry(entry, wantEntry, "pinned-key"); err != nil {
+		t.Errorf("the pinned checksum does not open the entry: %v", err)
+	}
+	for _, n := range []int{0, 1, 63, 64, 4095, 4096, 4097, 3 * 4096, 100_001} {
+		b := []byte(strings.Repeat("polaris\x00", n/8+1)[:n])
+		sum := sha256.Sum256(b)
+		want := hex.EncodeToString(sum[:])
+		if got := sumHex(b); got != want {
+			t.Errorf("sumHex of %d bytes = %s, want %s", n, got, want)
+		}
+		if got := sumHexString(string(b)); got != want {
+			t.Errorf("sumHexString of %d bytes = %s, want %s", n, got, want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -10,13 +11,19 @@ import (
 // program; golden tests in the parser package check the round trip.
 func (p *Program) Fortran() string {
 	var b strings.Builder
+	p.WriteFortran(&b)
+	return b.String()
+}
+
+// WriteFortran appends the rendering Fortran returns to b, for a caller
+// that has sized the builder or puts its own text around the program.
+func (p *Program) WriteFortran(b *strings.Builder) {
 	for i, u := range p.Units {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		u.write(&b)
+		u.write(b)
 	}
-	return b.String()
 }
 
 // Fortran renders a single unit as Fortran source.
@@ -41,51 +48,71 @@ func (u *ProgramUnit) write(b *strings.Builder) {
 }
 
 func (u *ProgramUnit) writeDecls(b *strings.Builder) {
+	declare := func(s *Symbol) {
+		b.WriteString("      ")
+		b.WriteString(s.Type.String())
+		b.WriteByte(' ')
+		b.WriteString(s.Name)
+	}
 	// PARAMETER constants first (they may appear in dimension bounds),
 	// in declaration order; then typed declarations; then COMMONs.
-	for _, s := range u.Symbols.All() {
+	all := u.Symbols.All()
+	for _, s := range all {
 		if s.Param == nil {
 			continue
 		}
-		fmt.Fprintf(b, "      %s %s\n", s.Type, s.Name)
-		fmt.Fprintf(b, "      PARAMETER (%s=%s)\n", s.Name, s.Param)
+		declare(s)
+		b.WriteString("\n      PARAMETER (")
+		b.WriteString(s.Name)
+		b.WriteByte('=')
+		b.WriteString(s.Param.String())
+		b.WriteString(")\n")
 	}
-	for _, s := range u.Symbols.All() {
+	for _, s := range all {
 		if s.Param != nil {
 			continue
 		}
-		decl := s.Name
-		if s.IsArray() {
-			dims := make([]string, len(s.Dims))
-			for i, d := range s.Dims {
-				hi := "*"
-				if d.Hi != nil {
-					hi = d.Hi.String()
-				}
-				if d.Lo != nil && !Equal(d.Lo, Int(1)) {
-					dims[i] = d.Lo.String() + ":" + hi
-				} else {
-					dims[i] = hi
-				}
+		declare(s)
+		for i, d := range s.Dims {
+			if i == 0 {
+				b.WriteByte('(')
+			} else {
+				b.WriteByte(',')
 			}
-			decl += "(" + strings.Join(dims, ",") + ")"
+			if d.Lo != nil && !Equal(d.Lo, Int(1)) {
+				b.WriteString(d.Lo.String())
+				b.WriteByte(':')
+			}
+			if d.Hi != nil {
+				b.WriteString(d.Hi.String())
+			} else {
+				b.WriteByte('*')
+			}
 		}
-		fmt.Fprintf(b, "      %s %s\n", s.Type, decl)
+		if s.IsArray() {
+			b.WriteByte(')')
+		}
+		b.WriteByte('\n')
 	}
-	// COMMON blocks, preserving member order.
-	blocks := map[string][]string{}
-	var blockOrder []string
-	for _, s := range u.Symbols.All() {
-		if s.Common == "" {
+	// COMMON blocks in order of first member, preserving member order.
+	var written []string
+	for i, s := range all {
+		if s.Common == "" || slices.Contains(written, s.Common) {
 			continue
 		}
-		if _, seen := blocks[s.Common]; !seen {
-			blockOrder = append(blockOrder, s.Common)
+		written = append(written, s.Common)
+		b.WriteString("      COMMON /")
+		b.WriteString(s.Common)
+		b.WriteByte('/')
+		sep := byte(' ')
+		for _, m := range all[i:] {
+			if m.Common == s.Common {
+				b.WriteByte(sep)
+				b.WriteString(m.Name)
+				sep = ','
+			}
 		}
-		blocks[s.Common] = append(blocks[s.Common], s.Name)
-	}
-	for _, blk := range blockOrder {
-		fmt.Fprintf(b, "      COMMON /%s/ %s\n", blk, strings.Join(blocks[blk], ","))
+		b.WriteByte('\n')
 	}
 }
 

@@ -121,3 +121,42 @@ func TestEnsureParAndStepPrinting(t *testing.T) {
 		t.Errorf("EnsurePar reallocated")
 	}
 }
+
+// TestFortranDeclarations pins the declaration block byte for byte:
+// PARAMETERs first, then typed declarations with every dimension form,
+// then COMMON blocks in order of first member with members in
+// declaration order, interleaved blocks included.
+func TestFortranDeclarations(t *testing.T) {
+	u := NewUnit(UnitSubroutine, "S")
+	u.Formals = []string{"X"}
+	for _, s := range []*Symbol{
+		{Name: "A", Type: TypeReal, Common: "BLK", Dims: []Dim{{Hi: Var("N")}, {Lo: Int(0), Hi: Mul(Int(2), Var("N"))}}},
+		{Name: "N", Type: TypeInteger, Param: Int(8)},
+		{Name: "P", Type: TypeLogical, Common: "FLAGS"},
+		{Name: "X", Type: TypeReal, Formal: true, Dims: []Dim{{Lo: Int(1), Hi: Int(4)}, {Hi: nil}}},
+		{Name: "K", Type: TypeInteger, Common: "BLK"},
+		{Name: "M", Type: TypeInteger, Param: Add(Var("N"), Int(1))},
+		{Name: "Q", Type: TypeLogical, Common: "FLAGS"},
+		{Name: "T", Type: TypeReal},
+	} {
+		u.Symbols.Insert(s)
+	}
+	want := `      SUBROUTINE S(X)
+      INTEGER N
+      PARAMETER (N=8)
+      INTEGER M
+      PARAMETER (M=N+1)
+      REAL A(N,0:2*N)
+      LOGICAL P
+      REAL X(4,*)
+      INTEGER K
+      LOGICAL Q
+      REAL T
+      COMMON /BLK/ A,K
+      COMMON /FLAGS/ P,Q
+      END
+`
+	if got := u.Fortran(); got != want {
+		t.Errorf("declarations render as:\n%s\nwant:\n%s", got, want)
+	}
+}

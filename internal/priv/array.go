@@ -51,14 +51,18 @@ func (a *analyzer) arrays(res *Result) {
 }
 
 // collectArrayAccesses gathers write and read accesses per array with
-// their loop chains and conditionality.
+// their loop chains and conditionality. arrays looks only at arrays the
+// loop writes, so those are found first and reads of any other array
+// are not recorded.
 func (a *analyzer) collectArrayAccesses() (writes, reads map[string][]*region) {
+	written := map[string]bool{}
+	ir.EachArrayWritten(a.loop.Body, a.unit.Symbols, func(name string) { written[name] = true })
 	writes = map[string][]*region{}
 	reads = map[string][]*region{}
 	var walk func(b *ir.Block, chain []*ir.DoStmt, cond bool)
 	addRead := func(e ir.Expr, s ir.Stmt, chain []*ir.DoStmt, cond bool) {
 		ir.WalkExpr(e, func(n ir.Expr) bool {
-			if ar, ok := n.(*ir.ArrayRef); ok {
+			if ar, ok := n.(*ir.ArrayRef); ok && written[ar.Name] {
 				reads[ar.Name] = append(reads[ar.Name], &region{stmt: s, chain: chain, conditional: cond, subs: ar.Subs})
 			}
 			return true
@@ -327,8 +331,22 @@ func (a *analyzer) regionEnv(r *region) *symbolic.Env {
 }
 
 // loopRangeResolved converts loop bounds resolving pre-loop scalar
-// values through GSA (so DO J = 1, MP sees MP = M*P — Figure 4).
+// values through GSA (so DO J = 1, MP sees MP = M*P — Figure 4). Every
+// region under d asks, and the answer depends on d and the analyzed
+// loop alone, so it is kept for the rest of the Analyze call.
 func (a *analyzer) loopRangeResolved(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bool) {
+	r, hit := a.loopRanges[d]
+	if !hit {
+		r.lo, r.hi, r.ok = a.resolveLoopRange(d)
+		if a.loopRanges == nil {
+			a.loopRanges = map[*ir.DoStmt]resolvedRange{}
+		}
+		a.loopRanges[d] = r
+	}
+	return r.lo, r.hi, r.ok
+}
+
+func (a *analyzer) resolveLoopRange(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bool) {
 	step := a.ranges.Conv(d.StepOr1())
 	if !step.OK {
 		return nil, nil, false

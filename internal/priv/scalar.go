@@ -17,6 +17,7 @@ import (
 	"polaris/internal/gsa"
 	"polaris/internal/ir"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 // Result reports the privatization decisions for one loop.
@@ -40,6 +41,13 @@ type analyzer struct {
 	ranges *rng.Analyzer
 	gsa    *gsa.Analyzer
 	loop   *ir.DoStmt
+	// loopRanges memoizes loopRangeResolved.
+	loopRanges map[*ir.DoStmt]resolvedRange
+}
+
+type resolvedRange struct {
+	lo, hi *symbolic.Expr
+	ok     bool
 }
 
 // Analyze computes privatization for the loop.

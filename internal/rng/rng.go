@@ -13,10 +13,16 @@ import (
 	"polaris/internal/symbolic"
 )
 
-// Analyzer holds per-unit range information. Like the constant table
-// built at New time, the Facts and LoopRange caches assume the unit's
-// IR is not mutated while the Analyzer is in use; transformation
-// passes construct a fresh Analyzer after rewriting.
+// Analyzer holds per-unit range information in two parts with two
+// lifetimes. The constant table, built at New time, is read off the
+// unit's declarations, assignments, DO indices and CALL arguments: it
+// stays valid until a pass rewrites the unit, and the driver keeps one
+// Analyzer per unit across passes on that condition, constructing a
+// fresh one after a pass reports a rewrite (a transformation pass keeps
+// the one it was given while it runs, and only calls Conv). The Facts,
+// LoopRange and AddFactGE caches are keyed by statement and fact
+// pointers and assume the IR is not mutated while they are in use;
+// ReleaseCaches drops them when the analysis that filled them is done.
 type Analyzer struct {
 	unit *ir.ProgramUnit
 	// consts maps scalar names to their propagated symbolic values
@@ -49,14 +55,8 @@ type loopRange struct {
 // to already-known constants) and flow-sensitive for guards and loop
 // bounds, which are collected per target statement.
 func New(u *ir.ProgramUnit) *Analyzer {
-	a := &Analyzer{
-		unit:       u,
-		consts:     map[string]*symbolic.Expr{},
-		facts:      map[ir.Stmt][]*symbolic.Expr{},
-		elemFacts:  map[pathElem][]*symbolic.Expr{},
-		loopRanges: map[*ir.DoStmt]loopRange{},
-		factBounds: map[*symbolic.Expr][]factBound{},
-	}
+	a := &Analyzer{unit: u, consts: map[string]*symbolic.Expr{}}
+	a.ReleaseCaches()
 	for _, s := range u.Symbols.All() {
 		if s.Param != nil {
 			if c := symbolic.FromIR(s.Param, a.Resolver()); c.OK {
@@ -66,6 +66,16 @@ func New(u *ir.ProgramUnit) *Analyzer {
 	}
 	a.propagateConstants()
 	return a
+}
+
+// ReleaseCaches empties the per-statement caches, leaving the constant
+// table: what Conv, Consts and Resolver read. The Analyzer stays fully
+// usable; the next Facts or LoopRange call starts cold.
+func (a *Analyzer) ReleaseCaches() {
+	a.facts = map[ir.Stmt][]*symbolic.Expr{}
+	a.elemFacts = map[pathElem][]*symbolic.Expr{}
+	a.loopRanges = map[*ir.DoStmt]loopRange{}
+	a.factBounds = map[*symbolic.Expr][]factBound{}
 }
 
 // propagateConstants finds scalars with a unique unconditional

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"testing"
 
 	"polaris/internal/ir"
@@ -362,5 +363,53 @@ func TestFactsSharedAlongPath(t *testing.T) {
 	}
 	if grew := len(a.factBounds) - before; grew != len(distinct) {
 		t.Errorf("factBounds grew by %d over %d distinct facts", grew, len(distinct))
+	}
+}
+
+// TestReleaseCachesKeepsConstants: what crosses a pass barrier is the
+// constant table, by pointer, and an Analyzer that answers as it did —
+// the per-statement caches start over, they do not go stale.
+func TestReleaseCachesKeepsConstants(t *testing.T) {
+	u := mainUnit(t, `
+      PROGRAM P
+      INTEGER N, M, I
+      PARAMETER (N=10)
+      REAL A(100)
+      M = N*2
+      DO I = 1, M
+        IF (I .GT. 3) THEN
+          A(I) = 0.0
+        END IF
+      END DO
+      END
+`)
+	a := New(u)
+	loop := ir.Loops(u.Body)[0]
+	target := loop.Body.Stmts[0].(*ir.IfStmt).Then.Stmts[0]
+	render := func() string {
+		env, out := a.EnvForStmt(target), ""
+		for _, name := range env.Names() {
+			b, _ := env.Lookup(name)
+			out += fmt.Sprintf("%s in [%v, %v] ", name, b.Lo, b.Hi)
+		}
+		for _, f := range a.Facts(target) {
+			out += " " + f.String()
+		}
+		lo, hi, ok := a.LoopRange(loop)
+		return out + " " + lo.String() + ".." + hi.String() + " " + a.Conv(loop.Limit).E.String() + map[bool]string{true: " ok"}[ok]
+	}
+	before, m := render(), a.Consts()["M"]
+	if len(a.facts) == 0 || len(a.loopRanges) == 0 || len(a.factBounds) == 0 || len(a.elemFacts) == 0 {
+		t.Fatal("the queries filled no cache")
+	}
+	a.ReleaseCaches()
+	if len(a.facts)+len(a.loopRanges)+len(a.factBounds)+len(a.elemFacts) != 0 {
+		t.Error("caches survive ReleaseCaches")
+	}
+	if a.Consts()["M"] != m || m == nil || !symbolic.Equal(m, symbolic.Int(20)) {
+		t.Errorf("M = %v after release, was %v", a.Consts()["M"], m)
+	}
+	if after := render(); after != before {
+		t.Errorf("after release the analyzer answers\n%s\nbefore it answered\n%s", after, before)
 	}
 }

@@ -113,8 +113,9 @@ type Expr struct {
 	// str caches the canonical rendering ("" = not computed; the zero
 	// polynomial renders as "0", never "").
 	str string
-	// fd caches forward differences by variable.
-	fd map[string]*Expr
+	// fd caches forward differences by variable: one or two entries,
+	// scanned.
+	fd []fdEntry
 	// neg caches the negation (mutually linked: negating an exact
 	// canonical polynomial is an involution).
 	neg *Expr
@@ -123,6 +124,12 @@ type Expr struct {
 	// bounds into the same subscript expressions for every access pair
 	// and every fresh per-pair environment.
 	sub map[substKey]*Expr
+}
+
+// fdEntry is one cached forward difference: d = e(v+1) - e(v).
+type fdEntry struct {
+	v string
+	d *Expr
 }
 
 // substKey identifies one substitution: the variable and the canonical
@@ -653,17 +660,24 @@ func (e *Expr) SubstAtom(atomKey string, repl *Expr) *Expr {
 
 // ForwardDiff returns e(v+1) - e(v): the first forward difference with
 // respect to the integer variable v, the monotonicity probe of the
-// range test. The result is cached per variable: the range test probes
-// the same expressions repeatedly across access pairs.
+// range test. Where v occurs only to the first power and in no opaque
+// atom — nearly every subscript — that is the coefficient of v, read
+// off; otherwise v+1 is substituted and e subtracted. The result is
+// cached per variable: the range test probes the same expressions
+// repeatedly across access pairs.
 func (e *Expr) ForwardDiff(v string) *Expr {
-	if d, ok := e.fd[v]; ok {
-		return d
+	for _, c := range e.fd {
+		if c.v == v {
+			return c.d
+		}
 	}
-	d := Sub(e.Subst(v, Add(Var(v), Int(1))), e)
-	if e.fd == nil {
-		e.fd = map[string]*Expr{}
+	var d *Expr
+	if deg, inOpaque := e.DegreeIn(v); deg <= 1 && !inOpaque {
+		d = e.coeff(v, 1)
+	} else {
+		d = Sub(e.Subst(v, Add(Var(v), Int(1))), e)
 	}
-	e.fd[v] = d
+	e.fd = append(e.fd, fdEntry{v, d})
 	return d
 }
 
@@ -699,19 +713,42 @@ func (e *Expr) CoeffsIn(v string) (coeffs []*Expr, ok bool) {
 		return nil, false
 	}
 	coeffs = make([]*Expr, deg+1)
-	for i := range coeffs {
-		coeffs[i] = Zero()
+	for d := range coeffs {
+		coeffs[d] = e.coeff(v, d)
 	}
+	return coeffs, true
+}
+
+// powerIn returns the power to which the plain variable v is a direct
+// factor of t (0 when it is none) and that factor's index.
+func powerIn(t *term, v string) (pow, at int) {
+	for j := range t.factors {
+		if f := &t.factors[j]; f.atom.Args == nil && f.atom.Name == v {
+			return f.pow, j
+		}
+	}
+	return 0, -1
+}
+
+// coeff returns the coefficient of v^d in e: the terms holding the plain
+// variable v as a direct factor to exactly that power, with the factor
+// dropped. The terms are counted first, so the slice is allocated once.
+func (e *Expr) coeff(v string, d int) *Expr {
+	n := 0
+	for i := range e.terms {
+		if p, _ := powerIn(&e.terms[i], v); p == d {
+			n++
+		}
+	}
+	c := &Expr{terms: make([]term, 0, n)}
 	for i := range e.terms {
 		t := &e.terms[i]
-		at := -1
-		for j := range t.factors {
-			if t.factors[j].atom.Args == nil && t.factors[j].atom.Name == v {
-				at = j
-			}
+		p, at := powerIn(t, v)
+		if p != d {
+			continue
 		}
 		if at < 0 {
-			coeffs[0].insert(*t)
+			c.terms = append(c.terms, *t) // free of v: e's own order
 			continue
 		}
 		// Distinct terms of e cannot collide in one coefficient (same
@@ -719,9 +756,9 @@ func (e *Expr) CoeffsIn(v string) (coeffs []*Expr, ok bool) {
 		// of e), but dropping v can reorder them: insert, not append.
 		rest := make([]factor, 0, len(t.factors)-1)
 		rest = append(append(rest, t.factors[:at]...), t.factors[at+1:]...)
-		coeffs[t.factors[at].pow].insert(term{coef: t.coef, factors: rest, mk: monoKey(rest)})
+		c.insert(term{coef: t.coef, factors: rest, mk: monoKey(rest)})
 	}
-	return coeffs, true
+	return c
 }
 
 // Eval evaluates e with atom values supplied by env. It returns false

@@ -133,6 +133,10 @@ func TestExprAllocBudget(t *testing.T) {
 	a := Add(Var("I"), Int(1))
 	b := Sub(Var("N"), Int(2))
 	cube := Pow(Var("I"), 3)
+	// A linearized subscript: its first difference in I is N + 3, read
+	// off as an Expr, its two terms, the factor N with its key, and the
+	// cache entry. By substitution it took 20.
+	lin := Add(Add(Mul(Var("I"), Var("N")), Mul(Int(3), Var("I"))), Var("J"))
 	cases := []struct {
 		name string
 		max  float64
@@ -146,6 +150,7 @@ func TestExprAllocBudget(t *testing.T) {
 		{"scale", 2, func() { allocSink = scale(a, qvInt(3)) }},
 		{"second Neg", 0, func() { allocSink = Neg(b) }},
 		{"second String", 0, func() { _ = a.String() }},
+		{"ForwardDiff", 5, func() { lin.fd = nil; allocSink = lin.ForwardDiff("I") }},
 		{"second ForwardDiff", 0, func() { allocSink = cube.ForwardDiff("I") }},
 		{"Equal", 0, func() { _ = Equal(a, b) }},
 		{"ConstInt64", 0, func() { _, _ = a.ConstInt64() }},
@@ -293,7 +298,13 @@ func FuzzExprAlgebra(f *testing.F) {
 				}
 			case 12:
 				if 2*a.w <= maxWeight {
-					push(a.e.ForwardDiff(name), func(vs map[string]*big.Rat) *big.Rat {
+					fd := a.e.ForwardDiff(name)
+					// The definition, spelled out: the coefficient shortcut
+					// has to give the same polynomial and the same rendering.
+					if def := Sub(a.e.Subst(name, Add(Var(name), Int(1))), a.e); !Equal(fd, def) || fd.String() != def.String() {
+						t.Fatalf("ForwardDiff(%s, %s) = %s, substitution gives %s", a.e, name, fd, def)
+					}
+					push(fd, func(vs map[string]*big.Rat) *big.Rat {
 						next := with(vs, name, new(big.Rat).Add(vs[name], big.NewRat(1, 1)))
 						return new(big.Rat).Sub(a.sh(next), a.sh(vs))
 					}, 2*a.w)

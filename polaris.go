@@ -264,8 +264,10 @@ func FullTechniques() Techniques {
 // AnnotatedSource emits the restructured Fortran with parallel
 // directives and the compilation report header.
 //
-// Deprecated: use Emit(w, EmitFortran), which streams to a writer and
-// supports the Go backend via EmitGo.
+// Deprecated: use Emit(w, EmitFortran), which takes the writer the text
+// is going to and supports the Go backend via EmitGo. Emit does not
+// stream: it builds the whole text in one buffer and writes it once, so
+// this wrapper costs a second copy of the output and nothing else.
 func (r *Result) AnnotatedSource() string {
 	var b strings.Builder
 	_ = r.Emit(&b, EmitFortran)
