@@ -22,9 +22,6 @@
 //	               compilation and execution
 //	-pprof FILE    CPU profile of the whole run (go tool pprof)
 //	-metrics       dump the observer's event counters as JSON on exit
-//	-bench-out F   measure the perf trajectory (cold full-suite compile
-//	               plus the symbolic-prover microbenchmarks) and write
-//	               the BENCH_polaris.json report CI uploads
 package main
 
 import (
@@ -56,9 +53,8 @@ func main() {
 	trace2Path := flag.String("trace2", "", "write trace-schema v2 JSONL (spans, decisions, run metrics) to this file")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	metrics := flag.Bool("metrics", false, "print the observer's event counters as JSON on exit")
-	benchOut := flag.String("bench-out", "", "measure the perf trajectory (suite compile + prover microbenchmarks) and write BENCH_polaris.json to this path (\"-\" = stdout)")
 	flag.Parse()
-	if !*table1 && !*fig7 && !*fig6 && !*ablation && !*all && *jsonPath == "" && *benchOut == "" {
+	if !*table1 && !*fig7 && !*fig6 && !*ablation && !*all && *jsonPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -123,11 +119,6 @@ func main() {
 	}
 	if *jsonPath != "" {
 		if err := writeBenchJSON(ctx, runner, *procs, *jsonPath); err != nil {
-			fail(err)
-		}
-	}
-	if *benchOut != "" {
-		if err := writePerfJSON(ctx, *benchOut); err != nil {
 			fail(err)
 		}
 	}

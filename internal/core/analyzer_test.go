@@ -249,8 +249,8 @@ func analyzerReplacedAfterRewrite(t *testing.T) {
 
 // TestCompileBytesPerLine holds the cold compile of mega10k (parsed
 // outside the measurement, serial schedule) to its allocation per source
-// line: the number ROADMAP item 3 tracks, at a size tier 1 can afford.
-// The budget is the measured figure plus a tenth.
+// line: the number ROADMAP [work-counters] tracks, at a size tier 1 can
+// afford. The budget is the measured figure plus a tenth.
 func TestCompileBytesPerLine(t *testing.T) {
 	source := fuzzgen.MegaCorpus()[0].Generate().Source // mega10k
 	lines := strings.Count(source, "\n")

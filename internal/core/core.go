@@ -82,13 +82,13 @@ type Options struct {
 	// TrustedInput declares the input program consistent (freshly
 	// parsed — ParseProgram runs the consistency check itself) and
 	// exclusively owned by this compilation: CompileContext then skips
-	// the defensive input check and compiles the program in place
-	// instead of cloning it first. The caller must not use the input
-	// program again after the call and must treat Result.Program as
-	// read-only — the same contract suite.Cache already imposes by
-	// sharing one Result across requests. Like UnitMemo this is
-	// observation-only: verdicts, Decision streams, and emitted code
-	// are byte-identical with or without it.
+	// the defensive input check and takes ownership of each unit it
+	// compiles in place, where it would otherwise clone it. The caller
+	// must not use the input program again after the call and must treat
+	// Result.Program as read-only — the same contract suite.Cache
+	// already imposes by sharing one Result across requests. Like
+	// UnitMemo this is observation-only: verdicts, Decision streams, and
+	// emitted code are byte-identical with or without it.
 	TrustedInput bool
 	// Stats, when non-nil, accumulates dependence-test counts.
 	Stats *deps.Stats
@@ -178,19 +178,31 @@ func (r *Result) ParallelLoops() int {
 	return n
 }
 
-// Compile runs the pipeline on a clone of prog (the input is not
-// modified, unless Options.TrustedInput hands over ownership) and
-// returns the annotated program. It is CompileContext with a
-// background context.
+// Compile is CompileContext with a background context.
 func Compile(prog *ir.Program, opt Options) (*Result, error) {
 	return CompileContext(context.Background(), prog, opt)
 }
 
-// CompileContext runs the pass pipeline under ctx. Cancellation is
-// honored between passes and inside the loop-analysis pass; on
-// cancellation the context's error is returned promptly. Pass
-// failures are reported as *PipelineError naming the failed pass.
+// CompileContext runs the pass pipeline under ctx and returns the
+// annotated program. Cancellation is honored between passes and inside
+// the loop-analysis pass; on cancellation the context's error is
+// returned promptly. Pass failures are reported as *PipelineError
+// naming the failed pass.
+//
+// Ownership: a compile never writes a unit it did not clone. The
+// pipeline reads prog's units where they stand — concurrent compiles
+// may share one parsed program — and copies a unit at the moment it is
+// about to rewrite it; a unit the memo answers for is never copied. No
+// unit of Result.Program is a unit of prog. Options.TrustedInput is the
+// one exception: the caller hands prog over, and the units are taken in
+// place instead of copied.
 func CompileContext(ctx context.Context, prog *ir.Program, opt Options) (*Result, error) {
+	return compile(ctx, prog, opt, nil)
+}
+
+// compile is CompileContext with a hook tests count copies on: copied
+// is called with every unit cloned (see buildPipeline's own).
+func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *ir.ProgramUnit)) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -199,13 +211,13 @@ func CompileContext(ctx context.Context, prog *ir.Program, opt Options) (*Result
 		if err := prog.Check(); err != nil {
 			return nil, fmt.Errorf("core: input program inconsistent: %w", err)
 		}
-		work = prog.Clone()
+		// The unit list is the compile's own; the units are borrowed.
+		work = &ir.Program{Units: slices.Clone(prog.Units), FuncsSig: prog.FuncsSig}
 	}
-	unit := work.Main()
-	if unit == nil {
+	if work.Main() == nil {
 		return nil, fmt.Errorf("core: no main program unit")
 	}
-	res := &Result{Program: work, Unit: unit, InlineSkipped: map[string]string{}}
+	res := &Result{Program: work, InlineSkipped: map[string]string{}}
 
 	m := passes.NewManager(opt.TraceLabel, opt.Trace)
 	m.Obs = opt.Observer
@@ -217,9 +229,10 @@ func CompileContext(ctx context.Context, prog *ir.Program, opt Options) (*Result
 	if opt.UnitMemo != nil {
 		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel}
 	}
-	m.Add(buildPipeline(work, unit, res, opt, st)...)
+	m.Add(buildPipeline(work, res, opt, st, copied)...)
 	report, err := m.Run(ctx, work)
 	res.Report = report
+	res.Unit = work.Main()
 	if st != nil {
 		// Publish or abandon this compilation's in-flight memo claims:
 		// on success every dirty unit's final IR and pass records become
@@ -301,10 +314,39 @@ func evidenceLines[V any](format string, m map[string]V) []string {
 // buildPipeline registers the technique passes selected by opt, in the
 // paper's order. Every pass closure writes its findings into res and
 // reports mutation counts through the pass Context.
-func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Options, st *incrState) []passes.Pass {
+func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, copied func(u *ir.ProgramUnit)) []passes.Pass {
 	var ps []passes.Pass
 	obs := opt.Observer
 	label := opt.TraceLabel
+
+	// own is the only place a unit is copied or specialized. It returns
+	// unit i ready to be written: cloned (taken in place under
+	// TrustedInput) with the interprocedural plan's edit script for it
+	// applied, and installed in work. private asks for a copy the caller
+	// keeps to itself — the inliner cuts its templates from one — and
+	// leaves work as it was. Until a unit is owned it is the input's, and
+	// read-only.
+	var plan *interproc.Plan
+	owned := make([]bool, len(work.Units))
+	own := func(i int, private bool) *ir.ProgramUnit {
+		u := work.Units[i]
+		if owned[i] && !private {
+			return u
+		}
+		if private || !opt.TrustedInput {
+			u = u.Clone()
+			if copied != nil {
+				copied(u)
+			}
+		}
+		if plan != nil && !owned[i] {
+			plan.Apply(u)
+		}
+		if !private {
+			work.Units[i], owned[i] = u, true
+		}
+		return u
+	}
 
 	// analyzers holds each unit's range analyzer from one per-unit pass
 	// to the next (DESIGN.md §10d): rangesOf builds it for the first pass
@@ -330,6 +372,13 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 		replay func(i int, rec *unitPassRecord)) error {
 		if analyzers == nil {
 			analyzers = make([]*rng.Analyzer, len(work.Units))
+			// The first per-unit pass takes every unit the memo did not
+			// answer for; from here on no unit of work is the input's.
+			for i := range work.Units {
+				if st == nil || st.reuse[i] == nil {
+					own(i, false)
+				}
+			}
 		}
 		if st == nil {
 			return forEachUnit(c, work.Units, obs, live)
@@ -338,23 +387,24 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 	}
 
 	// 0. Interprocedural constant propagation (subroutine
-	// specialization; reaches callees the inliner skips).
+	// specialization; reaches callees the inliner skips). The pass
+	// decides; own applies each unit's share when it takes the unit.
 	if opt.InterprocConstants {
 		ps = append(ps, passes.Func("interproc-constants", func(c *passes.Context) error {
-			irep := interproc.Propagate(work)
-			res.InterprocConstants = irep.Propagated
+			plan = interproc.Analyze(work)
+			res.InterprocConstants = plan.Propagated
 			if st != nil {
-				// The edit signatures feed the unit hashes: a mutated
+				// The edit signatures feed the unit hashes: a specialized
 				// unit's raw-source key must also cover the exact edits
-				// this pass applied to it.
-				st.interSigs = irep.UnitSigs
+				// the plan holds for it.
+				st.interSigs = plan.UnitSigs
 			}
-			c.Count("constants_propagated", int64(len(irep.Propagated)))
-			if obs != nil && len(irep.Propagated) > 0 {
+			c.Count("constants_propagated", int64(len(plan.Propagated)))
+			if obs != nil && len(plan.Propagated) > 0 {
 				obs.Decision(obsv.Decision{
 					Label: label, Pass: "interproc-constants",
 					Detail:   "constant actual arguments propagated into callees",
-					Evidence: evidenceLines("%s = %d", irep.Propagated),
+					Evidence: evidenceLines("%s = %d", plan.Propagated),
 				})
 			}
 			return nil
@@ -364,7 +414,10 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 	// 1. Inline expansion.
 	if opt.Inline {
 		ps = append(ps, passes.Func("inline", func(c *passes.Context) error {
-			rep := inline.ExpandAll(work, unit, inline.DefaultOptions())
+			unit := own(slices.Index(work.Units, work.Main()), false)
+			rep := inline.ExpandAll(work, unit, inline.DefaultOptions(), func(callee *ir.ProgramUnit) *ir.ProgramUnit {
+				return own(slices.Index(work.Units, callee), true)
+			})
 			res.InlinedCalls = rep.Expanded
 			res.InlineSkipped = rep.Skipped
 			c.Count("calls_inlined", int64(rep.Expanded))
@@ -390,7 +443,7 @@ func buildPipeline(work *ir.Program, unit *ir.ProgramUnit, res *Result, opt Opti
 	// to a from-scratch compile.
 	if st != nil {
 		ps = append(ps, passes.Func("unit-hash", func(c *passes.Context) error {
-			return st.acquirePass(c, work, res, opt)
+			return st.acquirePass(c, work, res, opt, func(i int) *ir.ProgramUnit { return own(i, false) })
 		}))
 	}
 

@@ -43,7 +43,7 @@ func TestRandomProgramsEndToEnd(t *testing.T) {
 // list, the read of QB with it, so that read is never tested against
 // the write and the loop is marked DOALL.
 func TestReductionMaskHidesOperandRead(t *testing.T) {
-	t.Skip("known unsound verdict, ROADMAP open item 6: reduction mask hides operand reads; fix + re-pin mega50k in a benchmark-archetype PR")
+	t.Skip("known unsound verdict, ROADMAP [sound-mask]: reduction mask hides operand reads; fix + re-pin mega50k in a benchmark-archetype PR")
 	src, err := os.ReadFile("testdata/reduction_mask_operand_read.f")
 	if err != nil {
 		t.Fatal(err)

@@ -410,15 +410,19 @@ type incrState struct {
 // raw parse-time source plus interproc's edit signature for it,
 // skipping the rendering entirely. On a megaprogram that turns the
 // hash step from O(program rendering) into O(one unit's rendering +
-// raw-byte hashing).
-func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Result, opt Options) error {
+// raw-byte hashing). own is buildPipeline's: a unit keyed by its
+// rendering is taken first, the rest stay the input's until the memo
+// has answered.
+func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Result, opt Options, own func(i int) *ir.ProgramUnit) error {
 	st.keys = make([][32]byte, len(work.Units))
 	st.keyLen = make([]int, len(work.Units))
 	top := work.Main()
 	uh := newUnitHasher(opt)
 	for i, u := range work.Units {
 		if u.Source == "" || work.FuncsSig == "" || (opt.Inline && u == top) {
-			rendered := u.Fortran()
+			// The rendering must show the prologue's edits, which land on
+			// a unit when it is taken (the top unit already was).
+			rendered := own(i).Fortran()
 			st.keyLen[i] = len(rendered)
 			st.keys[i] = uh.key("ir", rendered)
 		} else {
@@ -447,9 +451,6 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 			res.UnitsRecompiled++
 		}
 	}
-	// A clean MAIN was just replaced; keep Result.Unit pointing into
-	// the program being returned.
-	res.Unit = work.Main()
 	c.Count("units_reused", int64(res.UnitsReused))
 	c.Count("units_recompiled", int64(res.UnitsRecompiled))
 	return nil

@@ -26,9 +26,9 @@ var incrInstrumentation = map[string]bool{
 	"Observer":    true,
 	"UnitWorkers": true,
 	"UnitMemo":    true,
-	// TrustedInput only skips the defensive input check and clone of a
-	// program the caller owns; the pipeline that then runs is identical,
-	// so it cannot change what a memo entry means.
+	// TrustedInput only skips the defensive input check and the unit
+	// clones of a program the caller owns; the pipeline that then runs is
+	// identical, so it cannot change what a memo entry means.
 	"TrustedInput": true,
 }
 

@@ -1,0 +1,83 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"strings"
+	"testing"
+
+	"polaris/internal/fuzzgen"
+	"polaris/internal/ir"
+	"polaris/internal/parser"
+)
+
+// raceDetector is set by race_test.go.
+var raceDetector bool
+
+// TestEditClonesWhatItCompiles holds a one-unit edit of mega10k against
+// a warm memo to what it may copy and allocate. It copies the top unit,
+// the edited unit and one template per callee the inliner expanded —
+// nothing else: the other 280-odd units are read where they stand until
+// the memo answers for them. And it allocates, parse outside the
+// measurement and serial schedule as in TestCompileBytesPerLine, no more
+// than the measured bytes per source line plus a tenth.
+func TestEditClonesWhatItCompiles(t *testing.T) {
+	ctx := context.Background()
+	base := fuzzgen.MegaCorpus()[0].Generate().Source // mega10k
+	lines := strings.Count(base, "\n")
+	opt := PolarisOptions()
+	opt.UnitWorkers = 1
+	opt.UnitMemo = NewUnitMemo(MemoLimits{})
+	if _, err := CompileContext(ctx, parser.MustParse(base), opt); err != nil {
+		t.Fatal(err)
+	}
+	edit := func(n int) (*ir.Program, string) {
+		src, unit := fuzzgen.EditOneUnit(base, n, n)
+		if unit == "" {
+			t.Fatal("EditOneUnit found no phase to edit")
+		}
+		return parser.MustParse(src), unit
+	}
+
+	prog, edited := edit(1)
+	copies := map[string]int{}
+	res, err := compile(ctx, prog, opt, func(u *ir.ProgramUnit) { copies[u.Name]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnitsRecompiled != 1 {
+		t.Fatalf("the edit of %s recompiled %d units", edited, res.UnitsRecompiled)
+	}
+	top := res.Unit.Name
+	templates := 0
+	for name, n := range copies {
+		if n != 1 {
+			t.Errorf("%s was copied %d times", name, n)
+		}
+		if name != top && name != edited {
+			templates++
+		}
+	}
+	if copies[top] != 1 || copies[edited] != 1 || templates == 0 || templates > res.InlinedCalls {
+		t.Errorf("copied %v: want %s, %s and at most one template per inlined call (%d)",
+			copies, top, edited, res.InlinedCalls)
+	}
+
+	best := uint64(1 << 62)
+	for i := 2; i < 5; i++ {
+		prog, _ := edit(i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := CompileContext(ctx, prog, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	perLine := float64(best) / float64(lines)
+	t.Logf("mega10k edit: %d copies, %d bytes over %d lines, %.0f bytes per line", len(copies), best, lines, perLine)
+	const budget = 101 // 92 measured plus a tenth; 268 when every unit was cloned up front
+	if perLine > budget && !raceDetector {
+		t.Errorf("a one-unit edit allocates %.0f bytes per source line; budget %d", perLine, budget)
+	}
+}

@@ -21,9 +21,9 @@ func (s MegaSpec) Config() MegaConfig {
 func (s MegaSpec) Generate() *MegaProgram { return GenerateMega(s.Config()) }
 
 // MegaCorpus returns the standing scaling corpus, smallest first:
-// the three BenchmarkMegaCompile sizes tracked in BENCH_polaris.json.
-// Entries are append-only: changing a seed or size invalidates the
-// perf trajectory's comparability across commits.
+// the three BenchmarkMegaCompile sizes; the repo benchmark (bench/)
+// compiles the middle one. Entries are append-only: changing a seed or
+// size makes figures recorded across commits incomparable.
 func MegaCorpus() []MegaSpec {
 	return []MegaSpec{
 		{Name: "mega10k", Seed: 1001, TargetLines: 10_000},

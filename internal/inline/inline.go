@@ -35,10 +35,14 @@ type Report struct {
 }
 
 // ExpandAll expands subroutine calls in top until none remain (or the
-// pass/size limits hit). Callees must be units of prog.
-func ExpandAll(prog *ir.Program, top *ir.ProgramUnit, opt Options) *Report {
+// pass/size limits hit). Callees must be units of prog; they are read,
+// never written. clone, when non-nil, stands in for callee.Clone() as
+// the source of the private copy a callee's template is cut from — the
+// driver hands out a copy it has specialized, so the unit itself need
+// not be.
+func ExpandAll(prog *ir.Program, top *ir.ProgramUnit, opt Options, clone func(callee *ir.ProgramUnit) *ir.ProgramUnit) *Report {
 	rep := &Report{Skipped: map[string]string{}}
-	tpl := newTemplates(prog)
+	tpl := newTemplates(clone)
 	// Resolve callees through a one-pass name index: Program.Unit is a
 	// linear scan, and a megaprogram has hundreds of units and call
 	// sites — the repeated scans were quadratic in program size.
@@ -121,7 +125,7 @@ func countStmtList(stmts []ir.Stmt) int {
 // templates caches per-callee validated bodies (the site-independent
 // half of the paper's scheme).
 type templates struct {
-	prog  *ir.Program
+	clone func(callee *ir.ProgramUnit) *ir.ProgramUnit
 	cache map[string]*ir.ProgramUnit
 	// failed caches validation rejections: a callee the splice cannot
 	// express is re-encountered at every call site on every expansion
@@ -130,8 +134,11 @@ type templates struct {
 	failed map[string]error
 }
 
-func newTemplates(prog *ir.Program) *templates {
-	return &templates{prog: prog, cache: map[string]*ir.ProgramUnit{}, failed: map[string]error{}}
+func newTemplates(clone func(callee *ir.ProgramUnit) *ir.ProgramUnit) *templates {
+	if clone == nil {
+		clone = (*ir.ProgramUnit).Clone
+	}
+	return &templates{clone: clone, cache: map[string]*ir.ProgramUnit{}, failed: map[string]error{}}
 }
 
 // template returns a validated master copy of the callee.
@@ -146,7 +153,7 @@ func (t *templates) template(callee *ir.ProgramUnit) (*ir.ProgramUnit, error) {
 		t.failed[callee.Name] = err
 		return nil, err
 	}
-	u := callee.Clone()
+	u := t.clone(callee)
 	// Drop a trailing RETURN (falls through to the end after splicing).
 	if n := len(u.Body.Stmts); n > 0 {
 		if _, isRet := u.Body.Stmts[n-1].(*ir.ReturnStmt); isRet {

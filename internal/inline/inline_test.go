@@ -15,7 +15,7 @@ func expand(t *testing.T, src string) (*ir.Program, *ir.ProgramUnit, *Report) {
 		t.Fatalf("parse: %v", err)
 	}
 	top := prog.Main()
-	rep := ExpandAll(prog, top, DefaultOptions())
+	rep := ExpandAll(prog, top, DefaultOptions(), nil)
 	if err := top.Check(); err != nil {
 		t.Fatalf("inlined unit inconsistent: %v\n%s", err, top.Fortran())
 	}

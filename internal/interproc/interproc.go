@@ -13,9 +13,9 @@
 package interproc
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"polaris/internal/ir"
 )
@@ -24,146 +24,171 @@ import (
 type Report struct {
 	// Propagated maps "CALLEE.FORMAL" to the constant value.
 	Propagated map[string]int64
-	// UnitSigs maps each unit this propagation mutated to a
-	// deterministic signature of the exact edits applied to it: the
-	// in-application-order specialization events on the unit itself
-	// (formal position dropped, name, value) and, per callee it calls,
-	// the in-order argument positions deleted at its call sites. A
-	// unit's post-propagation IR is a pure function of its parse and
-	// this edit script, so (raw source, parse context, signature)
-	// identifies the post-pass unit without rendering it — which is how
-	// incremental compilation keys specialized units and rewritten
-	// callers by raw source. Units absent from the map left the pass
-	// exactly as they entered it.
+	// UnitSigs maps each unit the plan edits to a deterministic
+	// signature of its edit script: the in-application-order
+	// specialization events on the unit itself (formal position dropped,
+	// name, value) and, per callee it calls, the in-order argument
+	// positions deleted at its call sites. A unit's post-propagation IR
+	// is a pure function of its parse and this edit script, so (raw
+	// source, parse context, signature) identifies the post-pass unit
+	// without rendering it — which is how incremental compilation keys
+	// specialized units and rewritten callers by raw source. Units absent
+	// from the map leave the pass exactly as they entered it.
 	UnitSigs map[string]string
 }
 
-// Propagate runs the specialization over the whole program, iterating
-// so constants flowing through one level of calls reach deeper ones.
+// drop removes one formal of a callee, and the argument in the same
+// position at every one of its call sites.
+type drop struct {
+	// pos is the position at application time: the formal's declared
+	// position less the drops of the same callee that come before it.
+	pos  int
+	name string
+	val  int64
+}
+
+// Plan is the read-only half of the propagation: every specialization
+// decision, made over a program it does not write, and the per-unit
+// edit script Apply replays on a unit the caller may write. The split
+// is the inliner's (Section 3.1 of the paper): a site-independent
+// decision made once, site-specific writes on a private copy.
+type Plan struct {
+	Report
+	// drops holds each specialized callee's drops in application order.
+	drops map[string][]drop
+	// calleesOf lists, per unit, the specialized callees it calls,
+	// sorted; a unit absent from it has no call site to rewrite.
+	calleesOf map[string][]string
+}
+
+// Propagate specializes the whole program in place: the plan, applied
+// to every unit.
 func Propagate(prog *ir.Program) *Report {
-	rep := &Report{Propagated: map[string]int64{}}
-	// The call-site index is built once: specialization re-slices the
-	// Args of existing CallStmts in place and never adds or removes a
-	// CALL, so the site pointers stay valid across rounds.
-	sitesByName := callSiteIndex(prog)
-	ev := &editLog{selfEvents: map[string][]string{}, argDrops: map[string][]string{}}
-	for pass := 0; pass < 4; pass++ {
-		if !propagateOnce(prog, sitesByName, ev, rep) {
-			break
-		}
-	}
-	rep.UnitSigs = ev.unitSigs(prog, sitesByName)
-	return rep
-}
-
-// editLog accumulates the specialization events of one propagation in
-// application order, keyed by callee.
-type editLog struct {
-	// selfEvents records each callee's own edits ("fi:NAME=val" —
-	// formal at position fi dropped, its symbol made PARAMETER val).
-	selfEvents map[string][]string
-	// argDrops records, per callee, the argument positions deleted at
-	// every one of its call sites ("fi=val"). Order matters: positions
-	// are application-time indices, shifting as earlier drops land.
-	argDrops map[string][]string
-}
-
-// unitSigs folds the event log into per-unit signatures: a unit's own
-// specialization events plus, for each callee it calls (sorted), that
-// callee's site-rewrite events.
-func (ev *editLog) unitSigs(prog *ir.Program, sitesByName map[string][]callSite) map[string]string {
-	calleesOf := map[string][]string{}
-	seen := map[string]map[string]bool{}
-	for name, sites := range sitesByName {
-		if len(ev.argDrops[name]) == 0 {
-			continue
-		}
-		for _, s := range sites {
-			if seen[s.owner] == nil {
-				seen[s.owner] = map[string]bool{}
-			}
-			if !seen[s.owner][name] {
-				seen[s.owner][name] = true
-				calleesOf[s.owner] = append(calleesOf[s.owner], name)
-			}
-		}
-	}
-	out := map[string]string{}
-	var sig strings.Builder
-	part := func(head, name string, evs []string) {
-		if sig.Len() > 0 {
-			sig.WriteByte(';')
-		}
-		sig.WriteString(head)
-		sig.WriteString(name)
-		sig.WriteByte('[')
-		for i, e := range evs {
-			if i > 0 {
-				sig.WriteByte(',')
-			}
-			sig.WriteString(e)
-		}
-		sig.WriteByte(']')
-	}
+	p := Analyze(prog)
 	for _, u := range prog.Units {
-		sig.Reset()
-		if evs := ev.selfEvents[u.Name]; len(evs) > 0 {
-			part("self", "", evs)
-		}
-		names := calleesOf[u.Name]
-		sort.Strings(names)
-		for _, name := range names {
-			part("call-", name, ev.argDrops[name])
-		}
-		if sig.Len() > 0 {
-			out[u.Name] = sig.String()
-		}
+		p.Apply(u)
 	}
-	return out
+	return &p.Report
 }
 
-func propagateOnce(prog *ir.Program, sitesByName map[string][]callSite, ev *editLog, rep *Report) bool {
-	changed := false
+// Analyze decides the specialization of prog without writing it: a
+// scalar integer formal is dropped when every call site passes it the
+// same integer literal and the callee never writes it.
+//
+// Each decision reads only the callee's declaration and body and the
+// literal at the formal's declared position in every site, and a drop
+// removes nothing but literals, so no decision can enable or disable
+// another: one sweep reaches the fixed point the in-place propagation
+// iterated to, and a formal's position at application time is its
+// declared position less the drops ahead of it — at the call sites too,
+// which lose the same positions in the same order.
+func Analyze(prog *ir.Program) *Plan {
+	p := &Plan{Report: Report{Propagated: map[string]int64{}}, drops: map[string][]drop{}}
+	sitesByName := callSiteIndex(prog)
 	for _, callee := range prog.Units {
-		if callee.Kind != ir.UnitSubroutine || len(callee.Formals) == 0 {
+		if callee.Kind != ir.UnitSubroutine {
 			continue
 		}
 		sites := sitesByName[callee.Name]
 		if len(sites) == 0 {
 			continue
 		}
-		// Find formals receiving one identical integer literal at
-		// every site, not modified inside the callee.
-		for fi := 0; fi < len(callee.Formals); fi++ {
-			formal := callee.Formals[fi]
+		var ds []drop
+		for fi, formal := range callee.Formals {
 			fsym := callee.Symbols.Lookup(formal)
 			if fsym == nil || fsym.IsArray() || fsym.Type != ir.TypeInteger {
 				continue
 			}
 			val, uniform := uniformConstArg(sites, fi)
-			if !uniform {
+			if !uniform || modifies(callee, formal) {
 				continue
 			}
-			if modifies(callee, formal) {
-				continue
-			}
-			// Specialize: drop the formal, make it a PARAMETER.
-			callee.Formals = append(callee.Formals[:fi], callee.Formals[fi+1:]...)
-			fsym.Formal = false
-			fsym.Param = ir.Int(val)
-			ev.selfEvents[callee.Name] = append(ev.selfEvents[callee.Name],
-				fmt.Sprintf("%d:%s=%d", fi, formal, val))
-			ev.argDrops[callee.Name] = append(ev.argDrops[callee.Name],
-				fmt.Sprintf("%d=%d", fi, val))
-			for _, site := range sites {
-				site.call.Args = append(site.call.Args[:fi], site.call.Args[fi+1:]...)
-			}
-			rep.Propagated[callee.Name+"."+formal] = val
-			changed = true
-			fi--
+			ds = append(ds, drop{pos: fi - len(ds), name: formal, val: val})
+			p.Propagated[callee.Name+"."+formal] = val
+		}
+		if len(ds) > 0 {
+			p.drops[callee.Name] = ds
 		}
 	}
-	return changed
+	// A callee's sites are indexed unit by unit, so one owner's sites
+	// are adjacent and a change of owner is a new (owner, callee) pair.
+	p.calleesOf = map[string][]string{}
+	for name := range p.drops {
+		owner := ""
+		for _, s := range sitesByName[name] {
+			if s.owner != owner {
+				owner = s.owner
+				p.calleesOf[owner] = append(p.calleesOf[owner], name)
+			}
+		}
+	}
+	for _, names := range p.calleesOf {
+		sort.Strings(names)
+	}
+	p.UnitSigs = p.unitSigs(prog)
+	return p
+}
+
+// Apply replays u's edit script on it: the unit's own formals become
+// PARAMETER constants, and its calls to specialized callees lose the
+// matching arguments. u is a unit of the analyzed program or a clone of
+// one, written by nobody else, and is applied to once.
+func (p *Plan) Apply(u *ir.ProgramUnit) {
+	for _, d := range p.drops[u.Name] {
+		u.Formals = slices.Delete(u.Formals, d.pos, d.pos+1)
+		sym := u.Symbols.Lookup(d.name)
+		sym.Formal = false
+		sym.Param = ir.Int(d.val)
+	}
+	if len(p.calleesOf[u.Name]) == 0 {
+		return
+	}
+	ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
+		if c, ok := s.(*ir.CallStmt); ok {
+			for _, d := range p.drops[c.Name] {
+				c.Args = slices.Delete(c.Args, d.pos, d.pos+1)
+			}
+		}
+		return true
+	})
+}
+
+// unitSigs renders the per-unit signatures: a unit's own drops
+// ("self[pos:NAME=val,...]") then, per specialized callee it calls, that
+// callee's argument drops ("call-NAME[pos=val,...]"), ';'-separated.
+func (p *Plan) unitSigs(prog *ir.Program) map[string]string {
+	out := map[string]string{}
+	var sig []byte
+	part := func(head, name string, ds []drop, named bool) {
+		if len(sig) > 0 {
+			sig = append(sig, ';')
+		}
+		sig = append(append(append(sig, head...), name...), '[')
+		for i, d := range ds {
+			if i > 0 {
+				sig = append(sig, ',')
+			}
+			sig = strconv.AppendInt(sig, int64(d.pos), 10)
+			if named {
+				sig = append(append(sig, ':'), d.name...)
+			}
+			sig = strconv.AppendInt(append(sig, '='), d.val, 10)
+		}
+		sig = append(sig, ']')
+	}
+	for _, u := range prog.Units {
+		sig = sig[:0]
+		if ds := p.drops[u.Name]; len(ds) > 0 {
+			part("self", "", ds, true)
+		}
+		for _, name := range p.calleesOf[u.Name] {
+			part("call-", name, p.drops[name], false)
+		}
+		if len(sig) > 0 {
+			out[u.Name] = string(sig)
+		}
+	}
+	return out
 }
 
 // callSite is one CALL statement together with the unit containing it

@@ -9,8 +9,7 @@ import (
 
 // BenchmarkSuiteCompileCold measures a cold-cache full-suite
 // compilation: all sixteen Figure 7 programs under the full technique
-// set, parse included, no memoized results. This is the wall-time
-// number BENCH_polaris.json tracks across commits.
+// set, parse included, no memoized results.
 func BenchmarkSuiteCompileCold(b *testing.B) {
 	progs := All()
 	ctx := context.Background()

@@ -18,8 +18,7 @@ import (
 // the 100k row's ns/line pulls away from the 10k row's.
 //
 // CI compares this against BenchmarkMegaCompileSerial for the
-// parallel-speedup figure; per-commit trajectories live in
-// BENCH_polaris.json (mega_compile rows).
+// parallel-speedup figure.
 func BenchmarkMegaCompile(b *testing.B) {
 	for _, spec := range fuzzgen.MegaCorpus() {
 		b.Run(spec.Name, func(b *testing.B) {
@@ -44,8 +43,7 @@ func BenchmarkMegaCompileSerial(b *testing.B) {
 // iteration applies a fresh one-unit edit and recompiles against the
 // warm memo — only the edited unit runs the pipeline, the rest replay.
 // Compare against the same entry's BenchmarkMegaCompile row for the
-// edit-one-unit speedup; per-commit trajectories live in
-// BENCH_polaris.json (incremental_compile row, mega50k).
+// edit-one-unit speedup.
 func BenchmarkMegaIncremental(b *testing.B) {
 	for _, spec := range fuzzgen.MegaCorpus() {
 		b.Run(spec.Name, func(b *testing.B) {

@@ -35,11 +35,11 @@ var optKeyInstrumentation = map[string]bool{
 	// UnitWorkers.
 	"UnitMemo": true,
 	// TrustedInput skips the driver's defensive input re-check and
-	// clone when the caller hands over ownership of a freshly parsed
-	// program; the pass pipeline then runs unchanged on the same IR, so
-	// the compiled output is byte-identical either way (the incremental
-	// differential test compiles with it on one side and off the
-	// other).
+	// unit clones when the caller hands over ownership of a freshly
+	// parsed program; the pass pipeline then runs unchanged on the same
+	// IR, so the compiled output is byte-identical either way (the
+	// incremental differential test compiles with it on one side and off
+	// the other).
 	"TrustedInput": true,
 }
 
