@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -43,14 +44,49 @@ type FillRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// FillResponse is the owner's answer: the serialized entry plus how
-// the owner satisfied it (cold = the distributed tier missed and the
-// owner compiled; cache_hit / coalesced = the tier was warm).
+// The fill answer's envelope: the body is the entry (EncodeEntry's
+// bytes, Content-Length set) and everything about it rides in headers,
+// so neither side wraps, escapes or copies the entry to move it.
+const (
+	fillOutcomeHeader  = "X-Polaris-Fill-Outcome"
+	fillLeaderHeader   = "X-Polaris-Fill-Leader"
+	fillChecksumHeader = "X-Polaris-Fill-Checksum"
+)
+
+const (
+	// maxFillBody bounds a fill body: the entry for a large program is
+	// itself large, and a misbehaving peer must not balloon this node's
+	// memory.
+	maxFillBody = 64 << 20
+	// maxFillPrealloc is the largest Content-Length Fill believes before
+	// the bytes arrive. Up to it the body is read into one buffer of
+	// exactly that size; past it (or with no length) the buffer grows
+	// with what has actually been received, so a peer that lies about
+	// the length costs at most this much.
+	maxFillPrealloc = 1 << 20
+)
+
+// FillResponse is the owner's answer: the serialized entry, its
+// checksum, and how the owner satisfied it (cold = the distributed
+// tier missed and the owner compiled; cache_hit / coalesced = the tier
+// was warm).
 type FillResponse struct {
-	Outcome  string          `json:"outcome"`
-	LeaderID string          `json:"leader_id,omitempty"`
-	Checksum string          `json:"checksum"`
-	Entry    json.RawMessage `json:"entry"`
+	Outcome  string
+	LeaderID string
+	Checksum string
+	Entry    []byte
+}
+
+// SetHeaders writes the envelope of fr to an owner's response headers;
+// the body that must follow is fr.Entry, whole.
+func (fr *FillResponse) SetHeaders(h http.Header) {
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(fr.Entry)))
+	h.Set(fillOutcomeHeader, fr.Outcome)
+	if fr.LeaderID != "" {
+		h.Set(fillLeaderHeader, fr.LeaderID)
+	}
+	h.Set(fillChecksumHeader, fr.Checksum)
 }
 
 // OwnerRequest is the OwnerPath body.
@@ -158,7 +194,9 @@ func (f *Fabric) Owner(key string) (node, url string, isSelf bool) {
 // Fill asks the owner at baseURL for a key's compiled entry, under the
 // fabric's strict fill deadline (child of ctx, so a dying request
 // never waits on a dying peer). Any transport failure, non-200 status,
-// or undecodable body is an error; the caller compiles locally.
+// incomplete envelope (an owner of a build that still wrapped the
+// entry in JSON sends none), oversized or short body is an error; the
+// caller compiles locally.
 func (f *Fabric) Fill(ctx context.Context, baseURL string, freq FillRequest) (*FillResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, f.fillTimeout)
 	defer cancel()
@@ -177,25 +215,35 @@ func (f *Fabric) Fill(ctx context.Context, baseURL string, freq FillRequest) (*F
 		return nil, err
 	}
 	defer resp.Body.Close()
-	// The entry for a large program is itself large; bound reads so a
-	// misbehaving peer cannot balloon this node's memory.
-	const maxFillBody = 64 << 20
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxFillBody+1))
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 200)) // best effort: the status is the error
+		return nil, fmt.Errorf("fabric: owner answered %d: %s", resp.StatusCode, msg)
+	}
+	fr := &FillResponse{
+		Outcome:  resp.Header.Get(fillOutcomeHeader),
+		LeaderID: resp.Header.Get(fillLeaderHeader),
+		Checksum: resp.Header.Get(fillChecksumHeader),
+	}
+	if fr.Outcome == "" || fr.Checksum == "" {
+		return nil, fmt.Errorf("fabric: owner sent no fill envelope (outcome %q, checksum %q)", fr.Outcome, fr.Checksum)
+	}
+	switch n := resp.ContentLength; {
+	case n > maxFillBody:
+		return nil, fmt.Errorf("fabric: fill body of %d bytes exceeds %d", n, maxFillBody)
+	case n >= 0 && n <= maxFillPrealloc:
+		fr.Entry = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, fr.Entry)
+	default:
+		fr.Entry, err = io.ReadAll(io.LimitReader(resp.Body, maxFillBody+1))
+		if err == nil && len(fr.Entry) > maxFillBody {
+			err = fmt.Errorf("body exceeds %d bytes", maxFillBody)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fabric: fill read: %w", err)
-	}
-	if len(data) > maxFillBody {
-		return nil, fmt.Errorf("fabric: fill body exceeds %d bytes", maxFillBody)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fabric: owner answered %d: %.200s", resp.StatusCode, data)
-	}
-	var fr FillResponse
-	if err := json.Unmarshal(data, &fr); err != nil {
-		return nil, fmt.Errorf("fabric: fill decode: %w", err)
 	}
 	if len(fr.Entry) == 0 {
 		return nil, fmt.Errorf("fabric: owner returned an empty entry")
 	}
-	return &fr, nil
+	return fr, nil
 }

@@ -15,8 +15,9 @@ const (
 	StageAccept Stage = "accept"
 	// StageEntry: the entry is encoded, before any byte is written.
 	StageEntry Stage = "entry"
-	// StageBody: the response headers and a partial body have been
-	// written (death here leaves the requester a truncated stream).
+	// StageBody: the whole envelope — headers, the entry's full
+	// Content-Length among them — and half the entry have been written
+	// (death here leaves the requester short of the promised bytes).
 	StageBody Stage = "body"
 )
 

@@ -28,8 +28,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"polaris/internal/core"
+	"polaris/internal/digest"
 	"polaris/internal/ir"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
@@ -87,13 +89,19 @@ type WireLoop struct {
 // EncodeEntry serializes a compiled result and its captured decision
 // provenance for one peer fill. The returned checksum is the SHA-256
 // of the entry bytes; receivers verify it end-to-end before decoding.
+// res and decisions are only read — they are typically a cache entry's
+// own, shared with every request that hits it.
 func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (entry []byte, checksum string, err error) {
 	rendered := res.Program.Fortran()
 	e := Entry{
-		Schema:             EntrySchema,
-		RouteKey:           routeKey,
-		Rendered:           rendered,
-		RenderedSHA256:     sumHexString(rendered),
+		Schema:         EntrySchema,
+		RouteKey:       routeKey,
+		Rendered:       rendered,
+		RenderedSHA256: sumHexString(rendered),
+		Loops:          make([]WireLoop, len(res.Loops)),
+		// The owner's labels are meaningless to the receiver, which
+		// replays under its own label.
+		Decisions:          obsv.Relabel(decisions, ""),
 		InlinedCalls:       res.InlinedCalls,
 		InlineSkipped:      res.InlineSkipped,
 		InductionVars:      res.InductionVars,
@@ -101,26 +109,24 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 		NormalizedLoops:    res.NormalizedLoops,
 		InterprocConstants: res.InterprocConstants,
 	}
-	for _, l := range res.Loops {
-		wl := WireLoop{
+	for i, l := range res.Loops {
+		e.Loops[i] = WireLoop{
 			ID: l.ID, Unit: l.Unit, Index: l.Index, Depth: l.Depth,
 			Parallel: l.Parallel, LRPD: l.LRPD, Reason: l.Reason,
 		}
 		if l.Loop != nil {
-			wl.Par = l.Loop.Par.Clone()
+			// Cloned not for ownership but for spelling: Clone turns an
+			// empty clause list into a nil one, which the wire writes as
+			// null, and the entry bytes may not depend on which a pass
+			// happened to leave.
+			e.Loops[i].Par = l.Loop.Par.Clone()
 		}
-		e.Loops = append(e.Loops, wl)
-	}
-	// The owner's internal request labels are meaningless to the
-	// receiver, which replays under its own label.
-	for _, d := range decisions {
-		d.Label = ""
-		e.Decisions = append(e.Decisions, d)
 	}
 	if res.Report != nil {
-		for _, ev := range res.Report.Events {
+		e.Report = make([]passes.Event, len(res.Report.Events))
+		for i, ev := range res.Report.Events {
 			ev.Label = ""
-			e.Report = append(e.Report, ev)
+			e.Report[i] = ev
 		}
 		e.TotalNS = res.Report.TotalNS
 	}
@@ -183,12 +189,13 @@ func DecodeEntry(entry []byte, checksum, wantKey string) (*core.Result, []obsv.D
 	if res.InlineSkipped == nil {
 		res.InlineSkipped = map[string]string{}
 	}
+	res.Loops = make([]core.LoopReport, 0, len(e.Loops))
 	for _, wl := range e.Loops {
 		d := loopByID[wl.Unit+"\x00"+wl.ID]
 		if d == nil {
 			return nil, nil, fmt.Errorf("fabric: entry names loop %s/%s absent from the rendered program", wl.Unit, wl.ID)
 		}
-		d.Par = wl.Par.Clone()
+		d.Par = wl.Par // decoded for this entry alone: nobody else holds it
 		res.Loops = append(res.Loops, core.LoopReport{
 			Loop: d, ID: wl.ID, Unit: wl.Unit, Index: wl.Index, Depth: wl.Depth,
 			Parallel: wl.Parallel, LRPD: wl.LRPD, Reason: wl.Reason,
@@ -197,8 +204,14 @@ func DecodeEntry(entry []byte, checksum, wantKey string) (*core.Result, []obsv.D
 	// The fidelity proof: rendering the reconstruction (annotations
 	// re-attached, so the directives reappear) must reproduce the
 	// owner's rendering byte for byte. A program that does not
-	// round-trip is rejected rather than trusted.
-	if sumHexString(prog.Fortran()) != e.RenderedSHA256 {
+	// round-trip is rejected rather than trusted. e.Rendered has just
+	// been verified against RenderedSHA256, so comparing the bytes says
+	// at least what hashing the second rendering would, and a faithful
+	// one is exactly as long, so the builder never grows.
+	var again strings.Builder
+	again.Grow(len(e.Rendered))
+	prog.WriteFortran(&again)
+	if again.String() != e.Rendered {
 		return nil, nil, fmt.Errorf("fabric: reconstruction failed the render-roundtrip check")
 	}
 	if len(e.Report) > 0 {
@@ -212,17 +225,10 @@ func sumHex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// sumHexString is sumHex of a string, fed to the digest through a
-// buffer on the stack: converting the string would copy a whole entry
-// or rendering to the heap to hash it.
+// sumHexString is sumHex of a string, streamed to the digest instead of
+// converted: converting would copy a whole rendering to the heap to
+// hash it.
 func sumHexString(s string) string {
-	h := sha256.New()
-	var buf [4096]byte
-	for len(s) > 0 {
-		n := copy(buf[:], s)
-		h.Write(buf[:n])
-		s = s[n:]
-	}
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	sum := digest.Sum256(s)
+	return hex.EncodeToString(sum[:])
 }

@@ -41,8 +41,14 @@ func ExplainDecision(d Decision) string {
 // Explanations renders the latest final record of every loop under the
 // label, indented by nesting depth, in program order.
 func (o *Observer) Explanations(label string) []string {
+	return ExplainAll(o.FinalDecisions(label))
+}
+
+// ExplainAll renders final records (see FinalDecisions) one line each,
+// indented by nesting depth.
+func ExplainAll(finals []Decision) []string {
 	var out []string
-	for _, d := range o.FinalDecisions(label) {
+	for _, d := range finals {
 		out = append(out, strings.Repeat("  ", d.Depth)+ExplainDecision(d))
 	}
 	return out
@@ -52,7 +58,13 @@ func (o *Observer) Explanations(label string) []string {
 // by ID suffix like "L30", or by index variable name) under the label.
 // The empty string is returned when no loop matches.
 func (o *Observer) Explain(label, loop string) string {
-	for _, d := range o.FinalDecisions(label) {
+	return ExplainLoop(o.FinalDecisions(label), loop)
+}
+
+// ExplainLoop renders the first of the final records that loop names
+// (see MatchLoop), or the empty string when none does.
+func ExplainLoop(finals []Decision, loop string) string {
+	for _, d := range finals {
 		if MatchLoop(d, loop) {
 			return ExplainDecision(d)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"polaris/internal/codegen"
 	"polaris/internal/core"
-	"polaris/internal/obsv"
 	"polaris/internal/suite"
 	"polaris/internal/telemetry"
 )
@@ -112,10 +111,10 @@ func (s *Server) handleEmit(w http.ResponseWriter, r *http.Request) {
 		outcome, leaderID = out.Kind, leaderFor(out, reqID)
 		cached = out.Kind != telemetry.OutcomeCold
 	} else {
-		opt.Observer = obsv.NewObserver()
-		opt.TraceLabel = s.reqLabel(label)
-		compileFn, pf := s.compileFnFor(req.Source, opt)
-		cres, cout, err := s.cache.CompileOutcome(ctx, prog, opt, compileFn)
+		opt.TraceLabel = label
+		key := suite.KeyOf(req.Source, opt)
+		compileFn, pf := s.compileFnFor(key, req.Source, opt)
+		cres, cout, err := s.cache.CompileOutcome(ctx, key, prog, opt, compileFn)
 		if err != nil {
 			s.obs.Count("server_compile_errors", 1)
 			writeCompileError(w, err)

@@ -2,12 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"polaris/internal/core"
 	"polaris/internal/fabric"
-	"polaris/internal/obsv"
 	"polaris/internal/suite"
 	"polaris/internal/telemetry"
 )
@@ -33,13 +31,13 @@ type peerFill struct {
 // surfaces as a fill error and a local compile, never as the leader's
 // context error (which would poison coalesced waiters — the
 // distributed edition of the canceled-leader bug).
-func (s *Server) compileFnFor(src string, opt core.Options) (func(context.Context, core.Options) (*core.Result, error), *peerFill) {
+func (s *Server) compileFnFor(key suite.Key, src string, opt core.Options) (func(context.Context, core.Options) (*core.Result, error), *peerFill) {
 	local := compileSource(src)
 	if s.fabric == nil {
 		return local, nil
 	}
-	key := suite.RouteKey(src, opt)
-	node, ownerURL, isSelf := s.fabric.Owner(key)
+	route := key.String()
+	node, ownerURL, isSelf := s.fabric.Owner(route)
 	if isSelf {
 		return local, nil
 	}
@@ -52,7 +50,7 @@ func (s *Server) compileFnFor(src string, opt core.Options) (func(context.Contex
 	fn := func(ctx context.Context, copt core.Options) (*core.Result, error) {
 		fr, err := s.fabric.Fill(ctx, ownerURL, freq)
 		if err == nil {
-			res, decisions, derr := fabric.DecodeEntry(fr.Entry, fr.Checksum, key)
+			res, decisions, derr := fabric.DecodeEntry(fr.Entry, fr.Checksum, route)
 			if derr == nil {
 				if fr.Outcome == telemetry.OutcomeCold {
 					// The owner compiled it just now: the tier missed, but
@@ -148,18 +146,17 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(freq.TimeoutMS))
 	defer cancel()
 
-	key := suite.RouteKey(freq.Source, opt)
-	reqObs := obsv.NewObserver()
-	opt.Observer = reqObs
-	opt.TraceLabel = s.reqLabel("fill")
+	// An entry this request leads is recorded unlabelled, which is how
+	// the wire wants it; one a client led is relabelled by EncodeEntry.
+	key := suite.KeyOf(freq.Source, opt)
 	prog := suite.Program{Name: "fill", Source: freq.Source}
-	res, out, err := s.cache.CompileOutcome(ctx, prog, opt, compileSource(freq.Source))
+	res, out, err := s.cache.CompileOutcome(ctx, key, prog, opt, compileSource(freq.Source))
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)
 		return
 	}
-	entry, sum, err := fabric.EncodeEntry(key, res, reqObs.Decisions())
+	entry, sum, err := fabric.EncodeEntry(key.String(), res, out.Decisions)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode entry: "+err.Error(), "")
 		return
@@ -172,7 +169,7 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	case fabric.FaultStale:
 		// Serve a checksum-consistent entry for the wrong key (a lying
 		// owner): the requester's key check must catch it.
-		entry, sum, _ = fabric.EncodeEntry(key+"-stale", res, nil)
+		entry, sum, _ = fabric.EncodeEntry(key.String()+"-stale", res, nil)
 	default:
 		if injectFault(w, r, f) {
 			return
@@ -186,14 +183,13 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 		Checksum: sum,
 		Entry:    entry,
 	}
+	resp.SetHeaders(w.Header())
+	w.WriteHeader(http.StatusOK)
 	if f := s.fillFault(fabric.StageBody); f != fabric.FaultNone {
-		// Death mid-body: commit the headers, stream half the payload,
-		// then hang or abort — the requester is left holding a
-		// truncated JSON stream.
-		buf, _ := json.Marshal(resp)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(buf[:len(buf)/2])
+		// Death mid-body: the headers are out, Content-Length and all;
+		// stream half the entry, then hang or abort — the requester is
+		// left with fewer bytes than it was promised.
+		_, _ = w.Write(entry[:len(entry)/2])
 		_ = http.NewResponseController(w).Flush()
 		if f == fabric.FaultHang {
 			<-r.Context().Done()
@@ -201,7 +197,7 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 		}
 		panic(http.ErrAbortHandler)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	_, _ = w.Write(entry) // a requester that hung up gets nothing, and needs nothing
 }
 
 // handleFabricOwner answers which ring member owns a source's compile

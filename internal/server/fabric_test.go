@@ -1,10 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,17 +19,21 @@ import (
 )
 
 // handlerSwap lets an httptest server start (fixing its URL) before
-// the polaris server that needs that URL exists.
-type handlerSwap struct{ h atomic.Value }
+// the polaris server that needs that URL exists, and lets a test put
+// a misbehaving owner in front of a healthy one.
+type handlerSwap struct{ h atomic.Pointer[http.Handler] }
+
+func (hs *handlerSwap) set(h http.Handler) { hs.h.Store(&h) }
 
 func (hs *handlerSwap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	hs.h.Load().(http.Handler).ServeHTTP(w, r)
+	(*hs.h.Load()).ServeHTTP(w, r)
 }
 
 // fabricPair is a two-node fabric: servers "a" and "b" listening on
 // real sockets, each knowing the other as a peer.
 type fabricPair struct {
 	a, b   *Server
+	swapA  *handlerSwap
 	fab    *fabric.Fabric // node a's view (ring is identical on both)
 	urlA   string
 	urlB   string
@@ -50,9 +57,9 @@ func newFabricPair(t *testing.T, fillTimeout time.Duration, faultA fabric.FaultF
 	}
 	sa := New(Config{Workers: 4, Fabric: fabA, FabricFault: faultA})
 	sb := New(Config{Workers: 4, Fabric: fabB})
-	swapA.h.Store(sa.Handler())
-	swapB.h.Store(sb.Handler())
-	p := &fabricPair{a: sa, b: sb, fab: fabA, urlA: tsA.URL, urlB: tsB.URL,
+	swapA.set(sa.Handler())
+	swapB.set(sb.Handler())
+	p := &fabricPair{a: sa, b: sb, swapA: swapA, fab: fabA, urlA: tsA.URL, urlB: tsB.URL,
 		closeA: tsA.Close, closeB: tsB.Close}
 	t.Cleanup(func() { p.closeA(); p.closeB() })
 	return p
@@ -199,27 +206,125 @@ func TestFabricOwnerEndpoint(t *testing.T) {
 	}
 }
 
+// misreport is a lying owner: it is handed the healthy owner's finished
+// answer to one fill and writes something else.
+type misreport func(w http.ResponseWriter, r *http.Request, healthy *httptest.ResponseRecorder)
+
+// lyingOwner answers fills by running the healthy handler into a
+// recorder and letting lie rewrite what it said; every other route
+// passes through.
+func lyingOwner(t *testing.T, healthy http.Handler, lie misreport) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != fabric.FillPath {
+			healthy.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		healthy.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Errorf("healthy owner answered %d: %s", rec.Code, rec.Body.String())
+		}
+		lie(w, r, rec)
+	})
+}
+
+// envelope copies the healthy answer's headers to w, all but those
+// named.
+func envelope(w http.ResponseWriter, healthy *httptest.ResponseRecorder, drop ...string) {
+	for k, v := range healthy.Header() {
+		w.Header()[k] = v
+	}
+	for _, k := range drop {
+		w.Header().Del(k)
+	}
+}
+
+// flushThenPark commits what has been written and holds the connection
+// until the requester hangs up.
+func flushThenPark(w http.ResponseWriter, r *http.Request) {
+	_ = http.NewResponseController(w).Flush()
+	<-r.Context().Done()
+}
+
+// liveHeap is the heap in use after two collections (what sync.Pool
+// holds survives one).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // TestFabricDeadPeerMatrix kills, hangs, or corrupts the owner at
-// every protocol stage and proves the requester always degrades to a
-// local compile with the exact single-node answer — outcome cold, one
-// peer_error counted, never an error surfaced to the client.
+// every protocol stage, and has it misreport the fill envelope in
+// every way ([bounded]): an owner of the build that still wrapped the
+// entry in JSON, a missing checksum, a body shorter than its
+// Content-Length, a length over the bound, a large length with nothing
+// behind it. The requester always degrades to a local compile with the
+// exact single-node answer — outcome cold, one peer_error counted,
+// never an error surfaced to the client, never memory committed on a
+// peer's say-so — and leaves no goroutine behind. The one answer the
+// requester must still accept is an honest entry sent without a
+// length.
 func TestFabricDeadPeerMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
 		stage fabric.Stage
 		fault fabric.Fault
+		lie   misreport
+		// accepted marks the fill the requester must take: the owner
+		// compiled for it, so it reports peer_miss and no peer_error.
+		accepted bool
 	}{
-		{"hang-at-accept", fabric.StageAccept, fabric.FaultHang},
-		{"die-at-accept", fabric.StageAccept, fabric.FaultDie},
-		{"500-at-accept", fabric.StageAccept, fabric.Fault500},
-		{"corrupt-entry", fabric.StageEntry, fabric.FaultCorrupt},
-		{"stale-entry", fabric.StageEntry, fabric.FaultStale},
-		{"die-mid-body", fabric.StageBody, fabric.FaultDie},
-		{"hang-mid-body", fabric.StageBody, fabric.FaultHang},
+		{name: "hang-at-accept", stage: fabric.StageAccept, fault: fabric.FaultHang},
+		{name: "die-at-accept", stage: fabric.StageAccept, fault: fabric.FaultDie},
+		{name: "500-at-accept", stage: fabric.StageAccept, fault: fabric.Fault500},
+		{name: "corrupt-entry", stage: fabric.StageEntry, fault: fabric.FaultCorrupt},
+		{name: "stale-entry", stage: fabric.StageEntry, fault: fabric.FaultStale},
+		// Mid-body: every header is out, Content-Length included, and
+		// half the entry follows.
+		{name: "die-mid-body", stage: fabric.StageBody, fault: fabric.FaultDie},
+		{name: "hang-mid-body", stage: fabric.StageBody, fault: fabric.FaultHang},
+		{name: "old-json-envelope", lie: func(w http.ResponseWriter, _ *http.Request, healthy *httptest.ResponseRecorder) {
+			// What an owner answered before the entry became the body.
+			h := healthy.Header()
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(map[string]any{
+				"outcome":   h.Get("X-Polaris-Fill-Outcome"),
+				"leader_id": h.Get("X-Polaris-Fill-Leader"),
+				"checksum":  h.Get("X-Polaris-Fill-Checksum"),
+				"entry":     json.RawMessage(healthy.Body.Bytes()),
+			})
+		}},
+		{name: "no-checksum-header", lie: func(w http.ResponseWriter, _ *http.Request, healthy *httptest.ResponseRecorder) {
+			envelope(w, healthy, "X-Polaris-Fill-Checksum")
+			_, _ = w.Write(healthy.Body.Bytes())
+		}},
+		{name: "length-over-bound", lie: func(w http.ResponseWriter, r *http.Request, healthy *httptest.ResponseRecorder) {
+			envelope(w, healthy)
+			w.Header().Set("Content-Length", strconv.Itoa(64<<20+1))
+			_, _ = w.Write(healthy.Body.Bytes())
+			flushThenPark(w, r)
+		}},
+		{name: "no-length-truncated", lie: func(w http.ResponseWriter, r *http.Request, healthy *httptest.ResponseRecorder) {
+			envelope(w, healthy, "Content-Length")
+			_, _ = w.Write(healthy.Body.Bytes()[:healthy.Body.Len()/2])
+			_ = http.NewResponseController(w).Flush()
+			panic(http.ErrAbortHandler)
+		}},
+		{name: "no-length-honest", accepted: true, lie: func(w http.ResponseWriter, _ *http.Request, healthy *httptest.ResponseRecorder) {
+			envelope(w, healthy, "Content-Length")
+			body := healthy.Body.Bytes()
+			_, _ = w.Write(body[:len(body)/2])
+			_ = http.NewResponseController(w).Flush() // chunked from here on
+			_, _ = w.Write(body[len(body)/2:])
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
 			fault := func(st fabric.Stage) fabric.Fault {
 				if st == tc.stage {
 					return tc.fault
@@ -227,6 +332,9 @@ func TestFabricDeadPeerMatrix(t *testing.T) {
 				return fabric.FaultNone
 			}
 			p := newFabricPair(t, 300*time.Millisecond, fault)
+			if tc.lie != nil {
+				p.swapA.set(lyingOwner(t, p.a.Handler(), tc.lie))
+			}
 			src := sourceOwnedBy(t, p.fab, "a", saxpySrc)
 			want := referenceCompile(t, src)
 
@@ -235,15 +343,68 @@ func TestFabricDeadPeerMatrix(t *testing.T) {
 				t.Fatalf("compile during owner fault: %d %s", w.Code, w.Body.String())
 			}
 			resp := decodeBody[CompileResponse](t, w)
-			if resp.Outcome != "cold" {
-				t.Errorf("outcome = %q, want cold (local fallback)", resp.Outcome)
+			wantOutcome, wantErrors := "cold", int64(1)
+			if tc.accepted {
+				wantOutcome, wantErrors = "peer_miss", 0
+			}
+			if resp.Outcome != wantOutcome {
+				t.Errorf("outcome = %q, want %s", resp.Outcome, wantOutcome)
 			}
 			assertSameAnswer(t, want, resp)
-			if n := p.b.Observer().Counter("server_peer_errors"); n != 1 {
-				t.Errorf("server_peer_errors = %d, want 1", n)
+			if n := p.b.Observer().Counter("server_peer_errors"); n != wantErrors {
+				t.Errorf("server_peer_errors = %d, want %d", n, wantErrors)
 			}
+			p.closeA()
+			p.closeB()
+			waitGoroutines(t, baseline)
 		})
 	}
+}
+
+// TestFabricStalledBodyCommitsNothing: an owner that promises the
+// largest body Fill accepts and then sends a few bytes and stalls must
+// cost the requester what has arrived, not what was promised. The
+// requester parks on the read until its fill deadline; while it is
+// parked its live heap has grown by far less than the promise, and
+// afterwards it compiles locally like every other row of the matrix.
+func TestFabricStalledBodyCommitsNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	p := newFabricPair(t, 500*time.Millisecond, nil)
+	parked := make(chan struct{})
+	p.swapA.set(lyingOwner(t, p.a.Handler(), func(w http.ResponseWriter, r *http.Request, healthy *httptest.ResponseRecorder) {
+		envelope(w, healthy)
+		w.Header().Set("Content-Length", strconv.Itoa(64<<20))
+		_, _ = w.Write(healthy.Body.Bytes()[:100])
+		_ = http.NewResponseController(w).Flush()
+		close(parked)
+		<-r.Context().Done()
+	}))
+	src := sourceOwnedBy(t, p.fab, "a", saxpySrc)
+	want := referenceCompile(t, src)
+
+	before := liveHeap()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- postJSON(t, p.b.Handler(), "/v1/compile", CompileRequest{Source: src}) }()
+	<-parked
+	time.Sleep(100 * time.Millisecond) // the requester has the headers and is reading
+	if during := liveHeap(); during > before+2<<20 {
+		t.Errorf("live heap grew by %d bytes while parked on a 64 MiB promise", during-before)
+	}
+	w := <-done
+	if w.Code != http.StatusOK {
+		t.Fatalf("compile during stalled fill: %d %s", w.Code, w.Body.String())
+	}
+	resp := decodeBody[CompileResponse](t, w)
+	if resp.Outcome != "cold" {
+		t.Errorf("outcome = %q, want cold (local fallback)", resp.Outcome)
+	}
+	assertSameAnswer(t, want, resp)
+	if n := p.b.Observer().Counter("server_peer_errors"); n != 1 {
+		t.Errorf("server_peer_errors = %d, want 1", n)
+	}
+	p.closeA()
+	p.closeB()
+	waitGoroutines(t, baseline)
 }
 
 // TestFabricDeadPeerNoPoisonedWaiters coalesces many concurrent
@@ -288,5 +449,32 @@ func TestFabricDeadPeerNoPoisonedWaiters(t *testing.T) {
 			t.Errorf("request %d: outcome %q", i, resps[i].Outcome)
 		}
 		assertSameAnswer(t, want, resps[i])
+	}
+}
+
+// TestFabricNewOwnerOldRequester is the other direction of envelope
+// skew (the matrix's old-json-envelope row is an old owner answering a
+// new requester). A requester of the build before the entry became the
+// body unmarshals the whole body as {outcome, leader_id, checksum,
+// entry} and rejects an answer whose entry is empty; the entry's own
+// JSON has none of those keys, so that is what it finds, and it
+// compiles locally.
+func TestFabricNewOwnerOldRequester(t *testing.T) {
+	p := newFabricPair(t, time.Second, nil)
+	src := sourceOwnedBy(t, p.fab, "a", saxpySrc)
+	w := postJSON(t, p.a.Handler(), fabric.FillPath, fabric.FillRequest{Source: src})
+	if w.Code != http.StatusOK {
+		t.Fatalf("fill: %d %s", w.Code, w.Body.String())
+	}
+	var old struct {
+		Outcome  string          `json:"outcome"`
+		Checksum string          `json:"checksum"`
+		Entry    json.RawMessage `json:"entry"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &old); err != nil {
+		return // rejected even earlier
+	}
+	if len(old.Entry) != 0 || old.Checksum != "" {
+		t.Errorf("an old requester would read an envelope out of the raw entry: checksum %q, %d entry bytes", old.Checksum, len(old.Entry))
 	}
 }

@@ -3,8 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -240,7 +238,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	incremental := r.URL.Query().Get("incremental") == "1"
 	tenant := s.tenantFor(r)
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
-	br := bufio.NewReader(r.Body)
+	// The smallest buffer bufio has: it only has to give one byte back.
+	// The JSON decoder's reads are larger than it and pass straight
+	// through to the body.
+	br := bufio.NewReaderSize(r.Body, 16)
 	if isBatchBody(br) {
 		s.handleCompileBatch(w, r, br, incremental, tenant)
 		return
@@ -375,9 +376,10 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request, body
 }
 
 // compileOne runs one compile request end to end (validation, cache
-// lookup with optional peer fill, provenance replay) and builds its
-// response. The caller has already admitted the request; failures come
-// back as data so both the single and batch handlers can map them.
+// lookup with optional peer fill, the entry's provenance under this
+// request's label) and builds its response. The caller has already
+// admitted the request; failures come back as data so both the single
+// and batch handlers can map them.
 func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental bool) (*CompileResponse, *compileFailure) {
 	if req.Source == "" {
 		return nil, &compileFailure{http.StatusBadRequest, "missing source", ""}
@@ -419,17 +421,16 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental
 		}, nil
 	}
 
-	// Each request compiles under a unique internal label with its own
-	// observer, so a cache hit always replays the entry's decision
-	// provenance into this request (and only this request).
-	reqObs := obsv.NewObserver()
-	opt.Observer = reqObs
-	opt.TraceLabel = s.reqLabel(label)
+	// The request brings no observer: the cache hands out the decision
+	// list its entry holds (out.Decisions), recorded under the label of
+	// whichever request led the compile.
+	opt.TraceLabel = label
 	if incremental {
 		opt.UnitMemo = s.memo
 	}
-	compileFn, pf := s.compileFnFor(req.Source, opt)
-	res, out, err := s.cache.CompileOutcome(ctx, prog, opt, compileFn)
+	key := suite.KeyOf(req.Source, opt)
+	compileFn, pf := s.compileFnFor(key, req.Source, opt)
+	res, out, err := s.cache.CompileOutcome(ctx, key, prog, opt, compileFn)
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		return nil, compileFailureFrom(err)
@@ -472,12 +473,11 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental
 		UnitsReused:     unitsReused,
 		UnitsRecompiled: unitsRecompiled,
 		Verdicts:        verdicts(res),
-		Decisions:       relabel(reqObs.Decisions(), label),
+		Decisions:       obsv.Relabel(out.Decisions, label),
 		Report:          passReports(res),
 	}
 	if incremental {
-		sum := sha256.Sum256([]byte(req.Source))
-		resp.ProgramHash = hex.EncodeToString(sum[:])
+		resp.ProgramHash = key.SourceHash()
 	}
 	return resp, nil
 }
@@ -525,11 +525,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	prog := suite.Program{Name: label, Source: req.Source}
 	reqID := telemetry.RequestID(ctx)
-	reqObs := obsv.NewObserver()
 	opt := core.PolarisOptions()
-	opt.Observer = reqObs
-	opt.TraceLabel = s.reqLabel(label)
-	_, out, err := s.cache.CompileOutcome(ctx, prog, opt, compileSource(req.Source))
+	opt.TraceLabel = label
+	_, out, err := s.cache.CompileOutcome(ctx, suite.KeyOf(req.Source, opt), prog, opt, compileSource(req.Source))
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)
@@ -543,8 +541,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Outcome:   out.Kind,
 		LeaderID:  leaderFor(out, reqID),
 	}
+	finals := obsv.FinalDecisions(out.Decisions, "")
 	if req.Loop != "" {
-		if line := reqObs.Explain("", req.Loop); line != "" {
+		if line := obsv.ExplainLoop(finals, req.Loop); line != "" {
 			resp.Lines = []string{line}
 		}
 		if len(resp.Lines) == 0 {
@@ -552,21 +551,22 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		resp.Lines = reqObs.Explanations("")
+		resp.Lines = obsv.ExplainAll(finals)
 		if len(resp.Lines) == 0 {
 			writeError(w, http.StatusNotFound, "no loops found", "")
 			return
 		}
 	}
 	if req.Verbose || req.Loop != "" {
-		var trail []obsv.Decision
-		for _, d := range reqObs.Decisions() {
+		// The trail is this response's own copy, so it takes the label
+		// in place; out.Decisions is the entry's and is only read.
+		for _, d := range out.Decisions {
 			if d.Loop == "" || !obsv.MatchLoop(d, req.Loop) {
 				continue
 			}
-			trail = append(trail, d)
+			d.Label = label
+			resp.Trail = append(resp.Trail, d)
 		}
-		resp.Trail = relabel(trail, label)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -633,13 +633,4 @@ func passReports(res *core.Result) []PassReport {
 		out = append(out, PassReport{Pass: ev.Pass, DurationNS: ev.DurationNS, Mutations: ev.Mutations})
 	}
 	return out
-}
-
-// relabel rewrites decision records to the client-visible label (the
-// compile ran under a unique internal one).
-func relabel(ds []obsv.Decision, label string) []obsv.Decision {
-	for i := range ds {
-		ds[i].Label = label
-	}
-	return ds
 }

@@ -13,7 +13,8 @@
 //	→ singleflight bounded-LRU compile cache (suite.Cache; the request
 //	  ID rides the context so coalesced waiters can name their leader)
 //	→ instrumented pass manager (panics isolated into *core.PipelineError)
-//	→ per-request decision-provenance replay
+//	→ the entry's decision provenance, handed out read-only and labelled
+//	  in the response's own copy
 //
 // Every request resolves to one outcome — cold, cache_hit, coalesced,
 // shed, timeout, canceled, error (or ok for plain GETs) — recorded in
@@ -153,7 +154,6 @@ type Server struct {
 	inflight     atomic.Int64  // requests holding a worker slot
 	httpInflight atomic.Int64  // requests inside any handler (all routes)
 	shed         atomic.Int64  // requests rejected with 429
-	reqSeq       atomic.Int64  // unique per-request compile labels
 	draining     atomic.Bool
 
 	// Per-tenant admitted-request counts behind the tenant budgets.
@@ -341,14 +341,6 @@ func (s *Server) deadline(timeoutMS int64) time.Duration {
 		return s.cfg.MaxTimeout
 	}
 	return d
-}
-
-// reqLabel builds the unique internal compile label for one request.
-// Uniqueness makes the cache's per-label provenance replay fire for
-// every request (each request carries its own observer); responses are
-// rewritten to the client's label.
-func (s *Server) reqLabel(clientLabel string) string {
-	return fmt.Sprintf("%s#%d", clientLabel, s.reqSeq.Add(1))
 }
 
 // recovered is the last-resort panic boundary: pass panics are already

@@ -103,13 +103,20 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 
 	// Goroutine accounting: everything the server spawned must be gone.
-	// Poll with a deadline — the HTTP client's idle connections and the
-	// runtime take a moment to settle.
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back
+// to baseline. It polls with a deadline — the HTTP client's idle
+// connections and the runtime take a moment to settle.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)

@@ -195,7 +195,7 @@ func TestCoalescedWaitersNameLeader(t *testing.T) {
 	leaderDone := make(chan suite.CacheOutcome, 1)
 	go func() {
 		ctx := telemetry.WithRequestID(context.Background(), "leader-req")
-		_, out, err := s.cache.CompileOutcome(ctx, prog, core.PolarisOptions(),
+		_, out, err := s.cache.CompileOutcome(ctx, suite.KeyOf(prog.Source, core.PolarisOptions()), prog, core.PolarisOptions(),
 			func(ctx context.Context, o core.Options) (*core.Result, error) {
 				close(started)
 				<-release

@@ -3,13 +3,14 @@ package suite
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"polaris/internal/core"
+	"polaris/internal/digest"
 	"polaris/internal/ir"
 	"polaris/internal/obsv"
 	"polaris/internal/pfa"
@@ -26,17 +27,42 @@ import (
 // coalesced response can point at the request whose compile it rode.
 // Empty when the leader's context carried no request ID (library
 // callers outside the server).
+//
+// Decisions (compiled lookups only) is the entry's decision provenance:
+// the list the leader's compile recorded, under the leader's label. The
+// entry owns it and hands the same backing array to every caller, cold,
+// hit and coalesced alike, so nobody may write it — a caller that wants
+// its own label takes obsv.Relabel's copy.
 type CacheOutcome struct {
-	Kind     string
-	LeaderID string
+	Kind      string
+	LeaderID  string
+	Decisions []obsv.Decision
 }
 
-// cacheKey identifies one compilation: the content hash of the Fortran
-// source plus a fingerprint of the technique configuration.
-type cacheKey struct {
+// Key identifies one compilation: the content hash of the Fortran
+// source plus a fingerprint of the technique configuration. A caller
+// that needs the identity for more than the lookup (the compile
+// service routes on it and reports the source hash) computes it once
+// with KeyOf and passes it down; hashing is the only cost and it is
+// paid per source, not per use.
+type Key struct {
 	src  [32]byte
 	opts string
 }
+
+// KeyOf computes the cache identity of compiling src under opt.
+func KeyOf(src string, opt core.Options) Key {
+	return Key{src: digest.Sum256(src), opts: optKey(opt)}
+}
+
+// String renders the key as the consistent-hash routing key of the
+// distributed compile fabric: every node hashes an incoming request to
+// the same owner because every node derives the key from the same
+// bytes.
+func (k Key) String() string { return k.SourceHash() + "|" + k.opts }
+
+// SourceHash is the SHA-256 of the source alone, in hexadecimal.
+func (k Key) SourceHash() string { return hex.EncodeToString(k.src[:]) }
 
 // optKey fingerprints the technique-selection fields of core.Options.
 // Instrumentation and scheduling fields (Stats, Trace, TraceLabel,
@@ -52,24 +78,16 @@ func optKey(o core.Options) string {
 		o.InterprocConstants)
 }
 
-// RouteKey renders the cache identity of one compilation — the
-// source content hash plus the technique fingerprint — as a string.
-// It is exactly the key CompileOutcome computes internally, so it
-// doubles as the consistent-hash routing key of the distributed
-// compile fabric: every node hashes an incoming request to the same
-// owner because every node derives the key from the same bytes.
-func RouteKey(src string, opt core.Options) string {
-	h := srcHash(src)
-	return hex.EncodeToString(h[:]) + "|" + optKey(opt)
-}
+// RouteKey is KeyOf(src, opt).String().
+func RouteKey(src string, opt core.Options) string { return KeyOf(src, opt).String() }
 
 // Fill returns a compile function that installs an already-materialized
 // compilation — typically one decoded from a peer node's cache — as if
 // it had been compiled by this process. The result is returned as-is,
 // and the captured decision provenance is replayed into the compiling
 // observer under the installing request's label, so the singleflight
-// leader's capture records it and every later cache hit replays it
-// exactly as for a locally compiled entry.
+// leader's capture records it and the entry hands it out exactly as
+// for a locally compiled entry.
 func Fill(res *core.Result, decisions []obsv.Decision) func(context.Context, core.Options) (*core.Result, error) {
 	return func(_ context.Context, opt core.Options) (*core.Result, error) {
 		opt.Observer.ReplayDecisions(decisions, opt.TraceLabel)
@@ -80,22 +98,24 @@ func Fill(res *core.Result, decisions []obsv.Decision) func(context.Context, cor
 // maxReplayLabels bounds the per-entry emitted-label set. The set
 // exists to keep repeat hits under one label from duplicating
 // provenance in a shared trace (Figure 6 runs one compilation from
-// every worker); a long-running server hits one entry under millions
-// of distinct request labels, so past this bound new labels are
-// replayed without being recorded. The dedup guarantee holds for the
-// first maxReplayLabels distinct labels per entry, which covers every
-// shared-observer use, and the entry's memory stays bounded.
+// every worker), and only lookups that bring an observer reach it: the
+// compile service brings none and reads CacheOutcome.Decisions, so a
+// hot entry there stays the size it was booked at. Past the bound new
+// labels are replayed without being recorded; the dedup guarantee
+// holds for the first maxReplayLabels distinct labels per entry, which
+// covers every shared-observer use.
 const maxReplayLabels = 1024
 
 // compiledEntry is one singleflight slot: the leader closes done after
 // filling res/err; waiters block on done (or their own context). The
-// captured per-loop Decision provenance is kept so cache hits can
-// replay it under their own label — without replay, every hitting
+// captured per-loop Decision provenance is kept so every lookup gets
+// it (CacheOutcome.Decisions) and a hit that brings an observer has it
+// replayed under its own label — without that, every hitting
 // compilation would silently lose its decision records from traces and
 // `polaris explain`. res, err, decisions, and size are written only by
 // the leader before done closes and are immutable afterwards, so a
-// goroutine holding the entry may replay from it even after the entry
-// has been evicted from the cache maps.
+// goroutine holding the entry may read them even after the entry has
+// been evicted from the cache maps.
 type compiledEntry struct {
 	done      chan struct{}
 	res       *core.Result
@@ -111,7 +131,7 @@ type compiledEntry struct {
 	leaderID string
 
 	mu      sync.Mutex
-	emitted map[string]bool // labels whose provenance is already out
+	emitted map[string]bool // labels already replayed to an observer; nil until one is
 }
 
 // baselineEntry is the PFA singleflight slot.
@@ -169,7 +189,7 @@ type CacheStats struct {
 // correct even after eviction; see compiledEntry).
 type lruItem struct {
 	kind byte // 'c' compiled, 'b' baseline, 's' serial
-	ckey cacheKey
+	ckey Key
 	hkey [32]byte
 	size int64
 }
@@ -192,7 +212,7 @@ type Cache struct {
 	lim CacheLimits
 
 	mu       sync.Mutex
-	compiled map[cacheKey]*compiledEntry
+	compiled map[Key]*compiledEntry
 	baseline map[[32]byte]*baselineEntry
 	serial   map[[32]byte]*serialEntry
 	lru      *list.List // of *lruItem, front = least recently used
@@ -204,7 +224,7 @@ type Cache struct {
 func NewCache(lim CacheLimits) *Cache {
 	return &Cache{
 		lim:      lim,
-		compiled: map[cacheKey]*compiledEntry{},
+		compiled: map[Key]*compiledEntry{},
 		baseline: map[[32]byte]*baselineEntry{},
 		serial:   map[[32]byte]*serialEntry{},
 		lru:      list.New(),
@@ -236,8 +256,6 @@ func (c *Cache) LiveBytes() int64 {
 	}
 	return sum
 }
-
-func srcHash(src string) [32]byte { return sha256.Sum256([]byte(src)) }
 
 // isCtxErr reports whether err is a context cancellation or deadline
 // error (possibly wrapped).
@@ -320,30 +338,24 @@ func compiledSize(p Program, decisions []obsv.Decision) int64 {
 }
 
 // Compile returns the cached compilation of p under opt, compiling on
-// miss; see CompileCached.
+// miss; see CompileOutcome.
 func (c *Cache) Compile(ctx context.Context, p Program, opt core.Options, compileFn func(context.Context, core.Options) (*core.Result, error)) (*core.Result, error) {
-	res, _, err := c.CompileCached(ctx, p, opt, compileFn)
+	res, _, err := c.CompileOutcome(ctx, KeyOf(p.Source, opt), p, opt, compileFn)
 	return res, err
-}
-
-// CompileCached returns the cached compilation of p under opt,
-// compiling on miss, and reports whether the result came from a
-// completed or in-flight cache entry. See CompileOutcome for the full
-// semantics and the finer-grained outcome report.
-func (c *Cache) CompileCached(ctx context.Context, p Program, opt core.Options, compileFn func(context.Context, core.Options) (*core.Result, error)) (*core.Result, bool, error) {
-	res, out, err := c.CompileOutcome(ctx, p, opt, compileFn)
-	return res, err == nil && out.Kind != telemetry.OutcomeCold, err
 }
 
 // CompileOutcome returns the cached compilation of p under opt,
 // compiling on miss, along with how the lookup was satisfied (cold /
-// cache_hit / coalesced, plus the leader's request ID — see
-// CacheOutcome). Exactly one compilation happens per key; the leader
-// threads a capture observer through the compile so the entry keeps
-// the decision provenance, and every later hit under a not-yet-seen
-// label replays those decisions to opt.Observer relabeled for the
-// hitting compilation. Failed compiles are not cached (the key is
-// released for retry, e.g. after a context cancellation).
+// cache_hit / coalesced, the leader's request ID, and the entry's
+// decision provenance — see CacheOutcome). key must be
+// KeyOf(p.Source, opt). Exactly one compilation happens per key; the
+// leader threads a private capture observer through the compile and
+// the entry takes the list it recorded. A lookup that brings an
+// observer (the suite Runner's shared one) additionally has those
+// decisions replayed to it, relabeled, once per not-yet-seen label; the
+// compile service brings none and reads the list from the outcome.
+// Failed compiles are not cached (the key is released for retry, e.g.
+// after a context cancellation).
 //
 // Waiters select on their own ctx while the leader runs; a canceled
 // waiter returns its own ctx.Err() promptly. When the leader fails
@@ -351,8 +363,7 @@ func (c *Cache) CompileCached(ctx context.Context, p Program, opt core.Options, 
 // waiter retries (typically becoming the new leader, and reporting the
 // outcome of that final attempt) instead of surfacing the dead
 // leader's error.
-func (c *Cache) CompileOutcome(ctx context.Context, p Program, opt core.Options, compileFn func(context.Context, core.Options) (*core.Result, error)) (*core.Result, CacheOutcome, error) {
-	key := cacheKey{src: srcHash(p.Source), opts: optKey(opt)}
+func (c *Cache) CompileOutcome(ctx context.Context, key Key, p Program, opt core.Options, compileFn func(context.Context, core.Options) (*core.Result, error)) (*core.Result, CacheOutcome, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, CacheOutcome{}, err
@@ -369,8 +380,22 @@ func (c *Cache) CompileOutcome(ctx context.Context, p Program, opt core.Options,
 			copt.Observer = capture
 			e.res, e.err = compileFn(ctx, copt)
 			if e.err == nil {
-				e.decisions = capture.Decisions()
-				e.emitted = map[string]bool{opt.TraceLabel: true}
+				e.decisions = capture.TakeDecisions()
+				if cap(e.decisions)-len(e.decisions) > len(e.decisions)/8 {
+					// Grown by appending, the array is up to twice what it
+					// holds, and the entry would carry the excess unbooked
+					// for as long as it is resident (9 MB of RSS over
+					// serve_cold's 1024 entries). A list installed whole —
+					// a peer fill — is already exact and is kept as is.
+					e.decisions = slices.Clone(e.decisions)
+				}
+				// Clipped: a reader that appends to the shared list gets
+				// its own array instead of writing into this one's spare
+				// capacity.
+				e.decisions = slices.Clip(e.decisions)
+				if opt.Observer != nil {
+					e.emitted = map[string]bool{opt.TraceLabel: true}
+				}
 				e.size = compiledSize(p, e.decisions)
 			}
 			c.mu.Lock()
@@ -386,7 +411,7 @@ func (c *Cache) CompileOutcome(ctx context.Context, p Program, opt core.Options,
 			// up and retries must not find the failed leader's slot.
 			close(e.done)
 			c.mu.Unlock()
-			return e.res, CacheOutcome{Kind: telemetry.OutcomeCold, LeaderID: e.leaderID}, e.err
+			return e.res, CacheOutcome{Kind: telemetry.OutcomeCold, LeaderID: e.leaderID, Decisions: e.decisions}, e.err
 		}
 		// Whether the entry is already complete decides hit vs coalesced.
 		// done closes under c.mu, so this observation is consistent with
@@ -417,12 +442,14 @@ func (c *Cache) CompileOutcome(ctx context.Context, p Program, opt core.Options,
 			}
 			return nil, CacheOutcome{LeaderID: e.leaderID}, e.err
 		}
-		e.replay(opt.TraceLabel, opt.Observer)
+		if opt.Observer != nil {
+			e.replay(opt.TraceLabel, opt.Observer)
+		}
 		kind := telemetry.OutcomeCacheHit
 		if !completed {
 			kind = telemetry.OutcomeCoalesced
 		}
-		return e.res, CacheOutcome{Kind: kind, LeaderID: e.leaderID}, nil
+		return e.res, CacheOutcome{Kind: kind, LeaderID: e.leaderID, Decisions: e.decisions}, nil
 	}
 }
 
@@ -432,6 +459,9 @@ func (c *Cache) CompileOutcome(ctx context.Context, p Program, opt core.Options,
 // emitted set is capped at maxReplayLabels; see the constant.
 func (e *compiledEntry) replay(label string, obs *obsv.Observer) {
 	e.mu.Lock()
+	if e.emitted == nil {
+		e.emitted = map[string]bool{}
+	}
 	first := !e.emitted[label]
 	if first && len(e.emitted) < maxReplayLabels {
 		e.emitted[label] = true
@@ -454,7 +484,7 @@ func (c *Cache) CompileBaseline(ctx context.Context, p Program, compileFn func(c
 // CompileBaselineOutcome is CompileBaseline with the CacheOutcome
 // report (see CompileOutcome).
 func (c *Cache) CompileBaselineOutcome(ctx context.Context, p Program, compileFn func(context.Context) (*pfa.Result, error)) (*pfa.Result, CacheOutcome, error) {
-	key := srcHash(p.Source)
+	key := digest.Sum256(p.Source)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, CacheOutcome{}, err
@@ -525,7 +555,7 @@ func (c *Cache) SerialRun(ctx context.Context, p Program, run func(context.Conte
 // SerialRunOutcome is SerialRun with the CacheOutcome report (see
 // CompileOutcome).
 func (c *Cache) SerialRunOutcome(ctx context.Context, p Program, run func(context.Context) (int64, float64, error)) (int64, float64, CacheOutcome, error) {
-	key := srcHash(p.Source)
+	key := digest.Sum256(p.Source)
 	for {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, CacheOutcome{}, err

@@ -84,7 +84,7 @@ func TestCacheEvictChurnAccounting(t *testing.T) {
 				if own != nil {
 					fn = func(context.Context, core.Options) (*core.Result, error) { return nil, own }
 				}
-				_, out, err := c.CompileOutcome(context.Background(), p, opt, fn)
+				_, out, err := c.CompileOutcome(context.Background(), KeyOf(p.Source, opt), p, opt, fn)
 				switch {
 				case out.Kind == telemetry.OutcomeCold:
 					// The call led: it ran its own function and reports
@@ -132,7 +132,7 @@ func TestCacheEvictChurnAccounting(t *testing.T) {
 		opt := core.PolarisOptions()
 		opt.Observer = obs
 		opt.TraceLabel = fmt.Sprintf("settle-%d", k)
-		if _, _, err := c.CompileOutcome(context.Background(), prog(k), opt, okCompile(k)); err != nil {
+		if _, _, err := c.CompileOutcome(context.Background(), KeyOf(prog(k).Source, opt), prog(k), opt, okCompile(k)); err != nil {
 			t.Fatalf("settle compile %d: %v", k, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"polaris/internal/core"
+	"polaris/internal/obsv"
 	"polaris/internal/pfa"
 	"polaris/internal/telemetry"
 )
@@ -41,7 +42,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 	leaderDone := make(chan CacheOutcome, 1)
 	go func() {
 		ctx := telemetry.WithRequestID(context.Background(), "leader-A")
-		_, out, err := c.CompileOutcome(ctx, prog, opt, compile(true))
+		_, out, err := c.CompileOutcome(ctx, KeyOf(prog.Source, opt), prog, opt, compile(true))
 		if err != nil {
 			t.Errorf("leader compile: %v", err)
 		}
@@ -62,7 +63,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ctx := telemetry.WithRequestID(context.Background(), fmt.Sprintf("waiter-%d", i))
-			_, outs[i], errs[i] = c.CompileOutcome(ctx, prog, opt, compile(false))
+			_, outs[i], errs[i] = c.CompileOutcome(ctx, KeyOf(prog.Source, opt), prog, opt, compile(false))
 		}(i)
 	}
 	for c.Stats().Hits < waiters {
@@ -89,7 +90,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 	// After completion: a fresh request is a cache_hit that still names
 	// the leader which performed the compile.
 	ctx := telemetry.WithRequestID(context.Background(), "late-B")
-	_, out, err := c.CompileOutcome(ctx, prog, opt, compile(false))
+	_, out, err := c.CompileOutcome(ctx, KeyOf(prog.Source, opt), prog, opt, compile(false))
 	if err != nil {
 		t.Fatalf("late hit: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 
 	// No request ID on the context → empty leader ID, same outcomes.
 	other := Program{Name: "other", Source: "C anon\n" + prog.Source}
-	_, out, err = c.CompileOutcome(context.Background(), other, opt, compile(false))
+	_, out, err = c.CompileOutcome(context.Background(), KeyOf(other.Source, opt), other, opt, compile(false))
 	if err != nil {
 		t.Fatalf("anonymous compile: %v", err)
 	}
@@ -218,4 +219,67 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 			t.Errorf("hit outcome = %+v", out)
 		}
 	})
+}
+
+// TestOutcomeHandsOutTheEntryList: the cold lookup and every hit
+// receive the one list the entry holds — the leader's own capture,
+// clipped, not a copy — and a lookup that brings no observer never
+// builds the entry's replay bookkeeping. A later lookup that does bring
+// one (the Runner's use) still gets its replay, leader's label included,
+// since nothing was ever emitted to it.
+func TestOutcomeHandsOutTheEntryList(t *testing.T) {
+	c := newCompileCache()
+	prog, _ := ByName("trfd")
+	opt := core.PolarisOptions()
+	opt.TraceLabel = "lead"
+	key := KeyOf(prog.Source, opt)
+	compiles := 0
+	fn := func(ctx context.Context, o core.Options) (*core.Result, error) {
+		compiles++
+		return core.CompileContext(ctx, prog.Parse(), o)
+	}
+	_, cold, err := c.CompileOutcome(context.Background(), key, prog, opt, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Decisions) == 0 || cap(cold.Decisions) != len(cold.Decisions) {
+		t.Fatalf("cold outcome carries %d decisions in an array of %d", len(cold.Decisions), cap(cold.Decisions))
+	}
+	hitOpt := opt
+	hitOpt.TraceLabel = "hit"
+	for i := 0; i < 3; i++ {
+		_, hit, err := c.CompileOutcome(context.Background(), key, prog, hitOpt, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit.Kind != telemetry.OutcomeCacheHit || &hit.Decisions[0] != &cold.Decisions[0] || len(hit.Decisions) != len(cold.Decisions) {
+			t.Fatalf("hit %d: outcome %q with a list of its own", i, hit.Kind)
+		}
+	}
+	for _, d := range cold.Decisions {
+		if d.Label != "lead" {
+			t.Fatalf("the entry's list carries label %q, recorded under %q", d.Label, "lead")
+		}
+	}
+	c.mu.Lock()
+	e := c.compiled[key]
+	c.mu.Unlock()
+	if e.emitted != nil {
+		t.Errorf("lookups without an observer built a replay set of %d labels", len(e.emitted))
+	}
+	if compiles != 1 {
+		t.Fatalf("compiled %d times", compiles)
+	}
+
+	obs := obsv.NewObserver()
+	withObs := opt
+	withObs.Observer = obs
+	for i := 0; i < 2; i++ { // the second is deduplicated
+		if _, _, err := c.CompileOutcome(context.Background(), key, prog, withObs, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(obs.Decisions()); got != len(cold.Decisions) {
+		t.Errorf("an observer brought to a resident entry received %d records, want %d once", got, len(cold.Decisions))
+	}
 }
