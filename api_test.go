@@ -1,9 +1,8 @@
 package polaris_test
 
 // Tests for the context-aware functional-options API: Compile(ctx,
-// prog, ...Option), its instrumentation surface, cancellation, and the
-// deprecated-wrapper equivalence. TestSuite is the end-to-end gate CI
-// runs with -count=1.
+// prog, ...Option), its defaults, its instrumentation surface and
+// cancellation. TestSuite is the end-to-end gate CI runs with -count=1.
 
 import (
 	"bufio"
@@ -36,23 +35,27 @@ const apiSrc = `
       END
 `
 
+// TestCompileDefaultMatchesParallelize: Compile with no options is the
+// full Polaris pipeline (what the deleted Parallelize wrapper ran) —
+// the same verdicts as naming FullTechniques explicitly — and carries
+// its report.
 func TestCompileDefaultMatchesParallelize(t *testing.T) {
 	prog, err := polaris.Parse(apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNew, err := polaris.Compile(context.Background(), prog)
+	viaDefault, err := polaris.Compile(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOld, err := polaris.Parallelize(prog)
+	viaFull, err := polaris.Compile(context.Background(), prog, polaris.WithTechniques(polaris.FullTechniques()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaNew.Summary() != viaOld.Summary() {
-		t.Errorf("Compile and Parallelize disagree:\n%s\nvs\n%s", viaNew.Summary(), viaOld.Summary())
+	if viaDefault.Summary() != viaFull.Summary() {
+		t.Errorf("Compile's default and FullTechniques disagree:\n%s\nvs\n%s", viaDefault.Summary(), viaFull.Summary())
 	}
-	if viaNew.Report == nil {
+	if viaDefault.Report == nil {
 		t.Error("Compile result has no pipeline report")
 	}
 }
@@ -83,13 +86,14 @@ func TestCompileWithTechniquesAndBaseline(t *testing.T) {
 	if base.Report != nil {
 		t.Error("baseline compilation should not carry a Polaris pipeline report")
 	}
-	oldBase, err := polaris.ParallelizeBaseline(prog)
+	// Technique selection does not apply to the baseline compiler.
+	narrowBase, err := polaris.Compile(context.Background(), prog, polaris.WithBaseline(), polaris.WithTechniques(polaris.Techniques{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.CodegenFactor != oldBase.CodegenFactor {
-		t.Errorf("baseline codegen factor %v != deprecated wrapper's %v",
-			base.CodegenFactor, oldBase.CodegenFactor)
+	if base.CodegenFactor != narrowBase.CodegenFactor || base.Summary() != narrowBase.Summary() {
+		t.Errorf("baseline under a technique set (factor %v) differs from the plain baseline (factor %v)",
+			narrowBase.CodegenFactor, base.CodegenFactor)
 	}
 }
 

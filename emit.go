@@ -18,8 +18,7 @@ type emitConfig struct {
 type EmitOption func(*emitConfig)
 
 // EmitFortran selects annotated Fortran output: the restructured
-// source with parallel directives, preceded by the compilation report
-// (the pre-redesign AnnotatedSource format, byte for byte).
+// source with parallel directives, preceded by the compilation report.
 func EmitFortran(c *emitConfig) { c.goTarget = false }
 
 // EmitGo selects the Go source-to-source backend: a standalone,

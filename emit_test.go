@@ -1,8 +1,7 @@
 package polaris_test
 
-// Tests for the redesigned emit surface: Result.Emit(w, ...EmitOption)
-// with the EmitFortran / EmitGo targets, and the deprecated
-// AnnotatedSource wrapper's byte-for-byte compatibility.
+// Tests for the emit surface: Result.Emit(w, ...EmitOption) with the
+// EmitFortran / EmitGo targets.
 
 import (
 	"bytes"
@@ -13,9 +12,9 @@ import (
 	"polaris"
 )
 
-// TestEmitAPIBackcompat pins the deprecated AnnotatedSource to the new
-// surface: its output must be byte-identical to Emit(EmitFortran),
-// which must also be the default target.
+// TestEmitAPIBackcompat pins the Fortran target: the annotated source
+// with its directives, byte-identical whether EmitFortran is named or
+// left as the default target.
 func TestEmitAPIBackcompat(t *testing.T) {
 	prog, err := polaris.Parse(facadeSrc)
 	if err != nil {
@@ -25,22 +24,19 @@ func TestEmitAPIBackcompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := res.AnnotatedSource()
-	if !strings.Contains(legacy, "C$OMP PARALLEL DO") {
-		t.Fatalf("annotated source lost its directives:\n%s", legacy)
-	}
 	var viaEmit bytes.Buffer
 	if err := res.Emit(&viaEmit, polaris.EmitFortran); err != nil {
 		t.Fatal(err)
 	}
-	if viaEmit.String() != legacy {
-		t.Errorf("Emit(EmitFortran) differs from AnnotatedSource()")
+	fortran := viaEmit.String()
+	if !strings.Contains(fortran, "C$OMP PARALLEL DO") {
+		t.Fatalf("annotated source lost its directives:\n%s", fortran)
 	}
 	var viaDefault bytes.Buffer
 	if err := res.Emit(&viaDefault); err != nil {
 		t.Fatal(err)
 	}
-	if viaDefault.String() != legacy {
+	if viaDefault.String() != fortran {
 		t.Errorf("Emit with no options must default to the Fortran target")
 	}
 }

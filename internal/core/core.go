@@ -76,8 +76,8 @@ type Options struct {
 	// is observation-only with respect to compilation output: verdicts,
 	// Decision streams, and emitted code are byte-identical with or
 	// without it — the differential test in incremental_test.go
-	// enforces this, which is why suite.Cache's optKey need not
-	// fingerprint it.
+	// enforces this, which is why the options fingerprint (key.go) need
+	// not cover it.
 	UnitMemo *UnitMemo
 	// TrustedInput declares the input program consistent (freshly
 	// parsed — ParseProgram runs the consistency check itself) and
@@ -85,7 +85,7 @@ type Options struct {
 	// the defensive input check and takes ownership of each unit it
 	// compiles in place, where it would otherwise clone it. The caller
 	// must not use the input program again after the call and must treat
-	// Result.Program as read-only — the same contract suite.Cache
+	// Result.Program as read-only — the same contract the compile cache
 	// already imposes by sharing one Result across requests. Like
 	// UnitMemo this is observation-only: verdicts, Decision streams, and
 	// emitted code are byte-identical with or without it.
@@ -239,7 +239,7 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 		// a completed entry; on failure the claims are released so
 		// concurrent compilations waiting on them retry.
 		if err != nil {
-			st.abort()
+			st.abort(err)
 		} else {
 			st.commit(work)
 		}

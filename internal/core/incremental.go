@@ -1,7 +1,7 @@
-// Incremental per-unit compilation: a bounded singleflight memo of
-// per-unit pass results keyed by a content hash of each unit's
-// post-prologue state, plus the replay machinery that lets a recompile
-// re-run only the units whose inputs changed.
+// Incremental per-unit compilation: a bounded memo (an instance of
+// store.Store) of per-unit pass results keyed by a content hash of each
+// unit's post-prologue state, plus the replay machinery that lets a
+// recompile re-run only the units whose inputs changed.
 //
 // Unit hashes are computed after the whole-program prologue passes
 // (interprocedural constant propagation and inline expansion) have
@@ -33,8 +33,8 @@
 // A unit whose hash is found completed in the memo is "clean": the
 // memoized final IR is installed in the program directly — completed
 // entries are immutable and Result.Program is read-only by contract
-// (suite.Cache already shares one Result across requests), so no
-// defensive clone is needed — and each per-unit pass replays the
+// (the compile service already shares one Result across requests), so
+// no defensive clone is needed — and each per-unit pass replays the
 // captured Decision provenance and mutation counters instead of
 // re-running, exactly as whole-program cache hits replay theirs.
 // Units whose hash misses are "dirty": they claim an in-flight memo
@@ -43,39 +43,21 @@
 package core
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
-	"fmt"
 	"hash"
 	"strings"
-	"sync"
 
 	"polaris/internal/deps"
 	"polaris/internal/ir"
 	"polaris/internal/obsv"
 	"polaris/internal/passes"
+	"polaris/internal/store"
 )
 
 // unitMemoVersion salts every unit hash; bump it whenever the meaning
 // of a memoized record changes (new per-unit pass, changed record
 // layout), so stale entries from an older scheme can never replay.
 const unitMemoVersion = "polaris-unit-memo/v2"
-
-// incrFingerprint fingerprints the technique-selection fields of
-// Options into the unit hash, so two distinct configurations can never
-// alias one memo entry. Instrumentation and scheduling fields (Stats,
-// Trace, TraceLabel, Observer, UnitWorkers, UnitMemo) are deliberately
-// excluded: they do not change the compiled unit.
-// TestUnitFingerprintCoversOptions enforces that every future
-// technique field is added here.
-func incrFingerprint(o Options) string {
-	return fmt.Sprintf("%t%t%t%t%t%t%t%t%t%t%t%t",
-		o.Inline, o.Induction, o.SimpleInduction, o.Reductions,
-		o.HistogramReduction, o.ArrayPrivatization, o.RangeTest,
-		o.Permutation, o.LRPD, o.StrengthReduction, o.Normalize,
-		o.InterprocConstants)
-}
 
 // unitHasher computes the unit keys of one compilation under the two
 // schemes the package comment describes, whose tags domain-separate
@@ -150,35 +132,18 @@ type unitPassRecord struct {
 // per-unit pass and this is defense in depth only.
 var emptyRecord = &unitPassRecord{}
 
-// unitEntry is one memo slot. Like suite.Cache's compiledEntry, the
-// leader fills the immutable payload (unit, recs, size) before done
-// closes; waiters block on done or their own context. In-flight
-// entries are in the map but never on the LRU list, so an entry with
-// waiters attached cannot be evicted and its waiter set never splits.
-// Completed entries are immutable, so a compilation holding one may
-// keep replaying from it even after eviction drops it from the map.
+// unitEntry is one memo entry's payload: the unit's final IR and its
+// per-pass records, written by the compilation that claimed the key and
+// immutable once published, so a compilation holding one may keep
+// replaying from it after eviction drops it from the memo.
 type unitEntry struct {
-	done chan struct{}
-	key  [32]byte
-
-	// Written by the claiming compilation before done closes;
-	// immutable afterwards.
-	unit   *ir.ProgramUnit
-	recs   map[string]*unitPassRecord
-	size   int64
-	failed bool // the claim was released without a result; retry
-
-	elem *list.Element // LRU slot; nil while in flight
+	unit *ir.ProgramUnit
+	recs map[string]*unitPassRecord
 }
 
-// MemoLimits bounds a UnitMemo. Zero fields mean unlimited.
-type MemoLimits struct {
-	// MaxEntries caps completed entries; MaxBytes caps their summed
-	// size estimate. In-flight entries are exempt (they are pinned
-	// until their compilation commits or aborts).
-	MaxEntries int
-	MaxBytes   int64
-}
+// MemoLimits bounds a UnitMemo (zero fields mean unlimited); in-flight
+// units are pinned and do not count until they complete.
+type MemoLimits = store.Limits
 
 // MemoStats is a point-in-time snapshot of a UnitMemo.
 type MemoStats struct {
@@ -197,162 +162,24 @@ type MemoStats struct {
 }
 
 // UnitMemo is the bounded per-unit memo behind incremental
-// compilation: a singleflight LRU keyed by unit hash, safe for
-// concurrent use by any number of compilations. It lives beside
-// suite.Cache — the whole-program cache answers exact-source repeats,
-// the unit memo answers everything an edit left untouched.
+// compilation: a store.Store keyed by unit hash, safe for concurrent use
+// by any number of compilations, which claim their dirty units in one
+// batch (store.Store.Acquire). It lives beside the service's
+// whole-program cache — that one answers exact-source repeats, the
+// unit memo everything an edit left untouched.
 type UnitMemo struct {
-	lim MemoLimits
-
-	mu      sync.Mutex
-	entries map[[32]byte]*unitEntry
-	lru     *list.List // of *unitEntry, front = least recently used
-	bytes   int64
-	stats   MemoStats
+	s *store.Store[[32]byte, *unitEntry]
 }
 
 // NewUnitMemo returns an empty memo bounded by lim.
 func NewUnitMemo(lim MemoLimits) *UnitMemo {
-	return &UnitMemo{lim: lim, entries: map[[32]byte]*unitEntry{}, lru: list.New()}
+	return &UnitMemo{s: store.New[[32]byte, *unitEntry](lim)}
 }
 
 // Stats snapshots the memo gauges and counters.
 func (m *UnitMemo) Stats() MemoStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	s.Entries = m.lru.Len()
-	s.Bytes = m.bytes
-	return s
-}
-
-// insertLocked puts a completed entry on the LRU list and evicts past
-// the bound. Called with m.mu held.
-func (m *UnitMemo) insertLocked(e *unitEntry) {
-	e.elem = m.lru.PushBack(e)
-	m.bytes += e.size
-	for m.overLocked() {
-		front := m.lru.Front()
-		if front == nil {
-			return
-		}
-		victim := front.Value.(*unitEntry)
-		m.lru.Remove(front)
-		m.bytes -= victim.size
-		m.stats.Evictions++
-		if m.entries[victim.key] == victim {
-			delete(m.entries, victim.key)
-		}
-	}
-}
-
-func (m *UnitMemo) overLocked() bool {
-	if m.lim.MaxEntries > 0 && m.lru.Len() > m.lim.MaxEntries {
-		return true
-	}
-	if m.lim.MaxBytes > 0 && m.bytes > m.lim.MaxBytes {
-		return true
-	}
-	return false
-}
-
-// acquire resolves every key to either a completed entry (reuse[i]) or
-// a freshly claimed in-flight slot this compilation must fill
-// (pending[i]); at most one of the two is non-nil per index. A nil/nil
-// pair means the unit should run live without memoization (only
-// possible for duplicate keys within one program, a degenerate case).
-//
-// Deadlock freedom is by wait-before-claim: the loop sweeps all keys
-// under the lock, and while any needed slot is in flight it claims
-// nothing and waits on those slots (honoring ctx). Only when no needed
-// slot is in flight does it claim all remaining misses in one atomic
-// batch. A compilation therefore never holds a claim while waiting for
-// another's — no hold-and-wait, so two compilations with overlapping
-// unit sets cannot deadlock on each other.
-func (m *UnitMemo) acquire(ctx context.Context, keys [][32]byte) (reuse, pending []*unitEntry, err error) {
-	reuse = make([]*unitEntry, len(keys))
-	pending = make([]*unitEntry, len(keys))
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		var waits []*unitEntry
-		m.mu.Lock()
-		for i, k := range keys {
-			if reuse[i] != nil || pending[i] != nil {
-				continue
-			}
-			e, ok := m.entries[k]
-			if !ok {
-				continue // claim candidate
-			}
-			select {
-			case <-e.done:
-				// done closes under m.mu, so this observation is
-				// consistent with the map lookup; failed entries are
-				// removed from the map before done closes.
-				m.stats.Hits++
-				if e.elem != nil {
-					m.lru.MoveToBack(e.elem)
-				}
-				reuse[i] = e
-			default:
-				waits = append(waits, e)
-			}
-		}
-		if len(waits) == 0 {
-			claimed := map[[32]byte]*unitEntry{}
-			for i, k := range keys {
-				if reuse[i] != nil || pending[i] != nil {
-					continue
-				}
-				if _, dup := claimed[k]; dup {
-					// A second unit with an identical rendering (same
-					// name included — a degenerate program). Leave it
-					// unmemoized rather than waiting on our own claim.
-					continue
-				}
-				e := &unitEntry{done: make(chan struct{}), key: k}
-				m.entries[k] = e
-				m.stats.Misses++
-				claimed[k] = e
-				pending[i] = e
-			}
-			m.mu.Unlock()
-			return reuse, pending, nil
-		}
-		m.mu.Unlock()
-		for _, e := range waits {
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-		}
-	}
-}
-
-// complete publishes a filled in-flight entry: it joins the LRU and
-// done closes after the maps are consistent.
-func (m *UnitMemo) complete(e *unitEntry) {
-	m.mu.Lock()
-	m.insertLocked(e)
-	close(e.done)
-	m.mu.Unlock()
-}
-
-// release abandons an in-flight claim (pipeline failure or
-// cancellation): the key is freed for retry before done closes, so a
-// woken waiter that re-sweeps finds a claimable miss, never the failed
-// slot.
-func (m *UnitMemo) release(e *unitEntry) {
-	m.mu.Lock()
-	if m.entries[e.key] == e {
-		delete(m.entries, e.key)
-	}
-	e.failed = true
-	close(e.done)
-	m.mu.Unlock()
+	st := m.s.Stats()
+	return MemoStats{Entries: st.Entries, Bytes: st.Bytes, Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
 }
 
 // entrySize estimates a completed entry's resident size: the retained
@@ -363,13 +190,7 @@ func (m *UnitMemo) release(e *unitEntry) {
 func entrySize(keyLen int, recs map[string]*unitPassRecord) int64 {
 	s := int64(keyLen)*2 + 512
 	for _, rec := range recs {
-		for _, d := range rec.decisions {
-			s += 128 + int64(len(d.Detail)+len(d.Technique)+len(d.Blocker)+len(d.Loop))
-			for _, ev := range d.Evidence {
-				s += int64(len(ev))
-			}
-		}
-		s += int64(len(rec.solved)+len(rec.reports)) * 64
+		s += decisionsSize(rec.decisions) + int64(len(rec.solved)+len(rec.reports))*64
 	}
 	return s
 }
@@ -388,10 +209,10 @@ type incrState struct {
 	// the exact edits applied to it.
 	interSigs map[string]string
 
-	keys    [][32]byte
-	reuse   []*unitEntry // completed entries (clean units)
-	pending []*unitEntry // claims this compilation must fill (dirty units)
-	recs    []map[string]*unitPassRecord
+	keys   [][32]byte
+	reuse  []*unitEntry                        // completed entries (clean units)
+	claims []store.Claim[[32]byte, *unitEntry] // keys this compilation must fill (dirty units)
+	recs   []map[string]*unitPassRecord
 	// keyLen caches each unit's hashed-text length (raw source or
 	// rendering) for the commit-time size estimate.
 	keyLen []int
@@ -430,11 +251,11 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 			st.keys[i] = uh.key("src", work.FuncsSig, st.interSigs[u.Name], u.Source)
 		}
 	}
-	reuse, pending, err := st.memo.acquire(c.Context(), st.keys)
+	reuse, claims, err := st.memo.s.Acquire(c.Context(), st.keys)
 	if err != nil {
 		return err
 	}
-	st.reuse, st.pending = reuse, pending
+	st.reuse, st.claims = reuse, claims
 	st.recs = make([]map[string]*unitPassRecord, len(work.Units))
 	for i := range work.Units {
 		if e := reuse[i]; e != nil {
@@ -559,33 +380,31 @@ func (st *incrState) emit(c *passes.Context, rec *unitPassRecord, obs *obsv.Obse
 	}
 }
 
-// commit publishes every pending claim after a successful pipeline
-// run: the final transformed unit itself becomes the entry's payload —
-// the compilation's Result.Program shares it, read-only from here on,
+// commit completes every claim after a successful pipeline run: the
+// final transformed unit itself becomes the entry's payload — the
+// compilation's Result.Program shares it, read-only from here on,
 // exactly as reusing compilations will — and the entry joins the
 // memo's LRU.
 func (st *incrState) commit(work *ir.Program) {
-	for i, e := range st.pending {
-		if e == nil {
+	for i, c := range st.claims {
+		if !c.Held() {
 			continue
 		}
-		e.unit = work.Units[i]
+		u := work.Units[i]
 		// The parser slices Source out of the whole input; an entry
 		// owns its bytes, or it would keep the source of the compile
 		// that filled it alive for as long as it stays in the memo.
-		e.unit.Source = strings.Clone(e.unit.Source)
-		e.recs = st.recs[i]
-		e.size = entrySize(st.keyLen[i], e.recs)
-		st.memo.complete(e)
+		u.Source = strings.Clone(u.Source)
+		c.Complete(&unitEntry{unit: u, recs: st.recs[i]}, entrySize(st.keyLen[i], st.recs[i]))
 	}
 }
 
-// abort releases every pending claim after a failed or canceled
-// pipeline run, freeing the keys for waiters to retry.
-func (st *incrState) abort() {
-	for _, e := range st.pending {
-		if e != nil {
-			st.memo.release(e)
+// abort releases every claim after a failed or canceled pipeline run,
+// freeing the keys for waiters to retry.
+func (st *incrState) abort(err error) {
+	for _, c := range st.claims {
+		if c.Held() {
+			c.Release(err)
 		}
 	}
 }

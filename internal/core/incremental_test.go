@@ -5,62 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"polaris/internal/parser"
+	"polaris/internal/store"
 )
-
-// incrInstrumentation lists the Options fields excluded from the unit
-// memo's hash fingerprint: fields that schedule or observe compilation
-// without changing the compiled program. It deliberately mirrors the
-// whole-program cache's allowlist in suite/optkey_test.go (plus
-// UnitMemo itself — where results come from cannot change what they
-// are).
-var incrInstrumentation = map[string]bool{
-	"Stats":       true,
-	"Trace":       true,
-	"TraceLabel":  true,
-	"Observer":    true,
-	"UnitWorkers": true,
-	"UnitMemo":    true,
-	// TrustedInput only skips the defensive input check and the unit
-	// clones of a program the caller owns; the pipeline that then runs is
-	// identical, so it cannot change what a memo entry means.
-	"TrustedInput": true,
-}
-
-// TestUnitFingerprintCoversOptions fails when Options gains a
-// technique-selection field that incrFingerprint does not cover: two
-// distinct technique configurations would then alias one memo entry
-// and incremental compiles would replay results computed under the
-// wrong technique set. Add new technique bools to incrFingerprint
-// (and bump unitMemoVersion), or add genuine instrumentation fields to
-// the allowlist above with a justification.
-func TestUnitFingerprintCoversOptions(t *testing.T) {
-	base := PolarisOptions()
-	baseFP := incrFingerprint(base)
-	rt := reflect.TypeOf(base)
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if incrInstrumentation[f.Name] {
-			continue
-		}
-		if f.Type.Kind() != reflect.Bool {
-			t.Errorf("core.Options.%s: non-bool technique field (%s); teach incrFingerprint to cover it and extend this test",
-				f.Name, f.Type)
-			continue
-		}
-		mut := base
-		fv := reflect.ValueOf(&mut).Elem().Field(i)
-		fv.SetBool(!fv.Bool())
-		if incrFingerprint(mut) == baseFP {
-			t.Errorf("core.Options.%s: toggling the field does not change the unit fingerprint — memo entries would alias technique sets", f.Name)
-		}
-	}
-}
 
 func memoKeys(n int) [][32]byte {
 	keys := make([][32]byte, n)
@@ -69,6 +20,9 @@ func memoKeys(n int) [][32]byte {
 	}
 	return keys
 }
+
+// memoClaim is one claim on a UnitMemo's store.
+type memoClaim = store.Claim[[32]byte, *unitEntry]
 
 // TestUnitMemoPinsInFlight drives the memo past its entry bound while
 // a claim is still in flight and requires the claim to survive: an
@@ -80,24 +34,23 @@ func TestUnitMemoPinsInFlight(t *testing.T) {
 	m := NewUnitMemo(MemoLimits{MaxEntries: 2})
 	keys := memoKeys(6)
 
-	_, pending, err := m.acquire(ctx, keys[:1])
+	_, claims, err := m.s.Acquire(ctx, keys[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	inflight := pending[0]
-	if inflight == nil {
+	inflight := claims[0]
+	if !inflight.Held() {
 		t.Fatal("first acquire did not claim the slot")
 	}
 
 	// Complete four other entries: far past MaxEntries=2, so the LRU
 	// churns hard while our claim is still open.
-	_, more, err := m.acquire(ctx, keys[1:5])
+	_, more, err := m.s.Acquire(ctx, keys[1:5])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range more {
-		e.recs = map[string]*unitPassRecord{}
-		m.complete(e)
+	for _, c := range more {
+		c.Complete(&unitEntry{recs: map[string]*unitPassRecord{}}, 0)
 	}
 	st := m.Stats()
 	if st.Entries != 2 {
@@ -111,7 +64,7 @@ func TestUnitMemoPinsInFlight(t *testing.T) {
 	// — and wake against the same entry once it completes.
 	woke := make(chan []*unitEntry, 1)
 	go func() {
-		reuse, _, err := m.acquire(ctx, keys[:1])
+		reuse, _, err := m.s.Acquire(ctx, keys[:1])
 		if err != nil {
 			woke <- nil
 			return
@@ -120,11 +73,11 @@ func TestUnitMemoPinsInFlight(t *testing.T) {
 	}()
 	// Give the waiter time to park; it must not claim a split slot.
 	time.Sleep(10 * time.Millisecond)
-	inflight.recs = map[string]*unitPassRecord{}
-	m.complete(inflight)
+	pinned := &unitEntry{recs: map[string]*unitPassRecord{}}
+	inflight.Complete(pinned, 0)
 	select {
 	case reuse := <-woke:
-		if len(reuse) != 1 || reuse[0] != inflight {
+		if len(reuse) != 1 || reuse[0] != pinned {
 			t.Fatalf("waiter woke against a different entry: got %v, want the pinned in-flight entry", reuse)
 		}
 	case <-time.After(5 * time.Second):
@@ -143,30 +96,31 @@ func TestUnitMemoReleaseRetry(t *testing.T) {
 	m := NewUnitMemo(MemoLimits{})
 	keys := memoKeys(1)
 
-	_, pending, err := m.acquire(ctx, keys)
+	_, claims, err := m.s.Acquire(ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	type got struct {
-		reuse, pending []*unitEntry
+		reuse  []*unitEntry
+		claims []memoClaim
 	}
 	woke := make(chan got, 1)
 	go func() {
-		r, p, err := m.acquire(ctx, keys)
+		r, c, err := m.s.Acquire(ctx, keys)
 		if err != nil {
 			woke <- got{}
 			return
 		}
-		woke <- got{r, p}
+		woke <- got{r, c}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	m.release(pending[0])
+	claims[0].Release(context.Canceled)
 	select {
 	case g := <-woke:
-		if g.pending[0] == nil {
-			t.Fatalf("waiter did not claim after release: reuse=%v pending=%v", g.reuse[0], g.pending[0])
+		if !g.claims[0].Held() {
+			t.Fatalf("waiter did not claim after release: reuse=%v claim=%v", g.reuse[0], g.claims[0])
 		}
-		if g.pending[0] == pending[0] {
+		if g.claims[0] == claims[0] {
 			t.Fatal("waiter claimed the released (failed) entry itself")
 		}
 	case <-time.After(5 * time.Second):
@@ -180,14 +134,14 @@ func TestUnitMemoReleaseRetry(t *testing.T) {
 func TestUnitMemoAcquireCanceled(t *testing.T) {
 	m := NewUnitMemo(MemoLimits{})
 	keys := memoKeys(1)
-	_, pending, err := m.acquire(context.Background(), keys)
+	_, claims, err := m.s.Acquire(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := m.acquire(ctx, keys)
+		_, _, err := m.s.Acquire(ctx, keys)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -201,26 +155,26 @@ func TestUnitMemoAcquireCanceled(t *testing.T) {
 		t.Fatal("canceled waiter never returned")
 	}
 	// The leader's claim is untouched; completing it must still work.
-	pending[0].recs = map[string]*unitPassRecord{}
-	m.complete(pending[0])
+	claims[0].Complete(&unitEntry{recs: map[string]*unitPassRecord{}}, 0)
 	if got := m.Stats().Entries; got != 1 {
 		t.Fatalf("entries after complete: got %d, want 1", got)
 	}
 }
 
 // TestUnitMemoDuplicateKeys hands acquire a key list with a repeat:
-// the second occurrence must be left unmemoized (nil/nil) instead of
-// deadlocking on the first occurrence's own claim.
+// the second occurrence must be left unmemoized (no value, no claim)
+// instead of deadlocking on the first occurrence's own claim.
 func TestUnitMemoDuplicateKeys(t *testing.T) {
 	m := NewUnitMemo(MemoLimits{})
 	keys := memoKeys(1)
 	keys = append(keys, keys[0])
 	done := make(chan struct{})
-	var reuse, pending []*unitEntry
+	var reuse []*unitEntry
+	var claims []memoClaim
 	go func() {
 		defer close(done)
 		var err error
-		reuse, pending, err = m.acquire(context.Background(), keys)
+		reuse, claims, err = m.s.Acquire(context.Background(), keys)
 		if err != nil {
 			t.Error(err)
 		}
@@ -230,10 +184,10 @@ func TestUnitMemoDuplicateKeys(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("acquire deadlocked on a duplicate key")
 	}
-	if pending[0] == nil {
+	if !claims[0].Held() {
 		t.Fatal("first occurrence was not claimed")
 	}
-	if reuse[1] != nil || pending[1] != nil {
+	if reuse[1] != nil || claims[1].Held() {
 		t.Fatal("duplicate occurrence was not left unmemoized")
 	}
 }

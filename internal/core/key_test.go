@@ -1,0 +1,70 @@
+package core
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// fingerprintExcluded lists the Options fields the fingerprint leaves
+// out, each because it cannot change the compiled program. Everything
+// else is a technique-selection field and MUST change incrFingerprint
+// when toggled — otherwise two configurations would alias one compile
+// cache entry, route to one owner, or replay one unit-memo entry.
+var fingerprintExcluded = map[string]bool{
+	"Stats":      true,
+	"Trace":      true,
+	"TraceLabel": true,
+	"Observer":   true,
+	// UnitWorkers only schedules the per-unit passes across a worker
+	// pool; the parallel schedule is observationally identical to the
+	// serial one (verdicts, decisions and trace are byte-for-byte the
+	// same — see forEachUnit).
+	"UnitWorkers": true,
+	// UnitMemo changes where per-unit pass results come from, never what
+	// they are: clean units replay records memoized under a key this very
+	// fingerprint salts, and TestIncrementalDifferential proves the
+	// output byte-identical with and without a memo.
+	"UnitMemo": true,
+	// TrustedInput skips the driver's defensive input check and unit
+	// clones when the caller hands over a freshly parsed program; the
+	// pipeline then runs unchanged on the same IR (the incremental
+	// differential test compiles with it on one side and off the other).
+	"TrustedInput": true,
+}
+
+// TestUnitFingerprintCoversOptions fails when Options gains a
+// technique-selection field the fingerprint does not cover: every field
+// not excluded above must be a bool, and flipping it must change the
+// fingerprint. Add a new technique bool to incrFingerprint (and bump
+// unitMemoVersion), or add a genuine instrumentation field to the list
+// above with its justification. The fingerprint's bytes are pinned
+// too: they are half of every route key the fabric agrees on.
+func TestUnitFingerprintCoversOptions(t *testing.T) {
+	base := PolarisOptions()
+	baseFP := incrFingerprint(base)
+	rt := reflect.TypeOf(base)
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if fingerprintExcluded[f.Name] {
+			continue
+		}
+		if f.Type.Kind() != reflect.Bool {
+			t.Errorf("core.Options.%s: non-bool technique field (%s); teach incrFingerprint to cover it and extend this test",
+				f.Name, f.Type)
+			continue
+		}
+		mut := base
+		fv := reflect.ValueOf(&mut).Elem().Field(i)
+		fv.SetBool(!fv.Bool())
+		if incrFingerprint(mut) == baseFP {
+			t.Errorf("core.Options.%s: toggling the field does not change the fingerprint — compile keys and unit keys would alias", f.Name)
+		}
+	}
+	if want := "truetruefalse" + strings.Repeat("true", 9); baseFP != want {
+		t.Errorf("fingerprint of PolarisOptions = %q, pinned %q", baseFP, want)
+	}
+	if got, want := incrFingerprint(Options{}), strings.Repeat("false", 12); got != want {
+		t.Errorf("fingerprint of Options{} = %q, pinned %q", got, want)
+	}
+}

@@ -46,7 +46,7 @@ const EntrySchema = 1
 // Entry is one compiled cache entry on the wire.
 type Entry struct {
 	Schema int `json:"schema"`
-	// RouteKey is the compilation's cache identity (suite.RouteKey):
+	// RouteKey is the compilation's cache identity (core.RouteKey):
 	// source content hash + technique fingerprint. The receiver rejects
 	// an entry whose key is not the one it asked for (a stale or
 	// misrouted fill).

@@ -110,7 +110,7 @@ func TestWireRoundTripSuite(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			res, decisions, opt := compileCaptured(t, p.Source, p.Name)
-			key := suite.RouteKey(p.Source, opt)
+			key := core.RouteKey(p.Source, opt)
 
 			entry, sum, err := EncodeEntry(key, res, decisions)
 			if err != nil {
@@ -185,7 +185,7 @@ func TestWireRoundTripSuite(t *testing.T) {
 func TestWireRejections(t *testing.T) {
 	p := suite.Track()
 	res, decisions, opt := compileCaptured(t, p.Source, p.Name)
-	key := suite.RouteKey(p.Source, opt)
+	key := core.RouteKey(p.Source, opt)
 	entry, sum, err := EncodeEntry(key, res, decisions)
 	if err != nil {
 		t.Fatalf("EncodeEntry: %v", err)

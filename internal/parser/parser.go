@@ -36,11 +36,6 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("line %d: parse: %s", e.Line, e.Msg)
 }
 
-// Error is the former name of ParseError.
-//
-// Deprecated: use ParseError.
-type Error = ParseError
-
 type parser struct {
 	sc *lexer.Scanner
 	// toks is the statement being parsed, in the scanner's buffer; its

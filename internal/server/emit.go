@@ -7,7 +7,6 @@ import (
 
 	"polaris/internal/codegen"
 	"polaris/internal/core"
-	"polaris/internal/suite"
 	"polaris/internal/telemetry"
 )
 
@@ -92,49 +91,25 @@ func (s *Server) handleEmit(w http.ResponseWriter, r *http.Request) {
 	if label == "" {
 		label = "prog"
 	}
-	prog := suite.Program{Name: label, Source: req.Source}
-	reqID := telemetry.RequestID(ctx)
-
 	var res *core.Result
-	var out suite.CacheOutcome
-	outcome := ""
-	leaderID := ""
-	cached := false
+	var sv served
 	if req.Baseline {
-		bres, bout, err := s.cache.CompileBaselineOutcome(ctx, prog, baselineSource(req.Source))
+		bres, bsv, err := s.baseline(ctx, req.Source)
 		if err != nil {
-			s.obs.Count("server_compile_errors", 1)
 			writeCompileError(w, err)
 			return
 		}
-		res, out = bres.Result, bout
-		outcome, leaderID = out.Kind, leaderFor(out, reqID)
-		cached = out.Kind != telemetry.OutcomeCold
+		res, sv = bres.Result, bsv
 	} else {
 		opt.TraceLabel = label
-		key := suite.KeyOf(req.Source, opt)
-		compileFn, pf := s.compileFnFor(key, req.Source, opt)
-		cres, cout, err := s.cache.CompileOutcome(ctx, key, prog, opt, compileFn)
+		e, csv, err := s.compileCached(ctx, core.KeyOf(req.Source, opt), req.Source, opt)
 		if err != nil {
-			s.obs.Count("server_compile_errors", 1)
 			writeCompileError(w, err)
 			return
 		}
-		res, out = cres, cout
-		cached = out.Kind != telemetry.OutcomeCold
-		if cached {
-			s.obs.Count("server_cache_hits", 1)
-		}
-		outcome, leaderID = out.Kind, leaderFor(out, reqID)
-		if out.Kind == telemetry.OutcomeCold && pf != nil && pf.outcome != "" {
-			outcome = pf.outcome
-			cached = true
-			if pf.leaderID != "" && pf.leaderID != reqID {
-				leaderID = pf.leaderID
-			}
-		}
+		res, sv = e.res, csv
 	}
-	setOutcome(ctx, outcome, leaderID, cached)
+	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
 
 	var src string
 	if target == "go" {
@@ -155,11 +130,11 @@ func (s *Server) handleEmit(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, EmitResponse{
 		Label:     label,
-		RequestID: reqID,
-		Outcome:   outcome,
-		LeaderID:  leaderID,
+		RequestID: telemetry.RequestID(ctx),
+		Outcome:   sv.outcome,
+		LeaderID:  sv.leaderID,
 		Target:    target,
-		Cached:    cached,
+		Cached:    sv.cached,
 		Source:    src,
 		Verdicts:  verdicts(res),
 	})

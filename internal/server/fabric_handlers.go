@@ -6,48 +6,48 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/fabric"
-	"polaris/internal/suite"
+	"polaris/internal/obsv"
 	"polaris/internal/telemetry"
 )
 
 // peerFill records what the peer tier did for one compile, read back
-// by the handler after the cache settles. Only the singleflight leader
-// writes it, and only before CompileOutcome returns, so no lock is
+// by compileCached after the cache settles. Only the singleflight
+// leader writes it, and only before the lookup returns, so no lock is
 // needed.
 type peerFill struct {
-	node     string // owning node's ring name
 	outcome  string // OutcomePeerHit / OutcomePeerMiss when a fill landed
 	leaderID string // the owner-side request that holds the entry
 }
 
-// compileFnFor builds the cache-leader compile function for one posted
-// source. On a single node (or when this node owns the key) that is a
-// plain local compile; when a peer owns it, the leader first asks the
-// owner for the finished entry and compiles locally only if the fill
-// fails — the returned *peerFill reports which happened. The fill runs
-// inside the requester's own singleflight slot, so concurrent local
+// compileFnFor builds the cache leader for one posted source. On a
+// single node (or when this node owns the key) that is a plain local
+// compile; when a peer owns it, the leader first asks the owner for the
+// finished entry — and returns the decoded result and decision list —
+// and compiles locally only if the fill fails. The returned
+// *peerFill reports which happened. The fill runs inside the
+// requester's own singleflight slot, so concurrent local
 // requests for the key coalesce onto one fill attempt, and its strict
 // deadline is a child of the leader's context: a dead or hung owner
 // surfaces as a fill error and a local compile, never as the leader's
 // context error (which would poison coalesced waiters — the
 // distributed edition of the canceled-leader bug).
-func (s *Server) compileFnFor(key suite.Key, src string, opt core.Options) (func(context.Context, core.Options) (*core.Result, error), *peerFill) {
+func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leader, *peerFill) {
 	local := compileSource(src)
 	if s.fabric == nil {
 		return local, nil
 	}
 	route := key.String()
-	node, ownerURL, isSelf := s.fabric.Owner(route)
+	_, ownerURL, isSelf := s.fabric.Owner(route)
 	if isSelf {
 		return local, nil
 	}
-	pf := &peerFill{node: node}
+	pf := &peerFill{}
 	freq := fabric.FillRequest{
 		Source:     src,
 		Techniques: core.NamesOf(opt),
 		TimeoutMS:  s.fabric.FillTimeout().Milliseconds(),
 	}
-	fn := func(ctx context.Context, copt core.Options) (*core.Result, error) {
+	fn := func(ctx context.Context, opt core.Options) (*core.Result, []obsv.Decision, error) {
 		fr, err := s.fabric.Fill(ctx, ownerURL, freq)
 		if err == nil {
 			res, decisions, derr := fabric.DecodeEntry(fr.Entry, fr.Checksum, route)
@@ -63,7 +63,9 @@ func (s *Server) compileFnFor(key suite.Key, src string, opt core.Options) (func
 					s.obs.Count("server_peer_hits", 1)
 				}
 				pf.leaderID = fr.LeaderID
-				return suite.Fill(res, decisions)(ctx, copt)
+				// Under this request's label, as its own compile would
+				// have recorded them: the wire's records carry none.
+				return res, obsv.Relabel(decisions, opt.TraceLabel), nil
 			}
 			err = derr
 		}
@@ -71,9 +73,9 @@ func (s *Server) compileFnFor(key suite.Key, src string, opt core.Options) (func
 		// remains; the client sees an ordinary cold compile.
 		s.obs.Count("server_peer_errors", 1)
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return local(ctx, copt)
+		return local(ctx, opt)
 	}
 	return fn, pf
 }
@@ -148,15 +150,14 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 
 	// An entry this request leads is recorded unlabelled, which is how
 	// the wire wants it; one a client led is relabelled by EncodeEntry.
-	key := suite.KeyOf(freq.Source, opt)
-	prog := suite.Program{Name: "fill", Source: freq.Source}
-	res, out, err := s.cache.CompileOutcome(ctx, key, prog, opt, compileSource(freq.Source))
+	key := core.KeyOf(freq.Source, opt)
+	e, out, err := s.compiled(ctx, key, freq.Source, opt, compileSource(freq.Source))
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)
 		return
 	}
-	entry, sum, err := fabric.EncodeEntry(key.String(), res, out.Decisions)
+	entry, sum, err := fabric.EncodeEntry(key.String(), e.res, e.decisions)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode entry: "+err.Error(), "")
 		return
@@ -169,14 +170,14 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	case fabric.FaultStale:
 		// Serve a checksum-consistent entry for the wrong key (a lying
 		// owner): the requester's key check must catch it.
-		entry, sum, _ = fabric.EncodeEntry(key.String()+"-stale", res, nil)
+		entry, sum, _ = fabric.EncodeEntry(key.String()+"-stale", e.res, nil)
 	default:
 		if injectFault(w, r, f) {
 			return
 		}
 	}
-	reqID := telemetry.RequestID(ctx)
-	setOutcome(ctx, out.Kind, leaderFor(out, reqID), out.Kind != telemetry.OutcomeCold)
+	sv := servedBy(out, telemetry.RequestID(ctx))
+	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
 	resp := fabric.FillResponse{
 		Outcome:  out.Kind,
 		LeaderID: out.LeaderID,
@@ -218,7 +219,7 @@ func (s *Server) handleFabricOwner(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
-	key := suite.RouteKey(oreq.Source, opt)
+	key := core.RouteKey(oreq.Source, opt)
 	node, _, isSelf := s.fabric.Owner(key)
 	writeJSON(w, http.StatusOK, fabric.OwnerResponse{Key: key, Owner: node, Self: isSelf})
 }

@@ -15,7 +15,6 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/fabric"
-	"polaris/internal/suite"
 )
 
 // handlerSwap lets an httptest server start (fixing its URL) before
@@ -71,7 +70,7 @@ func sourceOwnedBy(t *testing.T, f *fabric.Fabric, owner, base string) string {
 	t.Helper()
 	for i := 0; i < 4096; i++ {
 		src := fmt.Sprintf("C fabric probe %d\n%s", i, base)
-		node, _, _ := f.Owner(suite.RouteKey(src, core.PolarisOptions()))
+		node, _, _ := f.Owner(core.RouteKey(src, core.PolarisOptions()))
 		if node == owner {
 			return src
 		}

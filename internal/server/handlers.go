@@ -15,8 +15,6 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
-	"polaris/internal/pfa"
-	"polaris/internal/suite"
 	"polaris/internal/telemetry"
 )
 
@@ -399,22 +397,19 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental
 	if label == "" {
 		label = "prog"
 	}
-	prog := suite.Program{Name: label, Source: req.Source}
 	reqID := telemetry.RequestID(ctx)
 
 	if req.Baseline {
-		res, out, err := s.cache.CompileBaselineOutcome(ctx, prog, baselineSource(req.Source))
+		res, sv, err := s.baseline(ctx, req.Source)
 		if err != nil {
-			s.obs.Count("server_compile_errors", 1)
 			return nil, compileFailureFrom(err)
 		}
-		cached := out.Kind != telemetry.OutcomeCold
 		return &CompileResponse{
 			Label:         label,
 			RequestID:     reqID,
-			Outcome:       out.Kind,
-			LeaderID:      leaderFor(out, reqID),
-			Cached:        cached,
+			Outcome:       sv.outcome,
+			LeaderID:      sv.leaderID,
+			Cached:        sv.cached,
 			ParallelLoops: res.ParallelLoops(),
 			Verdicts:      verdicts(res.Result),
 			CodegenFactor: res.Factor,
@@ -422,74 +417,47 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental
 	}
 
 	// The request brings no observer: the cache hands out the decision
-	// list its entry holds (out.Decisions), recorded under the label of
-	// whichever request led the compile.
+	// list its entry holds, recorded under the label of whichever request
+	// led the compile.
 	opt.TraceLabel = label
 	if incremental {
 		opt.UnitMemo = s.memo
 	}
-	key := suite.KeyOf(req.Source, opt)
-	compileFn, pf := s.compileFnFor(key, req.Source, opt)
-	res, out, err := s.cache.CompileOutcome(ctx, key, prog, opt, compileFn)
+	key := core.KeyOf(req.Source, opt)
+	e, sv, err := s.compileCached(ctx, key, req.Source, opt)
 	if err != nil {
-		s.obs.Count("server_compile_errors", 1)
 		return nil, compileFailureFrom(err)
 	}
-	cached := out.Kind != telemetry.OutcomeCold
-	if cached {
-		s.obs.Count("server_cache_hits", 1)
-	}
+	res := e.res
 	// Unit-reuse counts are meaningful only when this request's own
 	// compile ran against the memo; a whole-program cache hit or a ride
 	// on another request's compile reports the stronger outcome instead.
-	outcome := out.Kind
-	leaderID := leaderFor(out, reqID)
 	unitsReused, unitsRecompiled := 0, 0
-	if incremental && !cached {
+	if incremental && !sv.cached {
 		unitsReused, unitsRecompiled = res.UnitsReused, res.UnitsRecompiled
 		if unitsReused > 0 {
-			outcome = telemetry.OutcomeIncrementalHit
+			sv.outcome = telemetry.OutcomeIncrementalHit
 			s.obs.Count("server_incremental_hits", 1)
-		}
-	}
-	// A cold outcome whose leader was satisfied by a peer fill reports
-	// the fill's outcome instead: this node skipped the compile, and
-	// the entry's true leader lives on the owner.
-	if out.Kind == telemetry.OutcomeCold && pf != nil && pf.outcome != "" {
-		outcome = pf.outcome
-		cached = true
-		if pf.leaderID != "" && pf.leaderID != reqID {
-			leaderID = pf.leaderID
 		}
 	}
 	resp := &CompileResponse{
 		Label:           label,
 		RequestID:       reqID,
-		Outcome:         outcome,
-		LeaderID:        leaderID,
-		Cached:          cached,
+		Outcome:         sv.outcome,
+		LeaderID:        sv.leaderID,
+		Cached:          sv.cached,
 		ParallelLoops:   res.ParallelLoops(),
 		Incremental:     incremental,
 		UnitsReused:     unitsReused,
 		UnitsRecompiled: unitsRecompiled,
 		Verdicts:        verdicts(res),
-		Decisions:       obsv.Relabel(out.Decisions, label),
+		Decisions:       obsv.Relabel(e.decisions, label),
 		Report:          passReports(res),
 	}
 	if incremental {
 		resp.ProgramHash = key.SourceHash()
 	}
 	return resp, nil
-}
-
-// leaderFor returns the foreign leader ID to report for a cache
-// outcome: empty when this request was itself the leader (its own ID
-// would be redundant) or when the leader carried no ID.
-func leaderFor(out suite.CacheOutcome, reqID string) string {
-	if out.Kind == telemetry.OutcomeCold || out.LeaderID == reqID {
-		return ""
-	}
-	return out.LeaderID
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -523,25 +491,25 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if label == "" {
 		label = "prog"
 	}
-	prog := suite.Program{Name: label, Source: req.Source}
 	reqID := telemetry.RequestID(ctx)
 	opt := core.PolarisOptions()
 	opt.TraceLabel = label
-	_, out, err := s.cache.CompileOutcome(ctx, suite.KeyOf(req.Source, opt), prog, opt, compileSource(req.Source))
+	e, out, err := s.compiled(ctx, core.KeyOf(req.Source, opt), req.Source, opt, compileSource(req.Source))
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)
 		return
 	}
-	setOutcome(ctx, out.Kind, leaderFor(out, reqID), out.Kind != telemetry.OutcomeCold)
+	sv := servedBy(out, reqID)
+	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
 
 	resp := ExplainResponse{
 		Label:     label,
 		RequestID: reqID,
-		Outcome:   out.Kind,
-		LeaderID:  leaderFor(out, reqID),
+		Outcome:   sv.outcome,
+		LeaderID:  sv.leaderID,
 	}
-	finals := obsv.FinalDecisions(out.Decisions, "")
+	finals := obsv.FinalDecisions(e.decisions, "")
 	if req.Loop != "" {
 		if line := obsv.ExplainLoop(finals, req.Loop); line != "" {
 			resp.Lines = []string{line}
@@ -559,8 +527,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Verbose || req.Loop != "" {
 		// The trail is this response's own copy, so it takes the label
-		// in place; out.Decisions is the entry's and is only read.
-		for _, d := range out.Decisions {
+		// in place; e.decisions is the entry's and is only read.
+		for _, d := range e.decisions {
 			if d.Loop == "" || !obsv.MatchLoop(d, req.Loop) {
 				continue
 			}
@@ -578,39 +546,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write([]byte("ok\n"))
-}
-
-// compileSource is the cache-leader compile function for one POSTed
-// source: parse (typed *parser.ParseError on failure) then run the
-// pipeline under the leader's context.
-func compileSource(src string) func(context.Context, core.Options) (*core.Result, error) {
-	return func(ctx context.Context, opt core.Options) (*core.Result, error) {
-		prog, err := parser.ParseProgram(src)
-		if err != nil {
-			return nil, err
-		}
-		// The program was just parsed (ParseProgram checked it) and is
-		// used for nothing else, and cached Results are shared read-only
-		// across requests anyway — so hand over ownership and skip the
-		// driver's defensive re-check and clone.
-		opt.TrustedInput = true
-		return core.CompileContext(ctx, prog, opt)
-	}
-}
-
-// baselineSource is the cache-leader function for a baseline (PFA)
-// compilation of one POSTed source.
-func baselineSource(src string) func(context.Context) (*pfa.Result, error) {
-	return func(ctx context.Context) (*pfa.Result, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		prog, err := parser.ParseProgram(src)
-		if err != nil {
-			return nil, err
-		}
-		return pfa.Compile(prog)
-	}
 }
 
 func verdicts(res *core.Result) []LoopVerdict {

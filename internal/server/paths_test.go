@@ -12,6 +12,7 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/fabric"
+	"polaris/internal/obsv"
 	"polaris/internal/suite"
 	"polaris/internal/telemetry"
 )
@@ -92,11 +93,11 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 	add("cache_hit", lead, "cache_hit", compileAs(t, solo.Handler(), "", src, lead))
 	// The entry's list went out three times and must read as recorded.
 	opt := core.PolarisOptions()
-	_, co, err := solo.cache.CompileOutcome(context.Background(), suite.KeyOf(src, opt), suite.Program{Source: src}, opt, compileSource(src))
+	e, _, err := solo.compiled(context.Background(), core.KeyOf(src, opt), src, opt, compileSource(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range co.Decisions {
+	for _, d := range e.decisions {
 		if d.Label != lead {
 			t.Errorf("the entry's own list now carries label %q (recorded under %q): a response wrote it", d.Label, lead)
 			break
@@ -111,8 +112,8 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 		opt := core.PolarisOptions()
 		opt.TraceLabel = lead
 		ctx := telemetry.WithRequestID(context.Background(), "path-leader")
-		_, _, err := co2.cache.CompileOutcome(ctx, suite.KeyOf(src, opt), suite.Program{Source: src}, opt,
-			func(ctx context.Context, o core.Options) (*core.Result, error) {
+		_, _, err := co2.compiled(ctx, core.KeyOf(src, opt), src, opt,
+			func(ctx context.Context, o core.Options) (*core.Result, []obsv.Decision, error) {
 				close(started)
 				<-release
 				return compileSource(src)(ctx, o)

@@ -10,7 +10,7 @@
 //	→ admission (worker pool + fixed-depth queue, overflow shed with 429
 //	  and a drain-rate-derived Retry-After)
 //	→ per-request deadline (propagates through passes.Context)
-//	→ singleflight bounded-LRU compile cache (suite.Cache; the request
+//	→ singleflight bounded-LRU compile cache (a store.Store; the request
 //	  ID rides the context so coalesced waiters can name their leader)
 //	→ instrumented pass manager (panics isolated into *core.PipelineError)
 //	→ the entry's decision provenance, handed out read-only and labelled
@@ -44,7 +44,7 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/fabric"
 	"polaris/internal/obsv"
-	"polaris/internal/suite"
+	"polaris/internal/store"
 	"polaris/internal/telemetry"
 )
 
@@ -142,11 +142,11 @@ func (c *Config) applyDefaults() {
 // in-flight requests.
 type Server struct {
 	cfg       Config
-	obs       *obsv.Observer // shared expvar-style counters
-	cache     *suite.Cache
-	memo      *core.UnitMemo       // per-unit incremental memo (?incremental=1)
-	tel       *telemetry.Registry  // per-(route, outcome) latency histograms
-	queueWait *telemetry.Histogram // admission wait per admitted request
+	obs       *obsv.Observer                      // shared expvar-style counters
+	cache     *store.Store[cacheKey, *cacheEntry] // compiled and baseline entries under one bound
+	memo      *core.UnitMemo                      // per-unit incremental memo (?incremental=1)
+	tel       *telemetry.Registry                 // per-(route, outcome) latency histograms
+	queueWait *telemetry.Histogram                // admission wait per admitted request
 	accessLog *slog.Logger
 
 	slots        chan struct{} // worker slots (admission)
@@ -179,7 +179,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		obs:       obsv.NewObserver(),
-		cache:     suite.NewCache(suite.CacheLimits{MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes}),
+		cache:     store.New[cacheKey, *cacheEntry](store.Limits{MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes}),
 		memo:      core.NewUnitMemo(core.MemoLimits{MaxEntries: cfg.UnitMemoEntries, MaxBytes: cfg.UnitMemoBytes}),
 		tel:       telemetry.NewRegistry(),
 		queueWait: &telemetry.Histogram{},
@@ -217,7 +217,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Observer() *obsv.Observer { return s.obs }
 
 // CacheStats snapshots the shared compile cache.
-func (s *Server) CacheStats() suite.CacheStats { return s.cache.Stats() }
+func (s *Server) CacheStats() store.Stats { return s.cache.Stats() }
 
 // MemoStats snapshots the per-unit incremental memo.
 func (s *Server) MemoStats() core.MemoStats { return s.memo.Stats() }

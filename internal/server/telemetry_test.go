@@ -18,7 +18,8 @@ import (
 	"time"
 
 	"polaris/internal/core"
-	"polaris/internal/suite"
+	"polaris/internal/obsv"
+	"polaris/internal/store"
 	"polaris/internal/telemetry"
 )
 
@@ -188,18 +189,18 @@ func TestRequestIDEchoAndAccessLog(t *testing.T) {
 // name the leader.
 func TestCoalescedWaitersNameLeader(t *testing.T) {
 	s := New(Config{Workers: 16, QueueDepth: 16})
-	prog := suite.Program{Name: "lead", Source: saxpySrc}
+	opt := core.PolarisOptions()
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	leaderDone := make(chan suite.CacheOutcome, 1)
+	leaderDone := make(chan store.Outcome, 1)
 	go func() {
 		ctx := telemetry.WithRequestID(context.Background(), "leader-req")
-		_, out, err := s.cache.CompileOutcome(ctx, suite.KeyOf(prog.Source, core.PolarisOptions()), prog, core.PolarisOptions(),
-			func(ctx context.Context, o core.Options) (*core.Result, error) {
+		_, out, err := s.compiled(ctx, core.KeyOf(saxpySrc, opt), saxpySrc, opt,
+			func(ctx context.Context, o core.Options) (*core.Result, []obsv.Decision, error) {
 				close(started)
 				<-release
-				return core.CompileContext(ctx, prog.Parse(), o)
+				return compileSource(saxpySrc)(ctx, o)
 			})
 		if err != nil {
 			t.Errorf("leader compile: %v", err)

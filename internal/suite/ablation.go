@@ -81,13 +81,13 @@ func (r *Runner) Ablation(ctx context.Context, procs int) ([]AblationRow, error)
 		if mods[ci] != nil {
 			mods[ci](&opt)
 		}
-		compiled, err := r.cache.Compile(ctx, p, opt, func(ctx context.Context, opt core.Options) (*core.Result, error) {
+		compiled, _, err := r.cache.compile(ctx, p, opt, func(ctx context.Context, opt core.Options) (*core.Result, error) {
 			return core.CompileContext(ctx, p.Parse(), opt)
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		in := interp.New(execProgram(compiled), machine.Default().WithProcessors(procs))
+		in := interp.New(compiled.res.Program.Clone(), machine.Default().WithProcessors(procs))
 		in.Parallel = true
 		if err := in.RunContext(ctx); err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)

@@ -21,6 +21,7 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/obsv"
 	"polaris/internal/pfa"
+	"polaris/internal/store"
 )
 
 // waitFor polls cond until true or the deadline passes.
@@ -41,7 +42,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // leader's context.Canceled — it retries, becomes the new leader, and
 // succeeds.
 func TestCacheWaiterSurvivesCanceledLeader(t *testing.T) {
-	c := newCompileCache()
+	c := newCache()
 	p, _ := ByName("trfd")
 	opt := core.PolarisOptions()
 
@@ -50,7 +51,7 @@ func TestCacheWaiterSurvivesCanceledLeader(t *testing.T) {
 	defer cancelLeader()
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.Compile(leaderCtx, p, opt, func(ctx context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := c.compile(leaderCtx, p, opt, func(ctx context.Context, opt core.Options) (*core.Result, error) {
 			close(leaderStarted)
 			<-ctx.Done() // "mid-compile": block until canceled
 			return nil, ctx.Err()
@@ -62,7 +63,7 @@ func TestCacheWaiterSurvivesCanceledLeader(t *testing.T) {
 	var waiterCompiles int32
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := c.Compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := c.compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 			atomic.AddInt32(&waiterCompiles, 1)
 			return core.Compile(p.Parse(), opt)
 		})
@@ -90,7 +91,7 @@ func TestCacheWaiterSurvivesCanceledLeader(t *testing.T) {
 // canceled while the leader is still compiling must return its own
 // ctx.Err() promptly instead of blocking on the leader.
 func TestCacheWaiterHonorsOwnContext(t *testing.T) {
-	c := newCompileCache()
+	c := newCache()
 	p, _ := ByName("trfd")
 	opt := core.PolarisOptions()
 
@@ -98,7 +99,7 @@ func TestCacheWaiterHonorsOwnContext(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.Compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := c.compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 			close(leaderStarted)
 			<-release
 			return core.Compile(p.Parse(), opt)
@@ -110,7 +111,7 @@ func TestCacheWaiterHonorsOwnContext(t *testing.T) {
 	waiterCtx, cancelWaiter := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := c.Compile(waiterCtx, p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := c.compile(waiterCtx, p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 			return core.Compile(p.Parse(), opt)
 		})
 		waiterDone <- err
@@ -138,13 +139,13 @@ func TestBaselineAndSerialWaitersSurviveCanceledLeader(t *testing.T) {
 	p, _ := ByName("trfd")
 
 	t.Run("baseline", func(t *testing.T) {
-		c := newCompileCache()
+		c := newCache()
 		leaderStarted := make(chan struct{})
 		leaderCtx, cancelLeader := context.WithCancel(context.Background())
 		defer cancelLeader()
 		leaderDone := make(chan error, 1)
 		go func() {
-			_, err := c.CompileBaseline(leaderCtx, p, func(ctx context.Context) (*pfa.Result, error) {
+			_, _, err := c.baseline(leaderCtx, p, func(ctx context.Context) (*pfa.Result, error) {
 				close(leaderStarted)
 				<-ctx.Done()
 				return nil, ctx.Err()
@@ -154,7 +155,7 @@ func TestBaselineAndSerialWaitersSurviveCanceledLeader(t *testing.T) {
 		<-leaderStarted
 		waiterDone := make(chan error, 1)
 		go func() {
-			_, err := c.CompileBaseline(context.Background(), p, func(ctx context.Context) (*pfa.Result, error) {
+			_, _, err := c.baseline(context.Background(), p, func(ctx context.Context) (*pfa.Result, error) {
 				return pfa.Compile(p.Parse())
 			})
 			waiterDone <- err
@@ -170,13 +171,13 @@ func TestBaselineAndSerialWaitersSurviveCanceledLeader(t *testing.T) {
 	})
 
 	t.Run("serial", func(t *testing.T) {
-		c := newCompileCache()
+		c := newCache()
 		leaderStarted := make(chan struct{})
 		leaderCtx, cancelLeader := context.WithCancel(context.Background())
 		defer cancelLeader()
 		leaderDone := make(chan error, 1)
 		go func() {
-			_, _, err := c.SerialRun(leaderCtx, p, func(ctx context.Context) (int64, float64, error) {
+			_, _, _, err := c.serial(leaderCtx, p, func(ctx context.Context) (int64, float64, error) {
 				close(leaderStarted)
 				<-ctx.Done()
 				return 0, 0, ctx.Err()
@@ -186,7 +187,7 @@ func TestBaselineAndSerialWaitersSurviveCanceledLeader(t *testing.T) {
 		<-leaderStarted
 		waiterDone := make(chan error, 1)
 		go func() {
-			_, _, err := c.SerialRun(context.Background(), p, func(ctx context.Context) (int64, float64, error) {
+			_, _, _, err := c.serial(context.Background(), p, func(ctx context.Context) (int64, float64, error) {
 				return 1, 2.5, nil
 			})
 			waiterDone <- err
@@ -202,9 +203,15 @@ func TestBaselineAndSerialWaitersSurviveCanceledLeader(t *testing.T) {
 	})
 }
 
+// boundedCache is the Runner's cache under a bound, so eviction can be
+// driven against the replay only the Runner does.
+func boundedCache(lim store.Limits) *cache {
+	return &cache{store.New[cacheKey, *cacheEntry](lim)}
+}
+
 // liveBytes pairs LiveBytes with a live-entry count for the bound
 // assertions below.
-func (c *Cache) liveBytes() (int64, int) {
+func (c *cache) liveBytes() (int64, int) {
 	return c.LiveBytes(), c.Stats().Entries
 }
 
@@ -214,12 +221,12 @@ func (c *Cache) liveBytes() (int64, int) {
 // keys recompile on the next request.
 func TestCacheLRUBounds(t *testing.T) {
 	const capEntries = 4
-	c := NewCache(CacheLimits{MaxEntries: capEntries})
+	c := boundedCache(store.Limits{MaxEntries: capEntries})
 	progs := All()
 	var compiles int32
 	compileOne := func(p Program) {
 		t.Helper()
-		_, err := c.Compile(context.Background(), p, core.PolarisOptions(), func(_ context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := c.compile(context.Background(), p, core.PolarisOptions(), func(_ context.Context, opt core.Options) (*core.Result, error) {
 			atomic.AddInt32(&compiles, 1)
 			return core.Compile(p.Parse(), opt)
 		})
@@ -260,9 +267,9 @@ func TestCacheLRUBounds(t *testing.T) {
 	}
 	// A byte bound below any entry's size still admits the newest entry
 	// but evicts everything else.
-	tiny := NewCache(CacheLimits{MaxBytes: 1})
+	tiny := boundedCache(store.Limits{MaxBytes: 1})
 	compileTiny := func(p Program) {
-		_, err := tiny.Compile(context.Background(), p, core.PolarisOptions(), func(_ context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := tiny.compile(context.Background(), p, core.PolarisOptions(), func(_ context.Context, opt core.Options) (*core.Result, error) {
 			return core.Compile(p.Parse(), opt)
 		})
 		if err != nil {
@@ -312,7 +319,7 @@ func TestCacheEvictionVsReplayRace(t *testing.T) {
 	}
 	want := countDecisions(ref.Decisions())
 
-	c := NewCache(CacheLimits{MaxEntries: 1})
+	c := boundedCache(store.Limits{MaxEntries: 1})
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make(chan string, 2*n)
@@ -321,7 +328,7 @@ func TestCacheEvictionVsReplayRace(t *testing.T) {
 		// Churn: compile b, evicting a's completed entry.
 		go func() {
 			defer wg.Done()
-			_, err := c.Compile(context.Background(), b, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+			_, _, err := c.compile(context.Background(), b, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 				return core.Compile(b.Parse(), opt)
 			})
 			if err != nil {
@@ -337,7 +344,7 @@ func TestCacheEvictionVsReplayRace(t *testing.T) {
 			myOpt.TraceLabel = string(rune('a'+i%26)) + "-lbl"
 			// Unique per goroutine: index-stamped label.
 			myOpt.TraceLabel = myOpt.TraceLabel + "#" + string(rune('0'+i/26))
-			_, err := c.Compile(context.Background(), a, myOpt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+			_, _, err := c.compile(context.Background(), a, myOpt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 				return core.Compile(a.Parse(), opt)
 			})
 			if err != nil {

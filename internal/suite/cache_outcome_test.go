@@ -10,6 +10,7 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/obsv"
 	"polaris/internal/pfa"
+	"polaris/internal/store"
 	"polaris/internal/telemetry"
 )
 
@@ -20,7 +21,7 @@ import (
 // "leader-A"; a request after completion reports cache_hit and still
 // names the leader that did the work.
 func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
-	c := newCompileCache()
+	c := newCache()
 	prog, ok := ByName("trfd")
 	if !ok {
 		t.Fatal("trfd missing from suite")
@@ -39,10 +40,10 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 		}
 	}
 
-	leaderDone := make(chan CacheOutcome, 1)
+	leaderDone := make(chan store.Outcome, 1)
 	go func() {
 		ctx := telemetry.WithRequestID(context.Background(), "leader-A")
-		_, out, err := c.CompileOutcome(ctx, KeyOf(prog.Source, opt), prog, opt, compile(true))
+		_, out, err := c.compile(ctx, prog, opt, compile(true))
 		if err != nil {
 			t.Errorf("leader compile: %v", err)
 		}
@@ -55,7 +56,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 	// entry — only then release the leader, so all 8 are deterministic
 	// coalesced waiters, not cache hits.
 	const waiters = 8
-	outs := make([]CacheOutcome, waiters)
+	outs := make([]store.Outcome, waiters)
 	errs := make([]error, waiters)
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
@@ -63,7 +64,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ctx := telemetry.WithRequestID(context.Background(), fmt.Sprintf("waiter-%d", i))
-			_, outs[i], errs[i] = c.CompileOutcome(ctx, KeyOf(prog.Source, opt), prog, opt, compile(false))
+			_, outs[i], errs[i] = c.compile(ctx, prog, opt, compile(false))
 		}(i)
 	}
 	for c.Stats().Hits < waiters {
@@ -90,7 +91,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 	// After completion: a fresh request is a cache_hit that still names
 	// the leader which performed the compile.
 	ctx := telemetry.WithRequestID(context.Background(), "late-B")
-	_, out, err := c.CompileOutcome(ctx, KeyOf(prog.Source, opt), prog, opt, compile(false))
+	_, out, err := c.compile(ctx, prog, opt, compile(false))
 	if err != nil {
 		t.Fatalf("late hit: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestCompileOutcomeColdHitCoalesced(t *testing.T) {
 
 	// No request ID on the context → empty leader ID, same outcomes.
 	other := Program{Name: "other", Source: "C anon\n" + prog.Source}
-	_, out, err = c.CompileOutcome(context.Background(), KeyOf(other.Source, opt), other, opt, compile(false))
+	_, out, err = c.compile(context.Background(), other, opt, compile(false))
 	if err != nil {
 		t.Fatalf("anonymous compile: %v", err)
 	}
@@ -119,13 +120,13 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 	}
 
 	t.Run("baseline", func(t *testing.T) {
-		c := newCompileCache()
+		c := newCache()
 		started := make(chan struct{})
 		release := make(chan struct{})
-		leaderOut := make(chan CacheOutcome, 1)
+		leaderOut := make(chan store.Outcome, 1)
 		go func() {
 			ctx := telemetry.WithRequestID(context.Background(), "base-leader")
-			_, out, err := c.CompileBaselineOutcome(ctx, prog, func(ctx context.Context) (*pfa.Result, error) {
+			_, out, err := c.baseline(ctx, prog, func(ctx context.Context) (*pfa.Result, error) {
 				close(started)
 				<-release
 				return pfa.Compile(prog.Parse())
@@ -136,10 +137,10 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 			leaderOut <- out
 		}()
 		<-started
-		waiterOut := make(chan CacheOutcome, 1)
+		waiterOut := make(chan store.Outcome, 1)
 		go func() {
 			ctx := telemetry.WithRequestID(context.Background(), "base-waiter")
-			_, out, err := c.CompileBaselineOutcome(ctx, prog, func(ctx context.Context) (*pfa.Result, error) {
+			_, out, err := c.baseline(ctx, prog, func(ctx context.Context) (*pfa.Result, error) {
 				t.Error("waiter ran the baseline compile; singleflight broken")
 				return pfa.Compile(prog.Parse())
 			})
@@ -158,7 +159,7 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 		if out := <-waiterOut; out.Kind != telemetry.OutcomeCoalesced || out.LeaderID != "base-leader" {
 			t.Errorf("waiter outcome = %+v", out)
 		}
-		_, out, err := c.CompileBaselineOutcome(context.Background(), prog, func(ctx context.Context) (*pfa.Result, error) {
+		_, out, err := c.baseline(context.Background(), prog, func(ctx context.Context) (*pfa.Result, error) {
 			return pfa.Compile(prog.Parse())
 		})
 		if err != nil {
@@ -170,13 +171,13 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 	})
 
 	t.Run("serial", func(t *testing.T) {
-		c := newCompileCache()
+		c := newCache()
 		started := make(chan struct{})
 		release := make(chan struct{})
-		leaderOut := make(chan CacheOutcome, 1)
+		leaderOut := make(chan store.Outcome, 1)
 		go func() {
 			ctx := telemetry.WithRequestID(context.Background(), "ser-leader")
-			_, _, out, err := c.SerialRunOutcome(ctx, prog, func(ctx context.Context) (int64, float64, error) {
+			_, _, out, err := c.serial(ctx, prog, func(ctx context.Context) (int64, float64, error) {
 				close(started)
 				<-release
 				return 42, 1.5, nil
@@ -187,10 +188,10 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 			leaderOut <- out
 		}()
 		<-started
-		waiterOut := make(chan CacheOutcome, 1)
+		waiterOut := make(chan store.Outcome, 1)
 		go func() {
 			ctx := telemetry.WithRequestID(context.Background(), "ser-waiter")
-			cycles, sum, out, err := c.SerialRunOutcome(ctx, prog, func(ctx context.Context) (int64, float64, error) {
+			cycles, sum, out, err := c.serial(ctx, prog, func(ctx context.Context) (int64, float64, error) {
 				t.Error("waiter ran the serial execution; singleflight broken")
 				return 0, 0, nil
 			})
@@ -209,7 +210,7 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 		if out := <-waiterOut; out.Kind != telemetry.OutcomeCoalesced || out.LeaderID != "ser-leader" {
 			t.Errorf("waiter outcome = %+v", out)
 		}
-		_, _, out, err := c.SerialRunOutcome(context.Background(), prog, func(ctx context.Context) (int64, float64, error) {
+		_, _, out, err := c.serial(context.Background(), prog, func(ctx context.Context) (int64, float64, error) {
 			return 0, 0, nil
 		})
 		if err != nil {
@@ -222,50 +223,46 @@ func TestBaselineAndSerialOutcomes(t *testing.T) {
 }
 
 // TestOutcomeHandsOutTheEntryList: the cold lookup and every hit
-// receive the one list the entry holds — the leader's own capture,
-// clipped, not a copy — and a lookup that brings no observer never
-// builds the entry's replay bookkeeping. A later lookup that does bring
-// one (the Runner's use) still gets its replay, leader's label included,
-// since nothing was ever emitted to it.
+// receive the one entry, and so the one list it holds — the leader's
+// own capture, clipped, not a copy — and a lookup that brings no
+// observer never builds the entry's replay bookkeeping. A later lookup
+// that does bring one (the Runner's use) still gets its replay, leader's
+// label included, since nothing was ever emitted to it.
 func TestOutcomeHandsOutTheEntryList(t *testing.T) {
-	c := newCompileCache()
+	c := newCache()
 	prog, _ := ByName("trfd")
 	opt := core.PolarisOptions()
 	opt.TraceLabel = "lead"
-	key := KeyOf(prog.Source, opt)
 	compiles := 0
 	fn := func(ctx context.Context, o core.Options) (*core.Result, error) {
 		compiles++
 		return core.CompileContext(ctx, prog.Parse(), o)
 	}
-	_, cold, err := c.CompileOutcome(context.Background(), key, prog, opt, fn)
+	cold, _, err := c.compile(context.Background(), prog, opt, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Decisions) == 0 || cap(cold.Decisions) != len(cold.Decisions) {
-		t.Fatalf("cold outcome carries %d decisions in an array of %d", len(cold.Decisions), cap(cold.Decisions))
+	if len(cold.decisions) == 0 || cap(cold.decisions) != len(cold.decisions) {
+		t.Fatalf("cold outcome carries %d decisions in an array of %d", len(cold.decisions), cap(cold.decisions))
 	}
 	hitOpt := opt
 	hitOpt.TraceLabel = "hit"
 	for i := 0; i < 3; i++ {
-		_, hit, err := c.CompileOutcome(context.Background(), key, prog, hitOpt, fn)
+		hit, out, err := c.compile(context.Background(), prog, hitOpt, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit.Kind != telemetry.OutcomeCacheHit || &hit.Decisions[0] != &cold.Decisions[0] || len(hit.Decisions) != len(cold.Decisions) {
-			t.Fatalf("hit %d: outcome %q with a list of its own", i, hit.Kind)
+		if out.Kind != telemetry.OutcomeCacheHit || &hit.decisions[0] != &cold.decisions[0] || len(hit.decisions) != len(cold.decisions) {
+			t.Fatalf("hit %d: outcome %q with a list of its own", i, out.Kind)
 		}
 	}
-	for _, d := range cold.Decisions {
+	for _, d := range cold.decisions {
 		if d.Label != "lead" {
 			t.Fatalf("the entry's list carries label %q, recorded under %q", d.Label, "lead")
 		}
 	}
-	c.mu.Lock()
-	e := c.compiled[key]
-	c.mu.Unlock()
-	if e.emitted != nil {
-		t.Errorf("lookups without an observer built a replay set of %d labels", len(e.emitted))
+	if cold.emitted != nil {
+		t.Errorf("lookups without an observer built a replay set of %d labels", len(cold.emitted))
 	}
 	if compiles != 1 {
 		t.Fatalf("compiled %d times", compiles)
@@ -275,11 +272,11 @@ func TestOutcomeHandsOutTheEntryList(t *testing.T) {
 	withObs := opt
 	withObs.Observer = obs
 	for i := 0; i < 2; i++ { // the second is deduplicated
-		if _, _, err := c.CompileOutcome(context.Background(), key, prog, withObs, fn); err != nil {
+		if _, _, err := c.compile(context.Background(), prog, withObs, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(obs.Decisions()); got != len(cold.Decisions) {
-		t.Errorf("an observer brought to a resident entry received %d records, want %d once", got, len(cold.Decisions))
+	if got := len(obs.Decisions()); got != len(cold.decisions) {
+		t.Errorf("an observer brought to a resident entry received %d records, want %d once", got, len(cold.decisions))
 	}
 }

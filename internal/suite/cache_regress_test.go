@@ -31,7 +31,7 @@ func TestCacheHitReplaysDecisions(t *testing.T) {
 		t.Helper()
 		opt := r.polarisOptions(label)
 		var compiles int32
-		_, err := r.cache.Compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+		_, _, err := r.cache.compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 			atomic.AddInt32(&compiles, 1)
 			return core.Compile(p.Parse(), opt)
 		})
@@ -118,7 +118,7 @@ func TestCacheConcurrentMissSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, err := r.cache.Compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+			_, _, err := r.cache.compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 				atomic.AddInt32(&compiles, 1)
 				return core.Compile(p.Parse(), opt)
 			})

@@ -32,11 +32,11 @@ type Runner struct {
 	// under -j N concurrency.
 	Observer *obsv.Observer
 
-	cache *Cache
+	cache *cache
 }
 
 // NewRunner returns a Runner with an empty compile cache.
-func NewRunner() *Runner { return &Runner{cache: newCompileCache()} }
+func NewRunner() *Runner { return &Runner{cache: newCache()} }
 
 func (r *Runner) polarisOptions(label string) core.Options {
 	opt := core.PolarisOptions()
@@ -142,7 +142,7 @@ func (r *Runner) Figure7(ctx context.Context, procs int) ([]Fig7Row, error) {
 
 // serialTime runs a program serially, memoized by source hash.
 func (r *Runner) serialTime(ctx context.Context, p Program) (int64, float64, error) {
-	return r.cache.SerialRun(ctx, p, func(ctx context.Context) (int64, float64, error) {
+	cycles, sum, _, err := r.cache.serial(ctx, p, func(ctx context.Context) (int64, float64, error) {
 		in := interp.New(p.Parse(), machine.Default())
 		if err := in.RunContext(ctx); err != nil {
 			return 0, 0, fmt.Errorf("%s: serial run: %w", p.Name, err)
@@ -150,6 +150,7 @@ func (r *Runner) serialTime(ctx context.Context, p Program) (int64, float64, err
 		sum, _ := in.Probe("OUT", "RESULT")
 		return in.Time(), sum, nil
 	})
+	return cycles, sum, err
 }
 
 // runOutcome is one execution's measurements.
@@ -168,15 +169,15 @@ func (r *Runner) runOne(ctx context.Context, p Program, procs int, polaris, vali
 	model := machine.Default().WithProcessors(procs)
 	var prog *ir.Program
 	if polaris {
-		res, err := r.cache.Compile(ctx, p, r.polarisOptions(p.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
+		e, _, err := r.cache.compile(ctx, p, r.polarisOptions(p.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
 			return core.CompileContext(ctx, p.Parse(), opt)
 		})
 		if err != nil {
 			return runOutcome{}, fmt.Errorf("%s: compile: %w", p.Name, err)
 		}
-		prog = execProgram(res)
+		prog = e.res.Program.Clone()
 	} else {
-		res, err := r.cache.CompileBaseline(ctx, p, func(ctx context.Context) (*pfa.Result, error) {
+		res, _, err := r.cache.baseline(ctx, p, func(ctx context.Context) (*pfa.Result, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -228,13 +229,13 @@ func (r *Runner) Figure6(ctx context.Context, maxP int) ([]Fig6Row, error) {
 	rows := make([]Fig6Row, maxP)
 	err = forEach(ctx, r.Workers, maxP, func(ctx context.Context, i int) error {
 		procs := i + 1
-		compiled, err := r.cache.Compile(ctx, p, r.polarisOptions(p.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
+		compiled, _, err := r.cache.compile(ctx, p, r.polarisOptions(p.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
 			return core.CompileContext(ctx, p.Parse(), opt)
 		})
 		if err != nil {
 			return err
 		}
-		in := interp.New(execProgram(compiled), machine.Default().WithProcessors(procs))
+		in := interp.New(compiled.res.Program.Clone(), machine.Default().WithProcessors(procs))
 		in.Parallel = true
 		if err := in.RunContext(ctx); err != nil {
 			return err
@@ -254,13 +255,13 @@ func (r *Runner) Figure6(ctx context.Context, maxP int) ([]Fig6Row, error) {
 		}
 		// Potential slowdown: a variant whose invocations all fail —
 		// (T_seq + T_pdt) / T_seq at the loop level.
-		slowCompiled, err := r.cache.Compile(ctx, failingTrack, r.polarisOptions(failingTrack.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
+		slowCompiled, _, err := r.cache.compile(ctx, failingTrack, r.polarisOptions(failingTrack.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
 			return core.CompileContext(ctx, failingTrack.Parse(), opt)
 		})
 		if err != nil {
 			return err
 		}
-		slowIn := interp.New(execProgram(slowCompiled), machine.Default().WithProcessors(procs))
+		slowIn := interp.New(slowCompiled.res.Program.Clone(), machine.Default().WithProcessors(procs))
 		slowIn.Parallel = true
 		if err := slowIn.RunContext(ctx); err != nil {
 			return err

@@ -7,65 +7,65 @@ import (
 	"polaris/internal/core"
 )
 
-// optKeyInstrumentation lists the core.Options fields that do not
-// affect the compiled program and are therefore deliberately excluded
-// from the cache fingerprint. Everything else is a technique-selection
-// field and MUST change optKey when toggled — otherwise two distinct
-// configurations would alias one cache entry and the suite would
-// silently serve the wrong compilation.
-var optKeyInstrumentation = map[string]bool{
-	"Stats":      true,
-	"Trace":      true,
-	"TraceLabel": true,
-	"Observer":   true,
-	// UnitWorkers only schedules the per-unit passes across a worker
-	// pool; the parallel schedule is observationally identical to the
-	// serial one (verdicts, decisions, and trace are byte-for-byte the
-	// same — see core.forEachUnit), so it must not split the cache.
-	"UnitWorkers": true,
-	// UnitMemo changes where per-unit pass results come from, never
-	// what they are: clean units replay records memoized under a hash
-	// that itself fingerprints every technique bool
-	// (core.incrFingerprint, guarded by
-	// core.TestUnitFingerprintCoversOptions), so two technique
-	// configurations can never alias a memo entry, and the incremental
-	// differential test (core.TestIncrementalDifferential) proves the
-	// compiled output byte-identical with and without a memo. It is
-	// therefore observation-only for the whole-program cache, like
-	// UnitWorkers.
-	"UnitMemo": true,
-	// TrustedInput skips the driver's defensive input re-check and
-	// unit clones when the caller hands over ownership of a freshly
-	// parsed program; the pass pipeline then runs unchanged on the same
-	// IR, so the compiled output is byte-identical either way (the
-	// incremental differential test compiles with it on one side and off
-	// the other).
+// optKeyExcluded lists the Options fields the Runner's compile key
+// ignores because they cannot change the compiled program: a Figure 6
+// run that brings an observer or a trace must hit the entry a plain run
+// filled, and have the recorded provenance replayed to it.
+var optKeyExcluded = map[string]bool{
+	"Stats":        true,
+	"Trace":        true,
+	"TraceLabel":   true,
+	"Observer":     true,
+	"UnitWorkers":  true,
+	"UnitMemo":     true,
 	"TrustedInput": true,
 }
 
-// TestOptKeyCoversOptions fails when core.Options gains a
-// technique-selection field that optKey does not fingerprint. Add new
-// technique flags to optKey (and bump the cache key), or add genuine
-// instrumentation fields to the allowlist above.
+// TestOptKeyCoversOptions fails when the suite cache's compile key
+// would let two technique configurations alias one entry — every
+// ablation column of Figure 3 must compile separately — or when an
+// instrumentation field splits entries that should be shared. Every
+// field not excluded above must be a bool whose flip changes the key;
+// every excluded field set to a non-zero value must leave it alone.
 func TestOptKeyCoversOptions(t *testing.T) {
+	progs := All()
+	keyOf := func(p Program, o core.Options) cacheKey { return cacheKey{'c', core.KeyOf(p.Source, o)} }
 	base := core.PolarisOptions()
-	baseKey := optKey(base)
+	baseKey := keyOf(progs[0], base)
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
-		if optKeyInstrumentation[f.Name] {
+		mut := base
+		fv := reflect.ValueOf(&mut).Elem().Field(i)
+		if optKeyExcluded[f.Name] {
+			switch f.Type.Kind() {
+			case reflect.Bool:
+				fv.SetBool(!fv.Bool())
+			case reflect.Int:
+				fv.SetInt(fv.Int() + 7)
+			case reflect.String:
+				fv.SetString(fv.String() + "x")
+			case reflect.Ptr:
+				fv.Set(reflect.New(f.Type.Elem()))
+			default:
+				continue
+			}
+			if keyOf(progs[0], mut) != baseKey {
+				t.Errorf("core.Options.%s: instrumentation field changes the suite compile key — observed runs would miss the shared entry", f.Name)
+			}
 			continue
 		}
 		if f.Type.Kind() != reflect.Bool {
-			t.Errorf("core.Options.%s: non-bool technique field (%s); teach optKey to fingerprint it and extend this test",
+			t.Errorf("core.Options.%s: non-bool technique field (%s); teach the options fingerprint to cover it and extend this test",
 				f.Name, f.Type)
 			continue
 		}
-		mut := base
-		fv := reflect.ValueOf(&mut).Elem().Field(i)
 		fv.SetBool(!fv.Bool())
-		if optKey(mut) == baseKey {
-			t.Errorf("core.Options.%s: toggling the field does not change optKey — cache entries would alias", f.Name)
+		if keyOf(progs[0], mut) == baseKey {
+			t.Errorf("core.Options.%s: toggling the field does not change the suite compile key — two ablation columns would share one compilation", f.Name)
 		}
+	}
+	if keyOf(progs[1], base) == baseKey {
+		t.Error("two programs share one suite compile key")
 	}
 }

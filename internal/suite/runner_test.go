@@ -83,12 +83,12 @@ func TestCompileCacheMemoizes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.cache.Compile(context.Background(), p, core.PolarisOptions(), build)
+			e, _, err := r.cache.compile(context.Background(), p, core.PolarisOptions(), build)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = res
+			results[i] = e.res
 		}(i)
 	}
 	wg.Wait()
@@ -100,7 +100,7 @@ func TestCompileCacheMemoizes(t *testing.T) {
 	// Concurrent first fills may race benignly, but once warm the cache
 	// must not compile again.
 	warm := compiles
-	if _, err := r.cache.Compile(context.Background(), p, core.PolarisOptions(), build); err != nil {
+	if _, _, err := r.cache.compile(context.Background(), p, core.PolarisOptions(), build); err != nil {
 		t.Fatal(err)
 	}
 	if compiles != warm {
@@ -109,13 +109,13 @@ func TestCompileCacheMemoizes(t *testing.T) {
 	// A different option fingerprint is a different entry.
 	opt := core.PolarisOptions()
 	opt.Inline = false
-	other, err := r.cache.Compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
+	other, _, err := r.cache.compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
 		return core.Compile(p.Parse(), opt)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other == results[0] {
+	if other.res == results[0] {
 		t.Errorf("distinct options shared a cache entry")
 	}
 }

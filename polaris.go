@@ -7,10 +7,10 @@
 // flow is:
 //
 //	prog, err := polaris.Parse(src)
-//	res, err := polaris.Compile(ctx, prog)       // full technique set
-//	fmt.Print(res.AnnotatedSource())             // restructured Fortran
+//	res, err := polaris.Compile(ctx, prog)         // full technique set
+//	err = res.Emit(os.Stdout)                      // restructured Fortran
 //	run, err := polaris.Execute(res, polaris.ExecOptions{Processors: 8})
-//	fmt.Println(run.Speedup)                     // vs serial execution
+//	fmt.Println(run.Cycles)                        // simulated time
 //
 // Compile takes functional options: WithTechniques selects a subset of
 // passes, WithBaseline compiles at the 1996 vendor (PFA) level the
@@ -37,7 +37,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"polaris/internal/core"
@@ -212,28 +211,6 @@ func Compile(ctx context.Context, p *Program, opts ...Option) (*Result, error) {
 	return out, nil
 }
 
-// Parallelize runs the full Polaris pipeline on the program.
-//
-// Deprecated: use Compile(ctx, p).
-func Parallelize(p *Program) (*Result, error) {
-	return Compile(context.Background(), p)
-}
-
-// ParallelizeWith runs the pipeline with an explicit technique set.
-//
-// Deprecated: use Compile(ctx, p, WithTechniques(opt)).
-func ParallelizeWith(p *Program, opt Techniques) (*Result, error) {
-	return Compile(context.Background(), p, WithTechniques(opt))
-}
-
-// ParallelizeBaseline runs the 1996-vendor (PFA) capability level,
-// including its modelled back-end code-quality factor.
-//
-// Deprecated: use Compile(ctx, p, WithBaseline()).
-func ParallelizeBaseline(p *Program) (*Result, error) {
-	return Compile(context.Background(), p, WithBaseline())
-}
-
 // Techniques selects individual passes for WithTechniques.
 type Techniques struct {
 	Inline                   bool
@@ -259,19 +236,6 @@ func FullTechniques() Techniques {
 		StrengthReduction: true, LoopNormalization: true,
 		InterproceduralConstants: true,
 	}
-}
-
-// AnnotatedSource emits the restructured Fortran with parallel
-// directives and the compilation report header.
-//
-// Deprecated: use Emit(w, EmitFortran), which takes the writer the text
-// is going to and supports the Go backend via EmitGo. Emit does not
-// stream: it builds the whole text in one buffer and writes it once, so
-// this wrapper costs a second copy of the output and nothing else.
-func (r *Result) AnnotatedSource() string {
-	var b strings.Builder
-	_ = r.Emit(&b, EmitFortran)
-	return b.String()
 }
 
 // Summary renders a human-readable per-loop report.

@@ -54,7 +54,11 @@ func TestParallelizeAndExecute(t *testing.T) {
 	if res.ParallelLoops() < 2 {
 		t.Fatalf("parallel loops = %d:\n%s", res.ParallelLoops(), res.Summary())
 	}
-	if !strings.Contains(res.AnnotatedSource(), "C$OMP PARALLEL DO") {
+	var annotated strings.Builder
+	if err := res.Emit(&annotated); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(annotated.String(), "C$OMP PARALLEL DO") {
 		t.Errorf("annotated source missing directives")
 	}
 
