@@ -1,9 +1,9 @@
 // Package digest hashes a string without first copying it to the heap.
 // hash.Hash takes bytes, so sha256.Sum256([]byte(s)) allocates a copy
-// of every source, entry or rendering it hashes; feeding the digest
-// through a buffer on the stack allocates nothing. The compile cache's
-// source hash (which is also the fabric's routing key) and the wire
-// entry's rendering checksum both come from here.
+// of every source or entry it hashes; feeding the digest through a
+// buffer on the stack allocates nothing. The compile cache's source
+// hash (which is also the fabric's routing key) and the owner's
+// checksum of a wire entry both come from here.
 package digest
 
 import "crypto/sha256"

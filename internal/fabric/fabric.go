@@ -1,9 +1,7 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,13 +34,22 @@ const DefaultFillTimeout = 2 * time.Second
 // FillRequest asks a key's owner for the compiled entry. The source
 // rides along so an owner that misses can compile (once, under its own
 // singleflight) and stay warm — after that, every node's miss for this
-// key fills from the owner instead of recompiling.
+// key fills from the owner instead of recompiling. On the wire the body
+// is the source itself and the rest rides in X-Polaris-Fill-* headers.
 type FillRequest struct {
-	Source     string   `json:"source"`
-	Techniques []string `json:"techniques,omitempty"`
+	Source     string
+	Techniques []string
 	// TimeoutMS caps the owner-side compile (clamped by the owner).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	TimeoutMS int64
 }
+
+// The fill request's envelope. The schema header names the entry
+// schema the requester decodes; an owner refuses a request without it.
+const (
+	fillSchemaHeader     = "X-Polaris-Fill-Schema"
+	fillTechniquesHeader = "X-Polaris-Fill-Techniques"
+	fillTimeoutHeader    = "X-Polaris-Fill-Timeout-Ms"
+)
 
 // The fill answer's envelope: the body is the entry (EncodeEntry's
 // bytes, Content-Length set) and everything about it rides in headers,
@@ -66,10 +73,41 @@ const (
 	maxFillPrealloc = 1 << 20
 )
 
-// FillResponse is the owner's answer: the serialized entry, its
-// checksum, and how the owner satisfied it (cold = the distributed
-// tier missed and the owner compiled; cache_hit / coalesced = the tier
-// was warm).
+// ReadFillRequest is the owner's side of a fill request: the envelope
+// from r's headers and the source from its body, which the caller has
+// bounded. A request that does not declare EntrySchema is refused
+// before its body is read, so an owner never takes an older requester's
+// JSON document for Fortran source. The source is read into a buffer
+// that grows with the bytes received, whatever length was declared: the
+// owner reads before admission, so a requester that declares a large
+// source and stalls must cost it only what has arrived.
+func ReadFillRequest(r *http.Request) (FillRequest, error) {
+	var freq FillRequest
+	if got := r.Header.Get(fillSchemaHeader); got != strconv.Itoa(EntrySchema) {
+		return freq, fmt.Errorf("fabric: fill request for entry schema %q, this owner encodes %d", got, EntrySchema)
+	}
+	if t := r.Header.Get(fillTechniquesHeader); t != "" {
+		freq.Techniques = strings.Split(t, ",")
+	}
+	if t := r.Header.Get(fillTimeoutHeader); t != "" {
+		ms, err := strconv.ParseInt(t, 10, 64)
+		if err != nil {
+			return freq, fmt.Errorf("fabric: fill timeout: %w", err)
+		}
+		freq.TimeoutMS = ms
+	}
+	src, err := io.ReadAll(r.Body)
+	if err != nil {
+		return freq, fmt.Errorf("fabric: fill request body: %w", err)
+	}
+	freq.Source = string(src)
+	return freq, nil
+}
+
+// FillResponse is the owner's answer as the requester reads it: the
+// serialized entry, its checksum, and how the owner satisfied it (cold
+// = the distributed tier missed and the owner compiled; cache_hit /
+// coalesced = the tier was warm).
 type FillResponse struct {
 	Outcome  string
 	LeaderID string
@@ -77,16 +115,16 @@ type FillResponse struct {
 	Entry    []byte
 }
 
-// SetHeaders writes the envelope of fr to an owner's response headers;
-// the body that must follow is fr.Entry, whole.
-func (fr *FillResponse) SetHeaders(h http.Header) {
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(fr.Entry)))
-	h.Set(fillOutcomeHeader, fr.Outcome)
-	if fr.LeaderID != "" {
-		h.Set(fillLeaderHeader, fr.LeaderID)
+// SetFillHeaders writes the envelope of an owner's answer; the body
+// that must follow is the entry of size bytes, whole.
+func SetFillHeaders(h http.Header, outcome, leaderID, checksum string, size int) {
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(size))
+	h.Set(fillOutcomeHeader, outcome)
+	if leaderID != "" {
+		h.Set(fillLeaderHeader, leaderID)
 	}
-	h.Set(fillChecksumHeader, fr.Checksum)
+	h.Set(fillChecksumHeader, checksum)
 }
 
 // OwnerRequest is the OwnerPath body.
@@ -200,16 +238,19 @@ func (f *Fabric) Owner(key string) (node, url string, isSelf bool) {
 func (f *Fabric) Fill(ctx context.Context, baseURL string, freq FillRequest) (*FillResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, f.fillTimeout)
 	defer cancel()
-	body, err := json.Marshal(freq)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+FillPath, strings.NewReader(freq.Source))
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+FillPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "text/plain")
 	req.Header.Set(FillHeader, "1")
+	req.Header.Set(fillSchemaHeader, strconv.Itoa(EntrySchema))
+	if len(freq.Techniques) > 0 {
+		req.Header.Set(fillTechniquesHeader, strings.Join(freq.Techniques, ","))
+	}
+	if freq.TimeoutMS > 0 {
+		req.Header.Set(fillTimeoutHeader, strconv.FormatInt(freq.TimeoutMS, 10))
+	}
 	resp, err := f.http.Do(req)
 	if err != nil {
 		return nil, err

@@ -2,16 +2,20 @@ package fabric
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"polaris/internal/codegen"
 	"polaris/internal/core"
+	"polaris/internal/ir"
 	"polaris/internal/obsv"
+	"polaris/internal/passes"
 	"polaris/internal/suite"
 )
 
@@ -100,6 +104,65 @@ func isEmptyJSON(v any) bool {
 	return false
 }
 
+// wireFields names, for every struct the entry codec reads or writes,
+// each field it carries and each it leaves off on purpose, with why.
+// The codec names fields by hand, so a field added to one of these
+// structs would otherwise cross the wire as its zero value without a
+// word; TestWireCoversFields fails until it is listed here, and it is
+// listed as carried only once EncodeEntry and DecodeEntry carry it.
+var wireFields = map[reflect.Type]struct{ carried, leftOff []string }{
+	reflect.TypeOf(core.Result{}): {
+		carried: []string{"Loops", "InlinedCalls", "InlineSkipped", "InductionVars", "StrengthReduced", "NormalizedLoops", "InterprocConstants", "Report"},
+		// Program and Unit are the re-parsed rendering; the unit-memo
+		// counts describe the owner's compile, not the result.
+		leftOff: []string{"Program", "Unit", "UnitsReused", "UnitsRecompiled"},
+	},
+	reflect.TypeOf(core.LoopReport{}): {
+		carried: []string{"ID", "Unit", "Index", "Depth", "Parallel", "LRPD", "Reason"},
+		leftOff: []string{"Loop"}, // the re-parsed loop the entry's (Unit, ID) names
+	},
+	reflect.TypeOf(ir.ParInfo{}): {
+		carried: []string{"Parallel", "Reason", "Private", "PrivateArrays", "LastValue", "Reductions", "LRPD"},
+	},
+	reflect.TypeOf(ir.Reduction{}): {
+		carried: []string{"Target", "Op", "Histogram"},
+	},
+	reflect.TypeOf(obsv.Decision{}): {
+		carried: []string{"Unit", "Loop", "Index", "Depth", "Pass", "Verdict", "Technique", "Blocker", "Detail", "Evidence", "Final"},
+		leftOff: []string{"Label"}, // the requester's, written as it decodes
+	},
+	reflect.TypeOf(passes.PipelineReport{}): {
+		carried: []string{"Events", "TotalNS"},
+		leftOff: []string{"Label"}, // the owner's request label
+	},
+	reflect.TypeOf(passes.Event{}): {
+		carried: []string{"Seq", "Pass", "DurationNS", "Mutations", "Err"},
+		leftOff: []string{"Label"}, // the owner's request label
+	},
+}
+
+// TestWireCoversFields holds each struct the entry codec handles to
+// exactly the fields wireFields names.
+func TestWireCoversFields(t *testing.T) {
+	for rt, want := range wireFields {
+		listed := map[string]bool{}
+		for _, name := range append(slices.Clone(want.carried), want.leftOff...) {
+			if listed[name] {
+				t.Errorf("%s.%s is listed twice", rt, name)
+			}
+			listed[name] = true
+			if _, ok := rt.FieldByName(name); !ok {
+				t.Errorf("%s has no field %s any more: take it out of wireFields and the codec", rt, name)
+			}
+		}
+		for i := 0; i < rt.NumField(); i++ {
+			if name := rt.Field(i).Name; !listed[name] {
+				t.Errorf("%s.%s is new: carry it in EncodeEntry and DecodeEntry, or list it as left off with the reason", rt, name)
+			}
+		}
+	}
+}
+
 // TestWireRoundTripSuite is the fabric's core acceptance gate: for
 // every program in the suite corpus, an entry encoded by an owner and
 // decoded by a requester yields byte-identical verdicts, decision
@@ -116,7 +179,7 @@ func TestWireRoundTripSuite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EncodeEntry: %v", err)
 			}
-			got, gotDec, err := DecodeEntry(entry, sum, key)
+			got, gotDec, err := DecodeEntry([]byte(entry), sum, key, "")
 			if err != nil {
 				t.Fatalf("DecodeEntry: %v", err)
 			}
@@ -179,75 +242,107 @@ func TestWireRoundTripSuite(t *testing.T) {
 	}
 }
 
+// renderingAt returns where an entry's rendering starts — past the
+// header, the route key, the string table and the body — or false when
+// those do not decode.
+func renderingAt(entry string) (int, bool) {
+	r := &reader{b: []byte(entry), s: entry, p: len(entryMagic), end: len(entry)}
+	if !strings.HasPrefix(entry, entryMagic) {
+		return 0, false
+	}
+	r.uint()
+	r.raw()
+	for n := r.count(1); n > 0; n-- {
+		r.raw()
+	}
+	body := r.uint()
+	if r.err != nil || body > uint64(len(entry)-r.p) {
+		return 0, false
+	}
+	return r.p + int(body), true
+}
+
 // TestWireRejections proves every tamper class is rejected before an
-// entry can poison a cache: flipped bytes, a stale route key, and a
-// foreign schema version.
+// entry can poison a cache: flipped bytes, a stale route key, a foreign
+// schema version, a rendering that does not round-trip and a count the
+// bytes cannot hold. The last three are edits of the entry's bytes
+// with the checksum taken again, the lying owner's move.
 func TestWireRejections(t *testing.T) {
 	p := suite.Track()
 	res, decisions, opt := compileCaptured(t, p.Source, p.Name)
 	key := core.RouteKey(p.Source, opt)
-	entry, sum, err := EncodeEntry(key, res, decisions)
+	enc, sum, err := EncodeEntry(key, res, decisions)
 	if err != nil {
 		t.Fatalf("EncodeEntry: %v", err)
+	}
+	entry := []byte(enc)
+	if _, _, err := DecodeEntry(entry, sum, key, ""); err != nil {
+		t.Fatalf("the untampered entry is rejected: %v", err)
 	}
 
 	t.Run("corrupt-bytes", func(t *testing.T) {
 		bad := append([]byte(nil), entry...)
 		bad[len(bad)/2] ^= 0x20
-		if _, _, err := DecodeEntry(bad, sum, key); err == nil {
+		if _, _, err := DecodeEntry(bad, sum, key, ""); err == nil {
 			t.Fatal("corrupted entry accepted")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, _, err := DecodeEntry(entry[:len(entry)/2], sum, key); err == nil {
+		if _, _, err := DecodeEntry(entry[:len(entry)/2], sum, key, ""); err == nil {
 			t.Fatal("truncated entry accepted")
 		}
 	})
 	t.Run("stale-key", func(t *testing.T) {
 		// Checksum is consistent with the bytes — only the key is wrong,
 		// the lying-owner case.
-		if _, _, err := DecodeEntry(entry, sum, key+"x"); err == nil {
+		if _, _, err := DecodeEntry(entry, sum, key+"x", ""); err == nil {
 			t.Fatal("stale entry accepted")
 		} else if !strings.Contains(err.Error(), "stale") {
 			t.Fatalf("want stale-key rejection, got: %v", err)
 		}
 	})
 	t.Run("schema-skew", func(t *testing.T) {
-		var e Entry
-		if err := json.Unmarshal(entry, &e); err != nil {
-			t.Fatal(err)
-		}
-		e.Schema = EntrySchema + 1
-		raw, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := DecodeEntry(raw, sumHex(raw), key); err == nil {
+		bad := append([]byte(nil), entry...)
+		bad[len(entryMagic)] = EntrySchema + 1 // the schema's one-byte uvarint
+		if _, _, err := DecodeEntry(bad, sumHex(bad), key, ""); err == nil {
 			t.Fatal("future-schema entry accepted")
+		} else if !strings.Contains(err.Error(), "schema") {
+			t.Fatalf("want a schema rejection, got: %v", err)
 		}
 	})
 	t.Run("rendered-tamper", func(t *testing.T) {
-		var e Entry
-		if err := json.Unmarshal(entry, &e); err != nil {
-			t.Fatal(err)
-		}
-		e.Rendered = strings.Replace(e.Rendered, "DO", "do", 1)
-		raw, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := DecodeEntry(raw, sumHex(raw), key); err == nil {
+		at, _ := renderingAt(enc)
+		bad := []byte(enc[:at] + strings.Replace(enc[at:], "DO", "do", 1))
+		if _, _, err := DecodeEntry(bad, sumHex(bad), key, ""); err == nil {
 			t.Fatal("tampered rendering accepted")
+		} else if !strings.Contains(err.Error(), "render-roundtrip") {
+			t.Fatalf("want the render-roundtrip rejection, got: %v", err)
+		}
+	})
+	t.Run("count-lie", func(t *testing.T) {
+		// The string table's count, right after the route key, says a
+		// billion strings: more than the bytes left could hold.
+		at := len(entryMagic) + uvarintLen(EntrySchema) + stringLen(key)
+		_, n := binary.Uvarint(entry[at:])
+		bad := binary.AppendUvarint(append([]byte(nil), entry[:at]...), 1<<30)
+		bad = append(bad, entry[at+n:]...)
+		if _, _, err := DecodeEntry(bad, sumHex(bad), key, ""); err == nil {
+			t.Fatal("an entry that lies about a count accepted")
+		} else if !strings.Contains(err.Error(), "count of 1073741824") {
+			t.Fatalf("want the count rejected, got: %v", err)
 		}
 	})
 }
 
 // TestChecksumsPinned pins the two checksums of one known entry — TRFD
-// compiled, its timing report dropped so the bytes repeat — to the
-// values the commit before sumHex stopped copying its input produced:
-// peers of different builds verify each other's entries, so the hash of
-// given bytes may never move. It then holds both spellings to
-// crypto/sha256 on lengths either side of the string path's buffer.
+// compiled, its timing report dropped so the bytes repeat. The entry's
+// is pinned under schema 2: peers of different builds verify each
+// other's entries, so the hash of given bytes may never move. The
+// rendering's is the value schema 1 shipped, computed here from the
+// rendering the entry carries: the encoding around the program changed,
+// the program's bytes may not. It then holds both spellings of the
+// hash to crypto/sha256 on lengths either side of the string path's
+// buffer.
 func TestChecksumsPinned(t *testing.T) {
 	p, _ := suite.ByName("trfd")
 	res, decisions, _ := compileCaptured(t, p.Source, "trfd")
@@ -256,16 +351,14 @@ func TestChecksumsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e Entry
-	if err := json.Unmarshal(entry, &e); err != nil {
-		t.Fatal(err)
-	}
-	const wantEntry = "48e6a6af27c882ab8d433bb6928c9c060f73f30955d84501666343bec96e4c1a"
+	at, _ := renderingAt(entry)
+	rendered := sumHexString(entry[at:])
+	const wantEntry = "cb77034a81c5a6edd981ee28cf471c72b774811046ff8bd52ec271e75e34034a"
 	const wantRendered = "7aad8adba2584d0beafb760ad85ea004a7d5f816ee6bb06d9ecc8654616bc879"
-	if checksum != wantEntry || e.RenderedSHA256 != wantRendered {
-		t.Errorf("entry checksum %s, rendering %s; pinned %s, %s", checksum, e.RenderedSHA256, wantEntry, wantRendered)
+	if checksum != wantEntry || rendered != wantRendered {
+		t.Errorf("entry checksum %s, rendering %s; pinned %s, %s", checksum, rendered, wantEntry, wantRendered)
 	}
-	if _, _, err := DecodeEntry(entry, wantEntry, "pinned-key"); err != nil {
+	if _, _, err := DecodeEntry([]byte(entry), wantEntry, "pinned-key", ""); err != nil {
 		t.Errorf("the pinned checksum does not open the entry: %v", err)
 	}
 	for _, n := range []int{0, 1, 63, 64, 4095, 4096, 4097, 3 * 4096, 100_001} {

@@ -29,6 +29,10 @@ func (s *sink) Header() http.Header         { return s.header }
 func (s *sink) WriteHeader(code int)        { s.code = code }
 func (s *sink) Write(b []byte) (int, error) { return s.body.Write(b) }
 
+// WriteString is what a connection offers io.WriteString: a string
+// body goes in without a copy to bytes first.
+func (s *sink) WriteString(str string) (int, error) { return s.body.WriteString(str) }
+
 func (s *sink) reset() {
 	s.header, s.code = http.Header{}, http.StatusOK
 	s.body.Reset()
@@ -134,21 +138,29 @@ func TestHitAllocBudget(t *testing.T) {
 }
 
 // handlerTransport is an in-memory peer hop: the requester's fill goes
-// straight into the owner's handler. It books what the owner allocated
-// and shipped, so a test can state each side's share. One fill at a
-// time: the response body reads the transport's own buffer.
+// straight into the owner's handler. With book set it books what the
+// owner allocated and shipped, so a test can state each side's share
+// (reading the allocation stops the world twice a fill, which a timing
+// must not pay). One fill at a time: the response body reads the
+// transport's own buffer.
 type handlerTransport struct {
 	owner      http.Handler
+	book       bool
 	w          sink
 	ownerAlloc uint64
 	entryBytes uint64
 }
 
 func (ht *handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	before := totalAlloc()
+	var before uint64
+	if ht.book {
+		before = totalAlloc()
+	}
 	ht.w.reset()
 	ht.owner.ServeHTTP(&ht.w, r)
-	ht.ownerAlloc += totalAlloc() - before
+	if ht.book {
+		ht.ownerAlloc += totalAlloc() - before
+	}
 	ht.entryBytes += uint64(ht.w.body.Len())
 	n, err := strconv.ParseInt(ht.w.header.Get("Content-Length"), 10, 64)
 	if err != nil {
@@ -161,11 +173,11 @@ func (ht *handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestFillAllocBudget holds a peer fill of a TRFD variant the owner
-// has warm to its allocation on each side of the hop, per byte of
-// entry shipped: the owner's lookup, render and encode; the
-// requester's read, checksum, decode, re-parse, render-roundtrip proof,
-// install and response. Each budget is the measured figure plus a
-// tenth.
+// has warm to its allocation on each side of the hop, in bytes per
+// fill: the owner's lookup, render and encode; the requester's read,
+// checksum, decode, re-parse, render-roundtrip proof, install and
+// response. Bytes per fill, not per entry byte: a fatter entry must not
+// buy a looser budget. Each budget is the measured figure plus a tenth.
 func TestFillAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("byte budgets do not hold under the race detector")
@@ -176,7 +188,7 @@ func TestFillAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := New(Config{Fabric: fabA})
-	ht := &handlerTransport{owner: owner.Handler()}
+	ht := &handlerTransport{owner: owner.Handler(), book: true}
 	fabB, err := fabric.New(fabric.Config{Self: "b", Peers: peers, Transport: ht})
 	if err != nil {
 		t.Fatal(err)
@@ -210,18 +222,18 @@ func TestFillAllocBudget(t *testing.T) {
 	if got, want := requester.Observer().Counter("server_peer_hits"), int64(fills); got != want {
 		t.Fatalf("server_peer_hits = %d, want %d: the requests were not peer fills", got, want)
 	}
-	entry := float64(ht.entryBytes)
-	ownerPer := float64(ht.ownerAlloc) / entry
-	requesterPer := float64(total-ht.ownerAlloc) / entry
-	t.Logf("trfd: entry %d bytes; owner %.2f, requester %.2f bytes allocated per entry byte",
-		ht.entryBytes/uint64(len(measured)), ownerPer, requesterPer)
-	// Measured 3.20 and 7.72, plus a tenth; 5.52 and 15.28 with the entry
-	// wrapped in a JSON envelope, read by doubling and rendered twice.
-	const ownerBudget, requesterBudget = 3.52, 8.49
+	n := uint64(len(measured))
+	ownerPer, requesterPer := ht.ownerAlloc/n, (total-ht.ownerAlloc)/n
+	t.Logf("trfd: entry %d bytes; owner %d, requester %d bytes allocated per fill",
+		ht.entryBytes/n, ownerPer, requesterPer)
+	// Measured 19 766 and 79 270 bytes (a 5 773-byte entry), plus a
+	// tenth. The JSON entry's were 53.5 KB and 128.8 KB (3.20 and 7.70
+	// bytes per byte of its 16 723).
+	const ownerBudget, requesterBudget = 21743, 87197
 	if ownerPer > ownerBudget {
-		t.Errorf("the owner allocates %.2f bytes per entry byte; budget %.2f", ownerPer, ownerBudget)
+		t.Errorf("the owner allocates %d bytes per fill; budget %d", ownerPer, ownerBudget)
 	}
 	if requesterPer > requesterBudget {
-		t.Errorf("the requester allocates %.2f bytes per entry byte; budget %.2f", requesterPer, requesterBudget)
+		t.Errorf("the requester allocates %d bytes per fill; budget %d", requesterPer, requesterBudget)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"net/http"
 
 	"polaris/internal/core"
@@ -50,7 +51,9 @@ func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leade
 	fn := func(ctx context.Context, opt core.Options) (*core.Result, []obsv.Decision, error) {
 		fr, err := s.fabric.Fill(ctx, ownerURL, freq)
 		if err == nil {
-			res, decisions, derr := fabric.DecodeEntry(fr.Entry, fr.Checksum, route)
+			// Decoded under this request's label, as its own compile
+			// would have recorded them: the wire's records carry none.
+			res, decisions, derr := fabric.DecodeEntry(fr.Entry, fr.Checksum, route, opt.TraceLabel)
 			if derr == nil {
 				if fr.Outcome == telemetry.OutcomeCold {
 					// The owner compiled it just now: the tier missed, but
@@ -63,9 +66,7 @@ func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leade
 					s.obs.Count("server_peer_hits", 1)
 				}
 				pf.leaderID = fr.LeaderID
-				// Under this request's label, as its own compile would
-				// have recorded them: the wire's records carry none.
-				return res, obsv.Relabel(decisions, opt.TraceLabel), nil
+				return res, decisions, nil
 			}
 			err = derr
 		}
@@ -118,8 +119,10 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
-	var freq fabric.FillRequest
-	if !s.decode(w, r, &freq) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
+	freq, err := fabric.ReadFillRequest(r)
+	if err != nil {
+		writeBadRequest(w, err)
 		return
 	}
 	if freq.Source == "" {
@@ -148,8 +151,6 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(freq.TimeoutMS))
 	defer cancel()
 
-	// An entry this request leads is recorded unlabelled, which is how
-	// the wire wants it; one a client led is relabelled by EncodeEntry.
 	key := core.KeyOf(freq.Source, opt)
 	e, out, err := s.compiled(ctx, key, freq.Source, opt, compileSource(freq.Source))
 	if err != nil {
@@ -166,7 +167,9 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	case fabric.FaultCorrupt:
 		// Flip a byte after the checksum was taken: the requester's
 		// end-to-end verification must catch it.
-		entry[len(entry)/3] ^= 0x01
+		b := []byte(entry)
+		b[len(b)/3] ^= 0x01
+		entry = string(b)
 	case fabric.FaultStale:
 		// Serve a checksum-consistent entry for the wrong key (a lying
 		// owner): the requester's key check must catch it.
@@ -178,19 +181,13 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	}
 	sv := servedBy(out, telemetry.RequestID(ctx))
 	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
-	resp := fabric.FillResponse{
-		Outcome:  out.Kind,
-		LeaderID: out.LeaderID,
-		Checksum: sum,
-		Entry:    entry,
-	}
-	resp.SetHeaders(w.Header())
+	fabric.SetFillHeaders(w.Header(), out.Kind, out.LeaderID, sum, len(entry))
 	w.WriteHeader(http.StatusOK)
 	if f := s.fillFault(fabric.StageBody); f != fabric.FaultNone {
 		// Death mid-body: the headers are out, Content-Length and all;
 		// stream half the entry, then hang or abort — the requester is
 		// left with fewer bytes than it was promised.
-		_, _ = w.Write(entry[:len(entry)/2])
+		_, _ = io.WriteString(w, entry[:len(entry)/2])
 		_ = http.NewResponseController(w).Flush()
 		if f == fabric.FaultHang {
 			<-r.Context().Done()
@@ -198,7 +195,7 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 		}
 		panic(http.ErrAbortHandler)
 	}
-	_, _ = w.Write(entry) // a requester that hung up gets nothing, and needs nothing
+	_, _ = io.WriteString(w, entry) // a requester that hung up gets nothing, and needs nothing
 }
 
 // handleFabricOwner answers which ring member owns a source's compile

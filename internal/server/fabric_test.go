@@ -1,13 +1,17 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,7 +70,7 @@ func newFabricPair(t *testing.T, fillTimeout time.Duration, faultA fabric.FaultF
 
 // sourceOwnedBy perturbs a base program with comment lines until its
 // route key lands on the wanted ring node.
-func sourceOwnedBy(t *testing.T, f *fabric.Fabric, owner, base string) string {
+func sourceOwnedBy(t testing.TB, f *fabric.Fabric, owner, base string) string {
 	t.Helper()
 	for i := 0; i < 4096; i++ {
 		src := fmt.Sprintf("C fabric probe %d\n%s", i, base)
@@ -255,10 +259,22 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
+// reship answers with the healthy envelope around another body, its
+// checksum and length taken again: an entry the requester can read
+// whole and verify, and must still refuse.
+func reship(w http.ResponseWriter, healthy *httptest.ResponseRecorder, body []byte) {
+	envelope(w, healthy)
+	sum := sha256.Sum256(body)
+	w.Header().Set("X-Polaris-Fill-Checksum", hex.EncodeToString(sum[:]))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
+}
+
 // TestFabricDeadPeerMatrix kills, hangs, or corrupts the owner at
 // every protocol stage, and has it misreport the fill envelope in
 // every way ([bounded]): an owner of the build that still wrapped the
-// entry in JSON, a missing checksum, a body shorter than its
+// entry in JSON, one that ships a schema-1 JSON entry, an entry without
+// its header, a missing checksum, a body shorter than its
 // Content-Length, a length over the bound, a large length with nothing
 // behind it. The requester always degrades to a local compile with the
 // exact single-node answer — outcome cold, one peer_error counted,
@@ -295,6 +311,20 @@ func TestFabricDeadPeerMatrix(t *testing.T) {
 				"checksum":  h.Get("X-Polaris-Fill-Checksum"),
 				"entry":     json.RawMessage(healthy.Body.Bytes()),
 			})
+		}},
+		{name: "old-owner-json-entry", lie: func(w http.ResponseWriter, _ *http.Request, healthy *httptest.ResponseRecorder) {
+			// An owner of schema 1: the envelope in headers, the entry a
+			// JSON document.
+			old, err := json.Marshal(map[string]any{"schema": 1, "route_key": "", "rendered": "", "loops": []any{}})
+			if err != nil {
+				panic(err)
+			}
+			reship(w, healthy, old)
+		}},
+		{name: "no-entry-header", lie: func(w http.ResponseWriter, _ *http.Request, healthy *httptest.ResponseRecorder) {
+			// The entry from its route key on: the magic and the schema
+			// (its first five bytes) left off.
+			reship(w, healthy, healthy.Body.Bytes()[5:])
 		}},
 		{name: "no-checksum-header", lie: func(w http.ResponseWriter, _ *http.Request, healthy *httptest.ResponseRecorder) {
 			envelope(w, healthy, "X-Polaris-Fill-Checksum")
@@ -406,6 +436,42 @@ func TestFabricStalledBodyCommitsNothing(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
+// TestFabricStalledRequestCommitsNothing is the owner's side of the
+// same promise: a requester that declares the largest source the owner
+// accepts and then sends a few bytes and stalls must cost the owner
+// what has arrived. The owner reads a fill request before admission
+// takes a slot, so nothing else bounds how many such requests it holds.
+func TestFabricStalledRequestCommitsNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	p := newFabricPair(t, time.Second, nil)
+	const promised = 1 << 20 // the owner's default MaxSourceBytes
+	before := liveHeap()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(p.urlA, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: a\r\n%s: 1\r\nX-Polaris-Fill-Schema: %d\r\n"+
+		"Content-Type: text/plain\r\nContent-Length: %d\r\n\r\n      PROGRAM P\n",
+		fabric.FillPath, fabric.FillHeader, fabric.EntrySchema, promised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // the owner has the headers and is reading
+	if during := liveHeap(); during > before+promised/2 {
+		t.Errorf("the owner's live heap grew by %d bytes while a requester stalled on a %d-byte promise", during-before, promised)
+	}
+	if n := p.a.Observer().Counter("server_fill_requests"); n != 1 {
+		t.Errorf("server_fill_requests = %d, want 1 (the stalled request in flight)", n)
+	}
+	conn.Close()
+	p.closeA()
+	p.closeB()
+	if st := p.a.cache.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("the owner compiled a source it never received whole: cache %+v", st)
+	}
+	waitGoroutines(t, baseline)
+}
+
 // TestFabricDeadPeerNoPoisonedWaiters coalesces many concurrent
 // requests onto one singleflight leader whose peer fill hangs: every
 // waiter must get the correct local-fallback answer — the fill's
@@ -451,29 +517,24 @@ func TestFabricDeadPeerNoPoisonedWaiters(t *testing.T) {
 	}
 }
 
-// TestFabricNewOwnerOldRequester is the other direction of envelope
-// skew (the matrix's old-json-envelope row is an old owner answering a
-// new requester). A requester of the build before the entry became the
-// body unmarshals the whole body as {outcome, leader_id, checksum,
-// entry} and rejects an answer whose entry is empty; the entry's own
-// JSON has none of those keys, so that is what it finds, and it
-// compiles locally.
+// TestFabricNewOwnerOldRequester is the other direction of skew (the
+// matrix's old-json-envelope and old-owner-json-entry rows are old
+// owners answering a new requester). A requester of schema 1 posts a
+// JSON document and declares no entry schema; an owner that compiled
+// that document as Fortran would answer nonsense for a key nobody
+// asked for, so it answers 400 before reading the body, and the old
+// requester compiles locally.
 func TestFabricNewOwnerOldRequester(t *testing.T) {
 	p := newFabricPair(t, time.Second, nil)
 	src := sourceOwnedBy(t, p.fab, "a", saxpySrc)
-	w := postJSON(t, p.a.Handler(), fabric.FillPath, fabric.FillRequest{Source: src})
-	if w.Code != http.StatusOK {
-		t.Fatalf("fill: %d %s", w.Code, w.Body.String())
+	w := postJSON(t, p.a.Handler(), fabric.FillPath, map[string]any{"source": src, "timeout_ms": 1000})
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("an old requester's fill: %d %s, want 400", w.Code, w.Body.String())
 	}
-	var old struct {
-		Outcome  string          `json:"outcome"`
-		Checksum string          `json:"checksum"`
-		Entry    json.RawMessage `json:"entry"`
+	if n := p.a.Observer().Counter("server_fill_requests"); n != 1 {
+		t.Errorf("server_fill_requests = %d, want 1", n)
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &old); err != nil {
-		return // rejected even earlier
-	}
-	if len(old.Entry) != 0 || old.Checksum != "" {
-		t.Errorf("an old requester would read an envelope out of the raw entry: checksum %q, %d entry bytes", old.Checksum, len(old.Entry))
+	if st := p.a.cache.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("the owner compiled for an old requester: cache %+v", st)
 	}
 }

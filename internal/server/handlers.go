@@ -154,15 +154,21 @@ func (s *Server) decodeFrom(w http.ResponseWriter, rd io.Reader, v any) bool {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "bad request: "+err.Error(), "")
+		writeBadRequest(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBadRequest answers a body that could not be read: 413 past the
+// size bound, 400 otherwise.
+func writeBadRequest(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad request: "+err.Error(), "")
 }
 
 // compileFailure is one compile's failure, carried as data so the

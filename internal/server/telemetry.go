@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -59,6 +60,15 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.code = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
+}
+
+// WriteString lets io.WriteString hand a string body (a fill's entry)
+// to the connection without copying it to bytes first.
+func (w *statusWriter) WriteString(s string) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return io.WriteString(w.ResponseWriter, s)
 }
 
 // Unwrap supports http.ResponseController pass-through.
