@@ -172,6 +172,106 @@ func (ht *handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	}, nil
 }
 
+// handlerPair is a two-node fabric in one process, both nodes sized by
+// cfg: owner "a", and requester "b" whose fills go straight into the
+// owner's handler through ht. ring is node a's view of the ring, which
+// is node b's too.
+func handlerPair(t testing.TB, cfg Config) (owner, requester *Server, ht *handlerTransport, ring *fabric.Fabric) {
+	t.Helper()
+	peers := map[string]string{"a": "http://a.invalid", "b": "http://b.invalid"}
+	ring, err := fabric.New(fabric.Config{Self: "a", Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerCfg := cfg
+	ownerCfg.Fabric = ring
+	owner = New(ownerCfg)
+	ht = &handlerTransport{owner: owner.Handler()}
+	fabB, err := fabric.New(fabric.Config{Self: "b", Peers: peers, Transport: ht})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fabric = fabB
+	return owner, New(cfg), ht, ring
+}
+
+// compileBodies marshals one CompileRequest per source.
+func compileBodies(t testing.TB, srcs []string) [][]byte {
+	t.Helper()
+	bodies := make([][]byte, len(srcs))
+	for i, src := range srcs {
+		body, err := json.Marshal(CompileRequest{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	return bodies
+}
+
+// TestCacheBooksWhatItHolds holds core.CompiledSize to the live heap a
+// resident entry costs, so -cache-bytes bounds what it says: suite
+// variants are compiled into one node's main cache, and filled from a
+// warm owner into another's hot tier, and on each path the live heap
+// they add is within [0.8, 1.25]× what the tier booked for them.
+func TestCacheBooksWhatItHolds(t *testing.T) {
+	if raceDetector {
+		t.Skip("live-heap figures do not hold under the race detector")
+	}
+	const perProgram = 16
+	variants := func(ring *fabric.Fabric, tag string) []string {
+		var srcs []string
+		for i := 0; i < perProgram; i++ {
+			for _, p := range suite.All() {
+				src := fmt.Sprintf("C %s %d\n%s", tag, i, p.Source)
+				if ring != nil {
+					src = sourceOwnedBy(t, ring, "a", src)
+				}
+				srcs = append(srcs, src)
+			}
+		}
+		return srcs
+	}
+	n := perProgram * len(suite.All())
+	// Large enough that neither tier evicts: the hot tier holds n.
+	cfg := Config{CacheEntries: 8 * n, CacheBytes: 8 << 30}
+	// hold serves bodies on h and reports the live heap they added and
+	// what st booked for them, per entry. The first few requests build the
+	// lazily built tables.
+	hold := func(path string, h http.Handler, st *tier, bodies [][]byte) {
+		t.Helper()
+		var w sink
+		for i, body := range bodies[:16] {
+			post(t, h, &w, "/v1/compile", fmt.Sprintf("warm-%d", i), body)
+		}
+		measured := bodies[16:]
+		heap0, booked0 := liveHeap(), st.Stats().Bytes
+		for i, body := range measured {
+			post(t, h, &w, "/v1/compile", fmt.Sprintf("held-%d", i), body)
+		}
+		live := float64(liveHeap()-heap0) / float64(len(measured))
+		booked := float64(st.Stats().Bytes-booked0) / float64(len(measured))
+		t.Logf("%s: %.0f bytes live, %.0f booked per entry (%.2f×)", path, live, booked, live/booked)
+		if r := live / booked; r < 0.8 || r > 1.25 {
+			t.Errorf("%s: an entry holds %.0f bytes of live heap and is booked at %.0f (%.2f×, want 0.8–1.25)", path, live, booked, r)
+		}
+	}
+
+	solo := New(cfg)
+	hold("compile", solo.Handler(), solo.cache, compileBodies(t, variants(nil, "booked")))
+
+	owner, requester, _, ring := handlerPair(t, cfg)
+	bodies := compileBodies(t, variants(ring, "filled"))
+	var w sink
+	for i, body := range bodies {
+		post(t, owner.Handler(), &w, "/v1/compile", fmt.Sprintf("owner-%d", i), body)
+	}
+	hold("fill", requester.Handler(), requester.hot, bodies)
+	if st := requester.cache.Stats(); st.Entries != 0 {
+		t.Errorf("the requester's main cache holds %d peer-owned entries", st.Entries)
+	}
+}
+
 // TestFillAllocBudget holds a peer fill of a TRFD variant the owner
 // has warm to its allocation on each side of the hop, in bytes per
 // fill: the owner's lookup, render and encode; the requester's read,
@@ -182,18 +282,8 @@ func TestFillAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("byte budgets do not hold under the race detector")
 	}
-	peers := map[string]string{"a": "http://a.invalid", "b": "http://b.invalid"}
-	fabA, err := fabric.New(fabric.Config{Self: "a", Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := New(Config{Fabric: fabA})
-	ht := &handlerTransport{owner: owner.Handler(), book: true}
-	fabB, err := fabric.New(fabric.Config{Self: "b", Peers: peers, Transport: ht})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requester := New(Config{Fabric: fabB})
+	owner, requester, ht, fabA := handlerPair(t, Config{})
+	ht.book = true
 
 	p, _ := suite.ByName("trfd")
 	var w sink

@@ -37,19 +37,24 @@ type cacheEntry struct {
 // fill returns the list it decoded.
 type leader func(context.Context, core.Options) (*core.Result, []obsv.Decision, error)
 
-// compiled returns the cached compile of src under opt (key is
-// core.KeyOf(src, opt)), running fill on a miss.
-func (s *Server) compiled(ctx context.Context, key core.Key, src string, opt core.Options, fill leader) (*cacheEntry, store.Outcome, error) {
-	return s.cache.Do(ctx, cacheKey{key: key}, func(ctx context.Context) (*cacheEntry, int64, error) {
+// tier is one store of compiled entries: a node's main cache or its
+// hot tier.
+type tier = store.Store[cacheKey, *cacheEntry]
+
+// compiled returns the compile of src under opt (key is
+// core.KeyOf(src, opt)) cached in t, running fill on a miss.
+func (s *Server) compiled(ctx context.Context, t *tier, key core.Key, src string, opt core.Options, fill leader) (*cacheEntry, store.Outcome, error) {
+	return t.Do(ctx, cacheKey{key: key}, func(ctx context.Context) (*cacheEntry, int64, error) {
 		res, ds, err := fill(ctx, opt)
 		if err != nil {
 			return nil, 0, err
 		}
 		if cap(ds)-len(ds) > len(ds)/8 {
-			// Grown by appending — a compile's capture, a fill's JSON
-			// decode — the array is up to twice what it holds, and the
-			// entry would carry the excess unbooked for as long as it is
-			// resident (9 MB of RSS over serve_cold's 1024 entries).
+			// Grown by appending — a compile's capture; a fill's decode
+			// makes the list at its decoded length — the array is up to
+			// twice what it holds, and the entry would carry the excess
+			// unbooked for as long as it is resident (9 MB of RSS over
+			// serve_cold's 1024 entries).
 			ds = slices.Clone(ds)
 		}
 		// Clipped: a reader that appends to the shared list gets its own
@@ -115,12 +120,20 @@ type served struct {
 }
 
 // compileCached answers a Polaris compile of src from the cache,
-// peer-filling a miss whose key another node owns. A cold outcome a
-// peer fill satisfied reports the fill's outcome instead: this node
-// skipped the compile, and the entry's true leader lives on the owner.
+// peer-filling a miss whose key another node owns. A key this node owns
+// lives in its main cache; a peer-owned key lives in the hot tier,
+// whether the fill landed or fell back to a local compile, so the fleet
+// holds each entry once at its owner and only a small hot copy here. A
+// cold outcome a peer fill satisfied reports the fill's outcome
+// instead: this node skipped the compile, and the entry's true leader
+// lives on the owner.
 func (s *Server) compileCached(ctx context.Context, key core.Key, src string, opt core.Options) (*cacheEntry, served, error) {
 	fill, pf := s.compileFnFor(key, src, opt)
-	e, out, err := s.compiled(ctx, key, src, opt, fill)
+	t := s.cache
+	if pf != nil {
+		t = s.hot
+	}
+	e, out, err := s.compiled(ctx, t, key, src, opt, fill)
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		return nil, served{}, err

@@ -25,7 +25,9 @@ type peerFill struct {
 // compile; when a peer owns it, the leader first asks the owner for the
 // finished entry — and returns the decoded result and decision list —
 // and compiles locally only if the fill fails. The returned
-// *peerFill reports which happened. The fill runs inside the
+// *peerFill reports which happened; it is nil exactly when this node
+// owns the key, which is how the caller picks the tier without asking
+// the ring again. The fill runs inside the
 // requester's own singleflight slot, so concurrent local
 // requests for the key coalesce onto one fill attempt, and its strict
 // deadline is a child of the leader's context: a dead or hung owner
@@ -109,8 +111,8 @@ func injectFault(w http.ResponseWriter, r *http.Request, f fabric.Fault) bool {
 }
 
 // handleFabricFill is the owner side of peer cache-fill: compile the
-// posted source locally (through the same cache, admission, and
-// deadline machinery as a client compile — a missing entry is compiled
+// posted source locally (through the main cache, admission, and
+// deadline machinery of a client compile — a missing entry is compiled
 // once and stays warm) and ship the entry with its checksum. This
 // handler never peer-fills in turn, so ring disagreement during a
 // rollout cannot form a routing loop.
@@ -152,7 +154,7 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	key := core.KeyOf(freq.Source, opt)
-	e, out, err := s.compiled(ctx, key, freq.Source, opt, compileSource(freq.Source))
+	e, out, err := s.compiled(ctx, s.cache, key, freq.Source, opt, compileSource(freq.Source))
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)

@@ -19,6 +19,7 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/fabric"
+	"polaris/internal/suite"
 )
 
 // handlerSwap lets an httptest server start (fixing its URL) before
@@ -132,7 +133,7 @@ func TestFabricPeerFill(t *testing.T) {
 	}
 	assertSameAnswer(t, want, resp)
 
-	// B's local cache is now warm: the repeat is an ordinary cache_hit.
+	// B's hot tier is now warm: the repeat is an ordinary cache_hit.
 	w = postJSON(t, p.b.Handler(), "/v1/compile", CompileRequest{Source: src})
 	resp = decodeBody[CompileResponse](t, w)
 	if resp.Outcome != "cache_hit" {
@@ -182,6 +183,48 @@ func TestFabricPeerFill(t *testing.T) {
 	}
 	if gotEmit.Source != wantEmit.Source {
 		t.Error("emitted Go differs between single-node and peer-filled compile")
+	}
+}
+
+// TestFabricExplainFills: /v1/explain rides the peer tier like compile
+// and emit. For a key the owner holds warm, the requester's explain is
+// a peer_hit, lands in its hot tier, and explains exactly what the
+// owner's explain does, per-pass trail included.
+func TestFabricExplainFills(t *testing.T) {
+	p := newFabricPair(t, 2*time.Second, nil)
+	trfd, _ := suite.ByName("trfd")
+	src := sourceOwnedBy(t, p.fab, "a", trfd.Source)
+	postJSON(t, p.a.Handler(), "/v1/compile", CompileRequest{Source: src})
+
+	req := ExplainRequest{Source: src, Label: "explained", Verbose: true}
+	explain := func(node string, h http.Handler, outcome string) ExplainResponse {
+		t.Helper()
+		w := postJSON(t, h, "/v1/explain", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("explain on %s: %d %s", node, w.Code, w.Body.String())
+		}
+		resp := decodeBody[ExplainResponse](t, w)
+		if resp.Outcome != outcome {
+			t.Errorf("explain on %s: outcome %q, want %s", node, resp.Outcome, outcome)
+		}
+		return resp
+	}
+	want := explain("the owner", p.a.Handler(), "cache_hit")
+	got := explain("the requester", p.b.Handler(), "peer_hit")
+	if len(want.Trail) == 0 {
+		t.Fatal("the owner's explain carries no trail")
+	}
+	if !reflect.DeepEqual(want.Lines, got.Lines) {
+		t.Errorf("explain lines differ:\n owner     %q\n requester %q", want.Lines, got.Lines)
+	}
+	if !reflect.DeepEqual(want.Trail, got.Trail) {
+		t.Errorf("explain trail differs (%d vs %d records)", len(want.Trail), len(got.Trail))
+	}
+	if n := p.b.Observer().Counter("server_peer_hits"); n != 1 {
+		t.Errorf("server_peer_hits = %d, want 1", n)
+	}
+	if hot, main := p.b.hot.Stats(), p.b.cache.Stats(); hot.Entries != 1 || main.Entries != 0 {
+		t.Errorf("the requester holds the explained key in hot %+v and main %+v, want hot only", hot, main)
 	}
 }
 

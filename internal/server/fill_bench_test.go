@@ -59,7 +59,7 @@ func BenchmarkFillOrCompile(b *testing.B) {
 	for _, s := range fillBenchSources() {
 		src := sourceOwnedBy(b, ownerCfg.Fabric, "a", s.src)
 		key := core.KeyOf(src, opt)
-		if _, _, err := owner.compiled(ctx, key, src, opt, compileSource(src)); err != nil {
+		if _, _, err := owner.compiled(ctx, owner.cache, key, src, opt, compileSource(src)); err != nil {
 			b.Fatalf("%s: warming the owner: %v", s.name, err)
 		}
 		b.Run("fill/"+s.name, func(b *testing.B) {

@@ -500,13 +500,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	reqID := telemetry.RequestID(ctx)
 	opt := core.PolarisOptions()
 	opt.TraceLabel = label
-	e, out, err := s.compiled(ctx, core.KeyOf(req.Source, opt), req.Source, opt, compileSource(req.Source))
+	e, sv, err := s.compileCached(ctx, core.KeyOf(req.Source, opt), req.Source, opt)
 	if err != nil {
-		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)
 		return
 	}
-	sv := servedBy(out, reqID)
 	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
 
 	resp := ExplainResponse{

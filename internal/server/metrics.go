@@ -14,7 +14,9 @@ import (
 // ?format=prometheus.
 type Metrics struct {
 	Counters map[string]int64 `json:"counters"`
-	Cache    struct {
+	// Cache totals the compile cache over both tiers; Hot is the tier of
+	// peer-owned keys alone (all zero on a single node).
+	Cache struct {
 		Entries   int     `json:"entries"`
 		Bytes     int64   `json:"bytes"`
 		Hits      int64   `json:"hits"`
@@ -22,6 +24,13 @@ type Metrics struct {
 		Evictions int64   `json:"evictions"`
 		Retries   int64   `json:"retries"`
 		HitRatio  float64 `json:"hit_ratio"`
+		Hot       struct {
+			Entries   int   `json:"entries"`
+			Bytes     int64 `json:"bytes"`
+			Hits      int64 `json:"hits"`
+			Misses    int64 `json:"misses"`
+			Evictions int64 `json:"evictions"`
+		} `json:"hot"`
 	} `json:"cache"`
 	// UnitMemo is the per-unit incremental memo behind ?incremental=1
 	// compiles (hits/misses count unit-level lookups, not requests).
@@ -72,7 +81,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if m.Counters == nil {
 		m.Counters = map[string]int64{}
 	}
-	cs := s.cache.Stats()
+	cs := s.CacheStats()
 	m.Cache.Entries = cs.Entries
 	m.Cache.Bytes = cs.Bytes
 	m.Cache.Hits = cs.Hits
@@ -80,6 +89,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Cache.Evictions = cs.Evictions
 	m.Cache.Retries = cs.Retries
 	m.Cache.HitRatio = hitRatio(cs.Hits, cs.Misses)
+	hs := s.hot.Stats()
+	m.Cache.Hot.Entries = hs.Entries
+	m.Cache.Hot.Bytes = hs.Bytes
+	m.Cache.Hot.Hits = hs.Hits
+	m.Cache.Hot.Misses = hs.Misses
+	m.Cache.Hot.Evictions = hs.Evictions
 	ms := s.memo.Stats()
 	m.UnitMemo.Entries = ms.Entries
 	m.UnitMemo.Bytes = ms.Bytes
@@ -120,14 +135,14 @@ func hitRatio(hits, misses int64) float64 {
 func (s *Server) writePrometheus(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
-	cs := s.cache.Stats()
+	cs := s.CacheStats()
 
 	telemetry.WriteHeader(w, "polaris_in_flight_requests", "Requests currently inside any handler.", "gauge")
 	telemetry.WriteCounter(w, "polaris_in_flight_requests", s.httpInflight.Load())
 
-	telemetry.WriteHeader(w, "polaris_cache_entries", "Compile cache entries resident.", "gauge")
+	telemetry.WriteHeader(w, "polaris_cache_entries", "Compile cache entries resident, both tiers.", "gauge")
 	telemetry.WriteCounter(w, "polaris_cache_entries", int64(cs.Entries))
-	telemetry.WriteHeader(w, "polaris_cache_bytes", "Compile cache bytes resident.", "gauge")
+	telemetry.WriteHeader(w, "polaris_cache_bytes", "Compile cache bytes resident, both tiers.", "gauge")
 	telemetry.WriteCounter(w, "polaris_cache_bytes", cs.Bytes)
 	telemetry.WriteHeader(w, "polaris_cache_hits_total", "Compile cache lookups served from a completed or in-flight entry.", "counter")
 	telemetry.WriteCounter(w, "polaris_cache_hits_total", cs.Hits)
@@ -139,6 +154,18 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	telemetry.WriteCounter(w, "polaris_cache_retries_total", cs.Retries)
 	telemetry.WriteHeader(w, "polaris_cache_hit_ratio", "hits / (hits + misses), 0 for an untouched cache.", "gauge")
 	telemetry.WriteGauge(w, "polaris_cache_hit_ratio", hitRatio(cs.Hits, cs.Misses))
+
+	hs := s.hot.Stats()
+	telemetry.WriteHeader(w, "polaris_cache_hot_entries", "Hot-tier entries resident (keys a peer owns).", "gauge")
+	telemetry.WriteCounter(w, "polaris_cache_hot_entries", int64(hs.Entries))
+	telemetry.WriteHeader(w, "polaris_cache_hot_bytes", "Hot-tier bytes resident.", "gauge")
+	telemetry.WriteCounter(w, "polaris_cache_hot_bytes", hs.Bytes)
+	telemetry.WriteHeader(w, "polaris_cache_hot_hits_total", "Hot-tier lookups served from a completed or in-flight entry.", "counter")
+	telemetry.WriteCounter(w, "polaris_cache_hot_hits_total", hs.Hits)
+	telemetry.WriteHeader(w, "polaris_cache_hot_misses_total", "Hot-tier lookups that started a peer fill.", "counter")
+	telemetry.WriteCounter(w, "polaris_cache_hot_misses_total", hs.Misses)
+	telemetry.WriteHeader(w, "polaris_cache_hot_evictions_total", "Hot-tier LRU evictions.", "counter")
+	telemetry.WriteCounter(w, "polaris_cache_hot_evictions_total", hs.Evictions)
 
 	ms := s.memo.Stats()
 	telemetry.WriteHeader(w, "polaris_unit_memo_entries", "Per-unit incremental memo entries resident.", "gauge")

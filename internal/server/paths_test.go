@@ -93,7 +93,7 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 	add("cache_hit", lead, "cache_hit", compileAs(t, solo.Handler(), "", src, lead))
 	// The entry's list went out three times and must read as recorded.
 	opt := core.PolarisOptions()
-	e, _, err := solo.compiled(context.Background(), core.KeyOf(src, opt), src, opt, compileSource(src))
+	e, _, err := solo.compiled(context.Background(), solo.cache, core.KeyOf(src, opt), src, opt, compileSource(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 		opt := core.PolarisOptions()
 		opt.TraceLabel = lead
 		ctx := telemetry.WithRequestID(context.Background(), "path-leader")
-		_, _, err := co2.compiled(ctx, core.KeyOf(src, opt), src, opt,
+		_, _, err := co2.compiled(ctx, co2.cache, core.KeyOf(src, opt), src, opt,
 			func(ctx context.Context, o core.Options) (*core.Result, []obsv.Decision, error) {
 				close(started)
 				<-release
@@ -162,6 +162,17 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 	add("peer_hit", other, "peer_hit", compileAs(t, q.b.Handler(), "", src, other))
 	add("requester_hit_after_fill", lead, "cache_hit", compileAs(t, q.b.Handler(), "", src, lead))
 
+	// Two nodes, the requester's hot tier one entry deep: another
+	// peer-owned key evicts the entry, and the repeat fills it again.
+	owner, requester, _, ring := handlerPair(t, Config{Workers: 4, CacheEntries: 8})
+	compileAs(t, owner.Handler(), "", src, lead)
+	compileAs(t, requester.Handler(), "", src, other)
+	compileAs(t, requester.Handler(), "", sourceOwnedBy(t, ring, "a", saxpySrc), other)
+	if st := requester.hot.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("the requester's hot tier before the repeat: %+v, want the evicting key alone", st)
+	}
+	add("requester_repeat_after_hot_eviction", lead, "peer_hit", compileAs(t, requester.Handler(), "", src, lead))
+
 	// A batch: both labels in one body, whichever of them leads.
 	batch := New(Config{Workers: 4})
 	w := postJSON(t, batch.Handler(), "/v1/compile", []CompileRequest{{Source: src, Label: lead}, {Source: src, Label: other}})
@@ -185,7 +196,8 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 // TestServicePathEquivalence is the north star's "every path that can
 // produce a verdict" for the service: for each of the 16 suite
 // programs, the /v1/compile body from a cold compile, a cache hit, a
-// coalesced wait, a peer miss, a peer hit, a batch item and an
+// coalesced wait, a peer miss, a peer hit, a second fill after the
+// requester's hot tier evicted the entry, a batch item and an
 // incremental compile is the same bytes once the fields that say which
 // path it was are blanked — under two client labels, each answered from
 // provenance the other recorded. It is the proof that handing out the

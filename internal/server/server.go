@@ -10,8 +10,10 @@
 //	→ admission (worker pool + fixed-depth queue, overflow shed with 429
 //	  and a drain-rate-derived Retry-After)
 //	→ per-request deadline (propagates through passes.Context)
-//	→ singleflight bounded-LRU compile cache (a store.Store; the request
-//	  ID rides the context so coalesced waiters can name their leader)
+//	→ singleflight bounded-LRU compile cache (a store.Store for the keys
+//	  this node owns, a smaller one for keys a fabric peer owns; the
+//	  request ID rides the context so coalesced waiters can name their
+//	  leader)
 //	→ instrumented pass manager (panics isolated into *core.PipelineError)
 //	→ the entry's decision provenance, handed out read-only and labelled
 //	  in the response's own copy
@@ -64,7 +66,10 @@ type Config struct {
 	MaxSourceBytes int64
 	// CacheEntries / CacheBytes bound the shared compile cache's LRU
 	// (defaults: 1024 entries, 64 MiB). The cache is what keeps memory
-	// flat under millions of distinct sources.
+	// flat under millions of distinct sources. They bound the keys this
+	// node owns, which on a single node is every key; a fabric node
+	// holds keys a peer owns in a hot tier of its own, bounded at 1/8 of
+	// each (at least one entry and one byte).
 	CacheEntries int
 	CacheBytes   int64
 	// UnitMemoEntries / UnitMemoBytes bound the per-unit incremental
@@ -142,11 +147,12 @@ func (c *Config) applyDefaults() {
 // in-flight requests.
 type Server struct {
 	cfg       Config
-	obs       *obsv.Observer                      // shared expvar-style counters
-	cache     *store.Store[cacheKey, *cacheEntry] // compiled and baseline entries under one bound
-	memo      *core.UnitMemo                      // per-unit incremental memo (?incremental=1)
-	tel       *telemetry.Registry                 // per-(route, outcome) latency histograms
-	queueWait *telemetry.Histogram                // admission wait per admitted request
+	obs       *obsv.Observer       // shared expvar-style counters
+	cache     *tier                // main: owned compiled and baseline entries under one bound
+	hot       *tier                // peer-owned entries, an eighth of main's bounds
+	memo      *core.UnitMemo       // per-unit incremental memo (?incremental=1)
+	tel       *telemetry.Registry  // per-(route, outcome) latency histograms
+	queueWait *telemetry.Histogram // admission wait per admitted request
 	accessLog *slog.Logger
 
 	slots        chan struct{} // worker slots (admission)
@@ -180,6 +186,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		obs:       obsv.NewObserver(),
 		cache:     store.New[cacheKey, *cacheEntry](store.Limits{MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes}),
+		hot:       store.New[cacheKey, *cacheEntry](store.Limits{MaxEntries: max(1, cfg.CacheEntries/8), MaxBytes: max(1, cfg.CacheBytes/8)}),
 		memo:      core.NewUnitMemo(core.MemoLimits{MaxEntries: cfg.UnitMemoEntries, MaxBytes: cfg.UnitMemoBytes}),
 		tel:       telemetry.NewRegistry(),
 		queueWait: &telemetry.Histogram{},
@@ -216,8 +223,19 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Observer returns the shared counter observer (metrics surface).
 func (s *Server) Observer() *obsv.Observer { return s.obs }
 
-// CacheStats snapshots the shared compile cache.
-func (s *Server) CacheStats() store.Stats { return s.cache.Stats() }
+// CacheStats snapshots the compile cache: the totals over the main
+// cache and the hot tier.
+func (s *Server) CacheStats() store.Stats {
+	m, h := s.cache.Stats(), s.hot.Stats()
+	return store.Stats{
+		Entries:   m.Entries + h.Entries,
+		Bytes:     m.Bytes + h.Bytes,
+		Hits:      m.Hits + h.Hits,
+		Misses:    m.Misses + h.Misses,
+		Evictions: m.Evictions + h.Evictions,
+		Retries:   m.Retries + h.Retries,
+	}
+}
 
 // MemoStats snapshots the per-unit incremental memo.
 func (s *Server) MemoStats() core.MemoStats { return s.memo.Stats() }

@@ -196,7 +196,7 @@ func TestCoalescedWaitersNameLeader(t *testing.T) {
 	leaderDone := make(chan store.Outcome, 1)
 	go func() {
 		ctx := telemetry.WithRequestID(context.Background(), "leader-req")
-		_, out, err := s.compiled(ctx, core.KeyOf(saxpySrc, opt), saxpySrc, opt,
+		_, out, err := s.compiled(ctx, s.cache, core.KeyOf(saxpySrc, opt), saxpySrc, opt,
 			func(ctx context.Context, o core.Options) (*core.Result, []obsv.Decision, error) {
 				close(started)
 				<-release
@@ -329,7 +329,9 @@ func checkPromHistograms(t *testing.T, body string) map[string]int64 {
 // TestPrometheusExposition checks the text format against the JSON
 // snapshot: preambles present, buckets monotone and consistent with
 // _count, per-series counts equal across the two formats, observer
-// counter families in sorted order, and the in-flight gauge visible.
+// counter families in sorted order, the in-flight gauge visible, and
+// every compile-cache family, hot tier included, equal to its JSON
+// field.
 func TestPrometheusExposition(t *testing.T) {
 	s := New(Config{})
 	postJSON(t, s.Handler(), "/v1/compile", CompileRequest{Source: saxpySrc})
@@ -399,6 +401,60 @@ func TestPrometheusExposition(t *testing.T) {
 	if !sort.StringsAreSorted(observerFamilies) {
 		t.Errorf("observer counter families not sorted: %v", observerFamilies)
 	}
+	checkPromCache(t, s)
+
+	// The hot tier's families, on a fabric requester whose one-entry hot
+	// tier has missed, hit and evicted: two peer-owned keys asked twice
+	// each, and one key it owns, asked once, in its main cache.
+	owner, requester, _, ring := handlerPair(t, Config{CacheEntries: 8})
+	for _, src := range []string{sourceOwnedBy(t, ring, "a", saxpySrc), sourceOwnedBy(t, ring, "a", tamperLine(saxpySrc))} {
+		compileAs(t, owner.Handler(), "", src, "prog")
+		compileAs(t, requester.Handler(), "", src, "prog")
+		compileAs(t, requester.Handler(), "", src, "prog")
+	}
+	compileAs(t, requester.Handler(), "", sourceOwnedBy(t, ring, "b", saxpySrc), "prog")
+	m = checkPromCache(t, requester)
+	if c, h := m.Cache, m.Cache.Hot; h.Entries != 1 || h.Hits != 2 || h.Misses != 2 || h.Evictions != 1 ||
+		c.Entries != 2 || c.Hits != 2 || c.Misses != 3 || c.Evictions != 1 {
+		t.Errorf("the requester's cache metrics %+v: want the hot tier at 1 entry, 2 hits, 2 misses, 1 eviction, and totals of 2, 2, 3, 1", c)
+	}
+}
+
+// checkPromCache scrapes s in both formats and holds every compile-cache
+// family, the totals over both tiers and the hot tier's own, to its JSON
+// field.
+func checkPromCache(t *testing.T, s *Server) Metrics {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	m := decodeBody[Metrics](t, w)
+	w = httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	exposed := map[string]string{}
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			exposed[f[0]] = f[1]
+		}
+	}
+	c, h := m.Cache, m.Cache.Hot
+	for family, want := range map[string]int64{
+		"polaris_cache_entries":             int64(c.Entries),
+		"polaris_cache_bytes":               c.Bytes,
+		"polaris_cache_hits_total":          c.Hits,
+		"polaris_cache_misses_total":        c.Misses,
+		"polaris_cache_evictions_total":     c.Evictions,
+		"polaris_cache_retries_total":       c.Retries,
+		"polaris_cache_hot_entries":         int64(h.Entries),
+		"polaris_cache_hot_bytes":           h.Bytes,
+		"polaris_cache_hot_hits_total":      h.Hits,
+		"polaris_cache_hot_misses_total":    h.Misses,
+		"polaris_cache_hot_evictions_total": h.Evictions,
+	} {
+		if got := exposed[family]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("%s is %q in the exposition and %d in JSON", family, got, want)
+		}
+	}
+	return m
 }
 
 // TestMetricsHammerConsistency is the -race load gate: 64 mixed
