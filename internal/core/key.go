@@ -53,21 +53,6 @@ func (k Key) SourceHash() string { return hex.EncodeToString(k.src[:]) }
 // RouteKey is KeyOf(src, opt).String().
 func RouteKey(src string, opt Options) string { return KeyOf(src, opt).String() }
 
-// CompiledSize estimates the resident bytes of a compile of src that
-// recorded ds, for a cache's byte bound: the retained IR, which scales
-// with the source, plus a fixed part, plus the decision records. The
-// coefficients are fitted to the live heap a suite entry holds, on a
-// local compile and on a peer fill alike (about 21 KB); a decision
-// stands for its loop's report and clauses as well as its own 184-byte
-// record, so it books 256 bytes over what decisionsSize gives it.
-// internal/server's TestCacheBooksWhatItHolds keeps the two within
-// [0.8, 1.25]× of each other. The estimate must also be deterministic
-// per entry — it is added on insert and subtracted on evict, keeping
-// the accounting exact for the entries actually held.
-func CompiledSize(src string, ds []obsv.Decision) int64 {
-	return int64(len(src))*4 + 3072 + int64(len(ds))*256 + decisionsSize(ds)
-}
-
 // decisionsSize estimates the decision records alone: a fixed part per
 // record plus its strings. The unit memo books its records with it.
 func decisionsSize(ds []obsv.Decision) int64 {

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"encoding/binary"
+	"maps"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
+	"polaris/internal/passes"
 	"polaris/internal/suite"
 )
 
@@ -83,10 +86,14 @@ func frontEndAlloc(entry []byte) uint64 {
 // 1 MiB. The front end's share is not the wire's to shrink — the same
 // parser reads every client's source, and a dense argument list costs
 // it ~100× its bytes — but a peer's say-so must not buy more than this
-// either. The renderer's expression strings still grow with the square
-// of an expression's length (a 4000-term sum in an 8 KB entry allocates
-// 18 MB), so a fuzzer that builds such a sum fails this check: that is
-// ROADMAP [bounded]'s open expression-size item.
+// either. A 4000-term sum is a seed: while the renderer built an
+// expression's text by concatenation, its 8 KB entry allocated 18 MB.
+//
+// DecodeView reads every candidate too, as a cache hit reads the entry
+// it holds. It must never panic, must stay inside the wire's share of
+// 40× + 64 KiB whether it accepts or rejects, and on every entry
+// DecodeEntry accepts must yield the same loops, decisions under the same
+// label, and report.
 func FuzzDecodeEntry(f *testing.F) {
 	for _, p := range suite.All() {
 		opt := core.PolarisOptions()
@@ -123,13 +130,18 @@ func FuzzDecodeEntry(f *testing.F) {
 	lie := handEntry([]string{"abc"}, empty, prog)
 	lie[len(entryMagic)+1+1+len(fuzzKey)+1] = 100 // the table's one string says 100 bytes
 	f.Add(lie)
+	sum, err := parser.ParseProgram("      PROGRAM P\n      X = 1" + strings.Repeat("+1", 3999) + "\n      END\n")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(handEntry(nil, empty, sum.Fortran())) // the 4000-term sum
 
 	f.Fuzz(func(t *testing.T, entry []byte) {
+		const wireMultiple, wireFixed = 40, 64 << 10
 		frontEnd := frontEndAlloc(entry)
 		before := totalAlloc()
 		res, decisions, err := DecodeEntry(entry, sumHex(entry), fuzzKey, "fuzz")
 		got := totalAlloc() - before
-		const wireMultiple, wireFixed = 40, 64 << 10
 		if limit := uint64(wireMultiple*len(entry)+wireFixed) + frontEnd; got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over %d×input + %d on top of the front end's %d", len(entry), got, wireMultiple, wireFixed, frontEnd)
 		}
@@ -137,9 +149,23 @@ func FuzzDecodeEntry(f *testing.F) {
 		if limit := uint64(multiple*len(entry) + fixed); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d in all, over %d×input + %d", len(entry), got, multiple, fixed)
 		}
+
+		stored := string(entry)
+		before = totalAlloc()
+		v, verr := DecodeView(stored, "fuzz")
+		if spent := totalAlloc() - before; spent > uint64(wireMultiple*len(entry)+wireFixed) {
+			t.Fatalf("viewing %d bytes allocated %d, over %d×input + %d", len(entry), spent, wireMultiple, wireFixed)
+		}
+		if verr == nil {
+			defer v.Release()
+		}
 		if err != nil {
 			return
 		}
+		if verr != nil {
+			t.Fatalf("DecodeEntry accepts an entry the view rejects: %v", verr)
+		}
+		sameView(t, v, res, decisions)
 		first, sum, err := EncodeEntry(fuzzKey, res, decisions)
 		if err != nil {
 			t.Fatalf("an accepted entry does not encode: %v", err)
@@ -156,4 +182,40 @@ func FuzzDecodeEntry(f *testing.F) {
 			t.Fatalf("an accepted entry is not a fixed point of the wire:\n%q\n%q", first, second)
 		}
 	})
+}
+
+// sameView fails t unless the view holds what the full decode made of
+// the same entry: the loops less their re-parsed *ir.DoStmt, the
+// decisions, and the report, where a View's empty report stands for the
+// absent one.
+func sameView(t *testing.T, v *View, res *core.Result, decisions []obsv.Decision) {
+	t.Helper()
+	if len(v.Loops) != len(res.Loops) {
+		t.Fatalf("the view holds %d loops, the decode %d", len(v.Loops), len(res.Loops))
+	}
+	for i, l := range res.Loops {
+		l.Loop = nil
+		if !reflect.DeepEqual(v.Loops[i], l) {
+			t.Fatalf("loop %d: the view holds %+v, the decode %+v", i, v.Loops[i], l)
+		}
+	}
+	if !reflect.DeepEqual(v.Decisions, decisions) && len(v.Decisions)+len(decisions) > 0 {
+		t.Fatalf("the view's %d decisions differ from the decode's %d", len(v.Decisions), len(decisions))
+	}
+	var events []passes.Event
+	if res.Report != nil {
+		events = res.Report.Events
+		if v.Report.TotalNS != res.Report.TotalNS {
+			t.Fatalf("the view's report totals %d ns, the decode's %d", v.Report.TotalNS, res.Report.TotalNS)
+		}
+	}
+	if len(v.Report.Events) != len(events) {
+		t.Fatalf("the view's report has %d events, the decode's %d", len(v.Report.Events), len(events))
+	}
+	for i, ev := range events {
+		got := v.Report.Events[i]
+		if got.Seq != ev.Seq || got.Pass != ev.Pass || got.DurationNS != ev.DurationNS || got.Err != ev.Err || !maps.Equal(got.Mutations, ev.Mutations) {
+			t.Fatalf("event %d: the view holds %+v, the decode %+v", i, got, ev)
+		}
+	}
 }

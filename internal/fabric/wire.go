@@ -17,6 +17,10 @@
 // whole payload additionally carries an end-to-end SHA-256 checksum so
 // a truncated or bit-flipped body is rejected before parsing.
 //
+// The same entry is what a node's compile cache holds. A reader that
+// needs only the verdicts, decisions and report takes a View of it,
+// decoded from the body alone into pooled scratch.
+//
 // Failure is always graceful by design: a dead, hung, or lying owner
 // costs the requester one local compilation, never a wrong answer —
 // the distributed analog of the canceled-singleflight-leader bug class
@@ -24,7 +28,6 @@
 package fabric
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -68,15 +71,15 @@ const (
 // string the body names, each once, in order of first use; the body
 // names them by index. The body is the result scalars, the loops with
 // their ParInfo clauses, the decisions (no label) and the pass report.
-// The rendering runs to the end of the entry, so the owner renders
-// straight into the entry's buffer without knowing its length first.
+// The rendering runs to the end of the entry, so it carries no length.
 
 // EncodeEntry serializes a compiled result and its captured decision
-// provenance for one peer fill. The returned checksum is the SHA-256
-// of the entry bytes; receivers verify it end-to-end before decoding.
-// res and decisions are only read — they are typically a cache entry's
-// own, shared with every request that hits it — and no decision's
-// label is written: the receiver decodes under its own.
+// provenance: the entry a compile cache keeps and a peer fill ships.
+// The returned checksum is the SHA-256 of the entry bytes; receivers
+// verify it end-to-end before decoding. res and decisions are only read,
+// and no decision's label is written: a reader decodes under its own.
+// The entry is one allocation of exactly its length, so a cache books
+// what it holds.
 func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (entry, checksum string, err error) {
 	var events []passes.Event
 	var totalNS int64
@@ -92,20 +95,25 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 		}
 	}
 	// The body goes first, into the encoder's own buffer, interning each
-	// string it names as it goes: then the table that precedes it in the
-	// entry is complete, and the entry's one buffer can be sized once.
+	// string it names as it goes, and the rendering into a builder of its
+	// own: then every part of the entry has its length, and the entry's
+	// one buffer is sized exactly.
 	e := encoders.Get().(*encoder)
 	defer e.release()
 	e.body(res, decisions, events, totalNS)
-	size := len(entryMagic) + uvarintLen(EntrySchema) + stringLen(routeKey) +
-		uvarintLen(uint64(len(e.table))) + e.tableBytes + uvarintLen(uint64(len(e.buf))) + len(e.buf)
 	// The rendering runs up to a half over the source it was parsed
 	// from (codegen.EmitFortran sizes its buffer the same way); where
 	// that falls short the builder grows.
+	est := 0
 	for _, u := range res.Program.Units {
-		size += len(u.Source) + len(u.Source)/2
+		est += len(u.Source) + len(u.Source)/2
 	}
-	e.b.Grow(size)
+	var r strings.Builder
+	r.Grow(est)
+	res.Program.WriteFortran(&r)
+	rendered := r.String()
+	e.b.Grow(len(entryMagic) + uvarintLen(EntrySchema) + stringLen(routeKey) +
+		uvarintLen(uint64(len(e.table))) + e.tableBytes + uvarintLen(uint64(len(e.buf))) + len(e.buf) + len(rendered))
 	e.b.WriteString(entryMagic)
 	e.put(EntrySchema)
 	e.raw(routeKey)
@@ -115,7 +123,7 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 	}
 	e.put(uint64(len(e.buf)))
 	e.b.Write(e.buf)
-	res.Program.WriteFortran(&e.b)
+	e.b.WriteString(rendered)
 	entry = e.b.String()
 	return entry, sumHexString(entry), nil
 }
@@ -278,46 +286,32 @@ func (e *encoder) body(res *core.Result, decisions []obsv.Decision, events []pas
 	}
 }
 
-// DecodeEntry reconstructs a compiled result from wire bytes, its
-// decisions recorded under label. wantKey is the route key the receiver
-// asked for; any disagreement — checksum, schema, key, a count or index
-// the bytes cannot hold, parse failure, loop mismatch, or a
-// reconstruction that fails the render-roundtrip proof — returns an
-// error and the caller falls back to a local compile.
+// DecodeEntry reconstructs a compiled result from an entry, its
+// decisions recorded under label. The entry is the bytes a fill read or
+// the string a cache holds; a string is decoded where it stands, bytes
+// are converted once. wantKey is the route key the caller asked for;
+// any disagreement — checksum, schema, key, a count or index the bytes
+// cannot hold, parse failure, loop mismatch, or a reconstruction that
+// fails the render-roundtrip proof — returns an error, and the caller
+// compiles locally instead.
 //
 // What the wire's own decoding allocates is bounded by the bytes
-// present: every string is a substring of one conversion of entry, and
-// every slice and map of the body is made at its decoded length only
-// once the bytes left could hold that many elements at their smallest
-// encoding.
-func DecodeEntry(entry []byte, checksum, wantKey, label string) (*core.Result, []obsv.Decision, error) {
-	if got := sumHex(entry); got != checksum {
+// present: every string is a substring of the entry, and every slice and
+// map of the body is made at its decoded length only once the bytes left
+// could hold that many elements at their smallest encoding.
+func DecodeEntry[E string | []byte](entry E, checksum, wantKey, label string) (*core.Result, []obsv.Decision, error) {
+	if got := entrySum(entry); got != checksum {
 		return nil, nil, fmt.Errorf("fabric: entry checksum mismatch (got %.12s want %.12s)", got, checksum)
 	}
-	if !bytes.HasPrefix(entry, []byte(entryMagic)) {
-		return nil, nil, fmt.Errorf("fabric: not a schema-%d entry (no entry header)", EntrySchema)
-	}
-	r := &reader{b: entry, s: string(entry), p: len(entryMagic), end: len(entry)}
-	if v := r.uint(); r.err == nil && v != EntrySchema {
-		return nil, nil, fmt.Errorf("fabric: entry schema %d, want %d", v, EntrySchema)
-	}
-	if key := r.raw(); r.err == nil && key != wantKey {
+	r := &reader{s: string(entry)}
+	if key := r.header(); r.err == nil && key != wantKey {
 		return nil, nil, fmt.Errorf("fabric: stale entry: route key %.20s..., want %.20s...", key, wantKey)
 	}
-	if n := r.count(1); n > 0 {
-		r.table = make([]string, n)
-		for i := range r.table {
-			r.table[i] = r.raw()
-		}
-	}
-	bodyLen := r.uint()
-	if r.err == nil && bodyLen > uint64(len(entry)-r.p) {
-		r.failf("a body of %d bytes with %d left", bodyLen, len(entry)-r.p)
-	}
+	var v View
+	r.readTable(&v)
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	r.end = r.p + int(bodyLen)
 	rendered := r.s[r.end:]
 
 	prog, err := parser.ParseProgram(rendered)
@@ -337,12 +331,12 @@ func DecodeEntry(entry []byte, checksum, wantKey, label string) (*core.Result, [
 	if res.Unit == nil {
 		return nil, nil, fmt.Errorf("fabric: rendered program has no main unit")
 	}
-	decisions := r.body(res, loopByID, label)
-	if r.err != nil {
+	if r.body(&v, res, loopByID, label); r.err != nil {
 		return nil, nil, r.err
 	}
-	if r.p != r.end {
-		return nil, nil, fmt.Errorf("fabric: %d bytes left over in the entry body", r.end-r.p)
+	res.Loops = v.Loops
+	if len(v.Report.Events) > 0 {
+		res.Report = &passes.PipelineReport{Events: v.Report.Events, TotalNS: v.Report.TotalNS}
 	}
 	// The fidelity proof: rendering the reconstruction (annotations
 	// re-attached, so the directives reappear) must reproduce the
@@ -357,7 +351,60 @@ func DecodeEntry(entry []byte, checksum, wantKey, label string) (*core.Result, [
 	if again.String() != rendered {
 		return nil, nil, fmt.Errorf("fabric: reconstruction failed the render-roundtrip check")
 	}
-	return res, decisions, nil
+	return res, v.Decisions, nil
+}
+
+// View is what a compile or explain response reads of an entry: the
+// loops' verdicts (each LoopReport's Loop is nil), the decisions under
+// the request's label, and the pass report. Every string is a substring
+// of the entry, and every slice and map is scratch the View keeps from
+// one decode to the next. Release hands it back; nothing it holds may be
+// read after.
+type View struct {
+	Loops     []core.LoopReport
+	Decisions []obsv.Decision
+	Report    passes.PipelineReport
+	table     []string
+	lists     []string // the backing of every list the View holds
+}
+
+var views = sync.Pool{New: func() any { return new(View) }}
+
+// DecodeView reads entry's body into a View under label, for an entry
+// this process encoded or verified itself: it skips the checksum, the
+// route key, the parse of the rendering and the fidelity proof, which
+// only a full decode needs. Every count and index is still checked
+// against the bytes, so a broken entry is an error, never a panic, and
+// what a View allocates is bounded as DecodeEntry's is.
+func DecodeView(entry, label string) (*View, error) {
+	v := views.Get().(*View)
+	r := reader{s: entry, view: v}
+	r.header()
+	r.readTable(v)
+	r.body(v, nil, nil, label)
+	if r.err != nil {
+		v.Release()
+		return nil, r.err
+	}
+	return v, nil
+}
+
+// Release clears every string the View holds, so a pooled View pins no
+// entry, and returns it to the pool. The report's mutation maps stay,
+// emptied, for the next View to fill.
+func (v *View) Release() {
+	clear(v.Loops)
+	clear(v.Decisions)
+	for i := range v.Report.Events {
+		m := v.Report.Events[i].Mutations
+		clear(m)
+		v.Report.Events[i] = passes.Event{Mutations: m}
+	}
+	clear(v.table)
+	clear(v.lists)
+	*v = View{Loops: v.Loops[:0], Decisions: v.Decisions[:0], Report: passes.PipelineReport{Events: v.Report.Events[:0]},
+		table: v.table[:0], lists: v.lists[:0]}
+	views.Put(v)
 }
 
 type loopKey struct{ unit, id string }
@@ -366,12 +413,46 @@ type loopKey struct{ unit, id string }
 // returns a zero value and every count is 0, so a failed decode
 // allocates nothing more.
 type reader struct {
-	b     []byte
-	s     string // string(b): every decoded string is a substring of it
+	s     string // every decoded string is a substring of it
 	p     int
 	end   int // the end of the section being read
 	table []string
 	err   error
+	// view is the View a DecodeView fills: its lists share one backing
+	// array, where a full decode makes each its own.
+	view *View
+}
+
+// header reads an entry up to its string table — the magic, the schema
+// and the route key, which it returns.
+func (r *reader) header() string {
+	if !strings.HasPrefix(r.s, entryMagic) {
+		r.err = fmt.Errorf("fabric: not a schema-%d entry (no entry header)", EntrySchema)
+		return ""
+	}
+	r.p, r.end = len(entryMagic), len(r.s)
+	if v := r.uint(); r.err == nil && v != EntrySchema {
+		r.err = fmt.Errorf("fabric: entry schema %d, want %d", v, EntrySchema)
+		return ""
+	}
+	return r.raw()
+}
+
+// readTable reads the string table into v's and the body's length, and
+// leaves r at the body with r.end at its end: the rendering starts there.
+func (r *reader) readTable(v *View) {
+	v.table = resize(v.table, r.count(1))
+	for i := range v.table {
+		v.table[i] = r.raw()
+	}
+	r.table = v.table
+	bodyLen := r.uint()
+	if r.err == nil && bodyLen > uint64(r.end-r.p) {
+		r.failf("a body of %d bytes with %d left", bodyLen, r.end-r.p)
+	}
+	if r.err == nil {
+		r.end = r.p + int(bodyLen)
+	}
 }
 
 func (r *reader) failf(format string, args ...any) {
@@ -380,17 +461,25 @@ func (r *reader) failf(format string, args ...any) {
 	}
 }
 
+// uint reads a uvarint, as binary.Uvarint does.
 func (r *reader) uint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b[r.p:r.end])
-	if n <= 0 {
-		r.failf("truncated or overlong uvarint")
-		return 0
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64 && r.p+i < r.end; i++ {
+		b := r.s[r.p+i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break // past 64 bits
+			}
+			r.p += i + 1
+			return v | uint64(b)<<(7*i)
+		}
+		v |= uint64(b&0x7f) << (7 * i)
 	}
-	r.p += n
-	return v
+	r.failf("truncated or overlong uvarint")
+	return 0
 }
 
 // int reads a zigzagged varint, as binary.Varint does.
@@ -443,17 +532,35 @@ func (r *reader) str() string {
 }
 
 // list reads a list of table indices; empty is nil, as the encoder
-// cannot tell them apart.
+// cannot tell them apart. A View's lists are clipped windows of its one
+// backing array.
 func (r *reader) list() []string {
 	n := r.count(1)
 	if n == 0 {
 		return nil
+	}
+	if v := r.view; v != nil {
+		at := len(v.lists)
+		for ; n > 0; n-- {
+			v.lists = append(v.lists, r.str())
+		}
+		return v.lists[at:len(v.lists):len(v.lists)]
 	}
 	out := make([]string, n)
 	for i := range out {
 		out[i] = r.str()
 	}
 	return out
+}
+
+// resize returns s at length n, in s's own array when it is large
+// enough: a View reuses its scratch, and a full decode's empty View
+// gets each slice made at exactly its length.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // The smallest encodings of the body's repeated elements: one byte per
@@ -466,92 +573,101 @@ const (
 	minPair      = 2 // a map entry: key index and value
 )
 
-// body decodes the entry body into res, attaching each loop's clauses
-// to the loop of the re-parsed program it names, and returns the
-// decisions under label.
-func (r *reader) body(res *core.Result, loopByID map[loopKey]*ir.DoStmt, label string) []obsv.Decision {
-	res.InlinedCalls = int(r.int())
-	res.StrengthReduced = int(r.int())
-	res.NormalizedLoops = int(r.int())
-	res.InductionVars = r.list()
-	n := r.count(minPair)
-	res.InlineSkipped = make(map[string]string, n)
-	for ; n > 0; n-- {
-		k := r.str()
-		res.InlineSkipped[k] = r.str()
+// body decodes the entry body into v: the loops, the decisions under
+// label and the report. A full decode passes res and loopByID: res takes
+// the result's own fields, and each loop's clauses go on the loop of the
+// re-parsed program it names. A view passes neither, and the bytes of
+// both are read and checked, then dropped.
+func (r *reader) body(v *View, res *core.Result, loopByID map[loopKey]*ir.DoStmt, label string) {
+	full := res != nil
+	inlined, reduced, normalized := r.int(), r.int(), r.int()
+	inductionVars := r.list()
+	if full {
+		res.InlinedCalls, res.StrengthReduced, res.NormalizedLoops = int(inlined), int(reduced), int(normalized)
+		res.InductionVars = inductionVars
 	}
-	if n := r.count(minPair); n > 0 {
+	n := r.count(minPair)
+	if full {
+		res.InlineSkipped = make(map[string]string, n)
+	}
+	for ; n > 0; n-- {
+		if k, callee := r.str(), r.str(); full {
+			res.InlineSkipped[k] = callee
+		}
+	}
+	if n = r.count(minPair); n > 0 && full {
 		res.InterprocConstants = make(map[string]int64, n)
-		for ; n > 0; n-- {
-			k := r.str()
-			res.InterprocConstants[k] = r.int()
+	}
+	for ; n > 0; n-- {
+		if k, c := r.str(), r.int(); full {
+			res.InterprocConstants[k] = c
 		}
 	}
 
-	if n := r.count(minLoop); n > 0 {
-		res.Loops = make([]core.LoopReport, n)
-	}
-	for i := range res.Loops {
-		l := &res.Loops[i]
-		l.ID, l.Unit, l.Index = r.str(), r.str(), r.str()
-		l.Depth = int(r.int())
-		l.Parallel = r.bool()
-		l.LRPD = r.list()
-		l.Reason = r.str()
-		var p *ir.ParInfo
-		if r.bool() {
-			p = &ir.ParInfo{Parallel: r.bool(), Reason: r.str()}
+	v.Loops = resize(v.Loops, r.count(minLoop))
+	for i := range v.Loops {
+		l := &v.Loops[i]
+		*l = core.LoopReport{ID: r.str(), Unit: r.str(), Index: r.str(), Depth: int(r.int()), Parallel: r.bool()}
+		l.LRPD, l.Reason = r.list(), r.str()
+		var p ir.ParInfo
+		clauses := r.bool()
+		if clauses {
+			p = ir.ParInfo{Parallel: r.bool(), Reason: r.str()}
 			p.Private, p.PrivateArrays, p.LastValue = r.list(), r.list(), r.list()
-			if n := r.count(minReduction); n > 0 {
+			n := r.count(minReduction)
+			if full && n > 0 {
 				p.Reductions = make([]ir.Reduction, n)
-				for j := range p.Reductions {
-					p.Reductions[j] = ir.Reduction{Target: r.str(), Op: r.str(), Histogram: r.bool()}
+			}
+			for j := 0; j < n; j++ {
+				if red := (ir.Reduction{Target: r.str(), Op: r.str(), Histogram: r.bool()}); full {
+					p.Reductions[j] = red
 				}
 			}
 			p.LRPD = r.list()
 		}
-		if r.err != nil {
-			return nil
+		if r.err != nil || !full {
+			continue
 		}
 		d := loopByID[loopKey{l.Unit, l.ID}]
 		if d == nil {
 			r.failf("the entry names loop %s/%s absent from the rendered program", l.Unit, l.ID)
-			return nil
+			return
 		}
-		d.Par = p // decoded for this entry alone: nobody else holds it
+		if clauses {
+			par := p // decoded for this entry alone: nobody else holds it
+			d.Par = &par
+		}
 		l.Loop = d
 	}
 
-	var decisions []obsv.Decision
-	if n := r.count(minDecision); n > 0 {
-		decisions = make([]obsv.Decision, n)
-	}
-	for i := range decisions {
-		decisions[i] = obsv.Decision{
+	v.Decisions = resize(v.Decisions, r.count(minDecision))
+	for i := range v.Decisions {
+		v.Decisions[i] = obsv.Decision{
 			Label: label, Unit: r.str(), Loop: r.str(), Index: r.str(), Depth: int(r.int()),
 			Pass: r.str(), Verdict: r.str(), Technique: r.str(), Blocker: r.str(), Detail: r.str(),
 			Evidence: r.list(), Final: r.bool(),
 		}
 	}
 
-	totalNS := r.int()
-	if n := r.capped(minEvent, maxReportEvents); n > 0 {
-		events := make([]passes.Event, n)
-		for i := range events {
-			ev := &events[i]
-			ev.Seq, ev.Pass, ev.DurationNS = int(r.int()), r.str(), r.int()
-			if m := r.capped(minPair, maxMutationKeys); m > 0 {
-				ev.Mutations = make(map[string]int64, m)
-				for ; m > 0; m-- {
-					k := r.str()
-					ev.Mutations[k] = r.int()
-				}
-			}
-			ev.Err = r.str()
+	v.Report.TotalNS = r.int()
+	v.Report.Events = resize(v.Report.Events, r.capped(minEvent, maxReportEvents))
+	for i := range v.Report.Events {
+		ev := &v.Report.Events[i]
+		m := ev.Mutations // a View's, emptied by Release; nil in a full decode
+		*ev = passes.Event{Seq: int(r.int()), Pass: r.str(), DurationNS: r.int()}
+		n := r.capped(minPair, maxMutationKeys)
+		if m == nil && n > 0 {
+			m = make(map[string]int64, n)
 		}
-		res.Report = &passes.PipelineReport{Events: events, TotalNS: totalNS}
+		for ; n > 0; n-- {
+			k := r.str()
+			m[k] = r.int()
+		}
+		ev.Mutations, ev.Err = m, r.str()
 	}
-	return decisions
+	if r.err == nil && r.p != r.end {
+		r.err = fmt.Errorf("fabric: %d bytes left over in the entry body", r.end-r.p)
+	}
 }
 
 // uvarintLen is len(binary.AppendUvarint(nil, v)).
@@ -559,6 +675,15 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // stringLen is the encoded length of an inline string.
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// entrySum is the checksum of an entry in either spelling, taken where
+// it stands.
+func entrySum[E string | []byte](entry E) string {
+	if b, ok := any(entry).([]byte); ok {
+		return sumHex(b)
+	}
+	return sumHexString(string(entry))
+}
 
 func sumHex(b []byte) string {
 	sum := sha256.Sum256(b)

@@ -246,20 +246,10 @@ func TestWireRoundTripSuite(t *testing.T) {
 // header, the route key, the string table and the body — or false when
 // those do not decode.
 func renderingAt(entry string) (int, bool) {
-	r := &reader{b: []byte(entry), s: entry, p: len(entryMagic), end: len(entry)}
-	if !strings.HasPrefix(entry, entryMagic) {
-		return 0, false
-	}
-	r.uint()
-	r.raw()
-	for n := r.count(1); n > 0; n-- {
-		r.raw()
-	}
-	body := r.uint()
-	if r.err != nil || body > uint64(len(entry)-r.p) {
-		return 0, false
-	}
-	return r.p + int(body), true
+	r := &reader{s: entry}
+	r.header()
+	r.readTable(&View{})
+	return r.end, r.err == nil
 }
 
 // TestWireRejections proves every tamper class is rejected before an

@@ -7,7 +7,8 @@
 package ir
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"strings"
 )
 
@@ -200,32 +201,178 @@ func (e *Wildcard) Clone() Expr { c := *e; return &c }
 
 // String renderers. Parenthesization is conservative: nested binary
 // operands are parenthesized whenever precedence could be ambiguous.
+// Every String is appendExpr into one builder, so rendering costs what
+// the text is long; concatenating each operand's own string cost the
+// square of a sum's length.
 
-func (e *ConstInt) String() string { return fmt.Sprintf("%d", e.Val) }
+func (e *ConstInt) String() string     { return exprString(e) }
+func (e *ConstReal) String() string    { return exprString(e) }
+func (e *ConstLogical) String() string { return exprString(e) }
+func (e *VarRef) String() string       { return e.Name }
+func (e *ArrayRef) String() string     { return exprString(e) }
+func (e *Binary) String() string       { return exprString(e) }
+func (e *Unary) String() string        { return exprString(e) }
+func (e *Call) String() string         { return exprString(e) }
+func (e *Wildcard) String() string     { return "?" + e.ID }
 
-func (e *ConstReal) String() string {
-	s := fmt.Sprintf("%g", e.Val)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s
+// exprString sizes the builder with exprLen before it renders: grown
+// from empty, a builder past 256 bytes grows by a quarter at a time and
+// allocates about five times the text it ends with.
+func exprString(e Expr) string {
+	var b strings.Builder
+	b.Grow(exprLen(e))
+	appendExpr(&b, e)
+	return b.String()
 }
 
-func (e *ConstLogical) String() string {
-	if e.Val {
+// appendExpr writes e's Fortran text to b.
+func appendExpr(b *strings.Builder, e Expr) {
+	var num [32]byte
+	switch x := e.(type) {
+	case *ConstInt, *ConstReal:
+		b.Write(numberText(num[:0], e))
+	case *ConstLogical:
+		b.WriteString(logicalText(x.Val))
+	case *VarRef:
+		b.WriteString(x.Name)
+	case *ArrayRef:
+		appendCall(b, x.Name, x.Subs)
+	case *Binary:
+		p, pow := precedence(x.Op), x.Op == OpPow
+		appendOperand(b, x.L, p, pow)
+		b.WriteString(x.Op.String())
+		appendOperand(b, x.R, p, !pow)
+	case *Unary:
+		prefix, prec := unaryForm(x.Op)
+		b.WriteString(prefix)
+		appendOperand(b, x.X, prec, true)
+	case *Call:
+		appendCall(b, x.Name, x.Args)
+	case *Wildcard:
+		b.WriteByte('?')
+		b.WriteString(x.ID)
+	}
+}
+
+// appendCall writes name(a1,...,an), the form of a subscripted array
+// reference and of a function call alike.
+func appendCall(b *strings.Builder, name string, args []Expr) {
+	b.WriteString(name)
+	b.WriteByte('(')
+	for i, a := range args {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		appendExpr(b, a)
+	}
+	b.WriteByte(')')
+}
+
+// appendOperand writes an operand of an operator of precedence
+// parentPrec, parenthesized where operandParens says.
+func appendOperand(b *strings.Builder, e Expr, parentPrec int, right bool) {
+	paren := operandParens(e, parentPrec, right)
+	if paren {
+		b.WriteByte('(')
+	}
+	appendExpr(b, e)
+	if paren {
+		b.WriteByte(')')
+	}
+}
+
+// exprLen is the length of the text appendExpr writes for e.
+func exprLen(e Expr) int {
+	var num [32]byte
+	switch x := e.(type) {
+	case *ConstInt, *ConstReal:
+		return len(numberText(num[:0], e))
+	case *ConstLogical:
+		return len(logicalText(x.Val))
+	case *VarRef:
+		return len(x.Name)
+	case *ArrayRef:
+		return callLen(x.Name, x.Subs)
+	case *Binary:
+		p, pow := precedence(x.Op), x.Op == OpPow
+		return operandLen(x.L, p, pow) + len(x.Op.String()) + operandLen(x.R, p, !pow)
+	case *Unary:
+		prefix, prec := unaryForm(x.Op)
+		return len(prefix) + operandLen(x.X, prec, true)
+	case *Call:
+		return callLen(x.Name, x.Args)
+	case *Wildcard:
+		return 1 + len(x.ID)
+	}
+	return 0
+}
+
+func callLen(name string, args []Expr) int {
+	n := len(name) + 2 + max(len(args)-1, 0)
+	for _, a := range args {
+		n += exprLen(a)
+	}
+	return n
+}
+
+func operandLen(e Expr, parentPrec int, right bool) int {
+	n := exprLen(e)
+	if operandParens(e, parentPrec, right) {
+		n += 2
+	}
+	return n
+}
+
+// operandParens reports whether an operand of an operator of precedence
+// parentPrec needs parentheses to keep its grouping; right marks the
+// side where equal precedence needs them (the right of a left-associative
+// operator, the left of **, which associates to the right).
+func operandParens(e Expr, parentPrec int, right bool) bool {
+	switch x := e.(type) {
+	case *Binary:
+		p := precedence(x.Op)
+		return p < parentPrec || (p == parentPrec && right)
+	case *Unary:
+		return x.Op == OpNeg && parentPrec >= 4
+	}
+	return false
+}
+
+// unaryForm is a unary operator's spelling and the precedence its
+// operand is rendered under. An unknown operator renders as "?" under a
+// precedence below every operator's, so its operand is never
+// parenthesized.
+func unaryForm(op UnOp) (prefix string, prec int) {
+	switch op {
+	case OpNeg:
+		return "-", 5
+	case OpNot:
+		return ".NOT.", 3
+	}
+	return "?", -1
+}
+
+// numberText appends the text of an integer or real literal to num: a
+// real always shows it is one.
+func numberText(num []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case *ConstInt:
+		return strconv.AppendInt(num, x.Val, 10)
+	case *ConstReal:
+		s := strconv.AppendFloat(num, x.Val, 'g', -1, 64)
+		if !bytes.ContainsAny(s, ".eE") {
+			s = append(s, ".0"...)
+		}
+		return s
+	}
+	return num
+}
+
+func logicalText(v bool) string {
+	if v {
 		return ".TRUE."
 	}
 	return ".FALSE."
-}
-
-func (e *VarRef) String() string { return e.Name }
-
-func (e *ArrayRef) String() string {
-	parts := make([]string, len(e.Subs))
-	for i, s := range e.Subs {
-		parts[i] = s.String()
-	}
-	return e.Name + "(" + strings.Join(parts, ",") + ")"
 }
 
 func precedence(op BinOp) int {
@@ -245,50 +392,6 @@ func precedence(op BinOp) int {
 	}
 	return 0
 }
-
-func renderOperand(e Expr, parentPrec int, right bool) string {
-	if b, ok := e.(*Binary); ok {
-		p := precedence(b.Op)
-		if p < parentPrec || (p == parentPrec && right) {
-			return "(" + e.String() + ")"
-		}
-		return e.String()
-	}
-	if u, ok := e.(*Unary); ok && u.Op == OpNeg && parentPrec >= 4 {
-		return "(" + e.String() + ")"
-	}
-	return e.String()
-}
-
-func (e *Binary) String() string {
-	p := precedence(e.Op)
-	if e.Op == OpPow {
-		// ** is right-associative: parenthesize an equal-precedence
-		// left operand, not the right one.
-		return renderOperand(e.L, p, true) + e.Op.String() + renderOperand(e.R, p, false)
-	}
-	return renderOperand(e.L, p, false) + e.Op.String() + renderOperand(e.R, p, true)
-}
-
-func (e *Unary) String() string {
-	switch e.Op {
-	case OpNeg:
-		return "-" + renderOperand(e.X, 5, true)
-	case OpNot:
-		return ".NOT." + renderOperand(e.X, 3, true)
-	}
-	return "?" + e.X.String()
-}
-
-func (e *Call) String() string {
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = a.String()
-	}
-	return e.Name + "(" + strings.Join(parts, ",") + ")"
-}
-
-func (e *Wildcard) String() string { return "?" + e.ID }
 
 // Convenience constructors, used heavily by transformation passes.
 

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,6 +37,32 @@ func TestExprString(t *testing.T) {
 		if got := c.e.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestExprRenderLinear holds rendering to what the text is long
+// ([bounded]): the 4000-term sum 1+1+…+1, the parser's left-nested tree,
+// renders in at most 4× its output bytes. Concatenating each operand's
+// own string allocated about 2000× (16 MB for 8 KB of text).
+func TestExprRenderLinear(t *testing.T) {
+	const terms = 4000
+	var sum Expr = Int(1)
+	for i := 1; i < terms; i++ {
+		sum = Add(sum, Int(1))
+	}
+	want := strings.Repeat("1+", terms-1) + "1"
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	got := sum.String()
+	runtime.ReadMemStats(&m)
+	spent := m.TotalAlloc - before
+	if got != want {
+		t.Fatalf("the %d-term sum renders as %.40q..., want %.40q...", terms, got, want)
+	}
+	t.Logf("%d bytes of text, %d bytes allocated", len(got), spent)
+	if limit := uint64(4 * len(got)); spent > limit {
+		t.Errorf("rendering %d bytes of text allocated %d, over 4× (%d)", len(got), spent, limit)
 	}
 }
 

@@ -65,7 +65,7 @@ func (u *ProgramUnit) writeDecls(b *strings.Builder) {
 		b.WriteString("\n      PARAMETER (")
 		b.WriteString(s.Name)
 		b.WriteByte('=')
-		b.WriteString(s.Param.String())
+		appendExpr(b, s.Param)
 		b.WriteString(")\n")
 	}
 	for _, s := range all {
@@ -80,11 +80,11 @@ func (u *ProgramUnit) writeDecls(b *strings.Builder) {
 				b.WriteByte(',')
 			}
 			if d.Lo != nil && !Equal(d.Lo, Int(1)) {
-				b.WriteString(d.Lo.String())
+				appendExpr(b, d.Lo)
 				b.WriteByte(':')
 			}
 			if d.Hi != nil {
-				b.WriteString(d.Hi.String())
+				appendExpr(b, d.Hi)
 			} else {
 				b.WriteByte('*')
 			}
@@ -136,21 +136,32 @@ func writeStmt(b *strings.Builder, s Stmt, depth int) {
 	switch x := s.(type) {
 	case *AssignStmt:
 		indent(b, depth)
-		fmt.Fprintf(b, "%s = %s\n", x.LHS, x.RHS)
+		appendExpr(b, x.LHS)
+		b.WriteString(" = ")
+		appendExpr(b, x.RHS)
+		b.WriteByte('\n')
 	case *DoStmt:
 		writeParDirective(b, x, depth)
 		indent(b, depth)
+		b.WriteString("DO ")
+		b.WriteString(x.Index)
+		b.WriteString(" = ")
+		appendExpr(b, x.Init)
+		b.WriteString(", ")
+		appendExpr(b, x.Limit)
 		if x.Step != nil {
-			fmt.Fprintf(b, "DO %s = %s, %s, %s\n", x.Index, x.Init, x.Limit, x.Step)
-		} else {
-			fmt.Fprintf(b, "DO %s = %s, %s\n", x.Index, x.Init, x.Limit)
+			b.WriteString(", ")
+			appendExpr(b, x.Step)
 		}
+		b.WriteByte('\n')
 		writeBlock(b, x.Body, depth+1)
 		indent(b, depth)
 		b.WriteString("END DO\n")
 	case *IfStmt:
 		indent(b, depth)
-		fmt.Fprintf(b, "IF (%s) THEN\n", x.Cond)
+		b.WriteString("IF (")
+		appendExpr(b, x.Cond)
+		b.WriteString(") THEN\n")
 		writeBlock(b, x.Then, depth+1)
 		if x.Else != nil {
 			indent(b, depth)
@@ -161,15 +172,13 @@ func writeStmt(b *strings.Builder, s Stmt, depth int) {
 		b.WriteString("END IF\n")
 	case *CallStmt:
 		indent(b, depth)
+		b.WriteString("CALL ")
 		if len(x.Args) == 0 {
-			fmt.Fprintf(b, "CALL %s\n", x.Name)
+			b.WriteString(x.Name)
 		} else {
-			parts := make([]string, len(x.Args))
-			for i, a := range x.Args {
-				parts[i] = a.String()
-			}
-			fmt.Fprintf(b, "CALL %s(%s)\n", x.Name, strings.Join(parts, ","))
+			appendCall(b, x.Name, x.Args)
 		}
+		b.WriteByte('\n')
 	case *ReturnStmt:
 		indent(b, depth)
 		b.WriteString("RETURN\n")

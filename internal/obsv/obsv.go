@@ -305,9 +305,9 @@ func (o *Observer) Decisions() []Decision {
 // TakeDecisions returns the recorded decision records without copying
 // them and leaves the observer holding none: the caller owns the list
 // from here on. It is for a private capture that has finished
-// recording (the compile cache's leader keeps the list beside its
-// entry); an observer others still read should be asked for
-// Decisions.
+// recording (a compile cache's leader encodes the list into its entry,
+// or keeps it beside the entry); an observer others still read should
+// be asked for Decisions.
 func (o *Observer) TakeDecisions() []Decision {
 	if o == nil {
 		return nil
@@ -316,24 +316,6 @@ func (o *Observer) TakeDecisions() []Decision {
 	defer o.mu.Unlock()
 	ds := o.decisions
 	o.decisions = nil
-	return ds
-}
-
-// Relabel returns ds with every record's Label equal to label: ds
-// itself when that already holds, otherwise one exact-size copy. ds is
-// never written, so a list many readers share (a cache entry's
-// provenance) can be handed to it as is.
-func Relabel(ds []Decision, label string) []Decision {
-	for i := range ds {
-		if ds[i].Label != label {
-			out := make([]Decision, len(ds))
-			copy(out, ds)
-			for j := i; j < len(out); j++ {
-				out[j].Label = label
-			}
-			return out
-		}
-	}
 	return ds
 }
 
@@ -371,7 +353,7 @@ func (o *Observer) FinalDecisions(label string) []Decision {
 }
 
 // FinalDecisions is the method of the same name over a decision list
-// held outside an observer (a cache entry's provenance); ds is only
+// held outside an observer (a cached entry's provenance); ds is only
 // read.
 func FinalDecisions(ds []Decision, label string) []Decision {
 	var order []string

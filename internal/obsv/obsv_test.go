@@ -266,10 +266,9 @@ func TestReplayDecisionsMatchesOneByOne(t *testing.T) {
 	}
 }
 
-// TestTakeDecisionsAndRelabel: taking hands over the observer's own
-// array and leaves it empty; Relabel returns its argument when nothing
-// needs changing and never writes it when something does.
-func TestTakeDecisionsAndRelabel(t *testing.T) {
+// TestTakeDecisions: taking hands over the observer's own array and
+// leaves it empty, and the list explains without an observer.
+func TestTakeDecisions(t *testing.T) {
 	o := NewObserver()
 	o.Decision(Decision{Label: "p", Loop: "MAIN/L10", Pass: "verdict", Final: true})
 	o.Decision(Decision{Label: "p", Loop: "MAIN/L20", Pass: "verdict", Final: true})
@@ -281,23 +280,7 @@ func TestTakeDecisionsAndRelabel(t *testing.T) {
 	if none.TakeDecisions() != nil {
 		t.Error("a nil observer yields records")
 	}
-
-	if same := Relabel(taken, "p"); &same[0] != &taken[0] {
-		t.Error("Relabel copied a list that already carries the label")
-	}
-	if Relabel(nil, "q") != nil {
-		t.Error("Relabel of nothing is something")
-	}
-	other := Relabel(taken, "q")
-	if &other[0] == &taken[0] || len(other) != len(taken) || cap(other) != len(taken) {
-		t.Fatalf("Relabel under a new label: want one exact-size copy, got len %d cap %d", len(other), cap(other))
-	}
-	for i := range taken {
-		if taken[i].Label != "p" || other[i].Label != "q" || other[i].Loop != taken[i].Loop {
-			t.Errorf("record %d: original %+v, relabelled %+v", i, taken[i], other[i])
-		}
-	}
-	if got := ExplainAll(FinalDecisions(other, "q")); len(got) != 2 {
+	if got := ExplainAll(FinalDecisions(taken, "p")); len(got) != 2 {
 		t.Errorf("explanations over a bare list: %q", got)
 	}
 }

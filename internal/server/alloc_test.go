@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"polaris/internal/fabric"
+	"polaris/internal/fuzzgen"
+	"polaris/internal/store"
 	"polaris/internal/suite"
 )
 
@@ -77,9 +79,9 @@ func trfdBody(t *testing.T) []byte {
 // TestHitsDoNotGrowEntry holds a resident entry to the size it was
 // booked at, however often it is hit. Every hit used to add its unique
 // internal label to the entry's emitted-label set, up to 1024 of them:
-// tens of KB of strings and map buckets on an entry compiledSize books
-// at ~10 KB, which -cache-bytes never saw (the class of PR 17's
-// source-pinning under-count). The service no longer reaches that set.
+// tens of KB of strings and map buckets the cache never booked (the
+// class of the unit memo's source-pinning under-count). An entry is
+// bytes, and each hit decodes its own view of them into pooled scratch.
 func TestHitsDoNotGrowEntry(t *testing.T) {
 	s := New(Config{})
 	body := trfdBody(t)
@@ -106,8 +108,8 @@ func TestHitsDoNotGrowEntry(t *testing.T) {
 }
 
 // TestHitAllocBudget holds a cache hit on TRFD — request decode,
-// lookup, the response's labelled provenance, JSON encode, with the
-// httptest request and recorder around it — to its allocation. The
+// lookup, the entry's view under the request's label, JSON encode, with
+// the httptest request and recorder around it — to its allocation. The
 // budget is the measured figure plus a tenth.
 func TestHitAllocBudget(t *testing.T) {
 	if raceDetector {
@@ -131,7 +133,7 @@ func TestHitAllocBudget(t *testing.T) {
 		}
 	}
 	t.Logf("trfd: %d bytes per hit", best)
-	const budget = 10476 // 9524 measured plus a tenth; 31160 with a per-request observer and a 4 KiB sniffing reader
+	const budget = 8745 // 7950 measured plus a tenth; 9524 with verdict and report lists made per hit, 31160 with a per-request observer and a 4 KiB sniffing reader
 	if best > budget {
 		t.Errorf("a cache hit allocates %d bytes; budget %d", best, budget)
 	}
@@ -209,11 +211,16 @@ func compileBodies(t testing.TB, srcs []string) [][]byte {
 	return bodies
 }
 
-// TestCacheBooksWhatItHolds holds core.CompiledSize to the live heap a
-// resident entry costs, so -cache-bytes bounds what it says: suite
-// variants are compiled into one node's main cache, and filled from a
-// warm owner into another's hot tier, and on each path the live heap
-// they add is within [0.8, 1.25]× what the tier booked for them.
+// TestCacheBooksWhatItHolds holds an entry's booking — its two strings
+// and entryOverhead — to the live heap a resident entry costs, so
+// -cache-bytes bounds what it says: suite variants are compiled into one
+// node's main cache, filled from a warm owner into another's hot tier,
+// and mega10k is compiled alone, and on each path what the tier holds is
+// within [0.8, 1.25]× what it booked. What a tier holds is the live heap
+// its entries free when the tier is dropped, two measurements with
+// nothing run between them: a compile can itself leave the heap a few
+// hundred KB smaller than it found it, which is more than a hundred
+// entries' worth of error in a before-and-after of the compiles.
 func TestCacheBooksWhatItHolds(t *testing.T) {
 	if raceDetector {
 		t.Skip("live-heap figures do not hold under the race detector")
@@ -234,23 +241,23 @@ func TestCacheBooksWhatItHolds(t *testing.T) {
 	}
 	n := perProgram * len(suite.All())
 	// Large enough that neither tier evicts: the hot tier holds n.
-	cfg := Config{CacheEntries: 8 * n, CacheBytes: 8 << 30}
-	// hold serves bodies on h and reports the live heap they added and
-	// what st booked for them, per entry. The first few requests build the
-	// lazily built tables.
-	hold := func(path string, h http.Handler, st *tier, bodies [][]byte) {
+	cfg := Config{CacheEntries: 8 * n, CacheBytes: 8 << 30, MaxSourceBytes: 4 << 20}
+	// hold serves bodies on h into the tier *st, then drops the tier and
+	// compares the live heap that freed with what the tier had booked.
+	hold := func(path string, h http.Handler, st **tier, bodies [][]byte) {
 		t.Helper()
 		var w sink
-		for i, body := range bodies[:16] {
-			post(t, h, &w, "/v1/compile", fmt.Sprintf("warm-%d", i), body)
-		}
-		measured := bodies[16:]
-		heap0, booked0 := liveHeap(), st.Stats().Bytes
-		for i, body := range measured {
+		for i, body := range bodies {
 			post(t, h, &w, "/v1/compile", fmt.Sprintf("held-%d", i), body)
 		}
-		live := float64(liveHeap()-heap0) / float64(len(measured))
-		booked := float64(st.Stats().Bytes-booked0) / float64(len(measured))
+		stats := (*st).Stats()
+		if stats.Entries != len(bodies) {
+			t.Fatalf("%s: the tier holds %d entries of %d", path, stats.Entries, len(bodies))
+		}
+		held := liveHeap()
+		*st = store.New[cacheKey, *cacheEntry](store.Limits{})
+		live := float64(held-liveHeap()) / float64(len(bodies))
+		booked := float64(stats.Bytes) / float64(len(bodies))
 		t.Logf("%s: %.0f bytes live, %.0f booked per entry (%.2f×)", path, live, booked, live/booked)
 		if r := live / booked; r < 0.8 || r > 1.25 {
 			t.Errorf("%s: an entry holds %.0f bytes of live heap and is booked at %.0f (%.2f×, want 0.8–1.25)", path, live, booked, r)
@@ -258,7 +265,9 @@ func TestCacheBooksWhatItHolds(t *testing.T) {
 	}
 
 	solo := New(cfg)
-	hold("compile", solo.Handler(), solo.cache, compileBodies(t, variants(nil, "booked")))
+	hold("compile", solo.Handler(), &solo.cache, compileBodies(t, variants(nil, "booked")))
+	mega := fuzzgen.MegaCorpus()[0]
+	hold(mega.Name, solo.Handler(), &solo.cache, compileBodies(t, []string{mega.Generate().Source}))
 
 	owner, requester, _, ring := handlerPair(t, cfg)
 	bodies := compileBodies(t, variants(ring, "filled"))
@@ -266,7 +275,7 @@ func TestCacheBooksWhatItHolds(t *testing.T) {
 	for i, body := range bodies {
 		post(t, owner.Handler(), &w, "/v1/compile", fmt.Sprintf("owner-%d", i), body)
 	}
-	hold("fill", requester.Handler(), requester.hot, bodies)
+	hold("fill", requester.Handler(), &requester.hot, bodies)
 	if st := requester.cache.Stats(); st.Entries != 0 {
 		t.Errorf("the requester's main cache holds %d peer-owned entries", st.Entries)
 	}
@@ -274,10 +283,11 @@ func TestCacheBooksWhatItHolds(t *testing.T) {
 
 // TestFillAllocBudget holds a peer fill of a TRFD variant the owner
 // has warm to its allocation on each side of the hop, in bytes per
-// fill: the owner's lookup, render and encode; the requester's read,
-// checksum, decode, re-parse, render-roundtrip proof, install and
-// response. Bytes per fill, not per entry byte: a fatter entry must not
-// buy a looser budget. Each budget is the measured figure plus a tenth.
+// fill: the owner's request read and lookup, then the stored entry
+// written as it is; the requester's read, checksum, decode, re-parse,
+// render-roundtrip proof, install and response. Bytes per fill, not per
+// entry byte: a fatter entry must not buy a looser budget. Each budget
+// is the measured figure plus a tenth.
 func TestFillAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("byte budgets do not hold under the race detector")
@@ -316,10 +326,10 @@ func TestFillAllocBudget(t *testing.T) {
 	ownerPer, requesterPer := ht.ownerAlloc/n, (total-ht.ownerAlloc)/n
 	t.Logf("trfd: entry %d bytes; owner %d, requester %d bytes allocated per fill",
 		ht.entryBytes/n, ownerPer, requesterPer)
-	// Measured 19 766 and 79 270 bytes (a 5 773-byte entry), plus a
-	// tenth. The JSON entry's were 53.5 KB and 128.8 KB (3.20 and 7.70
-	// bytes per byte of its 16 723).
-	const ownerBudget, requesterBudget = 21743, 87197
+	// Measured 4 500 and 75 200 bytes (a 5 773-byte entry), plus a
+	// tenth. An owner that rendered and encoded the entry for each fill
+	// spent 19 766; the JSON entry's sides were 53.5 KB and 128.8 KB.
+	const ownerBudget, requesterBudget = 4950, 82720
 	if ownerPer > ownerBudget {
 		t.Errorf("the owner allocates %d bytes per fill; budget %d", ownerPer, ownerBudget)
 	}

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
-	"slices"
 
 	"polaris/internal/core"
+	"polaris/internal/fabric"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
 	"polaris/internal/pfa"
@@ -20,47 +20,50 @@ type cacheKey struct {
 	key      core.Key
 }
 
-// cacheEntry is one finished compile: res and the decision list its
-// leader recorded, or base for a baseline. It is published whole and
-// never written afterwards. The entry owns the list and hands the same
-// backing array to every lookup, cold, hit and coalesced alike; nobody
-// may write it — a response under another label takes obsv.Relabel's
-// copy.
+// cacheEntry is one finished compile, published whole and never written
+// afterwards. A Polaris compile is the wire entry fabric.EncodeEntry
+// made of it and that entry's checksum: the restructured program with
+// its verdicts, clauses, decisions and pass report, as bytes. Each reader
+// decodes what it needs — a compile or explain response a fabric.View,
+// an emit the whole result, a peer fill nothing. A baseline, which never
+// crosses the wire, keeps its result.
 type cacheEntry struct {
-	res       *core.Result
-	decisions []obsv.Decision
-	base      *pfa.Result
+	entry, checksum string
+	base            *pfa.Result
 }
 
-// leader computes a compile the cache does not hold, with the decision
-// list it recorded: a local compile captures and takes its list, a peer
-// fill returns the list it decoded.
-type leader func(context.Context, core.Options) (*core.Result, []obsv.Decision, error)
+// entryOverhead is what a resident Polaris entry holds beyond its two
+// strings: the cacheEntry, the store's slot with its channel, LRU
+// element and map slot, the key's options string and the leader's
+// request ID. TestCacheBooksWhatItHolds measures it against the live
+// heap.
+const entryOverhead = 640
+
+// size is what an entry is booked at against the cache's byte bound.
+func (e *cacheEntry) size() int64 {
+	return int64(len(e.entry)+len(e.checksum)) + entryOverhead
+}
+
+// baselineSize books a baseline entry, which keeps its IR: about four
+// bytes per byte of the source, and a fixed part.
+func baselineSize(src string) int64 { return int64(len(src))*4 + 3072 }
+
+// leader computes an entry the cache does not hold: a local compile
+// encodes what it compiled, a peer fill verifies what it fetched.
+type leader func(context.Context, core.Options) (*cacheEntry, error)
 
 // tier is one store of compiled entries: a node's main cache or its
 // hot tier.
 type tier = store.Store[cacheKey, *cacheEntry]
 
-// compiled returns the compile of src under opt (key is
-// core.KeyOf(src, opt)) cached in t, running fill on a miss.
-func (s *Server) compiled(ctx context.Context, t *tier, key core.Key, src string, opt core.Options, fill leader) (*cacheEntry, store.Outcome, error) {
+// compiled returns the entry for key cached in t, running fill on a miss.
+func (s *Server) compiled(ctx context.Context, t *tier, key core.Key, opt core.Options, fill leader) (*cacheEntry, store.Outcome, error) {
 	return t.Do(ctx, cacheKey{key: key}, func(ctx context.Context) (*cacheEntry, int64, error) {
-		res, ds, err := fill(ctx, opt)
+		e, err := fill(ctx, opt)
 		if err != nil {
 			return nil, 0, err
 		}
-		if cap(ds)-len(ds) > len(ds)/8 {
-			// Grown by appending — a compile's capture; a fill's decode
-			// makes the list at its decoded length — the array is up to
-			// twice what it holds, and the entry would carry the excess
-			// unbooked for as long as it is resident (9 MB of RSS over
-			// serve_cold's 1024 entries).
-			ds = slices.Clone(ds)
-		}
-		// Clipped: a reader that appends to the shared list gets its own
-		// array instead of writing into this one's spare capacity.
-		ds = slices.Clip(ds)
-		return &cacheEntry{res: res, decisions: ds}, core.CompiledSize(src, ds), nil
+		return e, e.size(), nil
 	})
 }
 
@@ -78,7 +81,7 @@ func (s *Server) baseline(ctx context.Context, src string) (*pfa.Result, served,
 		if err != nil {
 			return nil, 0, err
 		}
-		return &cacheEntry{base: res}, core.CompiledSize(src, nil), nil
+		return &cacheEntry{base: res}, baselineSize(src), nil
 	})
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
@@ -87,27 +90,45 @@ func (s *Server) baseline(ctx context.Context, src string) (*pfa.Result, served,
 	return e.base, servedBy(out, telemetry.RequestID(ctx)), nil
 }
 
-// compileSource is the local leader for one POSTed source: parse (typed
-// *parser.ParseError on failure), then run the pipeline under the
-// leader's context and a private capture whose list the entry takes.
-func compileSource(src string) leader {
-	return func(ctx context.Context, opt core.Options) (*core.Result, []obsv.Decision, error) {
-		prog, err := parser.ParseProgram(src)
+// compileLocal compiles one POSTed source: parse (typed
+// *parser.ParseError on failure), then run the pipeline under ctx and a
+// private capture whose list it returns.
+func compileLocal(ctx context.Context, src string, opt core.Options) (*core.Result, []obsv.Decision, error) {
+	prog, err := parser.ParseProgram(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	capture := obsv.NewCapture(nil)
+	opt.Observer = capture
+	// The program was just parsed (ParseProgram checked it) and is used
+	// for nothing else — so hand over ownership and skip the compile's
+	// defensive re-check and clone.
+	opt.TrustedInput = true
+	res, err := core.CompileContext(ctx, prog, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, capture.TakeDecisions(), nil
+}
+
+// compileSource is the local leader for one POSTed source whose key is
+// key: compile, then encode the result and the decisions it recorded as
+// the entry the cache keeps. run, when not nil, receives the compile's
+// unit-memo counts.
+func compileSource(key core.Key, src string, run *leaderRun) leader {
+	return func(ctx context.Context, opt core.Options) (*cacheEntry, error) {
+		res, ds, err := compileLocal(ctx, src, opt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		capture := obsv.NewCapture(nil)
-		opt.Observer = capture
-		// The program was just parsed (ParseProgram checked it) and is
-		// used for nothing else, and cached Results are shared read-only
-		// across requests anyway — so hand over ownership and skip the
-		// driver's defensive re-check and clone.
-		opt.TrustedInput = true
-		res, err := core.CompileContext(ctx, prog, opt)
+		if run != nil {
+			run.reused, run.recompiled = res.UnitsReused, res.UnitsRecompiled
+		}
+		entry, sum, err := fabric.EncodeEntry(key.String(), res, ds)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res, capture.TakeDecisions(), nil
+		return &cacheEntry{entry: entry, checksum: sum}, nil
 	}
 }
 
@@ -117,6 +138,9 @@ type served struct {
 	outcome  string
 	leaderID string // the foreign leader; empty when this request led
 	cached   bool   // answered without compiling on this node
+	// reused and recompiled are the unit-memo counts of the compile this
+	// request ran itself; zero when it ran none.
+	reused, recompiled int
 }
 
 // compileCached answers a Polaris compile of src from the cache,
@@ -128,25 +152,28 @@ type served struct {
 // instead: this node skipped the compile, and the entry's true leader
 // lives on the owner.
 func (s *Server) compileCached(ctx context.Context, key core.Key, src string, opt core.Options) (*cacheEntry, served, error) {
-	fill, pf := s.compileFnFor(key, src, opt)
+	fill, run := s.compileFnFor(key, src, opt)
 	t := s.cache
-	if pf != nil {
+	if run.peer {
 		t = s.hot
 	}
-	e, out, err := s.compiled(ctx, t, key, src, opt, fill)
+	e, out, err := s.compiled(ctx, t, key, opt, fill)
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		return nil, served{}, err
 	}
 	reqID := telemetry.RequestID(ctx)
 	sv := servedBy(out, reqID)
-	if sv.cached {
+	switch {
+	case sv.cached:
 		s.obs.Count("server_cache_hits", 1)
-	} else if pf != nil && pf.outcome != "" {
-		sv.outcome, sv.cached = pf.outcome, true
-		if pf.leaderID != "" && pf.leaderID != reqID {
-			sv.leaderID = pf.leaderID
+	case run.outcome != "":
+		sv.outcome, sv.cached = run.outcome, true
+		if run.leaderID != "" && run.leaderID != reqID {
+			sv.leaderID = run.leaderID
 		}
+	default:
+		sv.reused, sv.recompiled = run.reused, run.recompiled
 	}
 	return e, sv, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"polaris/internal/codegen"
 	"polaris/internal/core"
+	"polaris/internal/fabric"
 	"polaris/internal/telemetry"
 )
 
@@ -101,13 +102,26 @@ func (s *Server) handleEmit(w http.ResponseWriter, r *http.Request) {
 		}
 		res, sv = bres.Result, bsv
 	} else {
-		opt.TraceLabel = label
-		e, csv, err := s.compileCached(ctx, core.KeyOf(req.Source, opt), req.Source, opt)
+		key := core.KeyOf(req.Source, opt)
+		e, csv, err := s.compileCached(ctx, key, req.Source, opt)
 		if err != nil {
 			writeCompileError(w, err)
 			return
 		}
-		res, sv = e.res, csv
+		sv = csv
+		// A back end reads the program itself: the whole entry is decoded,
+		// render-roundtrip proof included.
+		if res, _, err = fabric.DecodeEntry(e.entry, e.checksum, key.String(), ""); err != nil {
+			// The cache holds only entries this node encoded or verified, so
+			// this is a fault of the node: counted, and the source compiled
+			// here instead, outside the cache — a cold compile to the client.
+			s.obs.Count("server_entry_decode_errors", 1)
+			sv = served{outcome: telemetry.OutcomeCold}
+			if res, _, err = compileLocal(ctx, req.Source, opt); err != nil {
+				writeCompileError(w, err)
+				return
+			}
+		}
 	}
 	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
 
@@ -136,6 +150,6 @@ func (s *Server) handleEmit(w http.ResponseWriter, r *http.Request) {
 		Target:    target,
 		Cached:    sv.cached,
 		Source:    src,
-		Verdicts:  verdicts(res),
+		Verdicts:  verdicts(res.Loops),
 	})
 }

@@ -7,80 +7,81 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/fabric"
-	"polaris/internal/obsv"
 	"polaris/internal/telemetry"
 )
 
-// peerFill records what the peer tier did for one compile, read back
-// by compileCached after the cache settles. Only the singleflight
-// leader writes it, and only before the lookup returns, so no lock is
-// needed.
-type peerFill struct {
-	outcome  string // OutcomePeerHit / OutcomePeerMiss when a fill landed
-	leaderID string // the owner-side request that holds the entry
+// leaderRun records what one request's cache leader did, read back by
+// compileCached after the cache settles: whether a peer owns the key,
+// what a peer fill reported, and what the unit memo saved a local
+// compile. Only the singleflight leader writes it, and only before the
+// lookup returns, so no lock is needed.
+type leaderRun struct {
+	peer               bool   // a peer owns the key: its entry belongs in the hot tier
+	outcome            string // OutcomePeerHit / OutcomePeerMiss when a fill landed
+	leaderID           string // the owner-side request that holds the entry
+	reused, recompiled int    // a local compile's unit-memo counts
 }
 
 // compileFnFor builds the cache leader for one posted source. On a
 // single node (or when this node owns the key) that is a plain local
 // compile; when a peer owns it, the leader first asks the owner for the
-// finished entry — and returns the decoded result and decision list —
-// and compiles locally only if the fill fails. The returned
-// *peerFill reports which happened; it is nil exactly when this node
-// owns the key, which is how the caller picks the tier without asking
-// the ring again. The fill runs inside the
-// requester's own singleflight slot, so concurrent local
+// finished entry, keeps it once the render-roundtrip proof passes, and
+// compiles locally only if the fill fails. The returned *leaderRun
+// reports which happened, and says whether a peer owns the key, which is
+// how the caller picks the tier without asking the ring again. The fill
+// runs inside the requester's own singleflight slot, so concurrent local
 // requests for the key coalesce onto one fill attempt, and its strict
 // deadline is a child of the leader's context: a dead or hung owner
 // surfaces as a fill error and a local compile, never as the leader's
 // context error (which would poison coalesced waiters — the
 // distributed edition of the canceled-leader bug).
-func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leader, *peerFill) {
-	local := compileSource(src)
+func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leader, *leaderRun) {
+	run := &leaderRun{}
+	local := compileSource(key, src, run)
 	if s.fabric == nil {
-		return local, nil
+		return local, run
 	}
 	route := key.String()
 	_, ownerURL, isSelf := s.fabric.Owner(route)
 	if isSelf {
-		return local, nil
+		return local, run
 	}
-	pf := &peerFill{}
+	run.peer = true
 	freq := fabric.FillRequest{
 		Source:     src,
 		Techniques: core.NamesOf(opt),
 		TimeoutMS:  s.fabric.FillTimeout().Milliseconds(),
 	}
-	fn := func(ctx context.Context, opt core.Options) (*core.Result, []obsv.Decision, error) {
+	fn := func(ctx context.Context, opt core.Options) (*cacheEntry, error) {
 		fr, err := s.fabric.Fill(ctx, ownerURL, freq)
 		if err == nil {
-			// Decoded under this request's label, as its own compile
-			// would have recorded them: the wire's records carry none.
-			res, decisions, derr := fabric.DecodeEntry(fr.Entry, fr.Checksum, route, opt.TraceLabel)
-			if derr == nil {
+			// The one copy of the fetched bytes: the proof decodes it, and
+			// the cache keeps it once the proof passes.
+			entry := string(fr.Entry)
+			if _, _, err = fabric.DecodeEntry(entry, fr.Checksum, route, ""); err == nil {
 				if fr.Outcome == telemetry.OutcomeCold {
 					// The owner compiled it just now: the tier missed, but
 					// this node still skipped the work and the owner is warm
 					// for everyone else.
-					pf.outcome = telemetry.OutcomePeerMiss
+					run.outcome = telemetry.OutcomePeerMiss
 					s.obs.Count("server_peer_misses", 1)
 				} else {
-					pf.outcome = telemetry.OutcomePeerHit
+					run.outcome = telemetry.OutcomePeerHit
 					s.obs.Count("server_peer_hits", 1)
 				}
-				pf.leaderID = fr.LeaderID
-				return res, decisions, nil
+				run.leaderID = fr.LeaderID
+				return &cacheEntry{entry: entry, checksum: fr.Checksum}, nil
 			}
-			err = derr
 		}
 		// Degrade to a local compile with whatever deadline budget
 		// remains; the client sees an ordinary cold compile.
 		s.obs.Count("server_peer_errors", 1)
 		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 		return local(ctx, opt)
 	}
-	return fn, pf
+	return fn, run
 }
 
 // fillFault returns the scripted owner-side fault for a protocol stage
@@ -113,7 +114,7 @@ func injectFault(w http.ResponseWriter, r *http.Request, f fabric.Fault) bool {
 // handleFabricFill is the owner side of peer cache-fill: compile the
 // posted source locally (through the main cache, admission, and
 // deadline machinery of a client compile — a missing entry is compiled
-// once and stays warm) and ship the entry with its checksum. This
+// once and stays warm) and write the stored entry and its checksum. This
 // handler never peer-fills in turn, so ring disagreement during a
 // rollout cannot form a routing loop.
 func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
@@ -154,17 +155,14 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	key := core.KeyOf(freq.Source, opt)
-	e, out, err := s.compiled(ctx, s.cache, key, freq.Source, opt, compileSource(freq.Source))
+	e, out, err := s.compiled(ctx, s.cache, key, opt, compileSource(key, freq.Source, nil))
 	if err != nil {
 		s.obs.Count("server_compile_errors", 1)
 		writeCompileError(w, err)
 		return
 	}
-	entry, sum, err := fabric.EncodeEntry(key.String(), e.res, e.decisions)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode entry: "+err.Error(), "")
-		return
-	}
+	// The entry ships as the cache holds it: no render, no encode.
+	entry, sum := e.entry, e.checksum
 	switch f := s.fillFault(fabric.StageEntry); f {
 	case fabric.FaultCorrupt:
 		// Flip a byte after the checksum was taken: the requester's
@@ -175,7 +173,12 @@ func (s *Server) handleFabricFill(w http.ResponseWriter, r *http.Request) {
 	case fabric.FaultStale:
 		// Serve a checksum-consistent entry for the wrong key (a lying
 		// owner): the requester's key check must catch it.
-		entry, sum, _ = fabric.EncodeEntry(key.String()+"-stale", e.res, nil)
+		res, _, err := fabric.DecodeEntry(entry, sum, key.String(), "")
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "stored entry: "+err.Error(), "")
+			return
+		}
+		entry, sum, _ = fabric.EncodeEntry(key.String()+"-stale", res, nil)
 	default:
 		if injectFault(w, r, f) {
 			return

@@ -59,30 +59,30 @@ func BenchmarkFillOrCompile(b *testing.B) {
 	for _, s := range fillBenchSources() {
 		src := sourceOwnedBy(b, ownerCfg.Fabric, "a", s.src)
 		key := core.KeyOf(src, opt)
-		if _, _, err := owner.compiled(ctx, owner.cache, key, src, opt, compileSource(src)); err != nil {
+		if _, _, err := owner.compiled(ctx, owner.cache, key, opt, compileSource(key, src, nil)); err != nil {
 			b.Fatalf("%s: warming the owner: %v", s.name, err)
 		}
 		b.Run("fill/"+s.name, func(b *testing.B) {
-			fill, pf := requester.compileFnFor(key, src, opt)
+			fill, run := requester.compileFnFor(key, src, opt)
 			errsBefore := requester.Observer().Counter("server_peer_errors")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fill(ctx, opt); err != nil {
+				if _, err := fill(ctx, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			if pf.outcome != telemetry.OutcomePeerHit || requester.Observer().Counter("server_peer_errors") != errsBefore {
-				b.Fatalf("%s: the fill fell back to a local compile (outcome %q)", s.name, pf.outcome)
+			if run.outcome != telemetry.OutcomePeerHit || requester.Observer().Counter("server_peer_errors") != errsBefore {
+				b.Fatalf("%s: the fill fell back to a local compile (outcome %q)", s.name, run.outcome)
 			}
 			b.ReportMetric(float64(len(src)), "src_bytes")
 		})
 		b.Run("compile/"+s.name, func(b *testing.B) {
-			compile := compileSource(src)
+			compile := compileSource(key, src, nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := compile(ctx, opt); err != nil {
+				if _, err := compile(ctx, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

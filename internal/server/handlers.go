@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"polaris/internal/core"
+	"polaris/internal/fabric"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
+	"polaris/internal/passes"
 	"polaris/internal/telemetry"
 )
 
@@ -265,11 +267,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	resp, fail := s.compileOne(r.Context(), req, incremental)
+	resp, done, fail := s.compileOne(r.Context(), req, incremental)
 	if fail != nil {
 		writeError(w, fail.status, fail.msg, fail.pass)
 		return
 	}
+	defer done()
 	setOutcome(r.Context(), resp.Outcome, resp.LeaderID, resp.Cached)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -335,6 +338,14 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request, body
 	s.obs.Count("server_batch_requests", 1)
 	s.obs.Count("server_batch_items", int64(len(reqs)))
 	items := make([]BatchItem, len(reqs))
+	dones := make([]func(), len(reqs))
+	defer func() {
+		for _, done := range dones {
+			if done != nil {
+				done()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := range reqs {
 		wg.Add(1)
@@ -358,13 +369,13 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request, body
 				return
 			}
 			defer release()
-			resp, fail := s.compileOne(ctx, reqs[i], incremental)
+			resp, done, fail := s.compileOne(ctx, reqs[i], incremental)
 			if fail != nil {
 				item.Status, item.Error, item.Pass = fail.status, fail.msg, fail.pass
 				return
 			}
 			item.Status = http.StatusOK
-			item.Result = resp
+			item.Result, dones[i] = resp, done
 		}(i)
 	}
 	wg.Wait()
@@ -380,20 +391,21 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request, body
 }
 
 // compileOne runs one compile request end to end (validation, cache
-// lookup with optional peer fill, the entry's provenance under this
+// lookup with optional peer fill, a view of the entry under this
 // request's label) and builds its response. The caller has already
 // admitted the request; failures come back as data so both the single
-// and batch handlers can map them.
-func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental bool) (*CompileResponse, *compileFailure) {
+// and batch handlers can map them. The response reads scratch the view
+// holds until done is called, after the response is encoded.
+func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental bool) (resp *CompileResponse, done func(), fail *compileFailure) {
 	if req.Source == "" {
-		return nil, &compileFailure{http.StatusBadRequest, "missing source", ""}
+		return nil, nil, &compileFailure{http.StatusBadRequest, "missing source", ""}
 	}
 	opt, err := compileOptions(req.Techniques)
 	if err != nil {
-		return nil, &compileFailure{http.StatusBadRequest, err.Error(), ""}
+		return nil, nil, &compileFailure{http.StatusBadRequest, err.Error(), ""}
 	}
 	if incremental && req.Baseline {
-		return nil, &compileFailure{http.StatusBadRequest,
+		return nil, nil, &compileFailure{http.StatusBadRequest,
 			"incremental compilation does not apply to baseline (PFA) compiles", ""}
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.deadline(req.TimeoutMS))
@@ -408,7 +420,7 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental
 	if req.Baseline {
 		res, sv, err := s.baseline(ctx, req.Source)
 		if err != nil {
-			return nil, compileFailureFrom(err)
+			return nil, nil, compileFailureFrom(err)
 		}
 		return &CompileResponse{
 			Label:         label,
@@ -417,53 +429,83 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, incremental
 			LeaderID:      sv.leaderID,
 			Cached:        sv.cached,
 			ParallelLoops: res.ParallelLoops(),
-			Verdicts:      verdicts(res.Result),
+			Verdicts:      verdicts(res.Loops),
 			CodegenFactor: res.Factor,
-		}, nil
+		}, func() {}, nil
 	}
 
-	// The request brings no observer: the cache hands out the decision
-	// list its entry holds, recorded under the label of whichever request
-	// led the compile.
-	opt.TraceLabel = label
 	if incremental {
 		opt.UnitMemo = s.memo
 	}
 	key := core.KeyOf(req.Source, opt)
 	e, sv, err := s.compileCached(ctx, key, req.Source, opt)
 	if err != nil {
-		return nil, compileFailureFrom(err)
+		return nil, nil, compileFailureFrom(err)
 	}
-	res := e.res
+	v, fail := s.view(e, label)
+	if fail != nil {
+		return nil, nil, fail
+	}
 	// Unit-reuse counts are meaningful only when this request's own
 	// compile ran against the memo; a whole-program cache hit or a ride
 	// on another request's compile reports the stronger outcome instead.
-	unitsReused, unitsRecompiled := 0, 0
-	if incremental && !sv.cached {
-		unitsReused, unitsRecompiled = res.UnitsReused, res.UnitsRecompiled
-		if unitsReused > 0 {
-			sv.outcome = telemetry.OutcomeIncrementalHit
-			s.obs.Count("server_incremental_hits", 1)
-		}
+	if incremental && sv.reused > 0 {
+		sv.outcome = telemetry.OutcomeIncrementalHit
+		s.obs.Count("server_incremental_hits", 1)
 	}
-	resp := &CompileResponse{
+	r := replies.Get().(*reply)
+	r.view = v
+	r.resp = CompileResponse{
 		Label:           label,
 		RequestID:       reqID,
 		Outcome:         sv.outcome,
 		LeaderID:        sv.leaderID,
 		Cached:          sv.cached,
-		ParallelLoops:   res.ParallelLoops(),
+		ParallelLoops:   (&core.Result{Loops: v.Loops}).ParallelLoops(),
 		Incremental:     incremental,
-		UnitsReused:     unitsReused,
-		UnitsRecompiled: unitsRecompiled,
-		Verdicts:        verdicts(res),
-		Decisions:       obsv.Relabel(e.decisions, label),
-		Report:          passReports(res),
+		UnitsReused:     sv.reused,
+		UnitsRecompiled: sv.recompiled,
+		Verdicts:        appendVerdicts(r.resp.Verdicts, v.Loops),
+		Decisions:       v.Decisions,
+		Report:          appendReports(r.resp.Report, v.Report.Events),
 	}
 	if incremental {
-		resp.ProgramHash = key.SourceHash()
+		r.resp.ProgramHash = key.SourceHash()
 	}
-	return resp, nil
+	return &r.resp, r.release, nil
+}
+
+// reply is what one compile response is built on, kept from one request
+// to the next: the entry's view, and the response with the arrays of its
+// verdict and report lists.
+type reply struct {
+	resp CompileResponse
+	view *fabric.View
+}
+
+var replies = sync.Pool{New: func() any { return new(reply) }}
+
+// release hands the view and the reply back once the response is
+// encoded, holding no string of the entry.
+func (r *reply) release() {
+	r.view.Release()
+	verdicts, reports := r.resp.Verdicts, r.resp.Report
+	clear(verdicts)
+	clear(reports)
+	*r = reply{resp: CompileResponse{Verdicts: verdicts[:0], Report: reports[:0]}}
+	replies.Put(r)
+}
+
+// view decodes e's View under label for a compile or explain response.
+// The cache holds only entries this node encoded or verified, so one
+// that does not decode is a server fault: counted, and answered 500.
+func (s *Server) view(e *cacheEntry, label string) (*fabric.View, *compileFailure) {
+	v, err := fabric.DecodeView(e.entry, label)
+	if err != nil {
+		s.obs.Count("server_entry_decode_errors", 1)
+		return nil, &compileFailure{http.StatusInternalServerError, "stored entry: " + err.Error(), ""}
+	}
+	return v, nil
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -499,12 +541,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	reqID := telemetry.RequestID(ctx)
 	opt := core.PolarisOptions()
-	opt.TraceLabel = label
 	e, sv, err := s.compileCached(ctx, core.KeyOf(req.Source, opt), req.Source, opt)
 	if err != nil {
 		writeCompileError(w, err)
 		return
 	}
+	v, fail := s.view(e, label)
+	if fail != nil {
+		writeError(w, fail.status, fail.msg, fail.pass)
+		return
+	}
+	defer v.Release()
 	setOutcome(ctx, sv.outcome, sv.leaderID, sv.cached)
 
 	resp := ExplainResponse{
@@ -513,7 +560,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Outcome:   sv.outcome,
 		LeaderID:  sv.leaderID,
 	}
-	finals := obsv.FinalDecisions(e.decisions, "")
+	finals := obsv.FinalDecisions(v.Decisions, "")
 	if req.Loop != "" {
 		if line := obsv.ExplainLoop(finals, req.Loop); line != "" {
 			resp.Lines = []string{line}
@@ -530,14 +577,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if req.Verbose || req.Loop != "" {
-		// The trail is this response's own copy, so it takes the label
-		// in place; e.decisions is the entry's and is only read.
-		for _, d := range e.decisions {
-			if d.Loop == "" || !obsv.MatchLoop(d, req.Loop) {
-				continue
+		for _, d := range v.Decisions {
+			if d.Loop != "" && obsv.MatchLoop(d, req.Loop) {
+				resp.Trail = append(resp.Trail, d)
 			}
-			d.Label = label
-			resp.Trail = append(resp.Trail, d)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -552,24 +595,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-func verdicts(res *core.Result) []LoopVerdict {
-	out := make([]LoopVerdict, 0, len(res.Loops))
-	for _, l := range res.Loops {
-		out = append(out, LoopVerdict{
+func verdicts(loops []core.LoopReport) []LoopVerdict { return appendVerdicts(nil, loops) }
+
+// appendVerdicts appends the loops' verdicts to dst; the list is never
+// nil, since a response spells no loops [], not null.
+func appendVerdicts(dst []LoopVerdict, loops []core.LoopReport) []LoopVerdict {
+	if dst == nil {
+		dst = make([]LoopVerdict, 0, len(loops))
+	}
+	for _, l := range loops {
+		dst = append(dst, LoopVerdict{
 			ID: l.ID, Unit: l.Unit, Index: l.Index, Depth: l.Depth,
 			Parallel: l.Parallel, RunTimeTest: l.LRPD, Reason: l.Reason,
 		})
 	}
-	return out
+	return dst
 }
 
-func passReports(res *core.Result) []PassReport {
-	if res.Report == nil {
-		return nil
+func appendReports(dst []PassReport, events []passes.Event) []PassReport {
+	for _, ev := range events {
+		dst = append(dst, PassReport{Pass: ev.Pass, DurationNS: ev.DurationNS, Mutations: ev.Mutations})
 	}
-	out := make([]PassReport, 0, len(res.Report.Events))
-	for _, ev := range res.Report.Events {
-		out = append(out, PassReport{Pass: ev.Pass, DurationNS: ev.DurationNS, Mutations: ev.Mutations})
-	}
-	return out
+	return dst
 }

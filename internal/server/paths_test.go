@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"polaris/internal/codegen"
 	"polaris/internal/core"
 	"polaris/internal/fabric"
 	"polaris/internal/obsv"
+	"polaris/internal/parser"
 	"polaris/internal/suite"
 	"polaris/internal/telemetry"
 )
@@ -91,18 +94,6 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 	add("cold", lead, "cold", compileAs(t, solo.Handler(), "", src, lead))
 	add("cache_hit", other, "cache_hit", compileAs(t, solo.Handler(), "", src, other))
 	add("cache_hit", lead, "cache_hit", compileAs(t, solo.Handler(), "", src, lead))
-	// The entry's list went out three times and must read as recorded.
-	opt := core.PolarisOptions()
-	e, _, err := solo.compiled(context.Background(), solo.cache, core.KeyOf(src, opt), src, opt, compileSource(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range e.decisions {
-		if d.Label != lead {
-			t.Errorf("the entry's own list now carries label %q (recorded under %q): a response wrote it", d.Label, lead)
-			break
-		}
-	}
 
 	// One node, the leader held in flight while both labels park on it.
 	co2 := New(Config{Workers: 4})
@@ -110,13 +101,13 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 	leaderDone := make(chan error, 1)
 	go func() {
 		opt := core.PolarisOptions()
-		opt.TraceLabel = lead
+		key := core.KeyOf(src, opt)
 		ctx := telemetry.WithRequestID(context.Background(), "path-leader")
-		_, _, err := co2.compiled(ctx, co2.cache, core.KeyOf(src, opt), src, opt,
-			func(ctx context.Context, o core.Options) (*core.Result, []obsv.Decision, error) {
+		_, _, err := co2.compiled(ctx, co2.cache, key, opt,
+			func(ctx context.Context, o core.Options) (*cacheEntry, error) {
 				close(started)
 				<-release
-				return compileSource(src)(ctx, o)
+				return compileSource(key, src, nil)(ctx, o)
 			})
 		leaderDone <- err
 	}()
@@ -200,9 +191,12 @@ func everyPath(t *testing.T, src, lead, other string) []answer {
 // requester's hot tier evicted the entry, a batch item and an
 // incremental compile is the same bytes once the fields that say which
 // path it was are blanked — under two client labels, each answered from
-// provenance the other recorded. It is the proof that handing out the
-// cache's own decision list, instead of replaying a copy per request,
-// changed no response.
+// an entry the other's request filled. It is the proof that keeping the
+// encoded entry, and decoding a view of it per request, changed no
+// response. The entry's other readers answer under both labels too, on
+// a hit: emit go, emit fortran, and a verbose explain, each equal to
+// what the back ends and the explainer make of a direct compile; and an
+// emit whose stored entry was corrupted, which compiles locally instead.
 func TestServicePathEquivalence(t *testing.T) {
 	ring, err := fabric.New(fabric.Config{Self: "a", Peers: map[string]string{"a": "http://a.invalid", "b": "http://b.invalid"}})
 	if err != nil {
@@ -222,6 +216,195 @@ func TestServicePathEquivalence(t *testing.T) {
 						a.path, a.label, answers[0].path, answers[0].label, got, want)
 				}
 			}
+			for _, label := range []string{"alpha", "beta"} {
+				readerRows(t, src, label)
+			}
 		})
 	}
+}
+
+// direct compiles src outside the service — the reference a response
+// is held to — and returns the result and the decisions it recorded.
+func direct(t *testing.T, src string) (*core.Result, []obsv.Decision) {
+	t.Helper()
+	prog, err := parser.ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.PolarisOptions()
+	capture := obsv.NewCapture(nil)
+	opt.Observer = capture
+	res, err := core.Compile(prog, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, capture.Decisions()
+}
+
+// readerRows drives the readers of a cached entry other than
+// /v1/compile under label — emit go, emit fortran and a verbose explain
+// on a hit, and emit go from a stored entry corrupted past its checksum
+// — and holds each to what a direct compile of src gives.
+func readerRows(t *testing.T, src, label string) {
+	t.Helper()
+	res, ds := direct(t, src)
+	wantGo, goErr := codegen.EmitGo(res, codegen.GoOptions{Label: label})
+	wantEmit := map[string]string{"go": wantGo, "fortran": codegen.EmitFortran(res)}
+	wantVerdicts := verdicts(res.Loops)
+	wantExplain := ExplainResponse{Label: label, Lines: obsv.ExplainAll(obsv.FinalDecisions(ds, ""))}
+	for _, d := range ds {
+		if d.Loop != "" {
+			d.Label = label
+			wantExplain.Trail = append(wantExplain.Trail, d)
+		}
+	}
+
+	emit := func(path string, s *Server, target, outcome string) {
+		t.Helper()
+		w := postJSON(t, s.Handler(), "/v1/emit", EmitRequest{Source: src, Label: label, Target: target})
+		var refusal *codegen.UnsupportedError
+		if target == "go" && errors.As(goErr, &refusal) {
+			if got := decodeBody[errorBody](t, w); w.Code != http.StatusUnprocessableEntity || got.Error != goErr.Error() {
+				t.Errorf("%s as %q: %d %+v, want the back end's refusal %q", path, label, w.Code, got, goErr)
+			}
+			return
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s as %q: %d %s", path, label, w.Code, w.Body.String())
+		}
+		got := decodeBody[EmitResponse](t, w)
+		if got.Outcome != outcome || got.Label != label || got.Target != target {
+			t.Errorf("%s as %q: outcome %q, label %q, target %q; want %q, %q, %q", path, label, got.Outcome, got.Label, got.Target, outcome, label, target)
+		}
+		if got.Source != wantEmit[target] {
+			t.Errorf("%s as %q: the emitted %s differs from a direct compile's", path, label, target)
+		}
+		if !canonEqual(t, got.Verdicts, wantVerdicts) {
+			t.Errorf("%s as %q: verdicts differ from a direct compile's", path, label)
+		}
+	}
+
+	hit := New(Config{Workers: 4})
+	compileAs(t, hit.Handler(), "", src, "warm")
+	emit("emit_go_hit", hit, "go", "cache_hit")
+	emit("emit_fortran_hit", hit, "fortran", "cache_hit")
+	w := postJSON(t, hit.Handler(), "/v1/explain", ExplainRequest{Source: src, Label: label, Verbose: true})
+	if w.Code != http.StatusOK {
+		t.Fatalf("explain_hit as %q: %d %s", label, w.Code, w.Body.String())
+	}
+	got := decodeBody[ExplainResponse](t, w)
+	if got.Outcome != "cache_hit" {
+		t.Errorf("explain_hit as %q: outcome %q, want cache_hit", label, got.Outcome)
+	}
+	got.RequestID, got.Outcome, got.LeaderID = "", "", ""
+	if !canonEqual(t, got, wantExplain) {
+		t.Errorf("explain_hit as %q differs from a direct compile's explanation", label)
+	}
+
+	// The stored entry's last byte, in its rendering, flipped after the
+	// checksum was taken: a compile's view never reads the rendering, an
+	// emit's decode must catch it.
+	corrupt := New(Config{Workers: 4})
+	key := core.KeyOf(src, core.PolarisOptions())
+	if _, _, err := corrupt.compiled(context.Background(), corrupt.cache, key, core.PolarisOptions(),
+		func(ctx context.Context, o core.Options) (*cacheEntry, error) {
+			e, err := compileSource(key, src, nil)(ctx, o)
+			if err != nil {
+				return nil, err
+			}
+			b := []byte(e.entry)
+			b[len(b)-2] ^= 0x01
+			return &cacheEntry{entry: string(b), checksum: e.checksum}, nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	emit("emit_from_corrupted_entry", corrupt, "go", "cold")
+	if n := corrupt.Observer().Counter("server_entry_decode_errors"); n != 1 {
+		t.Errorf("emit_from_corrupted_entry as %q: server_entry_decode_errors = %d, want 1", label, n)
+	}
+}
+
+// TestHitViewPoolRace hits 16 resident keys from 8 goroutines under two
+// labels at once. Each response is built on a pooled fabric.View and
+// reply that go back to their pools once the response is encoded: a body
+// that read scratch another request had been handed in the meantime
+// would differ from the reference — a hit answered alone, itself held
+// to a direct compile — and under -race the detector sees the sharing
+// itself. Every request carries one ID, so an honest body repeats byte
+// for byte.
+func TestHitViewPoolRace(t *testing.T) {
+	s := New(Config{Workers: 8, QueueDepth: 64})
+	progs := suite.All()
+	labels := []string{"alpha", "beta"}
+	type key struct{ prog, label int }
+	bodies, want := map[key][]byte{}, map[key][]byte{}
+	var w sink
+	for p, prog := range progs {
+		res, ds := direct(t, prog.Source)
+		for l, label := range labels {
+			body, err := json.Marshal(CompileRequest{Source: prog.Source, Label: label})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[key{p, l}] = body
+			post(t, s.Handler(), &w, "/v1/compile", "warm", body)
+			post(t, s.Handler(), &w, "/v1/compile", "hit", body)
+			want[key{p, l}] = bytes.Clone(w.body.Bytes())
+
+			var hit CompileResponse
+			if err := json.Unmarshal(w.body.Bytes(), &hit); err != nil {
+				t.Fatal(err)
+			}
+			ref := CompileResponse{Label: label, Outcome: "cache_hit", ParallelLoops: res.ParallelLoops(),
+				Verdicts: verdicts(res.Loops), Report: appendReports(nil, res.Report.Events)}
+			for _, d := range ds {
+				d.Label = label
+				ref.Decisions = append(ref.Decisions, d)
+			}
+			if got, want := (answer{"hit", label, "cache_hit", hit}).normalized(t), (answer{"direct", label, "cache_hit", ref}).normalized(t); !bytes.Equal(got, want) {
+				t.Fatalf("%s as %q: a hit differs from a direct compile:\n got %s\nwant %s", prog.Name, label, got, want)
+			}
+		}
+	}
+	const goroutines, rounds = 8, 48
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var w sink
+			for i := 0; i < rounds; i++ {
+				k := key{(g + 3*i) % len(progs), (g + i) % len(labels)}
+				req, err := http.NewRequest("POST", "/v1/compile", bytes.NewReader(bodies[k]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.Header.Set("X-Request-Id", "hit")
+				w.reset()
+				s.Handler().ServeHTTP(&w, req)
+				if w.code != http.StatusOK || !bytes.Equal(w.body.Bytes(), want[k]) {
+					t.Errorf("%s as %q from goroutine %d: %d\n got %s\nwant %s",
+						progs[k.prog].Name, labels[k.label], g, w.code, w.body.Bytes(), want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// canonEqual compares two values by their JSON, which is all a client
+// sees of them: a nil and an empty list are the same thing there.
+func canonEqual(t *testing.T, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"polaris/internal/fuzzgen"
 	"polaris/internal/suite"
 )
 
@@ -81,5 +82,32 @@ func TestFleetHoldsEachEntryOnce(t *testing.T) {
 	}
 	if st := requester.hot.Stats(); st.Entries != hotCap {
 		t.Errorf("after the repeats the hot tier holds %d entries, want %d", st.Entries, hotCap)
+	}
+}
+
+// TestMegaEntryHeldHot: the largest program of the scaling corpus stays
+// in a requester's hot tier under the default bounds. Its entry, about
+// 2.5 MB of bytes, fits the tier's 8 MiB, so a repeat on the requester
+// is a local hit, not a second fill. Booked as the objects it was
+// decoded into, about 17 MB, it never could be held hot.
+func TestMegaEntryHeldHot(t *testing.T) {
+	owner, requester, _, ring := handlerPair(t, Config{MaxSourceBytes: 4 << 20})
+	mega := fuzzgen.MegaCorpus()[1]
+	src := sourceOwnedBy(t, ring, "a", mega.Generate().Source)
+	if out := compileAs(t, owner.Handler(), "", src, "prog").Outcome; out != "cold" {
+		t.Fatalf("%s on the owner: outcome %q, want cold", mega.Name, out)
+	}
+	for i, want := range []string{"peer_hit", "cache_hit"} {
+		if out := compileAs(t, requester.Handler(), "", src, "prog").Outcome; out != want {
+			t.Errorf("%s on the requester, request %d: outcome %q, want %s", mega.Name, i, out, want)
+		}
+	}
+	hot := requester.hot.Stats()
+	t.Logf("%s: the requester's hot tier holds %d entries, %d bytes booked, of %d", mega.Name, hot.Entries, hot.Bytes, requester.cfg.CacheBytes/8)
+	if hot.Entries != 1 || hot.Misses != 1 {
+		t.Errorf("the requester's hot tier: %+v, want the one entry, filled once", hot)
+	}
+	if n := requester.Observer().Counter("server_peer_hits"); n != 1 {
+		t.Errorf("server_peer_hits = %d, want 1", n)
 	}
 }

@@ -14,9 +14,10 @@
 //	  this node owns, a smaller one for keys a fabric peer owns; the
 //	  request ID rides the context so coalesced waiters can name their
 //	  leader)
-//	→ instrumented pass manager (panics isolated into *core.PipelineError)
-//	→ the entry's decision provenance, handed out read-only and labelled
-//	  in the response's own copy
+//	→ instrumented pass manager (panics isolated into *core.PipelineError),
+//	  its result kept as the encoded wire entry a peer fill ships
+//	→ a view of the entry decoded under the request's label into pooled
+//	  scratch (an emit decodes the whole program)
 //
 // Every request resolves to one outcome — cold, cache_hit, coalesced,
 // shed, timeout, canceled, error (or ok for plain GETs) — recorded in

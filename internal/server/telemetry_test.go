@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"polaris/internal/core"
-	"polaris/internal/obsv"
 	"polaris/internal/store"
 	"polaris/internal/telemetry"
 )
@@ -196,11 +195,12 @@ func TestCoalescedWaitersNameLeader(t *testing.T) {
 	leaderDone := make(chan store.Outcome, 1)
 	go func() {
 		ctx := telemetry.WithRequestID(context.Background(), "leader-req")
-		_, out, err := s.compiled(ctx, s.cache, core.KeyOf(saxpySrc, opt), saxpySrc, opt,
-			func(ctx context.Context, o core.Options) (*core.Result, []obsv.Decision, error) {
+		key := core.KeyOf(saxpySrc, opt)
+		_, out, err := s.compiled(ctx, s.cache, key, opt,
+			func(ctx context.Context, o core.Options) (*cacheEntry, error) {
 				close(started)
 				<-release
-				return compileSource(saxpySrc)(ctx, o)
+				return compileSource(key, saxpySrc, nil)(ctx, o)
 			})
 		if err != nil {
 			t.Errorf("leader compile: %v", err)

@@ -47,9 +47,11 @@ type cacheEntry struct {
 // cache is the Runner's memo of compilations and serial runs, keyed by
 // source content hash: one store.Store, so each key is computed once
 // and a shared trace writer sees one span set and one decision set per
-// compilation. It is unbounded: the suite is 16 programs. Cached
-// compiled programs are shared; executions receive a fresh Clone so
-// concurrent interpreter runs never touch the same IR.
+// compilation. It is unbounded: the suite is 16 programs, and an entry
+// is booked at its source's length, which only orders entries for a
+// test that bounds the store. Cached compiled programs are shared;
+// executions receive a fresh Clone so concurrent interpreter runs never
+// touch the same IR.
 type cache struct {
 	*store.Store[cacheKey, *cacheEntry]
 }
@@ -76,7 +78,7 @@ func (c *cache) compile(ctx context.Context, p Program, opt core.Options, fn fun
 		if opt.Observer != nil {
 			e.emitted = map[string]bool{opt.TraceLabel: true}
 		}
-		return e, core.CompiledSize(p.Source, e.decisions), nil
+		return e, int64(len(p.Source)), nil
 	})
 	if err == nil && opt.Observer != nil {
 		e.replay(opt.TraceLabel, opt.Observer)
@@ -112,7 +114,7 @@ func (c *cache) baseline(ctx context.Context, p Program, fn func(context.Context
 		if err != nil {
 			return nil, 0, err
 		}
-		return &cacheEntry{base: res}, core.CompiledSize(p.Source, nil), nil
+		return &cacheEntry{base: res}, int64(len(p.Source)), nil
 	})
 	if err != nil {
 		return nil, out, err
