@@ -100,11 +100,10 @@ func analyzerCorpus() (names []string, src map[string]string) {
 // analyzer could change: the emitted Fortran (report header, directives
 // and the transformed text), the full decision stream, the dependence
 // test counts and the pass counters folded into the Result.
-func compileFingerprint(t *testing.T, src string, workers int, memo *core.UnitMemo) string {
+func compileFingerprint(t *testing.T, src string, memo *core.UnitMemo) string {
 	t.Helper()
 	obs := obsv.NewObserver()
 	opt := core.PolarisOptions()
-	opt.UnitWorkers = workers
 	opt.UnitMemo = memo
 	opt.Observer = obs
 	opt.TraceLabel = "P"
@@ -128,9 +127,9 @@ func compileFingerprint(t *testing.T, src string, workers int, memo *core.UnitMe
 // testdata/analyzer_golden.sha256 was written by the commit before the
 // change (this file copied into it and run with -update-analyzer-golden),
 // and every program must still compile to the same Fortran, decision
-// stream and Stats at 1, 2 and 8 unit workers, when its units fill a
-// unit memo and when they replay from it. The second half shows the
-// rebuild itself, on a program whose verdict depends on it.
+// stream and Stats, when its units fill a unit memo and when they
+// replay from it. The second half shows the rebuild itself, on a
+// program whose verdict depends on it.
 func TestAnalyzerRebuiltAfterMutation(t *testing.T) {
 	t.Run("same compiler", sameCompilerAsParent)
 	t.Run("replaced after a rewrite", analyzerReplacedAfterRewrite)
@@ -141,7 +140,7 @@ func sameCompilerAsParent(t *testing.T) {
 	if *updateAnalyzerGolden {
 		var out strings.Builder
 		for _, name := range names {
-			fmt.Fprintf(&out, "%s  %s\n", compileFingerprint(t, src[name], 1, nil), name)
+			fmt.Fprintf(&out, "%s  %s\n", compileFingerprint(t, src[name], nil), name)
 		}
 		if err := os.WriteFile(analyzerGoldenPath, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -178,14 +177,12 @@ func sameCompilerAsParent(t *testing.T) {
 	}
 
 	for _, name := range names {
-		for _, workers := range []int{1, 2, 8} {
-			if got := compileFingerprint(t, src[name], workers, nil); got != want[name] {
-				t.Errorf("%s at %d workers: compile hashes to %.12s, the parent's to %.12s", name, workers, got, want[name])
-			}
+		if got := compileFingerprint(t, src[name], nil); got != want[name] {
+			t.Errorf("%s: compile hashes to %.12s, the parent's to %.12s", name, got, want[name])
 		}
 		memo := core.NewUnitMemo(core.MemoLimits{})
 		for _, path := range []string{"filling the unit memo", "replayed from the unit memo"} {
-			if got := compileFingerprint(t, src[name], 2, memo); got != want[name] {
+			if got := compileFingerprint(t, src[name], memo); got != want[name] {
 				t.Errorf("%s %s: compile hashes to %.12s, the parent's to %.12s", name, path, got, want[name])
 			}
 		}
@@ -218,27 +215,22 @@ func analyzerReplacedAfterRewrite(t *testing.T) {
       END DO
       END
 `
-	for _, workers := range []int{1, 2} {
-		opt := core.PolarisOptions()
-		opt.UnitWorkers = workers
-		res, err := core.Compile(parser.MustParse(src), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NormalizedLoops != 1 || len(res.Loops) != 2 || res.Loops[0].Index != "J" {
-			t.Fatalf("normalized %d loops of %+v", res.NormalizedLoops, res.Loops)
-		}
-		if lr := res.Loops[0]; !lr.Parallel {
-			t.Errorf("workers=%d: DO J is serial (%s): the dependence pass did not see I = 3, the constant normalize left behind",
-				workers, lr.Reason)
-		}
+	res, err := core.Compile(parser.MustParse(src), core.PolarisOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NormalizedLoops != 1 || len(res.Loops) != 2 || res.Loops[0].Index != "J" {
+		t.Fatalf("normalized %d loops of %+v", res.NormalizedLoops, res.Loops)
+	}
+	if lr := res.Loops[0]; !lr.Parallel {
+		t.Errorf("DO J is serial (%s): the dependence pass did not see I = 3, the constant normalize left behind", lr.Reason)
 	}
 
 	// With normalize off I stays a DO index: the same loop must stay
 	// serial, or the verdict above proves nothing about I.
 	opt := core.PolarisOptions()
 	opt.Normalize = false
-	res, err := core.Compile(parser.MustParse(src), opt)
+	res, err = core.Compile(parser.MustParse(src), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +240,9 @@ func analyzerReplacedAfterRewrite(t *testing.T) {
 }
 
 // TestCompileBytesPerLine holds the cold compile of mega10k (parsed
-// outside the measurement, serial schedule) to its allocation per source
-// line: the number ROADMAP [work-counters] tracks, at a size tier 1 can
-// afford. The budget is the measured figure plus a tenth.
+// outside the measurement) to its allocation per source line: the
+// number ROADMAP [work-counters] tracks, at a size tier 1 can afford.
+// The budget is the measured figure plus a tenth.
 func TestCompileBytesPerLine(t *testing.T) {
 	source := fuzzgen.MegaCorpus()[0].Generate().Source // mega10k
 	lines := strings.Count(source, "\n")
@@ -258,7 +250,6 @@ func TestCompileBytesPerLine(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		prog := parser.MustParse(source)
 		opt := core.PolarisOptions()
-		opt.UnitWorkers = 1
 		opt.TrustedInput = true
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

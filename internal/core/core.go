@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -58,16 +57,6 @@ type Options struct {
 	// arguments without inlining (the paper's in-progress
 	// interprocedural framework; the other Figure 3 enabler).
 	InterprocConstants bool
-	// UnitWorkers sets the worker pool size for the per-unit passes
-	// (normalize, induction, dependence-analysis, strength-reduction):
-	// 0 means GOMAXPROCS, 1 forces the serial schedule, n > 1 uses n
-	// workers. Whole-program passes (interproc-constants, inline,
-	// verify-ir) are sequential barriers regardless. The parallel
-	// schedule is observationally identical to the serial one: loop
-	// verdicts, Reasons, decision records, and the v2 trace stream are
-	// byte-for-byte the same, because each unit's records are captured
-	// privately and replayed in unit order at the pass barrier.
-	UnitWorkers int
 	// UnitMemo, when non-nil, enables incremental compilation: per-unit
 	// pass results are memoized in the shared memo keyed by each unit's
 	// post-prologue content hash, and a unit whose hash matches a
@@ -221,10 +210,6 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 
 	m := passes.NewManager(opt.TraceLabel, opt.Trace)
 	m.Obs = opt.Observer
-	m.Workers = opt.UnitWorkers
-	if m.Workers == 0 {
-		m.Workers = runtime.GOMAXPROCS(0)
-	}
 	var st *incrState
 	if opt.UnitMemo != nil {
 		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel}
@@ -250,48 +235,18 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	return res, nil
 }
 
-// forEachUnit runs fn once per program unit, fanning units across the
-// pass manager's worker pool when it has more than one worker. fn
-// receives the unit index, a sub-context for cancellation polling and
-// mutation counts, and the observer it must emit decision records to.
-//
-// Determinism is by construction, not by locking: on the serial path
-// fn emits directly to obs, live and in unit order (bit-identical to
-// the pre-parallel pipeline); on the parallel path each unit emits
-// into a private detached capture, and after the pool barrier the
-// captures are replayed to obs in unit order — reconstructing the
-// exact serial stream regardless of completion order. With no
-// observer there is no stream to reconstruct, and fn gets nil, which
-// records nothing, in place of a capture. fn must confine its
-// remaining writes to per-index slots. On failure no captures are
-// replayed (a failed compilation discards its Result; the serial and
-// parallel schedules agree on the returned error, not on the partial
-// trace).
-func forEachUnit(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer, fn func(sub *passes.Context, i int, uo *obsv.Observer) error) error {
-	if c.Workers() <= 1 || len(units) <= 1 {
-		for i := range units {
-			if err := c.Err(); err != nil {
-				return err
-			}
-			if err := fn(c, i, obs); err != nil {
-				return err
-			}
+// forEachUnit runs fn once per program unit, in unit order on the
+// caller's goroutine, checking for cancellation before each unit. fn
+// receives the unit index and obs, the observer it emits decision
+// records to, so the stream is in unit order by construction.
+func forEachUnit(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer, fn func(i int, uo *obsv.Observer) error) error {
+	for i := range units {
+		if err := c.Err(); err != nil {
+			return err
 		}
-		return nil
-	}
-	if obs == nil {
-		return c.ForEach(len(units), func(sub *passes.Context, i int) error { return fn(sub, i, nil) })
-	}
-	captures := make([]*obsv.Observer, len(units))
-	err := c.ForEach(len(units), func(sub *passes.Context, i int) error {
-		captures[i] = obsv.NewCapture(nil)
-		return fn(sub, i, captures[i])
-	})
-	if err != nil {
-		return err
-	}
-	for _, cap := range captures {
-		cap.ReplayTo(obs)
+		if err := fn(i, obs); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -352,9 +307,8 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// to the next (DESIGN.md §10d): rangesOf builds it for the first pass
 	// to reach the unit, a pass that rewrote the unit drops it — the
 	// constant table is read off the unit's text — and the next pass to
-	// ask builds a fresh one. A worker touches only its own unit's slot;
-	// each sizes the slice ahead of the fan-out, once the prologue has
-	// fixed the unit list.
+	// ask builds a fresh one. each sizes the slice before the first
+	// per-unit pass, once the prologue has fixed the unit list.
 	var analyzers []*rng.Analyzer
 	rangesOf := func(i int) *rng.Analyzer {
 		if analyzers[i] == nil {
@@ -368,7 +322,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// folds a memoized record into the pass's per-index slots for clean
 	// units, mirroring exactly what live fills for dirty ones.
 	each := func(c *passes.Context, pass string,
-		live func(sub *passes.Context, i int, uo *obsv.Observer) error,
+		live func(i int, uo *obsv.Observer) error,
 		replay func(i int, rec *unitPassRecord)) error {
 		if analyzers == nil {
 			analyzers = make([]*rng.Analyzer, len(work.Units))
@@ -450,19 +404,17 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// 2. Loop normalization (unit step), per unit. Subsequent passes
 	// see a range analyzer built from the rewritten text, so the
 	// per-pass unit sweep is equivalent to the per-unit pass sweep.
-	// Units are independent here — normalization never looks across
-	// unit boundaries — so the pass fans units over the worker pool.
 	if opt.Normalize {
 		ps = append(ps, passes.Func("normalize", func(c *passes.Context) error {
 			counts := make([]int, len(work.Units))
-			err := each(c, "normalize", func(sub *passes.Context, i int, uo *obsv.Observer) error {
+			err := each(c, "normalize", func(i int, uo *obsv.Observer) error {
 				u := work.Units[i]
 				nres := normalize.Run(u, rangesOf(i))
 				if nres.Normalized > 0 {
 					analyzers[i] = nil
 				}
 				counts[i] = nres.Normalized
-				sub.Count("loops_normalized", int64(nres.Normalized))
+				c.Count("loops_normalized", int64(nres.Normalized))
 				if rec := st.dirtyRec(i, "normalize"); rec != nil {
 					rec.counters = map[string]int64{"loops_normalized": int64(nres.Normalized)}
 				}
@@ -494,7 +446,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 		ps = append(ps, passes.Func("induction", func(c *passes.Context) error {
 			iopt := induction.Options{SimpleOnly: !opt.Induction}
 			solvedByUnit := make([][]string, len(work.Units))
-			err := each(c, "induction", func(sub *passes.Context, i int, uo *obsv.Observer) error {
+			err := each(c, "induction", func(i int, uo *obsv.Observer) error {
 				u := work.Units[i]
 				ires := induction.RunWith(u, rangesOf(i), iopt)
 				if len(ires.Solved) > 0 {
@@ -505,7 +457,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 					solvedByUnit[i] = append(solvedByUnit[i], u.Name+"."+s.Name)
 					solved = append(solved, s.Name)
 				}
-				sub.Count("variables_substituted", int64(len(ires.Solved)))
+				c.Count("variables_substituted", int64(len(ires.Solved)))
 				if rec := st.dirtyRec(i, "induction"); rec != nil {
 					rec.counters = map[string]int64{"variables_substituted": int64(len(ires.Solved))}
 					rec.solved = solvedByUnit[i]
@@ -537,18 +489,18 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	ps = append(ps, passes.Func("dependence-analysis", func(c *passes.Context) error {
 		reportsByUnit := make([][]LoopReport, len(work.Units))
 		statsByUnit := make([]deps.Stats, len(work.Units))
-		err := each(c, "dependence-analysis", func(sub *passes.Context, ui int, uo *obsv.Observer) error {
+		err := each(c, "dependence-analysis", func(ui int, uo *obsv.Observer) error {
 			u := work.Units[ui]
 			assignLoopIDs(u)
 			ranges := rangesOf(ui)
 			tester := deps.NewTester(u, ranges)
 			// The unit's analyzeLoop calls see a per-unit options copy:
-			// decision records go to the unit observer (the shared one on
-			// the serial path, a private capture on the parallel path) and
-			// dependence-test counts accumulate in a per-unit Stats slot,
-			// summed into opt.Stats at the barrier. Under a memo the slot
-			// is always filled — the record must carry the counts so a
-			// later Stats-requesting compile can replay them.
+			// decision records go to the unit observer (the shared one, or
+			// under a memo a capture forwarding to it) and dependence-test
+			// counts accumulate in a per-unit Stats slot, summed into
+			// opt.Stats after the last unit. Under a memo the slot is
+			// always filled — the record must carry the counts so a later
+			// Stats-requesting compile can replay them.
 			uopt := opt
 			uopt.Observer = uo
 			if opt.Stats != nil || st != nil {
@@ -560,7 +512,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			loops := ir.Loops(u.Body)
 			var reports []LoopReport
 			for i := len(loops) - 1; i >= 0; i-- {
-				if err := sub.Err(); err != nil {
+				if err := c.Err(); err != nil {
 					return err
 				}
 				report := analyzeLoop(u, ranges, tester, loops[i], uopt)
@@ -627,20 +579,19 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 		ps = append(ps, passes.Func("strength-reduction", func(c *passes.Context) error {
 			// One pass over res.Loops builds the per-unit report index;
 			// the old code rescanned every report for every producing
-			// unit, O(units × loops) on a megaprogram. Units own disjoint
-			// report slices, so refreshing them is safe under the pool.
+			// unit, O(units × loops) on a megaprogram.
 			reportsFor := make(map[string][]*LoopReport, len(work.Units))
 			for i := range res.Loops {
 				lr := &res.Loops[i]
 				reportsFor[lr.Unit] = append(reportsFor[lr.Unit], lr)
 			}
 			counts := make([]int, len(work.Units))
-			err := each(c, "strength-reduction", func(sub *passes.Context, ui int, uo *obsv.Observer) error {
+			err := each(c, "strength-reduction", func(ui int, uo *obsv.Observer) error {
 				u := work.Units[ui]
 				sres := strength.Run(u, rangesOf(ui))
 				analyzers[ui] = nil // last use
 				counts[ui] = sres.Reduced
-				sub.Count("accumulators_introduced", int64(sres.Reduced))
+				c.Count("accumulators_introduced", int64(sres.Reduced))
 				rec := st.dirtyRec(ui, "strength-reduction")
 				if rec != nil {
 					rec.counters = map[string]int64{"accumulators_introduced": int64(sres.Reduced)}
@@ -652,7 +603,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 							continue
 						}
 						if lr.Parallel != lr.Loop.Par.Parallel {
-							sub.Count("verdict_flips", 1)
+							c.Count("verdict_flips", 1)
 							if rec != nil {
 								rec.counters["verdict_flips"]++
 							}

@@ -38,8 +38,8 @@
 // captured Decision provenance and mutation counters instead of
 // re-running, exactly as whole-program cache hits replay theirs.
 // Units whose hash misses are "dirty": they claim an in-flight memo
-// slot, run live (fanned across the unit worker pool), and publish
-// their final IR and records when the pipeline commits.
+// slot, run live, and publish their final IR and records when the
+// pipeline commits.
 package core
 
 import (
@@ -306,59 +306,31 @@ func (st *incrState) dirtyRec(i int, pass string) *unitPassRecord {
 	return rec
 }
 
-// forEach is the incremental analogue of forEachUnit: dirty units run
-// live (fanned across the worker pool, decisions captured for the
-// memo), clean units replay their memoized record. The emitted stream
-// is reconstructed in unit order at the barrier exactly as the
-// non-incremental parallel schedule does, so the Decision stream is
-// byte-identical to a from-scratch compile at any worker count.
+// forEach is the incremental analogue of forEachUnit: in unit order,
+// a dirty unit runs live through a capture that forwards each decision
+// to obs and keeps it for the memo, and a clean unit replays its
+// memoized record in the same stream position, so the Decision stream
+// is byte-identical to a from-scratch compile.
 //
 // replay, when non-nil, folds the memoized record's side outputs into
 // the pass's per-index slots (the same slots live fills).
 func (st *incrState) forEach(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer, pass string,
-	live func(sub *passes.Context, i int, uo *obsv.Observer) error,
+	live func(i int, uo *obsv.Observer) error,
 	replay func(i int, rec *unitPassRecord)) error {
-	if c.Workers() <= 1 || len(units) <= 1 {
-		for i := range units {
-			if err := c.Err(); err != nil {
-				return err
-			}
-			if rec := st.record(i, pass); rec != nil {
-				st.emit(c, rec, obs, replay, i)
-				continue
-			}
-			capture := obsv.NewCapture(obs)
-			if err := live(c, i, capture); err != nil {
-				return err
-			}
-			if rec := st.dirtyRec(i, pass); rec != nil {
-				rec.decisions = capture.Decisions()
-			}
-		}
-		return nil
-	}
-	var dirty []int
 	for i := range units {
-		if st.record(i, pass) == nil {
-			dirty = append(dirty, i)
+		if err := c.Err(); err != nil {
+			return err
 		}
-	}
-	captures := make([]*obsv.Observer, len(units))
-	err := c.ForEachOf(dirty, func(sub *passes.Context, i int) error {
-		captures[i] = obsv.NewCapture(nil)
-		return live(sub, i, captures[i])
-	})
-	if err != nil {
-		return err
-	}
-	for i := range units {
 		if rec := st.record(i, pass); rec != nil {
 			st.emit(c, rec, obs, replay, i)
 			continue
 		}
-		captures[i].ReplayTo(obs)
+		capture := obsv.NewCapture(obs)
+		if err := live(i, capture); err != nil {
+			return err
+		}
 		if rec := st.dirtyRec(i, pass); rec != nil {
-			rec.decisions = captures[i].Decisions()
+			rec.decisions = capture.Decisions()
 		}
 	}
 	return nil

@@ -48,108 +48,106 @@ func TestIncrementalDifferential(t *testing.T) {
 	if editedUnit == "" {
 		t.Fatal("EditOneUnit found no phase to edit")
 	}
+	// Units compile one after another, in program order: the serial
+	// schedule is the only one, and the subtest is named for it.
+	t.Run("serial", func(t *testing.T) {
+		checkIncrementalDifferential(t, mp.Source, editedSrc)
+	})
+}
 
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			memo := core.NewUnitMemo(core.MemoLimits{})
+// checkIncrementalDifferential warms a unit memo on src, then compiles
+// editedSrc against it and from scratch, and compares the two.
+func checkIncrementalDifferential(t *testing.T, src, editedSrc string) {
+	t.Helper()
+	ctx := context.Background()
+	memo := core.NewUnitMemo(core.MemoLimits{})
 
-			warmOpt := core.PolarisOptions()
-			warmOpt.UnitWorkers = tc.workers
-			warmOpt.UnitMemo = memo
-			warmOpt.TraceLabel = "warm"
-			warmRes, err := core.CompileContext(ctx, mustParse(t, mp.Source), warmOpt)
-			if err != nil {
-				t.Fatalf("warm compile: %v", err)
-			}
-			if warmRes.UnitsReused != 0 || warmRes.UnitsRecompiled != len(warmRes.Program.Units) {
-				t.Fatalf("warm compile: reused=%d recompiled=%d, want 0/%d",
-					warmRes.UnitsReused, warmRes.UnitsRecompiled, len(warmRes.Program.Units))
-			}
+	warmOpt := core.PolarisOptions()
+	warmOpt.UnitMemo = memo
+	warmOpt.TraceLabel = "warm"
+	warmRes, err := core.CompileContext(ctx, mustParse(t, src), warmOpt)
+	if err != nil {
+		t.Fatalf("warm compile: %v", err)
+	}
+	if warmRes.UnitsReused != 0 || warmRes.UnitsRecompiled != len(warmRes.Program.Units) {
+		t.Fatalf("warm compile: reused=%d recompiled=%d, want 0/%d",
+			warmRes.UnitsReused, warmRes.UnitsRecompiled, len(warmRes.Program.Units))
+	}
 
-			incObs := obsv.NewObserver()
-			incOpt := warmOpt
-			incOpt.TraceLabel = "edit"
-			incOpt.Observer = incObs
-			// TrustedInput on the incremental side only: the byte-identity
-			// assertions below double as its observation-only proof.
-			incOpt.TrustedInput = true
-			incRes, err := core.CompileContext(ctx, mustParse(t, editedSrc), incOpt)
-			if err != nil {
-				t.Fatalf("incremental compile: %v", err)
-			}
-			if incRes.UnitsRecompiled != 1 {
-				t.Errorf("one-unit edit recompiled %d units (reused %d), want exactly 1",
-					incRes.UnitsRecompiled, incRes.UnitsReused)
-			}
-			if incRes.UnitsReused != len(incRes.Program.Units)-1 {
-				t.Errorf("reused %d of %d units, want all but one",
-					incRes.UnitsReused, len(incRes.Program.Units))
-			}
+	incObs := obsv.NewObserver()
+	incOpt := warmOpt
+	incOpt.TraceLabel = "edit"
+	incOpt.Observer = incObs
+	// TrustedInput on the incremental side only: the byte-identity
+	// assertions below double as its observation-only proof.
+	incOpt.TrustedInput = true
+	incRes, err := core.CompileContext(ctx, mustParse(t, editedSrc), incOpt)
+	if err != nil {
+		t.Fatalf("incremental compile: %v", err)
+	}
+	if incRes.UnitsRecompiled != 1 {
+		t.Errorf("one-unit edit recompiled %d units (reused %d), want exactly 1",
+			incRes.UnitsRecompiled, incRes.UnitsReused)
+	}
+	if incRes.UnitsReused != len(incRes.Program.Units)-1 {
+		t.Errorf("reused %d of %d units, want all but one",
+			incRes.UnitsReused, len(incRes.Program.Units))
+	}
 
-			scrObs := obsv.NewObserver()
-			scrOpt := core.PolarisOptions()
-			scrOpt.UnitWorkers = tc.workers
-			scrOpt.TraceLabel = "edit"
-			scrOpt.Observer = scrObs
-			scrRes, err := core.CompileContext(ctx, mustParse(t, editedSrc), scrOpt)
-			if err != nil {
-				t.Fatalf("from-scratch compile: %v", err)
-			}
-			if scrRes.UnitsReused != 0 || scrRes.UnitsRecompiled != 0 {
-				t.Errorf("memo-less compile reported units_reused=%d units_recompiled=%d, want 0/0",
-					scrRes.UnitsReused, scrRes.UnitsRecompiled)
-			}
+	scrObs := obsv.NewObserver()
+	scrOpt := core.PolarisOptions()
+	scrOpt.TraceLabel = "edit"
+	scrOpt.Observer = scrObs
+	scrRes, err := core.CompileContext(ctx, mustParse(t, editedSrc), scrOpt)
+	if err != nil {
+		t.Fatalf("from-scratch compile: %v", err)
+	}
+	if scrRes.UnitsReused != 0 || scrRes.UnitsRecompiled != 0 {
+		t.Errorf("memo-less compile reported units_reused=%d units_recompiled=%d, want 0/0",
+			scrRes.UnitsReused, scrRes.UnitsRecompiled)
+	}
 
-			// Verdicts, byte for byte.
-			iv, sv := verdictLines(incRes), verdictLines(scrRes)
-			if !reflect.DeepEqual(iv, sv) {
-				if len(iv) != len(sv) {
-					t.Fatalf("verdict counts differ: incremental %d, scratch %d", len(iv), len(sv))
-				}
-				for i := range iv {
-					if iv[i] != sv[i] {
-						t.Fatalf("verdict %d differs:\n  incremental: %s\n  scratch:     %s", i, iv[i], sv[i])
-					}
-				}
+	// Verdicts, byte for byte.
+	iv, sv := verdictLines(incRes), verdictLines(scrRes)
+	if !reflect.DeepEqual(iv, sv) {
+		if len(iv) != len(sv) {
+			t.Fatalf("verdict counts differ: incremental %d, scratch %d", len(iv), len(sv))
+		}
+		for i := range iv {
+			if iv[i] != sv[i] {
+				t.Fatalf("verdict %d differs:\n  incremental: %s\n  scratch:     %s", i, iv[i], sv[i])
 			}
+		}
+	}
 
-			// The full Decision stream, order included. Replayed clean
-			// units must be indistinguishable from re-analyzed ones,
-			// relabeled to this compilation's label.
-			id, sd := incObs.Decisions(), scrObs.Decisions()
-			if len(id) != len(sd) {
-				t.Fatalf("decision counts differ: incremental %d, scratch %d", len(id), len(sd))
-			}
-			for i := range id {
-				if !reflect.DeepEqual(id[i], sd[i]) {
-					t.Fatalf("decision %d differs:\n  incremental: %+v\n  scratch:     %+v", i, id[i], sd[i])
-				}
-			}
+	// The full Decision stream, order included. Replayed clean
+	// units must be indistinguishable from re-analyzed ones,
+	// relabeled to this compilation's label.
+	id, sd := incObs.Decisions(), scrObs.Decisions()
+	if len(id) != len(sd) {
+		t.Fatalf("decision counts differ: incremental %d, scratch %d", len(id), len(sd))
+	}
+	for i := range id {
+		if !reflect.DeepEqual(id[i], sd[i]) {
+			t.Fatalf("decision %d differs:\n  incremental: %+v\n  scratch:     %+v", i, id[i], sd[i])
+		}
+	}
 
-			// Emitted Go, byte for byte.
-			igo, err := codegen.EmitGo(incRes, codegen.GoOptions{Processors: 8, Label: "edit"})
-			if err != nil {
-				t.Fatalf("emit incremental: %v", err)
-			}
-			sgo, err := codegen.EmitGo(scrRes, codegen.GoOptions{Processors: 8, Label: "edit"})
-			if err != nil {
-				t.Fatalf("emit scratch: %v", err)
-			}
-			if igo != sgo {
-				t.Fatal("emitted Go differs between incremental and from-scratch compiles")
-			}
+	// Emitted Go, byte for byte.
+	igo, err := codegen.EmitGo(incRes, codegen.GoOptions{Processors: 8, Label: "edit"})
+	if err != nil {
+		t.Fatalf("emit incremental: %v", err)
+	}
+	sgo, err := codegen.EmitGo(scrRes, codegen.GoOptions{Processors: 8, Label: "edit"})
+	if err != nil {
+		t.Fatalf("emit scratch: %v", err)
+	}
+	if igo != sgo {
+		t.Fatal("emitted Go differs between incremental and from-scratch compiles")
+	}
 
-			if got := memo.Stats(); got.Hits == 0 {
-				t.Errorf("memo recorded no hits across the incremental recompile: %+v", got)
-			}
-		})
+	if got := memo.Stats(); got.Hits == 0 {
+		t.Errorf("memo recorded no hits across the incremental recompile: %+v", got)
 	}
 }
 
@@ -253,7 +251,6 @@ func TestUnitMemoChurn(t *testing.T) {
 				opt.TraceLabel = "churn"
 				opt.Observer = obs
 				opt.UnitMemo = memo
-				opt.UnitWorkers = 2
 				prog, err := parser.ParseProgram(srcs[v])
 				if err != nil {
 					errs <- err

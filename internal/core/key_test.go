@@ -16,11 +16,6 @@ var fingerprintExcluded = map[string]bool{
 	"Trace":      true,
 	"TraceLabel": true,
 	"Observer":   true,
-	// UnitWorkers only schedules the per-unit passes across a worker
-	// pool; the parallel schedule is observationally identical to the
-	// serial one (verdicts, decisions and trace are byte-for-byte the
-	// same — see forEachUnit).
-	"UnitWorkers": true,
 	// UnitMemo changes where per-unit pass results come from, never what
 	// they are: clean units replay records memoized under a key this very
 	// fingerprint salts, and TestIncrementalDifferential proves the

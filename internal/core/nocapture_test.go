@@ -9,9 +9,17 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/deps"
+	"polaris/internal/fuzzgen"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
 )
+
+// megaFor generates one deterministic megaprogram of about lines lines:
+// hundreds of units, each running every per-unit pass.
+func megaFor(t testing.TB, lines int) *fuzzgen.MegaProgram {
+	t.Helper()
+	return fuzzgen.GenerateMega(fuzzgen.MegaConfig{Seed: 1001, TargetLines: lines})
+}
 
 // observerAllocs counts the objects the heap profile attributes to an
 // Observer recording decisions, to a capture being made, or to the two
@@ -35,7 +43,7 @@ func observerAllocs(t *testing.T) (recording, evidence int64) {
 			for {
 				f, more := frames.Next()
 				if strings.Contains(f.Function, "obsv.(*Observer).Decision") ||
-					strings.Contains(f.Function, "obsv.(*Observer).appendDecisions") ||
+					strings.Contains(f.Function, "obsv.(*Observer).ReplayDecisions") ||
 					strings.Contains(f.Function, "obsv.NewCapture") {
 					recording += r.AllocObjects
 					break
@@ -54,15 +62,13 @@ func observerAllocs(t *testing.T) (recording, evidence int64) {
 }
 
 // TestNoObserverNoCapture: a compilation nobody observes records
-// nothing on the unit-parallel schedule either. The pool used to give
-// every unit a detached capture and replay it into the nil observer
-// after the barrier, and interproc-constants and inline used to sort
-// and format one evidence line per propagated constant and per skipped
-// callee before handing them to it. With every allocation profiled, no
+// nothing. interproc-constants and inline used to sort and format one
+// evidence line per propagated constant and per skipped callee before
+// handing them to the nil observer. With every allocation profiled, no
 // object may come from recording a decision, making a capture or
-// rendering evidence at 2 or 8 workers, and the Result must be the one
-// the serial schedule gives. A compilation that is observed shows the
-// counts are not zero for want of looking.
+// rendering evidence, and the Result must be the one an observed
+// compilation gives. The observed compilation also shows the counts are
+// not zero for want of looking.
 func TestNoObserverNoCapture(t *testing.T) {
 	src := megaFor(t, 4000).Source
 	type outcome struct {
@@ -72,18 +78,17 @@ func TestNoObserverNoCapture(t *testing.T) {
 		ipc      map[string]int64
 		norm, sr int
 	}
-	compile := func(workers int, obs *obsv.Observer) outcome {
+	compile := func(obs *obsv.Observer) outcome {
 		prog, err := parser.ParseProgram(src)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
 		opt := core.PolarisOptions()
-		opt.UnitWorkers = workers
 		opt.Observer = obs
 		opt.Stats = &deps.Stats{}
 		res, err := core.CompileContext(context.Background(), prog, opt)
 		if err != nil {
-			t.Fatalf("compile (workers=%d): %v", workers, err)
+			t.Fatalf("compile: %v", err)
 		}
 		o := outcome{stats: *opt.Stats, indvars: res.InductionVars, ipc: res.InterprocConstants,
 			norm: res.NormalizedLoops, sr: res.StrengthReduced}
@@ -93,27 +98,24 @@ func TestNoObserverNoCapture(t *testing.T) {
 		}
 		return o
 	}
-	serial := compile(1, nil)
-	if len(serial.loops) == 0 {
-		t.Fatal("megaprogram produced no loops")
-	}
 
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 
 	rec0, ev0 := observerAllocs(t)
-	compile(2, obsv.NewObserver())
+	observed := compile(obsv.NewObserver())
 	if rec, ev := observerAllocs(t); rec <= rec0 || ev <= ev0 {
-		t.Fatalf("an observed 2-worker compile shows %d recording and %d evidence allocations: the profile is not seeing them", rec-rec0, ev-ev0)
+		t.Fatalf("an observed compile shows %d recording and %d evidence allocations: the profile is not seeing them", rec-rec0, ev-ev0)
 	}
-	for _, workers := range []int{2, 8} {
-		rec0, ev0 := observerAllocs(t)
-		got := compile(workers, nil)
-		if rec, ev := observerAllocs(t); rec != rec0 || ev != ev0 {
-			t.Errorf("workers=%d, no observer: %d objects allocated recording decisions, %d rendering evidence", workers, rec-rec0, ev-ev0)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d, no observer: Result differs from the serial schedule's", workers)
-		}
+	if len(observed.loops) == 0 {
+		t.Fatal("megaprogram produced no loops")
+	}
+	rec0, ev0 = observerAllocs(t)
+	got := compile(nil)
+	if rec, ev := observerAllocs(t); rec != rec0 || ev != ev0 {
+		t.Errorf("no observer: %d objects allocated recording decisions, %d rendering evidence", rec-rec0, ev-ev0)
+	}
+	if !reflect.DeepEqual(got, observed) {
+		t.Error("no observer: Result differs from the observed compile's")
 	}
 }

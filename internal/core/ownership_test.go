@@ -19,14 +19,13 @@ var raceDetector bool
 // the edited unit and one template per callee the inliner expanded —
 // nothing else: the other 280-odd units are read where they stand until
 // the memo answers for them. And it allocates, parse outside the
-// measurement and serial schedule as in TestCompileBytesPerLine, no more
-// than the measured bytes per source line plus a tenth.
+// measurement as in TestCompileBytesPerLine, no more than the measured
+// bytes per source line plus a tenth.
 func TestEditClonesWhatItCompiles(t *testing.T) {
 	ctx := context.Background()
 	base := fuzzgen.MegaCorpus()[0].Generate().Source // mega10k
 	lines := strings.Count(base, "\n")
 	opt := PolarisOptions()
-	opt.UnitWorkers = 1
 	opt.UnitMemo = NewUnitMemo(MemoLimits{})
 	if _, err := CompileContext(ctx, parser.MustParse(base), opt); err != nil {
 		t.Fatal(err)

@@ -239,11 +239,6 @@ func (o *Observer) Decision(d Decision) {
 // appended in one reservation of len(ds); the trace writer, then the
 // next observer, receive the whole batch in the same order.
 func (o *Observer) ReplayDecisions(ds []Decision, label string) {
-	o.appendDecisions(ds, &label)
-}
-
-// appendDecisions is ReplayDecisions; a nil label keeps each record's own.
-func (o *Observer) appendDecisions(ds []Decision, label *string) {
 	if o == nil || len(ds) == 0 {
 		return
 	}
@@ -252,17 +247,15 @@ func (o *Observer) appendDecisions(ds []Decision, label *string) {
 	// Records are never written after this, so the batch can be read
 	// outside the lock even if a later append moves the slice.
 	batch := o.decisions[len(o.decisions)-len(ds):]
-	if label != nil {
-		for i := range batch {
-			batch[i].Label = *label
-		}
+	for i := range batch {
+		batch[i].Label = label
 	}
 	t := o.trace
 	o.mu.Unlock()
 	for _, d := range batch {
 		t.EmitDecision(d)
 	}
-	o.next.appendDecisions(batch, nil)
+	o.next.ReplayDecisions(batch, label)
 }
 
 // Span records one pass execution.
@@ -429,44 +422,6 @@ func (o *Observer) LoopDecisions(label, loop string) []Decision {
 		out = append(out, d)
 	}
 	return out
-}
-
-// ReplayTo forwards everything this observer has recorded to dst, in
-// recording order within each record kind: decisions first, then spans,
-// then runs, then counter totals. The unit-parallel pipeline gives each
-// unit a detached capture (NewCapture(nil)) and replays the captures in
-// unit order after the pass barrier, which reconstructs the exact
-// serial-schedule stream because a per-unit analysis pass emits only
-// Decision records and counters — cross-kind interleaving never occurs
-// inside one capture. dst may be nil (no-op), as may the receiver.
-func (o *Observer) ReplayTo(dst *Observer) {
-	if o == nil || dst == nil {
-		return
-	}
-	o.mu.Lock()
-	decisions := o.decisions // records are never written once appended
-	spans := append([]Span(nil), o.spans...)
-	runs := append([]RunMetrics(nil), o.runs...)
-	counters := make(map[string]int64, len(o.counters))
-	for k, v := range o.counters {
-		counters[k] = v
-	}
-	o.mu.Unlock()
-	dst.appendDecisions(decisions, nil)
-	for _, s := range spans {
-		dst.Span(s)
-	}
-	for _, r := range runs {
-		dst.Run(r)
-	}
-	names := make([]string, 0, len(counters))
-	for k := range counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		dst.Count(k, counters[k])
-	}
 }
 
 // SortLoopMetrics orders metrics by (label, loop) for stable output.

@@ -12,7 +12,6 @@ package passes
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -24,8 +23,8 @@ import (
 )
 
 // metricSink is the mutation-counter store of one pass execution. It
-// is shared by the pass's root Context and every per-unit sub-context
-// the worker pool derives from it, so it is lock-protected.
+// is lock-protected because Context is exported: nothing stops a pass
+// from calling Count on it from goroutines of its own.
 type metricSink struct {
 	mu sync.Mutex
 	m  map[string]int64
@@ -54,16 +53,12 @@ func (s *metricSink) snapshot() map[string]int64 {
 }
 
 // Context is handed to every pass invocation. It carries the program
-// under transformation, the cancellation context, the mutation counter
-// sink for the currently running pass, and the unit worker pool size.
-// Per-unit passes fan work across the pool with ForEach; the
-// sub-contexts it derives share the sink (counter totals are
-// order-independent sums) but carry the pool's cancellation context.
+// under transformation, the cancellation context and the mutation
+// counter sink for the currently running pass.
 type Context struct {
 	ctx     context.Context
 	Program *ir.Program
 	sink    *metricSink
-	workers int
 }
 
 // Context returns the cancellation context (never nil).
@@ -81,20 +76,11 @@ func (c *Context) Err() error { return c.Context().Err() }
 // Count adds delta to the named mutation counter of the running pass
 // (for example "calls_inlined" or "loops_annotated"). Counters reset
 // between passes; the manager snapshots them into the pass's Event.
-// Safe for concurrent use by ForEach workers.
 func (c *Context) Count(metric string, delta int64) {
 	if c.sink == nil {
 		c.sink = &metricSink{}
 	}
 	c.sink.add(metric, delta)
-}
-
-// Workers returns the unit worker pool size for this pass: at least 1.
-func (c *Context) Workers() int {
-	if c.workers < 1 {
-		return 1
-	}
-	return c.workers
 }
 
 // Pass is one named pipeline stage.
@@ -142,9 +128,6 @@ type Manager struct {
 	// (the trace-schema-v2 side of the same instrumentation). A nil
 	// Observer records nothing.
 	Obs *obsv.Observer
-	// Workers is the unit worker pool size exposed to passes via
-	// Context.Workers/Context.ForEach. Values below 1 mean serial.
-	Workers int
 
 	passes []Pass
 }
@@ -180,7 +163,7 @@ func (m *Manager) Run(ctx context.Context, prog *ir.Program) (*PipelineReport, e
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		pc := &Context{ctx: ctx, Program: prog, sink: &metricSink{}, workers: m.Workers}
+		pc := &Context{ctx: ctx, Program: prog, sink: &metricSink{}}
 		start := time.Now()
 		err, panicErr := runPass(p, pc)
 		elapsed := time.Since(start)
@@ -228,10 +211,7 @@ func (m *Manager) Run(ctx context.Context, prog *ir.Program) (*PipelineReport, e
 
 // runPass executes one pass, converting a panic into a *Error with the
 // pass name and captured stack. The second return is non-nil exactly
-// when the pass panicked (and then equals the first). A panic recovered
-// on a ForEach worker goroutine arrives here as an ordinary error
-// wrapping *unitPanicError and is promoted to the same panic-grade
-// *Error, so unit parallelism preserves the crash-safety contract.
+// when the pass panicked (and then equals the first).
 func runPass(p Pass, pc *Context) (err error, panicErr *Error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -243,17 +223,7 @@ func runPass(p Pass, pc *Context) (err error, panicErr *Error) {
 			err = panicErr
 		}
 	}()
-	err = p.Run(pc)
-	var up *unitPanicError
-	if errors.As(err, &up) {
-		panicErr = &Error{
-			Pass:  p.Name(),
-			Err:   fmt.Errorf("panic: %v", up.val),
-			Stack: up.stack,
-		}
-		err = panicErr
-	}
-	return err, panicErr
+	return p.Run(pc), nil
 }
 
 // PipelineReport aggregates the instrumentation of one pipeline run.

@@ -12,28 +12,13 @@ import (
 
 // BenchmarkMegaCompile is the standing megaprogram scaling benchmark:
 // one cold compile of each corpus entry (10k/50k/100k lines, hundreds
-// to thousands of units) under the full technique set with the
-// default GOMAXPROCS unit worker pool. The ns/line metric is the
-// scaling signal: if the compiler goes superlinear in program size,
-// the 100k row's ns/line pulls away from the 10k row's.
-//
-// CI compares this against BenchmarkMegaCompileSerial for the
-// parallel-speedup figure.
+// to thousands of units) under the full technique set. The ns/line
+// metric is the scaling signal: if the compiler goes superlinear in
+// program size, the 100k row's ns/line pulls away from the 10k row's.
 func BenchmarkMegaCompile(b *testing.B) {
 	for _, spec := range fuzzgen.MegaCorpus() {
 		b.Run(spec.Name, func(b *testing.B) {
-			benchMega(b, spec, 0)
-		})
-	}
-}
-
-// BenchmarkMegaCompileSerial is the same compile forced onto the
-// serial unit schedule (UnitWorkers=1) — the baseline the parallel
-// speedup is measured against.
-func BenchmarkMegaCompileSerial(b *testing.B) {
-	for _, spec := range fuzzgen.MegaCorpus() {
-		b.Run(spec.Name, func(b *testing.B) {
-			benchMega(b, spec, 1)
+			benchMega(b, spec)
 		})
 	}
 }
@@ -94,14 +79,13 @@ func BenchmarkMegaIncremental(b *testing.B) {
 	}
 }
 
-func benchMega(b *testing.B, spec fuzzgen.MegaSpec, workers int) {
+func benchMega(b *testing.B, spec fuzzgen.MegaSpec) {
 	mp := spec.Generate()
 	prog, err := parser.ParseProgram(mp.Source)
 	if err != nil {
 		b.Fatalf("%s: parse: %v", spec.Name, err)
 	}
 	opt := core.PolarisOptions()
-	opt.UnitWorkers = workers
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -114,5 +98,4 @@ func benchMega(b *testing.B, spec fuzzgen.MegaSpec, workers int) {
 	b.StopTimer()
 	perLine := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(mp.Lines)
 	b.ReportMetric(perLine, "ns/line")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
 }

@@ -16,7 +16,6 @@ var optKeyExcluded = map[string]bool{
 	"Trace":        true,
 	"TraceLabel":   true,
 	"Observer":     true,
-	"UnitWorkers":  true,
 	"UnitMemo":     true,
 	"TrustedInput": true,
 }

@@ -16,15 +16,14 @@ import (
 type Option func(*compileConfig)
 
 type compileConfig struct {
-	baseline    bool
-	techniques  Techniques
-	stats       *Stats
-	trace       *passes.TraceWriter
-	traceLabel  string
-	observer    *obsv.Observer
-	processors  int
-	unitWorkers int
-	memo        *UnitMemo
+	baseline   bool
+	techniques Techniques
+	stats      *Stats
+	trace      *passes.TraceWriter
+	traceLabel string
+	observer   *obsv.Observer
+	processors int
+	memo       *UnitMemo
 }
 
 func defaultCompileConfig() compileConfig {
@@ -71,16 +70,6 @@ func WithTraceLabel(label string) Option {
 // for this result when ExecOptions.Processors is zero (default 8).
 func WithProcessors(n int) Option {
 	return func(c *compileConfig) { c.processors = n }
-}
-
-// WithUnitWorkers sets the worker pool size the per-unit pipeline
-// passes use to analyze program units concurrently: 0 (the default)
-// means GOMAXPROCS, 1 forces the serial schedule, n > 1 uses n
-// workers. The schedule is an implementation detail of compile
-// throughput only — verdicts, decision provenance, and the trace
-// stream are byte-for-byte identical at every worker count.
-func WithUnitWorkers(n int) Option {
-	return func(c *compileConfig) { c.unitWorkers = n }
 }
 
 // UnitMemo is the bounded per-unit memo behind incremental

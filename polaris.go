@@ -195,7 +195,6 @@ func Compile(ctx context.Context, p *Program, opts ...Option) (*Result, error) {
 	copt.Trace = cfg.trace
 	copt.TraceLabel = cfg.traceLabel
 	copt.Observer = cfg.observer
-	copt.UnitWorkers = cfg.unitWorkers
 	if cfg.memo != nil {
 		copt.UnitMemo = cfg.memo.inner
 	}
