@@ -98,9 +98,11 @@ func analyzerCorpus() (names []string, src map[string]string) {
 
 // compileFingerprint compiles src and hashes everything a stale range
 // analyzer could change: the emitted Fortran (report header, directives
-// and the transformed text), the full decision stream, the dependence
-// test counts and the pass counters folded into the Result.
-func compileFingerprint(t *testing.T, src string, memo *core.UnitMemo) string {
+// and the transformed text), the full decision stream and the pass
+// counters folded into the Result. The dependence-test counts come back
+// beside the hash as plain text, so a change that moves only the work
+// the analysis does says so in the golden's diff.
+func compileFingerprint(t *testing.T, src string, memo *core.UnitMemo) (sum, counts string) {
 	t.Helper()
 	obs := obsv.NewObserver()
 	opt := core.PolarisOptions()
@@ -117,19 +119,22 @@ func compileFingerprint(t *testing.T, src string, memo *core.UnitMemo) string {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%+v\x00%d %d %v", codegen.EmitFortran(res), decisions, *opt.Stats,
+	fmt.Fprintf(h, "%s\x00%s\x00%d %d %v", codegen.EmitFortran(res), decisions,
 		res.NormalizedLoops, res.StrengthReduced, res.InductionVars)
-	return hex.EncodeToString(h.Sum(nil))
+	s := opt.Stats
+	return hex.EncodeToString(h.Sum(nil)), fmt.Sprintf("pairs=%d linear=%d range=%d perm=%d",
+		s.PairsTested, s.LinearDecided, s.RangeTests, s.Permutations)
 }
 
 // TestAnalyzerRebuiltAfterMutation holds the one-analyzer-per-unit
 // driver to the compiler that built a fresh analyzer in every pass:
 // testdata/analyzer_golden.sha256 was written by the commit before the
 // change (this file copied into it and run with -update-analyzer-golden),
-// and every program must still compile to the same Fortran, decision
-// stream and Stats, when its units fill a unit memo and when they
-// replay from it. The second half shows the rebuild itself, on a
-// program whose verdict depends on it.
+// one line per program of hash, name and dependence-test counts, and
+// every program must still compile to the same Fortran, decision stream
+// and counts, when its units fill a unit memo and when they replay from
+// it. The second half shows the rebuild itself, on a program whose
+// verdict depends on it.
 func TestAnalyzerRebuiltAfterMutation(t *testing.T) {
 	t.Run("same compiler", sameCompilerAsParent)
 	t.Run("replaced after a rewrite", analyzerReplacedAfterRewrite)
@@ -140,7 +145,8 @@ func sameCompilerAsParent(t *testing.T) {
 	if *updateAnalyzerGolden {
 		var out strings.Builder
 		for _, name := range names {
-			fmt.Fprintf(&out, "%s  %s\n", compileFingerprint(t, src[name], nil), name)
+			sum, counts := compileFingerprint(t, src[name], nil)
+			fmt.Fprintf(&out, "%s  %s  %s\n", sum, name, counts)
 		}
 		if err := os.WriteFile(analyzerGoldenPath, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -152,10 +158,11 @@ func sameCompilerAsParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	want := map[string]string{}
+	type line struct{ sum, counts string }
+	want := map[string]line{}
 	for sc := bufio.NewScanner(f); sc.Scan(); {
-		if sum, name, ok := strings.Cut(sc.Text(), "  "); ok {
-			want[name] = sum
+		if fields := strings.SplitN(sc.Text(), "  ", 3); len(fields) == 3 {
+			want[fields[1]] = line{fields[0], fields[2]}
 		}
 	}
 	if len(want) != len(names) {
@@ -176,16 +183,19 @@ func sameCompilerAsParent(t *testing.T) {
 		}
 	}
 
+	check := func(name, path string, memo *core.UnitMemo) {
+		sum, counts := compileFingerprint(t, src[name], memo)
+		if w := want[name]; sum != w.sum {
+			t.Errorf("%s%s: compile hashes to %.12s, the parent's to %.12s", name, path, sum, w.sum)
+		} else if counts != w.counts {
+			t.Errorf("%s%s: dependence tests %s, the parent's %s", name, path, counts, w.counts)
+		}
+	}
 	for _, name := range names {
-		if got := compileFingerprint(t, src[name], nil); got != want[name] {
-			t.Errorf("%s: compile hashes to %.12s, the parent's to %.12s", name, got, want[name])
-		}
+		check(name, "", nil)
 		memo := core.NewUnitMemo(core.MemoLimits{})
-		for _, path := range []string{"filling the unit memo", "replayed from the unit memo"} {
-			if got := compileFingerprint(t, src[name], memo); got != want[name] {
-				t.Errorf("%s %s: compile hashes to %.12s, the parent's to %.12s", name, path, got, want[name])
-			}
-		}
+		check(name, " filling the unit memo", memo)
+		check(name, " replayed from the unit memo", memo)
 	}
 }
 
