@@ -817,7 +817,8 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		ExcludeArrays: privArrays,
 		Stats:         opt.Stats,
 	}
-	verdict := tester.AnalyzeLoop(loop, cfg)
+	nest := tester.NewNest(loop)
+	verdict := tester.AnalyzeNest(nest, cfg)
 	{
 		d := obsv.Decision{
 			Pass:      "dependence",
@@ -851,7 +852,7 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		// like U(I) = U(I) + e) are ordinary independent writes — the
 		// reduction transform and its merge cost are unnecessary.
 		if reds != nil {
-			par.Reductions = dropProvenIndependent(tester, loop, reds, cfg, par.Reductions)
+			par.Reductions = dropProvenIndependent(tester, nest, verdict, reds, cfg, par.Reductions)
 		}
 	case opt.LRPD && len(verdict.Unanalyzable) > 0 && !subtreeParallel(loop):
 		// Retry with the unanalyzable arrays excluded (iterating as
@@ -872,7 +873,7 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		cfg2 := cfg
 		cfg2.ExcludeArrays = ex
 		for tries := 0; tries < 4; tries++ {
-			retry := tester.AnalyzeLoop(loop, cfg2)
+			retry := tester.AnalyzeNest(nest, cfg2)
 			if retry.Parallel {
 				for a := range candidates {
 					par.LRPD = append(par.LRPD, a)
@@ -1004,13 +1005,15 @@ func verdictTechnique(par *ir.ParInfo, verdict deps.Verdict) string {
 	return strings.Join(parts, "; ")
 }
 
-// dropProvenIndependent re-tests each array-reduction candidate with
-// its own statements unmasked; when the loop is still dependence-free,
-// the flag is removed (Section 3.2: the dependence pass "removes the
-// flags for those statements which it can prove have no loop-carried
-// dependences"). Scalar reductions are always kept — scalar accesses
-// are outside the dependence pass and genuinely carry.
-func dropProvenIndependent(tester *deps.Tester, loop *ir.DoStmt, reds *reduction.Result, cfg deps.Config, anns []ir.Reduction) []ir.Reduction {
+// dropProvenIndependent removes the flag of each array-reduction
+// candidate whose update statements, unmasked one candidate at a time,
+// leave the loop's identity-order verdict standing (Section 3.2: the
+// dependence pass "removes the flags for those statements which it can
+// prove have no loop-carried dependences"). Only the pairs the mask hid
+// are tested, on the nest the verdict was reached on. Scalar reductions
+// are always kept — scalar accesses are outside the dependence pass and
+// genuinely carry.
+func dropProvenIndependent(tester *deps.Tester, nest *deps.Nest, verdict deps.Verdict, reds *reduction.Result, cfg deps.Config, anns []ir.Reduction) []ir.Reduction {
 	kept := anns[:0]
 	for _, ann := range anns {
 		cand := findCandidate(reds, ann.Target)
@@ -1018,17 +1021,11 @@ func dropProvenIndependent(tester *deps.Tester, loop *ir.DoStmt, reds *reduction
 			kept = append(kept, ann)
 			continue
 		}
-		skip := map[ir.Stmt]bool{}
-		for s := range cfg.SkipStmts {
-			skip[s] = true
-		}
+		unmask := map[ir.Stmt]bool{}
 		for _, st := range cand.Stmts {
-			delete(skip, st)
+			unmask[st] = true
 		}
-		cfg2 := cfg
-		cfg2.SkipStmts = skip
-		cfg2.Permutation = false // cheap re-check at this level only
-		if v := tester.AnalyzeLoop(loop, cfg2); !v.Parallel {
+		if !tester.IndependentUnmasked(nest, verdict, cfg, unmask) {
 			kept = append(kept, ann)
 		}
 	}

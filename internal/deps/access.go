@@ -9,6 +9,7 @@ package deps
 
 import (
 	"slices"
+	"strings"
 
 	"polaris/internal/gsa"
 	"polaris/internal/ir"
@@ -27,7 +28,7 @@ type Access struct {
 	// nest root.
 	Loops []*ir.DoStmt
 	// conv holds the subscripts as converted for the nest the access was
-	// collected in (newNest), indexed like Subs and filled on first use.
+	// collected in (NewNest), indexed like Subs and filled on first use.
 	conv []subConv
 }
 
@@ -56,25 +57,42 @@ func (sc *subConv) linear(indices []string) (LinearForm, bool) {
 	return sc.lin, sc.linOK
 }
 
-// nest is what AnalyzeLoop derives once per root loop and every pair
-// test under that root reads: the indices of the loops below the root
-// and the collected accesses with their conversion slots. It lives for
-// one AnalyzeLoop call, during which the IR does not change, so nothing
-// in it is ever invalidated.
-type nest struct {
-	root     *ir.DoStmt
-	inner    map[string]bool
+// Nest is the one table every dependence question about a loop reads:
+// the indices of the loops below the root and every access in the nest,
+// grouped by array, with its conversion slots. The verdict, its permuted
+// orders, the LRPD retries and the reduction flag removal all read one
+// Nest; the reduction mask and the excluded arrays filter the pairs it
+// forms, not what it holds. It lives while its caller asks about the
+// loop, during which the IR does not change, so nothing in it is ever
+// invalidated.
+type Nest struct {
+	root  *ir.DoStmt
+	call  bool // an un-inlined CALL in the body; nothing is collected
+	inner map[string]bool
+	// accesses is sorted by array name, in collection order within an
+	// array; groups are its runs of one array.
 	accesses []Access
+	groups   [][]Access
 }
 
-func newNest(root *ir.DoStmt, skip map[ir.Stmt]bool) *nest {
-	n := &nest{root: root, inner: map[string]bool{}, accesses: CollectAccesses(root, skip)}
-	for _, d := range ir.Loops(root.Body) {
+// NewNest builds the nest rooted at loop, a loop of the Tester's unit.
+func (t *Tester) NewNest(loop *ir.DoStmt) *Nest {
+	n := &Nest{root: loop, call: hasCall(loop), inner: map[string]bool{}}
+	if n.call {
+		return n
+	}
+	for _, d := range ir.Loops(loop.Body) {
 		n.inner[d.Index] = true
 	}
-	total := 0
-	for _, a := range n.accesses {
+	n.accesses = collectAccesses(loop)
+	slices.SortStableFunc(n.accesses, func(a, b Access) int { return strings.Compare(a.Array, b.Array) })
+	total, start := 0, 0
+	for i, a := range n.accesses {
 		total += len(a.Subs)
+		if i+1 == len(n.accesses) || n.accesses[i+1].Array != a.Array {
+			n.groups = append(n.groups, n.accesses[start:i+1])
+			start = i + 1
+		}
 	}
 	slab := make([]subConv, total)
 	for i := range n.accesses {
@@ -84,20 +102,16 @@ func newNest(root *ir.DoStmt, skip map[ir.Stmt]bool) *nest {
 	return n
 }
 
-func (n *nest) isIndex(name string) bool { return name == n.root.Index || n.inner[name] }
+func (n *Nest) isIndex(name string) bool { return name == n.root.Index || n.inner[name] }
 
-// CollectAccesses gathers every array access in the body of root
+// collectAccesses gathers every array access in the body of root
 // (including nested loops), tagging each with its enclosing loops
-// within the nest. Statements in skip are ignored entirely (used to
-// mask recognized reduction statements).
-func CollectAccesses(root *ir.DoStmt, skip map[ir.Stmt]bool) []Access {
+// within the nest.
+func collectAccesses(root *ir.DoStmt) []Access {
 	var out []Access
 	var walk func(b *ir.Block, loops []*ir.DoStmt)
 	walk = func(b *ir.Block, loops []*ir.DoStmt) {
 		for _, s := range b.Stmts {
-			if skip[s] {
-				continue
-			}
 			switch x := s.(type) {
 			case *ir.AssignStmt:
 				if a, ok := x.LHS.(*ir.ArrayRef); ok {
@@ -171,7 +185,7 @@ func (t *Tester) writtenIn(root *ir.DoStmt) map[string]bool {
 
 // sub returns acc's d-th subscript converted for the nest, converting
 // it the first time any pair asks.
-func (t *Tester) sub(n *nest, acc Access, d int) *subConv {
+func (t *Tester) sub(n *Nest, acc Access, d int) *subConv {
 	sc := &acc.conv[d]
 	if !sc.done {
 		*sc = t.convSubscript(n, acc, acc.Subs[d])
@@ -187,7 +201,7 @@ func (t *Tester) sub(n *nest, acc Access, d int) *subConv {
 // else (loop-variant scalars resolving to gated values, subscripted
 // subscripts into arrays written in the nest) is unanalyzable and the
 // caller must assume a dependence (the LRPD candidate path).
-func (t *Tester) convSubscript(n *nest, acc Access, e ir.Expr) subConv {
+func (t *Tester) convSubscript(n *Nest, acc Access, e ir.Expr) subConv {
 	resolved := false
 	sc := subConv{done: true, conv: symbolic.FromIR(e, func(name string) *symbolic.Expr {
 		v := t.resolve(n, acc.Stmt, name)
@@ -206,7 +220,7 @@ func (t *Tester) convSubscript(n *nest, acc Access, e ir.Expr) subConv {
 
 // resolve is convSubscript's resolver: the value to substitute for a
 // scalar read at stmt, nil to leave it a free variable.
-func (t *Tester) resolve(n *nest, stmt ir.Stmt, name string) *symbolic.Expr {
+func (t *Tester) resolve(n *Nest, stmt ir.Stmt, name string) *symbolic.Expr {
 	if n.isIndex(name) {
 		return nil
 	}
@@ -222,7 +236,7 @@ func (t *Tester) resolve(n *nest, stmt ir.Stmt, name string) *symbolic.Expr {
 	return v
 }
 
-func (t *Tester) exprAnalyzable(n *nest, e *symbolic.Expr) bool {
+func (t *Tester) exprAnalyzable(n *Nest, e *symbolic.Expr) bool {
 	for v := range e.Vars() {
 		if n.isIndex(v) {
 			continue
@@ -240,7 +254,7 @@ func (t *Tester) exprAnalyzable(n *nest, e *symbolic.Expr) bool {
 	return ok
 }
 
-func (t *Tester) atomAnalyzable(n *nest, atom symbolic.Atom, written map[string]bool) bool {
+func (t *Tester) atomAnalyzable(n *Nest, atom symbolic.Atom, written map[string]bool) bool {
 	if atom.Call {
 		if atom.Name != "IDIV" && atom.Name != "IPOW" {
 			return false // unknown function: not provably pure

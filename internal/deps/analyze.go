@@ -19,9 +19,9 @@ type Config struct {
 	// paper's Section 3.3.1 (needed for OCEAN's FTRVMT loop).
 	Permutation bool
 	// SkipStmts masks statements (recognized reduction updates) from
-	// access collection.
+	// pairing: an access of a masked statement takes part in no pair.
 	SkipStmts map[ir.Stmt]bool
-	// ExcludeArrays drops accesses to privatized arrays.
+	// ExcludeArrays drops the pairs of privatized arrays.
 	ExcludeArrays map[string]bool
 	// Stats, when non-nil, accumulates test counts.
 	Stats *Stats
@@ -29,8 +29,7 @@ type Config struct {
 
 // Stats counts dependence-test work for the evaluation harness. The
 // counters are plain ints: one Stats must not be shared by concurrent
-// analyses. The unit-parallel pipeline gives each unit its own Stats
-// and merges them with Add at the pass barrier.
+// analyses, and a compile runs its units one after another.
 type Stats struct {
 	PairsTested   int
 	LinearDecided int
@@ -73,16 +72,20 @@ type Verdict struct {
 	Permutation []string
 }
 
-// AnalyzeLoop determines whether the loop carries any data dependence
-// on array accesses (scalar dependences are the privatizer's job). The
-// loop is analyzed as the root of its own nest; enclosing indices are
-// fixed symbols.
+// AnalyzeLoop is AnalyzeNest on a nest built for the one call.
 func (t *Tester) AnalyzeLoop(loop *ir.DoStmt, cfg Config) Verdict {
-	if hasCall(loop, cfg.SkipStmts) {
+	return t.AnalyzeNest(t.NewNest(loop), cfg)
+}
+
+// AnalyzeNest determines whether the nest's root loop carries any data
+// dependence on array accesses (scalar dependences are the privatizer's
+// job). The loop is analyzed as the root of its own nest; enclosing
+// indices are fixed symbols.
+func (t *Tester) AnalyzeNest(n *Nest, cfg Config) Verdict {
+	if n.call {
 		return Verdict{Parallel: false, Reason: "CALL statement in loop body", HasCall: true, Blocker: "CALL"}
 	}
-	n := newNest(loop, cfg.SkipStmts)
-	v := t.analyzeTarget(n, loop, n.inner, cfg)
+	v := t.analyzeTarget(n, n.root, n.inner, cfg, nil)
 	if v.Parallel || !cfg.Permutation || len(v.Unanalyzable) > 0 {
 		return v
 	}
@@ -99,51 +102,46 @@ func (t *Tester) AnalyzeLoop(loop *ir.DoStmt, cfg Config) Verdict {
 	return v
 }
 
-// analyzeTarget tests one target loop under a given inner-variable view.
-func (t *Tester) analyzeTarget(n *nest, target *ir.DoStmt, ranged map[string]bool, cfg Config) Verdict {
-	byArray := map[string][]Access{}
-	for _, a := range n.accesses {
-		if cfg.ExcludeArrays[a.Array] {
-			continue
-		}
-		byArray[a.Array] = append(byArray[a.Array], a)
-	}
-	names := make([]string, 0, len(byArray))
-	for n := range byArray {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// IndependentUnmasked is the paper's flag removal for one reduction
+// candidate: whether the loop, analyzed under cfg to verdict v, is
+// still free of carried dependences with the candidate's update
+// statements unmasked, as an identity-order analysis without the
+// permuted test would find. A pair's answer does not depend on which
+// other accesses take part, so only the pairs the mask hid are tested.
+// An identity-order verdict proved every other pair; one that failed,
+// or was proved only in a permuted order, failed on a pair the
+// unmasked analysis fails on again, and nothing is tested.
+func (t *Tester) IndependentUnmasked(n *Nest, v Verdict, cfg Config, unmask map[ir.Stmt]bool) bool {
+	return v.Parallel && len(v.Permutation) == 0 && t.analyzeTarget(n, n.root, n.inner, cfg, unmask).Parallel
+}
+
+// analyzeTarget tests one target loop under a given inner-variable view,
+// pair by pair in one fixed order: arrays by name, and within an array
+// each write against itself, every read and every later write. An
+// access takes part unless its array is excluded or its statement is
+// masked and not in unmask; with unmask non-nil, only the pairs with an
+// access of a statement in unmask are tested.
+func (t *Tester) analyzeTarget(n *Nest, target *ir.DoStmt, ranged map[string]bool, cfg Config, unmask map[ir.Stmt]bool) Verdict {
+	visible := func(a Access) bool { return !cfg.SkipStmts[a.Stmt] || unmask[a.Stmt] }
 	unanalyzable := map[string]bool{}
 	var tr analysisTrace
-	for _, name := range names {
-		accs := byArray[name]
-		hasWrite := false
-		for _, a := range accs {
-			if a.Write {
-				hasWrite = true
-			}
-		}
-		if !hasWrite {
+	for _, accs := range n.groups {
+		if cfg.ExcludeArrays[accs[0].Array] {
 			continue
 		}
 		for i, a := range accs {
-			if !a.Write {
+			if !a.Write || !visible(a) {
 				continue
 			}
 			for j, b := range accs {
-				if j < i && b.Write {
-					continue // (b,a) already tested as (a,b) with roles swapped
-				}
-				if i == j {
-					// A single access pairs with itself across
-					// iterations (write-write on the same subscript).
-					if !t.pairIndependent(n, target, ranged, a, a, cfg, unanalyzable, &tr) {
-						return t.failVerdict(name, unanalyzable)
-					}
+				// (b,a) with b an earlier write was tested as (a,b) with
+				// roles swapped; a write also pairs with itself across
+				// iterations.
+				if (j < i && b.Write) || !visible(b) || (unmask != nil && !unmask[a.Stmt] && !unmask[b.Stmt]) {
 					continue
 				}
 				if !t.pairIndependent(n, target, ranged, a, b, cfg, unanalyzable, &tr) {
-					return t.failVerdict(name, unanalyzable)
+					return t.failVerdict(a.Array, unanalyzable)
 				}
 			}
 		}
@@ -182,7 +180,7 @@ type analysisTrace struct {
 // pairIndependent proves no dependence between a and b carried by
 // target. It records unanalyzable arrays, and range-test usage in tr,
 // as side effects.
-func (t *Tester) pairIndependent(n *nest, target *ir.DoStmt, ranged map[string]bool, a, b Access, cfg Config, unanalyzable map[string]bool, tr *analysisTrace) bool {
+func (t *Tester) pairIndependent(n *Nest, target *ir.DoStmt, ranged map[string]bool, a, b Access, cfg Config, unanalyzable map[string]bool, tr *analysisTrace) bool {
 	if cfg.Stats != nil {
 		cfg.Stats.PairsTested++
 	}
@@ -229,9 +227,7 @@ func (t *Tester) pairIndependent(n *nest, target *ir.DoStmt, ranged map[string]b
 		cfg.Stats.RangeTests++
 	}
 	if t.RangeTestPair(n, target, ranged, a, b) {
-		if tr != nil {
-			tr.usedRange = true
-		}
+		tr.usedRange = true
 		return true
 	}
 	// Subscripted subscripts (IND(I) with a read-only index array) are
@@ -278,8 +274,7 @@ func (t *Tester) commonNest(target *ir.DoStmt, ranged map[string]bool, a, b Acce
 // chain rooted at root; if some order proves every level free of
 // carried dependences, the whole iteration space is independent and
 // every loop in the chain is parallel.
-func (t *Tester) permutedNestTest(n *nest, cfg Config) (bool, []string) {
-	accesses := n.accesses
+func (t *Tester) permutedNestTest(n *Nest, cfg Config) (bool, []string) {
 	chain := perfectChain(n.root)
 	if len(chain) < 2 || len(chain) > 5 {
 		return false, nil
@@ -298,25 +293,7 @@ func (t *Tester) permutedNestTest(n *nest, cfg Config) (bool, []string) {
 			for q := p + 1; q < len(perm); q++ {
 				ranged[chain[perm[q]].Index] = true
 			}
-			unanalyzable := map[string]bool{}
-			for i := 0; i < len(accesses) && ok; i++ {
-				a := accesses[i]
-				if cfg.ExcludeArrays[a.Array] || !a.Write {
-					continue
-				}
-				for j := 0; j < len(accesses) && ok; j++ {
-					b := accesses[j]
-					if cfg.ExcludeArrays[b.Array] || b.Array != a.Array {
-						continue
-					}
-					if b.Write && j < i {
-						continue
-					}
-					if !t.pairIndependent(n, target, ranged, a, b, cfg, unanalyzable, nil) {
-						ok = false
-					}
-				}
-			}
+			ok = t.analyzeTarget(n, target, ranged, cfg, nil).Parallel
 		}
 		if ok {
 			names := make([]string, len(perm))
@@ -376,12 +353,9 @@ func isIdentity(p []int) bool {
 	return true
 }
 
-func hasCall(loop *ir.DoStmt, skip map[ir.Stmt]bool) bool {
+func hasCall(loop *ir.DoStmt) bool {
 	found := false
 	ir.WalkStmts(loop.Body, func(s ir.Stmt) bool {
-		if skip[s] {
-			return false
-		}
 		if _, ok := s.(*ir.CallStmt); ok {
 			found = true
 		}

@@ -24,7 +24,7 @@ const triangularSrc = `
       END
 `
 
-func benchNest(b *testing.B) (*Tester, *ir.DoStmt, *nest) {
+func benchNest(b *testing.B) (*Tester, *ir.DoStmt, *Nest) {
 	b.Helper()
 	prog, err := parser.ParseProgram(triangularSrc)
 	if err != nil {
@@ -33,7 +33,7 @@ func benchNest(b *testing.B) (*Tester, *ir.DoStmt, *nest) {
 	u := prog.Main()
 	t := NewTester(u, rng.New(u))
 	root := ir.Loops(u.Body)[0]
-	return t, root, newNest(root, nil)
+	return t, root, t.NewNest(root)
 }
 
 // BenchmarkRangeTestPair measures one range-test pair query on the
@@ -115,7 +115,7 @@ func TestAnalyzeLoopAllocBudget(t *testing.T) {
 	u := prog.Main()
 	tester := NewTester(u, rng.New(u))
 	root := ir.Loops(u.Body)[0]
-	if n := len(newNest(root, nil).accesses); n != 6 {
+	if n := len(tester.NewNest(root).accesses); n != 6 {
 		t.Fatalf("nest has %d accesses, want 6", n)
 	}
 	var stats Stats

@@ -504,7 +504,7 @@ func TestPowerFactOrderIsStable(t *testing.T) {
 		if v := tester.AnalyzeLoop(loop, Config{}); v.Parallel {
 			t.Fatalf("compile %d: verdict flipped to parallel: %s", i, v.Reason)
 		}
-		n := newNest(loop, nil)
+		n := tester.NewNest(loop)
 		for _, a := range n.accesses {
 			for _, b := range n.accesses {
 				if got := strings.Join(tester.pairEnv(n, a, b).Names(), " "); got != want {

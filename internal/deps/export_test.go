@@ -10,17 +10,7 @@ import (
 // Hooks for nestconv_test.go, which needs internal/suite's programs and
 // so cannot live in package deps: suite imports deps through core.
 
-type Nest = nest
-
-func NewNest(root *ir.DoStmt, skip map[ir.Stmt]bool) *Nest { return newNest(root, skip) }
-
 func (n *Nest) Accesses() []Access { return n.accesses }
-
-// AnalyzeNest is AnalyzeLoop from the point where it has its nest, so a
-// test can read the conversion slots the analysis left behind.
-func (t *Tester) AnalyzeNest(n *Nest, cfg Config) Verdict {
-	return t.analyzeTarget(n, n.root, n.inner, cfg)
-}
 
 // Sub is the stored conversion of acc's d-th subscript.
 func (t *Tester) Sub(n *Nest, acc Access, d int) (conv, pow symbolic.Conv, analyzable bool) {

@@ -89,16 +89,11 @@ func refAtomAnalyzable(t *deps.Tester, root *ir.DoStmt, atom symbolic.Atom, writ
 	return true
 }
 
-// TestNestConvMatchesFresh takes every loop of the 16 suite programs
-// and of mega10k, as parsed and as compiled, as the root of its own
-// nest, runs the pair tests over it so the conversion slots fill in the
-// order the analysis asks for them, and then requires of every
-// subscript of every access that the slot holds what a conversion made
-// from scratch for that one access would: under the nest's resolver
-// with its analyzable verdict, and without a resolver, where the slot
-// may be sharing the first conversion.
-func TestNestConvMatchesFresh(t *testing.T) {
-	type source struct{ name, src string }
+type source struct{ name, src string }
+
+// suiteAndMega10k is the corpus the nest differentials walk: the 16
+// suite programs and mega10k.
+func suiteAndMega10k(t *testing.T) []source {
 	var sources []source
 	for _, p := range suite.All() {
 		sources = append(sources, source{p.Name, p.Source})
@@ -111,6 +106,19 @@ func TestNestConvMatchesFresh(t *testing.T) {
 	if len(sources) != 17 {
 		t.Fatalf("%d sources, want the 16 suite programs and mega10k", len(sources))
 	}
+	return sources
+}
+
+// TestNestConvMatchesFresh takes every loop of the 16 suite programs
+// and of mega10k, as parsed and as compiled, as the root of its own
+// nest, runs the pair tests over it so the conversion slots fill in the
+// order the analysis asks for them, and then requires of every
+// subscript of every access that the slot holds what a conversion made
+// from scratch for that one access would: under the nest's resolver
+// with its analyzable verdict, and without a resolver, where the slot
+// may be sharing the first conversion.
+func TestNestConvMatchesFresh(t *testing.T) {
+	sources := suiteAndMega10k(t)
 	// None of those keeps a power atom in a subscript. Here the resolver
 	// folds 2**K to 8 while the resolver-free conversion, whose keys
 	// addPowerFacts pushes, must keep IPOW(2,K) beside IPOW(3,L).
@@ -144,7 +152,7 @@ func TestNestConvMatchesFresh(t *testing.T) {
 			for _, u := range prog.Units {
 				tester := deps.NewTester(u, rng.New(u))
 				for _, root := range ir.Loops(u.Body) {
-					n := deps.NewNest(root, nil)
+					n := tester.NewNest(root)
 					tester.AnalyzeNest(n, deps.Config{})
 					for _, acc := range n.Accesses() {
 						for d, sub := range acc.Subs {
@@ -201,19 +209,7 @@ func TestNestConvMatchesFresh(t *testing.T) {
 // nest makes sure of one, and the slot has to extract again there and
 // reuse everywhere else.
 func TestLinearFormSlotMatchesFresh(t *testing.T) {
-	type source struct{ name, src string }
-	var sources []source
-	for _, p := range suite.All() {
-		sources = append(sources, source{p.Name, p.Source})
-	}
-	for _, spec := range fuzzgen.MegaCorpus() {
-		if spec.Name == "mega10k" {
-			sources = append(sources, source{spec.Name, spec.Generate().Source})
-		}
-	}
-	if len(sources) != 17 {
-		t.Fatalf("%d sources, want the 16 suite programs and mega10k", len(sources))
-	}
+	sources := suiteAndMega10k(t)
 	sources = append(sources, source{"siblings", `
       SUBROUTINE S(N, M, A)
       INTEGER N, M, I, J, K
@@ -253,7 +249,7 @@ func TestLinearFormSlotMatchesFresh(t *testing.T) {
 			for _, u := range prog.Units {
 				tester := deps.NewTester(u, rng.New(u))
 				for _, root := range ir.Loops(u.Body) {
-					n := deps.NewNest(root, nil)
+					n := tester.NewNest(root)
 					// The analysis first, so the walk below starts from
 					// whatever the pair tests left in the slots.
 					tester.AnalyzeNest(n, deps.Config{})

@@ -9,7 +9,7 @@ import (
 // target loop: bounds for every loop index of the nest (innermost
 // first), the enclosing context of the nest root, and the guard and
 // trip-count facts that hold whenever both accesses execute.
-func (t *Tester) pairEnv(n *nest, a, b Access) *symbolic.Env {
+func (t *Tester) pairEnv(n *Nest, a, b Access) *symbolic.Env {
 	env := symbolic.NewEnv()
 	// Subtree loops, innermost-first: collect with depths.
 	type entry struct {
@@ -67,7 +67,7 @@ func (t *Tester) pairEnv(n *nest, a, b Access) *symbolic.Env {
 
 // addPowerFacts pushes IPOW(c, x) >= 1 bounds for constant c >= 1,
 // scanning the access's subscripts.
-func (t *Tester) addPowerFacts(env *symbolic.Env, n *nest, acc Access) {
+func (t *Tester) addPowerFacts(env *symbolic.Env, n *Nest, acc Access) {
 	for d := range acc.Subs {
 		conv := t.sub(n, acc, d).pow
 		if !conv.OK {
@@ -203,7 +203,7 @@ func (t *Tester) noCarriedDepRange(env *symbolic.Env, target string, ra, rb rang
 // (free) — the permuted visitation order of the paper. It tests each
 // array dimension independently; disjointness in any one dimension
 // suffices.
-func (t *Tester) RangeTestPair(n *nest, target *ir.DoStmt, ranged map[string]bool, a, b Access) bool {
+func (t *Tester) RangeTestPair(n *Nest, target *ir.DoStmt, ranged map[string]bool, a, b Access) bool {
 	if len(a.Subs) != len(b.Subs) {
 		return false
 	}

@@ -315,3 +315,29 @@ func TestProveDirections(t *testing.T) {
 		t.Errorf("Compare(N, 10) = %v, want CmpLE", got)
 	}
 }
+
+// TestProveMemoCollapsesOrderings holds the reason the prove memo stays
+// although few of a compile's queries hit it (DESIGN.md §5c). An
+// unprovable query over n bounded variables makes proveSearch try every
+// variable at every level, which without the memo is every elimination
+// order, n! of them; keyed by (expression, mask, depth), the memo
+// answers each subset of eliminated variables once, 2ⁿ of them. Nine
+// variables in [1, 10] and -(1 + ΣVᵢ) >= 0: 2296 queries with the memo,
+// 623 530 without it.
+func TestProveMemoCollapsesOrderings(t *testing.T) {
+	env := NewEnv()
+	sum := Int(1)
+	for i := 1; i <= 9; i++ {
+		name := "V" + string(rune('0'+i))
+		env.Push(name, Bound{Lo: Int(1), Hi: Int(10)})
+		sum = Add(sum, Var(name))
+	}
+	before := ReadProverStats().Queries
+	if env.ProveGE(Neg(sum)) {
+		t.Fatal("proved -(1 + V1 + ... + V9) >= 0 with every Vi in [1, 10]")
+	}
+	const budget = 2560 // 2296 measured, plus about a tenth
+	if queries := ReadProverStats().Queries - before; queries > budget {
+		t.Errorf("the unprovable query took %d prover queries; budget %d", queries, budget)
+	}
+}
