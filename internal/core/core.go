@@ -68,11 +68,10 @@ type Options struct {
 	// enforces this, which is why the options fingerprint (key.go) need
 	// not cover it.
 	UnitMemo *UnitMemo
-	// TrustedInput declares the input program consistent (freshly
-	// parsed — ParseProgram runs the consistency check itself) and
-	// exclusively owned by this compilation: CompileContext then skips
-	// the defensive input check and takes ownership of each unit it
-	// compiles in place, where it would otherwise clone it. The caller
+	// TrustedInput hands the input program over to this compilation:
+	// CompileContext takes ownership of each unit it compiles in place,
+	// where it would otherwise clone it. It means ownership only: no
+	// compile checks its input (see ir.Program.Check). The caller
 	// must not use the input program again after the call and must treat
 	// Result.Program as read-only — the same contract the compile cache
 	// already imposes by sharing one Result across requests. Like
@@ -184,7 +183,8 @@ func Compile(prog *ir.Program, opt Options) (*Result, error) {
 // about to rewrite it; a unit the memo answers for is never copied. No
 // unit of Result.Program is a unit of prog. Options.TrustedInput is the
 // one exception: the caller hands prog over, and the units are taken in
-// place instead of copied.
+// place instead of copied. prog must be consistent, as ParseProgram's
+// output is; only verify-ir checks, and only what the pipeline ran.
 func CompileContext(ctx context.Context, prog *ir.Program, opt Options) (*Result, error) {
 	return compile(ctx, prog, opt, nil)
 }
@@ -197,9 +197,6 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	}
 	work := prog
 	if !opt.TrustedInput {
-		if err := prog.Check(); err != nil {
-			return nil, fmt.Errorf("core: input program inconsistent: %w", err)
-		}
 		// The unit list is the compile's own; the units are borrowed.
 		work = &ir.Program{Units: slices.Clone(prog.Units), FuncsSig: prog.FuncsSig}
 	}

@@ -21,8 +21,8 @@ var fingerprintExcluded = map[string]bool{
 	// fingerprint salts, and TestIncrementalDifferential proves the
 	// output byte-identical with and without a memo.
 	"UnitMemo": true,
-	// TrustedInput skips the driver's defensive input check and unit
-	// clones when the caller hands over a freshly parsed program; the
+	// TrustedInput takes the units in place instead of cloning them when
+	// the caller hands over a freshly parsed program; the
 	// pipeline then runs unchanged on the same IR (the incremental
 	// differential test compiles with it on one side and off the other).
 	"TrustedInput": true,

@@ -16,7 +16,10 @@ import (
 //   - DO indices are integer scalars; loop bodies are well-formed;
 //   - assignment targets are scalar or array references.
 //
-// Check returns the first violation found, or nil.
+// Check returns the first violation found, or nil. Each invariant is
+// proved once: the parser runs CheckRules as each unit ends (its tests
+// hold that it never aliases a node), and verify-ir runs Check on every
+// unit the pipeline ran. A compile does not re-check its input.
 func (p *Program) Check() error {
 	seen := findAliased(p.Units)
 	for _, u := range p.Units {
@@ -30,6 +33,12 @@ func (p *Program) Check() error {
 // Check verifies the unit in isolation.
 func (u *ProgramUnit) Check() error {
 	return u.check(findAliased([]*ProgramUnit{u}))
+}
+
+// CheckRules is Check without the aliasing sweep, for a unit whose
+// nodes are all fresh allocations, as a just-parsed unit's are.
+func (u *ProgramUnit) CheckRules() error {
+	return u.check(nil)
 }
 
 // aliased holds the nodes reachable from two places, keyed by address.

@@ -64,6 +64,18 @@ func TestParseErrorPositions(t *testing.T) {
 			src:  "      PROGRAM P\n      X = (1 + 2\n      END\n",
 			line: 2, col: 0, msgPart: `expected ")"`,
 		},
+		{
+			// Semantic: a duplicate unit is reported at its header line.
+			name: "duplicate-unit",
+			src:  "      PROGRAM P\n      END\n\n      SUBROUTINE P\n      END\n",
+			line: 4, col: 0, msgPart: "duplicate program unit P",
+		},
+		{
+			// Semantic: a consistency error carries its unit's first line.
+			name: "consistency-in-second-unit",
+			src:  "      PROGRAM P\n      END\n      SUBROUTINE S\n      A() = 0\n      END\n",
+			line: 3, col: 0, msgPart: "subscripted but declared scalar",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // FuzzParseProgram checks the parser's boundary contract on arbitrary
 // input: it must never panic, every failure must surface as a
 // *ParseError with a sane position, and anything it accepts must carry
-// unit sources cut from the input and render back to Fortran that
-// parses. Run with
+// unit sources cut from the input, alias no node, and render back to
+// Fortran that parses. Run with
 //
 //	go test -fuzz=FuzzParseProgram -fuzztime=30s ./internal/parser
 func FuzzParseProgram(f *testing.F) {
@@ -34,6 +34,9 @@ func FuzzParseProgram(f *testing.F) {
 		// Every unit's Source is the unit's own lines of the input.
 		if err := sourcesInOrder(src, prog); err != nil {
 			t.Fatalf("%v\ninput: %q", err, src)
+		}
+		if err := prog.Check(); err != nil {
+			t.Fatalf("accepted program fails Check: %v\ninput: %q", err, src)
 		}
 		// Accepted input must round-trip through the printer and parse
 		// again (the printer's output is the IR's canonical form).

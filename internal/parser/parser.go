@@ -64,8 +64,8 @@ func newParser(src string) *parser {
 }
 
 // ParseProgram parses a whole source file into a Program and validates
-// it with the IR consistency checker. The error is the first one in
-// source order, lexical or syntactic.
+// each unit, as it ends, with the IR consistency rules. The error is
+// the first one in source order, lexical, syntactic or semantic.
 func ParseProgram(src string) (*ir.Program, error) {
 	p := newParser(src)
 	// Pre-scan for FUNCTION names so forward calls resolve. A FUNCTION
@@ -118,28 +118,28 @@ func ParseProgram(src string) (*ir.Program, error) {
 		// wherever they sit in a file. Incremental compilation keys
 		// untouched units by exactly this pair.
 		u.Source = src[p.lineStart(start):p.lineStart(p.lastLine+1)]
+		// A unit that parsed ends before any lexical error, so its
+		// semantic errors come first; they carry its header line.
 		if units[u.Name] {
 			// Program.Add panics on duplicates (an IR consistency
 			// invariant); source-level duplicates are a parse error.
 			// The set stands in for Add's scan of every unit so far,
 			// which is quadratic in the units of a megaprogram.
-			return nil, &ParseError{Line: 1, Msg: fmt.Sprintf("duplicate program unit %s", u.Name)}
+			return nil, &ParseError{Line: start, Msg: fmt.Sprintf("duplicate program unit %s", u.Name)}
+		}
+		// No aliasing sweep: every node the parser builds is fresh.
+		if err := u.CheckRules(); err != nil {
+			var cerr *ir.ConsistencyError
+			if errors.As(err, &cerr) {
+				return nil, &ParseError{Line: start, Msg: cerr.Msg}
+			}
+			return nil, err
 		}
 		units[u.Name] = true
 		prog.Units = append(prog.Units, u)
 	}
 	if p.lexErr != nil {
 		return nil, p.lexErr
-	}
-	if err := prog.Check(); err != nil {
-		// Semantic validation failures cross the boundary as
-		// ParseError too — same contract as lexical errors. The
-		// consistency checker has no token positions; Col stays 0.
-		var cerr *ir.ConsistencyError
-		if errors.As(err, &cerr) {
-			return nil, &ParseError{Line: 1, Msg: cerr.Msg}
-		}
-		return nil, err
 	}
 	return prog, nil
 }

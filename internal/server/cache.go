@@ -100,9 +100,8 @@ func compileLocal(ctx context.Context, src string, opt core.Options) (*core.Resu
 	}
 	capture := obsv.NewCapture(nil)
 	opt.Observer = capture
-	// The program was just parsed (ParseProgram checked it) and is used
-	// for nothing else — so hand over ownership and skip the compile's
-	// defensive re-check and clone.
+	// The program was just parsed and is used for nothing else, so hand
+	// it over: the compile takes its units in place instead of cloning.
 	opt.TrustedInput = true
 	res, err := core.CompileContext(ctx, prog, opt)
 	if err != nil {
