@@ -5,16 +5,16 @@ package polaris_test
 // cancellation. TestSuite is the end-to-end gate CI runs with -count=1.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"polaris"
+	"polaris/internal/obsv"
 	"polaris/internal/parser"
 	"polaris/internal/suite"
 )
@@ -104,34 +104,41 @@ func TestCompileWithTraceAndStats(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	var stats polaris.Stats
+	obs := polaris.NewObserver()
+	obs.StreamTo(&buf)
 	res, err := polaris.Compile(context.Background(), prog,
-		polaris.WithTrace(&buf), polaris.WithTraceLabel("demo"), polaris.WithStats(&stats))
+		polaris.WithObserver(obs), polaris.WithTraceLabel("demo"), polaris.WithStats(&stats))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := obs.TraceErr(); err != nil {
+		t.Fatalf("TraceErr: %v", err)
 	}
 	if stats.PairsTested == 0 {
 		t.Error("WithStats collected no dependence-test counts")
 	}
-	// One JSONL line per pass, labels applied.
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var ev struct {
-			Label      string           `json:"label"`
-			Pass       string           `json:"pass"`
-			DurationNS int64            `json:"duration_ns"`
-			Mutations  map[string]int64 `json:"mutations"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad trace line: %v", err)
-		}
-		if ev.Label != "demo" || ev.Pass == "" {
-			t.Errorf("trace line missing label/pass: %+v", ev)
-		}
-		lines++
+	// One span envelope per report entry, in order, labels applied.
+	envs, err := obsv.ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
 	}
-	if lines != len(res.Report.Events) {
-		t.Errorf("trace lines %d != report events %d", lines, len(res.Report.Events))
+	n := 0
+	for _, e := range envs {
+		if e.Type != obsv.TypeSpan {
+			continue
+		}
+		if n >= len(res.Report.Events) {
+			t.Fatalf("trace has more spans than the report's %d events", len(res.Report.Events))
+		}
+		want := res.Report.Events[n]
+		if e.Span.Seq != n || e.Span.Label != "demo" || e.Span.Pass != want.Pass ||
+			!reflect.DeepEqual(e.Span.Mutations, want.Mutations) {
+			t.Errorf("trace span %d = %+v, want seq %d label demo and %+v", n, *e.Span, n, want)
+		}
+		n++
+	}
+	if n != len(res.Report.Events) {
+		t.Errorf("trace spans %d != report events %d", n, len(res.Report.Events))
 	}
 	if res.Report.Label != "demo" {
 		t.Errorf("report label = %q", res.Report.Label)

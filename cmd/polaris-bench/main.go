@@ -9,15 +9,13 @@
 //
 // The suite compiles and runs concurrently across a bounded worker
 // pool (-j, default one worker per CPU) with a content-hash keyed
-// compile cache shared by all figures. With -trace FILE, every Polaris
-// compilation streams one JSONL event per pipeline pass (name,
-// duration, mutation counts) to FILE.
+// compile cache shared by all figures.
 //
 // Observability surfaces:
 //
 //	-json FILE     machine-readable benchmark trajectory (per-program
 //	               speedups, parallel coverage, geomeans); "-" = stdout
-//	-trace2 FILE   trace-schema v2 JSONL: per-pass spans, per-loop
+//	-trace FILE    trace-schema v2 JSONL: per-pass spans, per-loop
 //	               decision records, and runtime metrics from every
 //	               compilation and execution
 //	-pprof FILE    CPU profile of the whole run (go tool pprof)
@@ -36,7 +34,6 @@ import (
 	"syscall"
 
 	"polaris/internal/obsv"
-	"polaris/internal/passes"
 	"polaris/internal/suite"
 )
 
@@ -48,9 +45,8 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	procs := flag.Int("p", 8, "processors for Figure 7 / max processors for Figure 6")
 	workers := flag.Int("j", 0, "suite compile/run worker pool size (0 = one per CPU)")
-	tracePath := flag.String("trace", "", "write per-pass JSONL trace events to this file")
+	tracePath := flag.String("trace", "", "write trace-schema v2 JSONL (spans, decisions, run metrics) to this file")
 	jsonPath := flag.String("json", "", "write the machine-readable benchmark report to this file (\"-\" = stdout)")
-	trace2Path := flag.String("trace2", "", "write trace-schema v2 JSONL (spans, decisions, run metrics) to this file")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	metrics := flag.Bool("metrics", false, "print the observer's event counters as JSON on exit")
 	flag.Parse()
@@ -76,25 +72,15 @@ func main() {
 
 	runner := suite.NewRunner()
 	runner.Workers = *workers
+	obs := obsv.NewObserver()
+	runner.Observer = obs
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fail(err)
 		}
 		defer f.Close()
-		runner.Trace = passes.NewTraceWriter(f)
-	}
-	obs := obsv.NewObserver()
-	runner.Observer = obs
-	var trace2 *obsv.TraceWriter
-	if *trace2Path != "" {
-		f, err := os.Create(*trace2Path)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		trace2 = obsv.NewTraceWriter(f)
-		obs.SetTrace(trace2)
+		obs.SetTrace(obsv.NewTraceWriter(f))
 	}
 
 	if *table1 || *all {
@@ -122,10 +108,8 @@ func main() {
 			fail(err)
 		}
 	}
-	if trace2 != nil {
-		if err := trace2.Err(); err != nil {
-			fail(fmt.Errorf("trace2: %w", err))
-		}
+	if err := obs.TraceErr(); err != nil {
+		fail(fmt.Errorf("trace: %w", err))
 	}
 	if *metrics {
 		out, err := json.MarshalIndent(obs.Counters(), "", "  ")

@@ -12,7 +12,8 @@
 // With -suite, the named embedded benchmark program is compiled
 // instead of reading a file. -report prints the pass manager's
 // per-pass wall time and mutation counts; -trace streams the same
-// instrumentation as JSON lines.
+// instrumentation, with the per-loop decision records, as trace-schema
+// v2 JSON lines (DESIGN.md §5b).
 //
 // The emit subcommand writes the compiler's product as source: with
 // -target fortran the directive-annotated restructured program, with
@@ -51,7 +52,7 @@ func main() {
 	baseline := flag.Bool("baseline", false, "use the 1996 vendor-compiler (PFA) technique level")
 	summary := flag.Bool("summary", false, "print only the per-loop report, not the program")
 	report := flag.Bool("report", false, "print per-pass timings and mutation counts")
-	tracePath := flag.String("trace", "", "write per-pass JSONL trace events to this file")
+	tracePath := flag.String("trace", "", "write trace-schema v2 JSONL (spans, decisions) to this file")
 	suiteName := flag.String("suite", "", "compile the named embedded benchmark (e.g. trfd, ocean, bdna)")
 	flag.Parse()
 
@@ -70,17 +71,25 @@ func main() {
 	if *baseline {
 		opts = append(opts, polaris.WithBaseline())
 	}
+	var obs *polaris.Observer
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fail(err)
 		}
 		defer f.Close()
-		opts = append(opts, polaris.WithTrace(f))
+		obs = polaris.NewObserver()
+		obs.StreamTo(f)
+		opts = append(opts, polaris.WithObserver(obs))
 	}
 	res, err := polaris.Compile(ctx, prog, opts...)
 	if err != nil {
 		fail(fmt.Errorf("compile: %w", err))
+	}
+	if obs != nil {
+		if err := obs.TraceErr(); err != nil {
+			fail(fmt.Errorf("trace: %w", err))
+		}
 	}
 	if *report {
 		printReport(res)

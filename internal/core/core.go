@@ -80,10 +80,7 @@ type Options struct {
 	TrustedInput bool
 	// Stats, when non-nil, accumulates dependence-test counts.
 	Stats *deps.Stats
-	// Trace, when non-nil, receives one JSONL event per pass. The
-	// writer is synchronized; concurrent compilations may share it.
-	Trace *passes.TraceWriter
-	// TraceLabel tags this compilation's trace events and report
+	// TraceLabel tags this compilation's spans, decisions and report
 	// (typically the program name).
 	TraceLabel string
 	// Observer, when non-nil, receives per-pass spans and structured
@@ -205,7 +202,7 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	}
 	res := &Result{Program: work, InlineSkipped: map[string]string{}}
 
-	m := passes.NewManager(opt.TraceLabel, opt.Trace)
+	m := passes.NewManager(opt.TraceLabel)
 	m.Obs = opt.Observer
 	var st *incrState
 	if opt.UnitMemo != nil {

@@ -13,7 +13,6 @@ import (
 // cache entry, route to one owner, or replay one unit-memo entry.
 var fingerprintExcluded = map[string]bool{
 	"Stats":      true,
-	"Trace":      true,
 	"TraceLabel": true,
 	"Observer":   true,
 	// UnitMemo changes where per-unit pass results come from, never what

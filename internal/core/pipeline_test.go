@@ -4,18 +4,17 @@ package core_test
 // pipeline-order invariance over the whole benchmark suite.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"polaris/internal/core"
-	"polaris/internal/passes"
+	"polaris/internal/obsv"
 	"polaris/internal/suite"
 )
 
@@ -73,13 +72,15 @@ func TestCompileCancellation(t *testing.T) {
 }
 
 // TestCompileReportAndTrace checks the instrumentation contract: one
-// event per registered pass, durations recorded, mutation counters
-// matching the result, and one JSON line per event on the trace writer.
+// span per registered pass, durations recorded, mutation counters
+// matching the result, and one schema-v2 span envelope per report
+// entry on an Observer's trace stream.
 func TestCompileReportAndTrace(t *testing.T) {
 	p, _ := suite.ByName("trfd")
 	var buf bytes.Buffer
 	opt := core.PolarisOptions()
-	opt.Trace = passes.NewTraceWriter(&buf)
+	opt.Observer = obsv.NewObserver()
+	opt.Observer.SetTrace(obsv.NewTraceWriter(&buf))
 	opt.TraceLabel = "trfd"
 	res, err := core.Compile(p.Parse(), opt)
 	if err != nil {
@@ -123,21 +124,29 @@ func TestCompileReportAndTrace(t *testing.T) {
 		t.Errorf("variables_substituted = %d, want %d", got, len(res.InductionVars))
 	}
 
-	// Trace: one well-formed JSON line per event, in order.
-	sc := bufio.NewScanner(&buf)
+	// Trace: one span envelope per report entry, in order, carrying the
+	// same record.
+	envs, err := obsv.ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
 	n := 0
-	for sc.Scan() {
-		var ev passes.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("trace line %d: %v", n, err)
+	for _, e := range envs {
+		if e.Type != obsv.TypeSpan {
+			continue
 		}
-		if ev.Pass != wantPasses[n] {
-			t.Errorf("trace line %d: pass %q, want %q", n, ev.Pass, wantPasses[n])
+		if n >= len(res.Report.Events) {
+			t.Fatalf("trace has more spans than the report's %d entries", len(res.Report.Events))
+		}
+		got, want := e.Span, res.Report.Events[n]
+		if got.Seq != want.Seq || got.Pass != want.Pass || got.Label != want.Label ||
+			!reflect.DeepEqual(got.Mutations, want.Mutations) {
+			t.Errorf("trace span %d = %+v, want %+v", n, *got, want)
 		}
 		n++
 	}
-	if n != len(wantPasses) {
-		t.Errorf("trace lines = %d, want %d", n, len(wantPasses))
+	if n != len(res.Report.Events) {
+		t.Errorf("trace spans = %d, want %d", n, len(res.Report.Events))
 	}
 }
 

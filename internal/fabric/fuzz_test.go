@@ -11,7 +11,6 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
-	"polaris/internal/passes"
 	"polaris/internal/suite"
 )
 
@@ -202,7 +201,7 @@ func sameView(t *testing.T, v *View, res *core.Result, decisions []obsv.Decision
 	if !reflect.DeepEqual(v.Decisions, decisions) && len(v.Decisions)+len(decisions) > 0 {
 		t.Fatalf("the view's %d decisions differ from the decode's %d", len(v.Decisions), len(decisions))
 	}
-	var events []passes.Event
+	var events []obsv.Span
 	if res.Report != nil {
 		events = res.Report.Events
 		if v.Report.TotalNS != res.Report.TotalNS {

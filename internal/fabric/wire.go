@@ -81,7 +81,7 @@ const (
 // The entry is one allocation of exactly its length, so a cache books
 // what it holds.
 func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (entry, checksum string, err error) {
-	var events []passes.Event
+	var events []obsv.Span
 	var totalNS int64
 	if res.Report != nil {
 		events, totalNS = res.Report.Events, res.Report.TotalNS
@@ -208,7 +208,7 @@ func sorted[V any](e *encoder, m map[string]V) []string {
 	return e.keys
 }
 
-func (e *encoder) body(res *core.Result, decisions []obsv.Decision, events []passes.Event, totalNS int64) {
+func (e *encoder) body(res *core.Result, decisions []obsv.Decision, events []obsv.Span, totalNS int64) {
 	e.int(int64(res.InlinedCalls))
 	e.int(int64(res.StrengthReduced))
 	e.int(int64(res.NormalizedLoops))
@@ -398,7 +398,7 @@ func (v *View) Release() {
 	for i := range v.Report.Events {
 		m := v.Report.Events[i].Mutations
 		clear(m)
-		v.Report.Events[i] = passes.Event{Mutations: m}
+		v.Report.Events[i] = obsv.Span{Mutations: m}
 	}
 	clear(v.table)
 	clear(v.lists)
@@ -654,7 +654,7 @@ func (r *reader) body(v *View, res *core.Result, loopByID map[loopKey]*ir.DoStmt
 	for i := range v.Report.Events {
 		ev := &v.Report.Events[i]
 		m := ev.Mutations // a View's, emptied by Release; nil in a full decode
-		*ev = passes.Event{Seq: int(r.int()), Pass: r.str(), DurationNS: r.int()}
+		*ev = obsv.Span{Seq: int(r.int()), Pass: r.str(), DurationNS: r.int()}
 		n := r.capped(minPair, maxMutationKeys)
 		if m == nil && n > 0 {
 			m = make(map[string]int64, n)

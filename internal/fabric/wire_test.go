@@ -135,7 +135,7 @@ var wireFields = map[reflect.Type]struct{ carried, leftOff []string }{
 		carried: []string{"Events", "TotalNS"},
 		leftOff: []string{"Label"}, // the owner's request label
 	},
-	reflect.TypeOf(passes.Event{}): {
+	reflect.TypeOf(obsv.Span{}): {
 		carried: []string{"Seq", "Pass", "DurationNS", "Mutations", "Err"},
 		leftOff: []string{"Label"}, // the owner's request label
 	},

@@ -10,7 +10,7 @@
 //     technique that ultimately enabled or vetoed DOALL. These are the
 //     provenance behind every verdict in the paper's evaluation.
 //   - Span: one pass execution (name, wall time, mutation counts) — the
-//     pass manager's instrumentation, re-emitted on trace schema v2.
+//     pass manager's one record of it, also held in the PipelineReport.
 //   - Run/LoopMetric: runtime execution metrics from the interpreter —
 //     per-loop serial and parallel cycles, parallel coverage fraction,
 //     and LRPD pass/fail counts.

@@ -6,8 +6,9 @@
 // memory state of each run must match the reference. On top of the
 // mode grid the oracle asserts metamorphic invariants: results must be
 // invariant to the simulated processor count (P in {1, 2, 7, 16}), to
-// Validate-mode reversed iteration order, and to pass-trace being on or
-// off (both the restructured source and the execution results).
+// Validate-mode reversed iteration order, and to a trace-streaming
+// Observer being attached or not (both the restructured source and the
+// execution results).
 //
 // Soundness is exactly what the paper's techniques promise: a loop the
 // range test, privatization, or induction substitution marks DOALL must
@@ -33,8 +34,8 @@ import (
 	"polaris/internal/interp"
 	"polaris/internal/ir"
 	"polaris/internal/machine"
+	"polaris/internal/obsv"
 	"polaris/internal/parser"
-	"polaris/internal/passes"
 	"polaris/internal/suite"
 )
 
@@ -138,7 +139,9 @@ type Mode struct {
 	Procs      int
 	Concurrent bool
 	Validate   bool
-	Trace      bool
+	// Trace attaches an Observer streaming schema-v2 records to
+	// io.Discard: observing a compile must not change its output.
+	Trace bool
 	// Ablate names a suite.Ablations() row to remove, "" for the full
 	// pipeline.
 	Ablate string
@@ -202,7 +205,8 @@ func compileMode(ctx context.Context, src string, m Mode) (*ir.Program, error) {
 		}
 	}
 	if m.Trace {
-		opt.Trace = passes.NewTraceWriter(io.Discard)
+		opt.Observer = obsv.NewObserver()
+		opt.Observer.SetTrace(obsv.NewTraceWriter(io.Discard))
 		opt.TraceLabel = m.Name
 	}
 	res, err := core.CompileContext(ctx, prog, opt)
@@ -305,8 +309,9 @@ func Check(ctx context.Context, label, src string, cfg Config) ([]Discrepancy, e
 		out = append(out, checkNative(ctx, label, src, ref, cfg)...)
 	}
 	if !cfg.SkipMetamorphic {
-		// Trace must not change what the compiler produces: the
-		// restructured source with tracing on and off must be identical.
+		// Observing must not change what the compiler produces: the
+		// restructured source with and without a streaming Observer must
+		// be identical.
 		plain, err1 := compileMode(ctx, src, Mode{Name: "plain"})
 		traced, err2 := compileMode(ctx, src, Mode{Name: "traced", Trace: true})
 		switch {
@@ -316,7 +321,7 @@ func Check(ctx context.Context, label, src string, cfg Config) ([]Discrepancy, e
 			out = append(out, Discrepancy{Label: label, Mode: "trace-invariance (error)", Detail: err2.Error(), Source: src})
 		case plain.Fortran() != traced.Fortran():
 			out = append(out, Discrepancy{Label: label, Mode: "trace-invariance",
-				Detail: "restructured source differs with tracing enabled", Source: src})
+				Detail: "restructured source differs with a streaming Observer attached", Source: src})
 		}
 	}
 	return out, nil

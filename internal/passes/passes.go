@@ -1,9 +1,9 @@
 // Package passes implements the instrumented pass manager that drives
 // the Polaris pipeline. Each compiler technique is a named Pass; a
 // Manager runs a registered sequence over a program, recording per-pass
-// wall time and IR-mutation counts, emitting structured trace events
-// (JSON lines) to an optional writer, and aggregating everything into a
-// PipelineReport.
+// wall time and IR-mutation counts as one obsv.Span per pass, handing
+// each span to an optional Observer (which may stream it as trace
+// schema v2), and aggregating the spans into a PipelineReport.
 //
 // The package is deliberately generic: it knows nothing about the
 // individual techniques. Package core registers its passes here, and
@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -75,7 +74,7 @@ func (c *Context) Err() error { return c.Context().Err() }
 
 // Count adds delta to the named mutation counter of the running pass
 // (for example "calls_inlined" or "loops_annotated"). Counters reset
-// between passes; the manager snapshots them into the pass's Event.
+// between passes; the manager snapshots them into the pass's span.
 func (c *Context) Count(metric string, delta int64) {
 	if c.sink == nil {
 		c.sink = &metricSink{}
@@ -117,24 +116,19 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // Manager runs a registered pass sequence with instrumentation.
 type Manager struct {
-	// Label tags the compilation in trace events and the report
+	// Label tags the compilation in its spans and the report
 	// (typically the program name); may be empty.
 	Label string
-	// Trace, when non-nil, receives one JSONL event per pass. The
-	// writer is synchronized, so one TraceWriter may be shared by many
-	// concurrently running managers.
-	Trace *TraceWriter
-	// Obs, when non-nil, receives one obsv.Span per executed pass
-	// (the trace-schema-v2 side of the same instrumentation). A nil
-	// Observer records nothing.
+	// Obs, when non-nil, receives the span of every executed pass, the
+	// same value the report records. A nil Observer records nothing.
 	Obs *obsv.Observer
 
 	passes []Pass
 }
 
-// NewManager returns an empty manager. label and trace may be zero.
-func NewManager(label string, trace *TraceWriter) *Manager {
-	return &Manager{Label: label, Trace: trace}
+// NewManager returns an empty manager. label may be empty.
+func NewManager(label string) *Manager {
+	return &Manager{Label: label}
 }
 
 // Add registers passes in pipeline order.
@@ -167,31 +161,19 @@ func (m *Manager) Run(ctx context.Context, prog *ir.Program) (*PipelineReport, e
 		start := time.Now()
 		err, panicErr := runPass(p, pc)
 		elapsed := time.Since(start)
-		ev := Event{
-			Seq:        i,
+		sp := obsv.Span{
 			Label:      m.Label,
 			Pass:       p.Name(),
+			Seq:        i,
 			DurationNS: elapsed.Nanoseconds(),
-		}
-		if muts := pc.sink.snapshot(); len(muts) > 0 {
-			ev.Mutations = muts
+			Mutations:  pc.sink.snapshot(),
 		}
 		if err != nil {
-			ev.Err = err.Error()
+			sp.Err = err.Error()
 		}
-		rep.Events = append(rep.Events, ev)
-		rep.TotalNS += ev.DurationNS
-		if m.Trace != nil {
-			m.Trace.Emit(ev)
-		}
-		m.Obs.Span(obsv.Span{
-			Label:      m.Label,
-			Pass:       ev.Pass,
-			Seq:        ev.Seq,
-			DurationNS: ev.DurationNS,
-			Mutations:  ev.Mutations,
-			Err:        ev.Err,
-		})
+		rep.Events = append(rep.Events, sp)
+		rep.TotalNS += sp.DurationNS
+		m.Obs.Span(sp)
 		if err != nil {
 			if panicErr != nil {
 				// A panic is a pipeline bug, never a cancellation: report
@@ -229,34 +211,19 @@ func runPass(p Pass, pc *Context) (err error, panicErr *Error) {
 // PipelineReport aggregates the instrumentation of one pipeline run.
 type PipelineReport struct {
 	Label   string
-	Events  []Event
+	Events  []obsv.Span
 	TotalNS int64
 }
 
 // Total returns the summed pass wall time.
 func (r *PipelineReport) Total() time.Duration { return time.Duration(r.TotalNS) }
 
-// Event returns the event for the named pass, or nil.
-func (r *PipelineReport) Event(pass string) *Event {
+// Event returns the span of the named pass, or nil.
+func (r *PipelineReport) Event(pass string) *obsv.Span {
 	for i := range r.Events {
 		if r.Events[i].Pass == pass {
 			return &r.Events[i]
 		}
 	}
 	return nil
-}
-
-// String renders an aligned per-pass table (name, time, mutations).
-func (r *PipelineReport) String() string {
-	var b strings.Builder
-	if r.Label != "" {
-		fmt.Fprintf(&b, "pipeline %s: %v\n", r.Label, r.Total().Round(time.Microsecond))
-	} else {
-		fmt.Fprintf(&b, "pipeline: %v\n", r.Total().Round(time.Microsecond))
-	}
-	for _, ev := range r.Events {
-		fmt.Fprintf(&b, "  %-22s %10v  %s\n",
-			ev.Pass, time.Duration(ev.DurationNS).Round(time.Microsecond), ev.MutationSummary())
-	}
-	return b.String()
 }

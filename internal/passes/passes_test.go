@@ -1,22 +1,18 @@
 package passes
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"polaris/internal/ir"
+	"polaris/internal/obsv"
 )
 
 func TestManagerRunsInOrderAndRecords(t *testing.T) {
 	var order []string
-	m := NewManager("demo", nil)
+	m := NewManager("demo")
 	m.Add(
 		Func("a", func(c *Context) error { order = append(order, "a"); c.Count("x", 2); return nil }),
 		Func("b", func(c *Context) error { order = append(order, "b"); return nil }),
@@ -47,7 +43,7 @@ func TestManagerRunsInOrderAndRecords(t *testing.T) {
 
 func TestManagerWrapsPassErrors(t *testing.T) {
 	sentinel := errors.New("boom")
-	m := NewManager("", nil)
+	m := NewManager("")
 	ran := false
 	m.Add(
 		Func("fails", func(c *Context) error { return sentinel }),
@@ -72,7 +68,7 @@ func TestManagerWrapsPassErrors(t *testing.T) {
 
 func TestManagerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := NewManager("", nil)
+	m := NewManager("")
 	m.Add(
 		Func("first", func(c *Context) error { cancel(); return nil }),
 		Func("second", func(c *Context) error { t.Error("second ran after cancel"); return nil }),
@@ -84,7 +80,7 @@ func TestManagerCancellation(t *testing.T) {
 	// A cooperating pass that returns c.Err() mid-flight also yields
 	// the bare context error.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	m2 := NewManager("", nil)
+	m2 := NewManager("")
 	m2.Add(Func("coop", func(c *Context) error {
 		cancel2()
 		return c.Err()
@@ -94,69 +90,15 @@ func TestManagerCancellation(t *testing.T) {
 	}
 }
 
-func TestTraceWriterConcurrentLinesIntact(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tw.Emit(Event{Seq: i, Label: fmt.Sprintf("g%d", g), Pass: "p",
-					Mutations: map[string]int64{"n": int64(i)}})
-			}
-		}(g)
-	}
-	wg.Wait()
-	sc := bufio.NewScanner(&buf)
-	n := 0
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d corrupt: %v", n, err)
-		}
-		n++
-	}
-	if n != 8*50 {
-		t.Fatalf("lines = %d, want %d", n, 8*50)
-	}
-}
-
-func TestNilTraceWriter(t *testing.T) {
-	if tw := NewTraceWriter(nil); tw != nil {
-		t.Fatal("NewTraceWriter(nil) should be nil")
-	}
-	var tw *TraceWriter
-	if err := tw.Emit(Event{}); err != nil {
-		t.Fatalf("nil Emit: %v", err)
-	}
-}
-
-func TestEventMutationSummaryAndReportString(t *testing.T) {
-	ev := Event{Pass: "p", Mutations: map[string]int64{"b": 2, "a": 1}}
-	if got := ev.MutationSummary(); got != "a=1 b=2" {
-		t.Errorf("MutationSummary = %q", got)
-	}
-	if got := (Event{}).MutationSummary(); got != "-" {
-		t.Errorf("empty MutationSummary = %q", got)
-	}
-	rep := &PipelineReport{Label: "x", Events: []Event{ev}, TotalNS: 1500}
-	s := rep.String()
-	if !bytes.Contains([]byte(s), []byte("pipeline x:")) || !bytes.Contains([]byte(s), []byte("a=1 b=2")) {
-		t.Errorf("String() = %q", s)
-	}
-}
-
 // TestManagerRecoversPassPanic: a panicking pass must not kill the
 // process. The panic is recovered into a *Error carrying the pass name
-// and the captured stack, the failed pass still gets its trace event
-// and span (with the error recorded), later passes do not run, and the
-// report covers everything that executed.
+// and the captured stack, the failed pass still gets its span (with the
+// error recorded) in the report and the Observer, later passes do not
+// run, and the report covers everything that executed.
 func TestManagerRecoversPassPanic(t *testing.T) {
-	var buf bytes.Buffer
 	var after bool
-	m := NewManager("boom", NewTraceWriter(&buf))
+	m := NewManager("boom")
+	m.Obs = obsv.NewObserver()
 	m.Add(
 		Func("ok", func(c *Context) error { return nil }),
 		Func("explode", func(c *Context) error { panic("subscript out of range") }),
@@ -182,7 +124,7 @@ func TestManagerRecoversPassPanic(t *testing.T) {
 	if after {
 		t.Error("pass after the panicking one still ran")
 	}
-	// The report and trace cover the failed pass.
+	// The report and the Observer cover the failed pass.
 	if len(rep.Events) != 2 {
 		t.Fatalf("report has %d events, want 2 (ok + explode): %+v", len(rep.Events), rep.Events)
 	}
@@ -190,17 +132,8 @@ func TestManagerRecoversPassPanic(t *testing.T) {
 	if ev == nil || ev.Err == "" {
 		t.Fatalf("failed pass has no errored event: %+v", rep.Events)
 	}
-	var traced []Event
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("trace line %q: %v", sc.Text(), err)
-		}
-		traced = append(traced, e)
-	}
-	if len(traced) != 2 || traced[1].Pass != "explode" || traced[1].Err == "" {
-		t.Errorf("trace missing the failed-pass event: %+v", traced)
+	if spans := m.Obs.Spans(); len(spans) != 2 || spans[1].Pass != "explode" || spans[1].Err == "" {
+		t.Errorf("observer missing the failed-pass span: %+v", spans)
 	}
 }
 
@@ -209,7 +142,7 @@ func TestManagerRecoversPassPanic(t *testing.T) {
 // masked as the cancellation.
 func TestManagerPanicBeatsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := NewManager("", nil)
+	m := NewManager("")
 	m.Add(Func("explode", func(c *Context) error {
 		cancel()
 		panic("boom")

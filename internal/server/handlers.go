@@ -16,7 +16,6 @@ import (
 	"polaris/internal/fabric"
 	"polaris/internal/obsv"
 	"polaris/internal/parser"
-	"polaris/internal/passes"
 	"polaris/internal/telemetry"
 )
 
@@ -612,7 +611,7 @@ func appendVerdicts(dst []LoopVerdict, loops []core.LoopReport) []LoopVerdict {
 	return dst
 }
 
-func appendReports(dst []PassReport, events []passes.Event) []PassReport {
+func appendReports(dst []PassReport, events []obsv.Span) []PassReport {
 	for _, ev := range events {
 		dst = append(dst, PassReport{Pass: ev.Pass, DurationNS: ev.DurationNS, Mutations: ev.Mutations})
 	}

@@ -277,7 +277,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 func TestPassPanicIsIsolated(t *testing.T) {
 	// End-to-end through the pass manager: a panicking pass becomes a
 	// typed *core.PipelineError.
-	m := passes.NewManager("req", nil)
+	m := passes.NewManager("req")
 	m.Add(passes.Func("dependence-analysis", func(c *passes.Context) error { panic("nil deref") }))
 	_, err := m.Run(context.Background(), suite.Program{Name: "x", Source: saxpySrc}.Parse())
 	var pe *core.PipelineError

@@ -9,23 +9,19 @@ import (
 	"polaris/internal/ir"
 	"polaris/internal/machine"
 	"polaris/internal/obsv"
-	"polaris/internal/passes"
 	"polaris/internal/pfa"
 )
 
 // Runner executes suite workloads (Table 1, Figures 6/7, the ablation
 // grid) across a bounded worker pool, memoizing compilations and
 // serial runs in a content-hash keyed cache. A zero Workers value uses
-// one worker per CPU; Trace, when set, streams per-pass JSONL events
-// from every Polaris compilation (cache hits compile once, trace
-// once). A Runner is safe for concurrent use.
+// one worker per CPU. A Runner is safe for concurrent use.
 type Runner struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// Trace receives pass-manager events from Polaris compilations.
-	Trace *passes.TraceWriter
-	// Observer, when set, receives per-loop decision records from every
-	// Polaris compilation and runtime metrics from every Polaris
+	// Observer, when set, receives per-pass spans and per-loop decision
+	// records from every Polaris compilation (a cache hit replays the
+	// decisions, not the spans) and runtime metrics from every Polaris
 	// execution, labeled by program name. The observer (and any trace
 	// writer attached to it) is shared by all pool workers; its internal
 	// locking keeps the combined record stream safe and totally ordered
@@ -40,7 +36,6 @@ func NewRunner() *Runner { return &Runner{cache: newCache()} }
 
 func (r *Runner) polarisOptions(label string) core.Options {
 	opt := core.PolarisOptions()
-	opt.Trace = r.Trace
 	opt.TraceLabel = label
 	opt.Observer = r.Observer
 	return opt

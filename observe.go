@@ -28,7 +28,7 @@ func NewObserver() *Observer { return &Observer{inner: obsv.NewObserver()} }
 // versioned envelope per line, with a global sequence number assigned
 // under the writer lock, so lines are totally ordered even when many
 // goroutines share the observer). The schema is documented in
-// DESIGN.md; DecodeTrace reads it back.
+// DESIGN.md §5b.
 func (o *Observer) StreamTo(w io.Writer) {
 	o.inner.SetTrace(obsv.NewTraceWriter(w))
 }

@@ -2,12 +2,10 @@ package polaris
 
 import (
 	"fmt"
-	"io"
 
 	"polaris/internal/core"
 	"polaris/internal/deps"
 	"polaris/internal/obsv"
-	"polaris/internal/passes"
 )
 
 // Option configures a Compile call. Options follow the functional-
@@ -19,7 +17,6 @@ type compileConfig struct {
 	baseline   bool
 	techniques Techniques
 	stats      *Stats
-	trace      *passes.TraceWriter
 	traceLabel string
 	observer   *obsv.Observer
 	processors int
@@ -38,7 +35,7 @@ func WithTechniques(t Techniques) Option {
 
 // WithBaseline compiles at the 1996-vendor (PFA) capability level the
 // paper compares against, including its modelled back-end
-// code-quality factor. Technique selection and tracing do not apply
+// code-quality factor. Technique selection and observers do not apply
 // to the baseline compiler.
 func WithBaseline() Option {
 	return func(c *compileConfig) { c.baseline = true }
@@ -50,18 +47,10 @@ func WithStats(s *Stats) Option {
 	return func(c *compileConfig) { c.stats = s }
 }
 
-// WithTrace streams one JSON line per executed pass to w: the pass
-// name, wall-clock duration, and IR-mutation counts (the schema is
-// documented in DESIGN.md). The writer is synchronized internally, so
-// concurrent Compile calls may share one w.
-func WithTrace(w io.Writer) Option {
-	return func(c *compileConfig) { c.trace = passes.NewTraceWriter(w) }
-}
-
-// WithTraceLabel tags trace events and the pipeline report with a
-// compilation label (typically the program name), distinguishing
-// interleaved events when concurrent compilations share a trace
-// writer.
+// WithTraceLabel tags the pipeline report and the records an Observer
+// receives with a compilation label (typically the program name),
+// distinguishing interleaved records when concurrent compilations share
+// one Observer.
 func WithTraceLabel(label string) Option {
 	return func(c *compileConfig) { c.traceLabel = label }
 }

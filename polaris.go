@@ -14,7 +14,8 @@
 //
 // Compile takes functional options: WithTechniques selects a subset of
 // passes, WithBaseline compiles at the 1996 vendor (PFA) level the
-// paper compares against, WithTrace streams per-pass JSONL events,
+// paper compares against, WithObserver records per-pass spans and
+// per-loop decisions (Observer.StreamTo streams them as JSONL),
 // WithStats collects dependence-test counts, and WithProcessors picks
 // the default simulated machine size. Every compilation runs through
 // the instrumented pass manager, so Result.Report carries per-pass
@@ -161,7 +162,7 @@ func wrapResult(res *core.Result, factor float64) *Result {
 // Compile runs the restructuring pipeline on the program under ctx and
 // returns the annotated result. The input program is not modified.
 // With no options it applies the paper's full technique set; see
-// Option for technique selection, baseline mode, tracing, and stats.
+// Option for technique selection, baseline mode, observation, and stats.
 //
 // Cancellation is honored between and inside passes: when ctx is
 // canceled, Compile returns ctx.Err() promptly. Pass failures surface
@@ -192,7 +193,6 @@ func Compile(ctx context.Context, p *Program, opts ...Option) (*Result, error) {
 	if cfg.stats != nil {
 		copt.Stats = &dstats
 	}
-	copt.Trace = cfg.trace
 	copt.TraceLabel = cfg.traceLabel
 	copt.Observer = cfg.observer
 	if cfg.memo != nil {
