@@ -26,6 +26,7 @@ import (
 	"polaris/internal/parser"
 	"polaris/internal/rng"
 	"polaris/internal/suite"
+	"polaris/internal/symbolic"
 )
 
 // E1 — Table 1: serial execution of every suite program.
@@ -140,7 +141,7 @@ func BenchmarkDirectionVectors(b *testing.B) {
 		b.Run(fmt.Sprintf("banerjee/depth%d", depth), func(b *testing.B) {
 			prog := parser.MustParse(nestSrc(depth))
 			u := prog.Main()
-			ra := rng.New(u)
+			ra := rng.New(u, symbolic.NewLeaves())
 			tester := deps.NewTester(u, ra)
 			loops := ir.Loops(u.Body)
 			sub := loops[len(loops)-1].Body.Stmts[0].(*ir.AssignStmt).LHS.(*ir.ArrayRef).Subs[0]
@@ -162,7 +163,7 @@ func BenchmarkDirectionVectors(b *testing.B) {
 		b.Run(fmt.Sprintf("rangetest/depth%d", depth), func(b *testing.B) {
 			prog := parser.MustParse(nestSrc(depth))
 			u := prog.Main()
-			ra := rng.New(u)
+			ra := rng.New(u, symbolic.NewLeaves())
 			tester := deps.NewTester(u, ra)
 			outer := ir.Loops(u.Body)[0]
 			stats := &deps.Stats{}

@@ -32,6 +32,7 @@ import (
 	"polaris/internal/reduction"
 	"polaris/internal/rng"
 	"polaris/internal/strength"
+	"polaris/internal/symbolic"
 )
 
 // Options selects the technique set. PolarisOptions enables everything
@@ -303,10 +304,14 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// constant table is read off the unit's text — and the next pass to
 	// ask builds a fresh one. each sizes the slice before the first
 	// per-unit pass, once the prologue has fixed the unit list.
+	// Every analyzer converts with the compile's one leaf table
+	// (DESIGN.md §5c): a compile runs on one goroutine, and the table
+	// is garbage with it.
 	var analyzers []*rng.Analyzer
+	leaves := symbolic.NewLeaves()
 	rangesOf := func(i int) *rng.Analyzer {
 		if analyzers[i] == nil {
-			analyzers[i] = rng.New(work.Units[i])
+			analyzers[i] = rng.New(work.Units[i], leaves)
 		}
 		return analyzers[i]
 	}
@@ -731,8 +736,10 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		}
 	}
 
-	// Privatization.
-	pres := priv.Analyze(unit, ranges, loop)
+	// Privatization, reading the one nest the dependence analysis
+	// below reads too.
+	nest := tester.NewNest(loop)
+	pres := priv.Analyze(unit, ranges, nest)
 	privArrays := map[string]bool{}
 	usableArrays := pres.PrivateArrays
 	if !opt.ArrayPrivatization {
@@ -811,7 +818,6 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		ExcludeArrays: privArrays,
 		Stats:         opt.Stats,
 	}
-	nest := tester.NewNest(loop)
 	verdict := tester.AnalyzeNest(nest, cfg)
 	{
 		d := obsv.Decision{

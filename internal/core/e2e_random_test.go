@@ -53,6 +53,20 @@ func TestReductionMaskHidesOperandRead(t *testing.T) {
 	}
 }
 
+// TestPrivReadInWritingStmt: the inner loop's T(I) = T(I) + X(I) reads
+// T(I) before it writes it, so the write does not cover that read and T
+// is not privatizable. Counting a read in the writing statement as
+// covered made T private, and every iteration summed into a fresh copy.
+func TestPrivReadInWritingStmt(t *testing.T) {
+	src, err := os.ReadFile("testdata/priv_read_in_writing_stmt.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !serialEqualsParallel(t, string(src)) {
+		t.Error("parallel execution differs from serial")
+	}
+}
+
 // serialEqualsParallel runs src serially, then compiled with the full
 // pipeline in parallel, and reports whether the checksums agree.
 func serialEqualsParallel(t *testing.T, src string) bool {

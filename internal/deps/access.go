@@ -17,12 +17,16 @@ import (
 	"polaris/internal/symbolic"
 )
 
-// Access is one subscripted array reference in a loop body.
+// Access is one array reference in a loop body.
 type Access struct {
 	Array string
+	// Subs is nil for a whole array passed to a CALL, which the nest
+	// records as one write and one read.
 	Subs  []ir.Expr
 	Write bool
-	Stmt  ir.Stmt
+	// Cond is set when the access is under an IF inside the nest.
+	Cond bool
+	Stmt ir.Stmt
 	// Loops is the chain of DO statements enclosing the access within
 	// the analyzed nest (outermost first), excluding loops outside the
 	// nest root.
@@ -57,9 +61,11 @@ func (sc *subConv) linear(indices []string) (LinearForm, bool) {
 	return sc.lin, sc.linOK
 }
 
-// Nest is the one table every dependence question about a loop reads:
-// the indices of the loops below the root and every access in the nest,
-// grouped by array, with its conversion slots. The verdict, its permuted
+// Nest is the one walk of a loop body and the one table every question
+// about the loop reads: the indices of the loops below the root, the
+// scalars the body assigns, the arrays it writes, whether it calls, and
+// every access in the nest, grouped by array, with its conversion
+// slots. The privatizer (package priv), the verdict, its permuted
 // orders, the LRPD retries and the reduction flag removal all read one
 // Nest; the reduction mask and the excluded arrays filter the pairs it
 // forms, not what it holds. It lives while its caller asks about the
@@ -67,8 +73,13 @@ func (sc *subConv) linear(indices []string) (LinearForm, bool) {
 // invalidated.
 type Nest struct {
 	root  *ir.DoStmt
-	call  bool // an un-inlined CALL in the body; nothing is collected
+	call  bool // an un-inlined CALL in the body; AnalyzeNest pairs nothing
 	inner map[string]bool
+	// assigned holds the scalars the body may modify: assignment
+	// targets, inner DO indices and names passed to a CALL.
+	assigned map[string]bool
+	// written holds the arrays the body writes.
+	written map[string]bool
 	// accesses is sorted by array name, in collection order within an
 	// array; groups are its runs of one array.
 	accesses []Access
@@ -77,14 +88,8 @@ type Nest struct {
 
 // NewNest builds the nest rooted at loop, a loop of the Tester's unit.
 func (t *Tester) NewNest(loop *ir.DoStmt) *Nest {
-	n := &Nest{root: loop, call: hasCall(loop), inner: map[string]bool{}}
-	if n.call {
-		return n
-	}
-	for _, d := range ir.Loops(loop.Body) {
-		n.inner[d.Index] = true
-	}
-	n.accesses = collectAccesses(loop)
+	n := &Nest{root: loop, inner: map[string]bool{}, assigned: map[string]bool{}, written: map[string]bool{}}
+	n.collect(loop.Body, []*ir.DoStmt{loop}, false, t.Unit.Symbols)
 	slices.SortStableFunc(n.accesses, func(a, b Access) int { return strings.Compare(a.Array, b.Array) })
 	total, start := 0, 0
 	for i, a := range n.accesses {
@@ -102,57 +107,81 @@ func (t *Tester) NewNest(loop *ir.DoStmt) *Nest {
 	return n
 }
 
+// Root returns the loop the nest is rooted at.
+func (n *Nest) Root() *ir.DoStmt { return n.root }
+
+// Groups returns the accesses grouped by array: arrays in name order,
+// each array's accesses in the order the walk met them.
+func (n *Nest) Groups() [][]Access { return n.groups }
+
+// Assigned reports whether the body may modify the scalar name.
+func (n *Nest) Assigned(name string) bool { return n.assigned[name] }
+
 func (n *Nest) isIndex(name string) bool { return name == n.root.Index || n.inner[name] }
 
-// collectAccesses gathers every array access in the body of root
-// (including nested loops), tagging each with its enclosing loops
-// within the nest.
-func collectAccesses(root *ir.DoStmt) []Access {
-	var out []Access
-	var walk func(b *ir.Block, loops []*ir.DoStmt)
-	walk = func(b *ir.Block, loops []*ir.DoStmt) {
-		for _, s := range b.Stmts {
-			switch x := s.(type) {
-			case *ir.AssignStmt:
-				if a, ok := x.LHS.(*ir.ArrayRef); ok {
-					out = append(out, Access{Array: a.Name, Subs: a.Subs, Write: true, Stmt: s, Loops: loops})
-					for _, sub := range a.Subs {
-						collectReads(sub, s, loops, &out)
+// collect walks block b of the nest, under the loops (root first) and,
+// when cond, under an IF: it records every array access and what the
+// body assigns, writes and calls.
+func (n *Nest) collect(b *ir.Block, loops []*ir.DoStmt, cond bool, syms *ir.SymbolTable) {
+	for _, s := range b.Stmts {
+		switch x := s.(type) {
+		case *ir.AssignStmt:
+			switch lhs := x.LHS.(type) {
+			case *ir.ArrayRef:
+				n.add(Access{Array: lhs.Name, Subs: lhs.Subs, Write: true, Cond: cond, Stmt: s, Loops: loops})
+				for _, sub := range lhs.Subs {
+					n.reads(sub, s, loops, cond)
+				}
+			case *ir.VarRef:
+				n.assigned[lhs.Name] = true
+			}
+			n.reads(x.RHS, s, loops, cond)
+		case *ir.IfStmt:
+			n.reads(x.Cond, s, loops, cond)
+			n.collect(x.Then, loops, true, syms)
+			if x.Else != nil {
+				n.collect(x.Else, loops, true, syms)
+			}
+		case *ir.DoStmt:
+			n.inner[x.Index] = true
+			n.assigned[x.Index] = true
+			n.reads(x.Init, s, loops, cond)
+			n.reads(x.Limit, s, loops, cond)
+			if x.Step != nil {
+				n.reads(x.Step, s, loops, cond)
+			}
+			n.collect(x.Body, append(append([]*ir.DoStmt{}, loops...), x), cond, syms)
+		case *ir.CallStmt:
+			n.call = true
+			for _, arg := range x.Args {
+				if v, ok := arg.(*ir.VarRef); ok {
+					n.assigned[v.Name] = true
+					if sym := syms.Lookup(v.Name); sym != nil && sym.IsArray() {
+						// Passed by reference: the call may read and
+						// write every element.
+						n.add(Access{Array: v.Name, Write: true, Cond: cond, Stmt: s, Loops: loops})
+						n.add(Access{Array: v.Name, Cond: cond, Stmt: s, Loops: loops})
+						continue
 					}
 				}
-				collectReads(x.RHS, s, loops, &out)
-			case *ir.IfStmt:
-				collectReads(x.Cond, s, loops, &out)
-				walk(x.Then, loops)
-				if x.Else != nil {
-					walk(x.Else, loops)
-				}
-			case *ir.DoStmt:
-				collectReads(x.Init, s, loops, &out)
-				collectReads(x.Limit, s, loops, &out)
-				if x.Step != nil {
-					collectReads(x.Step, s, loops, &out)
-				}
-				walk(x.Body, append(append([]*ir.DoStmt{}, loops...), x))
-			case *ir.CallStmt:
-				// Whole arrays passed to calls are handled by the
-				// driver (calls inside candidate loops block
-				// parallelization unless inlined); subscripted
-				// arguments are reads.
-				for _, arg := range x.Args {
-					collectReads(arg, s, loops, &out)
-				}
+				n.reads(arg, s, loops, cond)
 			}
 		}
 	}
-	walk(root.Body, []*ir.DoStmt{root})
-	return out
 }
 
-func collectReads(e ir.Expr, s ir.Stmt, loops []*ir.DoStmt, out *[]Access) {
-	ir.WalkExpr(e, func(n ir.Expr) bool {
-		if a, ok := n.(*ir.ArrayRef); ok {
-			*out = append(*out, Access{Array: a.Name, Subs: a.Subs, Write: false, Stmt: s, Loops: loops})
+func (n *Nest) add(a Access) {
+	if a.Write {
+		n.written[a.Array] = true
+	}
+	n.accesses = append(n.accesses, a)
+}
+
+// reads records the array reads in e.
+func (n *Nest) reads(e ir.Expr, s ir.Stmt, loops []*ir.DoStmt, cond bool) {
+	ir.WalkExpr(e, func(x ir.Expr) bool {
+		if a, ok := x.(*ir.ArrayRef); ok {
+			n.add(Access{Array: a.Name, Subs: a.Subs, Cond: cond, Stmt: s, Loops: loops})
 		}
 		return true
 	})
@@ -163,24 +192,11 @@ type Tester struct {
 	Unit   *ir.ProgramUnit
 	Ranges *rng.Analyzer
 	GSA    *gsa.Analyzer
-	// writtenArrays caches, per nest root, the arrays written in it.
-	writtenArrays map[*ir.DoStmt]map[string]bool
 }
 
 // NewTester builds analysis context for a unit.
 func NewTester(u *ir.ProgramUnit, ra *rng.Analyzer) *Tester {
-	return &Tester{Unit: u, Ranges: ra, GSA: gsa.New(u), writtenArrays: map[*ir.DoStmt]map[string]bool{}}
-}
-
-// writtenIn returns the set of arrays written anywhere in the nest.
-func (t *Tester) writtenIn(root *ir.DoStmt) map[string]bool {
-	if w, ok := t.writtenArrays[root]; ok {
-		return w
-	}
-	w := map[string]bool{}
-	ir.EachArrayWritten(root.Body, t.Unit.Symbols, func(name string) { w[name] = true })
-	t.writtenArrays[root] = w
-	return w
+	return &Tester{Unit: u, Ranges: ra, GSA: gsa.New(u, ra.Leaves())}
 }
 
 // sub returns acc's d-th subscript converted for the nest, converting
@@ -203,7 +219,8 @@ func (t *Tester) sub(n *Nest, acc Access, d int) *subConv {
 // caller must assume a dependence (the LRPD candidate path).
 func (t *Tester) convSubscript(n *Nest, acc Access, e ir.Expr) subConv {
 	resolved := false
-	sc := subConv{done: true, conv: symbolic.FromIR(e, func(name string) *symbolic.Expr {
+	lv := t.Ranges.Leaves()
+	sc := subConv{done: true, conv: symbolic.FromIR(e, lv, func(name string) *symbolic.Expr {
 		v := t.resolve(n, acc.Stmt, name)
 		resolved = resolved || v != nil
 		return v
@@ -212,7 +229,7 @@ func (t *Tester) convSubscript(n *Nest, acc Access, e ir.Expr) subConv {
 	// conversion is the same walk with the same result.
 	sc.pow = sc.conv
 	if resolved {
-		sc.pow = symbolic.FromIR(e, nil)
+		sc.pow = symbolic.FromIR(e, lv, nil)
 	}
 	sc.analyzable = sc.conv.OK && t.exprAnalyzable(n, sc.conv.E)
 	return sc
@@ -224,13 +241,13 @@ func (t *Tester) resolve(n *Nest, stmt ir.Stmt, name string) *symbolic.Expr {
 	if n.isIndex(name) {
 		return nil
 	}
-	if !t.assignedInNest(n.root, name) {
+	if !n.assigned[name] {
 		return t.Ranges.Consts()[name]
 	}
 	// Loop-variant scalar: resolve through GSA (catches simple
 	// chains like M = IND(L)).
 	v := t.GSA.ValueBefore(stmt, name, 4)
-	if symbolic.Equal(v, symbolic.Var(name)) {
+	if symbolic.Equal(v, t.Ranges.Leaves().Var(name)) {
 		return nil
 	}
 	return v
@@ -241,25 +258,24 @@ func (t *Tester) exprAnalyzable(n *Nest, e *symbolic.Expr) bool {
 		if n.isIndex(v) {
 			continue
 		}
-		if t.assignedInNest(n.root, v) {
+		if n.assigned[v] {
 			return false
 		}
 	}
-	written := t.writtenIn(n.root)
 	ok := true
 	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
-		ok = t.atomAnalyzable(n, atom, written)
+		ok = t.atomAnalyzable(n, atom)
 		return ok
 	})
 	return ok
 }
 
-func (t *Tester) atomAnalyzable(n *Nest, atom symbolic.Atom, written map[string]bool) bool {
+func (t *Tester) atomAnalyzable(n *Nest, atom symbolic.Atom) bool {
 	if atom.Call {
 		if atom.Name != "IDIV" && atom.Name != "IPOW" {
 			return false // unknown function: not provably pure
 		}
-	} else if written[atom.Name] {
+	} else if n.written[atom.Name] {
 		return false // subscript array modified in the nest
 	}
 	// Gate atoms have no args slice entries but Args != nil with
@@ -273,32 +289,4 @@ func (t *Tester) atomAnalyzable(n *Nest, atom symbolic.Atom, written map[string]
 		}
 	}
 	return true
-}
-
-// assignedInNest reports whether the scalar name may be modified inside
-// the nest (assigned, a DO index, or passed to a call).
-func (t *Tester) assignedInNest(root *ir.DoStmt, name string) bool {
-	found := false
-	check := func(s ir.Stmt) bool {
-		switch x := s.(type) {
-		case *ir.AssignStmt:
-			if v, ok := x.LHS.(*ir.VarRef); ok && v.Name == name {
-				found = true
-			}
-		case *ir.DoStmt:
-			if x.Index == name {
-				found = true
-			}
-		case *ir.CallStmt:
-			for _, a := range x.Args {
-				if v, ok := a.(*ir.VarRef); ok && v.Name == name {
-					found = true
-				}
-			}
-		}
-		return !found
-	}
-	check(ir.Stmt(root))
-	ir.WalkStmts(root.Body, check)
-	return found
 }

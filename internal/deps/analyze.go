@@ -352,14 +352,3 @@ func isIdentity(p []int) bool {
 	}
 	return true
 }
-
-func hasCall(loop *ir.DoStmt) bool {
-	found := false
-	ir.WalkStmts(loop.Body, func(s ir.Stmt) bool {
-		if _, ok := s.(*ir.CallStmt); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}

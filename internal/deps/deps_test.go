@@ -8,6 +8,7 @@ import (
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 func prep(t *testing.T, src string) (*ir.ProgramUnit, *Tester) {
@@ -17,7 +18,7 @@ func prep(t *testing.T, src string) (*ir.ProgramUnit, *Tester) {
 		t.Fatalf("parse: %v", err)
 	}
 	u := prog.Main()
-	ra := rng.New(u)
+	ra := rng.New(u, symbolic.NewLeaves())
 	return u, NewTester(u, ra)
 }
 
@@ -150,7 +151,7 @@ func TestFigure2RangeTest(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	u := prog.Main()
-	ra := rng.New(u)
+	ra := rng.New(u, symbolic.NewLeaves())
 	induction.Run(u, ra)
 	tester := NewTester(u, ra)
 	loops := ir.Loops(u.Body)
@@ -391,7 +392,7 @@ func TestExtractLinear(t *testing.T) {
       END
 `)
 	_ = u
-	ra := rng.New(u)
+	ra := rng.New(u, symbolic.NewLeaves())
 	conv := ra.Conv(mustExpr(t, "2*I + 3*J - 7"))
 	lf, ok := ExtractLinear(conv.E, []string{"I", "J"})
 	if !ok || lf.Coef["I"] != 2 || lf.Coef["J"] != 3 {
@@ -435,7 +436,7 @@ func TestBanerjeeAllDVsCount(t *testing.T) {
       END
 `)
 	loops := ir.Loops(u.Body)
-	ra := rng.New(u)
+	ra := rng.New(u, symbolic.NewLeaves())
 	_ = ra
 	conv := tester.Ranges.Conv(mustExpr(t, "I"))
 	lf, _ := ExtractLinear(conv.E, []string{"I", "J"})

@@ -18,12 +18,6 @@ func (t *Tester) Sub(n *Nest, acc Access, d int) (conv, pow symbolic.Conv, analy
 	return sc.conv, sc.pow, sc.analyzable
 }
 
-func (t *Tester) AssignedInNest(root *ir.DoStmt, name string) bool {
-	return t.assignedInNest(root, name)
-}
-
-func (t *Tester) WrittenIn(root *ir.DoStmt) map[string]bool { return t.writtenIn(root) }
-
 // CommonNest is the loop chain a pair is tested over in the view
 // (target, ranged); its indices are the list linear forms are extracted
 // for.

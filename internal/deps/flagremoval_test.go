@@ -12,6 +12,7 @@ import (
 	"polaris/internal/priv"
 	"polaris/internal/reduction"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 // fullRecheck is the flag removal IndependentUnmasked replaced: the
@@ -88,16 +89,16 @@ func TestFlagRemovalMatchesFullRecheck(t *testing.T) {
 		}
 		for _, prog := range []*ir.Program{parsed, res.Program} {
 			for _, u := range prog.Units {
-				ranges := rng.New(u)
+				ranges := rng.New(u, symbolic.NewLeaves())
 				tester := deps.NewTester(u, ranges)
 				for _, loop := range ir.Loops(u.Body) {
 					reds := reduction.Recognize(u, loop)
+					n := tester.NewNest(loop)
 					excluded := map[string]bool{}
-					for _, a := range priv.Analyze(u, ranges, loop).PrivateArrays {
+					for _, a := range priv.Analyze(u, ranges, n).PrivateArrays {
 						excluded[a] = true
 					}
 					cfg := deps.Config{Permutation: true, SkipStmts: reds.SkipSet(), ExcludeArrays: excluded}
-					n := tester.NewNest(loop)
 					v := tester.AnalyzeNest(n, cfg)
 					for i := range reds.Candidates {
 						cand := &reds.Candidates[i]

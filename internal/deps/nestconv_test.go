@@ -14,8 +14,9 @@ import (
 )
 
 // refConvSubscript is the per-pair conversion the nest's slots replaced,
-// from its own index map down: the reference a stored conversion is
-// compared with.
+// from its own index map, assigned-scalar and written-array walks down,
+// converting with a leaf table of its own: the reference a stored
+// conversion is compared with.
 func refConvSubscript(t *deps.Tester, root *ir.DoStmt, acc deps.Access, e ir.Expr) (conv symbolic.Conv, analyzable bool) {
 	indices := map[string]bool{}
 	for _, d := range ir.Loops(root.Body) {
@@ -29,7 +30,7 @@ func refConvSubscript(t *deps.Tester, root *ir.DoStmt, acc deps.Access, e ir.Exp
 		if indices[name] {
 			return nil
 		}
-		if !t.AssignedInNest(root, name) {
+		if !refAssigned(root, name) {
 			if c := t.Ranges.Consts()[name]; c != nil {
 				return c
 			}
@@ -43,11 +44,63 @@ func refConvSubscript(t *deps.Tester, root *ir.DoStmt, acc deps.Access, e ir.Exp
 		}
 		return v
 	}
-	conv = symbolic.FromIR(e, resolver)
+	conv = symbolic.FromIR(e, symbolic.NewLeaves(), resolver)
 	if !conv.OK {
 		return conv, false
 	}
 	return conv, refExprAnalyzable(t, root, conv.E, indices)
+}
+
+// refAssigned reports whether the scalar name may be modified inside the
+// nest: assigned, a DO index, or passed to a call.
+func refAssigned(root *ir.DoStmt, name string) bool {
+	found := false
+	check := func(s ir.Stmt) bool {
+		switch x := s.(type) {
+		case *ir.AssignStmt:
+			if v, ok := x.LHS.(*ir.VarRef); ok && v.Name == name {
+				found = true
+			}
+		case *ir.DoStmt:
+			if x.Index == name {
+				found = true
+			}
+		case *ir.CallStmt:
+			for _, a := range x.Args {
+				if v, ok := a.(*ir.VarRef); ok && v.Name == name {
+					found = true
+				}
+			}
+		}
+		return !found
+	}
+	check(ir.Stmt(root))
+	ir.WalkStmts(root.Body, check)
+	return found
+}
+
+// refWritten returns the arrays the nest may write: assigned elements
+// and whole arrays passed to a call.
+func refWritten(t *deps.Tester, root *ir.DoStmt) map[string]bool {
+	w := map[string]bool{}
+	ir.WalkStmts(root.Body, func(s ir.Stmt) bool {
+		switch x := s.(type) {
+		case *ir.AssignStmt:
+			if ref, ok := x.LHS.(*ir.ArrayRef); ok {
+				w[ref.Name] = true
+			}
+		case *ir.CallStmt:
+			for _, arg := range x.Args {
+				if v, ok := arg.(*ir.VarRef); ok {
+					if sym := t.Unit.Symbols.Lookup(v.Name); sym != nil && sym.IsArray() {
+						w[v.Name] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return w
 }
 
 func refExprAnalyzable(t *deps.Tester, root *ir.DoStmt, e *symbolic.Expr, indices map[string]bool) bool {
@@ -55,11 +108,11 @@ func refExprAnalyzable(t *deps.Tester, root *ir.DoStmt, e *symbolic.Expr, indice
 		if indices[v] {
 			continue
 		}
-		if t.AssignedInNest(root, v) {
+		if refAssigned(root, v) {
 			return false
 		}
 	}
-	written := t.WrittenIn(root)
+	written := refWritten(t, root)
 	ok := true
 	e.EachOpaqueAtom(func(_ string, atom symbolic.Atom) bool {
 		ok = refAtomAnalyzable(t, root, atom, written, indices)
@@ -116,8 +169,13 @@ func suiteAndMega10k(t *testing.T) []source {
 // subscript of every access that the slot holds what a conversion made
 // from scratch for that one access would: under the nest's resolver
 // with its analyzable verdict, and without a resolver, where the slot
-// may be sharing the first conversion.
+// may be sharing the first conversion. The slots convert with one leaf
+// table per program, as a compile does, and the references each with a
+// new one, so a leaf the table shared wrongly shows in the rendering.
 func TestNestConvMatchesFresh(t *testing.T) {
+	if lv := symbolic.NewLeaves(); lv.Var("I") != lv.Var("I") || lv.Int(1) != lv.Int(1) {
+		t.Fatal("one table returned two leaves for one variable or constant")
+	}
 	sources := suiteAndMega10k(t)
 	// None of those keeps a power atom in a subscript. Here the resolver
 	// folds 2**K to 8 while the resolver-free conversion, whose keys
@@ -138,7 +196,7 @@ func TestNestConvMatchesFresh(t *testing.T) {
 		}
 		return !want.OK || got.E.String() == want.E.String()
 	}
-	var subs, resolved, unanalyzable, powers int
+	var subs, resolved, unanalyzable, powers, shared int
 	for _, s := range sources {
 		parsed, err := parser.ParseProgram(s.src)
 		if err != nil {
@@ -149,8 +207,9 @@ func TestNestConvMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		for _, prog := range []*ir.Program{parsed, res.Program} {
+			lv := symbolic.NewLeaves()
 			for _, u := range prog.Units {
-				tester := deps.NewTester(u, rng.New(u))
+				tester := deps.NewTester(u, rng.New(u, lv))
 				for _, root := range ir.Loops(u.Body) {
 					n := tester.NewNest(root)
 					tester.AnalyzeNest(n, deps.Config{})
@@ -158,7 +217,7 @@ func TestNestConvMatchesFresh(t *testing.T) {
 						for d, sub := range acc.Subs {
 							conv, pow, analyzable := tester.Sub(n, acc, d)
 							wantConv, wantAnalyzable := refConvSubscript(tester, root, acc, sub)
-							wantPow := symbolic.FromIR(sub, nil)
+							wantPow := symbolic.FromIR(sub, symbolic.NewLeaves(), nil)
 							if !same(conv, wantConv) || analyzable != wantAnalyzable {
 								t.Errorf("%s/%s: %s(%s) under DO %s: stored %v (analyzable %v), fresh %v (%v)",
 									s.name, u.Name, acc.Array, sub, root.Index, conv, analyzable, wantConv, wantAnalyzable)
@@ -168,6 +227,9 @@ func TestNestConvMatchesFresh(t *testing.T) {
 									s.name, u.Name, acc.Array, sub, root.Index, pow, wantPow)
 							}
 							subs++
+							if v, ok := sub.(*ir.VarRef); ok && pow.E == lv.Var(v.Name) {
+								shared++
+							}
 							if wantConv.OK && wantPow.OK && wantConv.E.String() != wantPow.E.String() {
 								resolved++
 							}
@@ -191,10 +253,11 @@ func TestNestConvMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	// Every branch of the comparison has to have been taken.
-	if subs < 10000 || resolved == 0 || unanalyzable == 0 || powers == 0 {
-		t.Errorf("%d subscripts, %d changed by the resolver, %d unanalyzable, %d power atoms: the walk is not reaching them",
-			subs, resolved, unanalyzable, powers)
+	// Every branch of the comparison has to have been taken, and the
+	// slots have to be converting with the program's table.
+	if subs < 10000 || resolved == 0 || unanalyzable == 0 || powers == 0 || shared == 0 {
+		t.Errorf("%d subscripts, %d changed by the resolver, %d unanalyzable, %d power atoms, %d bare variables from the table: the walk is not reaching them",
+			subs, resolved, unanalyzable, powers, shared)
 	}
 }
 
@@ -247,7 +310,7 @@ func TestLinearFormSlotMatchesFresh(t *testing.T) {
 		}
 		for _, prog := range []*ir.Program{parsed, res.Program} {
 			for _, u := range prog.Units {
-				tester := deps.NewTester(u, rng.New(u))
+				tester := deps.NewTester(u, rng.New(u, symbolic.NewLeaves()))
 				for _, root := range ir.Loops(u.Body) {
 					n := tester.NewNest(root)
 					// The analysis first, so the walk below starts from

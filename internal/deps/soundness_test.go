@@ -8,6 +8,7 @@ import (
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 // TestAnalyzerSoundnessProperty checks the central soundness property
@@ -43,7 +44,7 @@ func TestAnalyzerSoundnessProperty(t *testing.T) {
 			t.Fatalf("generated source failed to parse: %v\n%s", err, src)
 		}
 		u := prog.Main()
-		tester := NewTester(u, rng.New(u))
+		tester := NewTester(u, rng.New(u, symbolic.NewLeaves()))
 		loops := ir.Loops(u.Body)
 
 		eval := func(c coeffs, i, j int64) int64 {
@@ -123,7 +124,7 @@ func TestTriangularSoundnessProperty(t *testing.T) {
 			t.Fatalf("parse: %v", err)
 		}
 		u := prog.Main()
-		tester := NewTester(u, rng.New(u))
+		tester := NewTester(u, rng.New(u, symbolic.NewLeaves()))
 		outer := ir.Loops(u.Body)[0]
 
 		eval := func(i, j int64) int64 { return c1*i + c2*j + c0 }

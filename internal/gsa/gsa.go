@@ -23,6 +23,9 @@ const DefaultDepth = 8
 // Analyzer answers value queries for one program unit.
 type Analyzer struct {
 	unit *ir.ProgramUnit
+	// lv is the compile's leaf table: conversions and free variables
+	// come from it.
+	lv *symbolic.Leaves
 	// gateID allocates stable identities for gamma/mu gates so equal
 	// queries produce equal opaque atoms (letting them cancel in
 	// comparisons).
@@ -30,9 +33,10 @@ type Analyzer struct {
 	nextID  int
 }
 
-// New returns an analyzer for the unit.
-func New(u *ir.ProgramUnit) *Analyzer {
-	return &Analyzer{unit: u, gateIDs: map[string]int{}}
+// New returns an analyzer for the unit, converting with the leaf table
+// of the compile the unit belongs to.
+func New(u *ir.ProgramUnit, lv *symbolic.Leaves) *Analyzer {
+	return &Analyzer{unit: u, lv: lv, gateIDs: map[string]int{}}
 }
 
 // ValueBefore returns the symbolic value of the scalar name immediately
@@ -43,7 +47,7 @@ func (g *Analyzer) ValueBefore(target ir.Stmt, name string, depth int) *symbolic
 	// The index of an enclosing loop is the loop's symbolic index.
 	for _, d := range ir.EnclosingLoops(g.unit.Body, target) {
 		if d.Index == name {
-			return symbolic.Var(name)
+			return g.lv.Var(name)
 		}
 	}
 	return g.valueBefore(g.unit.Body, target, name, depth)
@@ -55,7 +59,7 @@ func (g *Analyzer) ValueBefore(target ir.Stmt, name string, depth int) *symbolic
 func (g *Analyzer) Resolver(target ir.Stmt, depth int) symbolic.Resolver {
 	return func(name string) *symbolic.Expr {
 		v := g.ValueBefore(target, name, depth)
-		if symbolic.Equal(v, symbolic.Var(name)) {
+		if symbolic.Equal(v, g.lv.Var(name)) {
 			return nil
 		}
 		return v
@@ -168,11 +172,11 @@ func (g *Analyzer) valueOutward(b *ir.Block, target ir.Stmt, name string, depth 
 	if container == nil {
 		// Unit entry: formals and COMMON variables are free symbols;
 		// anything else is formally undefined, also left free.
-		return symbolic.Var(name)
+		return g.lv.Var(name)
 	}
 	if d, ok := container.(*ir.DoStmt); ok {
 		if d.Index == name {
-			return symbolic.Var(name)
+			return g.lv.Var(name)
 		}
 		if assignsName(d.Body, name) {
 			// Reaching the top of a loop iteration: the value may come
@@ -226,9 +230,9 @@ func (g *Analyzer) findContainer(root *ir.Block, b *ir.Block) (*ir.Block, ir.Stm
 // resolving the scalars it references to their values before the
 // assignment.
 func (g *Analyzer) resolveRHS(at ir.Stmt, rhs ir.Expr, depth int) *symbolic.Expr {
-	conv := symbolic.FromIR(rhs, func(n string) *symbolic.Expr {
+	conv := symbolic.FromIR(rhs, g.lv, func(n string) *symbolic.Expr {
 		v := g.ValueBefore(at, n, depth)
-		if symbolic.Equal(v, symbolic.Var(n)) {
+		if symbolic.Equal(v, g.lv.Var(n)) {
 			return nil
 		}
 		return v

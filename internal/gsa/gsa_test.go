@@ -25,7 +25,7 @@ func TestStraightLineSubstitution(t *testing.T) {
       X = MP + 1
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	xAssign := u.Body.Stmts[1]
 	v := g.ValueBefore(xAssign, "MP", DefaultDepth)
 	want := symbolic.Mul(symbolic.Var("M"), symbolic.Var("P"))
@@ -53,7 +53,7 @@ func TestFigure4Proof(t *testing.T) {
       END DO
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	outer := ir.Loops(u.Body)[0]
 	// Resolve MP at the outer loop and prove MP - M*P >= 0.
 	mp := g.ValueBefore(outer, "MP", DefaultDepth)
@@ -73,7 +73,7 @@ func TestChainedSubstitution(t *testing.T) {
       C = B - N
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	cAssign := u.Body.Stmts[2]
 	v := g.ValueBefore(cAssign, "B", DefaultDepth)
 	// B = (N+1)*2 = 2N+2
@@ -92,7 +92,7 @@ func TestRedefinitionUsesLatest(t *testing.T) {
       Y = X
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[2]
 	v := g.ValueBefore(yAssign, "X", DefaultDepth)
 	if !symbolic.Equal(v, symbolic.Var("N")) {
@@ -112,7 +112,7 @@ func TestGammaGateDifferentValues(t *testing.T) {
       Y = X
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[1]
 	v := g.ValueBefore(yAssign, "X", DefaultDepth)
 	if !v.HasOpaque() {
@@ -137,7 +137,7 @@ func TestGammaGateEqualValuesMerge(t *testing.T) {
       Y = X
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[1]
 	v := g.ValueBefore(yAssign, "X", DefaultDepth)
 	if !symbolic.Equal(v, symbolic.Int(7)) {
@@ -156,7 +156,7 @@ func TestGammaFallThrough(t *testing.T) {
       Y = X
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[2]
 	// Both paths produce 5.
 	v := g.ValueBefore(yAssign, "X", DefaultDepth)
@@ -176,7 +176,7 @@ func TestMuGateForLoopCarried(t *testing.T) {
       Y = K
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[2]
 	v := g.ValueBefore(yAssign, "K", DefaultDepth)
 	if !v.HasOpaque() {
@@ -202,7 +202,7 @@ func TestLoopIndexIsSymbolic(t *testing.T) {
       END DO
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	loop := ir.Loops(u.Body)[0]
 	target := loop.Body.Stmts[0]
 	v := g.ValueBefore(target, "I", DefaultDepth)
@@ -225,7 +225,7 @@ func TestCallGates(t *testing.T) {
       X = X * 2
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[2]
 	v := g.ValueBefore(yAssign, "X", DefaultDepth)
 	if !v.HasOpaque() {
@@ -240,7 +240,7 @@ func TestFormalIsFree(t *testing.T) {
       Y = N
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	v := g.ValueBefore(u.Body.Stmts[0], "N", DefaultDepth)
 	if !symbolic.Equal(v, symbolic.Var("N")) {
 		t.Errorf("formal N = %s", v)
@@ -258,7 +258,7 @@ func TestDepthLimitGates(t *testing.T) {
       Y = D
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[4]
 	// Plenty of depth: resolves to N.
 	if v := g.ValueBefore(yAssign, "D", DefaultDepth); !symbolic.Equal(v, symbolic.Var("N")) {
@@ -279,7 +279,7 @@ func TestResolverLeavesFreeNames(t *testing.T) {
       Y = MP
       END
 `)
-	g := New(u)
+	g := New(u, symbolic.NewLeaves())
 	yAssign := u.Body.Stmts[1]
 	res := g.Resolver(yAssign, DefaultDepth)
 	if res("M") != nil {

@@ -476,7 +476,7 @@ func (s *solver) loopRangeUnitStep(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok bool
 // remains inside the nest, so the name holds its entry value
 // throughout).
 func (s *solver) entryValue() *symbolic.Expr {
-	g := gsa.New(s.unit)
+	g := gsa.New(s.unit, s.ranges.Leaves())
 	v := g.ValueBefore(s.loop, s.cand.name, gsa.DefaultDepth)
 	if !v.HasOpaque() {
 		return v

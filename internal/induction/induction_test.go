@@ -7,6 +7,7 @@ import (
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 func run(t *testing.T, src string) (*ir.ProgramUnit, *Result) {
@@ -16,7 +17,7 @@ func run(t *testing.T, src string) (*ir.ProgramUnit, *Result) {
 		t.Fatalf("parse: %v", err)
 	}
 	u := prog.Main()
-	res := Run(u, rng.New(u))
+	res := Run(u, rng.New(u, symbolic.NewLeaves()))
 	if err := prog.Check(); err != nil {
 		t.Fatalf("IR inconsistent after substitution: %v\n%s", err, u.Fortran())
 	}

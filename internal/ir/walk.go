@@ -164,31 +164,6 @@ func ReferencesVar(b *Block, name string) bool {
 	return found
 }
 
-// EachArrayWritten calls fn with the name of every array the block may
-// write, once per writing statement: an assignment to one of its
-// elements, or the whole array passed to a CALL (by reference, so the
-// callee may store into it). syms tells arrays from scalars among CALL
-// arguments.
-func EachArrayWritten(b *Block, syms *SymbolTable, fn func(name string)) {
-	WalkStmts(b, func(s Stmt) bool {
-		switch x := s.(type) {
-		case *AssignStmt:
-			if ref, ok := x.LHS.(*ArrayRef); ok {
-				fn(ref.Name)
-			}
-		case *CallStmt:
-			for _, arg := range x.Args {
-				if v, ok := arg.(*VarRef); ok {
-					if sym := syms.Lookup(v.Name); sym != nil && sym.IsArray() {
-						fn(v.Name)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
 // Assignments returns every assignment statement in the block tree in
 // source order.
 func Assignments(b *Block) []*AssignStmt {

@@ -8,6 +8,7 @@ import (
 	"polaris/internal/machine"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 func run(t *testing.T, src string) (*ir.Program, *Result) {
@@ -17,7 +18,7 @@ func run(t *testing.T, src string) (*ir.Program, *Result) {
 		t.Fatalf("parse: %v", err)
 	}
 	u := prog.Main()
-	res := Run(u, rng.New(u))
+	res := Run(u, rng.New(u, symbolic.NewLeaves()))
 	if err := prog.Check(); err != nil {
 		t.Fatalf("inconsistent after normalization: %v\n%s", err, u.Fortran())
 	}
@@ -156,7 +157,7 @@ func TestLiveOutIndexSymbolicBoundsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := prog.Main()
-	res := Run(u, rng.New(u))
+	res := Run(u, rng.New(u, symbolic.NewLeaves()))
 	if res.Normalized != 0 {
 		t.Errorf("symbolic-bounds live-out index wrongly normalized:\n%s", u.Fortran())
 	}
@@ -194,7 +195,7 @@ func TestSymbolicBoundsDeadIndexNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := prog.Main()
-	res := Run(u, rng.New(u))
+	res := Run(u, rng.New(u, symbolic.NewLeaves()))
 	if res.Normalized != 1 {
 		t.Fatalf("symbolic-bounds dead-index loop not normalized:\n%s", u.Fortran())
 	}

@@ -17,6 +17,7 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/ir"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 // Options returns the 1996-vendor capability configuration.
@@ -58,7 +59,10 @@ func Compile(prog *ir.Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Result: compiled, Factor: CodegenFactor(compiled.Program, compiled)}
+	// One leaf table for the back-end model's range queries, as a
+	// compile has one.
+	lv := symbolic.NewLeaves()
+	res := &Result{Result: compiled, Factor: CodegenFactor(compiled, lv)}
 	if res.Factor > 1.0 {
 		// The unroller interfered: demote every parallel loop that
 		// contains a tiny constant-trip inner loop (its body was
@@ -69,7 +73,7 @@ func Compile(prog *ir.Program) (*Result, error) {
 			if !lr.Parallel {
 				continue
 			}
-			if containsTinyLoop(compiled, lr) || isTinyLoop(compiled, lr.Unit, lr.Loop) {
+			if containsTinyLoop(compiled, lr, lv) || isTinyLoop(compiled, lr.Unit, lr.Loop, lv) {
 				lr.Parallel = false
 				lr.Reason = "parallelism lost to inner-loop unrolling (code generation)"
 				lr.Loop.Par.Parallel = false
@@ -82,12 +86,12 @@ func Compile(prog *ir.Program) (*Result, error) {
 }
 
 // isTinyLoop reports a tiny constant-trip small-bodied loop.
-func isTinyLoop(compiled *core.Result, unitName string, d *ir.DoStmt) bool {
+func isTinyLoop(compiled *core.Result, unitName string, d *ir.DoStmt, lv *symbolic.Leaves) bool {
 	u := compiled.Program.Unit(unitName)
 	if u == nil || len(d.Body.Stmts) > 3 {
 		return false
 	}
-	ra := rng.New(u)
+	ra := rng.New(u, lv)
 	lo, hi, ok := ra.LoopRange(d)
 	if !ok {
 		return false
@@ -109,7 +113,7 @@ func isTinyLoop(compiled *core.Result, unitName string, d *ir.DoStmt) bool {
 //     innermost loops is where unrolling and fusion pay off — the two
 //     codes where the paper reports PFA beating Polaris (factor 0.85);
 //   - otherwise the back end is neutral (factor 1.0).
-func CodegenFactor(prog *ir.Program, compiled *core.Result) float64 {
+func CodegenFactor(compiled *core.Result, lv *symbolic.Leaves) float64 {
 	parallel := 0
 	smallish := 0
 	for i := range compiled.Loops {
@@ -118,7 +122,7 @@ func CodegenFactor(prog *ir.Program, compiled *core.Result) float64 {
 			continue
 		}
 		parallel++
-		if containsTinyLoop(compiled, lr) {
+		if containsTinyLoop(compiled, lr, lv) {
 			return 1.25
 		}
 		if smallInnermost(lr.Loop) {
@@ -133,12 +137,12 @@ func CodegenFactor(prog *ir.Program, compiled *core.Result) float64 {
 
 // containsTinyLoop reports a tiny constant-trip, small-bodied loop
 // nested inside the loop (the unroller's favourite target).
-func containsTinyLoop(compiled *core.Result, lr *core.LoopReport) bool {
+func containsTinyLoop(compiled *core.Result, lr *core.LoopReport, lv *symbolic.Leaves) bool {
 	u := compiled.Program.Unit(lr.Unit)
 	if u == nil {
 		return false
 	}
-	ra := rng.New(u)
+	ra := rng.New(u, lv)
 	for _, inner := range ir.Loops(lr.Loop.Body) {
 		if len(inner.Body.Stmts) > 3 {
 			continue

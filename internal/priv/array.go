@@ -2,8 +2,9 @@ package priv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"polaris/internal/deps"
 	"polaris/internal/ir"
 	"polaris/internal/symbolic"
 )
@@ -29,86 +30,29 @@ type dimRange struct {
 }
 
 // arrays runs region-based privatization for every array written in the
-// loop body.
+// loop body, reading the accesses the loop's nest collected.
 func (a *analyzer) arrays(res *Result) {
-	writes, reads := a.collectArrayAccesses()
-	names := map[string]bool{}
-	for n := range writes {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		if reason, ok := a.arrayPrivatizable(name, writes[name], reads[name]); ok {
+	for _, accs := range a.nest.Groups() {
+		if !slices.ContainsFunc(accs, func(acc deps.Access) bool { return acc.Write }) {
+			continue
+		}
+		var writes, reads []*region
+		for _, acc := range accs {
+			// The chain is the loops inside the analyzed one.
+			r := &region{stmt: acc.Stmt, chain: acc.Loops[1:], conditional: acc.Cond, subs: acc.Subs}
+			if acc.Write {
+				writes = append(writes, r)
+			} else {
+				reads = append(reads, r)
+			}
+		}
+		name := accs[0].Array
+		if reason, ok := a.arrayPrivatizable(name, writes, reads); ok {
 			res.PrivateArrays = append(res.PrivateArrays, name)
 		} else {
 			res.Blocked[name] = reason
 		}
 	}
-}
-
-// collectArrayAccesses gathers write and read accesses per array with
-// their loop chains and conditionality. arrays looks only at arrays the
-// loop writes, so those are found first and reads of any other array
-// are not recorded.
-func (a *analyzer) collectArrayAccesses() (writes, reads map[string][]*region) {
-	written := map[string]bool{}
-	ir.EachArrayWritten(a.loop.Body, a.unit.Symbols, func(name string) { written[name] = true })
-	writes = map[string][]*region{}
-	reads = map[string][]*region{}
-	var walk func(b *ir.Block, chain []*ir.DoStmt, cond bool)
-	addRead := func(e ir.Expr, s ir.Stmt, chain []*ir.DoStmt, cond bool) {
-		ir.WalkExpr(e, func(n ir.Expr) bool {
-			if ar, ok := n.(*ir.ArrayRef); ok && written[ar.Name] {
-				reads[ar.Name] = append(reads[ar.Name], &region{stmt: s, chain: chain, conditional: cond, subs: ar.Subs})
-			}
-			return true
-		})
-	}
-	walk = func(b *ir.Block, chain []*ir.DoStmt, cond bool) {
-		for _, s := range b.Stmts {
-			switch x := s.(type) {
-			case *ir.AssignStmt:
-				if ar, ok := x.LHS.(*ir.ArrayRef); ok {
-					writes[ar.Name] = append(writes[ar.Name], &region{stmt: s, chain: chain, conditional: cond, subs: ar.Subs})
-					for _, sub := range ar.Subs {
-						addRead(sub, s, chain, cond)
-					}
-				}
-				addRead(x.RHS, s, chain, cond)
-			case *ir.IfStmt:
-				addRead(x.Cond, s, chain, cond)
-				walk(x.Then, chain, true)
-				if x.Else != nil {
-					walk(x.Else, chain, true)
-				}
-			case *ir.DoStmt:
-				addRead(x.Init, s, chain, cond)
-				addRead(x.Limit, s, chain, cond)
-				if x.Step != nil {
-					addRead(x.Step, s, chain, cond)
-				}
-				walk(x.Body, append(append([]*ir.DoStmt{}, chain...), x), cond)
-			case *ir.CallStmt:
-				for _, arg := range x.Args {
-					if v, ok := arg.(*ir.VarRef); ok {
-						if sym := a.unit.Symbols.Lookup(v.Name); sym != nil && sym.IsArray() {
-							// Whole array passed by reference: both.
-							writes[v.Name] = append(writes[v.Name], &region{stmt: s, chain: chain, conditional: cond})
-							reads[v.Name] = append(reads[v.Name], &region{stmt: s, chain: chain, conditional: cond})
-							continue
-						}
-					}
-					addRead(arg, s, chain, cond)
-				}
-			}
-		}
-	}
-	walk(a.loop.Body, nil, false)
-	return writes, reads
 }
 
 // arrayPrivatizable decides privatizability of one array.
@@ -197,7 +141,7 @@ func (a *analyzer) dimRangeOf(r *region, sub ir.Expr, env *symbolic.Env, chainVa
 	// Resolve loop-variant free scalars: monotonic bound (the paper's
 	// P in BDNA) or fail.
 	for v := range e.Vars() {
-		if chainVars[v] || !a.assignedInBody(v) {
+		if chainVars[v] || !a.nest.Assigned(v) {
 			continue
 		}
 		if isWrite {
@@ -369,15 +313,16 @@ func (a *analyzer) resolveLoopRange(d *ir.DoStmt) (lo, hi *symbolic.Expr, ok boo
 // convAt converts an expression resolving names through propagated
 // constants and then GSA values at the statement.
 func (a *analyzer) convAt(at ir.Stmt, e ir.Expr) symbolic.Conv {
-	return symbolic.FromIR(e, func(name string) *symbolic.Expr {
+	lv := a.ranges.Leaves()
+	return symbolic.FromIR(e, lv, func(name string) *symbolic.Expr {
 		if c := a.ranges.Consts()[name]; c != nil {
 			return c
 		}
-		if !a.assignedInBody(name) {
+		if !a.nest.Assigned(name) {
 			// Loop-invariant: resolve a pre-loop definition if it is a
 			// closed expression (MP = M*P), else keep the symbol.
 			v := a.gsa.ValueBefore(a.loop, name, 6)
-			if !v.HasOpaque() && !symbolic.Equal(v, symbolic.Var(name)) {
+			if !v.HasOpaque() && !symbolic.Equal(v, lv.Var(name)) {
 				return v
 			}
 		}
@@ -390,19 +335,20 @@ func (a *analyzer) convAt(at ir.Stmt, e ir.Expr) symbolic.Conv {
 // (Figure 5). Values that resolve only to control-flow gates stay free
 // so the monotonic-bound analysis can take over.
 func (a *analyzer) convAtRead(at ir.Stmt, e ir.Expr) symbolic.Conv {
-	return symbolic.FromIR(e, func(name string) *symbolic.Expr {
+	lv := a.ranges.Leaves()
+	return symbolic.FromIR(e, lv, func(name string) *symbolic.Expr {
 		if c := a.ranges.Consts()[name]; c != nil {
 			return c
 		}
-		if a.assignedInBody(name) {
+		if a.nest.Assigned(name) {
 			v := a.gsa.ValueBefore(at, name, 4)
-			if !symbolic.Equal(v, symbolic.Var(name)) && !hasGate(v) {
+			if !symbolic.Equal(v, lv.Var(name)) && !hasGate(v) {
 				return v
 			}
 			return nil
 		}
 		v := a.gsa.ValueBefore(a.loop, name, 6)
-		if !v.HasOpaque() && !symbolic.Equal(v, symbolic.Var(name)) {
+		if !v.HasOpaque() && !symbolic.Equal(v, lv.Var(name)) {
 			return v
 		}
 		return nil
@@ -417,30 +363,6 @@ func hasGate(e *symbolic.Expr) bool {
 		found = !atom.Call && len(atom.Args) == 0
 		for _, arg := range atom.Args {
 			found = found || hasGate(arg)
-		}
-		return !found
-	})
-	return found
-}
-
-func (a *analyzer) assignedInBody(name string) bool {
-	found := false
-	ir.WalkStmts(a.loop.Body, func(s ir.Stmt) bool {
-		switch x := s.(type) {
-		case *ir.AssignStmt:
-			if v, ok := x.LHS.(*ir.VarRef); ok && v.Name == name {
-				found = true
-			}
-		case *ir.DoStmt:
-			if x.Index == name {
-				found = true
-			}
-		case *ir.CallStmt:
-			for _, arg := range x.Args {
-				if v, ok := arg.(*ir.VarRef); ok && v.Name == name {
-					found = true
-				}
-			}
 		}
 		return !found
 	})
@@ -482,7 +404,9 @@ func (a *analyzer) precedes(w, r *region) bool {
 			return false
 		}
 	}
-	return a.stmtBefore(w.stmt, r.stmt) || w.stmt == r.stmt && true
+	// A statement's reads, on its right-hand side and in its subscripts,
+	// all run before its write.
+	return a.stmtBefore(w.stmt, r.stmt)
 }
 
 // stmtBefore reports source order within the loop body.

@@ -6,7 +6,6 @@ import (
 	"polaris/internal/cfg"
 	"polaris/internal/ir"
 	"polaris/internal/parser"
-	"polaris/internal/rng"
 )
 
 // TestScalarVerdictsAgreeWithCFGDominance cross-checks the privatizer's
@@ -59,7 +58,7 @@ func TestScalarVerdictsAgreeWithCFGDominance(t *testing.T) {
 		}
 		u := prog.Main()
 		loop := ir.OuterLoops(u.Body)[0]
-		res := Analyze(u, rng.New(u), loop)
+		res := analyze(u, loop)
 
 		// Build a one-iteration view: a unit whose body is the loop
 		// body, so dominance means "within the same iteration".

@@ -153,7 +153,7 @@ func (a *analyzer) compressRegion(w *region) (dimRange, bool) {
 		return dimRange{}, false
 	}
 	p, isVar := w.subs[0].(*ir.VarRef)
-	if !isVar || !a.assignedInBody(p.Name) {
+	if !isVar || !a.nest.Assigned(p.Name) {
 		return dimRange{}, false
 	}
 	init, _, nInc, ok := a.monotonicPattern(p.Name)
@@ -229,7 +229,7 @@ func (a *analyzer) addMonotonicFacts(env *symbolic.Env, w, r *region) {
 			return
 		}
 		for v := range e.Vars() {
-			if seen[v] || !a.assignedInBody(v) {
+			if seen[v] || !a.nest.Assigned(v) {
 				continue
 			}
 			seen[v] = true
@@ -297,7 +297,7 @@ func (a *analyzer) indexedReadRange(r *region, e *symbolic.Expr, env *symbolic.E
 	// Its region must contain the read's index region.
 	wEnv := a.regionEnv(r)
 	for v := range argMin.Vars() {
-		if a.assignedInBody(v) {
+		if a.nest.Assigned(v) {
 			if mb, okM := a.monotonicBound(v, r.stmt); okM {
 				wEnv.Push(v, mb)
 			}
@@ -386,12 +386,12 @@ func (a *analyzer) lastIndexWrite(name string, r *region) (dimRange, dimRange, b
 	// Loop-variant scalars in the value (none in the BDNA pattern) are
 	// not supported.
 	for v := range vMin.Vars() {
-		if a.assignedInBody(v) {
+		if a.nest.Assigned(v) {
 			return dimRange{}, dimRange{}, false
 		}
 	}
 	for v := range vMax.Vars() {
-		if a.assignedInBody(v) {
+		if a.nest.Assigned(v) {
 			return dimRange{}, dimRange{}, false
 		}
 	}

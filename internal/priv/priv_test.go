@@ -3,10 +3,12 @@ package priv
 import (
 	"testing"
 
+	"polaris/internal/deps"
 	"polaris/internal/gsa"
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 func analyzeFirstLoop(t *testing.T, src string) (*ir.ProgramUnit, *Result) {
@@ -17,7 +19,13 @@ func analyzeFirstLoop(t *testing.T, src string) (*ir.ProgramUnit, *Result) {
 	}
 	u := prog.Main()
 	loop := ir.OuterLoops(u.Body)[0]
-	return u, Analyze(u, rng.New(u), loop)
+	return u, analyze(u, loop)
+}
+
+// analyze is Analyze on a nest and a leaf table built for the one call.
+func analyze(u *ir.ProgramUnit, loop *ir.DoStmt) *Result {
+	ra := rng.New(u, symbolic.NewLeaves())
+	return Analyze(u, ra, deps.NewTester(u, ra).NewNest(loop))
 }
 
 func has(list []string, name string) bool {
@@ -343,7 +351,8 @@ func TestMonotonicBoundPattern(t *testing.T) {
 	}
 	u := prog.Main()
 	loop := ir.OuterLoops(u.Body)[0]
-	a := &analyzer{unit: u, ranges: rng.New(u), gsa: gsa.New(u), loop: loop}
+	ra := rng.New(u, symbolic.NewLeaves())
+	a := &analyzer{unit: u, ranges: ra, gsa: gsa.New(u, ra.Leaves()), nest: deps.NewTester(u, ra).NewNest(loop), loop: loop}
 	use := loop.Body.Stmts[2]
 	b, ok := a.monotonicBound("P", use)
 	if !ok {

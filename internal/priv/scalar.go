@@ -14,6 +14,7 @@ package priv
 import (
 	"sort"
 
+	"polaris/internal/deps"
 	"polaris/internal/gsa"
 	"polaris/internal/ir"
 	"polaris/internal/rng"
@@ -40,7 +41,10 @@ type analyzer struct {
 	unit   *ir.ProgramUnit
 	ranges *rng.Analyzer
 	gsa    *gsa.Analyzer
-	loop   *ir.DoStmt
+	// nest is the loop's one walk (package deps): its accesses, grouped
+	// by array, and the scalars its body assigns.
+	nest *deps.Nest
+	loop *ir.DoStmt
 	// loopRanges memoizes loopRangeResolved.
 	loopRanges map[*ir.DoStmt]resolvedRange
 }
@@ -50,9 +54,9 @@ type resolvedRange struct {
 	ok     bool
 }
 
-// Analyze computes privatization for the loop.
-func Analyze(u *ir.ProgramUnit, ra *rng.Analyzer, loop *ir.DoStmt) *Result {
-	a := &analyzer{unit: u, ranges: ra, gsa: gsa.New(u), loop: loop}
+// Analyze computes privatization for the loop nest is rooted at.
+func Analyze(u *ir.ProgramUnit, ra *rng.Analyzer, nest *deps.Nest) *Result {
+	a := &analyzer{unit: u, ranges: ra, gsa: gsa.New(u, ra.Leaves()), nest: nest, loop: nest.Root()}
 	res := &Result{Blocked: map[string]string{}}
 	a.scalars(res)
 	a.arrays(res)

@@ -82,7 +82,7 @@ func TestFactMemoMatchesFreshDecomposition(t *testing.T) {
 		}
 		for _, prog := range []*ir.Program{parsed, res.Program} {
 			for _, u := range prog.Units {
-				a := rng.New(u)
+				a := rng.New(u, symbolic.NewLeaves())
 				ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
 					fs := a.Facts(s)
 					facts += len(fs)

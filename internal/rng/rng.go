@@ -25,6 +25,9 @@ import (
 // ReleaseCaches drops them when the analysis that filled them is done.
 type Analyzer struct {
 	unit *ir.ProgramUnit
+	// lv is the compile's leaf table, which every conversion of the unit
+	// takes its constants and free variables from.
+	lv *symbolic.Leaves
 	// consts maps scalar names to their propagated symbolic values
 	// (PARAMETER constants and provably single-assigned constants).
 	consts map[string]*symbolic.Expr
@@ -53,13 +56,14 @@ type loopRange struct {
 // constants (a scalar qualifies only when assigned exactly once,
 // unconditionally, at the top level, from an expression that resolves
 // to already-known constants) and flow-sensitive for guards and loop
-// bounds, which are collected per target statement.
-func New(u *ir.ProgramUnit) *Analyzer {
-	a := &Analyzer{unit: u, consts: map[string]*symbolic.Expr{}}
+// bounds, which are collected per target statement. lv is the leaf
+// table of the compile the unit belongs to.
+func New(u *ir.ProgramUnit, lv *symbolic.Leaves) *Analyzer {
+	a := &Analyzer{unit: u, lv: lv, consts: map[string]*symbolic.Expr{}}
 	a.ReleaseCaches()
 	for _, s := range u.Symbols.All() {
 		if s.Param != nil {
-			if c := symbolic.FromIR(s.Param, a.Resolver()); c.OK {
+			if c := a.Conv(s.Param); c.OK {
 				a.consts[s.Name] = c.E
 			}
 		}
@@ -129,7 +133,7 @@ func (a *Analyzer) propagateConstants() {
 			if _, done := a.consts[name]; done {
 				continue
 			}
-			conv := symbolic.FromIR(st.RHS, a.Resolver())
+			conv := a.Conv(st.RHS)
 			if !conv.OK {
 				continue
 			}
@@ -153,9 +157,12 @@ func (a *Analyzer) Resolver() symbolic.Resolver {
 	return func(name string) *symbolic.Expr { return a.consts[name] }
 }
 
+// Leaves returns the compile's leaf table the Analyzer converts with.
+func (a *Analyzer) Leaves() *symbolic.Leaves { return a.lv }
+
 // Conv converts an IR expression using the unit's resolver.
 func (a *Analyzer) Conv(e ir.Expr) symbolic.Conv {
-	return symbolic.FromIR(e, a.Resolver())
+	return symbolic.FromIR(e, a.lv, a.Resolver())
 }
 
 // LoopRange returns the closed box [lo, hi] of values the loop index
@@ -269,7 +276,7 @@ func (a *Analyzer) loopFacts(d *ir.DoStmt) []*symbolic.Expr {
 	if !ok {
 		return nil
 	}
-	idx := symbolic.Var(d.Index)
+	idx := a.lv.Var(d.Index)
 	return []*symbolic.Expr{
 		symbolic.Sub(idx, lo), // index >= lo
 		symbolic.Sub(hi, idx), // index <= hi
@@ -305,7 +312,7 @@ func (a *Analyzer) condFacts(cond ir.Expr, negate bool) []*symbolic.Expr {
 			op = negateRel(op)
 		}
 		d := symbolic.Sub(l.E, r.E)
-		one := symbolic.Int(1)
+		one := a.lv.Int(1)
 		switch op {
 		case ir.OpGe:
 			return []*symbolic.Expr{d}

@@ -27,7 +27,7 @@ func TestParameterConstants(t *testing.T) {
       A(1) = 0.0
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	if c := a.Consts()["N"]; c == nil || !symbolic.Equal(c, symbolic.Int(10)) {
 		t.Errorf("N = %v", c)
 	}
@@ -48,7 +48,7 @@ func TestConstantPropagation(t *testing.T) {
       END DO
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	if c := a.Consts()["N"]; c == nil || !symbolic.Equal(c, symbolic.Int(10)) {
 		t.Errorf("N = %v", c)
 	}
@@ -79,7 +79,7 @@ func TestCallDisqualifiesConstant(t *testing.T) {
       N = N + 1
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	if a.Consts()["N"] != nil {
 		t.Errorf("N passed to CALL treated as constant")
 	}
@@ -99,7 +99,7 @@ func TestLoopRange(t *testing.T) {
       END DO
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	loops := ir.Loops(u.Body)
 	lo, hi, ok := a.LoopRange(loops[0])
 	if !ok || !symbolic.Equal(lo, symbolic.Int(1)) || !symbolic.Equal(hi, symbolic.Int(10)) {
@@ -124,7 +124,7 @@ func TestGuardFacts(t *testing.T) {
       END IF
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	loop := ir.Loops(u.Body)[0]
 	target := loop.Body.Stmts[0]
 	env := a.EnvForStmt(target)
@@ -151,7 +151,7 @@ func TestElseNegatesGuard(t *testing.T) {
       END IF
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	ifStmt := u.Body.Stmts[0].(*ir.IfStmt)
 	thenEnv := a.EnvForStmt(ifStmt.Then.Stmts[0])
 	elseEnv := a.EnvForStmt(ifStmt.Else.Stmts[0])
@@ -174,7 +174,7 @@ func TestTripCountFact(t *testing.T) {
       END DO
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	loop := ir.Loops(u.Body)[0]
 	env := a.EnvForStmt(loop.Body.Stmts[0])
 	// Inside the body the loop executed at least once: N - 1 >= 0.
@@ -193,7 +193,7 @@ func TestRealGuardProducesNoFacts(t *testing.T) {
       END IF
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	ifStmt := u.Body.Stmts[0].(*ir.IfStmt)
 	facts := a.Facts(ifStmt.Then.Stmts[0])
 	if len(facts) != 0 {
@@ -210,7 +210,7 @@ func TestAndGuard(t *testing.T) {
       END IF
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	ifStmt := u.Body.Stmts[0].(*ir.IfStmt)
 	env := a.EnvForStmt(ifStmt.Then.Stmts[0])
 	if !env.ProveGE(symbolic.Sub(symbolic.Var("M"), symbolic.Int(1))) {
@@ -219,7 +219,7 @@ func TestAndGuard(t *testing.T) {
 }
 
 func TestAddFactGEMergesTighter(t *testing.T) {
-	a := New(mainUnit(t, "      PROGRAM P\n      END\n"))
+	a := New(mainUnit(t, "      PROGRAM P\n      END\n"), symbolic.NewLeaves())
 	env := symbolic.NewEnv()
 	a.AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(1))) // N >= 1
 	a.AddFactGE(env, symbolic.Sub(symbolic.Var("N"), symbolic.Int(5))) // N >= 5 (tighter)
@@ -245,7 +245,7 @@ func TestEnvOrderingInnermostFirst(t *testing.T) {
       END DO
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	inner := ir.Loops(u.Body)[1]
 	env := a.EnvForStmt(inner.Body.Stmts[0])
 	names := env.Names()
@@ -300,7 +300,7 @@ func TestFactsSharedAlongPath(t *testing.T) {
       END DO
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	var assigns []ir.Stmt
 	ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
 		if _, ok := s.(*ir.AssignStmt); ok {
@@ -383,7 +383,7 @@ func TestReleaseCachesKeepsConstants(t *testing.T) {
       END DO
       END
 `)
-	a := New(u)
+	a := New(u, symbolic.NewLeaves())
 	loop := ir.Loops(u.Body)[0]
 	target := loop.Body.Stmts[0].(*ir.IfStmt).Then.Stmts[0]
 	render := func() string {

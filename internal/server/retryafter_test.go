@@ -32,7 +32,7 @@ func TestRetryAfterClockStep(t *testing.T) {
 	s := New(Config{})
 	t0 := time.Now()
 	s.noteCompletion("compile", t0)
-	s.noteCompletion("compile", t0.Add(500 * time.Millisecond))
+	s.noteCompletion("compile", t0.Add(500*time.Millisecond))
 	s.queued.Store(8)
 	if got := s.retryAfterSeconds("compile", t0.Add(-time.Hour)); got != 1 {
 		t.Fatalf("backwards clock step: Retry-After = %d, want 1", got)
@@ -61,7 +61,7 @@ func TestRetryAfterDrainEstimate(t *testing.T) {
 	t0 := time.Now()
 	// 10 completions over 9 seconds ending at t0: rate ≈ 1.11/s.
 	for i := 0; i < 10; i++ {
-		s.noteCompletion("compile", t0.Add(time.Duration(i-9) * time.Second))
+		s.noteCompletion("compile", t0.Add(time.Duration(i-9)*time.Second))
 	}
 	s.queued.Store(5)
 	// depth 5 at ~1.11/s → ceil(4.5) = 5.
@@ -118,7 +118,7 @@ func TestRetryAfterRingWrap(t *testing.T) {
 	t0 := time.Now()
 	total := drainWindow + 17
 	for i := 0; i < total; i++ {
-		s.noteCompletion("compile", t0.Add(time.Duration(i-total+1) * time.Second))
+		s.noteCompletion("compile", t0.Add(time.Duration(i-total+1)*time.Second))
 	}
 	s.queued.Store(1)
 	// Window of 64 samples spanning 63 seconds: rate ≈ 1.016/s, depth 1

@@ -67,19 +67,19 @@ func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 	// 25 / 10 = 2.5s → ceil → 3.
 	s = New(Config{Workers: 2, QueueDepth: 32})
 	for i := 0; i < 21; i++ {
-		s.noteCompletion("compile", base.Add(time.Duration(i) * 100 * time.Millisecond))
+		s.noteCompletion("compile", base.Add(time.Duration(i)*100*time.Millisecond))
 	}
 	s.queued.Store(25)
-	if got := s.retryAfterSeconds("compile", base.Add(2100 * time.Millisecond)); got != 3 {
+	if got := s.retryAfterSeconds("compile", base.Add(2100*time.Millisecond)); got != 3 {
 		t.Errorf("steady drain: Retry-After = %d, want 3", got)
 	}
 
 	// Glacial drain clamps at 30.
 	s = New(Config{Workers: 1, QueueDepth: 8})
 	s.noteCompletion("compile", base)
-	s.noteCompletion("compile", base.Add(20 * time.Second))
+	s.noteCompletion("compile", base.Add(20*time.Second))
 	s.queued.Store(10)
-	if got := s.retryAfterSeconds("compile", base.Add(40 * time.Second)); got != 30 {
+	if got := s.retryAfterSeconds("compile", base.Add(40*time.Second)); got != 30 {
 		t.Errorf("slow drain: Retry-After = %d, want clamp 30", got)
 	}
 
@@ -87,11 +87,11 @@ func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 	// one the next write would overwrite, not slot 0.
 	s = New(Config{Workers: 2, QueueDepth: 8})
 	for i := 0; i < drainWindow+10; i++ {
-		s.noteCompletion("compile", base.Add(time.Duration(i) * time.Second))
+		s.noteCompletion("compile", base.Add(time.Duration(i)*time.Second))
 	}
 	s.queued.Store(5)
 	// oldest = base+10s, now = base+74s → span 64s, rate 1/s → 5s.
-	if got := s.retryAfterSeconds("compile", base.Add(74 * time.Second)); got != 5 {
+	if got := s.retryAfterSeconds("compile", base.Add(74*time.Second)); got != 5 {
 		t.Errorf("wrapped ring: Retry-After = %d, want 5", got)
 	}
 

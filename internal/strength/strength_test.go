@@ -7,6 +7,7 @@ import (
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/symbolic"
 )
 
 // prepare parses, marks the outer loop parallel (as the core pipeline
@@ -27,7 +28,7 @@ func prepare(t *testing.T, src string, markParallel ...string) (*ir.ProgramUnit,
 			d.Par = &ir.ParInfo{Parallel: true}
 		}
 	}
-	res := Run(u, rng.New(u))
+	res := Run(u, rng.New(u, symbolic.NewLeaves()))
 	if err := u.Check(); err != nil {
 		t.Fatalf("IR inconsistent after pass: %v\n%s", err, u.Fortran())
 	}
@@ -104,7 +105,7 @@ func TestSemanticsPreserved(t *testing.T) {
 		for _, d := range ir.OuterLoops(u.Body) {
 			d.Par = &ir.ParInfo{Parallel: true}
 		}
-		Run(u, rng.New(u))
+		Run(u, rng.New(u, symbolic.NewLeaves()))
 	})
 	if ref != got {
 		t.Errorf("results differ: %v vs %v", ref, got)

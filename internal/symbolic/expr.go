@@ -12,8 +12,8 @@
 // forward differences and negations on first use. The caches make
 // repeated comparisons allocation-free but are not synchronized: values
 // built during one compilation must not be shared across goroutines
-// (each compilation builds its own expressions, so this never arises
-// in practice).
+// (each compilation builds its own expressions, its leaves from its own
+// Leaves table, so this never arises in practice).
 package symbolic
 
 import (

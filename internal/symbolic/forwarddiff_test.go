@@ -90,7 +90,8 @@ func TestForwardDiffLinearMatchesSubstitution(t *testing.T) {
 		}
 		for _, prog := range []*ir.Program{parser.MustParse(s.src), res.Program} {
 			for _, u := range prog.Units {
-				resolvers := []Resolver{nil, rng.New(u).Resolver()}
+				ra := rng.New(u, NewLeaves())
+				resolvers := []Resolver{nil, ra.Resolver()}
 				ir.WalkStmtExprs(u.Body, func(x ir.Expr) bool {
 					ref, ok := x.(*ir.ArrayRef)
 					if !ok {
@@ -98,7 +99,7 @@ func TestForwardDiffLinearMatchesSubstitution(t *testing.T) {
 					}
 					for _, sub := range ref.Subs {
 						for _, r := range resolvers {
-							conv := FromIR(sub, r)
+							conv := FromIR(sub, ra.Leaves(), r)
 							if !conv.OK {
 								continue
 							}

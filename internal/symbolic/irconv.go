@@ -25,12 +25,51 @@ type Conv struct {
 	OK bool
 }
 
-// FromIR converts an arithmetic IR expression to a symbolic polynomial.
-// Array reads and unknown function calls become opaque atoms; integer
-// division by a constant becomes exact rational division (flagged);
-// division by a non-constant becomes the opaque IDIV atom.
-func FromIR(e ir.Expr, resolve Resolver) Conv {
-	c := converter{resolve: resolve}
+// Leaves is one compile's table of converted leaves: FromIR returns the
+// table's Expr for every integer constant and every variable it leaves
+// free, so a compile builds each once however often it converts it.
+// Sharing is sound because an Expr is never written after its builder
+// returns it; the lazily filled caches on a shared leaf (String, forward
+// differences, negation, substitutions) are written by whichever query
+// comes first, so a table belongs to one compile on one goroutine, and
+// is garbage with it.
+type Leaves struct {
+	ints map[int64]*Expr
+	vars map[string]*Expr
+}
+
+// NewLeaves returns an empty table.
+func NewLeaves() *Leaves {
+	return &Leaves{ints: map[int64]*Expr{}, vars: map[string]*Expr{}}
+}
+
+// Int returns the table's constant polynomial v.
+func (l *Leaves) Int(v int64) *Expr {
+	e, ok := l.ints[v]
+	if !ok {
+		e = Int(v)
+		l.ints[v] = e
+	}
+	return e
+}
+
+// Var returns the table's polynomial of the single variable name.
+func (l *Leaves) Var(name string) *Expr {
+	e, ok := l.vars[name]
+	if !ok {
+		e = Var(name)
+		l.vars[name] = e
+	}
+	return e
+}
+
+// FromIR converts an arithmetic IR expression to a symbolic polynomial,
+// taking integer constants and free variables from lv. Array reads and
+// unknown function calls become opaque atoms; integer division by a
+// constant becomes exact rational division (flagged); division by a
+// non-constant becomes the opaque IDIV atom.
+func FromIR(e ir.Expr, lv *Leaves, resolve Resolver) Conv {
+	c := converter{lv: lv, resolve: resolve}
 	s := c.conv(e)
 	if s == nil {
 		return Conv{OK: false}
@@ -39,6 +78,7 @@ func FromIR(e ir.Expr, resolve Resolver) Conv {
 }
 
 type converter struct {
+	lv      *Leaves
 	resolve Resolver
 	intDiv  bool
 }
@@ -46,7 +86,7 @@ type converter struct {
 func (c *converter) conv(e ir.Expr) *Expr {
 	switch x := e.(type) {
 	case *ir.ConstInt:
-		return Int(x.Val)
+		return c.lv.Int(x.Val)
 	case *ir.ConstReal:
 		r := new(big.Rat)
 		r.SetFloat64(x.Val)
@@ -57,7 +97,7 @@ func (c *converter) conv(e ir.Expr) *Expr {
 				return v
 			}
 		}
-		return Var(x.Name)
+		return c.lv.Var(x.Name)
 	case *ir.ArrayRef:
 		args := make([]*Expr, len(x.Subs))
 		for i, s := range x.Subs {

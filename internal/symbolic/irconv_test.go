@@ -32,7 +32,7 @@ func TestFromIRBasics(t *testing.T) {
 		{"IND(K)", Opaque("IND", Var("K"))},
 	}
 	for _, c := range cases {
-		got := FromIR(mustIR(t, c.src), nil)
+		got := FromIR(mustIR(t, c.src), NewLeaves(), nil)
 		if !got.OK {
 			t.Errorf("FromIR(%q) failed", c.src)
 			continue
@@ -44,16 +44,16 @@ func TestFromIRBasics(t *testing.T) {
 }
 
 func TestFromIRFlagsIntDiv(t *testing.T) {
-	got := FromIR(mustIR(t, "(N+1)/2"), nil)
+	got := FromIR(mustIR(t, "(N+1)/2"), NewLeaves(), nil)
 	if !got.OK || !got.IntDivApprox {
 		t.Errorf("IntDivApprox not set: %+v", got)
 	}
-	got2 := FromIR(mustIR(t, "N+1"), nil)
+	got2 := FromIR(mustIR(t, "N+1"), NewLeaves(), nil)
 	if !got2.OK || got2.IntDivApprox {
 		t.Errorf("IntDivApprox wrongly set")
 	}
 	// Division by non-constant: opaque, not approximated.
-	got3 := FromIR(mustIR(t, "N/M"), nil)
+	got3 := FromIR(mustIR(t, "N/M"), NewLeaves(), nil)
 	if !got3.OK || got3.IntDivApprox || !got3.E.HasOpaque() {
 		t.Errorf("N/M conversion wrong: %+v", got3)
 	}
@@ -66,7 +66,7 @@ func TestFromIRResolver(t *testing.T) {
 		}
 		return nil
 	}
-	got := FromIR(mustIR(t, "NP*I+J"), resolve)
+	got := FromIR(mustIR(t, "NP*I+J"), NewLeaves(), resolve)
 	want := Add(Mul(Int(100), Var("I")), Var("J"))
 	if !got.OK || !Equal(got.E, want) {
 		t.Errorf("resolver conversion = %s", got.E)
@@ -74,7 +74,7 @@ func TestFromIRResolver(t *testing.T) {
 }
 
 func TestFromIRRejectsLogical(t *testing.T) {
-	got := FromIR(mustIR(t, "I .LT. N"), nil)
+	got := FromIR(mustIR(t, "I .LT. N"), NewLeaves(), nil)
 	if got.OK {
 		t.Errorf("relational expression converted: %s", got.E)
 	}
@@ -92,7 +92,7 @@ func TestToIRRoundTripValue(t *testing.T) {
 	}
 	for _, e := range exprs {
 		irE := ToIR(e)
-		back := FromIR(irE, nil)
+		back := FromIR(irE, NewLeaves(), nil)
 		if !back.OK || !Equal(back.E, e) {
 			t.Errorf("round trip of %s via %s gave %s", e, irE, back.E)
 		}
@@ -106,7 +106,7 @@ func TestToIRDivisionShape(t *testing.T) {
 	if s != "(2+2*K-J+J**2)/2" {
 		t.Logf("shape: %s", s)
 	}
-	back := FromIR(ToIR(e), nil)
+	back := FromIR(ToIR(e), NewLeaves(), nil)
 	if !Equal(back.E, e) {
 		t.Errorf("division shape round trip failed: %s", s)
 	}
@@ -117,7 +117,7 @@ func TestToIRDivisionShape(t *testing.T) {
 func TestFromIREvalProperty(t *testing.T) {
 	f := func(seed int64, x, y int8) bool {
 		e := randomIntExpr(&seed, 3)
-		conv := FromIR(e, nil)
+		conv := FromIR(e, NewLeaves(), nil)
 		if !conv.OK {
 			return true
 		}

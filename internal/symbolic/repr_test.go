@@ -3,6 +3,8 @@ package symbolic
 import (
 	"math/big"
 	"testing"
+
+	"polaris/internal/ir"
 )
 
 // checkInvariant asserts the representation invariant of each
@@ -137,6 +139,10 @@ func TestExprAllocBudget(t *testing.T) {
 	// off as an Expr, its two terms, the factor N with its key, and the
 	// cache entry. By substitution it took 20.
 	lin := Add(Add(Mul(Var("I"), Var("N")), Mul(Int(3), Var("I"))), Var("J"))
+	// A compile's leaf table builds a variable or a constant once; after
+	// that, converting one costs nothing, and I+1 only its sum.
+	lv := NewLeaves()
+	irI, irSub := ir.Var("I"), ir.Add(ir.Var("I"), ir.Int(1))
 	cases := []struct {
 		name string
 		max  float64
@@ -144,6 +150,10 @@ func TestExprAllocBudget(t *testing.T) {
 	}{
 		{"Var", 3, func() { allocSink = Var("I") }},
 		{"Int", 2, func() { allocSink = Int(7) }},
+		{"table Var", 0, func() { allocSink = lv.Var("I") }},
+		{"table Int", 0, func() { allocSink = lv.Int(7) }},
+		{"FromIR of a variable", 0, func() { allocSink = FromIR(irI, lv, nil).E }},
+		{"FromIR of I+1", 2, func() { allocSink = FromIR(irSub, lv, nil).E }},
 		{"Add", 2, func() { allocSink = Add(a, b) }},
 		{"Sub", 2, func() { allocSink = Sub(a, b) }},
 		{"Neg", 2, func() { a.neg = nil; allocSink = Neg(a) }},

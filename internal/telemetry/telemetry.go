@@ -48,10 +48,10 @@ const (
 	OutcomePeerHit  = "peer_hit"
 	OutcomePeerMiss = "peer_miss"
 	OutcomeShed     = "shed"
-	OutcomeTimeout        = "timeout"
-	OutcomeCanceled       = "canceled"
-	OutcomeError          = "error"
-	OutcomeOK             = "ok"
+	OutcomeTimeout  = "timeout"
+	OutcomeCanceled = "canceled"
+	OutcomeError    = "error"
+	OutcomeOK       = "ok"
 )
 
 type requestIDKey struct{}
