@@ -8,8 +8,9 @@
 //	polaris-bench -all           everything
 //
 // The suite compiles and runs concurrently across a bounded worker
-// pool (-j, default one worker per CPU) with a content-hash keyed
-// compile cache shared by all figures.
+// pool (-j, default one worker per CPU). Every job compiles what it
+// measures; a serial-run memo shared by all figures runs each
+// program's serial baseline once.
 //
 // Observability surfaces:
 //

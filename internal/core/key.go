@@ -11,7 +11,7 @@ import (
 // incrFingerprint is the one fingerprint of Options: the
 // technique-selection fields, which salt every unit-memo key and form
 // the options half of every compile Key. Instrumentation, memo and
-// ownership fields (Stats, Trace, TraceLabel, Observer, UnitMemo,
+// ownership fields (Stats, TraceLabel, Observer, UnitMemo,
 // TrustedInput) are deliberately excluded: they do not change the
 // compiled program. TestUnitFingerprintCoversOptions
 // enforces that every future technique field is added here; changing

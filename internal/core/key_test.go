@@ -32,15 +32,36 @@ var fingerprintExcluded = map[string]bool{
 // not excluded above must be a bool, and flipping it must change the
 // fingerprint. Add a new technique bool to incrFingerprint (and bump
 // unitMemoVersion), or add a genuine instrumentation field to the list
-// above with its justification. The fingerprint's bytes are pinned
-// too: they are half of every route key the fabric agrees on.
+// above with its justification. Every excluded field set non-zero must
+// leave KeyOf alone: the service cache relies on it, since requests
+// carry their own TraceLabel and must still share entries. The
+// fingerprint's bytes are pinned too: they are half of every route key
+// the fabric agrees on.
 func TestUnitFingerprintCoversOptions(t *testing.T) {
+	const src = "      PROGRAM P\n      END\n"
 	base := PolarisOptions()
 	baseFP := incrFingerprint(base)
+	baseKey := KeyOf(src, base)
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
+		mut := base
+		fv := reflect.ValueOf(&mut).Elem().Field(i)
 		if fingerprintExcluded[f.Name] {
+			switch f.Type.Kind() {
+			case reflect.Bool:
+				fv.SetBool(!fv.Bool())
+			case reflect.String:
+				fv.SetString(fv.String() + "x")
+			case reflect.Ptr:
+				fv.Set(reflect.New(f.Type.Elem()))
+			default:
+				t.Errorf("core.Options.%s: excluded field of kind %s; teach this test to set it non-zero", f.Name, f.Type.Kind())
+				continue
+			}
+			if KeyOf(src, mut) != baseKey {
+				t.Errorf("core.Options.%s: excluded field changes KeyOf — requests differing only in it would not share a cache entry", f.Name)
+			}
 			continue
 		}
 		if f.Type.Kind() != reflect.Bool {
@@ -48,12 +69,13 @@ func TestUnitFingerprintCoversOptions(t *testing.T) {
 				f.Name, f.Type)
 			continue
 		}
-		mut := base
-		fv := reflect.ValueOf(&mut).Elem().Field(i)
 		fv.SetBool(!fv.Bool())
 		if incrFingerprint(mut) == baseFP {
 			t.Errorf("core.Options.%s: toggling the field does not change the fingerprint — compile keys and unit keys would alias", f.Name)
 		}
+	}
+	if KeyOf(src+"C\n", base) == baseKey {
+		t.Error("two sources share one compile key")
 	}
 	if want := "truetruefalse" + strings.Repeat("true", 9); baseFP != want {
 		t.Errorf("fingerprint of PolarisOptions = %q, pinned %q", baseFP, want)

@@ -152,10 +152,10 @@ func NewObserver() *Observer {
 
 // NewCapture returns an observer that records every event locally and
 // forwards each one, live and in order, to next (which may be nil).
-// The suite compile cache threads a capture through each compilation
-// so it can keep the per-loop Decision provenance alongside the cached
-// result and replay it on later cache hits, without disturbing the
-// downstream observer's live trace stream.
+// The compile service and the unit memo thread a capture through a
+// compilation so they can keep the per-loop Decision provenance
+// alongside the memoized result and replay it later, without
+// disturbing the downstream observer's live trace stream.
 func NewCapture(next *Observer) *Observer {
 	return &Observer{counters: map[string]int64{}, next: next}
 }

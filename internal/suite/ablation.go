@@ -55,21 +55,19 @@ func Ablations() []AblationSpec {
 
 // Ablation measures each single-technique removal across the whole
 // suite on the given processor count, fanning the full
-// (configuration x program) grid across the worker pool. The compile
-// cache shares the full-pipeline compilations with Figure7 when run on
-// the same Runner.
+// (configuration x program) grid across the worker pool. The full
+// pipeline's provenance is labeled by program name and each removal's
+// by "<program>/-<technique>", so a trace holds one final verdict per
+// label and loop.
 func (r *Runner) Ablation(ctx context.Context, procs int) ([]AblationRow, error) {
 	abls := Ablations()
 	// Configuration 0 is the unmodified full pipeline; 1..n the
 	// single-technique removals.
-	mods := make([]func(*core.Options), 1+len(abls))
-	for i, a := range abls {
-		mods[i+1] = a.Mod
-	}
+	configs := 1 + len(abls)
 	progs := All()
 	// Grid job (ci, pi) writes results[ci*len(progs)+pi]: a flat slice
 	// keeps the concurrent writers index-disjoint.
-	results := make([]float64, len(mods)*len(progs))
+	results := make([]float64, configs*len(progs))
 	err := forEach(ctx, r.Workers, len(results), func(ctx context.Context, i int) error {
 		ci, pi := i/len(progs), i%len(progs)
 		p := progs[pi]
@@ -78,16 +76,15 @@ func (r *Runner) Ablation(ctx context.Context, procs int) ([]AblationRow, error)
 			return err
 		}
 		opt := r.polarisOptions(p.Name)
-		if mods[ci] != nil {
-			mods[ci](&opt)
+		if ci > 0 {
+			opt.TraceLabel = p.Name + "/-" + abls[ci-1].Name
+			abls[ci-1].Mod(&opt)
 		}
-		compiled, _, err := r.cache.compile(ctx, p, opt, func(ctx context.Context, opt core.Options) (*core.Result, error) {
-			return core.CompileContext(ctx, p.Parse(), opt)
-		})
+		compiled, err := core.CompileContext(ctx, p.Parse(), opt)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		in := interp.New(compiled.res.Program.Clone(), machine.Default().WithProcessors(procs))
+		in := interp.New(compiled.Program, machine.Default().WithProcessors(procs))
 		in.Parallel = true
 		if err := in.RunContext(ctx); err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
@@ -98,8 +95,8 @@ func (r *Runner) Ablation(ctx context.Context, procs int) ([]AblationRow, error)
 	if err != nil {
 		return nil, err
 	}
-	speeds := make([]map[string]float64, len(mods))
-	for ci := range mods {
+	speeds := make([]map[string]float64, configs)
+	for ci := range speeds {
 		speeds[ci] = make(map[string]float64, len(progs))
 		for pi, p := range progs {
 			speeds[ci][p.Name] = results[ci*len(progs)+pi]

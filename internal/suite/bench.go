@@ -43,9 +43,9 @@ type BenchReport struct {
 }
 
 // Bench runs the suite on procs processors and assembles the
-// machine-readable report. Serial baselines and compilations come from
-// the Runner's cache, so combining Bench with the printed figures on
-// one Runner costs little extra.
+// machine-readable report. Serial runs come from the Runner's
+// serial-run memo; the Polaris and PFA compilations and runs are
+// Bench's own.
 func (r *Runner) Bench(ctx context.Context, procs int) (*BenchReport, error) {
 	t1, err := r.Table1(ctx)
 	if err != nil {

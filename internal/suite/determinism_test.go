@@ -9,7 +9,7 @@ import (
 
 // TestAblationGridDeterministic runs the full ablation grid twice on
 // fresh 8-worker Runners and requires byte-identical reports. This
-// guards the compile cache and the worker pool against ordering races:
+// guards the serial-run memo and the worker pool against ordering races:
 // any map-iteration or completion-order nondeterminism leaking into
 // results shows up as a diff here.
 func TestAblationGridDeterministic(t *testing.T) {

@@ -10,29 +10,38 @@ import (
 	"polaris/internal/machine"
 	"polaris/internal/obsv"
 	"polaris/internal/pfa"
+	"polaris/internal/store"
 )
 
 // Runner executes suite workloads (Table 1, Figures 6/7, the ablation
-// grid) across a bounded worker pool, memoizing compilations and
-// serial runs in a content-hash keyed cache. A zero Workers value uses
-// one worker per CPU. A Runner is safe for concurrent use.
+// grid) across a bounded worker pool. Every job compiles what it
+// measures; only serial runs, the baseline every speedup divides by,
+// are memoized, keyed by program source. A zero Workers value uses one
+// worker per CPU. A Runner is safe for concurrent use.
 type Runner struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// Observer, when set, receives per-pass spans and per-loop decision
-	// records from every Polaris compilation (a cache hit replays the
-	// decisions, not the spans) and runtime metrics from every Polaris
-	// execution, labeled by program name. The observer (and any trace
-	// writer attached to it) is shared by all pool workers; its internal
-	// locking keeps the combined record stream safe and totally ordered
-	// under -j N concurrency.
+	// records from every Polaris compilation and runtime metrics from
+	// every Polaris execution, labeled by program name. The observer
+	// (and any trace writer attached to it) is shared by all pool
+	// workers; its internal locking keeps the combined record stream
+	// safe and totally ordered under -j N concurrency.
 	Observer *obsv.Observer
 
-	cache *cache
+	serial *store.Store[string, serialRun]
 }
 
-// NewRunner returns a Runner with an empty compile cache.
-func NewRunner() *Runner { return &Runner{cache: newCache()} }
+// serialRun is one program's serial (cycles, checksum).
+type serialRun struct {
+	cycles int64
+	sum    float64
+}
+
+// NewRunner returns a Runner with an empty serial-run memo.
+func NewRunner() *Runner {
+	return &Runner{serial: store.New[string, serialRun](store.Limits{})}
+}
 
 func (r *Runner) polarisOptions(label string) core.Options {
 	opt := core.PolarisOptions()
@@ -135,17 +144,18 @@ func (r *Runner) Figure7(ctx context.Context, procs int) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// serialTime runs a program serially, memoized by source hash.
+// serialTime runs a program serially, memoized by source: each
+// program runs once per Runner however many jobs divide by its time.
 func (r *Runner) serialTime(ctx context.Context, p Program) (int64, float64, error) {
-	cycles, sum, _, err := r.cache.serial(ctx, p, func(ctx context.Context) (int64, float64, error) {
+	s, _, err := r.serial.Do(ctx, p.Source, func(ctx context.Context) (serialRun, int64, error) {
 		in := interp.New(p.Parse(), machine.Default())
 		if err := in.RunContext(ctx); err != nil {
-			return 0, 0, fmt.Errorf("%s: serial run: %w", p.Name, err)
+			return serialRun{}, 0, fmt.Errorf("%s: serial run: %w", p.Name, err)
 		}
 		sum, _ := in.Probe("OUT", "RESULT")
-		return in.Time(), sum, nil
+		return serialRun{cycles: in.Time(), sum: sum}, 64, nil
 	})
-	return cycles, sum, err
+	return s.cycles, s.sum, err
 }
 
 // runOutcome is one execution's measurements.
@@ -155,33 +165,25 @@ type runOutcome struct {
 	coverage float64
 }
 
-// runOne executes one program under one compiler configuration on
-// procs processors. The compilation comes from the cache; execution
-// always gets a private clone of the compiled program, so concurrent
-// runs never share IR. Polaris runs report their metrics to the
-// Runner's Observer (labeled by program name).
+// runOne compiles one program under one compiler configuration and
+// executes it on procs processors. The compiled program is the job's
+// own, so concurrent runs never share IR. Polaris runs report their
+// metrics to the Runner's Observer (labeled by program name).
 func (r *Runner) runOne(ctx context.Context, p Program, procs int, polaris, validate bool) (runOutcome, error) {
 	model := machine.Default().WithProcessors(procs)
 	var prog *ir.Program
 	if polaris {
-		e, _, err := r.cache.compile(ctx, p, r.polarisOptions(p.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
-			return core.CompileContext(ctx, p.Parse(), opt)
-		})
+		res, err := core.CompileContext(ctx, p.Parse(), r.polarisOptions(p.Name))
 		if err != nil {
 			return runOutcome{}, fmt.Errorf("%s: compile: %w", p.Name, err)
 		}
-		prog = e.res.Program.Clone()
+		prog = res.Program
 	} else {
-		res, _, err := r.cache.baseline(ctx, p, func(ctx context.Context) (*pfa.Result, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return pfa.Compile(p.Parse())
-		})
+		res, err := pfa.Compile(p.Parse())
 		if err != nil {
 			return runOutcome{}, fmt.Errorf("%s: compile: %w", p.Name, err)
 		}
-		prog = res.Result.Program.Clone()
+		prog = res.Result.Program
 		model = model.WithCodegenFactor(res.Factor)
 	}
 	in := interp.New(prog, model)
@@ -213,24 +215,27 @@ type Fig6Row struct {
 	Failures int64
 }
 
-// Figure6 regenerates both TRACK plots for processor counts 1..maxP,
-// one pool worker per processor count.
+// Figure6 regenerates both TRACK plots for processor counts 1..maxP:
+// TRACK and its all-failure variant compile once, then one pool worker
+// per processor count runs a clone of each.
 func (r *Runner) Figure6(ctx context.Context, maxP int) ([]Fig6Row, error) {
 	p := Track()
 	_, serialSum, err := r.serialTime(ctx, p)
 	if err != nil {
 		return nil, err
 	}
+	compiled, err := core.CompileContext(ctx, p.Parse(), r.polarisOptions(p.Name))
+	if err != nil {
+		return nil, err
+	}
+	slowCompiled, err := core.CompileContext(ctx, failingTrack.Parse(), r.polarisOptions(failingTrack.Name))
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig6Row, maxP)
 	err = forEach(ctx, r.Workers, maxP, func(ctx context.Context, i int) error {
 		procs := i + 1
-		compiled, _, err := r.cache.compile(ctx, p, r.polarisOptions(p.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
-			return core.CompileContext(ctx, p.Parse(), opt)
-		})
-		if err != nil {
-			return err
-		}
-		in := interp.New(compiled.res.Program.Clone(), machine.Default().WithProcessors(procs))
+		in := interp.New(compiled.Program.Clone(), machine.Default().WithProcessors(procs))
 		in.Parallel = true
 		if err := in.RunContext(ctx); err != nil {
 			return err
@@ -250,13 +255,7 @@ func (r *Runner) Figure6(ctx context.Context, maxP int) ([]Fig6Row, error) {
 		}
 		// Potential slowdown: a variant whose invocations all fail —
 		// (T_seq + T_pdt) / T_seq at the loop level.
-		slowCompiled, _, err := r.cache.compile(ctx, failingTrack, r.polarisOptions(failingTrack.Name), func(ctx context.Context, opt core.Options) (*core.Result, error) {
-			return core.CompileContext(ctx, failingTrack.Parse(), opt)
-		})
-		if err != nil {
-			return err
-		}
-		slowIn := interp.New(slowCompiled.res.Program.Clone(), machine.Default().WithProcessors(procs))
+		slowIn := interp.New(slowCompiled.Program.Clone(), machine.Default().WithProcessors(procs))
 		slowIn.Parallel = true
 		if err := slowIn.RunContext(ctx); err != nil {
 			return err

@@ -26,7 +26,7 @@ func BenchmarkMegaCompile(b *testing.B) {
 // BenchmarkMegaIncremental measures the incremental recompile: each
 // corpus entry is compiled once to warm a per-unit memo, then every
 // iteration applies a fresh one-unit edit and recompiles against the
-// warm memo — only the edited unit runs the pipeline, the rest replay.
+// warm memo — only the edited unit runs the pipeline, the rest are memo hits.
 // Compare against the same entry's BenchmarkMegaCompile row for the
 // edit-one-unit speedup.
 func BenchmarkMegaIncremental(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure7: %v", err)
 	}
-	rep, err := r.Bench(ctx, 8) // cache-hits the same compilations/runs
+	rep, err := r.Bench(ctx, 8) // compiles again; serial runs come from the memo
 	if err != nil {
 		t.Fatalf("Bench: %v", err)
 	}
@@ -236,6 +237,49 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Fatalf("report does not marshal: %v", err)
 		}
 	})
+}
+
+// TestAblationProvenanceLabels runs the ablation grid on a fresh
+// observed Runner and checks that each configuration's provenance lands
+// under its own label: the bare program name holds exactly the final
+// records a direct full-pipeline compile gives (one per deciding pass
+// and loop, as strength reduction may supersede a verdict), and
+// "ocean/-loop permutation" holds the ablated verdict.
+func TestAblationProvenanceLabels(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner()
+	r.Observer = obsv.NewObserver()
+	if _, err := r.Ablation(ctx, 8); err != nil {
+		t.Fatalf("Ablation: %v", err)
+	}
+	p, _ := ByName("ocean")
+	direct := obsv.NewObserver()
+	opt := core.PolarisOptions()
+	opt.TraceLabel = p.Name
+	opt.Observer = direct
+	if _, err := core.CompileContext(ctx, p.Parse(), opt); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	finals := func(o *obsv.Observer) []obsv.Decision {
+		var out []obsv.Decision
+		for _, d := range o.Decisions() {
+			if d.Final && d.Label == p.Name {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	got, want := finals(r.Observer), finals(direct)
+	if len(want) == 0 {
+		t.Fatal("direct compile recorded no final decisions")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("final records under %q:\n got %d: %+v\nwant %d: %+v", p.Name, len(got), got, len(want), want)
+	}
+	const ablated = "ocean/-loop permutation"
+	if got := r.Observer.Explain(ablated, "OCEAN/L30"); !strings.Contains(got, ": serial — ") {
+		t.Errorf("Explain(%s, OCEAN/L30) = %q, want a serial verdict", ablated, got)
+	}
 }
 
 // TestTraceSchemaV2Golden pins the trace-schema v2 byte layout for one

@@ -7,30 +7,28 @@ import (
 	"polaris/internal/core"
 )
 
-// optKeyExcluded lists the Options fields the Runner's compile key
-// ignores because they cannot change the compiled program: a Figure 6
-// run that brings an observer or a trace must hit the entry a plain run
-// filled, and have the recorded provenance replayed to it.
+// optKeyExcluded lists the Options fields the compile key ignores
+// because they cannot change the compiled program: a Figure 6 run that
+// brings an observer or a trace label must share the compile cache
+// entry a plain run of the same program filled.
 var optKeyExcluded = map[string]bool{
 	"Stats":        true,
-	"Trace":        true,
 	"TraceLabel":   true,
 	"Observer":     true,
 	"UnitMemo":     true,
 	"TrustedInput": true,
 }
 
-// TestOptKeyCoversOptions fails when the suite cache's compile key
-// would let two technique configurations alias one entry — every
+// TestOptKeyCoversOptions fails when the compile key of a suite program
+// would let two technique configurations alias one cache entry — every
 // ablation column of Figure 3 must compile separately — or when an
 // instrumentation field splits entries that should be shared. Every
 // field not excluded above must be a bool whose flip changes the key;
 // every excluded field set to a non-zero value must leave it alone.
 func TestOptKeyCoversOptions(t *testing.T) {
 	progs := All()
-	keyOf := func(p Program, o core.Options) cacheKey { return cacheKey{'c', core.KeyOf(p.Source, o)} }
 	base := core.PolarisOptions()
-	baseKey := keyOf(progs[0], base)
+	baseKey := core.KeyOf(progs[0].Source, base)
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
@@ -49,8 +47,8 @@ func TestOptKeyCoversOptions(t *testing.T) {
 			default:
 				continue
 			}
-			if keyOf(progs[0], mut) != baseKey {
-				t.Errorf("core.Options.%s: instrumentation field changes the suite compile key — observed runs would miss the shared entry", f.Name)
+			if core.KeyOf(progs[0].Source, mut) != baseKey {
+				t.Errorf("core.Options.%s: instrumentation field changes the compile key — observed runs would miss the shared entry", f.Name)
 			}
 			continue
 		}
@@ -60,11 +58,18 @@ func TestOptKeyCoversOptions(t *testing.T) {
 			continue
 		}
 		fv.SetBool(!fv.Bool())
-		if keyOf(progs[0], mut) == baseKey {
-			t.Errorf("core.Options.%s: toggling the field does not change the suite compile key — two ablation columns would share one compilation", f.Name)
+		if core.KeyOf(progs[0].Source, mut) == baseKey {
+			t.Errorf("core.Options.%s: toggling the field does not change the compile key — two ablation columns would share one compilation", f.Name)
 		}
 	}
-	if keyOf(progs[1], base) == baseKey {
-		t.Error("two programs share one suite compile key")
+	for _, a := range Ablations() {
+		mut := base
+		a.Mod(&mut)
+		if core.KeyOf(progs[0].Source, mut) == baseKey {
+			t.Errorf("ablation %q compiles under the full pipeline's key", a.Name)
+		}
+	}
+	if core.KeyOf(progs[1].Source, base) == baseKey {
+		t.Error("two programs share one compile key")
 	}
 }

@@ -1,18 +1,14 @@
 package suite
 
-// Tests for the concurrent Runner: worker-pool semantics, compile-cache
-// reuse, cancellation, and concurrent-vs-serial result equality. CI
-// runs these under -race.
+// Tests for the concurrent Runner: worker-pool semantics, cancellation,
+// and concurrent-vs-serial result equality. CI runs these under -race.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
-
-	"polaris/internal/core"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -69,60 +65,9 @@ func TestForEachCancelledContext(t *testing.T) {
 	}
 }
 
-func TestCompileCacheMemoizes(t *testing.T) {
-	r := NewRunner()
-	p, _ := ByName("trfd")
-	var compiles int32
-	build := func(_ context.Context, opt core.Options) (*core.Result, error) {
-		atomic.AddInt32(&compiles, 1)
-		return core.Compile(p.Parse(), opt)
-	}
-	var wg sync.WaitGroup
-	results := make([]*core.Result, 8)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e, _, err := r.cache.compile(context.Background(), p, core.PolarisOptions(), build)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = e.res
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(results); i++ {
-		if results[i] != results[0] {
-			t.Fatalf("cache returned distinct results for identical keys")
-		}
-	}
-	// Concurrent first fills may race benignly, but once warm the cache
-	// must not compile again.
-	warm := compiles
-	if _, _, err := r.cache.compile(context.Background(), p, core.PolarisOptions(), build); err != nil {
-		t.Fatal(err)
-	}
-	if compiles != warm {
-		t.Errorf("warm cache recompiled (%d -> %d)", warm, compiles)
-	}
-	// A different option fingerprint is a different entry.
-	opt := core.PolarisOptions()
-	opt.Inline = false
-	other, _, err := r.cache.compile(context.Background(), p, opt, func(_ context.Context, opt core.Options) (*core.Result, error) {
-		return core.Compile(p.Parse(), opt)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.res == results[0] {
-		t.Errorf("distinct options shared a cache entry")
-	}
-}
-
 // TestRunnerConcurrentMatchesSerial runs Figure 7 with a wide pool and
 // a single-worker pool and demands identical rows: concurrency (and the
-// shared compile cache) must be invisible in the results.
+// shared serial-run memo) must be invisible in the results.
 func TestRunnerConcurrentMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	wide := NewRunner()
@@ -145,14 +90,14 @@ func TestRunnerConcurrentMatchesSerial(t *testing.T) {
 			t.Errorf("row %d differs:\nwide:   %+v\nnarrow: %+v", i, wideRows[i], narrowRows[i])
 		}
 	}
-	// A second pass on the warm cache must agree with the first.
+	// A second pass on the warm serial-run memo must agree with the first.
 	again, err := wide.Figure7(ctx, 8)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 	for i := range again {
 		if again[i] != wideRows[i] {
-			t.Errorf("warm-cache row %d differs: %+v vs %+v", i, again[i], wideRows[i])
+			t.Errorf("warm-memo row %d differs: %+v vs %+v", i, again[i], wideRows[i])
 		}
 	}
 }
@@ -208,9 +153,9 @@ func TestRunnerMidFlightCancellation(t *testing.T) {
 	}
 }
 
-// TestRunOneValidateFlag pins the compile cache's key discipline: the
-// validate flag changes execution, not compilation, so both settings
-// hit one cache entry yet produce their own interpreter state.
+// TestRunOneValidateFlag pins that the validate flag changes execution,
+// not compilation: both settings compile the same program and time it
+// alike, each in its own interpreter state.
 func TestRunOneValidateFlag(t *testing.T) {
 	r := NewRunner()
 	p, _ := ByName("trfd")
