@@ -147,6 +147,14 @@ type goEmitter struct {
 	commonIdx map[string]*commonMember
 }
 
+// goPerSourceByte is what EmitGo's buffer, sized up front, allows per
+// byte of Fortran source past the fixed runtime. The suite lowers 6 to
+// 21 bytes of Go per source byte; at 12 all but three programs fit, and
+// those grow once, which allocates less across the suite than sizing
+// every program for TRFD's closed forms. A builder left to grow
+// allocated some five times the program it delivered.
+const goPerSourceByte = 12
+
 // EmitGo lowers a compiled result to a standalone Go program that
 // reproduces the reference interpreter's serial semantics exactly and
 // exploits the pipeline's parallelization verdicts: DOALL loops become
@@ -175,6 +183,11 @@ func EmitGo(res *core.Result, opt GoOptions) (src string, err error) {
 		opt.Processors = 8
 	}
 	g := &goEmitter{res: res, p: res.Program, opt: opt, commonIdx: map[string]*commonMember{}}
+	size := len(goRuntime)
+	for _, u := range res.Program.Units {
+		size += goPerSourceByte * len(u.Source)
+	}
+	g.b.Grow(size)
 	g.collectCommons()
 	g.header()
 	g.stateCode()

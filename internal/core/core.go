@@ -485,6 +485,10 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// 4. Per-loop analysis: reduction recognition, privatization,
 	// symbolic dependence testing, and LRPD candidate flagging, writing
 	// the ParInfo annotation on every loop.
+	//
+	// The pass concatenates the units' reports in unit order into
+	// res.Loops: unit ui's are res.Loops[loopStart[ui]:loopStart[ui+1]].
+	var loopStart []int
 	ps = append(ps, passes.Func("dependence-analysis", func(c *passes.Context) error {
 		reportsByUnit := make([][]LoopReport, len(work.Units))
 		statsByUnit := make([]deps.Stats, len(work.Units))
@@ -541,11 +545,11 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 		if err != nil {
 			return err
 		}
-		n := 0
-		for _, reports := range reportsByUnit {
-			n += len(reports)
+		loopStart = make([]int, len(work.Units)+1)
+		for ui, reports := range reportsByUnit {
+			loopStart[ui+1] = loopStart[ui] + len(reports)
 		}
-		res.Loops = slices.Grow(res.Loops, n) // nil stays nil without loops
+		res.Loops = slices.Grow(res.Loops, loopStart[len(work.Units)]) // nil stays nil without loops
 		for _, reports := range reportsByUnit {
 			res.Loops = append(res.Loops, reports...)
 		}
@@ -576,14 +580,6 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// it consumes and updates).
 	if opt.StrengthReduction {
 		ps = append(ps, passes.Func("strength-reduction", func(c *passes.Context) error {
-			// One pass over res.Loops builds the per-unit report index;
-			// the old code rescanned every report for every producing
-			// unit, O(units × loops) on a megaprogram.
-			reportsFor := make(map[string][]*LoopReport, len(work.Units))
-			for i := range res.Loops {
-				lr := &res.Loops[i]
-				reportsFor[lr.Unit] = append(reportsFor[lr.Unit], lr)
-			}
 			counts := make([]int, len(work.Units))
 			err := each(c, "strength-reduction", func(ui int, uo *obsv.Observer) error {
 				u := work.Units[ui]
@@ -597,7 +593,9 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				}
 				if sres.Reduced > 0 {
 					// Refresh the demoted loops' report entries.
-					for _, lr := range reportsFor[u.Name] {
+					reports := res.Loops[loopStart[ui]:loopStart[ui+1]]
+					for i := range reports {
+						lr := &reports[i]
 						if lr.Loop.Par == nil {
 							continue
 						}
@@ -630,7 +628,6 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				}
 				return nil
 			}, func(ui int, rec *unitPassRecord) {
-				u := work.Units[ui]
 				counts[ui] = int(rec.counters["accumulators_introduced"])
 				if counts[ui] > 0 {
 					// The memoized clone carries the final Par annotations
@@ -638,7 +635,9 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 					// refreshing from them reproduces exactly what the live
 					// refresh computed; the flip Decisions themselves were
 					// replayed from the record above.
-					for _, lr := range reportsFor[u.Name] {
+					reports := res.Loops[loopStart[ui]:loopStart[ui+1]]
+					for i := range reports {
+						lr := &reports[i]
 						if lr.Loop.Par == nil {
 							continue
 						}

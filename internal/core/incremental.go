@@ -46,6 +46,7 @@ import (
 	"crypto/sha256"
 	"hash"
 	"strings"
+	"unsafe"
 
 	"polaris/internal/deps"
 	"polaris/internal/ir"
@@ -182,15 +183,32 @@ func (m *UnitMemo) Stats() MemoStats {
 	return MemoStats{Entries: st.Entries, Bytes: st.Bytes, Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
 }
 
-// entrySize estimates a completed entry's resident size: the retained
-// IR scales with the unit's source text (rendered or raw, whichever
-// keyed it), plus the captured records. The estimate is computed once
+// entrySize estimates a completed entry's resident size, as
+// TestUnitMemoBooksWhatItHolds measures it against the live heap: the
+// unit's IR and its own copy of the source come to about nine bytes per
+// byte of the text that keyed it (rendered or raw), the memo's
+// bookkeeping to about 384 bytes an entry, and each pass record to its
+// struct and counters plus the decisions, reports and induction
+// variables it captured. Decision strings the IR already holds (unit
+// and loop names) are not counted again. The estimate is computed once
 // at commit and is therefore exact for the add-on-insert /
 // subtract-on-evict accounting.
 func entrySize(keyLen int, recs map[string]*unitPassRecord) int64 {
-	s := int64(keyLen)*2 + 512
+	s := int64(keyLen)*9 + 384
 	for _, rec := range recs {
-		s += decisionsSize(rec.decisions) + int64(len(rec.solved)+len(rec.reports))*64
+		s += 256
+		for _, d := range rec.decisions {
+			s += int64(unsafe.Sizeof(d)) + int64(len(d.Detail)+len(d.Technique)+len(d.Blocker))
+			for _, ev := range d.Evidence {
+				s += int64(unsafe.Sizeof(ev)) + int64(len(ev))
+			}
+		}
+		for _, lr := range rec.reports {
+			s += int64(unsafe.Sizeof(lr)) + int64(len(lr.LRPD))*int64(unsafe.Sizeof(""))
+		}
+		for _, v := range rec.solved {
+			s += int64(unsafe.Sizeof(v)) + int64(len(v))
+		}
 	}
 	return s
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"polaris/internal/digest"
-	"polaris/internal/obsv"
 )
 
 // incrFingerprint is the one fingerprint of Options: the
@@ -52,16 +51,3 @@ func (k Key) SourceHash() string { return hex.EncodeToString(k.src[:]) }
 
 // RouteKey is KeyOf(src, opt).String().
 func RouteKey(src string, opt Options) string { return KeyOf(src, opt).String() }
-
-// decisionsSize estimates the decision records alone: a fixed part per
-// record plus its strings. The unit memo books its records with it.
-func decisionsSize(ds []obsv.Decision) int64 {
-	var s int64
-	for _, d := range ds {
-		s += 128 + int64(len(d.Detail)+len(d.Technique)+len(d.Blocker)+len(d.Loop))
-		for _, ev := range d.Evidence {
-			s += int64(len(ev))
-		}
-	}
-	return s
-}

@@ -6,7 +6,7 @@ import (
 )
 
 // Type is the Fortran type of a symbol or expression.
-type Type int
+type Type uint8
 
 // Fortran types of the supported subset.
 const (
@@ -56,34 +56,36 @@ func (d Dim) LoOr1() Expr {
 	return d.Lo
 }
 
-// Symbol is one entry of a unit's symbol table.
+// Symbol is one entry of a unit's symbol table. Type and Formal sit
+// together at the end, so a symbol is 80 bytes, not 88.
 type Symbol struct {
 	Name string
-	Type Type
 	// Dims is non-nil for arrays.
 	Dims []Dim
-	// Formal marks dummy arguments.
-	Formal bool
 	// Param holds the value of a PARAMETER constant, or nil.
 	Param Expr
 	// Common names the COMMON block the symbol lives in, or "".
 	Common string
+	Type   Type
+	// Formal marks dummy arguments.
+	Formal bool
 }
 
 // IsArray reports whether the symbol is declared with dimensions.
 func (s *Symbol) IsArray() bool { return len(s.Dims) > 0 }
 
-// Clone deep-copies the symbol.
-func (s *Symbol) Clone() *Symbol {
-	c := *s
-	c.Dims = make([]Dim, len(s.Dims))
-	for i, d := range s.Dims {
-		c.Dims[i] = d.Clone()
+// cloneInto deep-copies the symbol into c.
+func (s *Symbol) cloneInto(c *Symbol) {
+	*c = *s
+	if s.Dims != nil {
+		c.Dims = make([]Dim, len(s.Dims))
+		for i, d := range s.Dims {
+			c.Dims[i] = d.Clone()
+		}
 	}
 	if s.Param != nil {
 		c.Param = s.Param.Clone()
 	}
-	return &c
 }
 
 // SymbolTable maps names to symbols and remembers declaration order.
@@ -95,6 +97,10 @@ func (s *Symbol) Clone() *Symbol {
 // units declare a few dozen names: that is as fast as a map and a
 // fraction of its memory. A table that outgrows indexAbove gets a map
 // beside the slice, so a unit of any size parses in linear time.
+//
+// A parsed or cloned table holds its symbols in one block, with its
+// slices at their final length; symbols inserted later are allocated
+// one at a time.
 type SymbolTable struct {
 	syms   []*Symbol
 	hashes []uint32           // hashes[i] is nameHash(syms[i].Name)
@@ -106,16 +112,27 @@ const indexAbove = 32
 // NewSymbolTable returns an empty symbol table.
 func NewSymbolTable() *SymbolTable { return &SymbolTable{} }
 
-// Clone deep-copies the table.
+// Clone deep-copies the table into one block of symbols.
 func (t *SymbolTable) Clone() *SymbolTable {
-	c := &SymbolTable{syms: make([]*Symbol, len(t.syms)), hashes: append([]uint32(nil), t.hashes...)}
+	block := make([]Symbol, len(t.syms))
 	for i, s := range t.syms {
-		c.syms[i] = s.Clone()
+		s.cloneInto(&block[i])
 	}
-	if t.index != nil {
-		c.buildIndex()
+	return tableOf(block, t.hashes)
+}
+
+// tableOf returns a table over block, which it takes, with its own
+// copy of hashes, the block's name hashes.
+func tableOf(block []Symbol, hashes []uint32) *SymbolTable {
+	t := &SymbolTable{syms: make([]*Symbol, len(block)), hashes: make([]uint32, len(block))}
+	copy(t.hashes, hashes)
+	for i := range block {
+		t.syms[i] = &block[i]
 	}
-	return c
+	if len(block) > indexAbove {
+		t.buildIndex()
+	}
+	return t
 }
 
 func (t *SymbolTable) buildIndex() {
@@ -230,6 +247,83 @@ func (t *SymbolTable) FreshName(prefix string, typ Type, dims []Dim) string {
 	}
 	t.Insert(&Symbol{Name: name, Type: typ, Dims: dims})
 	return name
+}
+
+// SymbolBuilder collects a unit's symbols by value while the unit is
+// built, and Table packs them into one exact-size block. Its storage
+// is reused from unit to unit: the zero value is ready, and after
+// Table or Reset it holds nothing of the symbols it had.
+type SymbolBuilder struct {
+	syms   []Symbol
+	hashes []uint32
+	index  map[string]int32 // empty up to indexAbove symbols
+}
+
+// find returns the position of name in the builder, or -1.
+func (b *SymbolBuilder) find(name string) int {
+	if len(b.syms) > indexAbove {
+		if i, ok := b.index[name]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	h := nameHash(name)
+	for i, hi := range b.hashes {
+		if hi == h && b.syms[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Lookup returns the symbol for name, or nil. The pointer is good
+// until the next Declare of a new name.
+func (b *SymbolBuilder) Lookup(name string) *Symbol {
+	if i := b.find(name); i >= 0 {
+		return &b.syms[i]
+	}
+	return nil
+}
+
+// Declare returns the symbol for name, adding it with the implicit
+// Fortran type if it is new. The pointer is good until the next
+// Declare of a new name.
+func (b *SymbolBuilder) Declare(name string) *Symbol {
+	if s := b.Lookup(name); s != nil {
+		return s
+	}
+	Assert(name != "", "SymbolBuilder.Declare: empty name")
+	b.syms = append(b.syms, Symbol{Name: name, Type: ImplicitType(name)})
+	b.hashes = append(b.hashes, nameHash(name))
+	if len(b.syms) > indexAbove {
+		if b.index == nil {
+			b.index = make(map[string]int32)
+		}
+		// All of them when the table first outgrows the scan.
+		for i := len(b.index); i < len(b.syms); i++ {
+			b.index[b.syms[i].Name] = int32(i)
+		}
+	}
+	return &b.syms[len(b.syms)-1]
+}
+
+// Table returns the symbols declared since the last Table or Reset as
+// a table, in declaration order, and resets the builder.
+func (b *SymbolBuilder) Table() *SymbolTable {
+	t := tableOf(append([]Symbol(nil), b.syms...), b.hashes)
+	b.Reset()
+	return t
+}
+
+// Reset forgets every symbol, keeping the storage. Slots past the
+// length are never written but by append, so zeroing up to the length
+// leaves the whole array zero.
+func (b *SymbolBuilder) Reset() {
+	clear(b.syms)
+	clear(b.hashes)
+	b.syms = b.syms[:0]
+	b.hashes = b.hashes[:0]
+	clear(b.index)
 }
 
 // ImplicitType returns the Fortran implicit type for a name: INTEGER

@@ -82,8 +82,15 @@ func BuildNative(ctx context.Context, goSrc string, race bool) (bin string, clea
 
 // RunNativeBinary executes a built native binary with the given flags
 // and parses its harness output (STATE / ELAPSEDNS / goroutine check).
+//
+// A -race binary would sleep a second at exit, the race runtime's
+// default, so that goroutines still running can report; the harness
+// has joined every goroutine by then, so the binary runs with
+// atexit_sleep_ms=0 ahead of any GORACE options already set, which
+// win. A race still exits 66.
 func RunNativeBinary(ctx context.Context, bin string, args ...string) (*NativeResult, error) {
 	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Env = append(os.Environ(), strings.TrimSpace("GORACE=atexit_sleep_ms=0 "+os.Getenv("GORACE")))
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return nil, fmt.Errorf("native run %v: %v\n%s", args, err, truncate(string(out), 2000))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"polaris/internal/fuzzgen"
@@ -130,6 +131,45 @@ func TestNativeProcSweep(t *testing.T) {
 		}
 		if d := Diff(base.State, res.State, 0); d != "" {
 			t.Errorf("p=%d differs from p=1: %s", p, d)
+		}
+	}
+}
+
+// TestNativeRaceStillReported: a racy binary built the way the native
+// mode builds its programs, its goroutines joined before exit as the
+// emitted harness joins them, still fails with the race runtime's exit
+// status 66 under the exit sleep RunNativeBinary turns off, with and
+// without GORACE options of the caller's.
+func TestNativeRaceStillReported(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary")
+	}
+	const racy = `package main
+
+import "sync"
+
+var n int
+
+func main() {
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); n++ }()
+	}
+	wg.Wait()
+}
+`
+	ctx := context.Background()
+	bin, cleanup, err := BuildNative(ctx, racy, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	for _, gorace := range []string{"", "history_size=1"} {
+		t.Setenv("GORACE", gorace)
+		_, err := RunNativeBinary(ctx, bin)
+		if err == nil || !strings.Contains(err.Error(), "exit status 66") || !strings.Contains(err.Error(), "DATA RACE") {
+			t.Errorf("GORACE=%q: racy binary gave %v, want exit status 66 and a race report", gorace, err)
 		}
 	}
 }

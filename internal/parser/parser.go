@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"polaris/internal/ir"
 	"polaris/internal/lexer"
@@ -47,7 +48,8 @@ type parser struct {
 	lastLine int
 	// lexErr is the lexical error that ended the token stream early.
 	lexErr error
-	unit   *ir.ProgramUnit
+	// scr holds the unit's symbols and the lists still being collected.
+	scr *scratch
 	// funcs records names of FUNCTION units so calls parse as Call
 	// expressions rather than array references.
 	funcs map[string]bool
@@ -58,9 +60,58 @@ type parser struct {
 }
 
 func newParser(src string) *parser {
-	p := &parser{sc: lexer.NewScanner(src), funcs: map[string]bool{}, src: src, line: 1}
+	p := &parser{sc: lexer.NewScanner(src), scr: scratchPool.Get().(*scratch), funcs: map[string]bool{}, src: src, line: 1}
 	p.fill()
 	return p
+}
+
+// scratch is a parse's working storage: the current unit's symbols,
+// and one stack per kind of list, on which a list's elements gather
+// until it ends and is copied out at its final length. Parses take it
+// from scratchPool and zero it before they put it back, so between
+// parses it holds no IR.
+type scratch struct {
+	syms  ir.SymbolBuilder
+	stmts []ir.Stmt
+	exprs []ir.Expr
+	dims  []ir.Dim
+	names []string
+	units []*ir.ProgramUnit
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release zeroes the scratch and returns it to the pool. Lists pop
+// with their slots zeroed, so only a failed parse leaves any behind.
+func (p *parser) release() {
+	s := p.scr
+	p.scr = nil
+	s.syms.Reset()
+	s.stmts = zeroed(s.stmts)
+	s.exprs = zeroed(s.exprs)
+	s.dims = zeroed(s.dims)
+	s.names = zeroed(s.names)
+	s.units = zeroed(s.units)
+	scratchPool.Put(s)
+}
+
+func zeroed[T any](stack []T) []T {
+	clear(stack)
+	return stack[:0]
+}
+
+// collect pops the list that starts at mark off the stack and returns
+// it at its final length, nil when empty.
+func collect[T any](stack *[]T, mark int) []T {
+	s := *stack
+	if len(s) == mark {
+		return nil
+	}
+	list := make([]T, len(s)-mark)
+	copy(list, s[mark:])
+	clear(s[mark:])
+	*stack = s[:mark]
+	return list
 }
 
 // ParseProgram parses a whole source file into a Program and validates
@@ -68,6 +119,7 @@ func newParser(src string) *parser {
 // the first one in source order, lexical, syntactic or semantic.
 func ParseProgram(src string) (*ir.Program, error) {
 	p := newParser(src)
+	defer p.release()
 	// Pre-scan for FUNCTION names so forward calls resolve. A FUNCTION
 	// token needs its eight letters on one line, so only statements
 	// that spell them are tokenized. A lexical error ends the pre-scan:
@@ -136,11 +188,12 @@ func ParseProgram(src string) (*ir.Program, error) {
 			return nil, err
 		}
 		units[u.Name] = true
-		prog.Units = append(prog.Units, u)
+		p.scr.units = append(p.scr.units, u)
 	}
 	if p.lexErr != nil {
 		return nil, p.lexErr
 	}
+	prog.Units = collect(&p.scr.units, 0)
 	return prog, nil
 }
 
@@ -188,7 +241,7 @@ func (p *parser) lineStart(n int) int {
 // ParseExpr parses a single expression (used by tests and tools).
 func ParseExpr(src string) (ir.Expr, error) {
 	p := newParser(src)
-	p.unit = ir.NewUnit(ir.UnitProgram, "X")
+	defer p.release()
 	e, err := p.parseExpr()
 	if err == nil {
 		if p.skipNewlines(); !p.at(lexer.EOF) {
@@ -263,22 +316,24 @@ func (p *parser) errorf(format string, args ...interface{}) error {
 	return &ParseError{Line: int(p.cur().Line), Col: int(p.cur().Col), Msg: fmt.Sprintf(format, args...)}
 }
 
-// parseUnit parses one program unit up to its END.
+// parseUnit parses one program unit up to its END. The unit's symbols
+// gather in the scratch builder, and become its table at the END.
 func (p *parser) parseUnit() (*ir.ProgramUnit, error) {
 	var u *ir.ProgramUnit
+	syms := &p.scr.syms
 	switch {
 	case p.atIdent("PROGRAM"):
 		p.next()
 		if !p.at(lexer.IDENT) {
 			return nil, p.errorf("expected program name")
 		}
-		u = ir.NewUnit(ir.UnitProgram, p.next().Text)
+		u = &ir.ProgramUnit{Kind: ir.UnitProgram, Name: p.next().Text}
 	case p.atIdent("SUBROUTINE"):
 		p.next()
 		if !p.at(lexer.IDENT) {
 			return nil, p.errorf("expected subroutine name")
 		}
-		u = ir.NewUnit(ir.UnitSubroutine, p.next().Text)
+		u = &ir.ProgramUnit{Kind: ir.UnitSubroutine, Name: p.next().Text}
 		formals, err := p.parseFormals()
 		if err != nil {
 			return nil, err
@@ -293,7 +348,7 @@ func (p *parser) parseUnit() (*ir.ProgramUnit, error) {
 		if !p.at(lexer.IDENT) {
 			return nil, p.errorf("expected function name")
 		}
-		u = ir.NewUnit(ir.UnitFunction, p.next().Text)
+		u = &ir.ProgramUnit{Kind: ir.UnitFunction, Name: p.next().Text}
 		formals, err := p.parseFormals()
 		if err != nil {
 			return nil, err
@@ -304,17 +359,16 @@ func (p *parser) parseUnit() (*ir.ProgramUnit, error) {
 		}
 		u.ReturnType = rt
 		// The result variable has the function's name and type.
-		u.Symbols.Insert(&ir.Symbol{Name: u.Name, Type: rt})
+		syms.Declare(u.Name).Type = rt
 	default:
 		return nil, p.errorf("expected PROGRAM, SUBROUTINE, or FUNCTION, found %q", p.cur())
 	}
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}
-	p.unit = u
 	for _, f := range u.Formals {
-		if u.Symbols.Lookup(f) == nil {
-			u.Symbols.Insert(&ir.Symbol{Name: f, Type: ir.ImplicitType(f), Formal: true})
+		if syms.Lookup(f) == nil {
+			syms.Declare(f).Formal = true
 		}
 	}
 	body, err := p.parseBlock(map[string]bool{"END": true})
@@ -328,7 +382,7 @@ func (p *parser) parseUnit() (*ir.ProgramUnit, error) {
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}
-	p.unit = nil
+	u.Symbols = syms.Table()
 	return u, nil
 }
 
@@ -347,7 +401,6 @@ func (p *parser) parseFormals() ([]string, error) {
 		return nil, nil
 	}
 	p.next()
-	var formals []string
 	if p.atOp(")") {
 		p.next()
 		return nil, nil
@@ -356,7 +409,7 @@ func (p *parser) parseFormals() ([]string, error) {
 		if !p.at(lexer.IDENT) {
 			return nil, p.errorf("expected formal name")
 		}
-		formals = append(formals, p.next().Text)
+		p.scr.names = append(p.scr.names, p.next().Text)
 		if p.atOp(",") {
 			p.next()
 			continue
@@ -366,7 +419,7 @@ func (p *parser) parseFormals() ([]string, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return formals, nil
+	return collect(&p.scr.names, 0), nil
 }
 
 func keywordType(s string) ir.Type {
@@ -385,28 +438,36 @@ func keywordType(s string) ir.Type {
 // start of a line (not consumed). Labeled CONTINUE statements that close
 // labeled DOs are handled inside parseDo.
 func (p *parser) parseBlock(stop map[string]bool) (*ir.Block, error) {
-	b := ir.NewBlock()
+	mark := len(p.scr.stmts)
 	for {
 		p.skipNewlines()
-		if p.at(lexer.EOF) {
-			return b, nil
-		}
-		if p.at(lexer.IDENT) && stop[p.stopKeyword()] {
-			return b, nil
+		if p.at(lexer.EOF) || p.at(lexer.IDENT) && stop[p.stopKeyword()] {
+			return p.block(mark), nil
 		}
 		if p.at(lexer.LABEL) {
 			// A labeled statement terminates blocks only via parseDo,
 			// which watches for its own label.
-			return b, nil
+			return p.block(mark), nil
 		}
-		s, err := p.parseStmt()
-		if err != nil {
+		if err := p.parseStmtInto(); err != nil {
 			return nil, err
 		}
-		if s != nil {
-			b.Append(s)
-		}
 	}
+}
+
+// parseStmtInto parses one statement and, unless it is a declaration,
+// pushes it on the statement stack.
+func (p *parser) parseStmtInto() error {
+	s, err := p.parseStmt()
+	if err == nil && s != nil {
+		p.scr.stmts = append(p.scr.stmts, s)
+	}
+	return err
+}
+
+// block pops the statements from mark on into a block.
+func (p *parser) block(mark int) *ir.Block {
+	return &ir.Block{Stmts: collect(&p.scr.stmts, mark)}
 }
 
 // stopKeyword normalizes two-token closers (END DO, END IF, ELSE IF)
@@ -502,13 +563,10 @@ func (p *parser) parseTypeDecl() error {
 		if err != nil {
 			return err
 		}
-		if sym := p.unit.Symbols.Lookup(name); sym != nil {
-			sym.Type = typ
-			if dims != nil {
-				sym.Dims = dims
-			}
-		} else {
-			p.unit.Symbols.Insert(&ir.Symbol{Name: name, Type: typ, Dims: dims})
+		sym := p.scr.syms.Declare(name)
+		sym.Type = typ
+		if dims != nil {
+			sym.Dims = dims
 		}
 		if p.atOp(",") {
 			p.next()
@@ -524,7 +582,7 @@ func (p *parser) parseDims() ([]ir.Dim, error) {
 		return nil, nil
 	}
 	p.next()
-	var dims []ir.Dim
+	mark := len(p.scr.dims)
 	for {
 		var d ir.Dim
 		if p.atOp("*") {
@@ -550,7 +608,7 @@ func (p *parser) parseDims() ([]ir.Dim, error) {
 				d.Hi = e
 			}
 		}
-		dims = append(dims, d)
+		p.scr.dims = append(p.scr.dims, d)
 		if p.atOp(",") {
 			p.next()
 			continue
@@ -560,7 +618,7 @@ func (p *parser) parseDims() ([]ir.Dim, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return dims, nil
+	return collect(&p.scr.dims, mark), nil
 }
 
 func (p *parser) parseDimension() error {
@@ -577,7 +635,7 @@ func (p *parser) parseDimension() error {
 		if dims == nil {
 			return p.errorf("DIMENSION %s without dimensions", name)
 		}
-		sym := p.unit.Symbols.Declare(name)
+		sym := p.scr.syms.Declare(name)
 		sym.Dims = dims
 		if p.atOp(",") {
 			p.next()
@@ -605,7 +663,7 @@ func (p *parser) parseParameter() error {
 		if err != nil {
 			return err
 		}
-		sym := p.unit.Symbols.Declare(name)
+		sym := p.scr.syms.Declare(name)
 		sym.Param = val
 		if p.atOp(",") {
 			p.next()
@@ -641,7 +699,7 @@ func (p *parser) parseCommon() error {
 		if err != nil {
 			return err
 		}
-		sym := p.unit.Symbols.Declare(name)
+		sym := p.scr.syms.Declare(name)
 		sym.Common = block
 		if dims != nil {
 			sym.Dims = dims
@@ -665,7 +723,7 @@ func (p *parser) parseDo() (ir.Stmt, error) {
 		return nil, p.errorf("expected DO index variable")
 	}
 	index := p.next().Text
-	p.unit.Symbols.Declare(index)
+	p.scr.syms.Declare(index)
 	if err := p.expectOp("="); err != nil {
 		return nil, err
 	}
@@ -707,7 +765,7 @@ func (p *parser) parseDo() (ir.Stmt, error) {
 		return d, nil
 	}
 	// Labeled DO: parse until "label CONTINUE".
-	body := ir.NewBlock()
+	mark := len(p.scr.stmts)
 	for {
 		p.skipNewlines()
 		if p.at(lexer.EOF) {
@@ -722,17 +780,13 @@ func (p *parser) parseDo() (ir.Stmt, error) {
 				if err := p.expectEOL(); err != nil {
 					return nil, err
 				}
-				d.Body = body
+				d.Body = p.block(mark)
 				return d, nil
 			}
 			return nil, p.errorf("unexpected label %s inside DO %s", p.cur().Text, label)
 		}
-		s, err := p.parseStmt()
-		if err != nil {
+		if err := p.parseStmtInto(); err != nil {
 			return nil, err
-		}
-		if s != nil {
-			body.Append(s)
 		}
 	}
 }
@@ -858,22 +912,8 @@ func (p *parser) parseCall() (ir.Stmt, error) {
 	name := p.next().Text
 	var args []ir.Expr
 	if p.atOp("(") {
-		p.next()
-		if !p.atOp(")") {
-			for {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if p.atOp(",") {
-					p.next()
-					continue
-				}
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
+		var err error
+		if args, err = p.parseArgList(); err != nil {
 			return nil, err
 		}
 	}
@@ -892,17 +932,14 @@ func (p *parser) parseAssign() (ir.Stmt, error) {
 			return nil, err
 		}
 		// Declare the array if unknown: rank from use, assumed size.
-		sym := p.unit.Symbols.Lookup(name)
-		if sym == nil {
-			sym = p.unit.Symbols.Declare(name)
-		}
+		sym := p.scr.syms.Declare(name)
 		if !sym.IsArray() {
 			dims := make([]ir.Dim, len(subs))
 			sym.Dims = dims
 		}
 		lhs = &ir.ArrayRef{Name: name, Subs: subs}
 	} else {
-		p.unit.Symbols.Declare(name)
+		p.scr.syms.Declare(name)
 		lhs = ir.Var(name)
 	}
 	if err := p.expectOp("="); err != nil {
@@ -919,17 +956,17 @@ func (p *parser) parseArgList() ([]ir.Expr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
-	var args []ir.Expr
 	if p.atOp(")") {
 		p.next()
-		return args, nil
+		return nil, nil
 	}
+	mark := len(p.scr.exprs)
 	for {
 		a, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.scr.exprs = append(p.scr.exprs, a)
 		if p.atOp(",") {
 			p.next()
 			continue
@@ -939,7 +976,7 @@ func (p *parser) parseArgList() ([]ir.Expr, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return args, nil
+	return collect(&p.scr.exprs, mark), nil
 }
 
 // Expression grammar, by precedence (lowest first):
@@ -1108,7 +1145,7 @@ func (p *parser) parsePrimary() (ir.Expr, error) {
 	case lexer.IDENT:
 		name := p.next().Text
 		if !p.atOp("(") {
-			p.unit.Symbols.Declare(name)
+			p.scr.syms.Declare(name)
 			return ir.Var(name), nil
 		}
 		args, err := p.parseArgList()
@@ -1118,10 +1155,7 @@ func (p *parser) parsePrimary() (ir.Expr, error) {
 		if intrinsics[name] || p.funcs[name] {
 			return &ir.Call{Name: name, Args: args}, nil
 		}
-		sym := p.unit.Symbols.Lookup(name)
-		if sym == nil {
-			sym = p.unit.Symbols.Declare(name)
-		}
+		sym := p.scr.syms.Declare(name)
 		if !sym.IsArray() {
 			sym.Dims = make([]ir.Dim, len(args))
 		}

@@ -2,6 +2,8 @@ package parser
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -428,4 +430,82 @@ func TestParseDeepNestStress(t *testing.T) {
 	if got := len(ir.Loops(prog.Main().Body)); got != depth {
 		t.Errorf("loops = %d, want %d", got, depth)
 	}
+}
+
+// TestScratchHoldsNoIR takes the scratch a parse put back out of the
+// pool and requires every slot of it, up to capacity, to be zero: after
+// a parse that succeeds, and after parses that fail with lists half
+// collected. A slot that kept a pointer would pin one parse's IR for as
+// long as the pool holds the scratch.
+func TestScratchHoldsNoIR(t *testing.T) {
+	var decls strings.Builder
+	for i := 0; i < 40; i++ { // past the builder's index threshold
+		fmt.Fprintf(&decls, "      REAL V%d(%d)\n", i, i+1)
+	}
+	unit := func(body string) string {
+		return "      SUBROUTINE S(A, N)\n      REAL A(N)\n" + decls.String() + `      DO 10 I = 1, N
+        IF (I .GT. 1) THEN
+          A(I) = MAX(A(I-1), V1(MOD(I, 2) + 1))
+          CALL S(A, N - 1)
+` + body + `        END IF
+   10 CONTINUE
+      END
+      PROGRAM P
+      REAL A(10)
+      CALL S(A, 10)
+      END
+`
+	}
+	for _, c := range []struct{ name, src string }{
+		{"parsed", unit("")},
+		{"parse error in an argument list", unit("          A(I) = V2(I, MOD(I, 3) +\n")},
+		{"parse error in dimensions", unit("          REAL W(4, 5,\n")},
+		{"lexical error", unit("          A(I) = V3(I, #\n")},
+	} {
+		_, err := ParseProgram(c.src)
+		if (err == nil) != (c.name == "parsed") {
+			t.Fatalf("%s: error %v", c.name, err)
+		}
+		// The pool may hand out a fresh scratch instead (a GC empties
+		// it, the race detector drops puts): parse again until the one
+		// this parse used comes back.
+		var s *scratch
+		for i := 0; i < 100 && s == nil; i++ {
+			if got := scratchPool.Get().(*scratch); cap(got.stmts) > 0 {
+				s = got
+			} else {
+				ParseProgram(c.src)
+			}
+		}
+		if s == nil {
+			t.Fatalf("%s: the pool never gave back a used scratch", c.name)
+		}
+		for _, dirty := range nonZero(reflect.ValueOf(s).Elem(), "scratch") {
+			t.Errorf("%s: %s", c.name, dirty)
+		}
+	}
+}
+
+// nonZero lists the slice slots, up to capacity, and the map entries
+// under v that are not zero.
+func nonZero(v reflect.Value, path string) []string {
+	var dirty []string
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			dirty = append(dirty, nonZero(v.Field(i), path+"."+v.Type().Field(i).Name)...)
+		}
+	case reflect.Slice:
+		full := v.Slice3(0, v.Cap(), v.Cap())
+		for i := 0; i < full.Len(); i++ {
+			if !full.Index(i).IsZero() {
+				dirty = append(dirty, fmt.Sprintf("%s[%d] of %d is set", path, i, v.Cap()))
+			}
+		}
+	case reflect.Map:
+		if v.Len() > 0 {
+			dirty = append(dirty, fmt.Sprintf("%s holds %d entries", path, v.Len()))
+		}
+	}
+	return dirty
 }
