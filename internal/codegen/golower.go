@@ -225,11 +225,6 @@ func (g *goEmitter) exprI(c *uctx, e ir.Expr) string {
 	return ""
 }
 
-func (g *goEmitter) exprF(c *uctx, e ir.Expr) string {
-	s, k := g.expr(c, e)
-	return asF(s, k)
-}
-
 func asF(s string, k gKind) string {
 	switch k {
 	case gF:

@@ -202,6 +202,7 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 		return nil, fmt.Errorf("core: no main program unit")
 	}
 	res := &Result{Program: work, InlineSkipped: map[string]string{}}
+	var verdicts [][]obsv.Decision
 
 	m := passes.NewManager(opt.TraceLabel)
 	m.Obs = opt.Observer
@@ -209,7 +210,7 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	if opt.UnitMemo != nil {
 		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel}
 	}
-	m.Add(buildPipeline(work, res, opt, st, copied)...)
+	m.Add(buildPipeline(work, res, opt, st, copied, &verdicts)...)
 	report, err := m.Run(ctx, work)
 	res.Report = report
 	res.Unit = work.Main()
@@ -226,6 +227,11 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	}
 	if err != nil {
 		return nil, err
+	}
+	// Each loop's one final record, once every pass that may change a
+	// verdict has run: in res.Loops order, which is program order.
+	for _, vs := range verdicts {
+		opt.Observer.ReplayDecisions(vs, opt.TraceLabel)
 	}
 	return res, nil
 }
@@ -263,8 +269,10 @@ func evidenceLines[V any](format string, m map[string]V) []string {
 
 // buildPipeline registers the technique passes selected by opt, in the
 // paper's order. Every pass closure writes its findings into res and
-// reports mutation counts through the pass Context.
-func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, copied func(u *ir.ProgramUnit)) []passes.Pass {
+// reports mutation counts through the pass Context. (*verdicts)[ui]
+// holds unit ui's final records, parallel to its reports in res.Loops,
+// for the caller to emit once the pipeline has succeeded.
+func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, copied func(u *ir.ProgramUnit), verdicts *[][]obsv.Decision) []passes.Pass {
 	var ps []passes.Pass
 	obs := opt.Observer
 	label := opt.TraceLabel
@@ -487,10 +495,14 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// the ParInfo annotation on every loop.
 	//
 	// The pass concatenates the units' reports in unit order into
-	// res.Loops: unit ui's are res.Loops[loopStart[ui]:loopStart[ui+1]].
+	// res.Loops: unit ui's are res.Loops[loopStart[ui]:loopStart[ui+1]],
+	// and, under an observer, their final records are (*verdicts)[ui].
 	var loopStart []int
 	ps = append(ps, passes.Func("dependence-analysis", func(c *passes.Context) error {
 		reportsByUnit := make([][]LoopReport, len(work.Units))
+		if obs != nil {
+			*verdicts = make([][]obsv.Decision, len(work.Units))
+		}
 		statsByUnit := make([]deps.Stats, len(work.Units))
 		err := each(c, "dependence-analysis", func(ui int, uo *obsv.Observer) error {
 			u := work.Units[ui]
@@ -499,11 +511,12 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			tester := deps.NewTester(u, ranges)
 			// The unit's analyzeLoop calls see a per-unit options copy:
 			// decision records go to the unit observer (the shared one, or
-			// under a memo a capture forwarding to it) and dependence-test
-			// counts accumulate in a per-unit Stats slot, summed into
-			// opt.Stats after the last unit. Under a memo the slot is
-			// always filled — the record must carry the counts so a later
-			// Stats-requesting compile can replay them.
+			// under a memo a capture forwarding to it), which is non-nil
+			// exactly when someone keeps the loops' final records, and
+			// dependence-test counts accumulate in a per-unit Stats slot,
+			// summed into opt.Stats after the last unit. Under a memo the
+			// slot is always filled — the record must carry the counts so
+			// a later Stats-requesting compile can replay them.
 			uopt := opt
 			uopt.Observer = uo
 			if opt.Stats != nil || st != nil {
@@ -514,25 +527,36 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			// level where static analysis fails, not above it).
 			loops := ir.Loops(u.Body)
 			var reports []LoopReport
+			var unitVerdicts []obsv.Decision
+			if uo != nil {
+				unitVerdicts = make([]obsv.Decision, len(loops))
+			}
 			for i := len(loops) - 1; i >= 0; i-- {
 				if err := c.Err(); err != nil {
 					return err
 				}
-				report := analyzeLoop(u, ranges, tester, loops[i], uopt)
+				report, verdict := analyzeLoop(u, ranges, tester, loops[i], uopt)
 				report.Unit = u.Name
 				reports = append(reports, report)
+				if unitVerdicts != nil {
+					unitVerdicts[i] = verdict
+				}
 			}
 			// Present outermost-first.
 			for i, j := 0, len(reports)-1; i < j; i, j = i+1, j-1 {
 				reports[i], reports[j] = reports[j], reports[i]
 			}
 			reportsByUnit[ui] = reports
+			if obs != nil {
+				(*verdicts)[ui] = unitVerdicts
+			}
 			// Only the constant table crosses the barrier to strength
 			// reduction: every unit's fact tables held until then would
 			// be the pass's peak memory.
 			ranges.ReleaseCaches()
 			if rec := st.dirtyRec(ui, "dependence-analysis"); rec != nil {
 				rec.reports = toMemoReports(reports)
+				rec.verdicts = unitVerdicts
 				rec.stats = statsByUnit[ui]
 			}
 			return nil
@@ -540,6 +564,9 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			// Read, not copied: the one copy is the append below, into
 			// the fresh array the downstream passes may update.
 			reportsByUnit[ui] = rec.reports
+			if obs != nil {
+				(*verdicts)[ui] = rec.verdicts
+			}
 			statsByUnit[ui] = rec.stats
 		})
 		if err != nil {
@@ -579,11 +606,39 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// 5. Code-generation strength reduction (after the verdicts, which
 	// it consumes and updates).
 	if opt.StrengthReduction {
+		// refresh brings unit ui's reports up to the Par annotations the
+		// pass left, live or memoized (a memoized clone was captured after
+		// the pass ran on it), and, under an observer, gives each loop
+		// whose verdict changed the pass's record in its verdict slot. It
+		// returns the number of verdicts changed.
+		refresh := func(ui int) int64 {
+			reports := res.Loops[loopStart[ui]:loopStart[ui+1]]
+			var flips int64
+			for k := range reports {
+				lr := &reports[k]
+				par := lr.Loop.Par
+				if par == nil || lr.Parallel == par.Parallel {
+					continue
+				}
+				flips++
+				lr.Parallel, lr.Reason = par.Parallel, par.Reason
+				if obs == nil {
+					continue
+				}
+				vs := (*verdicts)[ui]
+				if flips == 1 {
+					// The unit memo may hold these records: write a copy.
+					vs = slices.Clone(vs)
+					(*verdicts)[ui] = vs
+				}
+				vs[k] = strengthVerdict(vs[k], par.Reason)
+			}
+			return flips
+		}
 		ps = append(ps, passes.Func("strength-reduction", func(c *passes.Context) error {
 			counts := make([]int, len(work.Units))
 			err := each(c, "strength-reduction", func(ui int, uo *obsv.Observer) error {
-				u := work.Units[ui]
-				sres := strength.Run(u, rangesOf(ui))
+				sres := strength.Run(work.Units[ui], rangesOf(ui))
 				analyzers[ui] = nil // last use
 				counts[ui] = sres.Reduced
 				c.Count("accumulators_introduced", int64(sres.Reduced))
@@ -591,59 +646,20 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				if rec != nil {
 					rec.counters = map[string]int64{"accumulators_introduced": int64(sres.Reduced)}
 				}
-				if sres.Reduced > 0 {
-					// Refresh the demoted loops' report entries.
-					reports := res.Loops[loopStart[ui]:loopStart[ui+1]]
-					for i := range reports {
-						lr := &reports[i]
-						if lr.Loop.Par == nil {
-							continue
-						}
-						if lr.Parallel != lr.Loop.Par.Parallel {
-							c.Count("verdict_flips", 1)
-							if rec != nil {
-								rec.counters["verdict_flips"]++
-							}
-							// Supersede the analysis verdict: FinalDecisions
-							// keeps the latest final record per loop.
-							d := obsv.Decision{
-								Label: label, Unit: u.Name, Loop: lr.Loop.ID,
-								Index: lr.Index, Depth: lr.Depth,
-								Pass:   "strength-reduction",
-								Detail: lr.Loop.Par.Reason,
-								Final:  true,
-							}
-							if lr.Loop.Par.Parallel {
-								d.Verdict = "doall"
-								d.Technique = lr.Loop.Par.Reason
-							} else {
-								d.Verdict = "serial"
-								d.Blocker = lr.Loop.Par.Reason
-							}
-							uo.Decision(d)
-						}
-						lr.Parallel = lr.Loop.Par.Parallel
-						lr.Reason = lr.Loop.Par.Reason
+				if sres.Reduced == 0 {
+					return nil
+				}
+				if flips := refresh(ui); flips > 0 {
+					c.Count("verdict_flips", flips)
+					if rec != nil {
+						rec.counters["verdict_flips"] = flips
 					}
 				}
 				return nil
 			}, func(ui int, rec *unitPassRecord) {
 				counts[ui] = int(rec.counters["accumulators_introduced"])
 				if counts[ui] > 0 {
-					// The memoized clone carries the final Par annotations
-					// (it was captured after this pass ran live on it), so
-					// refreshing from them reproduces exactly what the live
-					// refresh computed; the flip Decisions themselves were
-					// replayed from the record above.
-					reports := res.Loops[loopStart[ui]:loopStart[ui+1]]
-					for i := range reports {
-						lr := &reports[i]
-						if lr.Loop.Par == nil {
-							continue
-						}
-						lr.Parallel = lr.Loop.Par.Parallel
-						lr.Reason = lr.Loop.Par.Reason
-					}
+					refresh(ui)
 				}
 			})
 			if err != nil {
@@ -686,8 +702,11 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 }
 
 // analyzeLoop runs reductions + privatization + dependence analysis on
-// one loop and writes its ParInfo annotation.
-func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester, loop *ir.DoStmt, opt Options) LoopReport {
+// one loop and writes its ParInfo annotation. It emits the per-pass
+// evidence records and returns the loop's final record rather than
+// emitting it, built only under an observer (the zero Decision
+// otherwise): a later pass may still change the verdict.
+func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester, loop *ir.DoStmt, opt Options) (LoopReport, obsv.Decision) {
 	obs := opt.Observer
 	label := opt.TraceLabel
 	depth := len(ir.EnclosingLoops(unit.Body, loop))
@@ -799,14 +818,10 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 		}
 		loop.Par = &ir.ParInfo{Parallel: false, Reason: fmt.Sprintf("scalar %s: %s", name, why)}
 		rep.Reason = loop.Par.Reason
-		obs.Decision(loopDecision(obsv.Decision{
-			Pass:    "verdict",
-			Verdict: "serial",
-			Blocker: fmt.Sprintf("unprivatizable scalar %s (%s)", name, why),
-			Detail:  loop.Par.Reason,
-			Final:   true,
-		}))
-		return rep
+		if obs == nil {
+			return rep, obsv.Decision{}
+		}
+		return rep, loopDecision(scalarVerdictRecord(loop.Par, name, why))
 	}
 
 	// Dependence analysis.
@@ -914,25 +929,54 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 	rep.Parallel = par.Parallel
 	rep.LRPD = par.LRPD
 	rep.Reason = par.Reason
-	{
-		d := obsv.Decision{Pass: "verdict", Detail: par.Reason, Final: true}
-		switch {
-		case par.Parallel:
-			d.Verdict = "doall"
-			d.Technique = verdictTechnique(par, verdict)
-		case len(par.LRPD) > 0:
-			d.Verdict = "lrpd"
-			d.Technique = verdictTechnique(par, verdict)
-		default:
-			d.Verdict = "serial"
-			d.Blocker = par.Reason
-			for _, a := range verdict.Unanalyzable {
-				d.Evidence = append(d.Evidence, "unanalyzable subscripts on "+a)
-			}
-		}
-		obs.Decision(loopDecision(d))
+	if obs == nil {
+		return rep, obsv.Decision{}
 	}
-	return rep
+	return rep, loopDecision(verdictRecord(par, verdict))
+}
+
+// verdictRecord builds the final record of a loop the dependence test
+// decided, from its annotation and the test's verdict.
+func verdictRecord(par *ir.ParInfo, verdict deps.Verdict) obsv.Decision {
+	d := obsv.Decision{Pass: "verdict", Detail: par.Reason, Final: true}
+	switch {
+	case par.Parallel:
+		d.Verdict = "doall"
+		d.Technique = verdictTechnique(par, verdict)
+	case len(par.LRPD) > 0:
+		d.Verdict = "lrpd"
+		d.Technique = verdictTechnique(par, verdict)
+	default:
+		d.Verdict = "serial"
+		d.Blocker = par.Reason
+		for _, a := range verdict.Unanalyzable {
+			d.Evidence = append(d.Evidence, "unanalyzable subscripts on "+a)
+		}
+	}
+	return d
+}
+
+// scalarVerdictRecord builds the final record of a loop an
+// unprivatizable scalar serialized before the dependence test ran.
+func scalarVerdictRecord(par *ir.ParInfo, name, why string) obsv.Decision {
+	return obsv.Decision{
+		Pass:    "verdict",
+		Verdict: "serial",
+		Blocker: fmt.Sprintf("unprivatizable scalar %s (%s)", name, why),
+		Detail:  par.Reason,
+		Final:   true,
+	}
+}
+
+// strengthVerdict returns the record that replaces the final record d
+// of a loop strength reduction demoted for reason (the pass only ever
+// demotes). It keeps d's loop identity and names, in one evidence line,
+// the verdict it overrode. d's Evidence is replaced, not written, so a
+// memoized record it was copied from stays as it was.
+func strengthVerdict(d obsv.Decision, reason string) obsv.Decision {
+	d.Evidence = []string{"overrides the " + d.Verdict + " verdict of dependence analysis: " + d.Technique}
+	d.Pass, d.Verdict, d.Technique, d.Blocker, d.Detail = "strength-reduction", "serial", "", reason, reason
+	return d
 }
 
 // AssignLoopIDs stamps a unit's loops exactly as the dependence pass

@@ -58,7 +58,7 @@ import (
 // unitMemoVersion salts every unit hash; bump it whenever the meaning
 // of a memoized record changes (new per-unit pass, changed record
 // layout), so stale entries from an older scheme can never replay.
-const unitMemoVersion = "polaris-unit-memo/v2"
+const unitMemoVersion = "polaris-unit-memo/v3"
 
 // unitHasher computes the unit keys of one compilation under the two
 // schemes the package comment describes, whose tags domain-separate
@@ -122,6 +122,10 @@ type unitPassRecord struct {
 	// entry's memoized unit — the same object every reusing compilation
 	// installs — so replay needs no pointer rebinding.
 	reports []LoopReport
+	// verdicts are the final records of those loops, parallel to
+	// reports (dependence-analysis pass). They are not among decisions:
+	// a compile emits them after its last pass, relabeled.
+	verdicts []obsv.Decision
 	// stats are the unit's dependence-test counts (dependence-analysis
 	// pass).
 	stats deps.Stats
@@ -188,26 +192,32 @@ func (m *UnitMemo) Stats() MemoStats {
 // unit's IR and its own copy of the source come to about nine bytes per
 // byte of the text that keyed it (rendered or raw), the memo's
 // bookkeeping to about 384 bytes an entry, and each pass record to its
-// struct and counters plus the decisions, reports and induction
-// variables it captured. Decision strings the IR already holds (unit
-// and loop names) are not counted again. The estimate is computed once
-// at commit and is therefore exact for the add-on-insert /
-// subtract-on-evict accounting.
+// struct and counters plus the decisions, reports, verdicts and
+// induction variables it captured. Decision strings the IR already
+// holds (unit and loop names) are not counted again. The estimate is
+// computed once at commit and is therefore exact for the add-on-insert
+// / subtract-on-evict accounting.
 func entrySize(keyLen int, recs map[string]*unitPassRecord) int64 {
 	s := int64(keyLen)*9 + 384
 	for _, rec := range recs {
-		s += 256
-		for _, d := range rec.decisions {
-			s += int64(unsafe.Sizeof(d)) + int64(len(d.Detail)+len(d.Technique)+len(d.Blocker))
-			for _, ev := range d.Evidence {
-				s += int64(unsafe.Sizeof(ev)) + int64(len(ev))
-			}
-		}
+		s += 256 + decisionsSize(rec.decisions) + decisionsSize(rec.verdicts)
 		for _, lr := range rec.reports {
 			s += int64(unsafe.Sizeof(lr)) + int64(len(lr.LRPD))*int64(unsafe.Sizeof(""))
 		}
 		for _, v := range rec.solved {
 			s += int64(unsafe.Sizeof(v)) + int64(len(v))
+		}
+	}
+	return s
+}
+
+// decisionsSize is entrySize's estimate for one list of records.
+func decisionsSize(ds []obsv.Decision) int64 {
+	var s int64
+	for _, d := range ds {
+		s += int64(unsafe.Sizeof(d)) + int64(len(d.Detail)+len(d.Technique)+len(d.Blocker))
+		for _, ev := range d.Evidence {
+			s += int64(unsafe.Sizeof(ev)) + int64(len(ev))
 		}
 	}
 	return s

@@ -269,8 +269,9 @@ func TestUnitHashLocality(t *testing.T) {
 
 // TestUnitKeysArePinned holds the unit keys to their bytes: both values
 // were printed by the commit before unitHasher, whose unitHash and
-// srcHash wrote each part to a fresh digest with io.WriteString. A
-// change of key is a change of unitMemoVersion, never a side effect.
+// srcHash wrote each part to a fresh digest with io.WriteString, and
+// re-printed when unitMemoVersion became v3. A change of key is a change
+// of unitMemoVersion, never a side effect.
 func TestUnitKeysArePinned(t *testing.T) {
 	prog, err := parser.ParseProgram("      SUBROUTINE S(A, N)\n      REAL A(N)\n      DO I = 1, N\n        A(I) = A(I) * 2.0\n      END DO\n      END\n")
 	if err != nil {
@@ -279,11 +280,11 @@ func TestUnitKeysArePinned(t *testing.T) {
 	u, uh := prog.Units[0], newUnitHasher(PolarisOptions())
 	// One hasher, three keys: the digest is reset between them.
 	for i := 0; i < 2; i++ {
-		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "621ebedab7e5bf8bd1dfe31097d05e3a945d509cb7741213525521d229da3f20" {
+		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "93075223ed63718b8cd7ad8cca192a511284acbc9831eaa12074b93c117b2b21" {
 			t.Errorf("ir key %s", got)
 		}
 	}
-	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "f5d771b238167bcc9fdc0b938081e92feef4de2ff042010917aae416f6dd8f3c" {
+	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "7eb8b8002a7e05f7dc295d10c7a4a44345e3166a822b7e96640d2cd2c87672de" {
 		t.Errorf("src key %s", got)
 	}
 	// A text longer than the hasher's copy buffer goes through in pieces.

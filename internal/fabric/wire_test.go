@@ -343,7 +343,7 @@ func TestChecksumsPinned(t *testing.T) {
 	}
 	at, _ := renderingAt(entry)
 	rendered := sumHexString(entry[at:])
-	const wantEntry = "cb77034a81c5a6edd981ee28cf471c72b774811046ff8bd52ec271e75e34034a"
+	const wantEntry = "4fc0bdf7f606038708f0bbef99fd52eec0dde2abd2c079507edb44b4ba1250b6"
 	const wantRendered = "7aad8adba2584d0beafb760ad85ea004a7d5f816ee6bb06d9ecc8654616bc879"
 	if checksum != wantEntry || rendered != wantRendered {
 		t.Errorf("entry checksum %s, rendering %s; pinned %s, %s", checksum, rendered, wantEntry, wantRendered)

@@ -128,27 +128,6 @@ func (a *Array) Set(i int, v Value) {
 	}
 }
 
-// CloneData returns a deep copy (for LRPD checkpoints and private
-// copies).
-func (a *Array) CloneData() *Array {
-	c := &Array{Name: a.Name, Kind: a.Kind, Lo: a.Lo, Size: a.Size}
-	if a.Kind == ir.TypeInteger {
-		c.I = append([]int64(nil), a.I...)
-	} else {
-		c.F = append([]float64(nil), a.F...)
-	}
-	return c
-}
-
-// CopyFrom restores data from a checkpoint of identical shape.
-func (a *Array) CopyFrom(src *Array) {
-	if a.Kind == ir.TypeInteger {
-		copy(a.I, src.I)
-	} else {
-		copy(a.F, src.F)
-	}
-}
-
 // Fill sets every element to v (used for reduction identities).
 func (a *Array) Fill(v Value) {
 	if a.Kind == ir.TypeInteger {

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Type is the Fortran type of a symbol or expression.
 type Type uint8
@@ -220,13 +217,6 @@ func (t *SymbolTable) Names() []string {
 	for i, s := range t.syms {
 		names[i] = s.Name
 	}
-	return names
-}
-
-// SortedNames returns the declared names sorted alphabetically.
-func (t *SymbolTable) SortedNames() []string {
-	names := t.Names()
-	sort.Strings(names)
 	return names
 }
 

@@ -38,7 +38,7 @@ func ExplainDecision(d Decision) string {
 	}
 }
 
-// Explanations renders the latest final record of every loop under the
+// Explanations renders the final record of every loop under the
 // label, indented by nesting depth, in program order.
 func (o *Observer) Explanations(label string) []string {
 	return ExplainAll(o.FinalDecisions(label))

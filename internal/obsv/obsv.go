@@ -27,14 +27,13 @@ package obsv
 import (
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
 // Decision is one per-loop decision record contributed by an analysis
-// pass. Records with Final set carry the loop's overall verdict; the
-// others are the per-pass evidence trail behind it.
+// pass. Records with Final set carry the loop's overall verdict, one per
+// loop and compilation; the others are the per-pass evidence trail
+// behind it.
 type Decision struct {
 	// Label identifies the compilation (typically the program name).
 	Label string `json:"label,omitempty"`
@@ -65,7 +64,8 @@ type Decision struct {
 	// reduction clauses, unanalyzable arrays, solved induction
 	// variables.
 	Evidence []string `json:"evidence,omitempty"`
-	// Final marks the loop's overall verdict record.
+	// Final marks the loop's overall verdict record: the one its
+	// compilation records after the last pass that may change it.
 	Final bool `json:"final,omitempty"`
 }
 
@@ -234,8 +234,9 @@ func (o *Observer) Decision(d Decision) {
 	o.next.Decision(d)
 }
 
-// ReplayDecisions records ds in order, each under label: the replay of
-// provenance kept beside a cached or memoized result. The records are
+// ReplayDecisions records ds in order, each under label: a
+// compilation's final records, or the replay of provenance kept beside a
+// cached or memoized result. The records are
 // appended in one reservation of len(ds); the trace writer, then the
 // next observer, receive the whole batch in the same order.
 func (o *Observer) ReplayDecisions(ds []Decision, label string) {
@@ -332,10 +333,10 @@ func (o *Observer) Runs() []RunMetrics {
 	return append([]RunMetrics(nil), o.runs...)
 }
 
-// FinalDecisions returns the latest final (verdict) record per loop for
-// the given label ("" matches every label), ordered by first appearance
-// of each loop. A pass that re-decides a loop (strength reduction
-// demoting a DOALL) supersedes the earlier record in place.
+// FinalDecisions returns the final (verdict) record of every loop for
+// the given label ("" matches every label), in program order: a
+// compilation records each loop's verdict once, after its last pass,
+// units in sequence and loops by ID within each unit.
 func (o *Observer) FinalDecisions(label string) []Decision {
 	if o == nil {
 		return nil
@@ -346,61 +347,16 @@ func (o *Observer) FinalDecisions(label string) []Decision {
 }
 
 // FinalDecisions is the method of the same name over a decision list
-// held outside an observer (a cached entry's provenance); ds is only
-// read.
+// held outside an observer (a cached entry's provenance), in the list's
+// order; ds is only read.
 func FinalDecisions(ds []Decision, label string) []Decision {
-	var order []string
-	latest := map[string]Decision{}
+	var out []Decision
 	for _, d := range ds {
-		if !d.Final || d.Loop == "" {
-			continue
-		}
-		if label != "" && d.Label != label {
-			continue
-		}
-		key := d.Label + "\x00" + d.Loop
-		if _, seen := latest[key]; !seen {
-			order = append(order, key)
-		}
-		latest[key] = d
-	}
-	out := make([]Decision, 0, len(order))
-	for _, key := range order {
-		out = append(out, latest[key])
-	}
-	// Analysis emits innermost-first; present in program order: keep
-	// (label, unit) groups in first-appearance order and sort loops
-	// within each group by their numeric position.
-	group := map[string]int{}
-	for _, d := range out {
-		key := d.Label + "\x00" + d.Unit
-		if _, ok := group[key]; !ok {
-			group[key] = len(group)
+		if d.Final && (label == "" || d.Label == label) {
+			out = append(out, d)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		gi := group[out[i].Label+"\x00"+out[i].Unit]
-		gj := group[out[j].Label+"\x00"+out[j].Unit]
-		if gi != gj {
-			return gi < gj
-		}
-		return loopSeq(out[i].Loop) < loopSeq(out[j].Loop)
-	})
 	return out
-}
-
-// loopSeq extracts the numeric position from a loop ID ("MAIN/L30" →
-// 30); non-conforming IDs sort last, keeping their input order.
-func loopSeq(id string) int {
-	i := strings.LastIndex(id, "/L")
-	if i < 0 {
-		return 1 << 30
-	}
-	n, err := strconv.Atoi(id[i+2:])
-	if err != nil {
-		return 1 << 30
-	}
-	return n
 }
 
 // LoopDecisions returns every record (evidence trail plus final

@@ -120,39 +120,31 @@ func TestNilObserverAndWriterAreSafe(t *testing.T) {
 	}
 }
 
-// TestFinalDecisionsSupersedeAndOrder: the latest final record per
-// loop wins (strength reduction re-deciding a verdict), and the output
-// comes back in program order — units in first-appearance order, loops
-// within a unit by numeric position — even though analysis emits
-// innermost loops first.
-func TestFinalDecisionsSupersedeAndOrder(t *testing.T) {
+// TestFinalDecisionsFilter: the final records under a label, in the
+// order they were recorded, without the evidence trail or another
+// label's records.
+func TestFinalDecisionsFilter(t *testing.T) {
 	o := NewObserver()
-	// Innermost-first emission order, two units.
-	o.Decision(Decision{Label: "p", Unit: "MAIN", Loop: "MAIN/L90", Pass: "verdict", Verdict: "doall", Final: true})
-	o.Decision(Decision{Label: "p", Unit: "MAIN", Loop: "MAIN/L10", Pass: "verdict", Verdict: "doall", Final: true})
-	o.Decision(Decision{Label: "p", Unit: "SUB", Loop: "SUB/L20", Pass: "verdict", Verdict: "serial", Final: true})
 	// Evidence records must not appear among finals.
 	o.Decision(Decision{Label: "p", Unit: "MAIN", Loop: "MAIN/L10", Pass: "dependence"})
-	// A later pass re-decides L90.
-	o.Decision(Decision{Label: "p", Unit: "MAIN", Loop: "MAIN/L90", Pass: "strength-reduction", Verdict: "serial", Blocker: "strength-reduced", Final: true})
+	o.Decision(Decision{Label: "p", Unit: "MAIN", Loop: "MAIN/L10", Pass: "verdict", Verdict: "doall", Final: true})
+	o.Decision(Decision{Label: "p", Unit: "MAIN", Loop: "MAIN/L90", Pass: "strength-reduction", Verdict: "serial", Final: true})
 	// A different label must not leak in.
 	o.Decision(Decision{Label: "q", Unit: "MAIN", Loop: "MAIN/L10", Pass: "verdict", Verdict: "doall", Final: true})
+	o.Decision(Decision{Label: "p", Unit: "SUB", Loop: "SUB/L20", Pass: "verdict", Verdict: "serial", Final: true})
 
 	finals := o.FinalDecisions("p")
-	if len(finals) != 3 {
-		t.Fatalf("got %d finals, want 3: %+v", len(finals), finals)
-	}
 	wantOrder := []string{"MAIN/L10", "MAIN/L90", "SUB/L20"}
+	if len(finals) != len(wantOrder) {
+		t.Fatalf("got %d finals, want %d: %+v", len(finals), len(wantOrder), finals)
+	}
 	for i, want := range wantOrder {
-		if finals[i].Loop != want {
-			t.Fatalf("finals[%d] = %s, want %s", i, finals[i].Loop, want)
+		if finals[i].Loop != want || finals[i].Label != "p" {
+			t.Fatalf("finals[%d] = %s under %q, want %s under p", i, finals[i].Loop, finals[i].Label, want)
 		}
 	}
-	if finals[1].Verdict != "serial" || finals[1].Pass != "strength-reduction" {
-		t.Fatalf("superseding record lost: %+v", finals[1])
-	}
-	if got := o.FinalDecisions(""); len(got) != 4 {
-		t.Fatalf("all-labels finals: got %d, want 4", len(got))
+	if got := o.FinalDecisions(""); len(got) != 4 || got[2].Label != "q" {
+		t.Fatalf("all-labels finals: got %+v, want 4 in recording order", got)
 	}
 }
 

@@ -284,22 +284,54 @@ func readerRows(t *testing.T, src, label string) {
 		}
 	}
 
+	// explain also holds the trail to one final record per loop, in
+	// res.Loops order, saying what the loop's verdict says.
+	explain := func(path string, s *Server, outcome string) {
+		t.Helper()
+		w := postJSON(t, s.Handler(), "/v1/explain", ExplainRequest{Source: src, Label: label, Verbose: true})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s as %q: %d %s", path, label, w.Code, w.Body.String())
+		}
+		got := decodeBody[ExplainResponse](t, w)
+		if got.Outcome != outcome {
+			t.Errorf("%s as %q: outcome %q, want %s", path, label, got.Outcome, outcome)
+		}
+		got.RequestID, got.Outcome, got.LeaderID = "", "", ""
+		if !canonEqual(t, got, wantExplain) {
+			t.Errorf("%s as %q differs from a direct compile's explanation", path, label)
+		}
+		var finals []obsv.Decision
+		for _, d := range got.Trail {
+			if d.Final {
+				finals = append(finals, d)
+			}
+		}
+		if len(finals) != len(res.Loops) {
+			t.Fatalf("%s as %q: %d final records for %d loops", path, label, len(finals), len(res.Loops))
+		}
+		for i, lr := range res.Loops {
+			want := "serial"
+			if lr.Parallel {
+				want = "doall"
+			} else if len(lr.LRPD) > 0 {
+				want = "lrpd"
+			}
+			if d := finals[i]; d.Loop != lr.ID || d.Verdict != want {
+				t.Errorf("%s as %q: final record %d is %s %s, want %s %s", path, label, i, d.Loop, d.Verdict, lr.ID, want)
+			}
+		}
+	}
+
 	hit := New(Config{Workers: 4})
 	compileAs(t, hit.Handler(), "", src, "warm")
 	emit("emit_go_hit", hit, "go", "cache_hit")
 	emit("emit_fortran_hit", hit, "fortran", "cache_hit")
-	w := postJSON(t, hit.Handler(), "/v1/explain", ExplainRequest{Source: src, Label: label, Verbose: true})
-	if w.Code != http.StatusOK {
-		t.Fatalf("explain_hit as %q: %d %s", label, w.Code, w.Body.String())
-	}
-	got := decodeBody[ExplainResponse](t, w)
-	if got.Outcome != "cache_hit" {
-		t.Errorf("explain_hit as %q: outcome %q, want cache_hit", label, got.Outcome)
-	}
-	got.RequestID, got.Outcome, got.LeaderID = "", "", ""
-	if !canonEqual(t, got, wantExplain) {
-		t.Errorf("explain_hit as %q differs from a direct compile's explanation", label)
-	}
+	explain("explain_hit", hit, "cache_hit")
+
+	// The same explain on a node that fills the entry from its owner.
+	pair := newFabricPair(t, 2*time.Second, nil)
+	compileAs(t, pair.a.Handler(), "", src, "warm")
+	explain("explain_peer_fill", pair.b, "peer_hit")
 
 	// The stored entry's last byte, in its rendering, flipped after the
 	// checksum was taken: a compile's view never reads the rendering, an

@@ -241,22 +241,9 @@ func (s *Server) CacheStats() store.Stats {
 // MemoStats snapshots the per-unit incremental memo.
 func (s *Server) MemoStats() core.MemoStats { return s.memo.Stats() }
 
-// Telemetry returns the per-(route, outcome) latency histogram
-// registry (for polaris-bench's serve_latency measurement and tests).
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
 // Serve accepts connections on l until Shutdown. Like http.Server, it
 // returns http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
-
-// ListenAndServe binds addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Shutdown drains the server: the listener closes, /healthz flips to
 // 503, and every accepted request runs to completion (in-flight

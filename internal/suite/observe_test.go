@@ -242,8 +242,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 // TestAblationProvenanceLabels runs the ablation grid on a fresh
 // observed Runner and checks that each configuration's provenance lands
 // under its own label: the bare program name holds exactly the final
-// records a direct full-pipeline compile gives (one per deciding pass
-// and loop, as strength reduction may supersede a verdict), and
+// records a direct full-pipeline compile gives (one per loop), and
 // "ocean/-loop permutation" holds the ablated verdict.
 func TestAblationProvenanceLabels(t *testing.T) {
 	ctx := context.Background()

@@ -48,7 +48,7 @@ func WithObserver(o *Observer) Option {
 }
 
 // LoopDecision is one per-loop decision record: the contribution of a
-// single analysis pass, or (Final) the verdict that won.
+// single analysis pass, or (Final) the loop's verdict.
 type LoopDecision struct {
 	// Label is the compilation label; Unit the program unit; Loop the
 	// stable loop ID ("MAIN/L30"); Index the DO variable; Depth the
@@ -67,8 +67,8 @@ type LoopDecision struct {
 	// Evidence lists supporting facts (unanalyzable arrays, privatized
 	// variables, reduction candidates, ...).
 	Evidence []string
-	// Final marks verdict records; the latest final record per loop is
-	// the loop's outcome.
+	// Final marks the loop's verdict record: one per loop and
+	// compilation, recorded after the last pass.
 	Final bool
 }
 
@@ -93,8 +93,8 @@ func (o *Observer) Decisions(label string) []LoopDecision {
 	return out
 }
 
-// FinalDecisions returns the winning verdict record of every loop
-// compiled under the label, in program order.
+// FinalDecisions returns the verdict record of every loop compiled
+// under the label, in program order.
 func (o *Observer) FinalDecisions(label string) []LoopDecision {
 	var out []LoopDecision
 	for _, d := range o.inner.FinalDecisions(label) {
