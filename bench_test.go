@@ -3,17 +3,19 @@
 // EXPERIMENTS.md for paper-vs-measured):
 //
 //	E1  BenchmarkTable1/*            Table 1 serial times
-//	E2  BenchmarkFig7/*              Figure 7 Polaris-vs-PFA speedups
+//	E2  BenchmarkFig7                Figure 7 Polaris-vs-PFA speedups
 //	E3  BenchmarkFig6Speedup/*       Figure 6 (top)
 //	E4  BenchmarkFig6Slowdown/*      Figure 6 (bottom)
 //	E10 BenchmarkDirectionVectors/*  range test O(n^2) vs Banerjee O(3^n)
 //	E11 BenchmarkPDTestScaling/*     PD test O(a/p + log p)
 //
 // Speedups and counts are attached as benchmark metrics
-// (speedup, pfa_speedup, slowdown, dv_tested, ...).
+// (speedup, speedup_<program>, pfa_speedup_<program>, slowdown,
+// dv_tested, ...).
 package polaris_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -36,7 +38,7 @@ func BenchmarkTable1(b *testing.B) {
 		b.Run(p.Name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				t, _, err := suite.SerialTime(p)
+				t, err := serialCycles(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -49,31 +51,18 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // E2 — Figure 7: speedup under Polaris and under the PFA baseline on
-// the simulated 8-processor machine.
+// the simulated 8-processor machine, one metric pair per program.
 func BenchmarkFig7(b *testing.B) {
-	for _, p := range suite.All() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			var polaris, pfaSpeed float64
-			for i := 0; i < b.N; i++ {
-				serial, _, err := suite.SerialTime(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				polT, _, err := suite.RunOne(p, 8, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pfaT, _, err := suite.RunOne(p, 8, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				polaris = float64(serial) / float64(polT)
-				pfaSpeed = float64(serial) / float64(pfaT)
-			}
-			b.ReportMetric(polaris, "speedup")
-			b.ReportMetric(pfaSpeed, "pfa_speedup")
-		})
+	var rows []suite.Fig7Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = suite.NewRunner().Figure7(context.Background(), 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.Polaris, "speedup_"+r.Name)
+		b.ReportMetric(r.PFA, "pfa_speedup_"+r.Name)
 	}
 }
 
@@ -85,7 +74,7 @@ func BenchmarkFig6Speedup(b *testing.B) {
 		b.Run(fmt.Sprintf("p%d", procs), func(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rows, err := suite.Figure6(procs)
+				rows, err := suite.NewRunner().Figure6(context.Background(), procs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +91,7 @@ func BenchmarkFig6Slowdown(b *testing.B) {
 		b.Run(fmt.Sprintf("p%d", procs), func(b *testing.B) {
 			var slowdown float64
 			for i := 0; i < b.N; i++ {
-				rows, err := suite.Figure6(procs)
+				rows, err := suite.NewRunner().Figure6(context.Background(), procs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -213,7 +202,7 @@ func BenchmarkCompile(b *testing.B) {
 		p, _ := suite.ByName(name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := suite.RunOne(p, 8, true); err != nil {
+				if _, err := coreCompileFull(p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -270,7 +259,7 @@ func BenchmarkReductionForms(b *testing.B) {
 		b.Run(style.String(), func(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				serial, _, err := suite.SerialTime(p)
+				serial, err := serialCycles(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -292,4 +281,14 @@ func BenchmarkReductionForms(b *testing.B) {
 
 func coreCompileFull(p suite.Program) (*core.Result, error) {
 	return core.Compile(p.Parse(), core.PolarisOptions())
+}
+
+// serialCycles runs p serially on the default machine and returns its
+// simulated time.
+func serialCycles(p suite.Program) (int64, error) {
+	in := interp.New(p.Parse(), machine.Default())
+	if err := in.Run(); err != nil {
+		return 0, err
+	}
+	return in.Time(), nil
 }

@@ -236,22 +236,6 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	return res, nil
 }
 
-// forEachUnit runs fn once per program unit, in unit order on the
-// caller's goroutine, checking for cancellation before each unit. fn
-// receives the unit index and obs, the observer it emits decision
-// records to, so the stream is in unit order by construction.
-func forEachUnit(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer, fn func(i int, uo *obsv.Observer) error) error {
-	for i := range units {
-		if err := c.Err(); err != nil {
-			return err
-		}
-		if err := fn(i, obs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // evidenceLines renders one Decision evidence line per entry of m
 // with format, which takes the key and the value, in key order.
 func evidenceLines[V any](format string, m map[string]V) []string {
@@ -324,15 +308,33 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 		return analyzers[i]
 	}
 
-	// each dispatches a per-unit pass: the plain unit sweep without a
-	// memo, or the incremental clean/dirty schedule with one. replay
-	// folds a memoized record into the pass's per-index slots for clean
-	// units, mirroring exactly what live fills for dirty ones.
-	each := func(c *passes.Context, pass string,
-		live func(i int, uo *obsv.Observer) error,
-		replay func(i int, rec *unitPassRecord)) error {
-		if analyzers == nil {
+	// recs holds each unit's record, the only place a per-unit pass
+	// leaves its results (incremental.go's unitRecord): the memo slate's
+	// under a memo, one block of fresh records without one.
+	var recs []*unitRecord
+
+	// each runs one per-unit pass over every unit, in unit order on the
+	// caller's goroutine, checking for cancellation before each unit, so
+	// the Decision stream is in unit order by construction. A unit the
+	// memo answered for replays the pass's captured decisions in the
+	// stream position live would emit them; any other unit runs live,
+	// which fills its record, through a capture that keeps the decisions
+	// for the memo when there is one. Then fold adds the record into res,
+	// for clean and dirty units alike.
+	each := func(c *passes.Context, pass unitPass,
+		live func(i int, rec *unitRecord, uo *obsv.Observer) error,
+		fold func(i int, rec *unitRecord)) error {
+		if recs == nil {
 			analyzers = make([]*rng.Analyzer, len(work.Units))
+			if st != nil {
+				recs = st.recs
+			} else {
+				block := make([]unitRecord, len(work.Units))
+				recs = make([]*unitRecord, len(block))
+				for i := range block {
+					recs[i] = &block[i]
+				}
+			}
 			// The first per-unit pass takes every unit the memo did not
 			// answer for; from here on no unit of work is the input's.
 			for i := range work.Units {
@@ -341,10 +343,27 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				}
 			}
 		}
-		if st == nil {
-			return forEachUnit(c, work.Units, obs, live)
+		for i, rec := range recs {
+			if err := c.Err(); err != nil {
+				return err
+			}
+			if st != nil && st.reuse[i] != nil {
+				obs.ReplayDecisions(rec.decisions[pass], label)
+			} else {
+				uo := obs
+				if rec.decisions != nil {
+					uo = obsv.NewCapture(obs)
+				}
+				if err := live(i, rec, uo); err != nil {
+					return err
+				}
+				if rec.decisions != nil {
+					rec.decisions[pass] = uo.Decisions()
+				}
+			}
+			fold(i, rec)
 		}
-		return st.forEach(c, work.Units, obs, pass, live, replay)
+		return nil
 	}
 
 	// 0. Interprocedural constant propagation (subroutine
@@ -413,35 +432,21 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// per-pass unit sweep is equivalent to the per-unit pass sweep.
 	if opt.Normalize {
 		ps = append(ps, passes.Func("normalize", func(c *passes.Context) error {
-			counts := make([]int, len(work.Units))
-			err := each(c, "normalize", func(i int, uo *obsv.Observer) error {
+			return each(c, passNormalize, func(i int, rec *unitRecord, uo *obsv.Observer) error {
 				u := work.Units[i]
-				nres := normalize.Run(u, rangesOf(i))
-				if nres.Normalized > 0 {
+				rec.normalized = normalize.Run(u, rangesOf(i)).Normalized
+				if rec.normalized > 0 {
 					analyzers[i] = nil
-				}
-				counts[i] = nres.Normalized
-				c.Count("loops_normalized", int64(nres.Normalized))
-				if rec := st.dirtyRec(i, "normalize"); rec != nil {
-					rec.counters = map[string]int64{"loops_normalized": int64(nres.Normalized)}
-				}
-				if nres.Normalized > 0 {
 					uo.Decision(obsv.Decision{
 						Label: label, Unit: u.Name, Pass: "normalize",
-						Detail: fmt.Sprintf("%d loops rewritten to unit step", nres.Normalized),
+						Detail: fmt.Sprintf("%d loops rewritten to unit step", rec.normalized),
 					})
 				}
 				return nil
-			}, func(i int, rec *unitPassRecord) {
-				counts[i] = int(rec.counters["loops_normalized"])
+			}, func(i int, rec *unitRecord) {
+				res.NormalizedLoops += rec.normalized
+				c.Count("loops_normalized", int64(rec.normalized))
 			})
-			if err != nil {
-				return err
-			}
-			for _, n := range counts {
-				res.NormalizedLoops += n
-			}
-			return nil
 		}))
 	}
 
@@ -452,41 +457,29 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	if opt.Induction || opt.SimpleInduction {
 		ps = append(ps, passes.Func("induction", func(c *passes.Context) error {
 			iopt := induction.Options{SimpleOnly: !opt.Induction}
-			solvedByUnit := make([][]string, len(work.Units))
-			err := each(c, "induction", func(i int, uo *obsv.Observer) error {
+			return each(c, passInduction, func(i int, rec *unitRecord, uo *obsv.Observer) error {
 				u := work.Units[i]
 				ires := induction.RunWith(u, rangesOf(i), iopt)
-				if len(ires.Solved) > 0 {
-					analyzers[i] = nil
+				if len(ires.Solved) == 0 {
+					return nil
 				}
-				var solved []string
-				for _, s := range ires.Solved {
-					solvedByUnit[i] = append(solvedByUnit[i], u.Name+"."+s.Name)
-					solved = append(solved, s.Name)
+				analyzers[i] = nil
+				solved := make([]string, len(ires.Solved))
+				rec.solved = make([]string, len(ires.Solved))
+				for k, s := range ires.Solved {
+					solved[k] = s.Name
+					rec.solved[k] = u.Name + "." + s.Name
 				}
-				c.Count("variables_substituted", int64(len(ires.Solved)))
-				if rec := st.dirtyRec(i, "induction"); rec != nil {
-					rec.counters = map[string]int64{"variables_substituted": int64(len(ires.Solved))}
-					rec.solved = solvedByUnit[i]
-				}
-				if len(solved) > 0 {
-					uo.Decision(obsv.Decision{
-						Label: label, Unit: u.Name, Pass: "induction",
-						Detail:   "induction variables replaced by closed forms",
-						Evidence: solved,
-					})
-				}
+				uo.Decision(obsv.Decision{
+					Label: label, Unit: u.Name, Pass: "induction",
+					Detail:   "induction variables replaced by closed forms",
+					Evidence: solved,
+				})
 				return nil
-			}, func(i int, rec *unitPassRecord) {
-				solvedByUnit[i] = rec.solved
+			}, func(i int, rec *unitRecord) {
+				res.InductionVars = append(res.InductionVars, rec.solved...)
+				c.Count("variables_substituted", int64(len(rec.solved)))
 			})
-			if err != nil {
-				return err
-			}
-			for _, solved := range solvedByUnit {
-				res.InductionVars = append(res.InductionVars, solved...)
-			}
-			return nil
 		}))
 	}
 
@@ -495,16 +488,13 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// the ParInfo annotation on every loop.
 	//
 	// The pass concatenates the units' reports in unit order into
-	// res.Loops: unit ui's are res.Loops[loopStart[ui]:loopStart[ui+1]],
-	// and, under an observer, their final records are (*verdicts)[ui].
-	var loopStart []int
+	// res.Loops and, under an observer, makes (*verdicts)[ui] unit ui's
+	// final records, parallel to its reports there.
 	ps = append(ps, passes.Func("dependence-analysis", func(c *passes.Context) error {
-		reportsByUnit := make([][]LoopReport, len(work.Units))
 		if obs != nil {
 			*verdicts = make([][]obsv.Decision, len(work.Units))
 		}
-		statsByUnit := make([]deps.Stats, len(work.Units))
-		err := each(c, "dependence-analysis", func(ui int, uo *obsv.Observer) error {
+		err := each(c, passDependence, func(ui int, rec *unitRecord, uo *obsv.Observer) error {
 			u := work.Units[ui]
 			assignLoopIDs(u)
 			ranges := rangesOf(ui)
@@ -513,77 +503,55 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			// decision records go to the unit observer (the shared one, or
 			// under a memo a capture forwarding to it), which is non-nil
 			// exactly when someone keeps the loops' final records, and
-			// dependence-test counts accumulate in a per-unit Stats slot,
-			// summed into opt.Stats after the last unit. Under a memo the
-			// slot is always filled — the record must carry the counts so
-			// a later Stats-requesting compile can replay them.
+			// dependence-test counts accumulate in the unit's record.
 			uopt := opt
 			uopt.Observer = uo
-			if opt.Stats != nil || st != nil {
-				uopt.Stats = &statsByUnit[ui]
+			uopt.Stats = &rec.stats
+			loops := ir.Loops(u.Body)
+			rec.reports = make([]LoopReport, len(loops))
+			if uo != nil {
+				rec.verdicts = make([]obsv.Decision, len(loops))
 			}
 			// Innermost-first, so a loop's LRPD decision can see whether
 			// its subtree is already parallel (speculation belongs at the
-			// level where static analysis fails, not above it).
-			loops := ir.Loops(u.Body)
-			var reports []LoopReport
-			var unitVerdicts []obsv.Decision
-			if uo != nil {
-				unitVerdicts = make([]obsv.Decision, len(loops))
-			}
+			// level where static analysis fails, not above it). The reports
+			// stay in program order, outermost-first.
 			for i := len(loops) - 1; i >= 0; i-- {
 				if err := c.Err(); err != nil {
 					return err
 				}
 				report, verdict := analyzeLoop(u, ranges, tester, loops[i], uopt)
 				report.Unit = u.Name
-				reports = append(reports, report)
-				if unitVerdicts != nil {
-					unitVerdicts[i] = verdict
+				rec.reports[i] = report
+				if rec.verdicts != nil {
+					rec.verdicts[i] = verdict
 				}
-			}
-			// Present outermost-first.
-			for i, j := 0, len(reports)-1; i < j; i, j = i+1, j-1 {
-				reports[i], reports[j] = reports[j], reports[i]
-			}
-			reportsByUnit[ui] = reports
-			if obs != nil {
-				(*verdicts)[ui] = unitVerdicts
 			}
 			// Only the constant table crosses the barrier to strength
 			// reduction: every unit's fact tables held until then would
 			// be the pass's peak memory.
 			ranges.ReleaseCaches()
-			if rec := st.dirtyRec(ui, "dependence-analysis"); rec != nil {
-				rec.reports = toMemoReports(reports)
-				rec.verdicts = unitVerdicts
-				rec.stats = statsByUnit[ui]
-			}
 			return nil
-		}, func(ui int, rec *unitPassRecord) {
-			// Read, not copied: the one copy is the append below, into
-			// the fresh array the downstream passes may update.
-			reportsByUnit[ui] = rec.reports
+		}, func(ui int, rec *unitRecord) {
 			if obs != nil {
 				(*verdicts)[ui] = rec.verdicts
 			}
-			statsByUnit[ui] = rec.stats
+			if opt.Stats != nil {
+				opt.Stats.Add(&rec.stats)
+			}
 		})
 		if err != nil {
 			return err
 		}
-		loopStart = make([]int, len(work.Units)+1)
-		for ui, reports := range reportsByUnit {
-			loopStart[ui+1] = loopStart[ui] + len(reports)
+		// One copy of every report, into the array the downstream passes
+		// may update: the records keep their as-of-analysis values.
+		n := 0
+		for _, rec := range recs {
+			n += len(rec.reports)
 		}
-		res.Loops = slices.Grow(res.Loops, loopStart[len(work.Units)]) // nil stays nil without loops
-		for _, reports := range reportsByUnit {
-			res.Loops = append(res.Loops, reports...)
-		}
-		if opt.Stats != nil {
-			for i := range statsByUnit {
-				opt.Stats.Add(&statsByUnit[i])
-			}
+		res.Loops = slices.Grow(res.Loops, n) // nil stays nil without loops
+		for _, rec := range recs {
+			res.Loops = append(res.Loops, rec.reports...)
 		}
 		var parallel, lrpd int64
 		for _, lr := range res.Loops {
@@ -606,69 +574,49 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// 5. Code-generation strength reduction (after the verdicts, which
 	// it consumes and updates).
 	if opt.StrengthReduction {
-		// refresh brings unit ui's reports up to the Par annotations the
-		// pass left, live or memoized (a memoized clone was captured after
-		// the pass ran on it), and, under an observer, gives each loop
-		// whose verdict changed the pass's record in its verdict slot. It
-		// returns the number of verdicts changed.
-		refresh := func(ui int) int64 {
-			reports := res.Loops[loopStart[ui]:loopStart[ui+1]]
-			var flips int64
-			for k := range reports {
-				lr := &reports[k]
-				par := lr.Loop.Par
-				if par == nil || lr.Parallel == par.Parallel {
-					continue
-				}
-				flips++
-				lr.Parallel, lr.Reason = par.Parallel, par.Reason
-				if obs == nil {
-					continue
-				}
-				vs := (*verdicts)[ui]
-				if flips == 1 {
-					// The unit memo may hold these records: write a copy.
-					vs = slices.Clone(vs)
-					(*verdicts)[ui] = vs
-				}
-				vs[k] = strengthVerdict(vs[k], par.Reason)
-			}
-			return flips
-		}
 		ps = append(ps, passes.Func("strength-reduction", func(c *passes.Context) error {
-			counts := make([]int, len(work.Units))
-			err := each(c, "strength-reduction", func(ui int, uo *obsv.Observer) error {
-				sres := strength.Run(work.Units[ui], rangesOf(ui))
+			next := 0 // the unit's first report in res.Loops
+			return each(c, passStrength, func(ui int, rec *unitRecord, _ *obsv.Observer) error {
+				rec.reduced = strength.Run(work.Units[ui], rangesOf(ui)).Reduced
 				analyzers[ui] = nil // last use
-				counts[ui] = sres.Reduced
-				c.Count("accumulators_introduced", int64(sres.Reduced))
-				rec := st.dirtyRec(ui, "strength-reduction")
-				if rec != nil {
-					rec.counters = map[string]int64{"accumulators_introduced": int64(sres.Reduced)}
-				}
-				if sres.Reduced == 0 {
-					return nil
-				}
-				if flips := refresh(ui); flips > 0 {
-					c.Count("verdict_flips", flips)
-					if rec != nil {
-						rec.counters["verdict_flips"] = flips
-					}
-				}
 				return nil
-			}, func(ui int, rec *unitPassRecord) {
-				counts[ui] = int(rec.counters["accumulators_introduced"])
-				if counts[ui] > 0 {
-					refresh(ui)
+			}, func(ui int, rec *unitRecord) {
+				reports := res.Loops[next : next+len(rec.reports)]
+				next += len(reports)
+				res.StrengthReduced += rec.reduced
+				c.Count("accumulators_introduced", int64(rec.reduced))
+				if rec.reduced == 0 {
+					return
+				}
+				// Bring the unit's reports up to the Par annotations the pass
+				// left, live or memoized (a memoized unit was captured after
+				// the pass ran on it), and, under an observer, give each loop
+				// whose verdict changed the pass's record in its verdict slot.
+				var flips int64
+				for k := range reports {
+					lr := &reports[k]
+					par := lr.Loop.Par
+					if par == nil || lr.Parallel == par.Parallel {
+						continue
+					}
+					flips++
+					lr.Parallel, lr.Reason = par.Parallel, par.Reason
+					if obs == nil {
+						continue
+					}
+					vs := (*verdicts)[ui]
+					if flips == 1 {
+						// The record's verdicts are, or will be, the memo's:
+						// write a copy.
+						vs = slices.Clone(vs)
+						(*verdicts)[ui] = vs
+					}
+					vs[k] = strengthVerdict(vs[k], par.Reason)
+				}
+				if flips > 0 {
+					c.Count("verdict_flips", flips)
 				}
 			})
-			if err != nil {
-				return err
-			}
-			for _, n := range counts {
-				res.StrengthReduced += n
-			}
-			return nil
 		}))
 	}
 

@@ -35,11 +35,11 @@
 // entries are immutable and Result.Program is read-only by contract
 // (the compile service already shares one Result across requests), so
 // no defensive clone is needed — and each per-unit pass replays the
-// captured Decision provenance and mutation counters instead of
-// re-running, exactly as whole-program cache hits replay theirs.
-// Units whose hash misses are "dirty": they claim an in-flight memo
-// slot, run live, and publish their final IR and records when the
-// pipeline commits.
+// captured Decision provenance instead of re-running, exactly as
+// whole-program cache hits replay theirs, then folds the memoized
+// record into Result as it folds a live one. Units whose hash misses
+// are "dirty": they claim an in-flight memo slot, run live, and publish
+// their final IR and record when the pipeline commits.
 package core
 
 import (
@@ -58,7 +58,7 @@ import (
 // unitMemoVersion salts every unit hash; bump it whenever the meaning
 // of a memoized record changes (new per-unit pass, changed record
 // layout), so stale entries from an older scheme can never replay.
-const unitMemoVersion = "polaris-unit-memo/v3"
+const unitMemoVersion = "polaris-unit-memo/v4"
 
 // unitHasher computes the unit keys of one compilation under the two
 // schemes the package comment describes, whose tags domain-separate
@@ -108,42 +108,55 @@ func (uh *unitHasher) write(s string) {
 	}
 }
 
-// unitPassRecord is what one per-unit pass produced for one unit: the
-// Decision provenance (replayed relabeled on reuse, like whole-program
-// cache hits), the pass's mutation counters, and the pass-specific
-// side outputs the driver folds into Result.
-type unitPassRecord struct {
-	decisions []obsv.Decision
-	counters  map[string]int64
-	// solved lists the qualified induction variables (induction pass).
+// unitPass indexes a unitRecord's captured decisions by per-unit pass.
+type unitPass int
+
+const (
+	passNormalize unitPass = iota
+	passInduction
+	passDependence
+	passStrength
+	numUnitPasses
+)
+
+// unitRecord is everything the per-unit passes left for one unit of one
+// compile, and the only place they leave it: a unit the pipeline runs
+// gets a fresh record its passes write, which becomes the memo entry's
+// record at commit; a clean unit's slot is its entry's record, which
+// nothing writes. The driver folds every unit's record into Result the
+// same way, clean or dirty.
+type unitRecord struct {
+	// normalized counts the loops rewritten to unit step (normalize).
+	normalized int
+	// solved lists the qualified induction variables (induction).
 	solved []string
-	// reports are the unit's loop verdicts as of this pass
-	// (dependence-analysis pass). Their Loop pointers point into the
-	// entry's memoized unit — the same object every reusing compilation
-	// installs — so replay needs no pointer rebinding.
+	// reports are the unit's loop verdicts as of dependence analysis.
+	// Their Loop pointers point into the unit itself — the entry's
+	// payload, the very object every reusing compilation installs — so
+	// replay needs no pointer rebinding. The compile's copies in
+	// Result.Loops are the ones strength reduction updates.
 	reports []LoopReport
 	// verdicts are the final records of those loops, parallel to
-	// reports (dependence-analysis pass). They are not among decisions:
-	// a compile emits them after its last pass, relabeled.
+	// reports, built only when someone keeps them (dependence analysis).
+	// A compile emits them after its last pass, relabeled.
 	verdicts []obsv.Decision
-	// stats are the unit's dependence-test counts (dependence-analysis
-	// pass).
+	// stats are the unit's dependence-test counts.
 	stats deps.Stats
+	// reduced counts the accumulators strength reduction introduced.
+	reduced int
+	// decisions holds each pass's Decision provenance, indexed by
+	// unitPass, replayed relabeled on reuse like whole-program cache
+	// hits. It is made only under a memo.
+	decisions [][]obsv.Decision
 }
 
-// emptyRecord stands in when a completed entry somehow lacks a pass's
-// record; replaying it is a no-op. The fingerprint pins the technique
-// set, so a completed entry always carries a record for every enabled
-// per-unit pass and this is defense in depth only.
-var emptyRecord = &unitPassRecord{}
-
 // unitEntry is one memo entry's payload: the unit's final IR and its
-// per-pass records, written by the compilation that claimed the key and
-// immutable once published, so a compilation holding one may keep
-// replaying from it after eviction drops it from the memo.
+// record, written by the compilation that claimed the key and immutable
+// once published, so a compilation holding one may keep replaying from
+// it after eviction drops it from the memo.
 type unitEntry struct {
 	unit *ir.ProgramUnit
-	recs map[string]*unitPassRecord
+	rec  *unitRecord
 }
 
 // MemoLimits bounds a UnitMemo (zero fields mean unlimited); in-flight
@@ -191,22 +204,20 @@ func (m *UnitMemo) Stats() MemoStats {
 // TestUnitMemoBooksWhatItHolds measures it against the live heap: the
 // unit's IR and its own copy of the source come to about nine bytes per
 // byte of the text that keyed it (rendered or raw), the memo's
-// bookkeeping to about 384 bytes an entry, and each pass record to its
-// struct and counters plus the decisions, reports, verdicts and
-// induction variables it captured. Decision strings the IR already
-// holds (unit and loop names) are not counted again. The estimate is
-// computed once at commit and is therefore exact for the add-on-insert
-// / subtract-on-evict accounting.
-func entrySize(keyLen int, recs map[string]*unitPassRecord) int64 {
-	s := int64(keyLen)*9 + 384
-	for _, rec := range recs {
-		s += 256 + decisionsSize(rec.decisions) + decisionsSize(rec.verdicts)
-		for _, lr := range rec.reports {
-			s += int64(unsafe.Sizeof(lr)) + int64(len(lr.LRPD))*int64(unsafe.Sizeof(""))
-		}
-		for _, v := range rec.solved {
-			s += int64(unsafe.Sizeof(v)) + int64(len(v))
-		}
+// bookkeeping to about 384 bytes an entry, and the record to its struct
+// plus the decisions, reports, verdicts and induction variables it
+// captured. Decision strings the IR already holds (unit and loop names)
+// are not counted again. The estimate is computed once at commit and is
+// therefore exact for the add-on-insert / subtract-on-evict accounting.
+func entrySize(keyLen int, rec *unitRecord) int64 {
+	s := int64(keyLen)*9 + 384 + int64(unsafe.Sizeof(*rec)) + decisionsSize(rec.verdicts)
+	for _, ds := range rec.decisions {
+		s += int64(unsafe.Sizeof(ds)) + decisionsSize(ds)
+	}
+	// A report's LRPD list is its loop annotation's, held by the IR.
+	s += int64(len(rec.reports)) * int64(unsafe.Sizeof(LoopReport{}))
+	for _, v := range rec.solved {
+		s += int64(unsafe.Sizeof(v)) + int64(len(v))
 	}
 	return s
 }
@@ -223,8 +234,8 @@ func decisionsSize(ds []obsv.Decision) int64 {
 	return s
 }
 
-// incrState is the compile-local incremental slate: the per-unit keys
-// and acquisition results of one pipeline run. It is created by
+// incrState is the compile-local incremental slate: the per-unit keys,
+// acquisition results and records of one pipeline run. It is created by
 // CompileContext when Options.UnitMemo is set and threaded through the
 // pipeline closures.
 type incrState struct {
@@ -240,7 +251,7 @@ type incrState struct {
 	keys   [][32]byte
 	reuse  []*unitEntry                        // completed entries (clean units)
 	claims []store.Claim[[32]byte, *unitEntry] // keys this compilation must fill (dirty units)
-	recs   []map[string]*unitPassRecord
+	recs   []*unitRecord                       // the entry's record (clean) or a fresh one (dirty)
 	// keyLen caches each unit's hashed-text length (raw source or
 	// rendering) for the commit-time size estimate.
 	keyLen []int
@@ -284,7 +295,7 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 		return err
 	}
 	st.reuse, st.claims = reuse, claims
-	st.recs = make([]map[string]*unitPassRecord, len(work.Units))
+	st.recs = make([]*unitRecord, len(work.Units))
 	for i := range work.Units {
 		if e := reuse[i]; e != nil {
 			// Shared, not cloned: completed entries are immutable, every
@@ -293,10 +304,10 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 			// never resolve to one entry within a program — a unit's key
 			// covers its name (header line in either scheme) and
 			// duplicate unit names cannot parse or Add.
-			work.Units[i] = e.unit
+			work.Units[i], st.recs[i] = e.unit, e.rec
 			res.UnitsReused++
 		} else {
-			st.recs[i] = map[string]*unitPassRecord{}
+			st.recs[i] = &unitRecord{decisions: make([][]obsv.Decision, numUnitPasses)}
 			res.UnitsRecompiled++
 		}
 	}
@@ -305,86 +316,11 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 	return nil
 }
 
-// record returns the completed entry's record for (unit i, pass), or
-// nil when the unit is dirty and must run live.
-func (st *incrState) record(i int, pass string) *unitPassRecord {
-	e := st.reuse[i]
-	if e == nil {
-		return nil
-	}
-	if rec := e.recs[pass]; rec != nil {
-		return rec
-	}
-	return emptyRecord
-}
-
-// dirtyRec returns the in-progress record for (dirty unit i, pass),
-// creating it. Returns nil on the non-incremental path (nil receiver)
-// and for an unmemoized duplicate-key unit, so pass closures can call
-// it unconditionally.
-func (st *incrState) dirtyRec(i int, pass string) *unitPassRecord {
-	if st == nil || st.recs == nil || st.recs[i] == nil {
-		return nil
-	}
-	rec := st.recs[i][pass]
-	if rec == nil {
-		rec = &unitPassRecord{}
-		st.recs[i][pass] = rec
-	}
-	return rec
-}
-
-// forEach is the incremental analogue of forEachUnit: in unit order,
-// a dirty unit runs live through a capture that forwards each decision
-// to obs and keeps it for the memo, and a clean unit replays its
-// memoized record in the same stream position, so the Decision stream
-// is byte-identical to a from-scratch compile.
-//
-// replay, when non-nil, folds the memoized record's side outputs into
-// the pass's per-index slots (the same slots live fills).
-func (st *incrState) forEach(c *passes.Context, units []*ir.ProgramUnit, obs *obsv.Observer, pass string,
-	live func(i int, uo *obsv.Observer) error,
-	replay func(i int, rec *unitPassRecord)) error {
-	for i := range units {
-		if err := c.Err(); err != nil {
-			return err
-		}
-		if rec := st.record(i, pass); rec != nil {
-			st.emit(c, rec, obs, replay, i)
-			continue
-		}
-		capture := obsv.NewCapture(obs)
-		if err := live(i, capture); err != nil {
-			return err
-		}
-		if rec := st.dirtyRec(i, pass); rec != nil {
-			rec.decisions = capture.Decisions()
-		}
-	}
-	return nil
-}
-
-// emit replays one memoized record in stream position: decisions are
-// relabeled to this compilation's label (the memo stores them under
-// the label of whichever compilation filled the entry), counters feed
-// the running pass's mutation sink, and the side outputs flow through
-// replay into the pass's per-index slots.
-func (st *incrState) emit(c *passes.Context, rec *unitPassRecord, obs *obsv.Observer,
-	replay func(i int, rec *unitPassRecord), i int) {
-	obs.ReplayDecisions(rec.decisions, st.label)
-	for k, v := range rec.counters {
-		c.Count(k, v)
-	}
-	if replay != nil {
-		replay(i, rec)
-	}
-}
-
 // commit completes every claim after a successful pipeline run: the
-// final transformed unit itself becomes the entry's payload — the
-// compilation's Result.Program shares it, read-only from here on,
-// exactly as reusing compilations will — and the entry joins the
-// memo's LRU.
+// final transformed unit itself and the record its passes wrote become
+// the entry's payload — the compilation's Result.Program shares the
+// unit, read-only from here on, exactly as reusing compilations will —
+// and the entry joins the memo's LRU.
 func (st *incrState) commit(work *ir.Program) {
 	for i, c := range st.claims {
 		if !c.Held() {
@@ -395,7 +331,7 @@ func (st *incrState) commit(work *ir.Program) {
 		// owns its bytes, or it would keep the source of the compile
 		// that filled it alive for as long as it stays in the memo.
 		u.Source = strings.Clone(u.Source)
-		c.Complete(&unitEntry{unit: u, recs: st.recs[i]}, entrySize(st.keyLen[i], st.recs[i]))
+		c.Complete(&unitEntry{unit: u, rec: st.recs[i]}, entrySize(st.keyLen[i], st.recs[i]))
 	}
 }
 
@@ -407,20 +343,4 @@ func (st *incrState) abort(err error) {
 			c.Release(err)
 		}
 	}
-}
-
-// toMemoReports snapshots a unit's loop reports for its memo record.
-// The unit itself is the entry's payload at commit, so the Loop
-// pointers stay valid verbatim; the structs are copied (fresh backing
-// array, defensive LRPD copy) because the strength-reduction pass
-// later updates the Parallel/Reason of the compilation's own copies in
-// Result.Loops, and the record must keep the as-of-dependence-analysis
-// values every replay starts from.
-func toMemoReports(reports []LoopReport) []LoopReport {
-	out := make([]LoopReport, len(reports))
-	copy(out, reports)
-	for j := range out {
-		out[j].LRPD = append([]string(nil), out[j].LRPD...)
-	}
-	return out
 }

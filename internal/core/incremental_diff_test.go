@@ -10,6 +10,7 @@ import (
 
 	"polaris/internal/codegen"
 	"polaris/internal/core"
+	"polaris/internal/deps"
 	"polaris/internal/fuzzgen"
 	"polaris/internal/ir"
 	"polaris/internal/obsv"
@@ -39,8 +40,11 @@ func verdictLines(res *core.Result) []string {
 // compilation: compile a megaprogram to warm the unit memo, edit one
 // unit, then compile the edited program both incrementally (against
 // the warm memo) and from scratch — the two must agree byte-for-byte
-// on verdicts, on the full Decision stream, and on the emitted Go.
-// The incremental compile must also touch exactly one unit.
+// on verdicts, on the full Decision stream, on everything the driver
+// folds out of a unit's record (dependence-test counts, induction
+// variables, normalized loops, strength reductions, every pass's
+// mutation counts), and on the emitted Go. The incremental compile must
+// also touch exactly one unit.
 func TestIncrementalDifferential(t *testing.T) {
 	spec := fuzzgen.MegaCorpus()[0] // mega10k: big enough to matter, fast enough for tier 1
 	mp := spec.Generate()
@@ -74,10 +78,14 @@ func checkIncrementalDifferential(t *testing.T, src, editedSrc string) {
 			warmRes.UnitsReused, warmRes.UnitsRecompiled, len(warmRes.Program.Units))
 	}
 
+	// The warm compile kept no Stats: the records must carry the counts
+	// regardless.
+	var incStats, scrStats deps.Stats
 	incObs := obsv.NewObserver()
 	incOpt := warmOpt
 	incOpt.TraceLabel = "edit"
 	incOpt.Observer = incObs
+	incOpt.Stats = &incStats
 	// TrustedInput on the incremental side only: the byte-identity
 	// assertions below double as its observation-only proof.
 	incOpt.TrustedInput = true
@@ -98,6 +106,7 @@ func checkIncrementalDifferential(t *testing.T, src, editedSrc string) {
 	scrOpt := core.PolarisOptions()
 	scrOpt.TraceLabel = "edit"
 	scrOpt.Observer = scrObs
+	scrOpt.Stats = &scrStats
 	scrRes, err := core.CompileContext(ctx, mustParse(t, editedSrc), scrOpt)
 	if err != nil {
 		t.Fatalf("from-scratch compile: %v", err)
@@ -133,6 +142,27 @@ func checkIncrementalDifferential(t *testing.T, src, editedSrc string) {
 		}
 	}
 
+	// What the driver folds out of each unit's record, replayed or live.
+	if incStats != scrStats {
+		t.Errorf("dependence-test counts differ: incremental %+v, scratch %+v", incStats, scrStats)
+	}
+	if !reflect.DeepEqual(incRes.InductionVars, scrRes.InductionVars) {
+		t.Errorf("induction variables differ: incremental %d, scratch %d", len(incRes.InductionVars), len(scrRes.InductionVars))
+	}
+	if incRes.NormalizedLoops != scrRes.NormalizedLoops || incRes.StrengthReduced != scrRes.StrengthReduced {
+		t.Errorf("normalized/strength-reduced: incremental %d/%d, scratch %d/%d",
+			incRes.NormalizedLoops, incRes.StrengthReduced, scrRes.NormalizedLoops, scrRes.StrengthReduced)
+	}
+	im, sm := passMutations(incRes), passMutations(scrRes)
+	if !reflect.DeepEqual(im, sm) {
+		t.Errorf("pass mutation counts differ:\n  incremental: %v\n  scratch:     %v", im, sm)
+	}
+	// Not equal for want of anything to compare.
+	if scrStats.PairsTested == 0 || len(scrRes.InductionVars) == 0 || sm["strength-reduction"]["verdict_flips"] == 0 {
+		t.Errorf("the program exercises too little: %+v, %d induction variables, mutations %v",
+			scrStats, len(scrRes.InductionVars), sm["strength-reduction"])
+	}
+
 	// Emitted Go, byte for byte.
 	igo, err := codegen.EmitGo(incRes, codegen.GoOptions{Processors: 8, Label: "edit"})
 	if err != nil {
@@ -149,6 +179,18 @@ func checkIncrementalDifferential(t *testing.T, src, editedSrc string) {
 	if got := memo.Stats(); got.Hits == 0 {
 		t.Errorf("memo recorded no hits across the incremental recompile: %+v", got)
 	}
+}
+
+// passMutations maps each pass of a compile's report to its mutation
+// counts, leaving out unit-hash, which only a memo compile runs.
+func passMutations(res *core.Result) map[string]map[string]int64 {
+	m := map[string]map[string]int64{}
+	for _, sp := range res.Report.Events {
+		if sp.Pass != "unit-hash" {
+			m[sp.Pass] = sp.Mutations
+		}
+	}
+	return m
 }
 
 // churnSources builds small multi-unit variants that pairwise share

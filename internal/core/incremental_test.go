@@ -50,7 +50,7 @@ func TestUnitMemoPinsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range more {
-		c.Complete(&unitEntry{recs: map[string]*unitPassRecord{}}, 0)
+		c.Complete(&unitEntry{rec: &unitRecord{}}, 0)
 	}
 	st := m.Stats()
 	if st.Entries != 2 {
@@ -73,7 +73,7 @@ func TestUnitMemoPinsInFlight(t *testing.T) {
 	}()
 	// Give the waiter time to park; it must not claim a split slot.
 	time.Sleep(10 * time.Millisecond)
-	pinned := &unitEntry{recs: map[string]*unitPassRecord{}}
+	pinned := &unitEntry{rec: &unitRecord{}}
 	inflight.Complete(pinned, 0)
 	select {
 	case reuse := <-woke:
@@ -155,7 +155,7 @@ func TestUnitMemoAcquireCanceled(t *testing.T) {
 		t.Fatal("canceled waiter never returned")
 	}
 	// The leader's claim is untouched; completing it must still work.
-	claims[0].Complete(&unitEntry{recs: map[string]*unitPassRecord{}}, 0)
+	claims[0].Complete(&unitEntry{rec: &unitRecord{}}, 0)
 	if got := m.Stats().Entries; got != 1 {
 		t.Fatalf("entries after complete: got %d, want 1", got)
 	}
@@ -270,7 +270,7 @@ func TestUnitHashLocality(t *testing.T) {
 // TestUnitKeysArePinned holds the unit keys to their bytes: both values
 // were printed by the commit before unitHasher, whose unitHash and
 // srcHash wrote each part to a fresh digest with io.WriteString, and
-// re-printed when unitMemoVersion became v3. A change of key is a change
+// re-printed when unitMemoVersion became v3 and again at v4. A change of key is a change
 // of unitMemoVersion, never a side effect.
 func TestUnitKeysArePinned(t *testing.T) {
 	prog, err := parser.ParseProgram("      SUBROUTINE S(A, N)\n      REAL A(N)\n      DO I = 1, N\n        A(I) = A(I) * 2.0\n      END DO\n      END\n")
@@ -280,11 +280,11 @@ func TestUnitKeysArePinned(t *testing.T) {
 	u, uh := prog.Units[0], newUnitHasher(PolarisOptions())
 	// One hasher, three keys: the digest is reset between them.
 	for i := 0; i < 2; i++ {
-		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "93075223ed63718b8cd7ad8cca192a511284acbc9831eaa12074b93c117b2b21" {
+		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "294ae81b98ce3fa2d9a1ab3f6cf10694f1fdc1ddac7d665b20c0ade6f19163af" {
 			t.Errorf("ir key %s", got)
 		}
 	}
-	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "7eb8b8002a7e05f7dc295d10c7a4a44345e3166a822b7e96640d2cd2c87672de" {
+	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "ba2331b62824b5c369af9eb5534e325492985e56440a1ad247218ccfaaf50398" {
 		t.Errorf("src key %s", got)
 	}
 	// A text longer than the hasher's copy buffer goes through in pieces.

@@ -61,16 +61,6 @@ type Plan struct {
 	calleesOf map[string][]string
 }
 
-// Propagate specializes the whole program in place: the plan, applied
-// to every unit.
-func Propagate(prog *ir.Program) *Report {
-	p := Analyze(prog)
-	for _, u := range prog.Units {
-		p.Apply(u)
-	}
-	return &p.Report
-}
-
 // Analyze decides the specialization of prog without writing it: a
 // scalar integer formal is dropped when every call site passes it the
 // same integer literal and the callee never writes it.

@@ -17,11 +17,14 @@ func propagate(t *testing.T, src string) (*ir.Program, *interproc.Report) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	rep := interproc.Propagate(prog)
+	plan := interproc.Analyze(prog)
+	for _, u := range prog.Units {
+		plan.Apply(u)
+	}
 	if err := prog.Check(); err != nil {
 		t.Fatalf("inconsistent after propagation: %v\n%s", err, prog.Fortran())
 	}
-	return prog, rep
+	return prog, &plan.Report
 }
 
 const uniformSrc = `

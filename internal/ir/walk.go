@@ -59,24 +59,6 @@ func OuterLoops(b *Block) []*DoStmt {
 // deeper loops).
 func InnerLoops(d *DoStmt) []*DoStmt { return OuterLoops(d.Body) }
 
-// NestOf returns the perfect-or-imperfect loop nest rooted at d:
-// d followed by the chain of loops nested inside it, outermost first
-// (at each level, all loops at that level are included breadth-first).
-func NestOf(d *DoStmt) []*DoStmt {
-	out := []*DoStmt{d}
-	frontier := []*DoStmt{d}
-	for len(frontier) > 0 {
-		var next []*DoStmt
-		for _, l := range frontier {
-			inner := InnerLoops(l)
-			out = append(out, inner...)
-			next = append(next, inner...)
-		}
-		frontier = next
-	}
-	return out
-}
-
 // StmtExprs returns the expressions directly held by s (not those of
 // nested statements): assignment sides, loop bounds, conditions, call
 // arguments. Mutating the returned expressions mutates the statement.
@@ -162,19 +144,6 @@ func ReferencesVar(b *Block, name string) bool {
 		return !found
 	})
 	return found
-}
-
-// Assignments returns every assignment statement in the block tree in
-// source order.
-func Assignments(b *Block) []*AssignStmt {
-	var out []*AssignStmt
-	WalkStmts(b, func(s Stmt) bool {
-		if a, ok := s.(*AssignStmt); ok {
-			out = append(out, a)
-		}
-		return true
-	})
-	return out
 }
 
 // CountStmts returns the number of statements in the block tree.

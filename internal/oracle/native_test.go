@@ -139,14 +139,20 @@ func TestNativeProcSweep(t *testing.T) {
 // mode builds its programs, its goroutines joined before exit as the
 // emitted harness joins them, still fails with the race runtime's exit
 // status 66 under the exit sleep RunNativeBinary turns off, with and
-// without GORACE options of the caller's.
+// without GORACE options of the caller's. Each goroutine stays alive for
+// 20 ms after its write: when the first one had already exited, the race
+// runtime missed the unsynchronized pair in a few runs out of a hundred,
+// with or without the exit sleep.
 func TestNativeRaceStillReported(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary")
 	}
 	const racy = `package main
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 var n int
 
@@ -154,7 +160,11 @@ func main() {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); n++ }()
+		go func() {
+			defer wg.Done()
+			n++
+			time.Sleep(20 * time.Millisecond)
+		}()
 	}
 	wg.Wait()
 }

@@ -157,11 +157,6 @@ func ReplaceAll(e, pat, template ir.Expr) (ir.Expr, int) {
 // W returns a wildcard with the given ID.
 func W(id string) *ir.Wildcard { return &ir.Wildcard{ID: id} }
 
-// WPred returns a wildcard with a predicate filter.
-func WPred(id string, pred func(ir.Expr) bool) *ir.Wildcard {
-	return &ir.Wildcard{ID: id, Pred: pred}
-}
-
 // MatchReductionStmt matches the Polaris reduction idiom
 //
 //	A(a1,...,an) = A(a1,...,an) op expr    (n may be 0: scalar)

@@ -48,7 +48,7 @@ func TestMatchLiteralStructure(t *testing.T) {
 
 func TestMatchPredicates(t *testing.T) {
 	isConst := func(e ir.Expr) bool { _, ok := e.(*ir.ConstInt); return ok }
-	pat := ir.Add(ir.Var("K"), WPred("c", isConst))
+	pat := ir.Add(ir.Var("K"), &ir.Wildcard{ID: "c", Pred: isConst})
 	if _, ok := Match(pat, expr(t, "K + 3")); !ok {
 		t.Errorf("predicate match failed")
 	}

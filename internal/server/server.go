@@ -342,11 +342,11 @@ func (s *Server) deadline(timeoutMS int64) time.Duration {
 	if timeoutMS <= 0 {
 		return s.cfg.DefaultTimeout
 	}
-	d := time.Duration(timeoutMS) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
+	// Compared in milliseconds: the product would wrap for large values.
+	if timeoutMS > s.cfg.MaxTimeout.Milliseconds() {
 		return s.cfg.MaxTimeout
 	}
-	return d
+	return time.Duration(timeoutMS) * time.Millisecond
 }
 
 // recovered is the last-resort panic boundary: pass panics are already

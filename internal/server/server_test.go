@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -304,6 +305,31 @@ func TestPassPanicIsIsolated(t *testing.T) {
 	writeCompileError(w, context.Canceled)
 	if w.Code != 499 {
 		t.Errorf("canceled: status %d, want 499", w.Code)
+	}
+}
+
+// TestDeadlineClamps: timeout_ms resolves to the default when absent or
+// negative and is clamped to MaxTimeout above it, however large: a value
+// whose duration overflows int64 nanoseconds must not wrap to an
+// immediate timeout.
+func TestDeadlineClamps(t *testing.T) {
+	s := New(Config{})
+	capped := s.cfg.MaxTimeout
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, s.cfg.DefaultTimeout},
+		{-1, s.cfg.DefaultTimeout},
+		{1, time.Millisecond},
+		{capped.Milliseconds(), capped},
+		{capped.Milliseconds() + 1, capped},
+		{1 << 62, capped},
+		{math.MaxInt64, capped},
+	} {
+		if got := s.deadline(tc.ms); got != tc.want {
+			t.Errorf("timeout_ms %d: deadline %v, want %v", tc.ms, got, tc.want)
+		}
 	}
 }
 

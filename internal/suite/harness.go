@@ -273,30 +273,6 @@ func (r *Runner) Figure6(ctx context.Context, maxP int) ([]Fig6Row, error) {
 	return rows, nil
 }
 
-// Compatibility wrappers: the original serial entry points, now backed
-// by a fresh concurrent Runner with a background context.
-
-// Table1 runs every program serially and reports the rows.
-func Table1() ([]Table1Row, error) { return NewRunner().Table1(context.Background()) }
-
-// Figure7 regenerates the Polaris-vs-PFA speedup comparison.
-func Figure7(procs int) ([]Fig7Row, error) { return NewRunner().Figure7(context.Background(), procs) }
-
-// Figure6 regenerates both TRACK plots for processor counts 1..maxP.
-func Figure6(maxP int) ([]Fig6Row, error) { return NewRunner().Figure6(context.Background(), maxP) }
-
-// RunOne executes one program under one compiler configuration on p
-// processors and returns (time, checksum).
-func RunOne(p Program, procs int, polaris bool) (int64, float64, error) {
-	out, err := NewRunner().runOne(context.Background(), p, procs, polaris, true)
-	return out.cycles, out.sum, err
-}
-
-// SerialTime runs a program serially and returns (time, checksum).
-func SerialTime(p Program) (int64, float64, error) {
-	return NewRunner().serialTime(context.Background(), p)
-}
-
 // failingTrack is TRACK with every invocation carrying a dependence
 // (the all-failure case of the potential-slowdown plot).
 var failingTrack = Program{

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func TestAllProgramsParseAndRunSerially(t *testing.T) {
-	rows, err := Table1()
+	rows, err := NewRunner().Table1(context.Background())
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -38,7 +39,7 @@ func TestAllProgramsParseAndRunSerially(t *testing.T) {
 func TestParallelSemanticsMatchSerial(t *testing.T) {
 	progs := append(All(), Track(), failingTrack)
 	for _, p := range progs {
-		_, serialSum, err := SerialTime(p)
+		_, serialSum, err := NewRunner().serialTime(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -64,7 +65,7 @@ func TestParallelSemanticsMatchSerial(t *testing.T) {
 
 // TestPFASemanticsMatchSerial repeats the check for the baseline.
 func TestPFASemanticsMatchSerial(t *testing.T) {
-	rows, err := Figure7(8)
+	rows, err := NewRunner().Figure7(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("Figure7: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestPFASemanticsMatchSerial(t *testing.T) {
 //   - PFA's code generation backfires (speedup < 1) on appsp/tomcatv's
 //     shape at least once.
 func TestFigure7Shape(t *testing.T) {
-	rows, err := Figure7(8)
+	rows, err := NewRunner().Figure7(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("Figure7: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestFigure7Shape(t *testing.T) {
 // processors despite 10% failed speculation, and the potential
 // slowdown stays a small constant factor.
 func TestFigure6Shape(t *testing.T) {
-	rows, err := Figure6(8)
+	rows, err := NewRunner().Figure6(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("Figure6: %v", err)
 	}
