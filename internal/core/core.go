@@ -208,7 +208,7 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	m.Obs = opt.Observer
 	var st *incrState
 	if opt.UnitMemo != nil {
-		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel}
+		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel, trusted: opt.TrustedInput}
 	}
 	m.Add(buildPipeline(work, res, opt, st, copied, &verdicts)...)
 	report, err := m.Run(ctx, work)

@@ -236,10 +236,11 @@ func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, cal
 		if sym.Formal {
 			continue
 		}
-		fresh := top.Symbols.FreshName(callee.Name+"_"+name, sym.Type, cloneDims(sym.Dims))
+		var param ir.Expr
 		if sym.Param != nil {
-			top.Symbols.Lookup(fresh).Param = sym.Param.Clone()
+			param = sym.Param.Clone()
 		}
+		fresh := top.Symbols.FreshName(callee.Name+"_"+name, ir.Symbol{Type: sym.Type, Dims: cloneDims(sym.Dims), Param: param})
 		renameEverywhere(work.Body, name, fresh)
 	}
 	out := append(pre, work.Body.Stmts...)
@@ -269,7 +270,7 @@ func mapScalarFormal(top, work *ir.ProgramUnit, formal string, fsym *ir.Symbol, 
 		}
 	}
 	// Expression actual (includes array elements): copy-in temp.
-	tmp := top.Symbols.FreshName("INL_"+formal, fsym.Type, nil)
+	tmp := top.Symbols.FreshName("INL_"+formal, ir.Symbol{Type: fsym.Type})
 	*pre = append(*pre, &ir.AssignStmt{LHS: ir.Var(tmp), RHS: actual.Clone()})
 	renameEverywhere(work.Body, formal, tmp)
 	return nil

@@ -126,9 +126,7 @@ func Analyze(prog *ir.Program) *Plan {
 func (p *Plan) Apply(u *ir.ProgramUnit) {
 	for _, d := range p.drops[u.Name] {
 		u.Formals = slices.Delete(u.Formals, d.pos, d.pos+1)
-		sym := u.Symbols.Lookup(d.name)
-		sym.Formal = false
-		sym.Param = ir.Int(d.val)
+		u.Symbols.BindFormal(d.name, ir.Int(d.val))
 	}
 	if len(p.calleesOf[u.Name]) == 0 {
 		return

@@ -10,7 +10,11 @@ import (
 // enforces (Section 2 of the paper):
 //
 //   - no structure sharing: an expression or statement node must not be
-//     reachable from two places (aliased structures are an error);
+//     reachable from two places (aliased structures are an error). The
+//     one exception is a symbol: a parsed table points at the previous
+//     table's symbols that equal its own (SymbolBuilder.Table), never at
+//     a formal, and nothing writes a symbol after the parse but
+//     SymbolTable.BindFormal, which writes formals alone;
 //   - every referenced variable or array resolves in the unit's symbol
 //     table (after implicit declaration) with the right rank;
 //   - DO indices are integer scalars; loop bodies are well-formed;

@@ -176,7 +176,7 @@ func TestSymbolTable(t *testing.T) {
 	if st.Len() != 3 {
 		t.Errorf("Len = %d", st.Len())
 	}
-	fresh := st.FreshName("X", TypeReal, nil)
+	fresh := st.FreshName("X", Symbol{Type: TypeReal})
 	if fresh == "X" || st.Lookup(fresh) == nil {
 		t.Errorf("FreshName collided: %s", fresh)
 	}

@@ -95,9 +95,12 @@ func (s *Symbol) cloneInto(c *Symbol) {
 // fraction of its memory. A table that outgrows indexAbove gets a map
 // beside the slice, so a unit of any size parses in linear time.
 //
-// A parsed or cloned table holds its symbols in one block, with its
-// slices at their final length; symbols inserted later are allocated
-// one at a time.
+// A cloned table holds its symbols in one block, with its slices at
+// their final length; symbols inserted later are allocated one at a
+// time. A parsed table is the same but for the symbols it shares with
+// the table parsed before it (SymbolBuilder.Table): those point into
+// an earlier table's block. A table's symbols are not written after
+// the parse but by BindFormal, and a formal is never shared.
 type SymbolTable struct {
 	syms   []*Symbol
 	hashes []uint32           // hashes[i] is nameHash(syms[i].Name)
@@ -109,24 +112,24 @@ const indexAbove = 32
 // NewSymbolTable returns an empty symbol table.
 func NewSymbolTable() *SymbolTable { return &SymbolTable{} }
 
-// Clone deep-copies the table into one block of symbols.
+// Clone deep-copies the table into one block of symbols: the clone
+// shares no symbol with t, nor with any table t shares symbols with.
 func (t *SymbolTable) Clone() *SymbolTable {
 	block := make([]Symbol, len(t.syms))
+	syms := make([]*Symbol, len(t.syms))
 	for i, s := range t.syms {
 		s.cloneInto(&block[i])
+		syms[i] = &block[i]
 	}
-	return tableOf(block, t.hashes)
+	return tableOf(syms, t.hashes)
 }
 
-// tableOf returns a table over block, which it takes, with its own
-// copy of hashes, the block's name hashes.
-func tableOf(block []Symbol, hashes []uint32) *SymbolTable {
-	t := &SymbolTable{syms: make([]*Symbol, len(block)), hashes: make([]uint32, len(block))}
+// tableOf returns a table over syms, which it takes, with its own copy
+// of hashes, their name hashes.
+func tableOf(syms []*Symbol, hashes []uint32) *SymbolTable {
+	t := &SymbolTable{syms: syms, hashes: make([]uint32, len(hashes))}
 	copy(t.hashes, hashes)
-	for i := range block {
-		t.syms[i] = &block[i]
-	}
-	if len(block) > indexAbove {
+	if len(syms) > indexAbove {
 		t.buildIndex()
 	}
 	return t
@@ -153,10 +156,25 @@ func (t *SymbolTable) find(name string) int {
 	h := nameHash(name)
 	for i, hi := range t.hashes {
 		if hi == h && t.syms[i].Name == name {
+			compared(i + 1)
 			return i
 		}
 	}
+	compared(len(t.hashes))
 	return -1
+}
+
+// nameCompares, when non-nil, counts the entries lookups of tables and
+// builders compare a name with: a hash word scanned or a map probe
+// each. It is a deterministic measure of lookup work for tests that
+// would otherwise hold a lookup's cost to a clock (export_test.go);
+// nil everywhere else.
+var nameCompares *int
+
+func compared(n int) {
+	if nameCompares != nil {
+		*nameCompares += n
+	}
 }
 
 // Insert adds sym to the table. Inserting a name twice is an internal
@@ -178,6 +196,7 @@ func (t *SymbolTable) Insert(sym *Symbol) {
 // Lookup returns the symbol for name, or nil.
 func (t *SymbolTable) Lookup(name string) *Symbol {
 	if t.index != nil {
+		compared(1)
 		return t.index[name]
 	}
 	if i := t.find(name); i >= 0 {
@@ -193,6 +212,19 @@ func (t *SymbolTable) Remove(name string) {
 		t.hashes = append(t.hashes[:i], t.hashes[i+1:]...)
 		delete(t.index, name)
 	}
+}
+
+// BindFormal makes the formal name a PARAMETER constant of value val,
+// which is what interprocedural constant propagation does to a formal
+// every call passes the same constant. It is the one write to a
+// table's symbol after the parse, and a formal is never shared with
+// another table (SymbolBuilder.Table), so it writes t's alone.
+func (t *SymbolTable) BindFormal(name string, val Expr) {
+	s := t.Lookup(name)
+	if s == nil || !s.Formal {
+		panic(&ConsistencyError{Msg: fmt.Sprintf("BindFormal: %s is not a formal", name)})
+	}
+	s.Formal, s.Param = false, val
 }
 
 // Declare returns the symbol for name, creating it with the implicit
@@ -224,8 +256,8 @@ func (t *SymbolTable) Names() []string {
 func (t *SymbolTable) Len() int { return len(t.syms) }
 
 // FreshName returns a name with the given prefix that does not collide
-// with any declared symbol, and declares it with the given type.
-func (t *SymbolTable) FreshName(prefix string, typ Type, dims []Dim) string {
+// with any declared symbol, and declares sym, which it takes, under it.
+func (t *SymbolTable) FreshName(prefix string, sym Symbol) string {
 	name := prefix
 	for i := 0; ; i++ {
 		if i > 0 {
@@ -235,7 +267,8 @@ func (t *SymbolTable) FreshName(prefix string, typ Type, dims []Dim) string {
 			break
 		}
 	}
-	t.Insert(&Symbol{Name: name, Type: typ, Dims: dims})
+	sym.Name = name
+	t.Insert(&sym)
 	return name
 }
 
@@ -252,6 +285,7 @@ type SymbolBuilder struct {
 // find returns the position of name in the builder, or -1.
 func (b *SymbolBuilder) find(name string) int {
 	if len(b.syms) > indexAbove {
+		compared(1)
 		if i, ok := b.index[name]; ok {
 			return int(i)
 		}
@@ -260,9 +294,11 @@ func (b *SymbolBuilder) find(name string) int {
 	h := nameHash(name)
 	for i, hi := range b.hashes {
 		if hi == h && b.syms[i].Name == name {
+			compared(i + 1)
 			return i
 		}
 	}
+	compared(len(b.hashes))
 	return -1
 }
 
@@ -298,11 +334,60 @@ func (b *SymbolBuilder) Declare(name string) *Symbol {
 }
 
 // Table returns the symbols declared since the last Table or Reset as
-// a table, in declaration order, and resets the builder.
-func (b *SymbolBuilder) Table() *SymbolTable {
-	t := tableOf(append([]Symbol(nil), b.syms...), b.hashes)
+// a table, in declaration order, and resets the builder. prev is the
+// table of the unit before, or nil. A symbol that is not a formal and
+// equals prev's symbol of its name is not copied: the table points at
+// prev's. Whole programs declare the same COMMON members and
+// PARAMETERs in unit after unit, so most of a unit's symbols are
+// shared, and only the others are packed into the table's block.
+func (b *SymbolBuilder) Table(prev *SymbolTable) *SymbolTable {
+	syms := make([]*Symbol, len(b.syms))
+	own := len(b.syms)
+	for i := range b.syms {
+		if syms[i] = prev.equalTo(&b.syms[i]); syms[i] != nil {
+			own--
+		}
+	}
+	block := make([]Symbol, 0, own)
+	for i := range b.syms {
+		if syms[i] == nil {
+			block = append(block, b.syms[i])
+			syms[i] = &block[len(block)-1]
+		}
+	}
+	t := tableOf(syms, b.hashes)
 	b.Reset()
 	return t
+}
+
+// equalTo returns t's symbol equal to s, or nil when there is none,
+// when s is a formal, or when t is nil. Equal is every field, with
+// the dimensions and the PARAMETER value compared by Equal. A field
+// added to Symbol must be compared here too: TestTableSharesOnlyEqualSymbols
+// reads the fields off the type and fails until it is.
+func (t *SymbolTable) equalTo(s *Symbol) *Symbol {
+	if t == nil || s.Formal {
+		return nil
+	}
+	p := t.Lookup(s.Name)
+	if p == nil || p.Type != s.Type || p.Formal || p.Common != s.Common || !equalOrNil(p.Param, s.Param) ||
+		len(p.Dims) != len(s.Dims) {
+		return nil
+	}
+	for i, d := range s.Dims {
+		if !equalOrNil(p.Dims[i].Lo, d.Lo) || !equalOrNil(p.Dims[i].Hi, d.Hi) {
+			return nil
+		}
+	}
+	return p
+}
+
+// equalOrNil is Equal, under which nil equals only nil.
+func equalOrNil(a, b Expr) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return Equal(a, b)
 }
 
 // Reset forgets every symbol, keeping the storage. Slots past the

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"polaris/internal/ir"
@@ -70,10 +69,10 @@ func TestSymbolTableSemantics(t *testing.T) {
 		}
 		want = append(want, "INEW")
 		// V0 is taken, V01 is not (V1 is, when there is one).
-		if got := tab.FreshName("V", ir.TypeReal, nil); got != "V" {
+		if got := tab.FreshName("V", ir.Symbol{Type: ir.TypeReal}); got != "V" {
 			t.Errorf("n=%d: FreshName(V) = %s", n, got)
 		}
-		if got := tab.FreshName("V", ir.TypeReal, nil); got != symName(n) {
+		if got := tab.FreshName("V", ir.Symbol{Type: ir.TypeReal}); got != symName(n) {
 			t.Errorf("n=%d: second FreshName(V) = %s, want %s", n, got, symName(n))
 		}
 		want = append(want, "V", symName(n))
@@ -129,7 +128,7 @@ func TestSymbolBuilderPacksTable(t *testing.T) {
 				t.Fatalf("n=%d: builder lost %s: %+v", n, symName(i), s)
 			}
 		}
-		tab := b.Table()
+		tab := b.Table(nil)
 		if tab.Len() != n+1 || tab.Lookup("INEW").Type != ir.TypeInteger || tab.Lookup(symName(n-1)).Type != ir.TypeReal {
 			t.Fatalf("n=%d: table of %d symbols, INEW %+v", n, tab.Len(), tab.Lookup("INEW"))
 		}
@@ -140,6 +139,102 @@ func TestSymbolBuilderPacksTable(t *testing.T) {
 		}
 		if b.Lookup(symName(0)) != nil || b.Lookup("INEW") != nil {
 			t.Fatalf("n=%d: the builder still holds symbols after Table", n)
+		}
+	}
+}
+
+// TestTableSharesEqualSymbols: a table points at the previous table's
+// symbol of a name when every field of the two is equal, dimensions and
+// PARAMETER value by Equal; it copies a symbol that differs in any
+// field, and a formal even when it does not. BindFormal writes formals
+// alone.
+func TestTableSharesEqualSymbols(t *testing.T) {
+	declare := func(b *ir.SymbolBuilder, hi int64) {
+		b.Declare("A").Dims = []ir.Dim{{Hi: ir.Int(hi)}}
+		b.Declare("N").Param = ir.Int(8)
+		c := b.Declare("C")
+		c.Common, c.Type = "W", ir.TypeInteger
+		b.Declare("F").Formal = true
+		b.Declare("S")
+	}
+	var b ir.SymbolBuilder
+	declare(&b, 10)
+	prev := b.Table(nil)
+	declare(&b, 10)
+	b.Declare("D").Dims = []ir.Dim{{Hi: ir.Int(4)}}
+	same := b.Table(prev)
+	declare(&b, 20)
+	other := b.Table(same)
+	for _, c := range []struct {
+		tab, before *ir.SymbolTable
+		name        string
+		shared      bool
+	}{
+		{same, prev, "A", true}, {same, prev, "N", true}, {same, prev, "C", true}, {same, prev, "S", true},
+		{same, prev, "F", false}, {same, prev, "D", false},
+		{other, same, "A", false}, {other, same, "N", true}, {other, same, "F", false},
+	} {
+		if got := c.tab.Lookup(c.name) == c.before.Lookup(c.name); got != c.shared {
+			t.Errorf("%s shared %t, want %t", c.name, got, c.shared)
+		}
+	}
+	if n := same.Lookup("N"); n.Param.(*ir.ConstInt).Val != 8 || n.Formal {
+		t.Errorf("shared N is %+v", n)
+	}
+	same.BindFormal("F", ir.Int(4))
+	if f, p := same.Lookup("F"), prev.Lookup("F"); f.Formal || f.Param == nil || !p.Formal || p.Param != nil {
+		t.Errorf("BindFormal on one table: F is %+v there and %+v in the table before", f, p)
+	}
+	mustPanic(t, "BindFormal of a bound formal", func() { same.BindFormal("F", ir.Int(4)) })
+	mustPanic(t, "BindFormal of a shared symbol", func() { same.BindFormal("S", ir.Int(4)) })
+	mustPanic(t, "BindFormal of an undeclared name", func() { same.BindFormal("Q", ir.Int(4)) })
+}
+
+// TestTableSharesOnlyEqualSymbols: a symbol that differs from the
+// previous table's in any one field is not shared, whatever the field.
+// The fields are read off the Symbol type, so a field added to it
+// fails here until SymbolTable.equalTo compares it (and this test
+// knows how to make it differ).
+func TestTableSharesOnlyEqualSymbols(t *testing.T) {
+	base := ir.Symbol{Name: "A", Dims: []ir.Dim{{Hi: ir.Int(10)}}, Param: ir.Int(8), Common: "W", Type: ir.TypeInteger}
+	table := func(prev *ir.SymbolTable, sym ir.Symbol) *ir.SymbolTable {
+		var b ir.SymbolBuilder
+		*b.Declare(sym.Name) = sym
+		return b.Table(prev)
+	}
+	prev := table(nil, base)
+	if table(prev, base).Lookup("A") != prev.Lookup("A") {
+		t.Fatalf("an equal symbol is not shared")
+	}
+	st := reflect.TypeOf(base)
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Name == "Name" {
+			continue // a table is looked up by name
+		}
+		sym := base
+		v := reflect.ValueOf(&sym).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "X")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+			v.SetInt(v.Int() + 1)
+		default:
+			switch f.Name {
+			case "Dims":
+				sym.Dims = []ir.Dim{{Hi: ir.Int(10)}, {Hi: ir.Int(2)}}
+			case "Param":
+				sym.Param = ir.Int(9)
+			default:
+				t.Fatalf("Symbol.%s (%s): make it differ here, and compare it in SymbolTable.equalTo", f.Name, f.Type)
+			}
+		}
+		if table(prev, sym).Lookup("A") == prev.Lookup("A") {
+			t.Errorf("a symbol that differs in %s is shared", f.Name)
 		}
 	}
 }
@@ -171,10 +266,12 @@ func TestSymbolTableAllocBudget(t *testing.T) {
 	}
 }
 
-// TestHugeUnitParsesInLinearTime: past indexAbove the table is indexed,
-// so a unit with ten times the declarations takes about ten times as
-// long to parse, not a hundred. The bound leaves a factor of two for a
-// noisy machine; the quadratic scan misses it by a factor of five.
+// TestHugeUnitParsesInLinearTime: past indexAbove the builder and the
+// table are indexed, so a unit with ten times the declarations makes
+// about ten times the name comparisons to parse, not a hundred times.
+// The count is the work itself, not a clock, so it reads the same on
+// any machine (9.8x) and the bound needs no room for noise: 11x, where
+// the quadratic scan (no index) reads 100x.
 func TestHugeUnitParsesInLinearTime(t *testing.T) {
 	unit := func(decls int) string {
 		var b strings.Builder
@@ -188,23 +285,19 @@ func TestHugeUnitParsesInLinearTime(t *testing.T) {
 		b.WriteString("      END\n")
 		return b.String()
 	}
-	parse := func(src string, decls int) time.Duration {
-		best := time.Duration(1 << 62)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			prog, err := parser.ParseProgram(src)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			if err != nil || prog.Units[0].Symbols.Len() != decls {
-				t.Fatalf("%d declarations: %v", decls, err)
-			}
+	compares := func(decls int) int {
+		n := 0
+		stop := ir.CountNameCompares(&n)
+		defer stop()
+		prog, err := parser.ParseProgram(unit(decls))
+		if err != nil || prog.Units[0].Symbols.Len() != decls {
+			t.Fatalf("%d declarations: %v", decls, err)
 		}
-		return best
+		return n
 	}
-	small, large := parse(unit(5000), 5000), parse(unit(50000), 50000)
-	t.Logf("5000 declarations %v, 50000 declarations %v (%.1fx)", small, large, float64(large)/float64(small))
-	if large > 20*small {
-		t.Errorf("50000 declarations parse in %v, 5000 in %v: more than 20x", large, small)
+	small, large := compares(5000), compares(50000)
+	t.Logf("5000 declarations %d name comparisons, 50000 declarations %d (%.1fx)", small, large, float64(large)/float64(small))
+	if large > 11*small {
+		t.Errorf("50000 declarations make %d name comparisons, 5000 make %d: more than 11x", large, small)
 	}
 }

@@ -118,7 +118,7 @@ func normalizeLoop(u *ir.ProgramUnit, ra *rng.Analyzer, d *ir.DoStmt) {
 	oldIndex := d.Index
 	lo := d.Init
 	hi := d.Limit
-	fresh := u.Symbols.FreshName(oldIndex+"_N", ir.TypeInteger, nil)
+	fresh := u.Symbols.FreshName(oldIndex+"_N", ir.Symbol{Type: ir.TypeInteger})
 
 	// Body uses of the old index become lo + c*t - c.
 	repl := ir.Add(lo.Clone(), ir.Sub(ir.Mul(ir.Int(c), ir.Var(fresh)), ir.Int(c)))

@@ -122,6 +122,11 @@ func TestSourceIsSliceOfInput(t *testing.T) {
 // not sweep for aliased nodes, because every node it builds is a fresh
 // allocation. The full Check, sweep included, runs here on every input
 // of the golden corpus and of fuzzgen seeds 1–200 that parses.
+//
+// Symbols are the one exception, and it is held here too: a table
+// shares the symbols equal to the previous table's, which must stay
+// most of mega10k's, but never a formal, and a clone of a unit shares
+// none of the program's.
 func TestParserNeverAliases(t *testing.T) {
 	in := corpus()
 	for seed := uint64(1); seed <= 200; seed++ {
@@ -137,10 +142,47 @@ func TestParserNeverAliases(t *testing.T) {
 		if err := prog.Check(); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
+		shared, total := sharedSymbols(t, c.name, prog)
+		if c.name == "mega10k" {
+			t.Logf("mega10k shares %d of %d symbols (%.1f%%)", shared, total, 100*float64(shared)/float64(total))
+			if shared*10 < total*9 {
+				t.Errorf("mega10k shares %d of %d symbols, want at least 90%%", shared, total)
+			}
+		}
 	}
 	if parsed < 200 {
 		t.Errorf("only %d of %d inputs parsed", parsed, len(in))
 	}
+}
+
+// sharedSymbols counts the table entries of prog that point at a symbol
+// an earlier unit's table holds, of all its entries. It fails t on a
+// formal held by two tables and on a unit clone that holds a symbol of
+// prog.
+func sharedSymbols(t *testing.T, name string, prog *ir.Program) (shared, total int) {
+	t.Helper()
+	holders := map[*ir.Symbol]int{}
+	for _, u := range prog.Units {
+		for _, s := range u.Symbols.All() {
+			if holders[s]++; holders[s] > 1 {
+				shared++
+			}
+			total++
+		}
+	}
+	for _, u := range prog.Units {
+		for _, s := range u.Symbols.All() {
+			if s.Formal && holders[s] > 1 {
+				t.Errorf("%s: formal %s of %s is held by %d tables", name, s.Name, u.Name, holders[s])
+			}
+		}
+		for _, s := range u.Clone().Symbols.All() {
+			if holders[s] > 0 {
+				t.Errorf("%s: the clone of %s holds the program's symbol %s", name, u.Name, s.Name)
+			}
+		}
+	}
+	return shared, total
 }
 
 // TestFirstErrorInSourceOrder: the scanner feeds the parser a statement
@@ -187,8 +229,9 @@ func TestFirstErrorInSourceOrder(t *testing.T) {
 // IR, the symbol tables and one string per distinct spelling. It read
 // 519 bytes per line of mega10k when the parser took a token slab,
 // split the source into a line table and kept a map per symbol table,
-// and 203.4 when each symbol was an allocation of its own and every
-// list grew by doubling.
+// 203.4 when each symbol was an allocation of its own and every list
+// grew by doubling, and 173.9 when every table copied all its symbols,
+// the ones equal to the previous table's too.
 func TestParseBytesPerLine(t *testing.T) {
 	src := mega10k()
 	lines := strings.Count(src, "\n")
@@ -202,7 +245,7 @@ func TestParseBytesPerLine(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perLine := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(lines)
-	const budget = 192 // measured 173.9, plus 10%; parent 203.4; 222.4 with a whole-program alias sweep per parse
+	const budget = 139 // measured 126.1, plus 10%; parent 173.9; 222.4 with a whole-program alias sweep per parse
 	t.Logf("%.1f bytes per line over %d lines", perLine, lines)
 	if perLine > budget {
 		t.Errorf("ParseProgram allocates %.1f bytes per line of mega10k, budget %d", perLine, budget)

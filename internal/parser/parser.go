@@ -66,12 +66,14 @@ func newParser(src string) *parser {
 }
 
 // scratch is a parse's working storage: the current unit's symbols,
-// and one stack per kind of list, on which a list's elements gather
-// until it ends and is copied out at its final length. Parses take it
-// from scratchPool and zero it before they put it back, so between
-// parses it holds no IR.
+// the table of the unit before, which the next table shares its equal
+// symbols with, and one stack per kind of list, on which a list's
+// elements gather until it ends and is copied out at its final length.
+// Parses take it from scratchPool and zero it before they put it back,
+// so between parses it holds no IR.
 type scratch struct {
 	syms  ir.SymbolBuilder
+	prev  *ir.SymbolTable
 	stmts []ir.Stmt
 	exprs []ir.Expr
 	dims  []ir.Dim
@@ -87,6 +89,7 @@ func (p *parser) release() {
 	s := p.scr
 	p.scr = nil
 	s.syms.Reset()
+	s.prev = nil
 	s.stmts = zeroed(s.stmts)
 	s.exprs = zeroed(s.exprs)
 	s.dims = zeroed(s.dims)
@@ -382,7 +385,8 @@ func (p *parser) parseUnit() (*ir.ProgramUnit, error) {
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}
-	u.Symbols = syms.Table()
+	u.Symbols = syms.Table(p.scr.prev)
+	p.scr.prev = u.Symbols
 	return u, nil
 }
 

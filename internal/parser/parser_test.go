@@ -486,8 +486,8 @@ func TestScratchHoldsNoIR(t *testing.T) {
 	}
 }
 
-// nonZero lists the slice slots, up to capacity, and the map entries
-// under v that are not zero.
+// nonZero lists the pointers, the slice slots, up to capacity, and the
+// map entries under v that are not zero.
 func nonZero(v reflect.Value, path string) []string {
 	var dirty []string
 	switch v.Kind() {
@@ -501,6 +501,10 @@ func nonZero(v reflect.Value, path string) []string {
 			if !full.Index(i).IsZero() {
 				dirty = append(dirty, fmt.Sprintf("%s[%d] of %d is set", path, i, v.Cap()))
 			}
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			dirty = append(dirty, path+" is set")
 		}
 	case reflect.Map:
 		if v.Len() > 0 {

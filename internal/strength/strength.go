@@ -134,7 +134,7 @@ func reduceLoop(u *ir.ProgramUnit, ra *rng.Analyzer, loop *ir.DoStmt, res *Resul
 		if ir.CountNodes(diffIR) >= c.nodes {
 			continue
 		}
-		tmp := u.Symbols.FreshName("SR_"+v, ir.TypeInteger, nil)
+		tmp := u.Symbols.FreshName("SR_"+v, ir.Symbol{Type: ir.TypeInteger})
 		// Header: T = e(lo).
 		initVal := symbolic.ToIR(c.sym.Subst(v, initConv.E))
 		parent.Insert(pos, &ir.AssignStmt{LHS: ir.Var(tmp), RHS: initVal})
