@@ -43,9 +43,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Validate mode runs parallel iterations in reverse order with
-	// fresh private copies: any order dependence would change the
-	// checksum.
+	// Validate mode runs parallel iterations in reverse order: any
+	// order dependence would change the checksum.
 	par, err := polaris.Execute(res, polaris.ExecOptions{Processors: 8, Validate: true})
 	if err != nil {
 		log.Fatal(err)

@@ -45,8 +45,8 @@ func parseForcedDoall(t *testing.T) *ir.Program {
 	return nil
 }
 
-// TestConcurrentDoallCancellation is the regression for
-// execDoallConcurrent's cancellation path: cancel mid-loop must
+// TestConcurrentDoallCancellation is the regression for the DOALL
+// executor's cancellation path under Concurrent: cancel mid-loop must
 // surface context.Canceled promptly, and every worker goroutine must
 // be gone when RunContext returns (the wg.Wait before return is the
 // no-leak guarantee this test pins down).

@@ -19,13 +19,14 @@ type Interp struct {
 	// Parallel enables DOALL/LRPD execution of annotated loops; when
 	// false every loop runs serially (the baseline timing).
 	Parallel bool
-	// Validate runs parallel iterations in reverse order with fresh
-	// private copies, so order-dependent loops produce different
-	// results than serial runs (used by correctness tests).
+	// Validate runs parallel iterations in reverse order, so
+	// order-dependent loops produce different results than serial runs
+	// (used by correctness tests).
 	Validate bool
-	// Concurrent executes DOALL iterations on real goroutines (one per
-	// simulated processor) with private overlays and partial-reduction
-	// merging. Timing still comes from the cycle model.
+	// Concurrent runs a DOALL's chunks, the same ones the simulated
+	// machine charges, on real goroutines (one per simulated
+	// processor) with partial reductions merged at the join. The
+	// cycle charge is the same as without it.
 	Concurrent bool
 
 	// work counts executed cycles (serial-equivalent total work).
@@ -58,11 +59,10 @@ type Interp struct {
 	// shadows instruments arrays during speculative LRPD execution.
 	shadows map[*Array]*lrpd.Shadow
 	curIter int64
-	// redTargets/redUpdates/redFrame support the reduction-form cost
-	// model during DOALL execution (see parallelTime).
+	// redTargets/redUpdates count a parallel loop's reduction updates
+	// for the blocked form's cost (see reductionOverhead).
 	redTargets map[string]bool
 	redUpdates int64
-	redFrame   *frame
 	// markCycles counts PD-test marking work during speculation.
 	markCycles int64
 	inDoall    bool
@@ -71,8 +71,8 @@ type Interp struct {
 	depth int
 
 	// ctx cancels long-running executions; polled every ctxStride
-	// statements. Concurrent DOALL workers get their own counter, so
-	// polling never races.
+	// statements. DOALL workers get their own counter, so polling
+	// never races.
 	ctx   context.Context
 	steps int64
 }
@@ -358,13 +358,17 @@ func (fr *frame) getCell(name string, u *ir.ProgramUnit) *cell {
 	if c, ok := fr.scalars[name]; ok {
 		return c
 	}
-	kind := ir.ImplicitType(name)
-	if sym := u.Symbols.Lookup(name); sym != nil {
-		kind = sym.Type
-	}
-	c := &cell{kind: kind}
+	c := &cell{kind: kindOf(u, name)}
 	fr.scalars[name] = c
 	return c
+}
+
+// kindOf is name's declared type in u, or its implicit one.
+func kindOf(u *ir.ProgramUnit, name string) ir.Type {
+	if sym := u.Symbols.Lookup(name); sym != nil {
+		return sym.Type
+	}
+	return ir.ImplicitType(name)
 }
 
 // control is the statement-level flow signal.

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"polaris/internal/ir"
@@ -9,347 +11,219 @@ import (
 	"polaris/internal/machine"
 )
 
-// execDoall executes a DOALL-annotated loop, honouring privatization
-// and reduction clauses, and charges the simulated parallel time:
-// fork + max per-processor share + join + reduction merges.
+// execDoall is the interpreter's one DOALL executor. The loop splits
+// into one contiguous chunk per simulated processor, and a worker runs
+// each chunk: a child Interp over its own copy of the frame's maps,
+// with fresh private scalars and arrays every iteration. By default
+// the workers run one after another and update the shared reduction
+// accumulators in place, so the result is the serial one; Validate
+// runs them, and each chunk, in reverse. Under Concurrent each worker
+// runs on its own goroutine into partials that start at the
+// operator's identity and merge in worker order at the join. Either
+// way the loop is charged once, after the join, from the workers'
+// counters: fork + max per-processor share + join + the reduction
+// form's term.
 func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (control, error) {
-	in.ParallelLoopExecs++
-	p := in.Model.Processors
-	if p < 1 {
-		p = 1
+	par := d.Par
+	p := max(in.Model.Processors, 1)
+	chunk := (n + int64(p) - 1) / int64(p)
+	// Cells the workers share must exist before the frame is copied.
+	idx := fr.getCell(d.Index, fr.unit)
+	for _, r := range par.Reductions {
+		if fr.arrays[r.Target] == nil {
+			fr.getCell(r.Target, fr.unit)
+		}
+	}
+	targets := reductionTargets(par)
+	var workers []*worker
+	for lo := int64(0); lo < n; lo += chunk {
+		workers = append(workers, in.newWorker(fr, d, idx.kind, targets, lo, min(lo+chunk, n)))
 	}
 	if in.Concurrent {
-		return in.execDoallConcurrent(fr, d, init, step, n, p)
+		var wg sync.WaitGroup
+		for _, w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.err = w.run(d, init, step, n)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i := range workers {
+			w := workers[i]
+			if in.Validate {
+				w = workers[len(workers)-1-i]
+			}
+			if w.err = w.run(d, init, step, n); w.err != nil {
+				break
+			}
+		}
 	}
-	in.inDoall = true
-	defer func() { in.inDoall = false }()
 
-	par := d.Par
-	if len(par.Reductions) > 0 {
-		in.redTargets = map[string]bool{}
-		for _, r := range par.Reductions {
-			in.redTargets[r.Target] = true
+	perProc := make([]int64, len(workers))
+	bodyWork, updates := int64(0), int64(0)
+	for i, w := range workers {
+		if w.err != nil {
+			return ctlNormal, w.err
 		}
-		in.redUpdates = 0
-		in.redFrame = fr
-		defer func() { in.redTargets = nil; in.redFrame = nil }()
+		if in.Concurrent {
+			w.merge(fr, par)
+		}
+		perProc[i] = w.work
+		bodyWork += w.work
+		updates += w.redUpdates
 	}
-	saveScalars, saveArrays := in.saveShared(fr, par)
-	chunk := (n + int64(p) - 1) / int64(p)
-	perProc := make([]int64, p)
-	workBefore := in.work
+	for j, name := range par.LastValue {
+		fr.getCell(name, fr.unit).store(workers[len(workers)-1].last[j])
+	}
+	idx.store(IntVal(init + n*step))
 
-	order := make([]int64, n)
-	for k := int64(0); k < n; k++ {
-		order[k] = k
-	}
-	if in.Validate {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
-	var lastOverlay map[string]*cell
-	for _, k := range order {
-		overlayCells := in.freshPrivates(fr, par)
-		idx := fr.getCell(d.Index, fr.unit)
-		idx.store(IntVal(init + k*step))
-		before := in.work
-		in.charge(in.Cost.LoopIter)
-		c, err := in.execBlock(fr, d.Body)
-		if err != nil {
-			in.restoreShared(fr, saveScalars, saveArrays, nil, par)
-			return ctlNormal, err
-		}
-		if c != ctlNormal {
-			in.restoreShared(fr, saveScalars, saveArrays, nil, par)
-			return ctlNormal, fmt.Errorf("interp: control flow escaping a parallel loop")
-		}
-		perProc[k/chunk] += in.work - before
-		if k == n-1 {
-			lastOverlay = overlayCells
-		}
-	}
-	bodyWork := in.work - workBefore
-	in.restoreShared(fr, saveScalars, saveArrays, lastOverlay, par)
-	fr.getCell(d.Index, fr.unit).store(IntVal(init + n*step))
-
-	parTime := in.parallelTime(perProc, par, p, 0)
+	in.ParallelLoopExecs++
+	in.work += bodyWork
+	parTime := in.parallelTime(fr, par, perProc, p, updates, 0)
 	in.saved += bodyWork - parTime
 	in.parallelWork += bodyWork
 	in.recordLoop(d, "doall", bodyWork, parTime)
 	return ctlNormal, nil
 }
 
-// parallelTime combines per-processor shares with the machine's
-// overhead terms. extra is added inside the parallel section (PD-test
-// marking and analysis).
-func (in *Interp) parallelTime(perProc []int64, par *ir.ParInfo, p int, extra int64) int64 {
-	maxShare := int64(0)
-	for _, w := range perProc {
-		if w > maxShare {
-			maxShare = w
+// worker runs one chunk [lo, hi) of a DOALL.
+type worker struct {
+	*Interp
+	fr     *frame
+	lo, hi int64
+	// last holds the LastValue scalars after iteration n-1, which only
+	// the final chunk runs.
+	last []Value
+	err  error
+}
+
+// newWorker gives a chunk a child interpreter that shares the program,
+// model, costs, COMMON storage and context but counts its own cycles
+// and reduction updates, and a copy of the frame's maps with a private
+// loop index; under Concurrent the reduction targets are partials at
+// the operator's identity.
+func (in *Interp) newWorker(fr *frame, d *ir.DoStmt, idxKind ir.Type, targets map[string]bool, lo, hi int64) *worker {
+	child := &Interp{Prog: in.Prog, Model: in.Model, Cost: in.Cost, Validate: in.Validate,
+		commons: in.commons, redTargets: targets, inDoall: true, depth: in.depth, ctx: in.ctx}
+	wfr := &frame{unit: fr.unit, scalars: maps.Clone(fr.scalars), arrays: maps.Clone(fr.arrays)}
+	wfr.scalars[d.Index] = &cell{kind: idxKind}
+	if in.Concurrent {
+		for _, r := range d.Par.Reductions {
+			if a := fr.arrays[r.Target]; a != nil {
+				part := NewArray(a.Name, a.Kind, a.Lo, a.Size)
+				part.Fill(reductionIdentity(r.Op, a.Kind))
+				wfr.arrays[r.Target] = part
+				continue
+			}
+			part := &cell{kind: fr.scalars[r.Target].kind}
+			part.store(reductionIdentity(r.Op, part.kind))
+			wfr.scalars[r.Target] = part
 		}
 	}
-	t := in.Model.ForkCycles + maxShare + in.Model.JoinCycles + extra
-	if par != nil {
-		t += in.reductionOverhead(par, p)
-		t += int64(len(par.PrivateArrays)) * int64(p) * in.Model.PrivateInitCycles
+	return &worker{Interp: child, fr: wfr, lo: lo, hi: hi}
+}
+
+// run executes the worker's chunk, in reverse under Validate.
+func (w *worker) run(d *ir.DoStmt, init, step, n int64) error {
+	par := d.Par
+	for i := w.lo; i < w.hi; i++ {
+		k := i
+		if w.Validate {
+			k = w.lo + w.hi - 1 - i
+		}
+		for _, name := range par.Private {
+			w.fr.scalars[name] = &cell{kind: kindOf(w.fr.unit, name)}
+		}
+		for _, name := range par.PrivateArrays {
+			if a := w.fr.arrays[name]; a != nil {
+				w.fr.arrays[name] = NewArray(a.Name, a.Kind, a.Lo, a.Size)
+			}
+		}
+		w.fr.getCell(d.Index, w.fr.unit).store(IntVal(init + k*step))
+		w.charge(w.Cost.LoopIter)
+		c, err := w.execBlock(w.fr, d.Body)
+		if err != nil {
+			return err
+		}
+		if c != ctlNormal {
+			return fmt.Errorf("interp: control flow escaping a parallel loop")
+		}
+		if k == n-1 {
+			for _, name := range par.LastValue {
+				w.last = append(w.last, w.fr.getCell(name, w.fr.unit).load())
+			}
+		}
 	}
-	return t
+	return nil
+}
+
+// merge folds the worker's reduction partials into the shared
+// accumulators.
+func (w *worker) merge(fr *frame, par *ir.ParInfo) {
+	for _, r := range par.Reductions {
+		if shared := fr.arrays[r.Target]; shared != nil {
+			part := w.fr.arrays[r.Target]
+			for i := 0; i < shared.Total(); i++ {
+				shared.Set(i, combine(r.Op, shared.Get(i), part.Get(i)))
+			}
+			continue
+		}
+		shared := fr.scalars[r.Target]
+		shared.store(combine(r.Op, shared.load(), w.fr.scalars[r.Target].load()))
+	}
+}
+
+// reductionTargets is the set of names the loop reduces into, nil when
+// it has none; assign counts the updates to them.
+func reductionTargets(par *ir.ParInfo) map[string]bool {
+	if len(par.Reductions) == 0 {
+		return nil
+	}
+	targets := make(map[string]bool, len(par.Reductions))
+	for _, r := range par.Reductions {
+		targets[r.Target] = true
+	}
+	return targets
+}
+
+// parallelTime combines per-processor shares with the machine's
+// overhead terms; updates counts the loop's reduction updates. extra
+// is added inside the parallel section (PD-test marking and analysis).
+func (in *Interp) parallelTime(fr *frame, par *ir.ParInfo, perProc []int64, p int, updates, extra int64) int64 {
+	return in.Model.ForkCycles + slices.Max(perProc) + in.Model.JoinCycles + extra +
+		in.reductionOverhead(fr, par, p, updates) +
+		int64(len(par.PrivateArrays))*int64(p)*in.Model.PrivateInitCycles
 }
 
 // reductionOverhead models the paper's three reduction forms. The
-// element count per reduction comes from the accumulator's storage
-// (1 for scalars, the array length for histogram targets); the blocked
-// form instead charges a lock premium per update, counted during
-// execution (redUpdates).
-func (in *Interp) reductionOverhead(par *ir.ParInfo, p int) int64 {
+// element count per reduction comes from the accumulator's storage in
+// fr (1 for scalars, the array length for histogram targets); the
+// blocked form instead charges a lock premium per update.
+func (in *Interp) reductionOverhead(fr *frame, par *ir.ParInfo, p int, updates int64) int64 {
 	if len(par.Reductions) == 0 {
 		return 0
+	}
+	elements := int64(0)
+	for _, r := range par.Reductions {
+		if a := fr.arrays[r.Target]; a != nil {
+			elements += int64(a.Total())
+		} else {
+			elements++
+		}
 	}
 	switch in.Model.Reductions {
 	case machine.ReductionBlocked:
 		// Serialized updates: the premium lands on the critical path
 		// (worst case: all updates contend).
-		return in.redUpdates * in.Model.ReductionLockCycles
+		return updates * in.Model.ReductionLockCycles
 	case machine.ReductionExpanded:
 		// Initialization sweep of the expanded dimension plus merge.
-		return 2 * in.redElements(par) * int64(p) * in.Model.ReductionMergeCycles
+		return 2 * elements * int64(p) * in.Model.ReductionMergeCycles
 	default: // private
-		return in.redElements(par) * int64(p) * in.Model.ReductionMergeCycles
+		return elements * int64(p) * in.Model.ReductionMergeCycles
 	}
-}
-
-// redElements sums accumulator sizes over the loop's reductions, using
-// the executing frame captured at DOALL entry.
-func (in *Interp) redElements(par *ir.ParInfo) int64 {
-	total := int64(0)
-	for _, r := range par.Reductions {
-		n := int64(1)
-		if in.redFrame != nil {
-			if arr := in.redFrame.arrays[r.Target]; arr != nil {
-				n = int64(arr.Total())
-			}
-		}
-		total += n
-	}
-	return total
-}
-
-// saveShared snapshots the cells and arrays that privatization will
-// shadow, so they can be restored after the loop (private copies are
-// discarded; Fortran leaves shared versions untouched).
-func (in *Interp) saveShared(fr *frame, par *ir.ParInfo) (map[string]*cell, map[string]*Array) {
-	cells := map[string]*cell{}
-	arrays := map[string]*Array{}
-	if par == nil {
-		return cells, arrays
-	}
-	for _, name := range par.Private {
-		cells[name] = fr.getCell(name, fr.unit)
-	}
-	for _, name := range par.PrivateArrays {
-		arrays[name] = fr.arrays[name]
-	}
-	return cells, arrays
-}
-
-// freshPrivates installs fresh private cells/arrays for one iteration
-// and returns the new cells (for last-value copy-out).
-func (in *Interp) freshPrivates(fr *frame, par *ir.ParInfo) map[string]*cell {
-	if par == nil {
-		return nil
-	}
-	out := map[string]*cell{}
-	for _, name := range par.Private {
-		kind := ir.ImplicitType(name)
-		if sym := fr.unit.Symbols.Lookup(name); sym != nil {
-			kind = sym.Type
-		}
-		c := &cell{kind: kind}
-		fr.scalars[name] = c
-		out[name] = c
-	}
-	for _, name := range par.PrivateArrays {
-		if orig := fr.arrays[name]; orig != nil {
-			fr.arrays[name] = NewArray(orig.Name, orig.Kind, orig.Lo, orig.Size)
-		}
-	}
-	return out
-}
-
-// restoreShared puts the shared versions back and applies last-value
-// semantics from the final iteration's overlay.
-func (in *Interp) restoreShared(fr *frame, cells map[string]*cell, arrays map[string]*Array, lastOverlay map[string]*cell, par *ir.ParInfo) {
-	for name, c := range cells {
-		fr.scalars[name] = c
-	}
-	for name, a := range arrays {
-		fr.arrays[name] = a
-	}
-	if par == nil || lastOverlay == nil {
-		return
-	}
-	for _, name := range par.LastValue {
-		if src, ok := lastOverlay[name]; ok {
-			fr.getCell(name, fr.unit).store(src.load())
-		}
-	}
-}
-
-// execDoallConcurrent runs the loop on real goroutines: block
-// partitioning, per-worker private overlays, per-worker reduction
-// partials merged at the join. The cycle model still supplies timing;
-// goroutines validate order-independence (and surface data races under
-// -race when an annotation is wrong).
-func (in *Interp) execDoallConcurrent(fr *frame, d *ir.DoStmt, init, step, n int64, p int) (control, error) {
-	par := d.Par
-	chunk := (n + int64(p) - 1) / int64(p)
-	type redKey struct {
-		name string
-		op   string
-	}
-	// Identify reduction targets.
-	redOps := map[string]string{}
-	if par != nil {
-		for _, r := range par.Reductions {
-			redOps[r.Target] = r.Op
-		}
-	}
-	workers := make([]*Interp, p)
-	frames := make([]*frame, p)
-	partialScalars := make([]map[redKey]*cell, p)
-	partialArrays := make([]map[redKey]*Array, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		lo := int64(w) * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		// Worker-local interpreter: shares program, model, commons;
-		// private cycle counters.
-		// ctx is propagated so workers honor cancellation; each worker
-		// owns its poll counter, so polling never races.
-		wi := &Interp{Prog: in.Prog, Model: in.Model, Cost: in.Cost, commons: in.commons, inDoall: true, ctx: in.ctx}
-		wfr := &frame{unit: fr.unit, scalars: map[string]*cell{}, arrays: map[string]*Array{}}
-		for name, c := range fr.scalars {
-			wfr.scalars[name] = c
-		}
-		for name, a := range fr.arrays {
-			wfr.arrays[name] = a
-		}
-		// Private overlays (one per worker; privatizability guarantees
-		// def-before-use per iteration, so per-worker reuse is safe).
-		if par != nil {
-			for _, name := range par.Private {
-				kind := ir.ImplicitType(name)
-				if sym := fr.unit.Symbols.Lookup(name); sym != nil {
-					kind = sym.Type
-				}
-				wfr.scalars[name] = &cell{kind: kind}
-			}
-			for _, name := range par.PrivateArrays {
-				if orig := fr.arrays[name]; orig != nil {
-					wfr.arrays[name] = NewArray(orig.Name, orig.Kind, orig.Lo, orig.Size)
-				}
-			}
-		}
-		// Reduction partials.
-		ps := map[redKey]*cell{}
-		pa := map[redKey]*Array{}
-		for name, op := range redOps {
-			if orig, isArr := fr.arrays[name]; isArr {
-				cp := NewArray(orig.Name, orig.Kind, orig.Lo, orig.Size)
-				cp.Fill(reductionIdentity(op, orig.Kind))
-				wfr.arrays[name] = cp
-				pa[redKey{name, op}] = cp
-				continue
-			}
-			kind := ir.ImplicitType(name)
-			if sym := fr.unit.Symbols.Lookup(name); sym != nil {
-				kind = sym.Type
-			}
-			c := &cell{kind: kind}
-			c.store(reductionIdentity(op, kind))
-			wfr.scalars[name] = c
-			ps[redKey{name, op}] = c
-		}
-		// Private loop index.
-		wfr.scalars[d.Index] = &cell{kind: ir.TypeInteger}
-		workers[w], frames[w] = wi, wfr
-		partialScalars[w], partialArrays[w] = ps, pa
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			wi := workers[w]
-			wfr := frames[w]
-			idx := wfr.scalars[d.Index]
-			for k := lo; k < hi; k++ {
-				idx.store(IntVal(init + k*step))
-				wi.charge(wi.Cost.LoopIter)
-				c, err := wi.execBlock(wfr, d.Body)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if c != ctlNormal {
-					errs[w] = fmt.Errorf("interp: control flow escaping a parallel loop")
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	perProc := make([]int64, p)
-	bodyWork := int64(0)
-	for w := 0; w < p; w++ {
-		if errs[w] != nil {
-			return ctlNormal, errs[w]
-		}
-		if workers[w] == nil {
-			continue
-		}
-		perProc[w] = workers[w].work
-		bodyWork += workers[w].work
-	}
-	// Merge reduction partials (deterministic worker order).
-	for w := 0; w < p; w++ {
-		if workers[w] == nil {
-			continue
-		}
-		for key, c := range partialScalars[w] {
-			shared := fr.getCell(key.name, fr.unit)
-			shared.store(combine(key.op, shared.load(), c.load()))
-		}
-		for key, cp := range partialArrays[w] {
-			shared := fr.arrays[key.name]
-			for i := 0; i < shared.Total(); i++ {
-				shared.Set(i, combine(key.op, shared.Get(i), cp.Get(i)))
-			}
-		}
-	}
-	// Last values: the worker owning the final iteration.
-	if par != nil && len(par.LastValue) > 0 {
-		lastW := int((n - 1) / chunk)
-		if frames[lastW] != nil {
-			for _, name := range par.LastValue {
-				fr.getCell(name, fr.unit).store(frames[lastW].scalars[name].load())
-			}
-		}
-	}
-	fr.getCell(d.Index, fr.unit).store(IntVal(init + n*step))
-	in.work += bodyWork
-	in.ParallelLoopExecs++
-	parTime := in.parallelTime(perProc, par, p, 0)
-	in.saved += bodyWork - parTime
-	in.parallelWork += bodyWork
-	in.recordLoop(d, "doall", bodyWork, parTime)
-	return ctlNormal, nil
 }
 
 // execLRPD speculatively executes the loop as a DOALL under the PD
@@ -378,7 +252,8 @@ func (in *Interp) execLRPD(fr *frame, d *ir.DoStmt, init, step, n int64) (contro
 	}
 	in.shadows = shadows
 	in.markCycles = 0
-	defer func() { in.shadows = nil }()
+	in.redTargets, in.redUpdates = reductionTargets(par), 0
+	defer func() { in.shadows, in.redTargets = nil, nil }()
 
 	p := in.Model.Processors
 	chunk := (n + int64(p) - 1) / int64(p)
@@ -405,19 +280,15 @@ func (in *Interp) execLRPD(fr *frame, d *ir.DoStmt, init, step, n int64) (contro
 
 	// Post-execution analysis: O(a/p + log p).
 	pass := true
-	accesses := int64(0)
 	for _, sh := range shadows {
-		r := sh.Analyze()
-		accesses += sh.Accesses()
-		if !r.Pass {
+		if !sh.Analyze().Pass {
 			pass = false
 		}
 	}
 	analysisCost := totalElems*in.Model.PDAnalysisPerElement/int64(p) +
 		in.Model.PDAnalysisLogTerm*machine.Log2(p)
 	markShare := (in.markCycles + int64(p) - 1) / int64(p)
-	_ = accesses
-	specTime := backupCost + in.parallelTime(perProc, par, p, analysisCost+markShare)
+	specTime := backupCost + in.parallelTime(fr, par, perProc, p, in.redUpdates, analysisCost+markShare)
 
 	in.LRPDBodyWork += bodyWork
 	if pass {

@@ -188,9 +188,8 @@ func (r *Runner) runOne(ctx context.Context, p Program, procs int, polaris, vali
 	}
 	in := interp.New(prog, model)
 	in.Parallel = true
-	// Reversed iteration order with fresh private copies: any unsound
-	// parallelization surfaces as a checksum mismatch in the callers'
-	// comparisons.
+	// Reversed iteration order: any unsound parallelization surfaces
+	// as a checksum mismatch in the callers' comparisons.
 	in.Validate = validate
 	if err := in.RunContext(ctx); err != nil {
 		return runOutcome{}, fmt.Errorf("%s: run: %w", p.Name, err)

@@ -250,10 +250,12 @@ type ExecOptions struct {
 	Processors int
 	// Serial disables parallel execution (baseline timing).
 	Serial bool
-	// Validate runs parallel iterations in reverse order with fresh
-	// private copies, to surface order dependence.
+	// Validate runs parallel iterations in reverse order, to surface
+	// order dependence.
 	Validate bool
-	// Concurrent executes DOALL iterations on real goroutines.
+	// Concurrent runs a DOALL's chunks, the same ones the simulated
+	// machine charges, on real goroutines with partial reductions
+	// merged at the join. The cycle charge is the same as without it.
 	Concurrent bool
 	// ReductionForm selects the parallel reduction implementation:
 	// "private" (default), "blocked", or "expanded" — the three forms
@@ -277,7 +279,8 @@ type RunResult struct {
 	// parallel regions; Coverage is ParallelWork/Work.
 	ParallelWork int64
 	Coverage     float64
-	// ParallelLoopExecs counts DOALL loop executions.
+	// ParallelLoopExecs counts DOALL loop executions, one per
+	// execution in every mode.
 	ParallelLoopExecs int64
 	// PDTestPasses / PDTestFailures count speculative loop outcomes.
 	PDTestPasses   int64

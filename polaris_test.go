@@ -175,6 +175,16 @@ func TestConcurrentExecution(t *testing.T) {
 	if math.Abs(sum-ref) > 1e-6*(1+math.Abs(ref)) {
 		t.Errorf("concurrent checksum %v != %v", sum, ref)
 	}
+	// The goroutines run the simulated machine's chunks, so the charge
+	// is the simulated run's.
+	sim, err := polaris.Execute(res, polaris.ExecOptions{Processors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.ParallelLoopExecs != sim.ParallelLoopExecs || run.Cycles != sim.Cycles {
+		t.Errorf("concurrent run: %d DOALL executions in %d cycles, simulated: %d in %d",
+			run.ParallelLoopExecs, run.Cycles, sim.ParallelLoopExecs, sim.Cycles)
+	}
 }
 
 func TestReductionFormOption(t *testing.T) {
