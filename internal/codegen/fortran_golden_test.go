@@ -117,7 +117,7 @@ func TestEmitFortranGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		filled, _, err := fabric.DecodeEntry([]byte(entry), sum, name, name)
+		filled, _, err := fabric.DecodeEntry(entry, sum, name, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

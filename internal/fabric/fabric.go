@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -73,6 +74,8 @@ const (
 	maxFillPrealloc = 1 << 20
 )
 
+var fillReads = sync.Pool{New: func() any { return new([16 << 10]byte) }}
+
 // ReadFillRequest is the owner's side of a fill request: the envelope
 // from r's headers and the source from its body, which the caller has
 // bounded. A request that does not declare EntrySchema is refused
@@ -112,7 +115,7 @@ type FillResponse struct {
 	Outcome  string
 	LeaderID string
 	Checksum string
-	Entry    []byte
+	Entry    string
 }
 
 // SetFillHeaders writes the envelope of an owner's answer; the body
@@ -145,6 +148,7 @@ type OwnerResponse struct {
 type Fabric struct {
 	self  string
 	peers map[string]string // node name → base URL (self may be absent)
+	nodes []string          // every ring member, sorted
 	ring  *Ring
 	http  *http.Client
 	// fillTimeout bounds one fill attempt end to end.
@@ -193,6 +197,7 @@ func New(cfg Config) (*Fabric, error) {
 	return &Fabric{
 		self:        cfg.Self,
 		peers:       peers,
+		nodes:       names,
 		ring:        NewRing(names),
 		fillTimeout: ft,
 		http: &http.Client{
@@ -208,7 +213,7 @@ func New(cfg Config) (*Fabric, error) {
 func (f *Fabric) Self() string { return f.self }
 
 // Nodes returns every ring member, sorted.
-func (f *Fabric) Nodes() []string { return f.ring.Nodes() }
+func (f *Fabric) Nodes() []string { return f.nodes }
 
 // FillTimeout returns the per-attempt fill deadline.
 func (f *Fabric) FillTimeout() time.Duration { return f.fillTimeout }
@@ -219,11 +224,7 @@ func (f *Fabric) FillTimeout() time.Duration { return f.fillTimeout }
 // misconfigured peer list — treat as self-owned).
 func (f *Fabric) Owner(key string) (node, url string, isSelf bool) {
 	node = f.ring.Owner(key)
-	if node == "" || node == f.self {
-		return node, "", true
-	}
-	url, ok := f.peers[node]
-	if !ok || url == "" {
+	if url = f.peers[node]; node == "" || node == f.self || url == "" {
 		return node, "", true
 	}
 	return node, url, false
@@ -268,22 +269,26 @@ func (f *Fabric) Fill(ctx context.Context, baseURL string, freq FillRequest) (*F
 	if fr.Outcome == "" || fr.Checksum == "" {
 		return nil, fmt.Errorf("fabric: owner sent no fill envelope (outcome %q, checksum %q)", fr.Outcome, fr.Checksum)
 	}
-	switch n := resp.ContentLength; {
-	case n > maxFillBody:
+	// One builder, grown to a believable Content-Length, reads the body
+	// through a pooled buffer: its string is the entry the cache keeps.
+	n := resp.ContentLength
+	if n > maxFillBody {
 		return nil, fmt.Errorf("fabric: fill body of %d bytes exceeds %d", n, maxFillBody)
-	case n >= 0 && n <= maxFillPrealloc:
-		fr.Entry = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, fr.Entry)
-	default:
-		fr.Entry, err = io.ReadAll(io.LimitReader(resp.Body, maxFillBody+1))
-		if err == nil && len(fr.Entry) > maxFillBody {
-			err = fmt.Errorf("body exceeds %d bytes", maxFillBody)
-		}
+	}
+	var b strings.Builder
+	if n >= 0 && n <= maxFillPrealloc {
+		b.Grow(int(n))
+	}
+	buf := fillReads.Get().(*[16 << 10]byte)
+	got, err := io.CopyBuffer(&b, io.LimitReader(resp.Body, maxFillBody+1), buf[:])
+	fillReads.Put(buf)
+	if err == nil && (got < n || got > maxFillBody) {
+		err = fmt.Errorf("%d bytes where %d were promised, at most %d", got, n, maxFillBody)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fabric: fill read: %w", err)
 	}
-	if len(fr.Entry) == 0 {
+	if fr.Entry = b.String(); fr.Entry == "" {
 		return nil, fmt.Errorf("fabric: owner returned an empty entry")
 	}
 	return fr, nil

@@ -43,12 +43,12 @@ func totalAlloc() uint64 {
 // frontEndAlloc is what the parser and the renderer spend on the
 // rendering an entry carries, run on their own: the share of a decode
 // the wire's encoding does not decide.
-func frontEndAlloc(entry []byte) uint64 {
-	at, ok := renderingAt(string(entry))
+func frontEndAlloc(entry string) uint64 {
+	at, ok := renderingAt(entry)
 	if !ok {
 		return 0
 	}
-	rendering := string(entry[at:])
+	rendering := entry[at:]
 	before := totalAlloc()
 	if prog, err := parser.ParseProgram(rendering); err == nil {
 		var b strings.Builder
@@ -74,12 +74,12 @@ func frontEndAlloc(entry []byte) uint64 {
 // input + 64 KiB. That multiple comes from the Go values an entry's
 // bytes become, since no count is believed past what the bytes left
 // could hold: a one-byte list element or table entry becomes a 16-byte
-// string header, an 11-byte decision a 184-byte obsv.Decision (17×), an
-// 8-byte loop a 112-byte core.LoopReport and, with its 7 bytes of
-// clauses, a 144-byte ir.ParInfo. The costliest per byte are the
-// mutation maps, whose slots cost 28× the two bytes that name them; the
-// report at both caps is a seed. The suite seeds measure at most 5.8×
-// their length; the bound is the constructed worst with room.
+// string header, an 11-byte decision a 184-byte obsv.Decision (17×), and
+// an 8-byte loop a 112-byte core.LoopReport and a slot for a 144-byte
+// ir.ParInfo (32×), the costliest per byte. The mutation maps' slots cost
+// 28× the two bytes that name them; the report at both caps is a seed.
+// The suite seeds measure at most 5.8× their length; the bound is the
+// constructed worst with room.
 //
 // The whole decode, front end included, stays under 512× the input +
 // 1 MiB. The front end's share is not the wire's to shrink — the same
@@ -87,6 +87,11 @@ func frontEndAlloc(entry []byte) uint64 {
 // it ~100× its bytes — but a peer's say-so must not buy more than this
 // either. A 4000-term sum is a seed: while the renderer built an
 // expression's text by concatenation, its 8 KB entry allocated 18 MB.
+//
+// VerifyEntry proves every candidate too, as a peer fill proves what it
+// fetched. It must never panic, must stay inside both bounds, and must
+// accept exactly what DecodeEntry accepts, rejecting the rest with the
+// same error.
 //
 // DecodeView reads every candidate too, as a cache hit reads the entry
 // it holds. It must never panic, must stay inside the wire's share of
@@ -137,19 +142,28 @@ func FuzzDecodeEntry(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, entry []byte) {
 		const wireMultiple, wireFixed = 40, 64 << 10
-		frontEnd := frontEndAlloc(entry)
-		before := totalAlloc()
-		res, decisions, err := DecodeEntry(entry, sumHex(entry), fuzzKey, "fuzz")
-		got := totalAlloc() - before
-		if limit := uint64(wireMultiple*len(entry)+wireFixed) + frontEnd; got > limit {
-			t.Fatalf("decoding %d bytes allocated %d, over %d×input + %d on top of the front end's %d", len(entry), got, wireMultiple, wireFixed, frontEnd)
-		}
 		const multiple, fixed = 512, 1 << 20
-		if limit := uint64(multiple*len(entry) + fixed); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d in all, over %d×input + %d", len(entry), got, multiple, fixed)
+		stored := string(entry)
+		frontEnd := frontEndAlloc(stored)
+		bounded := func(what string, got uint64) {
+			if limit := uint64(wireMultiple*len(entry)+wireFixed) + frontEnd; got > limit {
+				t.Fatalf("%s %d bytes allocated %d, over %d×input + %d on top of the front end's %d", what, len(entry), got, wireMultiple, wireFixed, frontEnd)
+			}
+			if limit := uint64(multiple*len(entry) + fixed); got > limit {
+				t.Fatalf("%s %d bytes allocated %d in all, over %d×input + %d", what, len(entry), got, multiple, fixed)
+			}
+		}
+		before := totalAlloc()
+		res, decisions, err := DecodeEntry(stored, sumHex(stored), fuzzKey, "fuzz")
+		bounded("decoding", totalAlloc()-before)
+
+		before = totalAlloc()
+		perr := VerifyEntry(stored, sumHex(stored), fuzzKey)
+		bounded("verifying", totalAlloc()-before)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("DecodeEntry and VerifyEntry disagree: %v, %v", err, perr)
 		}
 
-		stored := string(entry)
 		before = totalAlloc()
 		v, verr := DecodeView(stored, "fuzz")
 		if spent := totalAlloc() - before; spent > uint64(wireMultiple*len(entry)+wireFixed) {
@@ -169,7 +183,7 @@ func FuzzDecodeEntry(f *testing.F) {
 		if err != nil {
 			t.Fatalf("an accepted entry does not encode: %v", err)
 		}
-		res2, decisions2, err := DecodeEntry([]byte(first), sum, fuzzKey, "fuzz")
+		res2, decisions2, err := DecodeEntry(first, sum, fuzzKey, "fuzz")
 		if err != nil {
 			t.Fatalf("an accepted entry's own encoding is rejected: %v", err)
 		}

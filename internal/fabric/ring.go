@@ -72,17 +72,3 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.points[i].node
 }
-
-// Nodes returns the distinct node names on the ring, sorted.
-func (r *Ring) Nodes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

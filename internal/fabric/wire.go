@@ -6,20 +6,20 @@
 // The wire format moves a compiled entry between nodes without moving
 // Go objects: the owner renders the restructured program back to its
 // canonical Fortran form and ships it with the per-loop verdicts,
-// ParInfo clauses, decision provenance, and pass report. The receiver
-// re-parses the rendering, re-stamps loop IDs with the same pre-order
-// rule the compiler uses, re-attaches the ParInfo annotations, and then
-// *proves* the reconstruction faithful by rendering it again: the
-// second rendering must be byte-identical to the first (the directives
-// are a pure function of the re-attached annotations). Any mismatch —
+// ParInfo clauses, decision provenance and pass report, under an
+// end-to-end SHA-256 checksum. The receiver re-parses the rendering,
+// re-stamps loop IDs with the compiler's own pre-order rule, re-attaches
+// the ParInfo annotations, and *proves* the reconstruction faithful: its
+// rendering must be byte-identical to the one shipped. Any mismatch —
 // corruption, version skew, a construct that does not round-trip —
-// rejects the fill, and the caller degrades to a local compile. The
-// whole payload additionally carries an end-to-end SHA-256 checksum so
-// a truncated or bit-flipped body is rejected before parsing.
+// rejects the fill, and the caller degrades to a local compile.
 //
-// The same entry is what a node's compile cache holds. A reader that
-// needs only the verdicts, decisions and report takes a View of it,
-// decoded from the body alone into pooled scratch.
+// The same entry is what a node's compile cache holds. Its readers:
+//
+//	reader       called by                checks                        allocates
+//	DecodeView   compile or explain hit   every count and index         a pooled View
+//	VerifyEntry  peer fill                all, render proof included    the parse and render; pooled scratch
+//	DecodeEntry  /v1/emit                 all, render proof included    the Result it returns
 //
 // Failure is always graceful by design: a dead, hung, or lying owner
 // costs the requester one local compilation, never a wrong answer —
@@ -28,7 +28,6 @@
 package fabric
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -125,7 +124,7 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 	e.b.Write(e.buf)
 	e.b.WriteString(rendered)
 	entry = e.b.String()
-	return entry, sumHexString(entry), nil
+	return entry, sumHex(entry), nil
 }
 
 // encoder writes an entry: the body into buf while it interns the
@@ -286,72 +285,88 @@ func (e *encoder) body(res *core.Result, decisions []obsv.Decision, events []obs
 	}
 }
 
-// DecodeEntry reconstructs a compiled result from an entry, its
-// decisions recorded under label. The entry is the bytes a fill read or
-// the string a cache holds; a string is decoded where it stands, bytes
-// are converted once. wantKey is the route key the caller asked for;
-// any disagreement — checksum, schema, key, a count or index the bytes
-// cannot hold, parse failure, loop mismatch, or a reconstruction that
-// fails the render-roundtrip proof — returns an error, and the caller
-// compiles locally instead.
+// DecodeEntry reconstructs a compiled result from an entry, its decisions
+// recorded under label. wantKey is the route key the caller asked for; any
+// disagreement — checksum, schema, key, a count or index the bytes cannot
+// hold, parse failure, loop mismatch, or a reconstruction that fails the
+// render-roundtrip proof — returns an error, and the caller compiles locally
+// instead.
 //
 // What the wire's own decoding allocates is bounded by the bytes
 // present: every string is a substring of the entry, and every slice and
 // map of the body is made at its decoded length only once the bytes left
 // could hold that many elements at their smallest encoding.
-func DecodeEntry[E string | []byte](entry E, checksum, wantKey, label string) (*core.Result, []obsv.Decision, error) {
-	if got := entrySum(entry); got != checksum {
-		return nil, nil, fmt.Errorf("fabric: entry checksum mismatch (got %.12s want %.12s)", got, checksum)
-	}
-	r := &reader{s: string(entry)}
-	if key := r.header(); r.err == nil && key != wantKey {
-		return nil, nil, fmt.Errorf("fabric: stale entry: route key %.20s..., want %.20s...", key, wantKey)
-	}
+func DecodeEntry(entry, checksum, wantKey, label string) (*core.Result, []obsv.Decision, error) {
 	var v View
-	r.readTable(&v)
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	rendered := r.s[r.end:]
-
-	prog, err := parser.ParseProgram(rendered)
+	res, err := decode(&v, entry, checksum, wantKey, label)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fabric: reparse rendered program: %w", err)
-	}
-	// Re-stamp loop identities with the compiler's own pre-order rule,
-	// then re-attach the verdict annotations by (unit, ID).
-	loopByID := map[loopKey]*ir.DoStmt{}
-	for _, u := range prog.Units {
-		core.AssignLoopIDs(u)
-		for _, d := range ir.Loops(u.Body) {
-			loopByID[loopKey{u.Name, d.ID}] = d
-		}
-	}
-	res := &core.Result{Program: prog, Unit: prog.Main()}
-	if res.Unit == nil {
-		return nil, nil, fmt.Errorf("fabric: rendered program has no main unit")
-	}
-	if r.body(&v, res, loopByID, label); r.err != nil {
-		return nil, nil, r.err
+		return nil, nil, err
 	}
 	res.Loops = v.Loops
 	if len(v.Report.Events) > 0 {
 		res.Report = &passes.PipelineReport{Events: v.Report.Events, TotalNS: v.Report.TotalNS}
 	}
-	// The fidelity proof: rendering the reconstruction (annotations
-	// re-attached, so the directives reappear) must reproduce the
-	// owner's rendering byte for byte. A program that does not
-	// round-trip is rejected rather than trusted. The rendering is
-	// covered by the entry's checksum, so comparing the bytes says at
-	// least what hashing the second rendering would, and a faithful one
-	// is exactly as long, so the builder never grows.
+	return res, v.Decisions, nil
+}
+
+// VerifyEntry runs every check DecodeEntry runs and keeps nothing: the
+// body goes into a pooled View, released once the rendering is compared.
+func VerifyEntry(entry, checksum, wantKey string) error {
+	v := views.Get().(*View)
+	defer v.Release()
+	_, err := decode(v, entry, checksum, wantKey, "")
+	return err
+}
+
+// decode proves entry and reads its body into v. A pooled View lends
+// scratch the parsed program points into until Release, and the result's
+// maps are dropped; a fresh View's loops, decisions and report are kept.
+func decode(v *View, entry, checksum, wantKey, label string) (*core.Result, error) {
+	if got := sumHex(entry); got != checksum {
+		return nil, fmt.Errorf("fabric: entry checksum mismatch (got %.12s want %.12s)", got, checksum)
+	}
+	r := &reader{s: entry, view: v}
+	if key := r.header(); r.err == nil && key != wantKey {
+		return nil, fmt.Errorf("fabric: stale entry: route key %.20s..., want %.20s...", key, wantKey)
+	}
+	r.readTable(v)
+	if r.err != nil {
+		return nil, r.err
+	}
+	rendered := r.s[r.end:]
+	prog, err := parser.ParseProgram(rendered)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: reparse rendered program: %w", err)
+	}
+	// Re-stamp loop identities with the compiler's own pre-order rule.
+	if v.byID == nil {
+		v.byID = map[loopKey]*ir.DoStmt{}
+	}
+	for _, u := range prog.Units {
+		core.AssignLoopIDs(u)
+		for _, d := range ir.Loops(u.Body) {
+			v.byID[loopKey{u.Name, d.ID}] = d
+		}
+	}
+	res := &core.Result{Program: prog, Unit: prog.Main()}
+	if res.Unit == nil {
+		return nil, fmt.Errorf("fabric: rendered program has no main unit")
+	}
+	if r.body(v, res, label); r.err != nil {
+		return nil, r.err
+	}
+	// The fidelity proof: the reconstruction, annotations re-attached so
+	// the directives reappear, must render to the owner's rendering byte
+	// for byte. The checksum covers the rendering, so comparing says at
+	// least what hashing the second rendering would; a faithful one is
+	// exactly as long, so the builder never grows.
 	var again strings.Builder
 	again.Grow(len(rendered))
 	prog.WriteFortran(&again)
 	if again.String() != rendered {
-		return nil, nil, fmt.Errorf("fabric: reconstruction failed the render-roundtrip check")
+		return nil, fmt.Errorf("fabric: reconstruction failed the render-roundtrip check")
 	}
-	return res, v.Decisions, nil
+	return res, nil
 }
 
 // View is what a compile or explain response reads of an entry: the
@@ -365,10 +380,13 @@ type View struct {
 	Decisions []obsv.Decision
 	Report    passes.PipelineReport
 	table     []string
-	lists     []string // the backing of every list the View holds
+	lists     []string               // the backing of every list the View holds
+	pars      []ir.ParInfo           // a decode's clauses
+	byID      map[loopKey]*ir.DoStmt // its parsed program's loops
+	pooled    bool                   // from views: its scratch outlives the read
 }
 
-var views = sync.Pool{New: func() any { return new(View) }}
+var views = sync.Pool{New: func() any { return &View{pooled: true} }}
 
 // DecodeView reads entry's body into a View under label, for an entry
 // this process encoded or verified itself: it skips the checksum, the
@@ -381,7 +399,7 @@ func DecodeView(entry, label string) (*View, error) {
 	r := reader{s: entry, view: v}
 	r.header()
 	r.readTable(v)
-	r.body(v, nil, nil, label)
+	r.body(v, nil, label)
 	if r.err != nil {
 		v.Release()
 		return nil, r.err
@@ -402,8 +420,10 @@ func (v *View) Release() {
 	}
 	clear(v.table)
 	clear(v.lists)
+	clear(v.pars)
+	clear(v.byID)
 	*v = View{Loops: v.Loops[:0], Decisions: v.Decisions[:0], Report: passes.PipelineReport{Events: v.Report.Events[:0]},
-		table: v.table[:0], lists: v.lists[:0]}
+		table: v.table[:0], lists: v.lists[:0], pars: v.pars[:0], byID: v.byID, pooled: true}
 	views.Put(v)
 }
 
@@ -418,8 +438,8 @@ type reader struct {
 	end   int // the end of the section being read
 	table []string
 	err   error
-	// view is the View a DecodeView fills: its lists share one backing
-	// array, where a full decode makes each its own.
+	// view is the View a read fills: a pooled one's lists share one
+	// backing array, where a full decode makes each its own.
 	view *View
 }
 
@@ -539,7 +559,7 @@ func (r *reader) list() []string {
 	if n == 0 {
 		return nil
 	}
-	if v := r.view; v != nil {
+	if v := r.view; v.pooled {
 		at := len(v.lists)
 		for ; n > 0; n-- {
 			v.lists = append(v.lists, r.str())
@@ -574,15 +594,15 @@ const (
 )
 
 // body decodes the entry body into v: the loops, the decisions under
-// label and the report. A full decode passes res and loopByID: res takes
-// the result's own fields, and each loop's clauses go on the loop of the
-// re-parsed program it names. A view passes neither, and the bytes of
-// both are read and checked, then dropped.
-func (r *reader) body(v *View, res *core.Result, loopByID map[loopKey]*ir.DoStmt, label string) {
-	full := res != nil
+// label and the report. A decode passes res: res takes the result's own
+// fields (its maps only from a fresh View), and each loop's clauses go on
+// the loop of the re-parsed program it names. A view passes none, and
+// the bytes of both are read and checked, then dropped.
+func (r *reader) body(v *View, res *core.Result, label string) {
+	full := res != nil && !v.pooled
 	inlined, reduced, normalized := r.int(), r.int(), r.int()
 	inductionVars := r.list()
-	if full {
+	if res != nil {
 		res.InlinedCalls, res.StrengthReduced, res.NormalizedLoops = int(inlined), int(reduced), int(normalized)
 		res.InductionVars = inductionVars
 	}
@@ -605,6 +625,9 @@ func (r *reader) body(v *View, res *core.Result, loopByID map[loopKey]*ir.DoStmt
 	}
 
 	v.Loops = resize(v.Loops, r.count(minLoop))
+	if res != nil {
+		v.pars = resize(v.pars, len(v.Loops))[:0] // holds every loop's clauses: &v.pars[i] stays put
+	}
 	for i := range v.Loops {
 		l := &v.Loops[i]
 		*l = core.LoopReport{ID: r.str(), Unit: r.str(), Index: r.str(), Depth: int(r.int()), Parallel: r.bool()}
@@ -615,27 +638,27 @@ func (r *reader) body(v *View, res *core.Result, loopByID map[loopKey]*ir.DoStmt
 			p = ir.ParInfo{Parallel: r.bool(), Reason: r.str()}
 			p.Private, p.PrivateArrays, p.LastValue = r.list(), r.list(), r.list()
 			n := r.count(minReduction)
-			if full && n > 0 {
+			if res != nil && n > 0 {
 				p.Reductions = make([]ir.Reduction, n)
 			}
 			for j := 0; j < n; j++ {
-				if red := (ir.Reduction{Target: r.str(), Op: r.str(), Histogram: r.bool()}); full {
+				if red := (ir.Reduction{Target: r.str(), Op: r.str(), Histogram: r.bool()}); res != nil {
 					p.Reductions[j] = red
 				}
 			}
 			p.LRPD = r.list()
 		}
-		if r.err != nil || !full {
+		if r.err != nil || res == nil {
 			continue
 		}
-		d := loopByID[loopKey{l.Unit, l.ID}]
+		d := v.byID[loopKey{l.Unit, l.ID}]
 		if d == nil {
 			r.failf("the entry names loop %s/%s absent from the rendered program", l.Unit, l.ID)
 			return
 		}
 		if clauses {
-			par := p // decoded for this entry alone: nobody else holds it
-			d.Par = &par
+			v.pars = append(v.pars, p)
+			d.Par = &v.pars[len(v.pars)-1]
 		}
 		l.Loop = d
 	}
@@ -676,23 +699,9 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // stringLen is the encoded length of an inline string.
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-// entrySum is the checksum of an entry in either spelling, taken where
-// it stands.
-func entrySum[E string | []byte](entry E) string {
-	if b, ok := any(entry).([]byte); ok {
-		return sumHex(b)
-	}
-	return sumHexString(string(entry))
-}
-
-func sumHex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// sumHexString is sumHex of a string, streamed to the digest instead of
-// converted: converting would copy a whole entry to the heap to hash it.
-func sumHexString(s string) string {
+// sumHex is the hex SHA-256 of an entry, streamed to the digest where it
+// stands: converting it to bytes would copy it to the heap to hash it.
+func sumHex(s string) string {
 	sum := digest.Sum256(s)
 	return hex.EncodeToString(sum[:])
 }

@@ -179,7 +179,7 @@ func TestWireRoundTripSuite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EncodeEntry: %v", err)
 			}
-			got, gotDec, err := DecodeEntry([]byte(entry), sum, key, "")
+			got, gotDec, err := DecodeEntry(entry, sum, key, "")
 			if err != nil {
 				t.Fatalf("DecodeEntry: %v", err)
 			}
@@ -256,71 +256,69 @@ func renderingAt(entry string) (int, bool) {
 // entry can poison a cache: flipped bytes, a stale route key, a foreign
 // schema version, a rendering that does not round-trip and a count the
 // bytes cannot hold. The last three are edits of the entry's bytes
-// with the checksum taken again, the lying owner's move.
+// with the checksum taken again, the lying owner's move. DecodeEntry and
+// VerifyEntry, which a peer fill proves its bytes with, must each reject
+// every one with the same error.
 func TestWireRejections(t *testing.T) {
 	p := suite.Track()
 	res, decisions, opt := compileCaptured(t, p.Source, p.Name)
 	key := core.RouteKey(p.Source, opt)
-	enc, sum, err := EncodeEntry(key, res, decisions)
+	entry, sum, err := EncodeEntry(key, res, decisions)
 	if err != nil {
 		t.Fatalf("EncodeEntry: %v", err)
 	}
-	entry := []byte(enc)
 	if _, _, err := DecodeEntry(entry, sum, key, ""); err != nil {
 		t.Fatalf("the untampered entry is rejected: %v", err)
 	}
+	if err := VerifyEntry(entry, sum, key); err != nil {
+		t.Fatalf("the untampered entry fails verification: %v", err)
+	}
+	// rejected fails t unless both readers reject bad with one error,
+	// and that error names want.
+	rejected := func(t *testing.T, bad, sum, key, want string) {
+		t.Helper()
+		_, _, err := DecodeEntry(bad, sum, key, "")
+		verr := VerifyEntry(bad, sum, key)
+		switch {
+		case err == nil || verr == nil:
+			t.Fatalf("accepted: DecodeEntry %v, VerifyEntry %v", err, verr)
+		case err.Error() != verr.Error():
+			t.Fatalf("DecodeEntry rejects with %q, VerifyEntry with %q", err, verr)
+		case !strings.Contains(err.Error(), want):
+			t.Fatalf("want a rejection naming %q, got: %v", want, err)
+		}
+	}
+	// tampered edits the entry's bytes.
+	tampered := func(edit func(b []byte) []byte) string { return string(edit([]byte(entry))) }
 
 	t.Run("corrupt-bytes", func(t *testing.T) {
-		bad := append([]byte(nil), entry...)
-		bad[len(bad)/2] ^= 0x20
-		if _, _, err := DecodeEntry(bad, sum, key, ""); err == nil {
-			t.Fatal("corrupted entry accepted")
-		}
+		bad := tampered(func(b []byte) []byte { b[len(b)/2] ^= 0x20; return b })
+		rejected(t, bad, sum, key, "checksum")
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, _, err := DecodeEntry(entry[:len(entry)/2], sum, key, ""); err == nil {
-			t.Fatal("truncated entry accepted")
-		}
+		rejected(t, entry[:len(entry)/2], sum, key, "checksum")
 	})
 	t.Run("stale-key", func(t *testing.T) {
 		// Checksum is consistent with the bytes — only the key is wrong,
 		// the lying-owner case.
-		if _, _, err := DecodeEntry(entry, sum, key+"x", ""); err == nil {
-			t.Fatal("stale entry accepted")
-		} else if !strings.Contains(err.Error(), "stale") {
-			t.Fatalf("want stale-key rejection, got: %v", err)
-		}
+		rejected(t, entry, sum, key+"x", "stale")
 	})
 	t.Run("schema-skew", func(t *testing.T) {
-		bad := append([]byte(nil), entry...)
-		bad[len(entryMagic)] = EntrySchema + 1 // the schema's one-byte uvarint
-		if _, _, err := DecodeEntry(bad, sumHex(bad), key, ""); err == nil {
-			t.Fatal("future-schema entry accepted")
-		} else if !strings.Contains(err.Error(), "schema") {
-			t.Fatalf("want a schema rejection, got: %v", err)
-		}
+		bad := tampered(func(b []byte) []byte { b[len(entryMagic)] = EntrySchema + 1; return b }) // the schema's one-byte uvarint
+		rejected(t, bad, sumHex(bad), key, "schema")
 	})
 	t.Run("rendered-tamper", func(t *testing.T) {
-		at, _ := renderingAt(enc)
-		bad := []byte(enc[:at] + strings.Replace(enc[at:], "DO", "do", 1))
-		if _, _, err := DecodeEntry(bad, sumHex(bad), key, ""); err == nil {
-			t.Fatal("tampered rendering accepted")
-		} else if !strings.Contains(err.Error(), "render-roundtrip") {
-			t.Fatalf("want the render-roundtrip rejection, got: %v", err)
-		}
+		at, _ := renderingAt(entry)
+		bad := entry[:at] + strings.Replace(entry[at:], "DO", "do", 1)
+		rejected(t, bad, sumHex(bad), key, "render-roundtrip")
 	})
 	t.Run("count-lie", func(t *testing.T) {
 		// The string table's count, right after the route key, says a
 		// billion strings: more than the bytes left could hold.
 		at := len(entryMagic) + uvarintLen(EntrySchema) + stringLen(key)
-		_, n := binary.Uvarint(entry[at:])
-		bad := binary.AppendUvarint(append([]byte(nil), entry[:at]...), 1<<30)
-		bad = append(bad, entry[at+n:]...)
-		if _, _, err := DecodeEntry(bad, sumHex(bad), key, ""); err == nil {
-			t.Fatal("an entry that lies about a count accepted")
-		} else if !strings.Contains(err.Error(), "count of 1073741824") {
-			t.Fatalf("want the count rejected, got: %v", err)
-		}
+		_, n := binary.Uvarint([]byte(entry[at:]))
+		bad := string(binary.AppendUvarint([]byte(entry[:at]), 1<<30)) + entry[at+n:]
+		rejected(t, bad, sumHex(bad), key, "count of 1073741824")
 	})
 }
 
@@ -330,9 +328,8 @@ func TestWireRejections(t *testing.T) {
 // other's entries, so the hash of given bytes may never move. The
 // rendering's is the value schema 1 shipped, computed here from the
 // rendering the entry carries: the encoding around the program changed,
-// the program's bytes may not. It then holds both spellings of the
-// hash to crypto/sha256 on lengths either side of the string path's
-// buffer.
+// the program's bytes may not. It then holds the hash to crypto/sha256
+// on lengths either side of the digest's buffer.
 func TestChecksumsPinned(t *testing.T) {
 	p, _ := suite.ByName("trfd")
 	res, decisions, _ := compileCaptured(t, p.Source, "trfd")
@@ -342,24 +339,21 @@ func TestChecksumsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	at, _ := renderingAt(entry)
-	rendered := sumHexString(entry[at:])
+	rendered := sumHex(entry[at:])
 	const wantEntry = "4fc0bdf7f606038708f0bbef99fd52eec0dde2abd2c079507edb44b4ba1250b6"
 	const wantRendered = "7aad8adba2584d0beafb760ad85ea004a7d5f816ee6bb06d9ecc8654616bc879"
 	if checksum != wantEntry || rendered != wantRendered {
 		t.Errorf("entry checksum %s, rendering %s; pinned %s, %s", checksum, rendered, wantEntry, wantRendered)
 	}
-	if _, _, err := DecodeEntry([]byte(entry), wantEntry, "pinned-key", ""); err != nil {
+	if _, _, err := DecodeEntry(entry, wantEntry, "pinned-key", ""); err != nil {
 		t.Errorf("the pinned checksum does not open the entry: %v", err)
 	}
 	for _, n := range []int{0, 1, 63, 64, 4095, 4096, 4097, 3 * 4096, 100_001} {
 		b := []byte(strings.Repeat("polaris\x00", n/8+1)[:n])
 		sum := sha256.Sum256(b)
 		want := hex.EncodeToString(sum[:])
-		if got := sumHex(b); got != want {
+		if got := sumHex(string(b)); got != want {
 			t.Errorf("sumHex of %d bytes = %s, want %s", n, got, want)
-		}
-		if got := sumHexString(string(b)); got != want {
-			t.Errorf("sumHexString of %d bytes = %s, want %s", n, got, want)
 		}
 	}
 }

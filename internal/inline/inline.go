@@ -9,6 +9,7 @@ package inline
 
 import (
 	"fmt"
+	"slices"
 
 	"polaris/internal/ir"
 )
@@ -84,8 +85,7 @@ func expandOnce(units map[string]*ir.ProgramUnit, top *ir.ProgramUnit, tpl *temp
 					rep.Skipped[x.Name] = err.Error()
 					continue
 				}
-				b.Remove(i)
-				b.Insert(i, stmts...)
+				b.Stmts = slices.Replace(b.Stmts, i, i+1, stmts...)
 				count += countStmtList(stmts) - 1
 				i += len(stmts) - 1
 				rep.Expanded++

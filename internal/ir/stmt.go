@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // Stmt is a node in the statement tree of a program unit. Like
 // expressions, statements are never shared; Clone produces deep copies.
 type Stmt interface {
@@ -30,10 +32,11 @@ func (b *Block) Clone() *Block {
 	return c
 }
 
-// Insert places stmts before position i. Insert(len, ...) appends.
+// Insert places stmts before position i. Insert(len, ...) appends. The
+// tail moves in place when the block has room for stmts.
 func (b *Block) Insert(i int, stmts ...Stmt) {
 	Assert(i >= 0 && i <= len(b.Stmts), "Block.Insert: position out of range")
-	b.Stmts = append(b.Stmts[:i], append(append([]Stmt{}, stmts...), b.Stmts[i:]...)...)
+	b.Stmts = slices.Insert(b.Stmts, i, stmts...)
 }
 
 // Append adds stmts at the end of the block.

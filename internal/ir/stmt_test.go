@@ -32,6 +32,36 @@ func TestBlockInsertRemove(t *testing.T) {
 	}
 }
 
+// TestBlockInsertInPlace holds Insert to the block's own array when it
+// has room: the tail moves over, nothing is allocated, and the order is
+// the one asked for. The inliner splices each expansion into a unit of
+// thousands of statements this way.
+func TestBlockInsertInPlace(t *testing.T) {
+	s := make([]Stmt, 5)
+	for i := range s {
+		s[i] = &AssignStmt{LHS: Var("X"), RHS: Int(int64(i))}
+	}
+	b := &Block{Stmts: make([]Stmt, 0, 8)}
+	var grown bool
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Stmts = append(b.Stmts[:0], s[0], s[3], s[4])
+		at := &b.Stmts[0]
+		b.Insert(1, s[1], s[2])
+		grown = at != &b.Stmts[0]
+	})
+	if allocs != 0 || grown {
+		t.Errorf("Insert into a block with room allocated %v times (moved the array: %v)", allocs, grown)
+	}
+	for i, st := range b.Stmts {
+		if st != s[i] {
+			t.Fatalf("after Insert, statement %d is %v, want %v", i, st, s[i])
+		}
+	}
+	if len(b.Stmts) != len(s) {
+		t.Fatalf("after Insert the block holds %d statements, want %d", len(b.Stmts), len(s))
+	}
+}
+
 func TestBlockInsertOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {

@@ -326,10 +326,12 @@ func TestFillAllocBudget(t *testing.T) {
 	ownerPer, requesterPer := ht.ownerAlloc/n, (total-ht.ownerAlloc)/n
 	t.Logf("trfd: entry %d bytes; owner %d, requester %d bytes allocated per fill",
 		ht.entryBytes/n, ownerPer, requesterPer)
-	// Measured 4 500 and 75 200 bytes (a 5 773-byte entry), plus a
-	// tenth. An owner that rendered and encoded the entry for each fill
-	// spent 19 766; the JSON entry's sides were 53.5 KB and 128.8 KB.
-	const ownerBudget, requesterBudget = 4950, 82720
+	// Measured 4 500 and 48 000 bytes (a 5 795-byte entry), plus a
+	// tenth. A requester that read the body into bytes, copied it to a
+	// string and proved it with a full decode spent 70 000; an owner
+	// that rendered and encoded the entry for each fill spent 19 766; the
+	// JSON entry's sides were 53.5 KB and 128.8 KB.
+	const ownerBudget, requesterBudget = 4950, 52800
 	if ownerPer > ownerBudget {
 		t.Errorf("the owner allocates %d bytes per fill; budget %d", ownerPer, ownerBudget)
 	}

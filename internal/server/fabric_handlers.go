@@ -55,10 +55,9 @@ func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leade
 	fn := func(ctx context.Context, opt core.Options) (*cacheEntry, error) {
 		fr, err := s.fabric.Fill(ctx, ownerURL, freq)
 		if err == nil {
-			// The one copy of the fetched bytes: the proof decodes it, and
-			// the cache keeps it once the proof passes.
-			entry := string(fr.Entry)
-			if _, _, err = fabric.DecodeEntry(entry, fr.Checksum, route, ""); err == nil {
+			// The fetched bytes are proved on pooled scratch, and the cache
+			// keeps them as read once the proof passes.
+			if err = fabric.VerifyEntry(fr.Entry, fr.Checksum, route); err == nil {
 				if fr.Outcome == telemetry.OutcomeCold {
 					// The owner compiled it just now: the tier missed, but
 					// this node still skipped the work and the owner is warm
@@ -70,7 +69,7 @@ func (s *Server) compileFnFor(key core.Key, src string, opt core.Options) (leade
 					s.obs.Count("server_peer_hits", 1)
 				}
 				run.leaderID = fr.LeaderID
-				return &cacheEntry{entry: entry, checksum: fr.Checksum}, nil
+				return &cacheEntry{entry: fr.Entry, checksum: fr.Checksum}, nil
 			}
 		}
 		// Degrade to a local compile with whatever deadline budget

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"slices"
 	"sync"
@@ -424,6 +425,98 @@ func TestHitViewPoolRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestFillVerifyPoolRace runs peer fills and cache hits on one node at
+// once. A fill proves the entry it fetched on a pooled fabric.View, whose
+// clauses and loop table the re-parsed program points into, and releases
+// it; a hit reads a pooled View of an entry the node holds. A View handed
+// to one request while another still read it would show as a hit body
+// unlike the one answered alone, or a fill that is rejected or answers
+// unlike the owner; under -race the detector sees the sharing itself.
+func TestFillVerifyPoolRace(t *testing.T) {
+	p := newFabricPair(t, 30*time.Second, nil)
+	progs := suite.All()
+	var w sink
+	// Hits: one source of each program owned by b and resident there.
+	hits, hitWant := make([][]byte, len(progs)), make([][]byte, len(progs))
+	for i, prog := range progs {
+		body, err := json.Marshal(CompileRequest{Source: sourceOwnedBy(t, p.fab, "b", prog.Source), Label: "hit"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post(t, p.b.Handler(), &w, "/v1/compile", "warm", body)
+		post(t, p.b.Handler(), &w, "/v1/compile", "hit", body)
+		hits[i], hitWant[i] = body, bytes.Clone(w.body.Bytes())
+	}
+	// Fills: sources owned by a, warm there, each asked of b once; the
+	// reference is a's own hit.
+	const goroutines, rounds = 8, 4
+	fills, fillWant := make([][]byte, goroutines*rounds), make([][]byte, goroutines*rounds)
+	for i := range fills {
+		prog := progs[i%len(progs)]
+		src := sourceOwnedBy(t, p.fab, "a", fmt.Sprintf("C fill race %d\n%s", i, prog.Source))
+		body, err := json.Marshal(CompileRequest{Source: src, Label: "fill"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post(t, p.a.Handler(), &w, "/v1/compile", "warm", body)
+		post(t, p.a.Handler(), &w, "/v1/compile", "owner", body)
+		var ref CompileResponse
+		if err := json.Unmarshal(w.body.Bytes(), &ref); err != nil {
+			t.Fatal(err)
+		}
+		fills[i], fillWant[i] = body, answer{"owner", "fill", telemetry.OutcomeCacheHit, ref}.normalized(t)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var w sink
+			ask := func(body []byte, id string) bool {
+				req, err := http.NewRequest("POST", "/v1/compile", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				req.Header.Set("X-Request-Id", id)
+				w.reset()
+				p.b.Handler().ServeHTTP(&w, req)
+				return w.code == http.StatusOK
+			}
+			for i := 0; i < rounds; i++ {
+				f := g*rounds + i
+				if !ask(fills[f], "fill") {
+					t.Errorf("fill %d from goroutine %d: %d %s", f, g, w.code, w.body.Bytes())
+					return
+				}
+				var got CompileResponse
+				if err := json.Unmarshal(w.body.Bytes(), &got); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := (answer{"fill", "fill", telemetry.OutcomePeerHit, got}).normalized(t); !bytes.Equal(got, fillWant[f]) {
+					t.Errorf("fill %d from goroutine %d differs from the owner's answer:\n got %s\nwant %s", f, g, got, fillWant[f])
+					return
+				}
+				for j := 0; j < 2; j++ {
+					k := (g + 3*i + j) % len(progs)
+					if !ask(hits[k], "hit") || !bytes.Equal(w.body.Bytes(), hitWant[k]) {
+						t.Errorf("%s hit from goroutine %d: %d\n got %s\nwant %s", progs[k].Name, g, w.code, w.body.Bytes(), hitWant[k])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := p.b.Observer().Counter("server_peer_hits"), int64(len(fills)); got != want {
+		t.Errorf("server_peer_hits = %d, want %d", got, want)
+	}
+	if n := p.b.Observer().Counter("server_peer_errors"); n != 0 {
+		t.Errorf("server_peer_errors = %d: a fill was rejected", n)
+	}
 }
 
 // canonEqual compares two values by their JSON, which is all a client
