@@ -249,7 +249,7 @@ func (g *goEmitter) header() {
 		switch {
 		case lr.Parallel:
 			status = "parallel"
-		case len(lr.LRPD) > 0:
+		case len(lr.RunTimeTest) > 0:
 			status = "run-time test"
 		}
 		g.w("// %s: DO %s -> %s (%s)", lr.Unit, lr.Index, status, lr.Reason)

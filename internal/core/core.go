@@ -109,25 +109,33 @@ func PolarisOptions() Options {
 	}
 }
 
-// LoopReport records the verdict for one loop.
+// LoopReport records the verdict for one loop. It names the loop, by
+// (Unit, ID), and does not point at it: the DO statement and its ParInfo
+// clauses are the loop of that unit of Result.Program with that ID. It
+// is the public package's LoopInfo.
 type LoopReport struct {
-	Loop *ir.DoStmt
 	// ID is the loop's stable identity ("MAIN/L30"), shared with the
-	// decision records and the interpreter's runtime metrics.
+	// observer's decision records and runtime metrics.
 	ID       string
 	Unit     string
 	Index    string
 	Depth    int
 	Parallel bool
-	LRPD     []string
-	Reason   string
+	// RunTimeTest lists arrays the loop will be speculatively tested
+	// over at run time (the LRPD/PD test), empty otherwise.
+	RunTimeTest []string
+	Reason      string
 }
 
 // Result is the outcome of compilation.
 type Result struct {
 	Program *ir.Program
 	Unit    *ir.ProgramUnit
-	Loops   []LoopReport
+	// Loops holds one record per loop of Program, in program order:
+	// unit by unit, each unit's loops outermost first. It is built once
+	// per compile, read-only like Program (the public Result shares
+	// it), and it is the list Emit reads the verdicts from.
+	Loops []LoopReport
 	// InlinedCalls counts expanded call sites; InlineSkipped maps
 	// callee to reason.
 	InlinedCalls  int
@@ -282,7 +290,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			}
 		}
 		if plan != nil && !owned[i] {
-			plan.Apply(u)
+			plan.Apply(i, u)
 		}
 		if !private {
 			work.Units[i], owned[i] = u, true
@@ -558,7 +566,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			if lr.Parallel {
 				parallel++
 			}
-			if len(lr.LRPD) > 0 {
+			if len(lr.RunTimeTest) > 0 {
 				lrpd++
 			}
 		}
@@ -592,10 +600,14 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				// left, live or memoized (a memoized unit was captured after
 				// the pass ran on it), and, under an observer, give each loop
 				// whose verdict changed the pass's record in its verdict slot.
+				// Report k names the unit's loop k: the dependence pass
+				// reported ir.Loops in order, and no pass adds or removes a
+				// loop.
+				loops := ir.Loops(work.Units[ui].Body)
 				var flips int64
 				for k := range reports {
 					lr := &reports[k]
-					par := lr.Loop.Par
+					par := loops[k].Par
 					if par == nil || lr.Parallel == par.Parallel {
 						continue
 					}
@@ -658,7 +670,7 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 	obs := opt.Observer
 	label := opt.TraceLabel
 	depth := len(ir.EnclosingLoops(unit.Body, loop))
-	rep := LoopReport{Loop: loop, ID: loop.ID, Index: loop.Index, Depth: depth}
+	rep := LoopReport{ID: loop.ID, Index: loop.Index, Depth: depth}
 	// loopDecision pre-fills the identity fields common to every record
 	// this loop produces.
 	loopDecision := func(d obsv.Decision) obsv.Decision {
@@ -875,7 +887,7 @@ func analyzeLoop(unit *ir.ProgramUnit, ranges *rng.Analyzer, tester *deps.Tester
 	}
 	loop.Par = par
 	rep.Parallel = par.Parallel
-	rep.LRPD = par.LRPD
+	rep.RunTimeTest = par.LRPD
 	rep.Reason = par.Reason
 	if obs == nil {
 		return rep, obsv.Decision{}
@@ -1067,7 +1079,7 @@ func (r *Result) Summary() string {
 		status := "serial  "
 		if l.Parallel {
 			status = "PARALLEL"
-		} else if len(l.LRPD) > 0 {
+		} else if len(l.RunTimeTest) > 0 {
 			status = "LRPD    "
 		}
 		for i := 0; i < l.Depth; i++ {

@@ -35,6 +35,20 @@ func loopByIndex(res *core.Result, idx string) *core.LoopReport {
 	return nil
 }
 
+// loopStmt returns the DO statement lr names by (Unit, ID).
+func loopStmt(t *testing.T, res *core.Result, lr *core.LoopReport) *ir.DoStmt {
+	t.Helper()
+	if u := res.Program.Unit(lr.Unit); u != nil {
+		for _, d := range ir.Loops(u.Body) {
+			if d.ID == lr.ID {
+				return d
+			}
+		}
+	}
+	t.Fatalf("no loop %s/%s in the program", lr.Unit, lr.ID)
+	return nil
+}
+
 const trfdLike = `
       PROGRAM TRFD
       INTEGER M, N, I, J, K, X, X0
@@ -137,7 +151,7 @@ func TestReductionValidatedAndAnnotated(t *testing.T) {
 	if l == nil || !l.Parallel {
 		t.Fatalf("reduction loop not parallel:\n%s", res.Summary())
 	}
-	par := l.Loop.Par
+	par := loopStmt(t, res, l).Par
 	if len(par.Reductions) != 1 || par.Reductions[0].Target != "SUM" {
 		t.Errorf("reduction annotation missing: %+v", par)
 	}
@@ -158,14 +172,14 @@ func TestLRPDCandidateFlagged(t *testing.T) {
 	if l == nil || l.Parallel {
 		t.Fatalf("scatter loop wrongly static-parallel")
 	}
-	if len(l.LRPD) != 1 || l.LRPD[0] != "A" {
+	if len(l.RunTimeTest) != 1 || l.RunTimeTest[0] != "A" {
 		t.Errorf("LRPD candidate not flagged: %+v\n%s", l, res.Summary())
 	}
 	// Without LRPD enabled: plain serial.
 	opt := core.PolarisOptions()
 	opt.LRPD = false
 	res2 := compile(t, src, opt)
-	if l2 := loopByIndex(res2, "I"); len(l2.LRPD) != 0 {
+	if l2 := loopByIndex(res2, "I"); len(l2.RunTimeTest) != 0 {
 		t.Errorf("LRPD flagged despite being disabled")
 	}
 }
@@ -264,14 +278,15 @@ func TestPrivatizationEnablesOuterLoop(t *testing.T) {
 	if !l.Parallel {
 		t.Fatalf("outer loop with private work array not parallel:\n%s", res.Summary())
 	}
+	par := loopStmt(t, res, l).Par
 	found := false
-	for _, a := range l.Loop.Par.PrivateArrays {
+	for _, a := range par.PrivateArrays {
 		if a == "W" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("W not in private arrays: %+v", l.Loop.Par)
+		t.Errorf("W not in private arrays: %+v", par)
 	}
 	// PFA (no array privatization) must fail.
 	prog, _ := parser.ParseProgram(src)

@@ -131,10 +131,9 @@ type unitRecord struct {
 	// solved lists the qualified induction variables (induction).
 	solved []string
 	// reports are the unit's loop verdicts as of dependence analysis.
-	// Their Loop pointers point into the unit itself — the entry's
-	// payload, the very object every reusing compilation installs — so
-	// replay needs no pointer rebinding. The compile's copies in
-	// Result.Loops are the ones strength reduction updates.
+	// They name the unit's loops by ID and point into nothing, so
+	// replay needs no rebinding. The compile's copies in Result.Loops
+	// are the ones strength reduction updates.
 	reports []LoopReport
 	// verdicts are the final records of those loops, parallel to
 	// reports, built only when someone keeps them (dependence analysis).
@@ -214,7 +213,7 @@ func entrySize(keyLen int, rec *unitRecord) int64 {
 	for _, ds := range rec.decisions {
 		s += int64(unsafe.Sizeof(ds)) + decisionsSize(ds)
 	}
-	// A report's LRPD list is its loop annotation's, held by the IR.
+	// A report's RunTimeTest list is its loop annotation's, held by the IR.
 	s += int64(len(rec.reports)) * int64(unsafe.Sizeof(LoopReport{}))
 	for _, v := range rec.solved {
 		s += int64(unsafe.Sizeof(v)) + int64(len(v))
@@ -245,11 +244,11 @@ type incrState struct {
 	// itself, not a clone of it.
 	trusted bool
 
-	// interSigs is the interproc pass's per-unit edit-script signature
-	// map (nil when that pass is disabled; absent key = unit untouched).
-	// It is folded into the "src" hash so a mutated unit's key covers
-	// the exact edits applied to it.
-	interSigs map[string]string
+	// interSigs is the interproc pass's edit-script signature of each
+	// unit, by position (nil when that pass is disabled; "" = unit
+	// untouched). It is folded into the "src" hash so a mutated unit's
+	// key covers the exact edits applied to it.
+	interSigs []string
 
 	keys   [][32]byte
 	reuse  []*unitEntry                        // completed entries (clean units)
@@ -289,8 +288,12 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 			st.keyLen[i] = len(rendered)
 			st.keys[i] = uh.key("ir", rendered)
 		} else {
+			var sig string
+			if st.interSigs != nil {
+				sig = st.interSigs[i]
+			}
 			st.keyLen[i] = len(u.Source)
-			st.keys[i] = uh.key("src", work.FuncsSig, st.interSigs[u.Name], u.Source)
+			st.keys[i] = uh.key("src", work.FuncsSig, sig, u.Source)
 		}
 	}
 	reuse, claims, err := st.memo.s.Acquire(c.Context(), st.keys)

@@ -31,7 +31,7 @@ func mustParse(t *testing.T, src string) *ir.Program {
 func verdictLines(res *core.Result) []string {
 	out := make([]string, len(res.Loops))
 	for i, lr := range res.Loops {
-		out[i] = fmt.Sprintf("%s depth=%d parallel=%t lrpd=%v reason=%q", lr.ID, lr.Depth, lr.Parallel, lr.LRPD, lr.Reason)
+		out[i] = fmt.Sprintf("%s depth=%d parallel=%t lrpd=%v reason=%q", lr.ID, lr.Depth, lr.Parallel, lr.RunTimeTest, lr.Reason)
 	}
 	return out
 }

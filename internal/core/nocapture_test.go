@@ -99,13 +99,8 @@ func TestNoObserverNoCapture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		o := outcome{stats: *opt.Stats, indvars: res.InductionVars, ipc: res.InterprocConstants,
+		return outcome{loops: res.Loops, stats: *opt.Stats, indvars: res.InductionVars, ipc: res.InterprocConstants,
 			norm: res.NormalizedLoops, sr: res.StrengthReduced}
-		for _, lr := range res.Loops {
-			lr.Loop = nil // compare the verdict data, not IR pointers
-			o.loops = append(o.loops, lr)
-		}
-		return o
 	}
 
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)

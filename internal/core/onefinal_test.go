@@ -55,7 +55,7 @@ func TestOneFinalPerLoop(t *testing.T) {
 			want := "serial"
 			if lr.Parallel {
 				want = "doall"
-			} else if len(lr.LRPD) > 0 {
+			} else if len(lr.RunTimeTest) > 0 {
 				want = "lrpd"
 			}
 			if d.Loop != lr.ID || d.Label != path || d.Verdict != want {

@@ -36,7 +36,7 @@ func TestPipelineOrderInvariance(t *testing.T) {
 		}
 		for _, lr := range res.Loops {
 			fmt.Fprintf(&got, "%s\t%s\t%s\t%d\t%v\t%v\t%s\n",
-				p.Name, lr.Unit, lr.Index, lr.Depth, lr.Parallel, lr.LRPD, lr.Reason)
+				p.Name, lr.Unit, lr.Index, lr.Depth, lr.Parallel, lr.RunTimeTest, lr.Reason)
 		}
 	}
 	want := string(data)

@@ -75,8 +75,8 @@ func frontEndAlloc(entry string) uint64 {
 // bytes become, since no count is believed past what the bytes left
 // could hold: a one-byte list element or table entry becomes a 16-byte
 // string header, an 11-byte decision a 184-byte obsv.Decision (17×), and
-// an 8-byte loop a 112-byte core.LoopReport and a slot for a 144-byte
-// ir.ParInfo (32×), the costliest per byte. The mutation maps' slots cost
+// an 8-byte loop a 104-byte core.LoopReport and a slot for a 144-byte
+// ir.ParInfo (31×), the costliest per byte. The mutation maps' slots cost
 // 28× the two bytes that name them; the report at both caps is a seed.
 // The suite seeds measure at most 5.8× their length; the bound is the
 // constructed worst with room.
@@ -198,8 +198,7 @@ func FuzzDecodeEntry(f *testing.F) {
 }
 
 // sameView fails t unless the view holds what the full decode made of
-// the same entry: the loops less their re-parsed *ir.DoStmt, the
-// decisions, and the report, where a View's empty report stands for the
+// the same entry: the loops, the decisions, and the report, where a View's empty report stands for the
 // absent one.
 func sameView(t *testing.T, v *View, res *core.Result, decisions []obsv.Decision) {
 	t.Helper()
@@ -207,7 +206,6 @@ func sameView(t *testing.T, v *View, res *core.Result, decisions []obsv.Decision
 		t.Fatalf("the view holds %d loops, the decode %d", len(v.Loops), len(res.Loops))
 	}
 	for i, l := range res.Loops {
-		l.Loop = nil
 		if !reflect.DeepEqual(v.Loops[i], l) {
 			t.Fatalf("loop %d: the view holds %+v, the decode %+v", i, v.Loops[i], l)
 		}

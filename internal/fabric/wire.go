@@ -99,6 +99,9 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 	// one buffer is sized exactly.
 	e := encoders.Get().(*encoder)
 	defer e.release()
+	if err := e.loopStmts(res); err != nil {
+		return "", "", err
+	}
 	e.body(res, decisions, events, totalNS)
 	// The rendering runs up to a half over the source it was parsed
 	// from (codegen.EmitFortran sizes its buffer the same way); where
@@ -135,7 +138,8 @@ type encoder struct {
 	index      map[string]uint64
 	table      []string
 	tableBytes int
-	keys       []string // scratch for map keys in sorted order
+	keys       []string     // scratch for map keys in sorted order
+	loops      []*ir.DoStmt // the DO statement of each loop record
 	scratch    [binary.MaxVarintLen64]byte
 }
 
@@ -150,8 +154,34 @@ func (e *encoder) release() {
 	clear(e.index)
 	clear(e.table)
 	clear(e.keys)
-	*e = encoder{buf: e.buf[:0], index: e.index, table: e.table[:0], keys: e.keys[:0]}
+	clear(e.loops)
+	*e = encoder{buf: e.buf[:0], index: e.index, table: e.table[:0], keys: e.keys[:0], loops: e.loops[:0]}
 	encoders.Put(e)
+}
+
+// loopStmts fills e.loops with the DO statement each of res.Loops names
+// by (Unit, ID), index for index, whose clauses the body carries. The
+// records are in program order, so one walk of the program's loops
+// pairs them up.
+func (e *encoder) loopStmts(res *core.Result) error {
+	for _, u := range res.Program.Units {
+		from := len(e.loops)
+		ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
+			if d, ok := s.(*ir.DoStmt); ok {
+				e.loops = append(e.loops, d)
+			}
+			return true
+		})
+		for k := from; k < len(e.loops); k++ {
+			if k >= len(res.Loops) || res.Loops[k].Unit != u.Name || res.Loops[k].ID != e.loops[k].ID {
+				return fmt.Errorf("fabric: loop %s/%s has no record in program order", u.Name, e.loops[k].ID)
+			}
+		}
+	}
+	if len(e.loops) != len(res.Loops) {
+		return fmt.Errorf("fabric: %d loop records for %d loops", len(res.Loops), len(e.loops))
+	}
+	return nil
 }
 
 // put writes a uvarint to the entry.
@@ -224,18 +254,15 @@ func (e *encoder) body(res *core.Result, decisions []obsv.Decision, events []obs
 	}
 
 	e.uint(uint64(len(res.Loops)))
-	for _, l := range res.Loops {
+	for k, l := range res.Loops {
 		e.str(l.ID)
 		e.str(l.Unit)
 		e.str(l.Index)
 		e.int(int64(l.Depth))
 		e.bool(l.Parallel)
-		e.list(l.LRPD)
+		e.list(l.RunTimeTest)
 		e.str(l.Reason)
-		var p *ir.ParInfo
-		if l.Loop != nil {
-			p = l.Loop.Par
-		}
+		p := e.loops[k].Par
 		e.bool(p != nil)
 		if p == nil {
 			continue
@@ -370,8 +397,8 @@ func decode(v *View, entry, checksum, wantKey, label string) (*core.Result, erro
 }
 
 // View is what a compile or explain response reads of an entry: the
-// loops' verdicts (each LoopReport's Loop is nil), the decisions under
-// the request's label, and the pass report. Every string is a substring
+// loops' verdicts, the decisions under the request's label, and the
+// pass report. Every string is a substring
 // of the entry, and every slice and map is scratch the View keeps from
 // one decode to the next. Release hands it back; nothing it holds may be
 // read after.
@@ -631,7 +658,7 @@ func (r *reader) body(v *View, res *core.Result, label string) {
 	for i := range v.Loops {
 		l := &v.Loops[i]
 		*l = core.LoopReport{ID: r.str(), Unit: r.str(), Index: r.str(), Depth: int(r.int()), Parallel: r.bool()}
-		l.LRPD, l.Reason = r.list(), r.str()
+		l.RunTimeTest, l.Reason = r.list(), r.str()
 		var p ir.ParInfo
 		clauses := r.bool()
 		if clauses {
@@ -660,7 +687,6 @@ func (r *reader) body(v *View, res *core.Result, label string) {
 			v.pars = append(v.pars, p)
 			d.Par = &v.pars[len(v.pars)-1]
 		}
-		l.Loop = d
 	}
 
 	v.Decisions = resize(v.Decisions, r.count(minDecision))

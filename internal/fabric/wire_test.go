@@ -118,8 +118,7 @@ var wireFields = map[reflect.Type]struct{ carried, leftOff []string }{
 		leftOff: []string{"Program", "Unit", "UnitsReused", "UnitsRecompiled"},
 	},
 	reflect.TypeOf(core.LoopReport{}): {
-		carried: []string{"ID", "Unit", "Index", "Depth", "Parallel", "LRPD", "Reason"},
-		leftOff: []string{"Loop"}, // the re-parsed loop the entry's (Unit, ID) names
+		carried: []string{"ID", "Unit", "Index", "Depth", "Parallel", "RunTimeTest", "Reason"},
 	},
 	reflect.TypeOf(ir.ParInfo{}): {
 		carried: []string{"Parallel", "Reason", "Private", "PrivateArrays", "LastValue", "Reductions", "LRPD"},
@@ -184,20 +183,20 @@ func TestWireRoundTripSuite(t *testing.T) {
 				t.Fatalf("DecodeEntry: %v", err)
 			}
 
-			// Loop verdicts: identical modulo the Loop pointer (which
-			// must be live and carry equal ParInfo).
+			// Loop verdicts: identical, and each names a loop of the
+			// reconstruction that carries equal ParInfo.
 			if len(got.Loops) != len(res.Loops) {
 				t.Fatalf("loops: got %d want %d", len(got.Loops), len(res.Loops))
 			}
 			for i := range res.Loops {
 				want, have := res.Loops[i], got.Loops[i]
-				if have.Loop == nil {
-					t.Fatalf("loop %s: nil *ir.DoStmt after decode", want.ID)
+				wd, hd := loopNamed(res.Program, want.Unit, want.ID), loopNamed(got.Program, have.Unit, have.ID)
+				if hd == nil {
+					t.Fatalf("loop %s: absent from the reconstruction", want.ID)
 				}
-				if w, h := canon(t, want.Loop.Par), canon(t, have.Loop.Par); w != h {
+				if w, h := canon(t, wd.Par), canon(t, hd.Par); w != h {
 					t.Errorf("loop %s: ParInfo differs:\n want %s\n have %s", want.ID, w, h)
 				}
-				want.Loop, have.Loop = nil, nil
 				if w, h := canon(t, want), canon(t, have); w != h {
 					t.Errorf("loop %d verdict differs:\n want %s\n have %s", i, w, h)
 				}
@@ -240,6 +239,18 @@ func TestWireRoundTripSuite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loopNamed returns the loop of prog that (unit, id) names, or nil.
+func loopNamed(prog *ir.Program, unit, id string) *ir.DoStmt {
+	if u := prog.Unit(unit); u != nil {
+		for _, d := range ir.Loops(u.Body) {
+			if d.ID == id {
+				return d
+			}
+		}
+	}
+	return nil
 }
 
 // renderingAt returns where an entry's rendering starts — past the

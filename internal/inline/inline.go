@@ -29,11 +29,17 @@ func DefaultOptions() Options { return Options{MaxPasses: 8, MaxStmts: 50000} }
 // Report describes what the inliner did.
 type Report struct {
 	Expanded int
-	// Skipped maps call-site descriptions to the reason expansion was
-	// not possible (those calls remain and block parallelization of
-	// their enclosing loops).
+	// Skipped maps the name of each callee with a call left in place to
+	// the reason expansion was not possible (those calls remain and
+	// block parallelization of their enclosing loops). A callee refused
+	// at several sites keeps the last reason: a "size limit reached" at
+	// a later site overwrites an earlier one.
 	Skipped map[string]string
 }
+
+// sizeLimit is the reason a call is left in place once the top unit is
+// over Options.MaxStmts.
+const sizeLimit = "size limit reached"
 
 // ExpandAll expands subroutine calls in top until none remain (or the
 // pass/size limits hit). Callees must be units of prog; they are read,
@@ -43,7 +49,7 @@ type Report struct {
 // not be.
 func ExpandAll(prog *ir.Program, top *ir.ProgramUnit, opt Options, clone func(callee *ir.ProgramUnit) *ir.ProgramUnit) *Report {
 	rep := &Report{Skipped: map[string]string{}}
-	tpl := newTemplates(clone)
+	tpl := newTemplates(clone, rep.Skipped)
 	// Resolve callees through a one-pass name index: Program.Unit is a
 	// linear scan, and a megaprogram has hundreds of units and call
 	// sites — the repeated scans were quadratic in program size.
@@ -77,12 +83,12 @@ func expandOnce(units map[string]*ir.ProgramUnit, top *ir.ProgramUnit, tpl *temp
 					continue
 				}
 				if count > opt.MaxStmts {
-					rep.Skipped[x.Name] = "size limit reached"
+					rep.Skipped[x.Name] = sizeLimit
 					continue
 				}
-				stmts, err := tpl.instantiate(top, callee, x)
-				if err != nil {
-					rep.Skipped[x.Name] = err.Error()
+				stmts, why := tpl.instantiate(top, callee, x)
+				if why != "" {
+					rep.Skipped[x.Name] = why
 					continue
 				}
 				b.Stmts = slices.Replace(b.Stmts, i, i+1, stmts...)
@@ -127,31 +133,34 @@ func countStmtList(stmts []ir.Stmt) int {
 type templates struct {
 	clone func(callee *ir.ProgramUnit) *ir.ProgramUnit
 	cache map[string]*ir.ProgramUnit
-	// failed caches validation rejections: a callee the splice cannot
-	// express is re-encountered at every call site on every expansion
-	// pass, and re-walking its body each time is quadratic on programs
-	// with many refused callees.
-	failed map[string]error
+	// skipped is the Report's table of refused callees, and the record
+	// of validation failures too: a callee the splice cannot express is
+	// re-encountered at every call site on every expansion pass, and
+	// re-walking its body each time is quadratic on programs with many
+	// refused callees. A callee without a template whose entry is not
+	// sizeLimit failed validation for that reason; a sizeLimit entry may
+	// have overwritten one, and the callee is validated again.
+	skipped map[string]string
 }
 
-func newTemplates(clone func(callee *ir.ProgramUnit) *ir.ProgramUnit) *templates {
+func newTemplates(clone func(callee *ir.ProgramUnit) *ir.ProgramUnit, skipped map[string]string) *templates {
 	if clone == nil {
 		clone = (*ir.ProgramUnit).Clone
 	}
-	return &templates{clone: clone, cache: map[string]*ir.ProgramUnit{}, failed: map[string]error{}}
+	return &templates{clone: clone, cache: map[string]*ir.ProgramUnit{}, skipped: skipped}
 }
 
-// template returns a validated master copy of the callee.
-func (t *templates) template(callee *ir.ProgramUnit) (*ir.ProgramUnit, error) {
+// template returns a validated master copy of the callee, or the reason
+// it cannot be spliced.
+func (t *templates) template(callee *ir.ProgramUnit) (*ir.ProgramUnit, string) {
 	if u, ok := t.cache[callee.Name]; ok {
-		return u, nil
+		return u, ""
 	}
-	if err, ok := t.failed[callee.Name]; ok {
-		return nil, err
+	if why, ok := t.skipped[callee.Name]; ok && why != sizeLimit {
+		return nil, why
 	}
-	if err := validateCallee(callee); err != nil {
-		t.failed[callee.Name] = err
-		return nil, err
+	if why := validateCallee(callee); why != "" {
+		return nil, why
 	}
 	u := t.clone(callee)
 	// Drop a trailing RETURN (falls through to the end after splicing).
@@ -161,52 +170,55 @@ func (t *templates) template(callee *ir.ProgramUnit) (*ir.ProgramUnit, error) {
 		}
 	}
 	t.cache[callee.Name] = u
-	return u, nil
+	return u, ""
 }
 
-// validateCallee rejects constructs the splice cannot express.
-func validateCallee(u *ir.ProgramUnit) error {
+// validateCallee returns why the splice cannot express the callee, or
+// "". Every callee of a megaprogram passes through here, most of them
+// refused for COMMON, so the reasons are concatenated, not formatted.
+func validateCallee(u *ir.ProgramUnit) string {
 	// COMMON members alias storage shared with the caller; the local
 	// renaming below would sever that aliasing (the callee's writes
 	// would land in fresh caller locals instead of the shared block),
 	// so COMMON callees are analyzed intraprocedurally instead.
 	for _, sym := range u.Symbols.All() {
 		if sym.Common != "" {
-			return fmt.Errorf("%s uses COMMON /%s/", u.Name, sym.Common)
+			return u.Name + " uses COMMON /" + sym.Common + "/"
 		}
 	}
-	var err error
+	why := ""
 	ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
 		switch s.(type) {
 		case *ir.ReturnStmt:
 			// Only a trailing top-level RETURN is expressible.
 			if s != u.Body.Stmts[len(u.Body.Stmts)-1] {
-				err = fmt.Errorf("RETURN not at end of %s", u.Name)
+				why = "RETURN not at end of " + u.Name
 			}
 		case *ir.StopStmt:
 			// STOP is fine: it stops the program wherever it is.
 		}
-		return err == nil
+		return why == ""
 	})
 	// Recursion guard.
 	ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
 		if c, ok := s.(*ir.CallStmt); ok && c.Name == u.Name {
-			err = fmt.Errorf("recursive call in %s", u.Name)
+			why = "recursive call in " + u.Name
 		}
-		return err == nil
+		return why == ""
 	})
-	return err
+	return why
 }
 
 // instantiate produces the statements replacing one call site
-// (site-specific transformations on a fresh copy of the template).
-func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, call *ir.CallStmt) ([]ir.Stmt, error) {
-	master, err := t.template(callee)
-	if err != nil {
-		return nil, err
+// (site-specific transformations on a fresh copy of the template), or
+// the reason the site cannot be spliced.
+func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, call *ir.CallStmt) ([]ir.Stmt, string) {
+	master, why := t.template(callee)
+	if why != "" {
+		return nil, why
 	}
 	if len(call.Args) != len(master.Formals) {
-		return nil, fmt.Errorf("call to %s: %d args, %d formals", callee.Name, len(call.Args), len(master.Formals))
+		return nil, fmt.Sprintf("call to %s: %d args, %d formals", callee.Name, len(call.Args), len(master.Formals))
 	}
 	work := master.Clone()
 	var pre []ir.Stmt
@@ -216,16 +228,16 @@ func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, cal
 		actual := call.Args[fi]
 		fsym := work.Symbols.Lookup(formal)
 		if fsym == nil {
-			return nil, fmt.Errorf("formal %s undeclared in %s", formal, callee.Name)
+			return nil, fmt.Sprintf("formal %s undeclared in %s", formal, callee.Name)
 		}
 		if fsym.IsArray() {
 			if err := mapArrayFormal(top, work, formal, fsym, actual); err != nil {
-				return nil, err
+				return nil, err.Error()
 			}
 			continue
 		}
 		if err := mapScalarFormal(top, work, formal, fsym, actual, &pre); err != nil {
-			return nil, err
+			return nil, err.Error()
 		}
 	}
 
@@ -244,7 +256,7 @@ func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, cal
 		renameEverywhere(work.Body, name, fresh)
 	}
 	out := append(pre, work.Body.Stmts...)
-	return out, nil
+	return out, ""
 }
 
 func cloneDims(dims []ir.Dim) []ir.Dim {

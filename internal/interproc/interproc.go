@@ -13,9 +13,10 @@
 package interproc
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 
 	"polaris/internal/ir"
 )
@@ -24,17 +25,18 @@ import (
 type Report struct {
 	// Propagated maps "CALLEE.FORMAL" to the constant value.
 	Propagated map[string]int64
-	// UnitSigs maps each unit the plan edits to a deterministic
-	// signature of its edit script: the in-application-order
-	// specialization events on the unit itself (formal position dropped,
-	// name, value) and, per callee it calls, the in-order argument
-	// positions deleted at its call sites. A unit's post-propagation IR
-	// is a pure function of its parse and this edit script, so (raw
-	// source, parse context, signature) identifies the post-pass unit
-	// without rendering it — which is how incremental compilation keys
-	// specialized units and rewritten callers by raw source. Units absent
-	// from the map leave the pass exactly as they entered it.
-	UnitSigs map[string]string
+	// UnitSigs holds, by unit position, a deterministic signature of
+	// the edit script the plan holds for each unit: the
+	// in-application-order specialization events on the unit itself
+	// (formal position dropped, name, value) and, per callee it calls,
+	// the in-order argument positions deleted at its call sites. A
+	// unit's post-propagation IR is a pure function of its parse and
+	// this edit script, so (raw source, parse context, signature)
+	// identifies the post-pass unit without rendering it — which is how
+	// incremental compilation keys specialized units and rewritten
+	// callers by raw source. A unit whose signature is "" leaves the
+	// pass exactly as it entered it.
+	UnitSigs []string
 }
 
 // drop removes one formal of a callee, and the argument in the same
@@ -47,18 +49,25 @@ type drop struct {
 	val  int64
 }
 
+// call is one (caller, specialized callee) pair, by unit position.
+type call struct{ owner, callee int32 }
+
 // Plan is the read-only half of the propagation: every specialization
 // decision, made over a program it does not write, and the per-unit
 // edit script Apply replays on a unit the caller may write. The split
 // is the inliner's (Section 3.1 of the paper): a site-independent
-// decision made once, site-specific writes on a private copy.
+// decision made once, site-specific writes on a private copy. Every
+// table is held by unit position.
 type Plan struct {
 	Report
+	// names are the units' names.
+	names []string
 	// drops holds each specialized callee's drops in application order.
-	drops map[string][]drop
-	// calleesOf lists, per unit, the specialized callees it calls,
-	// sorted; a unit absent from it has no call site to rewrite.
-	calleesOf map[string][]string
+	drops [][]drop
+	// calls pairs each unit with the specialized callees it calls,
+	// sorted by caller, then callee name; a unit with no pair has no
+	// call site to rewrite.
+	calls []call
 }
 
 // Analyze decides the specialization of prog without writing it: a
@@ -73,23 +82,27 @@ type Plan struct {
 // declared position less the drops ahead of it — at the call sites too,
 // which lose the same positions in the same order.
 func Analyze(prog *ir.Program) *Plan {
-	p := &Plan{Report: Report{Propagated: map[string]int64{}}, drops: map[string][]drop{}}
-	sitesByName := callSiteIndex(prog)
-	for _, callee := range prog.Units {
+	n := len(prog.Units)
+	p := &Plan{Report: Report{Propagated: map[string]int64{}}, names: make([]string, n), drops: make([][]drop, n)}
+	sites := callSites(prog)
+	var ds []drop
+	pairs := 0 // at most one per site of a specialized callee
+	for ci, callee := range prog.Units {
+		p.names[ci] = callee.Name
 		if callee.Kind != ir.UnitSubroutine {
 			continue
 		}
-		sites := sitesByName[callee.Name]
-		if len(sites) == 0 {
+		cs := sitesOf(sites, callee.Name)
+		if len(cs) == 0 {
 			continue
 		}
-		var ds []drop
+		ds = ds[:0]
 		for fi, formal := range callee.Formals {
 			fsym := callee.Symbols.Lookup(formal)
 			if fsym == nil || fsym.IsArray() || fsym.Type != ir.TypeInteger {
 				continue
 			}
-			val, uniform := uniformConstArg(sites, fi)
+			val, uniform := uniformConstArg(cs, fi)
 			if !uniform || modifies(callee, formal) {
 				continue
 			}
@@ -97,44 +110,64 @@ func Analyze(prog *ir.Program) *Plan {
 			p.Propagated[callee.Name+"."+formal] = val
 		}
 		if len(ds) > 0 {
-			p.drops[callee.Name] = ds
+			p.drops[ci] = slices.Clone(ds)
+			pairs += len(cs)
 		}
 	}
-	// A callee's sites are indexed unit by unit, so one owner's sites
-	// are adjacent and a change of owner is a new (owner, callee) pair.
-	p.calleesOf = map[string][]string{}
-	for name := range p.drops {
-		owner := ""
-		for _, s := range sitesByName[name] {
+	// A callee's sites are in unit order, so one owner's sites are
+	// adjacent and a change of owner is a new (owner, callee) pair.
+	p.calls = make([]call, 0, pairs)
+	for ci, ds := range p.drops {
+		if len(ds) == 0 {
+			continue
+		}
+		owner := -1
+		for _, s := range sitesOf(sites, p.names[ci]) {
 			if s.owner != owner {
 				owner = s.owner
-				p.calleesOf[owner] = append(p.calleesOf[owner], name)
+				p.calls = append(p.calls, call{int32(owner), int32(ci)})
 			}
 		}
 	}
-	for _, names := range p.calleesOf {
-		sort.Strings(names)
-	}
-	p.UnitSigs = p.unitSigs(prog)
+	slices.SortFunc(p.calls, func(a, b call) int {
+		if a.owner != b.owner {
+			return cmp.Compare(a.owner, b.owner)
+		}
+		return strings.Compare(p.names[a.callee], p.names[b.callee])
+	})
+	p.UnitSigs = p.unitSigs()
 	return p
 }
 
-// Apply replays u's edit script on it: the unit's own formals become
-// PARAMETER constants, and its calls to specialized callees lose the
-// matching arguments. u is a unit of the analyzed program or a clone of
-// one, written by nobody else, and is applied to once.
-func (p *Plan) Apply(u *ir.ProgramUnit) {
-	for _, d := range p.drops[u.Name] {
+// callsOf returns the pairs whose caller is unit i.
+func (p *Plan) callsOf(i int) []call {
+	return run(p.calls, int32(i), func(c call, i int32) int { return cmp.Compare(c.owner, i) })
+}
+
+// Apply replays the edit script of unit i on u: the unit's own formals
+// become PARAMETER constants, and its calls to specialized callees lose
+// the matching arguments. u is unit i of the analyzed program or a
+// clone of it, written by nobody else, and is applied to once.
+func (p *Plan) Apply(i int, u *ir.ProgramUnit) {
+	for _, d := range p.drops[i] {
 		u.Formals = slices.Delete(u.Formals, d.pos, d.pos+1)
 		u.Symbols.BindFormal(d.name, ir.Int(d.val))
 	}
-	if len(p.calleesOf[u.Name]) == 0 {
+	calls := p.callsOf(i)
+	if len(calls) == 0 {
 		return
 	}
+	// The unit's pairs are in callee-name order: a megaprogram's MAIN
+	// calls a thousand specialized callees, each from its own site.
 	ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
 		if c, ok := s.(*ir.CallStmt); ok {
-			for _, d := range p.drops[c.Name] {
-				c.Args = slices.Delete(c.Args, d.pos, d.pos+1)
+			k, found := slices.BinarySearchFunc(calls, c.Name, func(cl call, name string) int {
+				return strings.Compare(p.names[cl.callee], name)
+			})
+			if found {
+				for _, d := range p.drops[calls[k].callee] {
+					c.Args = slices.Delete(c.Args, d.pos, d.pos+1)
+				}
 			}
 		}
 		return true
@@ -144,8 +177,8 @@ func (p *Plan) Apply(u *ir.ProgramUnit) {
 // unitSigs renders the per-unit signatures: a unit's own drops
 // ("self[pos:NAME=val,...]") then, per specialized callee it calls, that
 // callee's argument drops ("call-NAME[pos=val,...]"), ';'-separated.
-func (p *Plan) unitSigs(prog *ir.Program) map[string]string {
-	out := map[string]string{}
+func (p *Plan) unitSigs() []string {
+	out := make([]string, len(p.drops))
 	var sig []byte
 	part := func(head, name string, ds []drop, named bool) {
 		if len(sig) > 0 {
@@ -164,43 +197,72 @@ func (p *Plan) unitSigs(prog *ir.Program) map[string]string {
 		}
 		sig = append(sig, ']')
 	}
-	for _, u := range prog.Units {
+	for i := range out {
 		sig = sig[:0]
-		if ds := p.drops[u.Name]; len(ds) > 0 {
+		if ds := p.drops[i]; len(ds) > 0 {
 			part("self", "", ds, true)
 		}
-		for _, name := range p.calleesOf[u.Name] {
-			part("call-", name, p.drops[name], false)
+		for _, cl := range p.callsOf(i) {
+			part("call-", p.names[cl.callee], p.drops[cl.callee], false)
 		}
 		if len(sig) > 0 {
-			out[u.Name] = string(sig)
+			out[i] = string(sig)
 		}
 	}
 	return out
 }
 
-// callSite is one CALL statement together with the unit containing it
-// (the unit whose IR changes when the site's argument list does).
+// callSite is one CALL statement together with the position of the
+// unit containing it (the unit whose IR changes when the site's
+// argument list does).
 type callSite struct {
 	call  *ir.CallStmt
-	owner string
+	owner int
 }
 
-// callSiteIndex collects every CALL in the program, grouped by callee
-// name, in one walk: the old per-callee scan re-walked all units for
-// each of the U subroutines, O(U^2) unit walks on a megaprogram's
-// hundreds of units.
-func callSiteIndex(prog *ir.Program) map[string][]callSite {
-	out := map[string][]callSite{}
+// callSites collects every CALL in the program into one list sorted by
+// callee name, each callee's sites in unit order: one walk counts them,
+// so the list is made at its final size, and a second fills it. The
+// old per-callee scan re-walked all units for each of the U
+// subroutines, O(U^2) unit walks on a megaprogram's hundreds of units.
+func callSites(prog *ir.Program) []callSite {
+	n := 0
 	for _, u := range prog.Units {
 		ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
-			if c, ok := s.(*ir.CallStmt); ok {
-				out[c.Name] = append(out[c.Name], callSite{call: c, owner: u.Name})
+			if _, ok := s.(*ir.CallStmt); ok {
+				n++
 			}
 			return true
 		})
 	}
+	out := make([]callSite, 0, n)
+	for i, u := range prog.Units {
+		ir.WalkStmts(u.Body, func(s ir.Stmt) bool {
+			if c, ok := s.(*ir.CallStmt); ok {
+				out = append(out, callSite{call: c, owner: i})
+			}
+			return true
+		})
+	}
+	slices.SortStableFunc(out, func(a, b callSite) int { return strings.Compare(a.call.Name, b.call.Name) })
 	return out
+}
+
+// sitesOf returns the run of sites, sorted by callee name, that call
+// name.
+func sitesOf(sites []callSite, name string) []callSite {
+	return run(sites, name, func(s callSite, name string) int { return strings.Compare(s.call.Name, name) })
+}
+
+// run returns the elements of s, sorted by cmp, that cmp finds equal
+// to k.
+func run[T, K any](s []T, k K, cmp func(T, K) int) []T {
+	lo, _ := slices.BinarySearchFunc(s, k, cmp)
+	hi := lo
+	for hi < len(s) && cmp(s[hi], k) == 0 {
+		hi++
+	}
+	return s[lo:hi]
 }
 
 // uniformConstArg reports whether argument position fi is the same

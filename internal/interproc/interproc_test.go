@@ -18,13 +18,28 @@ func propagate(t *testing.T, src string) (*ir.Program, *interproc.Report) {
 		t.Fatalf("parse: %v", err)
 	}
 	plan := interproc.Analyze(prog)
-	for _, u := range prog.Units {
-		plan.Apply(u)
+	for i, u := range prog.Units {
+		plan.Apply(i, u)
 	}
 	if err := prog.Check(); err != nil {
 		t.Fatalf("inconsistent after propagation: %v\n%s", err, prog.Fortran())
 	}
 	return prog, &plan.Report
+}
+
+// sigsByName keys rep's non-empty unit signatures by unit name.
+func sigsByName(t *testing.T, prog *ir.Program, rep *interproc.Report) map[string]string {
+	t.Helper()
+	if len(rep.UnitSigs) != len(prog.Units) {
+		t.Fatalf("%d signatures for %d units", len(rep.UnitSigs), len(prog.Units))
+	}
+	out := map[string]string{}
+	for i, sig := range rep.UnitSigs {
+		if sig != "" {
+			out[prog.Units[i].Name] = sig
+		}
+	}
+	return out
 }
 
 const uniformSrc = `
@@ -222,7 +237,7 @@ func runProbe(t *testing.T, prog *ir.Program) float64 {
 // specialized itself and a caller of three specialized callees: the
 // strings are unit-memo key material, so their bytes are a contract.
 func TestUnitSigsGolden(t *testing.T) {
-	_, rep := propagate(t, `
+	prog, rep := propagate(t, `
       PROGRAM P
       REAL X(64)
       CALL MID(X, 7, 2)
@@ -264,11 +279,12 @@ func TestUnitSigsGolden(t *testing.T) {
 		"ZB":  "self[1:K=5]",
 		"ZC":  "self[1:K=6,1:L=3]",
 	}
-	if len(rep.UnitSigs) != len(want) {
-		t.Errorf("signatures for %d units, want %d: %q", len(rep.UnitSigs), len(want), rep.UnitSigs)
+	sigs := sigsByName(t, prog, rep)
+	if len(sigs) != len(want) {
+		t.Errorf("signatures for %d units, want %d: %q", len(sigs), len(want), sigs)
 	}
 	for unit, sig := range want {
-		if got := rep.UnitSigs[unit]; got != sig {
+		if got := sigs[unit]; got != sig {
 			t.Errorf("UnitSigs[%s] = %q, want %q", unit, got, sig)
 		}
 	}

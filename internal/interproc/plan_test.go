@@ -196,8 +196,8 @@ func checkAgainstReference(t *testing.T, name, src string) (*ir.Program, *interp
 	if after := renderUnits(prog); !reflect.DeepEqual(before, after) {
 		t.Fatalf("%s: Analyze wrote the program it planned over", name)
 	}
-	for _, u := range prog.Units {
-		plan.Apply(u)
+	for i, u := range prog.Units {
+		plan.Apply(i, u)
 	}
 	if err := prog.Check(); err != nil {
 		t.Fatalf("%s: inconsistent after apply: %v", name, err)
@@ -212,8 +212,8 @@ func checkAgainstReference(t *testing.T, name, src string) (*ir.Program, *interp
 	if !reflect.DeepEqual(plan.Propagated, wantProp) {
 		t.Errorf("%s: Propagated = %v, reference %v", name, plan.Propagated, wantProp)
 	}
-	if !reflect.DeepEqual(plan.UnitSigs, wantSigs) {
-		t.Errorf("%s: UnitSigs = %q, reference %q", name, plan.UnitSigs, wantSigs)
+	if sigs := sigsByName(t, prog, &plan.Report); !reflect.DeepEqual(sigs, wantSigs) {
+		t.Errorf("%s: UnitSigs = %q, reference %q", name, sigs, wantSigs)
 	}
 	return prog, &plan.Report
 }
@@ -415,8 +415,8 @@ func TestPlanApplyHandCases(t *testing.T) {
 			if !reflect.DeepEqual(rep.Propagated, tc.propagated) {
 				t.Errorf("Propagated = %v, want %v", rep.Propagated, tc.propagated)
 			}
-			if !reflect.DeepEqual(rep.UnitSigs, tc.sigs) {
-				t.Errorf("UnitSigs = %q, want %q", rep.UnitSigs, tc.sigs)
+			if sigs := sigsByName(t, prog, rep); !reflect.DeepEqual(sigs, tc.sigs) {
+				t.Errorf("UnitSigs = %q, want %q", sigs, tc.sigs)
 			}
 		})
 	}

@@ -26,9 +26,14 @@ func (p *Program) WriteFortran(b *strings.Builder) {
 	}
 }
 
-// Fortran renders a single unit as Fortran source.
+// Fortran renders a single unit as Fortran source, into one buffer
+// sized from the source the unit was parsed from, which the rendering
+// runs up to a half over (codegen.EmitFortran sizes its buffer the same
+// way); a builder left to double allocated about twice the text. Where
+// there is no source, or the estimate falls short, the buffer grows.
 func (u *ProgramUnit) Fortran() string {
 	var b strings.Builder
+	b.Grow(len(u.Source) + len(u.Source)/2)
 	u.write(&b)
 	return b.String()
 }

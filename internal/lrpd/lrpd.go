@@ -37,8 +37,6 @@ type Shadow struct {
 	// of aw.
 	wA int64
 	mA int64
-	// accesses counts every marked access, for the cost model.
-	accesses int64
 }
 
 // NewShadow returns shadow state for an array of n elements.
@@ -57,12 +55,8 @@ func NewShadow(n int) *Shadow {
 // Len returns the number of elements tracked.
 func (s *Shadow) Len() int { return s.n }
 
-// Accesses returns the number of marked accesses so far.
-func (s *Shadow) Accesses() int64 { return s.accesses }
-
 // MarkWrite records a write to element e in iteration iter (1-based).
 func (s *Shadow) MarkWrite(e int, iter int64) {
-	s.accesses++
 	if s.pending[e] {
 		if s.rIter[e] == iter {
 			// Read earlier in the same iteration: not privatizable.
@@ -86,7 +80,6 @@ func (s *Shadow) MarkWrite(e int, iter int64) {
 
 // MarkRead records a read of element e in iteration iter.
 func (s *Shadow) MarkRead(e int, iter int64) {
-	s.accesses++
 	if s.wIter[e] == iter {
 		return // covered by a same-iteration write: private use
 	}
@@ -144,5 +137,5 @@ func (s *Shadow) Reset() {
 		s.ar[i] = false
 		s.anp[i] = false
 	}
-	s.wA, s.mA, s.accesses = 0, 0, 0
+	s.wA, s.mA = 0, 0
 }

@@ -14,6 +14,8 @@
 package pfa
 
 import (
+	"fmt"
+
 	"polaris/internal/core"
 	"polaris/internal/ir"
 	"polaris/internal/rng"
@@ -59,30 +61,53 @@ func Compile(prog *ir.Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	stmts, err := loopStmts(compiled)
+	if err != nil {
+		return nil, err
+	}
 	// One leaf table for the back-end model's range queries, as a
 	// compile has one.
 	lv := symbolic.NewLeaves()
-	res := &Result{Result: compiled, Factor: CodegenFactor(compiled, lv)}
+	res := &Result{Result: compiled, Factor: CodegenFactor(compiled, stmts, lv)}
 	if res.Factor > 1.0 {
 		// The unroller interfered: demote every parallel loop that
 		// contains a tiny constant-trip inner loop (its body was
 		// bloated by the unrolled copies) and every tiny loop itself
 		// (it was unrolled out of existence).
 		for i := range compiled.Loops {
-			lr := &compiled.Loops[i]
+			lr, d := &compiled.Loops[i], stmts[i]
 			if !lr.Parallel {
 				continue
 			}
-			if containsTinyLoop(compiled, lr, lv) || isTinyLoop(compiled, lr.Unit, lr.Loop, lv) {
+			if containsTinyLoop(compiled, lr.Unit, d, lv) || isTinyLoop(compiled, lr.Unit, d, lv) {
 				lr.Parallel = false
 				lr.Reason = "parallelism lost to inner-loop unrolling (code generation)"
-				lr.Loop.Par.Parallel = false
-				lr.Loop.Par.Reason = lr.Reason
+				d.Par.Parallel = false
+				d.Par.Reason = lr.Reason
 				res.Demoted = append(res.Demoted, lr.Unit+"."+lr.Index)
 			}
 		}
 	}
 	return res, nil
+}
+
+// loopStmts returns the DO statement each of compiled.Loops names by
+// (Unit, ID), index for index. The records are in program order, so
+// one walk of the program's loops pairs them up.
+func loopStmts(compiled *core.Result) ([]*ir.DoStmt, error) {
+	stmts := make([]*ir.DoStmt, 0, len(compiled.Loops))
+	for _, u := range compiled.Program.Units {
+		for _, d := range ir.Loops(u.Body) {
+			if k := len(stmts); k >= len(compiled.Loops) || compiled.Loops[k].Unit != u.Name || compiled.Loops[k].ID != d.ID {
+				return nil, fmt.Errorf("pfa: loop %s/%s has no verdict in program order", u.Name, d.ID)
+			}
+			stmts = append(stmts, d)
+		}
+	}
+	if len(stmts) != len(compiled.Loops) {
+		return nil, fmt.Errorf("pfa: %d verdicts for %d loops", len(compiled.Loops), len(stmts))
+	}
+	return stmts, nil
 }
 
 // isTinyLoop reports a tiny constant-trip small-bodied loop.
@@ -113,19 +138,18 @@ func isTinyLoop(compiled *core.Result, unitName string, d *ir.DoStmt, lv *symbol
 //     innermost loops is where unrolling and fusion pay off — the two
 //     codes where the paper reports PFA beating Polaris (factor 0.85);
 //   - otherwise the back end is neutral (factor 1.0).
-func CodegenFactor(compiled *core.Result, lv *symbolic.Leaves) float64 {
+func CodegenFactor(compiled *core.Result, stmts []*ir.DoStmt, lv *symbolic.Leaves) float64 {
 	parallel := 0
 	smallish := 0
-	for i := range compiled.Loops {
-		lr := &compiled.Loops[i]
+	for i, lr := range compiled.Loops {
 		if !lr.Parallel {
 			continue
 		}
 		parallel++
-		if containsTinyLoop(compiled, lr, lv) {
+		if containsTinyLoop(compiled, lr.Unit, stmts[i], lv) {
 			return 1.25
 		}
-		if smallInnermost(lr.Loop) {
+		if smallInnermost(stmts[i]) {
 			smallish++
 		}
 	}
@@ -137,13 +161,13 @@ func CodegenFactor(compiled *core.Result, lv *symbolic.Leaves) float64 {
 
 // containsTinyLoop reports a tiny constant-trip, small-bodied loop
 // nested inside the loop (the unroller's favourite target).
-func containsTinyLoop(compiled *core.Result, lr *core.LoopReport, lv *symbolic.Leaves) bool {
-	u := compiled.Program.Unit(lr.Unit)
+func containsTinyLoop(compiled *core.Result, unitName string, d *ir.DoStmt, lv *symbolic.Leaves) bool {
+	u := compiled.Program.Unit(unitName)
 	if u == nil {
 		return false
 	}
 	ra := rng.New(u, lv)
-	for _, inner := range ir.Loops(lr.Loop.Body) {
+	for _, inner := range ir.Loops(d.Body) {
 		if len(inner.Body.Stmts) > 3 {
 			continue
 		}

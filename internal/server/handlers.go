@@ -605,7 +605,7 @@ func appendVerdicts(dst []LoopVerdict, loops []core.LoopReport) []LoopVerdict {
 	for _, l := range loops {
 		dst = append(dst, LoopVerdict{
 			ID: l.ID, Unit: l.Unit, Index: l.Index, Depth: l.Depth,
-			Parallel: l.Parallel, RunTimeTest: l.LRPD, Reason: l.Reason,
+			Parallel: l.Parallel, RunTimeTest: l.RunTimeTest, Reason: l.Reason,
 		})
 	}
 	return dst

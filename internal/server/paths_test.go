@@ -314,7 +314,7 @@ func readerRows(t *testing.T, src, label string) {
 			want := "serial"
 			if lr.Parallel {
 				want = "doall"
-			} else if len(lr.LRPD) > 0 {
+			} else if len(lr.RunTimeTest) > 0 {
 				want = "lrpd"
 			}
 			if d := finals[i]; d.Loop != lr.ID || d.Verdict != want {

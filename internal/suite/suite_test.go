@@ -201,7 +201,7 @@ func TestKeyLoopVerdicts(t *testing.T) {
 			if lr.Parallel {
 				parallel[lr.Index] = true
 			}
-			if len(lr.LRPD) > 0 {
+			if len(lr.RunTimeTest) > 0 {
 				lrpd[lr.Index] = true
 			}
 		}
@@ -281,9 +281,13 @@ func TestPermutationChangesOceanVerdict(t *testing.T) {
 			t.Fatalf("compile: %v", err)
 		}
 		for _, lr := range res.Loops {
-			if lr.Index == "K" && lr.Depth == 0 && lr.Parallel &&
-				len(ir.InnerLoops(lr.Loop)) > 0 {
-				return true
+			if lr.Index != "K" || lr.Depth != 0 || !lr.Parallel {
+				continue
+			}
+			for _, d := range ir.Loops(res.Program.Unit(lr.Unit).Body) {
+				if d.ID == lr.ID && len(ir.InnerLoops(d)) > 0 {
+					return true
+				}
 			}
 		}
 		return false

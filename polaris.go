@@ -37,7 +37,6 @@ package polaris
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"polaris/internal/core"
@@ -67,21 +66,11 @@ func Parse(src string) (*Program, error) {
 // Source renders the program back to Fortran.
 func (p *Program) Source() string { return p.ir.Fortran() }
 
-// LoopInfo describes one analyzed loop.
-type LoopInfo struct {
-	// ID is the loop's stable identity ("MAIN/L30"), shared with the
-	// observer's decision records and runtime metrics. Empty for
-	// baseline compilations.
-	ID       string
-	Unit     string
-	Index    string
-	Depth    int
-	Parallel bool
-	// RunTimeTest lists arrays the loop will be speculatively tested
-	// over at run time (the LRPD/PD test), empty otherwise.
-	RunTimeTest []string
-	Reason      string
-}
+// LoopInfo describes one analyzed loop: its ID ("MAIN/L30"), unit,
+// index variable, nesting depth, whether it is a DOALL, the arrays it
+// is speculatively tested over at run time (RunTimeTest, the LRPD/PD
+// test; empty otherwise) and the reason for its verdict.
+type LoopInfo = core.LoopReport
 
 // PassEvent reports one pipeline pass of a compilation.
 type PassEvent struct {
@@ -112,7 +101,9 @@ type Result struct {
 	// CodegenFactor models back-end code quality (1.0 for Polaris; set
 	// by the baseline's heuristics for PFA).
 	CodegenFactor float64
-	// Loops reports the per-loop verdicts, outermost first.
+	// Loops reports the per-loop verdicts in program order, each unit's
+	// loops outermost first. It is the compile's own list, which Emit
+	// and Summary read too: treat it as read-only.
 	Loops []LoopInfo
 	// InlinedCalls counts expanded call sites.
 	InlinedCalls int
@@ -135,16 +126,9 @@ type Result struct {
 }
 
 func wrapResult(res *core.Result, factor float64) *Result {
-	out := &Result{inner: res, CodegenFactor: factor,
+	out := &Result{inner: res, CodegenFactor: factor, Loops: res.Loops,
 		InlinedCalls: res.InlinedCalls, InductionVariables: res.InductionVars,
 		UnitsReused: res.UnitsReused, UnitsRecompiled: res.UnitsRecompiled}
-	out.Loops = slices.Grow(out.Loops, len(res.Loops))
-	for _, lr := range res.Loops {
-		out.Loops = append(out.Loops, LoopInfo{
-			ID: lr.ID, Unit: lr.Unit, Index: lr.Index, Depth: lr.Depth,
-			Parallel: lr.Parallel, RunTimeTest: lr.LRPD, Reason: lr.Reason,
-		})
-	}
 	if res.Report != nil {
 		rep := &PipelineReport{Label: res.Report.Label, Total: res.Report.Total()}
 		for _, ev := range res.Report.Events {
