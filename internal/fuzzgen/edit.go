@@ -1,7 +1,7 @@
 package fuzzgen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -18,41 +18,66 @@ import (
 // actuals from the edit, so a recompile against a warm unit memo must
 // find exactly one dirty unit.
 //
-// When src contains no phase subroutines it is returned unchanged with
-// an empty unit name.
+// When src contains no phase subroutines, or the chosen one has no END,
+// it is returned unchanged with an empty unit name.
 func EditOneUnit(src string, n, tag int) (edited string, unit string) {
-	lines := strings.Split(src, "\n")
-	type phase struct {
-		line int
-		name string
-	}
-	var phases []phase
-	for i, l := range lines {
-		t := strings.TrimSpace(l)
-		if rest, ok := strings.CutPrefix(t, "SUBROUTINE P"); ok {
-			name := "P" + rest
-			if p := strings.IndexByte(name, '('); p > 0 {
-				name = name[:p]
-			}
-			phases = append(phases, phase{line: i, name: name})
+	// One scan counts the phases, a second finds the chosen one and the
+	// END that closes it, and the edited source is written once.
+	phases := 0
+	for rest, more := src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if _, ok := phaseName(line); ok {
+			phases++
 		}
 	}
-	if len(phases) == 0 {
+	if phases == 0 {
 		return src, ""
 	}
-	p := phases[((n%len(phases))+len(phases))%len(phases)]
+	k := ((n % phases) + phases) % phases
+	for off, rest, more := 0, src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if name, ok := phaseName(line); ok {
+			if k--; k == -1 {
+				unit = name
+			}
+		} else if unit != "" && strings.TrimSpace(line) == "END" {
+			return insertLine(src, off, tag), unit
+		}
+		off += len(line) + 1
+	}
+	return src, ""
+}
+
+// phaseName returns the name of the phase subroutine a source line
+// opens, if it opens one: a slice of the line.
+func phaseName(line string) (string, bool) {
+	name, ok := strings.CutPrefix(strings.TrimSpace(line), "SUBROUTINE ")
+	if !ok || !strings.HasPrefix(name, "P") {
+		return "", false
+	}
+	if p := strings.IndexByte(name, '('); p > 0 {
+		name = name[:p]
+	}
+	return name, true
+}
+
+// insertLine returns src with the edit's statement, a line of its own,
+// inserted at byte offset off, the start of a line.
+func insertLine(src string, off, tag int) string {
 	if tag < 0 {
 		tag = -tag // keep the literal well-formed under the parser subset
 	}
-	for i := p.line + 1; i < len(lines); i++ {
-		if strings.TrimSpace(lines[i]) == "END" {
-			stmt := fmt.Sprintf("      T2 = T2 + %d.0", tag)
-			out := make([]string, 0, len(lines)+1)
-			out = append(out, lines[:i]...)
-			out = append(out, stmt)
-			out = append(out, lines[i:]...)
-			return strings.Join(out, "\n"), p.name
-		}
-	}
-	return src, ""
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(tag), 10)
+	const head, tail = "      T2 = T2 + ", ".0\n"
+	var b strings.Builder
+	b.Grow(len(src) + len(head) + len(num) + len(tail))
+	b.WriteString(src[:off])
+	b.WriteString(head)
+	b.Write(num)
+	b.WriteString(tail)
+	b.WriteString(src[off:])
+	return b.String()
 }

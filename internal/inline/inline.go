@@ -42,23 +42,19 @@ type Report struct {
 const sizeLimit = "size limit reached"
 
 // ExpandAll expands subroutine calls in top until none remain (or the
-// pass/size limits hit). Callees must be units of prog; they are read,
-// never written. clone, when non-nil, stands in for callee.Clone() as
-// the source of the private copy a callee's template is cut from — the
+// pass/size limits hit). Callees are units of units, which find
+// locates: it returns the position of the unit a CALL names, or -1.
+// The lookup is the caller's, over a table it keeps, so expansion
+// builds no table of the whole program. Callees are read, never
+// written. clone, when non-nil, stands in for units[i].Clone() as the
+// source of the private copy a callee's template is cut from — the
 // driver hands out a copy it has specialized, so the unit itself need
 // not be.
-func ExpandAll(prog *ir.Program, top *ir.ProgramUnit, opt Options, clone func(callee *ir.ProgramUnit) *ir.ProgramUnit) *Report {
+func ExpandAll(units []*ir.ProgramUnit, top *ir.ProgramUnit, opt Options, find func(name string) int, clone func(i int) *ir.ProgramUnit) *Report {
 	rep := &Report{Skipped: map[string]string{}}
-	tpl := newTemplates(clone, rep.Skipped)
-	// Resolve callees through a one-pass name index: Program.Unit is a
-	// linear scan, and a megaprogram has hundreds of units and call
-	// sites — the repeated scans were quadratic in program size.
-	units := make(map[string]*ir.ProgramUnit, len(prog.Units))
-	for _, u := range prog.Units {
-		units[u.Name] = u
-	}
+	tpl := newTemplates(units, clone, rep.Skipped)
 	for pass := 0; pass < opt.MaxPasses; pass++ {
-		if !expandOnce(units, top, tpl, opt, rep) {
+		if !expandOnce(units, find, top, tpl, opt, rep) {
 			break
 		}
 	}
@@ -67,7 +63,7 @@ func ExpandAll(prog *ir.Program, top *ir.ProgramUnit, opt Options, clone func(ca
 
 // expandOnce expands every currently-present eligible call; returns
 // whether anything was expanded.
-func expandOnce(units map[string]*ir.ProgramUnit, top *ir.ProgramUnit, tpl *templates, opt Options, rep *Report) bool {
+func expandOnce(units []*ir.ProgramUnit, find func(string) int, top *ir.ProgramUnit, tpl *templates, opt Options, rep *Report) bool {
 	expanded := false
 	// The size guard needs the running statement count; counting from
 	// scratch per call site is quadratic on programs with many calls,
@@ -78,15 +74,15 @@ func expandOnce(units map[string]*ir.ProgramUnit, top *ir.ProgramUnit, tpl *temp
 		for i := 0; i < len(b.Stmts); i++ {
 			switch x := b.Stmts[i].(type) {
 			case *ir.CallStmt:
-				callee := units[x.Name]
-				if callee == nil || callee.Kind != ir.UnitSubroutine {
+				ci := find(x.Name)
+				if ci < 0 || units[ci].Kind != ir.UnitSubroutine {
 					continue
 				}
 				if count > opt.MaxStmts {
 					rep.Skipped[x.Name] = sizeLimit
 					continue
 				}
-				stmts, why := tpl.instantiate(top, callee, x)
+				stmts, why := tpl.instantiate(top, ci, x)
 				if why != "" {
 					rep.Skipped[x.Name] = why
 					continue
@@ -131,7 +127,8 @@ func countStmtList(stmts []ir.Stmt) int {
 // templates caches per-callee validated bodies (the site-independent
 // half of the paper's scheme).
 type templates struct {
-	clone func(callee *ir.ProgramUnit) *ir.ProgramUnit
+	units []*ir.ProgramUnit
+	clone func(i int) *ir.ProgramUnit
 	cache map[string]*ir.ProgramUnit
 	// skipped is the Report's table of refused callees, and the record
 	// of validation failures too: a callee the splice cannot express is
@@ -143,16 +140,17 @@ type templates struct {
 	skipped map[string]string
 }
 
-func newTemplates(clone func(callee *ir.ProgramUnit) *ir.ProgramUnit, skipped map[string]string) *templates {
+func newTemplates(units []*ir.ProgramUnit, clone func(i int) *ir.ProgramUnit, skipped map[string]string) *templates {
 	if clone == nil {
-		clone = (*ir.ProgramUnit).Clone
+		clone = func(i int) *ir.ProgramUnit { return units[i].Clone() }
 	}
-	return &templates{clone: clone, cache: map[string]*ir.ProgramUnit{}, skipped: skipped}
+	return &templates{units: units, clone: clone, cache: map[string]*ir.ProgramUnit{}, skipped: skipped}
 }
 
-// template returns a validated master copy of the callee, or the reason
+// template returns a validated master copy of callee ci, or the reason
 // it cannot be spliced.
-func (t *templates) template(callee *ir.ProgramUnit) (*ir.ProgramUnit, string) {
+func (t *templates) template(ci int) (*ir.ProgramUnit, string) {
+	callee := t.units[ci]
 	if u, ok := t.cache[callee.Name]; ok {
 		return u, ""
 	}
@@ -162,7 +160,7 @@ func (t *templates) template(callee *ir.ProgramUnit) (*ir.ProgramUnit, string) {
 	if why := validateCallee(callee); why != "" {
 		return nil, why
 	}
-	u := t.clone(callee)
+	u := t.clone(ci)
 	// Drop a trailing RETURN (falls through to the end after splicing).
 	if n := len(u.Body.Stmts); n > 0 {
 		if _, isRet := u.Body.Stmts[n-1].(*ir.ReturnStmt); isRet {
@@ -212,11 +210,12 @@ func validateCallee(u *ir.ProgramUnit) string {
 // instantiate produces the statements replacing one call site
 // (site-specific transformations on a fresh copy of the template), or
 // the reason the site cannot be spliced.
-func (t *templates) instantiate(top *ir.ProgramUnit, callee *ir.ProgramUnit, call *ir.CallStmt) ([]ir.Stmt, string) {
-	master, why := t.template(callee)
+func (t *templates) instantiate(top *ir.ProgramUnit, ci int, call *ir.CallStmt) ([]ir.Stmt, string) {
+	master, why := t.template(ci)
 	if why != "" {
 		return nil, why
 	}
+	callee := t.units[ci]
 	if len(call.Args) != len(master.Formals) {
 		return nil, fmt.Sprintf("call to %s: %d args, %d formals", callee.Name, len(call.Args), len(master.Formals))
 	}

@@ -1,6 +1,7 @@
 package inline
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,9 @@ func expand(t *testing.T, src string) (*ir.Program, *ir.ProgramUnit, *Report) {
 		t.Fatalf("parse: %v", err)
 	}
 	top := prog.Main()
-	rep := ExpandAll(prog, top, DefaultOptions(), nil)
+	rep := ExpandAll(prog.Units, top, DefaultOptions(), func(name string) int {
+		return slices.IndexFunc(prog.Units, func(u *ir.ProgramUnit) bool { return u.Name == name })
+	}, nil)
 	if err := top.Check(); err != nil {
 		t.Fatalf("inlined unit inconsistent: %v\n%s", err, top.Fortran())
 	}

@@ -340,20 +340,38 @@ func (b *SymbolBuilder) Declare(name string) *Symbol {
 // prev's. Whole programs declare the same COMMON members and
 // PARAMETERs in unit after unit, so most of a unit's symbols are
 // shared, and only the others are packed into the table's block.
+//
+// The dimensions of the symbols the table owns are copied into one
+// block of their own, so the builder's symbols may point theirs at
+// storage the caller reuses once Table returns (the parser's stack);
+// a shared symbol copies nothing.
 func (b *SymbolBuilder) Table(prev *SymbolTable) *SymbolTable {
 	syms := make([]*Symbol, len(b.syms))
-	own := len(b.syms)
+	own, ndims := len(b.syms), 0
 	for i := range b.syms {
 		if syms[i] = prev.equalTo(&b.syms[i]); syms[i] != nil {
 			own--
+		} else {
+			ndims += len(b.syms[i].Dims)
 		}
 	}
 	block := make([]Symbol, 0, own)
+	var dims []Dim
+	if ndims > 0 {
+		dims = make([]Dim, 0, ndims)
+	}
 	for i := range b.syms {
-		if syms[i] == nil {
-			block = append(block, b.syms[i])
-			syms[i] = &block[len(block)-1]
+		if syms[i] != nil {
+			continue
 		}
+		block = append(block, b.syms[i])
+		s := &block[len(block)-1]
+		if len(s.Dims) > 0 {
+			at := len(dims)
+			dims = append(dims, s.Dims...)
+			s.Dims = dims[at:len(dims):len(dims)]
+		}
+		syms[i] = s
 	}
 	t := tableOf(syms, b.hashes)
 	b.Reset()

@@ -190,6 +190,66 @@ func TestTableSharesEqualSymbols(t *testing.T) {
 	mustPanic(t, "BindFormal of an undeclared name", func() { same.BindFormal("Q", ir.Int(4)) })
 }
 
+// dimsText renders dimensions as a declaration spells them.
+func dimsText(dims []ir.Dim) string {
+	parts := make([]string, len(dims))
+	for i, d := range dims {
+		if parts[i] = d.Hi.String(); d.Lo != nil {
+			parts[i] = d.Lo.String() + ":" + parts[i]
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestTableCopiesOwnedDims: Table copies the dimensions of the symbols
+// it owns, so the builder's input may be overwritten once it returns,
+// as the parser's dimension stack is; the copies of one table are one
+// block, one allocation whatever the number of arrays, and a symbol
+// the table shares with the table before copies nothing.
+func TestTableCopiesOwnedDims(t *testing.T) {
+	in := []ir.Dim{{Hi: ir.Int(10)}, {Lo: ir.Int(0), Hi: ir.Int(4)}, {Hi: ir.Int(8)}}
+	var b ir.SymbolBuilder
+	b.Declare("A").Dims = in[0:2:2]
+	b.Declare("B").Dims = in[2:3:3]
+	b.Declare("S")
+	tab := b.Table(nil)
+	for i := range in {
+		in[i] = ir.Dim{Hi: ir.Int(99)}
+	}
+	a, bb := tab.Lookup("A"), tab.Lookup("B")
+	if got := dimsText(a.Dims) + " " + dimsText(bb.Dims); got != "10,0:4 8" {
+		t.Errorf("after the input was overwritten the table's dimensions are %s, want 10,0:4 8", got)
+	}
+	if cap(a.Dims) != 2 || unsafe.Pointer(&bb.Dims[0]) != unsafe.Add(unsafe.Pointer(&a.Dims[0]), 2*unsafe.Sizeof(ir.Dim{})) {
+		t.Errorf("the owned dimensions are not one block, each list capped at its length")
+	}
+
+	// Allocations of one table of 8 symbols, arrays or not, after prev.
+	names := make([]string, 8)
+	for i := range names {
+		names[i] = symName(i)
+	}
+	tableOf := func(prev *ir.SymbolTable, arrays bool) func() *ir.SymbolTable {
+		dims := []ir.Dim{{Hi: ir.Int(10)}}
+		return func() *ir.SymbolTable {
+			for _, name := range names {
+				if s := b.Declare(name); arrays {
+					s.Dims = dims
+				}
+			}
+			return b.Table(prev)
+		}
+	}
+	allocs := func(f func() *ir.SymbolTable) float64 { return testing.AllocsPerRun(20, func() { f() }) }
+	if scalars, arrays := allocs(tableOf(nil, false)), allocs(tableOf(nil, true)); arrays != scalars+1 {
+		t.Errorf("a table of 8 arrays allocates %.0f times, of 8 scalars %.0f: want one more, the block of dimensions", arrays, scalars)
+	}
+	scalars, arrays := allocs(tableOf(tableOf(nil, false)(), false)), allocs(tableOf(tableOf(nil, true)(), true))
+	if arrays != scalars {
+		t.Errorf("a table sharing its 8 arrays allocates %.0f times, sharing 8 scalars %.0f: want as many", arrays, scalars)
+	}
+}
+
 // TestTableSharesOnlyEqualSymbols: a symbol that differs from the
 // previous table's in any one field is not shared, whatever the field.
 // The fields are read off the Symbol type, so a field added to it

@@ -132,6 +132,19 @@ func NewScanner(src string) *Scanner {
 	return &Scanner{cursor: cursor{rest: src, more: true}}
 }
 
+// Reset puts the scanner at the start of src, as NewScanner(src) does,
+// and empties its intern table but keeps the table's slots, so a
+// scanner kept between sources grows its table once. The statement
+// buffer is dropped, not kept: it is sized by the longest statement a
+// source has, and a buffer kept from one source would make what
+// scanning the next allocates depend on which source came before.
+// Reset("") leaves the scanner holding no string of the source it
+// scanned, nor any spelling of it.
+func (s *Scanner) Reset(src string) {
+	clear(s.words.slots)
+	*s = Scanner{cursor: cursor{rest: src, more: true}, words: interner{slots: s.words.slots}}
+}
+
 // Next returns the tokens of the next statement: a line and the lines
 // joined to it by a closing '&', ended by its NEWLINE. After the last
 // statement it returns a lone EOF, except that a statement whose last

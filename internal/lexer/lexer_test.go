@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -274,5 +275,51 @@ func TestScannerAllocationBudget(t *testing.T) {
 	}
 	if four := scan(strings.Repeat(src, 4)); four != once {
 		t.Errorf("scanning mega10k four times over allocates %.0f times, once %.0f", four, once)
+	}
+}
+
+// TestScannerReset: Reset puts a scanner at the start of another source
+// with its intern table emptied and its slots kept. The scanner then
+// yields what a new scanner over that source yields, whatever it read
+// before, and reads a source it already has the slots for without
+// growing them; Reset("") leaves no spelling and no source behind.
+func TestScannerReset(t *testing.T) {
+	src := mega10k(t)
+	const small = "      x = y + 1.5d0\n   10 CONTINUE\n"
+	stream := func(sc *Scanner) []Token {
+		var out []Token
+		for {
+			toks, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, toks...)
+			if toks[len(toks)-1].Kind == EOF {
+				return out
+			}
+		}
+	}
+	sc := NewScanner(src)
+	want := stream(sc)
+	slots := sc.words.slots
+	sc.Reset(small)
+	if got, want := stream(sc), lex(t, small); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Reset(%q): %v, a new scanner reads %v", small, got, want)
+	}
+	sc.Reset(src)
+	if got := stream(sc); !reflect.DeepEqual(got, want) {
+		t.Errorf("scanning mega10k again after Reset reads another token stream")
+	}
+	if len(sc.words.slots) != len(slots) || &sc.words.slots[0] != &slots[0] {
+		t.Errorf("scanning mega10k again after Reset grew the intern table from %d slots to %d", len(slots), len(sc.words.slots))
+	}
+	sc.Reset("")
+	for i, sp := range sc.words.slots {
+		if sp != (spelling{}) {
+			t.Fatalf("after Reset(\"\") slot %d holds %q", i, sp.text)
+		}
+	}
+	if sc.words.used != 0 || sc.rest != "" || sc.toks != nil {
+		t.Errorf("after Reset(\"\") the scanner holds %d spellings, %d bytes of source and %d token slots", sc.words.used, len(sc.rest), cap(sc.toks))
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -230,24 +232,79 @@ func TestFirstErrorInSourceOrder(t *testing.T) {
 // 519 bytes per line of mega10k when the parser took a token slab,
 // split the source into a line table and kept a map per symbol table,
 // 203.4 when each symbol was an allocation of its own and every list
-// grew by doubling, and 173.9 when every table copied all its symbols,
-// the ones equal to the previous table's too.
+// grew by doubling, 173.9 when every table copied all its symbols,
+// the ones equal to the previous table's too, and 126.2 when each
+// repeated declaration allocated its dimensions and each parse its own
+// intern table and unit set. A parse on a fresh scratch costs about 10
+// bytes per line more (a GC empties the pool, the race detector drops
+// puts), so the best of three rounds of four parses is held to the
+// budget.
 func TestParseBytesPerLine(t *testing.T) {
 	src := mega10k()
 	lines := strings.Count(src, "\n")
 	const runs = 4
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	const budget = 123 // measured 111.4, plus 10%; parent 126.2; 222.4 with a whole-program alias sweep per parse
+	best := math.Inf(1)
+	for round := 0; round < 3 && best > budget; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := parser.ParseProgram(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perLine := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(lines)
+		t.Logf("%.1f bytes per line over %d lines", perLine, lines)
+		best = min(best, perLine)
+	}
+	if best > budget {
+		t.Errorf("ParseProgram allocates %.1f bytes per line of mega10k, budget %d", best, budget)
+	}
+}
+
+// TestParseAllocatesWhatItKeeps holds a parse of mega10k to what its
+// Program keeps: the bytes ParseProgram allocates, on a warm scratch,
+// are at most 6% over the bytes still live after a GC. Lists gather on
+// the scratch's stacks and are copied out once, a repeated declaration's
+// dimensions stay on the stack when the table shares the symbol, and
+// the intern table's slots and the set of unit names are the scratch's.
+// Where each repeated declaration allocated its dimensions, and each
+// parse its own intern table and unit set, the gap was 21%.
+func TestParseAllocatesWhatItKeeps(t *testing.T) {
+	src := mega10k()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m runtime.MemStats
+	// A parse between the GC and the measured one warms the scratch the
+	// measured parse takes from the pool: after a GC a pool hands the
+	// scratch back only on the P that put it. The goroutine can still
+	// move between the two parses, and the race detector drops a share
+	// of what is put back, so the best of ten is held to the bound.
+	best := math.Inf(1)
+	for try := 0; try < 10 && best > 1.06; try++ {
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		live := m.HeapAlloc
 		if _, err := parser.ParseProgram(src); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&m)
+		total := m.TotalAlloc
+		prog, err := parser.ParseProgram(src)
+		runtime.ReadMemStats(&m)
+		allocated := m.TotalAlloc - total
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		kept := int64(m.HeapAlloc) - int64(live)
+		runtime.KeepAlive(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(allocated) / float64(kept)
+		t.Logf("allocated %d bytes, kept %d (%.3fx)", allocated, kept, ratio)
+		best = min(best, ratio)
 	}
-	runtime.ReadMemStats(&after)
-	perLine := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(lines)
-	const budget = 139 // measured 126.1, plus 10%; parent 173.9; 222.4 with a whole-program alias sweep per parse
-	t.Logf("%.1f bytes per line over %d lines", perLine, lines)
-	if perLine > budget {
-		t.Errorf("ParseProgram allocates %.1f bytes per line of mega10k, budget %d", perLine, budget)
+	if best > 1.06 {
+		t.Errorf("parsing mega10k allocates %.3fx the bytes its Program keeps, over 1.06x", best)
 	}
 }

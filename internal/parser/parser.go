@@ -38,7 +38,6 @@ func (e *ParseError) Error() string {
 }
 
 type parser struct {
-	sc *lexer.Scanner
 	// toks is the statement being parsed, in the scanner's buffer; its
 	// last token is a NEWLINE or the EOF, so toks[pos+1] exists wherever
 	// the grammar looks one token ahead.
@@ -48,7 +47,8 @@ type parser struct {
 	lastLine int
 	// lexErr is the lexical error that ended the token stream early.
 	lexErr error
-	// scr holds the unit's symbols and the lists still being collected.
+	// scr holds the scanner, the unit's symbols and the lists still
+	// being collected.
 	scr *scratch
 	// funcs records names of FUNCTION units so calls parse as Call
 	// expressions rather than array references.
@@ -60,20 +60,28 @@ type parser struct {
 }
 
 func newParser(src string) *parser {
-	p := &parser{sc: lexer.NewScanner(src), scr: scratchPool.Get().(*scratch), funcs: map[string]bool{}, src: src, line: 1}
+	s := scratchPool.Get().(*scratch)
+	s.sc.Reset(src)
+	p := &parser{scr: s, funcs: map[string]bool{}, src: src, line: 1}
 	p.fill()
 	return p
 }
 
-// scratch is a parse's working storage: the current unit's symbols,
-// the table of the unit before, which the next table shares its equal
-// symbols with, and one stack per kind of list, on which a list's
-// elements gather until it ends and is copied out at its final length.
-// Parses take it from scratchPool and zero it before they put it back,
-// so between parses it holds no IR.
+// scratch is a parse's working storage: the scanner, whose intern
+// table keeps its slots from parse to parse; the current unit's
+// symbols, the table of the unit before, which the next table shares
+// its equal symbols with, and the names of the units parsed so far;
+// and one stack per kind of list, on which a list's elements gather
+// until it ends and is copied out at its final length. Dimensions stay
+// on their stack until the unit's END, where the symbol table copies
+// those of the symbols it owns. Parses take the scratch from
+// scratchPool and zero it before they put it back, so between parses
+// it holds no IR.
 type scratch struct {
+	sc    lexer.Scanner
 	syms  ir.SymbolBuilder
 	prev  *ir.SymbolTable
+	seen  map[string]bool
 	stmts []ir.Stmt
 	exprs []ir.Expr
 	dims  []ir.Dim
@@ -81,15 +89,17 @@ type scratch struct {
 	units []*ir.ProgramUnit
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{seen: map[string]bool{}} }}
 
 // release zeroes the scratch and returns it to the pool. Lists pop
 // with their slots zeroed, so only a failed parse leaves any behind.
 func (p *parser) release() {
 	s := p.scr
 	p.scr = nil
+	s.sc.Reset("")
 	s.syms.Reset()
 	s.prev = nil
+	clear(s.seen)
 	s.stmts = zeroed(s.stmts)
 	s.exprs = zeroed(s.exprs)
 	s.dims = zeroed(s.dims)
@@ -154,7 +164,6 @@ func ParseProgram(src string) (*ir.Program, error) {
 	}
 	sort.Strings(names)
 	prog.FuncsSig = "f:" + strings.Join(names, ",")
-	units := map[string]bool{}
 	for {
 		p.skipNewlines()
 		if p.at(lexer.EOF) {
@@ -175,7 +184,7 @@ func ParseProgram(src string) (*ir.Program, error) {
 		u.Source = src[p.lineStart(start):p.lineStart(p.lastLine+1)]
 		// A unit that parsed ends before any lexical error, so its
 		// semantic errors come first; they carry its header line.
-		if units[u.Name] {
+		if p.scr.seen[u.Name] {
 			// Program.Add panics on duplicates (an IR consistency
 			// invariant); source-level duplicates are a parse error.
 			// The set stands in for Add's scan of every unit so far,
@@ -190,7 +199,7 @@ func ParseProgram(src string) (*ir.Program, error) {
 			}
 			return nil, err
 		}
-		units[u.Name] = true
+		p.scr.seen[u.Name] = true
 		p.scr.units = append(p.scr.units, u)
 	}
 	if p.lexErr != nil {
@@ -204,7 +213,7 @@ func ParseProgram(src string) (*ir.Program, error) {
 // kept, as a ParseError so callers have one error type to match, and
 // the parser is handed the end of the input in the statement's place.
 func (p *parser) fill() {
-	toks, err := p.sc.Next()
+	toks, err := p.scr.sc.Next()
 	if err != nil {
 		var lerr *lexer.Error
 		if errors.As(err, &lerr) {
@@ -387,6 +396,7 @@ func (p *parser) parseUnit() (*ir.ProgramUnit, error) {
 	}
 	u.Symbols = syms.Table(p.scr.prev)
 	p.scr.prev = u.Symbols
+	p.scr.dims = zeroed(p.scr.dims)
 	return u, nil
 }
 
@@ -581,6 +591,10 @@ func (p *parser) parseTypeDecl() error {
 	return p.expectEOL()
 }
 
+// parseDims parses a parenthesized dimension list, or none. The list
+// stays on the dimension stack until the unit's END, where the symbol
+// table copies it if the table owns the symbol; its capacity ends with
+// it, so an append to it cannot write the stack.
 func (p *parser) parseDims() ([]ir.Dim, error) {
 	if !p.atOp("(") {
 		return nil, nil
@@ -622,7 +636,7 @@ func (p *parser) parseDims() ([]ir.Dim, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return collect(&p.scr.dims, mark), nil
+	return p.scr.dims[mark:len(p.scr.dims):len(p.scr.dims)], nil
 }
 
 func (p *parser) parseDimension() error {
@@ -938,8 +952,7 @@ func (p *parser) parseAssign() (ir.Stmt, error) {
 		// Declare the array if unknown: rank from use, assumed size.
 		sym := p.scr.syms.Declare(name)
 		if !sym.IsArray() {
-			dims := make([]ir.Dim, len(subs))
-			sym.Dims = dims
+			sym.Dims = assumedDims(len(subs))
 		}
 		lhs = &ir.ArrayRef{Name: name, Subs: subs}
 	} else {
@@ -954,6 +967,21 @@ func (p *parser) parseAssign() (ir.Stmt, error) {
 		return nil, err
 	}
 	return &ir.AssignStmt{LHS: lhs, RHS: rhs}, p.expectEOL()
+}
+
+// unknownBounds is the dimensions of every array used before it is
+// declared, up to Fortran's seven: a rank known from use and no bound.
+// Nothing writes a symbol's dimensions in place, and the symbol table
+// copies them, so the builder's symbols share this one array.
+var unknownBounds [7]ir.Dim
+
+// assumedDims returns n dimensions with no bounds, the declaration an
+// array gets from its first use.
+func assumedDims(n int) []ir.Dim {
+	if n <= len(unknownBounds) {
+		return unknownBounds[:n:n]
+	}
+	return make([]ir.Dim, n)
 }
 
 func (p *parser) parseArgList() ([]ir.Expr, error) {
@@ -1161,7 +1189,7 @@ func (p *parser) parsePrimary() (ir.Expr, error) {
 		}
 		sym := p.scr.syms.Declare(name)
 		if !sym.IsArray() {
-			sym.Dims = make([]ir.Dim, len(args))
+			sym.Dims = assumedDims(len(args))
 		}
 		return &ir.ArrayRef{Name: name, Subs: args}, nil
 	}

@@ -433,10 +433,14 @@ func TestParseDeepNestStress(t *testing.T) {
 }
 
 // TestScratchHoldsNoIR takes the scratch a parse put back out of the
-// pool and requires every slot of it, up to capacity, to be zero: after
-// a parse that succeeds, and after parses that fail with lists half
-// collected. A slot that kept a pointer would pin one parse's IR for as
-// long as the pool holds the scratch.
+// pool and requires every slot of it, up to capacity, to be zero, and
+// every string and map in it empty: after a parse that succeeds, and
+// after parses that fail with lists half collected, with dimensions
+// left on their stack before the unit's END, and on a duplicate unit
+// name. The scanner's intern slots and the set of unit names are part
+// of the scratch, and are held to the same rule. A slot that kept a
+// pointer would pin one parse's IR, or its spellings, for as long as
+// the pool holds the scratch.
 func TestScratchHoldsNoIR(t *testing.T) {
 	var decls strings.Builder
 	for i := 0; i < 40; i++ { // past the builder's index threshold
@@ -460,7 +464,9 @@ func TestScratchHoldsNoIR(t *testing.T) {
 		{"parsed", unit("")},
 		{"parse error in an argument list", unit("          A(I) = V2(I, MOD(I, 3) +\n")},
 		{"parse error in dimensions", unit("          REAL W(4, 5,\n")},
+		{"parse error after a declaration", unit("          REAL W(4, 5)\n          A(I) = W(1, (2\n")},
 		{"lexical error", unit("          A(I) = V3(I, #\n")},
+		{"duplicate unit", unit("") + "      SUBROUTINE S(A, N)\n      REAL A(N)\n      END\n"},
 	} {
 		_, err := ParseProgram(c.src)
 		if (err == nil) != (c.name == "parsed") {
@@ -482,6 +488,10 @@ func TestScratchHoldsNoIR(t *testing.T) {
 		}
 		for _, dirty := range nonZero(reflect.ValueOf(s).Elem(), "scratch") {
 			t.Errorf("%s: %s", c.name, dirty)
+		}
+		// The slots were in use: the check above read them.
+		if slots := reflect.ValueOf(s).Elem().FieldByName("sc").FieldByName("words").FieldByName("slots"); slots.Cap() == 0 || cap(s.dims) == 0 {
+			t.Errorf("%s: the scratch kept %d intern slots and %d dimension slots, want some of each", c.name, slots.Cap(), cap(s.dims))
 		}
 	}
 }
@@ -509,6 +519,10 @@ func nonZero(v reflect.Value, path string) []string {
 	case reflect.Map:
 		if v.Len() > 0 {
 			dirty = append(dirty, fmt.Sprintf("%s holds %d entries", path, v.Len()))
+		}
+	case reflect.String:
+		if v.Len() > 0 {
+			dirty = append(dirty, fmt.Sprintf("%s holds %q", path, v.String()))
 		}
 	}
 	return dirty
