@@ -186,9 +186,7 @@ func BenchmarkPDTestScaling(b *testing.B) {
 				}
 			}
 			for _, p := range []int{1, 8} {
-				cost := int64(a)*model.PDAnalysisPerElement/int64(p) +
-					model.PDAnalysisLogTerm*machine.Log2(p)
-				b.ReportMetric(float64(cost), fmt.Sprintf("analysis_cycles_p%d", p))
+				b.ReportMetric(float64(model.PDAnalysisCycles(int64(a), p)), fmt.Sprintf("analysis_cycles_p%d", p))
 			}
 		})
 	}

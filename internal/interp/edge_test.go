@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"polaris/internal/ir"
@@ -263,11 +264,13 @@ func TestControlFlowEscapeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop := ir.OuterLoops(prog.Main().Body)[0]
-	loop.Par = &ir.ParInfo{Parallel: true}
-	in := New(prog, machine.Default())
-	in.Parallel = true
-	if err := in.Run(); err == nil {
-		t.Errorf("RETURN escaping a DOALL was not rejected")
+	for _, par := range []*ir.ParInfo{{Parallel: true}, {LRPD: []string{"A"}}} {
+		loop.Par = par
+		in := New(prog, machine.Default())
+		in.Parallel = true
+		if err := in.Run(); err == nil || !strings.Contains(err.Error(), "escaping a parallel loop") {
+			t.Errorf("RETURN escaping %+v: got %v, want the workers' rejection", par, err)
+		}
 	}
 }
 

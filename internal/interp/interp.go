@@ -19,14 +19,16 @@ type Interp struct {
 	// Parallel enables DOALL/LRPD execution of annotated loops; when
 	// false every loop runs serially (the baseline timing).
 	Parallel bool
-	// Validate runs parallel iterations in reverse order, so
+	// Validate runs a DOALL's iterations in reverse order, so
 	// order-dependent loops produce different results than serial runs
-	// (used by correctness tests).
+	// (used by correctness tests). A speculative loop still runs
+	// forward, one chunk after another.
 	Validate bool
 	// Concurrent runs a DOALL's chunks, the same ones the simulated
 	// machine charges, on real goroutines (one per simulated
 	// processor) with partial reductions merged at the join. The
-	// cycle charge is the same as without it.
+	// cycle charge is the same as without it. A speculative loop still
+	// runs forward, one chunk after another.
 	Concurrent bool
 
 	// work counts executed cycles (serial-equivalent total work).
@@ -56,22 +58,24 @@ type Interp struct {
 	LRPDTime     int64
 
 	commons map[string]*commonBlock
-	// shadows instruments arrays during speculative LRPD execution.
-	shadows map[*Array]*lrpd.Shadow
-	curIter int64
+	// Worker state (see newWorker): shadows are a speculative loop's
+	// PD-test shadows, marked in iteration curIter; markCycles counts
+	// the marking work.
+	shadows    map[*Array]*lrpd.Shadow
+	curIter    int64
+	markCycles int64
 	// redTargets/redUpdates count a parallel loop's reduction updates
 	// for the blocked form's cost (see reductionOverhead).
 	redTargets map[string]bool
 	redUpdates int64
-	// markCycles counts PD-test marking work during speculation.
-	markCycles int64
-	inDoall    bool
+	// inDoall keeps loops nested in a worker serial.
+	inDoall bool
 
 	// depth guards runaway recursion through user calls.
 	depth int
 
 	// ctx cancels long-running executions; polled every ctxStride
-	// statements. DOALL workers get their own counter, so polling
+	// statements. Parallel-loop workers get their own counter, so polling
 	// never races.
 	ctx   context.Context
 	steps int64
@@ -493,7 +497,8 @@ func trips(init, limit, step int64) int64 {
 	return n
 }
 
-// execDo dispatches serial, DOALL, and speculative LRPD execution.
+// execDo runs a loop serially, or on the parallel-loop executor when
+// it is a DOALL or speculative.
 func (in *Interp) execDo(fr *frame, d *ir.DoStmt) (control, error) {
 	initV, err := in.eval(fr, d.Init)
 	if err != nil {
@@ -513,13 +518,8 @@ func (in *Interp) execDo(fr *frame, d *ir.DoStmt) (control, error) {
 	}
 	n := trips(init, limit, step)
 	par := d.Par
-	if in.Parallel && !in.inDoall && par != nil && n > 1 {
-		if par.Parallel {
-			return in.execDoall(fr, d, init, step, n)
-		}
-		if len(par.LRPD) > 0 {
-			return in.execLRPD(fr, d, init, step, n)
-		}
+	if in.Parallel && !in.inDoall && par != nil && n > 1 && (par.Parallel || len(par.LRPD) > 0) {
+		return in.execDoall(fr, d, init, step, n)
 	}
 	return in.execSerialLoop(fr, d, init, step, n)
 }

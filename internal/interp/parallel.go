@@ -11,11 +11,12 @@ import (
 	"polaris/internal/machine"
 )
 
-// execDoall is the interpreter's one DOALL executor. The loop splits
-// into one contiguous chunk per simulated processor, and a worker runs
-// each chunk: a child Interp over its own copy of the frame's maps,
-// with fresh private scalars and arrays every iteration. By default
-// the workers run one after another and update the shared reduction
+// execDoall is the interpreter's one parallel-loop executor, for
+// DOALLs and speculative loops alike. The loop splits into one
+// contiguous chunk per simulated processor, and a worker runs each
+// chunk: a child Interp over its own copy of the frame's maps, with
+// fresh private scalars and arrays every iteration. By default the
+// workers run one after another and update the shared reduction
 // accumulators in place, so the result is the serial one; Validate
 // runs them, and each chunk, in reverse. Under Concurrent each worker
 // runs on its own goroutine into partials that start at the
@@ -23,6 +24,13 @@ import (
 // way the loop is charged once, after the join, from the workers'
 // counters: fork + max per-processor share + join + the reduction
 // form's term.
+//
+// A speculative loop (Section 3.5) runs under the PD test: each worker
+// marks one shared shadow per array under test, and the analysis after
+// the join decides between the parallel time and the failed
+// speculation's T_pdt + T_seq. Its workers always run forward, one
+// after another, under Validate and Concurrent too, so the state is
+// the serial one whether the test passes or fails.
 func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (control, error) {
 	par := d.Par
 	p := max(in.Model.Processors, 1)
@@ -34,12 +42,24 @@ func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (contr
 			fr.getCell(r.Target, fr.unit)
 		}
 	}
+	var shadows map[*Array]*lrpd.Shadow
+	tested := int64(0)
+	if !par.Parallel {
+		shadows = map[*Array]*lrpd.Shadow{}
+		for _, name := range par.LRPD {
+			if arr := fr.arrays[name]; arr != nil {
+				shadows[arr] = lrpd.NewShadow(arr.Total())
+				tested += int64(arr.Total())
+			}
+		}
+	}
+	concurrent := in.Concurrent && shadows == nil
 	targets := reductionTargets(par)
 	var workers []*worker
 	for lo := int64(0); lo < n; lo += chunk {
-		workers = append(workers, in.newWorker(fr, d, idx.kind, targets, lo, min(lo+chunk, n)))
+		workers = append(workers, in.newWorker(fr, d, idx.kind, targets, shadows, concurrent, lo, min(lo+chunk, n)))
 	}
-	if in.Concurrent {
+	if concurrent {
 		var wg sync.WaitGroup
 		for _, w := range workers {
 			wg.Add(1)
@@ -52,7 +72,7 @@ func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (contr
 	} else {
 		for i := range workers {
 			w := workers[i]
-			if in.Validate {
+			if w.Validate {
 				w = workers[len(workers)-1-i]
 			}
 			if w.err = w.run(d, init, step, n); w.err != nil {
@@ -62,33 +82,66 @@ func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (contr
 	}
 
 	perProc := make([]int64, len(workers))
-	bodyWork, updates := int64(0), int64(0)
+	bodyWork, updates, marks := int64(0), int64(0), int64(0)
 	for i, w := range workers {
 		if w.err != nil {
 			return ctlNormal, w.err
 		}
-		if in.Concurrent {
+		if concurrent {
 			w.merge(fr, par)
 		}
 		perProc[i] = w.work
 		bodyWork += w.work
 		updates += w.redUpdates
+		marks += w.markCycles
 	}
 	for j, name := range par.LastValue {
 		fr.getCell(name, fr.unit).store(workers[len(workers)-1].last[j])
 	}
 	idx.store(IntVal(init + n*step))
-
-	in.ParallelLoopExecs++
 	in.work += bodyWork
-	parTime := in.parallelTime(fr, par, perProc, p, updates, 0)
-	in.saved += bodyWork - parTime
-	in.parallelWork += bodyWork
-	in.recordLoop(d, "doall", bodyWork, parTime)
+
+	if shadows == nil {
+		in.ParallelLoopExecs++
+		parTime := in.parallelTime(fr, par, perProc, p, updates, 0)
+		in.saved += bodyWork - parTime
+		in.parallelWork += bodyWork
+		in.recordLoop(d, "doall", bodyWork, parTime)
+		return ctlNormal, nil
+	}
+
+	pass := true
+	for _, sh := range shadows {
+		if !sh.Analyze().Pass {
+			pass = false
+		}
+	}
+	// Checkpoint of the arrays under test, each processor's share of
+	// the marking, and the O(a/p + log p) analysis.
+	extra := tested*in.Model.BackupCyclesPerElement + (marks+int64(p)-1)/int64(p) +
+		in.Model.PDAnalysisCycles(tested, p)
+	specTime := in.parallelTime(fr, par, perProc, p, updates, extra)
+	in.LRPDBodyWork += bodyWork
+	if pass {
+		in.LRPDPasses++
+		in.LRPDTime += specTime
+		in.saved += bodyWork - specTime
+		in.parallelWork += bodyWork
+		in.recordLoop(d, "lrpd", bodyWork, specTime).PDPasses++
+		return ctlNormal, nil
+	}
+	// Failed speculation: the state is already the serial one, so the
+	// restore and serial re-execution cost their time only. The serial
+	// work is counted; the wasted attempt is added on top:
+	// T = T_pdt + T_seq, the paper's potential-slowdown accounting.
+	in.LRPDFailures++
+	in.LRPDTime += specTime + bodyWork
+	in.saved -= specTime
+	in.recordLoop(d, "lrpd", bodyWork, specTime+bodyWork).PDFailures++
 	return ctlNormal, nil
 }
 
-// worker runs one chunk [lo, hi) of a DOALL.
+// worker runs one chunk [lo, hi) of a parallel loop.
 type worker struct {
 	*Interp
 	fr     *frame
@@ -100,16 +153,18 @@ type worker struct {
 }
 
 // newWorker gives a chunk a child interpreter that shares the program,
-// model, costs, COMMON storage and context but counts its own cycles
-// and reduction updates, and a copy of the frame's maps with a private
-// loop index; under Concurrent the reduction targets are partials at
-// the operator's identity.
-func (in *Interp) newWorker(fr *frame, d *ir.DoStmt, idxKind ir.Type, targets map[string]bool, lo, hi int64) *worker {
-	child := &Interp{Prog: in.Prog, Model: in.Model, Cost: in.Cost, Validate: in.Validate,
-		commons: in.commons, redTargets: targets, inDoall: true, depth: in.depth, ctx: in.ctx}
+// model, costs, COMMON storage, context and the loop's shadows but
+// counts its own cycles, marking and reduction updates, and a copy of
+// the frame's maps with a private loop index; when the workers run
+// concurrently the reduction targets are partials at the operator's
+// identity. A worker that marks shadows runs forward.
+func (in *Interp) newWorker(fr *frame, d *ir.DoStmt, idxKind ir.Type, targets map[string]bool,
+	shadows map[*Array]*lrpd.Shadow, concurrent bool, lo, hi int64) *worker {
+	child := &Interp{Prog: in.Prog, Model: in.Model, Cost: in.Cost, Validate: in.Validate && shadows == nil,
+		commons: in.commons, shadows: shadows, redTargets: targets, inDoall: true, depth: in.depth, ctx: in.ctx}
 	wfr := &frame{unit: fr.unit, scalars: maps.Clone(fr.scalars), arrays: maps.Clone(fr.arrays)}
 	wfr.scalars[d.Index] = &cell{kind: idxKind}
-	if in.Concurrent {
+	if concurrent {
 		for _, r := range d.Par.Reductions {
 			if a := fr.arrays[r.Target]; a != nil {
 				part := NewArray(a.Name, a.Kind, a.Lo, a.Size)
@@ -125,7 +180,8 @@ func (in *Interp) newWorker(fr *frame, d *ir.DoStmt, idxKind ir.Type, targets ma
 	return &worker{Interp: child, fr: wfr, lo: lo, hi: hi}
 }
 
-// run executes the worker's chunk, in reverse under Validate.
+// run executes the worker's chunk, in reverse under Validate. Shadow
+// marks carry the 1-based iteration number.
 func (w *worker) run(d *ir.DoStmt, init, step, n int64) error {
 	par := d.Par
 	for i := w.lo; i < w.hi; i++ {
@@ -141,6 +197,7 @@ func (w *worker) run(d *ir.DoStmt, init, step, n int64) error {
 				w.fr.arrays[name] = NewArray(a.Name, a.Kind, a.Lo, a.Size)
 			}
 		}
+		w.curIter = k + 1
 		w.fr.getCell(d.Index, w.fr.unit).store(IntVal(init + k*step))
 		w.charge(w.Cost.LoopIter)
 		c, err := w.execBlock(w.fr, d.Body)
@@ -224,88 +281,4 @@ func (in *Interp) reductionOverhead(fr *frame, par *ir.ParInfo, p int, updates i
 	default: // private
 		return elements * int64(p) * in.Model.ReductionMergeCycles
 	}
-}
-
-// execLRPD speculatively executes the loop as a DOALL under the PD
-// test. Execution is sequential under the hood (so program state is
-// always the sequential result); the shadow analysis decides whether
-// the parallel time or the failed-speculation penalty is charged — the
-// accounting of Section 3.5.3 and Figure 6.
-func (in *Interp) execLRPD(fr *frame, d *ir.DoStmt, init, step, n int64) (control, error) {
-	par := d.Par
-	in.inDoall = true
-	defer func() { in.inDoall = false }()
-
-	// Instrument the arrays under test and checkpoint them (cost of
-	// saving state for possible restoration).
-	shadows := map[*Array]*lrpd.Shadow{}
-	backupCost := int64(0)
-	totalElems := int64(0)
-	for _, name := range par.LRPD {
-		arr := fr.arrays[name]
-		if arr == nil {
-			continue
-		}
-		shadows[arr] = lrpd.NewShadow(arr.Total())
-		backupCost += int64(arr.Total()) * in.Model.BackupCyclesPerElement
-		totalElems += int64(arr.Total())
-	}
-	in.shadows = shadows
-	in.markCycles = 0
-	in.redTargets, in.redUpdates = reductionTargets(par), 0
-	defer func() { in.shadows, in.redTargets = nil, nil }()
-
-	p := in.Model.Processors
-	chunk := (n + int64(p) - 1) / int64(p)
-	perProc := make([]int64, p)
-	workBefore := in.work
-	idx := fr.getCell(d.Index, fr.unit)
-	for k := int64(0); k < n; k++ {
-		in.curIter = k + 1
-		idx.store(IntVal(init + k*step))
-		before := in.work
-		in.charge(in.Cost.LoopIter)
-		c, err := in.execBlock(fr, d.Body)
-		if err != nil {
-			return ctlNormal, err
-		}
-		if c != ctlNormal {
-			return ctlNormal, fmt.Errorf("interp: control flow escaping a speculative loop")
-		}
-		perProc[k/chunk] += in.work - before
-	}
-	in.curIter = 0
-	idx.store(IntVal(init + n*step))
-	bodyWork := in.work - workBefore
-
-	// Post-execution analysis: O(a/p + log p).
-	pass := true
-	for _, sh := range shadows {
-		if !sh.Analyze().Pass {
-			pass = false
-		}
-	}
-	analysisCost := totalElems*in.Model.PDAnalysisPerElement/int64(p) +
-		in.Model.PDAnalysisLogTerm*machine.Log2(p)
-	markShare := (in.markCycles + int64(p) - 1) / int64(p)
-	specTime := backupCost + in.parallelTime(fr, par, perProc, p, in.redUpdates, analysisCost+markShare)
-
-	in.LRPDBodyWork += bodyWork
-	if pass {
-		in.LRPDPasses++
-		in.LRPDTime += specTime
-		in.saved += bodyWork - specTime
-		in.parallelWork += bodyWork
-		in.recordLoop(d, "lrpd", bodyWork, specTime).PDPasses++
-		return ctlNormal, nil
-	}
-	// Failed speculation: restore (already consistent — execution was
-	// sequential) and re-execute serially. The sequential work is
-	// already counted; the wasted parallel attempt is added on top:
-	// T = T_pdt + T_seq, the paper's potential-slowdown accounting.
-	in.LRPDFailures++
-	in.LRPDTime += specTime + bodyWork
-	in.saved -= specTime
-	in.recordLoop(d, "lrpd", bodyWork, specTime+bodyWork).PDFailures++
-	return ctlNormal, nil
 }

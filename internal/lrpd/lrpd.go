@@ -52,9 +52,6 @@ func NewShadow(n int) *Shadow {
 	}
 }
 
-// Len returns the number of elements tracked.
-func (s *Shadow) Len() int { return s.n }
-
 // MarkWrite records a write to element e in iteration iter (1-based).
 func (s *Shadow) MarkWrite(e int, iter int64) {
 	if s.pending[e] {
@@ -125,17 +122,4 @@ func (s *Shadow) Analyze() Result {
 	r.OutputDep = s.wA != s.mA
 	r.Pass = !r.FlowAnti && (!r.OutputDep || r.Privatizable)
 	return r
-}
-
-// Reset clears the shadow for a new loop execution.
-func (s *Shadow) Reset() {
-	for i := range s.wIter {
-		s.wIter[i] = 0
-		s.rIter[i] = 0
-		s.pending[i] = false
-		s.aw[i] = false
-		s.ar[i] = false
-		s.anp[i] = false
-	}
-	s.wA, s.mA = 0, 0
 }

@@ -81,17 +81,6 @@ func TestCountersWAandMA(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := NewShadow(4)
-	s.MarkWrite(1, 1)
-	s.MarkRead(2, 1)
-	s.Reset()
-	r := s.Analyze()
-	if !r.Pass || s.wA != 0 || s.mA != 0 {
-		t.Errorf("reset incomplete: %+v", r)
-	}
-}
-
 // Property: the PD test verdict matches an oracle that checks
 // cross-iteration conflicts directly, on random access traces.
 func TestPDTestMatchesOracleProperty(t *testing.T) {

@@ -143,8 +143,15 @@ func DefaultCost() Cost {
 	}
 }
 
-// Log2 returns ceil(log2(p)) for the PD-test analysis term.
-func Log2(p int) int64 {
+// PDAnalysisCycles is the time of the PD test's post-execution
+// analysis over elements shadowed elements on p processors:
+// O(a/p + log p).
+func (m Model) PDAnalysisCycles(elements int64, p int) int64 {
+	return elements*m.PDAnalysisPerElement/int64(p) + m.PDAnalysisLogTerm*log2(p)
+}
+
+// log2 returns ceil(log2(p)) for the PD-test analysis term.
+func log2(p int) int64 {
 	n := int64(0)
 	for v := 1; v < p; v *= 2 {
 		n++

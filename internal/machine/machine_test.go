@@ -40,8 +40,8 @@ func TestCostTableOrdering(t *testing.T) {
 func TestLog2(t *testing.T) {
 	cases := map[int]int64{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4}
 	for p, want := range cases {
-		if got := Log2(p); got != want {
-			t.Errorf("Log2(%d) = %d, want %d", p, got, want)
+		if got := log2(p); got != want {
+			t.Errorf("log2(%d) = %d, want %d", p, got, want)
 		}
 	}
 }

@@ -21,14 +21,16 @@ import (
 // every reduction form and processor count. Final states must be
 // bit-equal for fuzzgen programs, whose arithmetic is dyadic; suite
 // programs sum REALs, which partial reductions reassociate, so they are
-// held to 1e-9. Seed 2391 has two histogram reductions in one loop.
+// held to 1e-9; so is TRACK, whose speculative loops run forward in
+// both modes while its DOALLs' REAL partials reassociate. Seed 2391
+// has two histogram reductions in one loop.
 func TestDoallModesAgree(t *testing.T) {
 	type program struct {
 		label, src string
 		tol        float64
 	}
 	var progs []program
-	for _, p := range suite.All() {
+	for _, p := range append(suite.All(), suite.Track()) {
 		progs = append(progs, program{p.Name, p.Source, 1e-9})
 	}
 	seeds := []uint64{2391}

@@ -21,15 +21,16 @@ import (
 var updateMachine = flag.Bool("update", false, "rewrite testdata/machine.golden from this build's interpreter")
 
 // TestSimulatedMachinePinned pins the simulated machine's numbers for
-// every suite program (and TRACK, the speculative loop's home) under
-// each reduction form, forward and under Validate, at p = 8: time,
-// work, parallel work, DOALL executions, PD-test outcomes and a hash of
-// the final COMMON state. A change to the interpreter that moves any of
-// them shows up as a diff of testdata/machine.golden; regenerate with
-// -update only from a build whose numbers are the intended ones.
+// every suite program (and TRACK, the speculative loop's home, with
+// track-fail, its all-failure twin) under each reduction form, forward
+// and under Validate, at p = 8: time, work, parallel work, DOALL
+// executions, PD-test outcomes and a hash of the final COMMON state.
+// A change to the interpreter that moves any of them shows up as a
+// diff of testdata/machine.golden; regenerate with -update only from a
+// build whose numbers are the intended ones.
 func TestSimulatedMachinePinned(t *testing.T) {
 	var out bytes.Buffer
-	for _, p := range append(All(), Track()) {
+	for _, p := range append(All(), Track(), failingTrack) {
 		compiled, err := core.Compile(p.Parse(), core.PolarisOptions())
 		if err != nil {
 			t.Fatalf("%s: compile: %v", p.Name, err)

@@ -234,12 +234,14 @@ type ExecOptions struct {
 	Processors int
 	// Serial disables parallel execution (baseline timing).
 	Serial bool
-	// Validate runs parallel iterations in reverse order, to surface
-	// order dependence.
+	// Validate runs a DOALL's iterations in reverse order, to surface
+	// order dependence. A speculative loop still runs forward, one
+	// chunk after another: the PD test reads the serial order.
 	Validate bool
 	// Concurrent runs a DOALL's chunks, the same ones the simulated
 	// machine charges, on real goroutines with partial reductions
 	// merged at the join. The cycle charge is the same as without it.
+	// A speculative loop still runs forward, one chunk after another.
 	Concurrent bool
 	// ReductionForm selects the parallel reduction implementation:
 	// "private" (default), "blocked", or "expanded" — the three forms
