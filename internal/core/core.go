@@ -216,7 +216,7 @@ func compile(ctx context.Context, prog *ir.Program, opt Options, copied func(u *
 	m.Obs = opt.Observer
 	var st *incrState
 	if opt.UnitMemo != nil {
-		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel, trusted: opt.TrustedInput}
+		st = &incrState{memo: opt.UnitMemo, label: opt.TraceLabel}
 	}
 	m.Add(buildPipeline(work, res, opt, st, copied, &verdicts)...)
 	report, err := m.Run(ctx, work)

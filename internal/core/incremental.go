@@ -240,9 +240,6 @@ func decisionsSize(ds []obsv.Decision) int64 {
 type incrState struct {
 	memo  *UnitMemo
 	label string
-	// trusted is Options.TrustedInput: a dirty unit is the parsed unit
-	// itself, not a clone of it.
-	trusted bool
 
 	// interSigs is the interproc pass's edit-script signature of each
 	// unit, by position (nil when that pass is disabled; "" = unit
@@ -337,14 +334,11 @@ func (st *incrState) commit(work *ir.Program) {
 		// owns its bytes, or it would keep the source of the compile
 		// that filled it alive for as long as it stays in the memo.
 		u.Source = strings.Clone(u.Source)
-		if st.trusted {
-			// Likewise the table: u is the parsed unit, whose table
-			// points at the equal symbols of the units parsed before it
-			// (ir.SymbolBuilder.Table), and would keep their whole
-			// symbol blocks alive, unbooked. A unit this compile cloned
-			// owns its table already.
-			u.Symbols = u.Symbols.Clone()
-		}
+		// Likewise the table: the parsed unit's points at the equal
+		// symbols of the units parsed before it (ir.SymbolBuilder.Table),
+		// and a clone's at the parsed unit's (ir.SymbolTable.Clone); either
+		// would keep whole parse blocks alive, unbooked.
+		u.Symbols = u.Symbols.Detach()
 		c.Complete(&unitEntry{unit: u, rec: st.recs[i]}, entrySize(st.keyLen[i], st.recs[i]))
 	}
 }

@@ -56,8 +56,9 @@ func TestUnitMemoBooksWhatItHolds(t *testing.T) {
 // large and a memo hit on every edit, and only the small unit after it
 // is new: the live heap the edits add stays within what they book plus
 // a margin for heap noise, far below the one large block an edit would
-// otherwise retain unbooked. Both ownership modes are held to it; under
-// TrustedInput the memo keeps the parsed unit itself.
+// otherwise retain unbooked. Both ownership modes are held to it: under
+// TrustedInput the memo keeps the parsed unit itself, and otherwise a
+// clone, whose table points at the parsed unit's symbols.
 func TestEditedUnitBooksWhatItHolds(t *testing.T) {
 	if raceDetector {
 		t.Skip("live-heap figures do not hold under the race detector")

@@ -80,3 +80,41 @@ func TestEditClonesWhatItCompiles(t *testing.T) {
 		t.Errorf("a one-unit edit allocates %.0f bytes per source line; budget %d", perLine, budget)
 	}
 }
+
+// TestClonedResultRetains holds what the Result of a cold compile of
+// mega10k keeps alive once the caller has dropped the input, compiled
+// without TrustedInput: no more than the measured bytes plus a tenth.
+// A unit's clone shares the input's non-formal symbols
+// (ir.SymbolTable.Clone), so the result keeps the parse's symbol
+// blocks, which hold each run of equal symbols once, where it kept a
+// deep copy of every unit's table: 2,155,200 bytes then.
+func TestClonedResultRetains(t *testing.T) {
+	if raceDetector {
+		t.Skip("live-heap figures do not hold under the race detector")
+	}
+	source := fuzzgen.MegaCorpus()[0].Generate().Source // mega10k
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	compile := func() *Result {
+		res, err := CompileContext(context.Background(), parser.MustParse(source), PolarisOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	compile() // first-use state: pools, tables built once per process
+	before := liveHeap()
+	res := compile()
+	retained := liveHeap() - before
+	runtime.KeepAlive(res)
+	t.Logf("mega10k: the result retains %d bytes", retained)
+	const budget = 1_702_700 // 1,547,900 measured plus a tenth
+	if retained > budget {
+		t.Errorf("the result of a cold compile retains %d bytes; budget %d", retained, budget)
+	}
+}

@@ -210,15 +210,21 @@ func ipow(b, e int64) int64 {
 }
 
 // evalCall evaluates intrinsics and user function calls.
+//
+// The arguments go on in.args, above those of the calls being
+// evaluated around this one; a user function reads them before its
+// body can push more.
 func (in *Interp) evalCall(fr *frame, x *ir.Call) (Value, error) {
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
+	base := len(in.args)
+	defer func() { in.args = in.args[:base] }()
+	for _, a := range x.Args {
 		v, err := in.eval(fr, a)
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		in.args = append(in.args, v)
 	}
+	args := in.args[base:]
 	in.charge(in.Cost.Intrinsic)
 	switch x.Name {
 	case "MOD":

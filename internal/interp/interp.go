@@ -73,6 +73,9 @@ type Interp struct {
 
 	// depth guards runaway recursion through user calls.
 	depth int
+	// args is the stack evalCall evaluates a call's arguments onto and
+	// pops them from when it returns; every worker has its own.
+	args []Value
 
 	// ctx cancels long-running executions; polled every ctxStride
 	// statements. Parallel-loop workers get their own counter, so polling
@@ -469,20 +472,36 @@ func (in *Interp) element(fr *frame, ref *ir.ArrayRef) (*Array, int, error) {
 	if arr == nil {
 		return nil, 0, fmt.Errorf("interp: array %s not allocated in %s", ref.Name, fr.unit.Name)
 	}
-	subs := make([]int64, len(ref.Subs))
-	for i, sexpr := range ref.Subs {
+	// The column-major index is summed as the subscripts are evaluated.
+	// Every subscript is evaluated and charged before a rank or bounds
+	// error is reported, and an evaluation error outranks both.
+	idx, stride := int64(0), int64(1)
+	var bounds error
+	for d, sexpr := range ref.Subs {
 		v, err := in.eval(fr, sexpr)
 		if err != nil {
 			return nil, 0, err
 		}
-		subs[i] = v.AsInt()
 		in.charge(in.Cost.AddrCalc)
+		if d >= len(arr.Size) || bounds != nil {
+			continue
+		}
+		sub := v.AsInt()
+		if off := sub - arr.Lo[d]; off >= 0 && off < arr.Size[d] {
+			idx += off * stride
+			stride *= arr.Size[d]
+			continue
+		}
+		bounds = fmt.Errorf("interp: %s: subscript %d out of bounds [%d,%d] in dimension %d",
+			arr.Name, sub, arr.Lo[d], arr.Lo[d]+arr.Size[d]-1, d+1)
 	}
-	idx, err := arr.Flat(subs)
-	if err != nil {
-		return nil, 0, err
+	if len(ref.Subs) != len(arr.Size) {
+		return nil, 0, fmt.Errorf("interp: %s: rank %d referenced with %d subscripts", arr.Name, len(arr.Size), len(ref.Subs))
 	}
-	return arr, idx, nil
+	if bounds != nil {
+		return nil, 0, bounds
+	}
+	return arr, int(idx), nil
 }
 
 // trips computes the Fortran DO trip count.

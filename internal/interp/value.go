@@ -92,25 +92,6 @@ func (a *Array) Total() int {
 	return len(a.F)
 }
 
-// Flat converts subscripts to a flat index, checking bounds.
-func (a *Array) Flat(subs []int64) (int, error) {
-	if len(subs) != len(a.Size) {
-		return 0, fmt.Errorf("interp: %s: rank %d referenced with %d subscripts", a.Name, len(a.Size), len(subs))
-	}
-	idx := int64(0)
-	stride := int64(1)
-	for d := range subs {
-		off := subs[d] - a.Lo[d]
-		if off < 0 || off >= a.Size[d] {
-			return 0, fmt.Errorf("interp: %s: subscript %d out of bounds [%d,%d] in dimension %d",
-				a.Name, subs[d], a.Lo[d], a.Lo[d]+a.Size[d]-1, d+1)
-		}
-		idx += off * stride
-		stride *= a.Size[d]
-	}
-	return int(idx), nil
-}
-
 // Get reads element i.
 func (a *Array) Get(i int) Value {
 	if a.Kind == ir.TypeInteger {

@@ -95,12 +95,13 @@ func (s *Symbol) cloneInto(c *Symbol) {
 // fraction of its memory. A table that outgrows indexAbove gets a map
 // beside the slice, so a unit of any size parses in linear time.
 //
-// A cloned table holds its symbols in one block, with its slices at
-// their final length; symbols inserted later are allocated one at a
-// time. A parsed table is the same but for the symbols it shares with
-// the table parsed before it (SymbolBuilder.Table): those point into
-// an earlier table's block. A table's symbols are not written after
-// the parse but by BindFormal, and a formal is never shared.
+// A parsed table holds its symbols in one block, with its slices at
+// their final length, but for the symbols it shares with the table
+// parsed before it (SymbolBuilder.Table): those point into an earlier
+// table's block. Symbols inserted later are allocated one at a time.
+// A table's symbols are not written after the parse but by BindFormal,
+// and a formal is never shared; so a clone shares every other symbol
+// too, and only a detached table owns all of its own.
 type SymbolTable struct {
 	syms   []*Symbol
 	hashes []uint32           // hashes[i] is nameHash(syms[i].Name)
@@ -112,9 +113,35 @@ const indexAbove = 32
 // NewSymbolTable returns an empty symbol table.
 func NewSymbolTable() *SymbolTable { return &SymbolTable{} }
 
-// Clone deep-copies the table into one block of symbols: the clone
-// shares no symbol with t, nor with any table t shares symbols with.
+// Clone returns a table of its own over t's symbols: an Insert, Remove
+// or FreshName on either never shows in the other. It points at t's
+// non-formal symbols, which nothing writes, and copies each formal into
+// one block, because BindFormal writes a formal. A struct copy is
+// enough: BindFormal replaces the formal's Param and never writes into
+// it.
 func (t *SymbolTable) Clone() *SymbolTable {
+	formals := 0
+	for _, s := range t.syms {
+		if s.Formal {
+			formals++
+		}
+	}
+	block := make([]Symbol, 0, formals)
+	syms := make([]*Symbol, len(t.syms))
+	for i, s := range t.syms {
+		if s.Formal {
+			block = append(block, *s)
+			s = &block[len(block)-1]
+		}
+		syms[i] = s
+	}
+	return tableOf(syms, t.hashes)
+}
+
+// Detach deep-copies the table into one block of symbols: the copy
+// shares no symbol, dimension or expression with t, nor with any table
+// t shares symbols with, so it keeps none of their storage alive.
+func (t *SymbolTable) Detach() *SymbolTable {
 	block := make([]Symbol, len(t.syms))
 	syms := make([]*Symbol, len(t.syms))
 	for i, s := range t.syms {
@@ -218,7 +245,7 @@ func (t *SymbolTable) Remove(name string) {
 // which is what interprocedural constant propagation does to a formal
 // every call passes the same constant. It is the one write to a
 // table's symbol after the parse, and a formal is never shared with
-// another table (SymbolBuilder.Table), so it writes t's alone.
+// another table (SymbolBuilder.Table, Clone), so it writes t's alone.
 func (t *SymbolTable) BindFormal(name string, val Expr) {
 	s := t.Lookup(name)
 	if s == nil || !s.Formal {

@@ -78,15 +78,46 @@ func TestSymbolTableSemantics(t *testing.T) {
 		want = append(want, "V", symName(n))
 		check("after Declare and FreshName", tab)
 
+		tab.Insert(&ir.Symbol{Name: "FORM", Type: ir.TypeReal, Formal: true})
+		tab.Insert(&ir.Symbol{Name: "ARR", Type: ir.TypeReal, Dims: []ir.Dim{{Hi: ir.Int(4)}}})
+		tab.Insert(&ir.Symbol{Name: "KPAR", Type: ir.TypeInteger, Param: ir.Int(3)})
+		want = append(want, "FORM", "ARR", "KPAR")
+		check("after a formal, an array and a PARAMETER", tab)
+
+		// A clone shares every symbol but the formals, which BindFormal
+		// writes; its own edits, and a bound formal, stay its own.
 		clone := tab.Clone()
 		check("clone", clone)
-		clone.Lookup("INEW").Type = ir.TypeLogical
+		for i, s := range clone.All() {
+			orig := tab.All()[i]
+			if s.Formal && s == orig {
+				t.Errorf("n=%d: the clone shares the formal %s", n, s.Name)
+			}
+			if !s.Formal && s != orig {
+				t.Errorf("n=%d: the clone copies the symbol %s", n, s.Name)
+			}
+		}
+		clone.BindFormal("FORM", ir.Int(7))
 		clone.Remove(symName(0))
 		clone.Insert(&ir.Symbol{Name: "ONLYCLONE"})
-		if tab.Lookup("INEW").Type != ir.TypeInteger || tab.Lookup("ONLYCLONE") != nil {
+		if f := tab.Lookup("FORM"); !f.Formal || f.Param != nil || tab.Lookup("ONLYCLONE") != nil {
 			t.Errorf("n=%d: a change to the clone shows in the original", n)
 		}
 		check("after the clone changed", tab)
+
+		// A detached table shares nothing: no symbol with either table,
+		// no dimension, no PARAMETER value.
+		detached := tab.Detach()
+		check("detached", detached)
+		for _, s := range detached.All() {
+			if s == tab.Lookup(s.Name) || s == clone.Lookup(s.Name) {
+				t.Errorf("n=%d: the detached table shares %s", n, s.Name)
+			}
+		}
+		if detached.Lookup("ARR").Dims[0].Hi == tab.Lookup("ARR").Dims[0].Hi ||
+			detached.Lookup("KPAR").Param == tab.Lookup("KPAR").Param {
+			t.Errorf("n=%d: the detached table shares a dimension or a PARAMETER value", n)
+		}
 
 		tab.Remove("NOPE")
 		check("after removing an undeclared name", tab)
@@ -300,16 +331,17 @@ func TestTableSharesOnlyEqualSymbols(t *testing.T) {
 }
 
 // TestSymbolTableAllocBudget: a 22-symbol table, the largest a mega50k
-// unit has, is built in the doublings of its two slices and cloned in
-// one allocation for the table, one per slice and one for the block of
-// symbols — no map, no list of names beside it. The map-backed table
-// took 14 to build and 36 to clone, and a map's worth of bytes each
-// time; a clone with a symbol per allocation took 25.
+// unit has, is built in the doublings of its two slices, and cloned or
+// detached in one allocation for the table, one per slice and one for
+// the block of symbols it copies (its two formals, or all of them) —
+// no map, no list of names beside it. The map-backed table took 14 to
+// build and 36 to clone, and a map's worth of bytes each time; a clone
+// with a symbol per allocation took 25.
 func TestSymbolTableAllocBudget(t *testing.T) {
 	const n = 22
 	syms := make([]*ir.Symbol, n)
 	for i := range syms {
-		syms[i] = &ir.Symbol{Name: symName(i), Type: ir.TypeReal}
+		syms[i] = &ir.Symbol{Name: symName(i), Type: ir.TypeReal, Formal: i < 2}
 	}
 	var tab *ir.SymbolTable
 	build := testing.AllocsPerRun(20, func() {
@@ -323,6 +355,9 @@ func TestSymbolTableAllocBudget(t *testing.T) {
 	}
 	if clone := testing.AllocsPerRun(20, func() { tab.Clone() }); clone > 4 {
 		t.Errorf("cloning a %d-symbol table allocates %.0f times, budget 4", n, clone)
+	}
+	if detach := testing.AllocsPerRun(20, func() { tab.Detach() }); detach > 4 {
+		t.Errorf("detaching a %d-symbol table allocates %.0f times, budget 4", n, detach)
 	}
 }
 

@@ -52,7 +52,10 @@ func NewUnit(kind UnitKind, name string) *ProgramUnit {
 	return &ProgramUnit{Kind: kind, Name: name, Symbols: NewSymbolTable(), Body: NewBlock()}
 }
 
-// Clone deep-copies the unit.
+// Clone copies the unit for a pass to rewrite: the body and the formal
+// list are deep copies, and the symbol table is the table's Clone,
+// which shares the symbols nothing writes. Nothing done to the copy,
+// BindFormal included, shows in u.
 func (u *ProgramUnit) Clone() *ProgramUnit {
 	return &ProgramUnit{
 		Kind:       u.Kind,
@@ -81,7 +84,7 @@ type Program struct {
 // NewProgram returns an empty program.
 func NewProgram() *Program { return &Program{} }
 
-// Clone deep-copies the program.
+// Clone copies every unit with ProgramUnit.Clone.
 func (p *Program) Clone() *Program {
 	c := NewProgram()
 	c.FuncsSig = p.FuncsSig

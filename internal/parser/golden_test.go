@@ -127,8 +127,9 @@ func TestSourceIsSliceOfInput(t *testing.T) {
 //
 // Symbols are the one exception, and it is held here too: a table
 // shares the symbols equal to the previous table's, which must stay
-// most of mega10k's, but never a formal, and a clone of a unit shares
-// none of the program's.
+// most of mega10k's, but never a formal. A clone of a unit shares the
+// unit's non-formal symbols and none of its formals, and a detached
+// table shares no symbol of the program.
 func TestParserNeverAliases(t *testing.T) {
 	in := corpus()
 	for seed := uint64(1); seed <= 200; seed++ {
@@ -159,8 +160,9 @@ func TestParserNeverAliases(t *testing.T) {
 
 // sharedSymbols counts the table entries of prog that point at a symbol
 // an earlier unit's table holds, of all its entries. It fails t on a
-// formal held by two tables and on a unit clone that holds a symbol of
-// prog.
+// formal held by two tables, on a unit clone that holds a formal of
+// prog or does not hold its unit's other symbols, and on a detached
+// table that holds a symbol of prog.
 func sharedSymbols(t *testing.T, name string, prog *ir.Program) (shared, total int) {
 	t.Helper()
 	holders := map[*ir.Symbol]int{}
@@ -178,9 +180,18 @@ func sharedSymbols(t *testing.T, name string, prog *ir.Program) (shared, total i
 				t.Errorf("%s: formal %s of %s is held by %d tables", name, s.Name, u.Name, holders[s])
 			}
 		}
-		for _, s := range u.Clone().Symbols.All() {
+		for i, s := range u.Clone().Symbols.All() {
+			orig := u.Symbols.All()[i]
+			if s.Formal && s == orig {
+				t.Errorf("%s: the clone of %s shares its formal %s", name, u.Name, s.Name)
+			}
+			if !s.Formal && s != orig {
+				t.Errorf("%s: the clone of %s copies its symbol %s", name, u.Name, s.Name)
+			}
+		}
+		for _, s := range u.Symbols.Detach().All() {
 			if holders[s] > 0 {
-				t.Errorf("%s: the clone of %s holds the program's symbol %s", name, u.Name, s.Name)
+				t.Errorf("%s: the detached table of %s holds the program's symbol %s", name, u.Name, s.Name)
 			}
 		}
 	}

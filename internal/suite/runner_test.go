@@ -28,24 +28,33 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForEachFirstErrorCancels holds the pool's guarantee: once a job
+// has failed, no job starts. The failing job 0 holds its worker until
+// job 1 is running on the other, and job 1 holds that one until the
+// pool has cancelled, so every later index is handed out after the
+// cancel, when a worker must skip it rather than start it.
 func TestForEachFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
-	var after int32
+	running := make(chan struct{})
+	var late int32
 	err := forEach(context.Background(), 2, 50, func(ctx context.Context, i int) error {
-		if i == 3 {
+		switch i {
+		case 0:
+			<-running
 			return boom
-		}
-		if ctx.Err() != nil {
-			// Jobs observing the cancelled pool context must not run work.
-			atomic.AddInt32(&after, 1)
+		case 1:
+			close(running)
+			<-ctx.Done()
+		default:
+			atomic.AddInt32(&late, 1)
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	if after != 0 {
-		t.Errorf("%d jobs saw a live context after cancellation reported it", after)
+	if late != 0 {
+		t.Errorf("%d jobs started after the first error cancelled the pool", late)
 	}
 }
 

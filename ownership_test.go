@@ -13,18 +13,25 @@ import (
 )
 
 // renderInput is everything a compile could write in its input: each
-// unit's text, formal list, and its symbols' Formal and Param fields
-// (the fields interprocedural specialization sets).
+// unit's text, formal list, and every field of its symbols. A clone of
+// a unit shares the input's non-formal symbols, so a write through one
+// shows here whichever field it hits.
 func renderInput(p *Program) string {
 	var b strings.Builder
+	orNone := func(e ir.Expr) string {
+		if e == nil {
+			return "-"
+		}
+		return e.String()
+	}
 	for _, u := range p.ir.Units {
 		fmt.Fprintf(&b, "%s\nformals %q\n", u.Fortran(), u.Formals)
 		for _, sym := range u.Symbols.All() {
-			param := "-"
-			if sym.Param != nil {
-				param = sym.Param.String()
+			fmt.Fprintf(&b, "%s type=%s formal=%t param=%s common=%q dims=", sym.Name, sym.Type, sym.Formal, orNone(sym.Param), sym.Common)
+			for _, d := range sym.Dims {
+				fmt.Fprintf(&b, "%s:%s,", orNone(d.Lo), orNone(d.Hi))
 			}
-			fmt.Fprintf(&b, "%s formal=%t param=%s\n", sym.Name, sym.Formal, param)
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()
