@@ -201,15 +201,17 @@ func (m *UnitMemo) Stats() MemoStats {
 
 // entrySize estimates a completed entry's resident size, as
 // TestUnitMemoBooksWhatItHolds measures it against the live heap: the
-// unit's IR and its own copy of the source come to about nine bytes per
-// byte of the text that keyed it (rendered or raw), the memo's
-// bookkeeping to about 384 bytes an entry, and the record to its struct
+// unit's IR but its symbol table, and its own copy of the source, come
+// to about six bytes per byte of the text that keyed it (rendered or
+// raw); the table to tabBytes, ir.DetachAll's figure, which books a
+// symbol the commit's units share to the first of them only; the memo's
+// bookkeeping to about 384 bytes an entry; and the record to its struct
 // plus the decisions, reports, verdicts and induction variables it
 // captured. Decision strings the IR already holds (unit and loop names)
 // are not counted again. The estimate is computed once at commit and is
 // therefore exact for the add-on-insert / subtract-on-evict accounting.
-func entrySize(keyLen int, rec *unitRecord) int64 {
-	s := int64(keyLen)*9 + 384 + int64(unsafe.Sizeof(*rec)) + decisionsSize(rec.verdicts)
+func entrySize(keyLen, tabBytes int, rec *unitRecord) int64 {
+	s := int64(keyLen)*6 + int64(tabBytes) + 384 + int64(unsafe.Sizeof(*rec)) + decisionsSize(rec.verdicts)
 	for _, ds := range rec.decisions {
 		s += int64(unsafe.Sizeof(ds)) + decisionsSize(ds)
 	}
@@ -325,6 +327,22 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 // unit, read-only from here on, exactly as reusing compilations will —
 // and the entry joins the memo's LRU.
 func (st *incrState) commit(work *ir.Program) {
+	// A one-unit edit's batch stays on the stack.
+	var one [1]ir.Detached
+	batch := one[:0]
+	for i, c := range st.claims {
+		if c.Held() {
+			batch = append(batch, ir.Detached{Table: work.Units[i].Symbols})
+		}
+	}
+	// The parsed unit's table points at the equal symbols of the units
+	// parsed before it (ir.SymbolBuilder.Table), and a clone's at the
+	// parsed unit's (ir.SymbolTable.Clone); either would keep whole
+	// parse blocks alive, unbooked. So every table is detached, all in
+	// one batch: a symbol the committed units share is copied once, and
+	// booked to the first entry that holds it.
+	ir.DetachAll(batch)
+	j := 0
 	for i, c := range st.claims {
 		if !c.Held() {
 			continue
@@ -334,12 +352,9 @@ func (st *incrState) commit(work *ir.Program) {
 		// owns its bytes, or it would keep the source of the compile
 		// that filled it alive for as long as it stays in the memo.
 		u.Source = strings.Clone(u.Source)
-		// Likewise the table: the parsed unit's points at the equal
-		// symbols of the units parsed before it (ir.SymbolBuilder.Table),
-		// and a clone's at the parsed unit's (ir.SymbolTable.Clone); either
-		// would keep whole parse blocks alive, unbooked.
-		u.Symbols = u.Symbols.Detach()
-		c.Complete(&unitEntry{unit: u, rec: st.recs[i]}, entrySize(st.keyLen[i], st.recs[i]))
+		u.Symbols = batch[j].Table
+		c.Complete(&unitEntry{unit: u, rec: st.recs[i]}, entrySize(st.keyLen[i], batch[j].Bytes, st.recs[i]))
+		j++
 	}
 }
 

@@ -213,7 +213,17 @@ func writeParDirective(b *strings.Builder, d *DoStmt, depth int) {
 		return
 	}
 	clauses := ""
-	priv := append(append([]string(nil), p.Private...), p.PrivateArrays...)
+	// A live-out private goes in LASTPRIVATE only: OpenMP lets a name
+	// appear in two data-sharing clauses of one directive only as
+	// FIRSTPRIVATE plus LASTPRIVATE.
+	priv := make([]string, 0, len(p.Private)+len(p.PrivateArrays))
+	for _, list := range [][]string{p.Private, p.PrivateArrays} {
+		for _, name := range list {
+			if !slices.Contains(p.LastValue, name) {
+				priv = append(priv, name)
+			}
+		}
+	}
 	if len(priv) > 0 {
 		clauses += " PRIVATE(" + strings.Join(priv, ",") + ")"
 	}

@@ -94,11 +94,16 @@ func TestDirectiveForms(t *testing.T) {
 	}
 	lr := &DoStmt{Index: "J", Init: Int(1), Limit: Int(10), Body: NewBlock()}
 	lr.Par = &ParInfo{LRPD: []string{"A", "B"}}
-	u.Body.Append(d, lr)
+	// A live-out private is LASTPRIVATE only, even when it is the one
+	// private: OpenMP allows no name in both PRIVATE and LASTPRIVATE.
+	lv := &DoStmt{Index: "K", Init: Int(1), Limit: Int(10), Body: NewBlock()}
+	lv.Par = &ParInfo{Parallel: true, Private: []string{"T"}, LastValue: []string{"T"}}
+	u.Body.Append(d, lr, lv)
 	src := u.Fortran()
 	for _, want := range []string{
-		"C$OMP PARALLEL DO PRIVATE(T,W) LASTPRIVATE(T) REDUCTION(MAX:S)",
-		"C$POLARIS LRPD(A,B)",
+		"C$OMP PARALLEL DO PRIVATE(W) LASTPRIVATE(T) REDUCTION(MAX:S)\n",
+		"C$POLARIS LRPD(A,B)\n",
+		"C$OMP PARALLEL DO LASTPRIVATE(T)\n",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("missing %q:\n%s", want, src)

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Type is the Fortran type of a symbol or expression.
 type Type uint8
@@ -85,6 +88,25 @@ func (s *Symbol) cloneInto(c *Symbol) {
 	}
 }
 
+// bytes estimates what a deep copy of the symbol holds: the struct,
+// its dimensions, and about 24 bytes a node of their bounds and its
+// PARAMETER value.
+func (s *Symbol) bytes() int {
+	n := int(unsafe.Sizeof(*s)) + len(s.Dims)*int(unsafe.Sizeof(Dim{}))
+	for _, d := range s.Dims {
+		n += 24 * (nodes(d.Lo) + nodes(d.Hi))
+	}
+	return n + 24*nodes(s.Param)
+}
+
+// nodes is CountNodes, with nil as no node.
+func nodes(e Expr) int {
+	if e == nil {
+		return 0
+	}
+	return CountNodes(e)
+}
+
 // SymbolTable maps names to symbols and remembers declaration order.
 // Lookups of undeclared names follow the Fortran implicit rule
 // (I..N integer, otherwise real) when implicit typing is enabled.
@@ -101,7 +123,8 @@ func (s *Symbol) cloneInto(c *Symbol) {
 // table's block. Symbols inserted later are allocated one at a time.
 // A table's symbols are not written after the parse but by BindFormal,
 // and a formal is never shared; so a clone shares every other symbol
-// too, and only a detached table owns all of its own.
+// too, and a detached table (DetachAll) shares symbols only with the
+// tables detached with it.
 type SymbolTable struct {
 	syms   []*Symbol
 	hashes []uint32           // hashes[i] is nameHash(syms[i].Name)
@@ -138,17 +161,79 @@ func (t *SymbolTable) Clone() *SymbolTable {
 	return tableOf(syms, t.hashes)
 }
 
-// Detach deep-copies the table into one block of symbols: the copy
-// shares no symbol, dimension or expression with t, nor with any table
-// t shares symbols with, so it keeps none of their storage alive.
-func (t *SymbolTable) Detach() *SymbolTable {
-	block := make([]Symbol, len(t.syms))
-	syms := make([]*Symbol, len(t.syms))
-	for i, s := range t.syms {
-		s.cloneInto(&block[i])
-		syms[i] = &block[i]
+// Detached is one table of a DetachAll batch.
+type Detached struct {
+	// Table is the table to copy, and after DetachAll its copy.
+	Table *SymbolTable
+	// Bytes estimates, after DetachAll, what the copy holds that no
+	// copy before it in the batch holds: its table, its two slices, its
+	// index and the symbols it is the first to hold.
+	Bytes int
+}
+
+// DetachAll replaces each table of the batch with a deep copy, made in
+// one pass: the copies share no symbol, dimension or expression with
+// the tables they replace, nor with any table those share symbols with,
+// so they keep none of their storage alive. A symbol that two or more
+// of the tables hold (SymbolBuilder.Table and Clone share symbols so)
+// is copied once, into a block beside the tables' own, and each copy
+// points at that one copy; every other symbol is copied into its
+// table's own block. So a copy whose table is dropped keeps the others'
+// shared symbols alive, and nothing of its own. A batch of one table
+// needs no map, and allocates the table, its slices and its block.
+func DetachAll(batch []Detached) {
+	// seen holds every symbol of the batch: nil when one table holds
+	// it, the symbol itself when more do and it is not copied yet, and
+	// its copy after.
+	var seen map[*Symbol]*Symbol
+	nshared := 0
+	if len(batch) > 1 {
+		seen = make(map[*Symbol]*Symbol)
+		for _, d := range batch {
+			for _, s := range d.Table.syms {
+				if c, ok := seen[s]; !ok {
+					seen[s] = nil
+				} else if c == nil {
+					seen[s] = s
+					nshared++
+				}
+			}
+		}
 	}
-	return tableOf(syms, t.hashes)
+	// Every block is made at its final size: the tables point into
+	// them as they fill.
+	shared := make([]Symbol, 0, nshared)
+	for i := range batch {
+		t, bytes := batch[i].Table, 0
+		own := len(t.syms)
+		for _, s := range t.syms {
+			if seen[s] != nil {
+				own--
+			}
+		}
+		block := make([]Symbol, 0, own)
+		syms := make([]*Symbol, len(t.syms))
+		for j, s := range t.syms {
+			c := seen[s]
+			switch c {
+			case nil:
+				block = append(block, Symbol{})
+				c = &block[len(block)-1]
+			case s:
+				shared = append(shared, Symbol{})
+				c = &shared[len(shared)-1]
+				seen[s] = c
+			default:
+				syms[j] = c
+				continue
+			}
+			s.cloneInto(c)
+			bytes += c.bytes()
+			syms[j] = c
+		}
+		t = tableOf(syms, t.hashes)
+		batch[i] = Detached{Table: t, Bytes: bytes + t.bytes()}
+	}
 }
 
 // tableOf returns a table over syms, which it takes, with its own copy
@@ -160,6 +245,17 @@ func tableOf(syms []*Symbol, hashes []uint32) *SymbolTable {
 		t.buildIndex()
 	}
 	return t
+}
+
+// bytes estimates what the table holds apart from its symbols: the
+// struct, its two slices and, past indexAbove symbols, its index at
+// about 48 bytes an entry.
+func (t *SymbolTable) bytes() int {
+	n := int(unsafe.Sizeof(*t)) + cap(t.syms)*int(unsafe.Sizeof(t.syms[0])) + cap(t.hashes)*int(unsafe.Sizeof(t.hashes[0]))
+	if t.index != nil {
+		n += 48 * len(t.index)
+	}
+	return n
 }
 
 func (t *SymbolTable) buildIndex() {

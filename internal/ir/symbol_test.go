@@ -105,18 +105,39 @@ func TestSymbolTableSemantics(t *testing.T) {
 		}
 		check("after the clone changed", tab)
 
-		// A detached table shares nothing: no symbol with either table,
-		// no dimension, no PARAMETER value.
-		detached := tab.Detach()
+		// Detached tables share nothing with the originals: no symbol,
+		// no dimension, no PARAMETER value. Detached together, the
+		// table and its clone share one copy of each symbol they both
+		// held, and nothing else: the formal each held a copy of is two.
+		pair := []ir.Detached{{Table: tab}, {Table: clone}}
+		ir.DetachAll(pair)
+		detached, dclone := pair[0].Table, pair[1].Table
+		single := []ir.Detached{{Table: tab}}
+		ir.DetachAll(single)
+		alone := single[0].Table
 		check("detached", detached)
-		for _, s := range detached.All() {
-			if s == tab.Lookup(s.Name) || s == clone.Lookup(s.Name) {
-				t.Errorf("n=%d: the detached table shares %s", n, s.Name)
+		check("detached alone", alone)
+		for _, d := range []*ir.SymbolTable{detached, dclone, alone} {
+			for _, s := range d.All() {
+				if s == tab.Lookup(s.Name) || s == clone.Lookup(s.Name) {
+					t.Errorf("n=%d: the detached table shares %s", n, s.Name)
+				}
+			}
+		}
+		for _, s := range dclone.All() {
+			both := tab.Lookup(s.Name) == clone.Lookup(s.Name)
+			if (detached.Lookup(s.Name) == s) != both || alone.Lookup(s.Name) == s {
+				t.Errorf("n=%d: %s is shared by the originals %v, by the copies %v", n, s.Name, both, !both)
 			}
 		}
 		if detached.Lookup("ARR").Dims[0].Hi == tab.Lookup("ARR").Dims[0].Hi ||
 			detached.Lookup("KPAR").Param == tab.Lookup("KPAR").Param {
 			t.Errorf("n=%d: the detached table shares a dimension or a PARAMETER value", n)
+		}
+		// The clone books its table and what it does not share, far
+		// less than the table it shares all but two symbols with.
+		if pair[1].Bytes >= pair[0].Bytes/2 || single[0].Bytes != pair[0].Bytes {
+			t.Errorf("n=%d: the table books %d bytes (%d alone), its clone %d", n, pair[0].Bytes, single[0].Bytes, pair[1].Bytes)
 		}
 
 		tab.Remove("NOPE")
@@ -356,7 +377,8 @@ func TestSymbolTableAllocBudget(t *testing.T) {
 	if clone := testing.AllocsPerRun(20, func() { tab.Clone() }); clone > 4 {
 		t.Errorf("cloning a %d-symbol table allocates %.0f times, budget 4", n, clone)
 	}
-	if detach := testing.AllocsPerRun(20, func() { tab.Detach() }); detach > 4 {
+	one := []ir.Detached{{}}
+	if detach := testing.AllocsPerRun(20, func() { one[0].Table = tab; ir.DetachAll(one) }); detach > 4 {
 		t.Errorf("detaching a %d-symbol table allocates %.0f times, budget 4", n, detach)
 	}
 }

@@ -55,7 +55,10 @@ func NewUnit(kind UnitKind, name string) *ProgramUnit {
 // Clone copies the unit for a pass to rewrite: the body and the formal
 // list are deep copies, and the symbol table is the table's Clone,
 // which shares the symbols nothing writes. Nothing done to the copy,
-// BindFormal included, shows in u.
+// BindFormal included, shows in u. Because the copy's table points at
+// u's symbols, a unit that outlives its compile in the unit memo has
+// its table replaced at commit by DetachAll's copy, made with those of
+// the other units the commit stores.
 func (u *ProgramUnit) Clone() *ProgramUnit {
 	return &ProgramUnit{
 		Kind:       u.Kind,

@@ -184,7 +184,7 @@ func runRef(ctx context.Context, src string) (State, error) {
 }
 
 // compileMode runs the pipeline for a mode and returns the restructured
-// program (a private clone, safe to execute).
+// program, which runCompiled executes only as a clone.
 func compileMode(ctx context.Context, src string, m Mode) (*ir.Program, error) {
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
@@ -213,7 +213,7 @@ func compileMode(ctx context.Context, src string, m Mode) (*ir.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	return res.Program.Clone(), nil
+	return res.Program, nil
 }
 
 // runMode compiles and executes src under the mode and snapshots the
@@ -223,11 +223,17 @@ func runMode(ctx context.Context, src string, m Mode) (State, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runCompiled(ctx, compiled, m)
+}
+
+// runCompiled executes a clone of compiled under the mode and snapshots
+// the final COMMON state.
+func runCompiled(ctx context.Context, compiled *ir.Program, m Mode) (State, error) {
 	procs := m.Procs
 	if procs <= 0 {
 		procs = 8
 	}
-	in := interp.New(compiled, machine.Default().WithProcessors(procs))
+	in := interp.New(compiled.Clone(), machine.Default().WithProcessors(procs))
 	in.Parallel = true
 	in.Validate = m.Validate
 	in.Concurrent = m.Concurrent
@@ -277,6 +283,27 @@ func Check(ctx context.Context, label, src string, cfg Config) ([]Discrepancy, e
 	if err != nil {
 		return nil, err
 	}
+	// Modes differ in how they run more often than in how they compile:
+	// each (ablation, trace) pair is parsed and compiled once, and every
+	// mode runs a clone of it.
+	type compileKey struct {
+		ablate string
+		trace  bool
+	}
+	type compiled struct {
+		prog *ir.Program
+		err  error
+	}
+	cache := map[compileKey]compiled{}
+	compile := func(m Mode) (*ir.Program, error) {
+		k := compileKey{m.Ablate, m.Trace}
+		c, ok := cache[k]
+		if !ok {
+			c.prog, c.err = compileMode(ctx, src, m)
+			cache[k] = c
+		}
+		return c.prog, c.err
+	}
 	var out []Discrepancy
 	report := func(m Mode, detail string) {
 		d := Discrepancy{Label: label, Mode: m.Name, Detail: detail, Source: src}
@@ -293,7 +320,11 @@ func Check(ctx context.Context, label, src string, cfg Config) ([]Discrepancy, e
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		got, err := runMode(ctx, src, m)
+		prog, err := compile(m)
+		var got State
+		if err == nil {
+			got, err = runCompiled(ctx, prog, m)
+		}
 		if err != nil {
 			out = append(out, Discrepancy{Label: label, Mode: m.Name + " (error)", Detail: err.Error(), Source: src})
 			continue
@@ -311,9 +342,10 @@ func Check(ctx context.Context, label, src string, cfg Config) ([]Discrepancy, e
 	if !cfg.SkipMetamorphic {
 		// Observing must not change what the compiler produces: the
 		// restructured source with and without a streaming Observer must
-		// be identical.
-		plain, err1 := compileMode(ctx, src, Mode{Name: "plain"})
-		traced, err2 := compileMode(ctx, src, Mode{Name: "traced", Trace: true})
+		// be identical. The two are the full pipeline's compile and
+		// trace-on's.
+		plain, err1 := compile(Mode{Name: "plain"})
+		traced, err2 := compile(Mode{Name: "traced", Trace: true})
 		switch {
 		case err1 != nil:
 			out = append(out, Discrepancy{Label: label, Mode: "trace-invariance (error)", Detail: err1.Error(), Source: src})

@@ -189,7 +189,9 @@ func sharedSymbols(t *testing.T, name string, prog *ir.Program) (shared, total i
 				t.Errorf("%s: the clone of %s copies its symbol %s", name, u.Name, s.Name)
 			}
 		}
-		for _, s := range u.Symbols.Detach().All() {
+		one := []ir.Detached{{Table: u.Symbols}}
+		ir.DetachAll(one)
+		for _, s := range one[0].Table.All() {
 			if holders[s] > 0 {
 				t.Errorf("%s: the detached table of %s holds the program's symbol %s", name, u.Name, s.Name)
 			}

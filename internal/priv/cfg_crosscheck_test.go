@@ -3,7 +3,6 @@ package priv
 import (
 	"testing"
 
-	"polaris/internal/cfg"
 	"polaris/internal/ir"
 	"polaris/internal/parser"
 )
@@ -65,7 +64,7 @@ func TestScalarVerdictsAgreeWithCFGDominance(t *testing.T) {
 		iter := ir.NewUnit(ir.UnitSubroutine, "ITER")
 		iter.Symbols = u.Symbols
 		iter.Body = loop.Body
-		g := cfg.Build(iter)
+		g := buildCFG(iter)
 
 		verdict := map[string]bool{}
 		for _, s := range res.PrivateScalars {
