@@ -265,8 +265,12 @@ func unitsByName(units []*ir.ProgramUnit) func(name string) int {
 }
 
 // evidenceLines renders one Decision evidence line per entry of m
-// with format, which takes the key and the value, in key order.
+// with format, which takes the key and the value, in key order; nil for
+// none, as the decision codec reads an empty list back.
 func evidenceLines[V any](format string, m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -344,14 +348,14 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// each runs one per-unit pass over every unit, in unit order on the
 	// caller's goroutine, checking for cancellation before each unit, so
 	// the Decision stream is in unit order by construction. A unit the
-	// memo answered for replays the pass's captured decisions in the
-	// stream position live would emit them; any other unit runs live,
-	// which fills its record, through a capture that keeps the decisions
-	// for the memo when there is one. Then fold adds the record into res,
-	// for clean and dirty units alike.
+	// memo answered for replays the pass's captured decisions, decoded
+	// only for an observer, in the stream position live would emit them;
+	// any other unit runs live, which fills its record, through a capture
+	// that keeps the decisions for the memo when there is one. Then fold
+	// adds the record into res, for clean and dirty units alike.
 	each := func(c *passes.Context, pass unitPass,
 		live func(i int, rec *unitRecord, uo *obsv.Observer) error,
-		fold func(i int, rec *unitRecord)) error {
+		fold func(i int, rec *unitRecord) error) error {
 		if recs == nil {
 			analyzers = make([]*rng.Analyzer, len(work.Units))
 			if st != nil {
@@ -376,7 +380,9 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				return err
 			}
 			if st != nil && st.reuse[i] != nil {
-				obs.ReplayDecisions(rec.decisions[pass], label)
+				if err := obs.ReplayList(rec.provenance, int(pass), label); err != nil {
+					return err
+				}
 			} else {
 				uo := obs
 				if rec.decisions != nil {
@@ -386,10 +392,12 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 					return err
 				}
 				if rec.decisions != nil {
-					rec.decisions[pass] = uo.Decisions()
+					rec.decisions[pass] = uo.TakeDecisions()
 				}
 			}
-			fold(i, rec)
+			if err := fold(i, rec); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -471,9 +479,10 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 					})
 				}
 				return nil
-			}, func(i int, rec *unitRecord) {
+			}, func(i int, rec *unitRecord) error {
 				res.NormalizedLoops += rec.normalized
 				c.Count("loops_normalized", int64(rec.normalized))
+				return nil
 			})
 		}))
 	}
@@ -504,9 +513,10 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 					Evidence: solved,
 				})
 				return nil
-			}, func(i int, rec *unitRecord) {
+			}, func(i int, rec *unitRecord) error {
 				res.InductionVars = append(res.InductionVars, rec.solved...)
 				c.Count("variables_substituted", int64(len(rec.solved)))
+				return nil
 			})
 		}))
 	}
@@ -560,13 +570,20 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 			// be the pass's peak memory.
 			ranges.ReleaseCaches()
 			return nil
-		}, func(ui int, rec *unitRecord) {
-			if obs != nil {
-				(*verdicts)[ui] = rec.verdicts
-			}
+		}, func(ui int, rec *unitRecord) error {
 			if opt.Stats != nil {
 				opt.Stats.Add(&rec.stats)
 			}
+			if obs == nil {
+				return nil
+			}
+			if st == nil || st.reuse[ui] == nil {
+				(*verdicts)[ui] = rec.verdicts
+				return nil
+			}
+			var err error
+			(*verdicts)[ui], err = obsv.DecodeList(rec.provenance, int(numUnitPasses), label)
+			return err
 		})
 		if err != nil {
 			return err
@@ -608,13 +625,13 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				rec.reduced = strength.Run(work.Units[ui], rangesOf(ui)).Reduced
 				analyzers[ui] = nil // last use
 				return nil
-			}, func(ui int, rec *unitRecord) {
+			}, func(ui int, rec *unitRecord) error {
 				reports := res.Loops[next : next+len(rec.reports)]
 				next += len(reports)
 				res.StrengthReduced += rec.reduced
 				c.Count("accumulators_introduced", int64(rec.reduced))
 				if rec.reduced == 0 {
-					return
+					return nil
 				}
 				// Bring the unit's reports up to the Par annotations the pass
 				// left, live or memoized (a memoized unit was captured after
@@ -637,9 +654,9 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 						continue
 					}
 					vs := (*verdicts)[ui]
-					if flips == 1 {
-						// The record's verdicts are, or will be, the memo's:
-						// write a copy.
+					if flips == 1 && rec.decisions != nil {
+						// The record's verdicts will be the memo's, as of
+						// analysis: write a copy.
 						vs = slices.Clone(vs)
 						(*verdicts)[ui] = vs
 					}
@@ -648,6 +665,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 				if flips > 0 {
 					c.Count("verdict_flips", flips)
 				}
+				return nil
 			})
 		}))
 	}

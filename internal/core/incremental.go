@@ -58,7 +58,7 @@ import (
 // unitMemoVersion salts every unit hash; bump it whenever the meaning
 // of a memoized record changes (new per-unit pass, changed record
 // layout), so stale entries from an older scheme can never replay.
-const unitMemoVersion = "polaris-unit-memo/v4"
+const unitMemoVersion = "polaris-unit-memo/v5"
 
 // unitHasher computes the unit keys of one compilation under the two
 // schemes the package comment describes, whose tags domain-separate
@@ -108,7 +108,8 @@ func (uh *unitHasher) write(s string) {
 	}
 }
 
-// unitPass indexes a unitRecord's captured decisions by per-unit pass.
+// unitPass indexes a unitRecord's captured decisions by per-unit pass;
+// list numUnitPasses holds the verdicts.
 type unitPass int
 
 const (
@@ -144,9 +145,15 @@ type unitRecord struct {
 	// reduced counts the accumulators strength reduction introduced.
 	reduced int
 	// decisions holds each pass's Decision provenance, indexed by
-	// unitPass, replayed relabeled on reuse like whole-program cache
-	// hits. It is made only under a memo.
-	decisions [][]obsv.Decision
+	// unitPass, as a dirty unit's passes capture it: made only under a
+	// memo, and encoded into provenance at commit. An array pointer and
+	// the string take what one slice did: without a memo, every unit's
+	// record is in one block.
+	decisions *[numUnitPasses + 1][]obsv.Decision
+	// provenance is a committed record's decisions and verdicts, in the
+	// decision codec's encoding (obsv.EncodeLists): only an observer
+	// reads them, so only a compile with one decodes them, relabeled.
+	provenance string
 }
 
 // unitEntry is one memo entry's payload: the unit's final IR and its
@@ -206,31 +213,15 @@ func (m *UnitMemo) Stats() MemoStats {
 // raw); the table to tabBytes, ir.DetachAll's figure, which books a
 // symbol the commit's units share to the first of them only; the memo's
 // bookkeeping to about 384 bytes an entry; and the record to its struct
-// plus the decisions, reports, verdicts and induction variables it
-// captured. Decision strings the IR already holds (unit and loop names)
-// are not counted again. The estimate is computed once at commit and is
-// therefore exact for the add-on-insert / subtract-on-evict accounting.
+// plus its encoded provenance, reports and induction variables. The
+// estimate is computed once at commit and is therefore exact for the
+// add-on-insert / subtract-on-evict accounting.
 func entrySize(keyLen, tabBytes int, rec *unitRecord) int64 {
-	s := int64(keyLen)*6 + int64(tabBytes) + 384 + int64(unsafe.Sizeof(*rec)) + decisionsSize(rec.verdicts)
-	for _, ds := range rec.decisions {
-		s += int64(unsafe.Sizeof(ds)) + decisionsSize(ds)
-	}
+	s := int64(keyLen)*6 + int64(tabBytes) + 384 + int64(unsafe.Sizeof(*rec)) + int64(len(rec.provenance))
 	// A report's RunTimeTest list is its loop annotation's, held by the IR.
 	s += int64(len(rec.reports)) * int64(unsafe.Sizeof(LoopReport{}))
 	for _, v := range rec.solved {
 		s += int64(unsafe.Sizeof(v)) + int64(len(v))
-	}
-	return s
-}
-
-// decisionsSize is entrySize's estimate for one list of records.
-func decisionsSize(ds []obsv.Decision) int64 {
-	var s int64
-	for _, d := range ds {
-		s += int64(unsafe.Sizeof(d)) + int64(len(d.Detail)+len(d.Technique)+len(d.Blocker))
-		for _, ev := range d.Evidence {
-			s += int64(unsafe.Sizeof(ev)) + int64(len(ev))
-		}
 	}
 	return s
 }
@@ -312,7 +303,7 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 			work.Units[i], st.recs[i] = e.unit, e.rec
 			res.UnitsReused++
 		} else {
-			st.recs[i] = &unitRecord{decisions: make([][]obsv.Decision, numUnitPasses)}
+			st.recs[i] = &unitRecord{decisions: new([numUnitPasses + 1][]obsv.Decision)}
 			res.UnitsRecompiled++
 		}
 	}
@@ -325,7 +316,8 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 // final transformed unit itself and the record its passes wrote become
 // the entry's payload — the compilation's Result.Program shares the
 // unit, read-only from here on, exactly as reusing compilations will —
-// and the entry joins the memo's LRU.
+// and the entry joins the memo's LRU. The record keeps its captured
+// decisions and verdicts encoded, as one string.
 func (st *incrState) commit(work *ir.Program) {
 	// A one-unit edit's batch stays on the stack.
 	var one [1]ir.Detached
@@ -353,7 +345,13 @@ func (st *incrState) commit(work *ir.Program) {
 		// that filled it alive for as long as it stays in the memo.
 		u.Source = strings.Clone(u.Source)
 		u.Symbols = batch[j].Table
-		c.Complete(&unitEntry{unit: u, rec: st.recs[i]}, entrySize(st.keyLen[i], batch[j].Bytes, st.recs[i]))
+		rec := st.recs[i]
+		if rec.decisions != nil { // made by acquirePass: a record built without one has nothing to encode
+			rec.decisions[numUnitPasses] = rec.verdicts
+			rec.provenance = obsv.EncodeLists(rec.decisions[:]...)
+			rec.decisions, rec.verdicts = nil, nil
+		}
+		c.Complete(&unitEntry{unit: u, rec: rec}, entrySize(st.keyLen[i], batch[j].Bytes, rec))
 		j++
 	}
 }

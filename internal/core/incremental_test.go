@@ -270,8 +270,8 @@ func TestUnitHashLocality(t *testing.T) {
 // TestUnitKeysArePinned holds the unit keys to their bytes: both values
 // were printed by the commit before unitHasher, whose unitHash and
 // srcHash wrote each part to a fresh digest with io.WriteString, and
-// re-printed when unitMemoVersion became v3 and again at v4. A change of key is a change
-// of unitMemoVersion, never a side effect.
+// re-printed when unitMemoVersion became v3, v4 and v5. A change of key is
+// a change of unitMemoVersion, never a side effect.
 func TestUnitKeysArePinned(t *testing.T) {
 	prog, err := parser.ParseProgram("      SUBROUTINE S(A, N)\n      REAL A(N)\n      DO I = 1, N\n        A(I) = A(I) * 2.0\n      END DO\n      END\n")
 	if err != nil {
@@ -280,11 +280,11 @@ func TestUnitKeysArePinned(t *testing.T) {
 	u, uh := prog.Units[0], newUnitHasher(PolarisOptions())
 	// One hasher, three keys: the digest is reset between them.
 	for i := 0; i < 2; i++ {
-		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "294ae81b98ce3fa2d9a1ab3f6cf10694f1fdc1ddac7d665b20c0ade6f19163af" {
+		if got := fmt.Sprintf("%x", uh.key("ir", u.Fortran())); got != "1310cebd90619460fc291285a6460b8c5a9d7ca7984c395b0ee092073e993059" {
 			t.Errorf("ir key %s", got)
 		}
 	}
-	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "ba2331b62824b5c369af9eb5534e325492985e56440a1ad247218ccfaaf50398" {
+	if got := fmt.Sprintf("%x", uh.key("src", prog.FuncsSig, "S:N=4", u.Source)); got != "eecfce6576667cf49b020cfee18bef5bb84e26b19a88f14529deabd93ef78aa1" {
 		t.Errorf("src key %s", got)
 	}
 	// A text longer than the hasher's copy buffer goes through in pieces.

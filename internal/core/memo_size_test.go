@@ -15,7 +15,10 @@ import (
 // bytes the unit memo books and the live heap dropping the memo frees
 // are within a factor of 1.25 of each other, so a memo bounded in bytes
 // holds about what its bound says. When an entry's IR was booked at
-// twice its source text, the memo held 2.23 times what it booked.
+// twice its source text, the memo held 2.23 times what it booked. The
+// live heap stays under its ceiling: 11 374 864 bytes, the most it read
+// once each record kept its decisions encoded, plus a tenth. Kept as
+// obsv.Decision structs, they took the memo to 15 742 720.
 func TestUnitMemoBooksWhatItHolds(t *testing.T) {
 	if raceDetector {
 		t.Skip("live-heap figures do not hold under the race detector")
@@ -47,6 +50,10 @@ func TestUnitMemoBooksWhatItHolds(t *testing.T) {
 	t.Logf("%d entries: %d bytes live, %d booked (%.2f×)", stats.Entries, live, stats.Bytes, r)
 	if r < 0.8 || r > 1.25 {
 		t.Errorf("the memo holds %d bytes of live heap and books %d (%.2f×, want 0.8–1.25)", live, stats.Bytes, r)
+	}
+	const ceiling = 12_512_000
+	if live > ceiling {
+		t.Errorf("the memo holds %d bytes of live heap, over its ceiling of %d", live, ceiling)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -71,6 +70,8 @@ const (
 // names them by index. The body is the result scalars, the loops with
 // their ParInfo clauses, the decisions (no label) and the pass report.
 // The rendering runs to the end of the entry, so it carries no length.
+// The table and the body are written and read with the decision codec
+// of internal/obsv, whose decision section the unit memo keeps too.
 
 // EncodeEntry serializes a compiled result and its captured decision
 // provenance: the entry a compile cache keeps and a peer fill ships.
@@ -114,48 +115,45 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 	r.Grow(est)
 	res.Program.WriteFortran(&r)
 	rendered := r.String()
-	e.b.Grow(len(entryMagic) + uvarintLen(EntrySchema) + stringLen(routeKey) +
-		uvarintLen(uint64(len(e.table))) + e.tableBytes + uvarintLen(uint64(len(e.buf))) + len(e.buf) + len(rendered))
+	e.b.Grow(len(entryMagic) + obsv.UvarintLen(EntrySchema) + obsv.StringLen(routeKey) +
+		obsv.UvarintLen(uint64(len(e.Table))) + e.TableBytes + obsv.UvarintLen(uint64(len(e.Buf))) + len(e.Buf) + len(rendered))
 	e.b.WriteString(entryMagic)
 	e.put(EntrySchema)
 	e.raw(routeKey)
-	e.put(uint64(len(e.table)))
-	for _, s := range e.table {
+	e.put(uint64(len(e.Table)))
+	for _, s := range e.Table {
 		e.raw(s)
 	}
-	e.put(uint64(len(e.buf)))
-	e.b.Write(e.buf)
+	e.put(uint64(len(e.Buf)))
+	e.b.Write(e.Buf)
 	e.b.WriteString(rendered)
 	entry = e.b.String()
 	return entry, sumHex(entry), nil
 }
 
-// encoder writes an entry: the body into buf while it interns the
-// strings the body names, then the entry into b.
+// encoder writes an entry: the body into the decision codec's encoder
+// (obsv.Encoder), which interns the strings the body names, then the
+// entry into b.
 type encoder struct {
-	b          strings.Builder
-	buf        []byte
-	index      map[string]uint64
-	table      []string
-	tableBytes int
-	keys       []string     // scratch for map keys in sorted order
-	loops      []*ir.DoStmt // the DO statement of each loop record
-	scratch    [binary.MaxVarintLen64]byte
+	obsv.Encoder
+	b       strings.Builder
+	keys    []string     // scratch for map keys in sorted order
+	loops   []*ir.DoStmt // the DO statement of each loop record
+	scratch [binary.MaxVarintLen64]byte
 }
 
 // encoders keeps an encoder's map and slices between fills. Built
 // afresh for each fill, growing them took the owner's side of a TRFD
 // fill from 19.8 to 33.1 KB (TestFillAllocBudget).
-var encoders = sync.Pool{New: func() any { return &encoder{index: map[string]uint64{}} }}
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // release returns e to the pool holding no string of the entry it
 // encoded; the entry keeps the builder's buffer.
 func (e *encoder) release() {
-	clear(e.index)
-	clear(e.table)
+	e.Reset()
 	clear(e.keys)
 	clear(e.loops)
-	*e = encoder{buf: e.buf[:0], index: e.index, table: e.table[:0], keys: e.keys[:0], loops: e.loops[:0]}
+	*e = encoder{Encoder: e.Encoder, keys: e.keys[:0], loops: e.loops[:0]}
 	encoders.Put(e)
 }
 
@@ -193,39 +191,6 @@ func (e *encoder) raw(s string) {
 	e.b.WriteString(s)
 }
 
-// uint writes a uvarint to the body.
-func (e *encoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// int writes v zigzagged, as binary.AppendVarint does.
-func (e *encoder) int(v int64) { e.uint(uint64(v<<1) ^ uint64(v>>63)) }
-
-func (e *encoder) bool(v bool) {
-	if v {
-		e.uint(1)
-	} else {
-		e.uint(0)
-	}
-}
-
-// str writes a string as its table index, interning it on first use.
-func (e *encoder) str(s string) {
-	i, ok := e.index[s]
-	if !ok {
-		i = uint64(len(e.table))
-		e.index[s] = i
-		e.table = append(e.table, s)
-		e.tableBytes += stringLen(s)
-	}
-	e.uint(i)
-}
-
-func (e *encoder) list(ss []string) {
-	e.uint(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
-	}
-}
-
 // sorted returns m's keys in order, in the encoder's scratch slice: the
 // entry's bytes may not depend on map iteration order.
 func sorted[V any](e *encoder, m map[string]V) []string {
@@ -238,77 +203,63 @@ func sorted[V any](e *encoder, m map[string]V) []string {
 }
 
 func (e *encoder) body(res *core.Result, decisions []obsv.Decision, events []obsv.Span, totalNS int64) {
-	e.int(int64(res.InlinedCalls))
-	e.int(int64(res.StrengthReduced))
-	e.int(int64(res.NormalizedLoops))
-	e.list(res.InductionVars)
-	e.uint(uint64(len(res.InlineSkipped)))
+	e.Int(int64(res.InlinedCalls))
+	e.Int(int64(res.StrengthReduced))
+	e.Int(int64(res.NormalizedLoops))
+	e.List(res.InductionVars)
+	e.Uint(uint64(len(res.InlineSkipped)))
 	for _, k := range sorted(e, res.InlineSkipped) {
-		e.str(k)
-		e.str(res.InlineSkipped[k])
+		e.Str(k)
+		e.Str(res.InlineSkipped[k])
 	}
-	e.uint(uint64(len(res.InterprocConstants)))
+	e.Uint(uint64(len(res.InterprocConstants)))
 	for _, k := range sorted(e, res.InterprocConstants) {
-		e.str(k)
-		e.int(res.InterprocConstants[k])
+		e.Str(k)
+		e.Int(res.InterprocConstants[k])
 	}
 
-	e.uint(uint64(len(res.Loops)))
+	e.Uint(uint64(len(res.Loops)))
 	for k, l := range res.Loops {
-		e.str(l.ID)
-		e.str(l.Unit)
-		e.str(l.Index)
-		e.int(int64(l.Depth))
-		e.bool(l.Parallel)
-		e.list(l.RunTimeTest)
-		e.str(l.Reason)
+		e.Str(l.ID)
+		e.Str(l.Unit)
+		e.Str(l.Index)
+		e.Int(int64(l.Depth))
+		e.Bool(l.Parallel)
+		e.List(l.RunTimeTest)
+		e.Str(l.Reason)
 		p := e.loops[k].Par
-		e.bool(p != nil)
+		e.Bool(p != nil)
 		if p == nil {
 			continue
 		}
-		e.bool(p.Parallel)
-		e.str(p.Reason)
-		e.list(p.Private)
-		e.list(p.PrivateArrays)
-		e.list(p.LastValue)
-		e.uint(uint64(len(p.Reductions)))
+		e.Bool(p.Parallel)
+		e.Str(p.Reason)
+		e.List(p.Private)
+		e.List(p.PrivateArrays)
+		e.List(p.LastValue)
+		e.Uint(uint64(len(p.Reductions)))
 		for _, r := range p.Reductions {
-			e.str(r.Target)
-			e.str(r.Op)
-			e.bool(r.Histogram)
+			e.Str(r.Target)
+			e.Str(r.Op)
+			e.Bool(r.Histogram)
 		}
-		e.list(p.LRPD)
+		e.List(p.LRPD)
 	}
 
-	e.uint(uint64(len(decisions)))
-	for i := range decisions {
-		d := &decisions[i]
-		e.str(d.Unit)
-		e.str(d.Loop)
-		e.str(d.Index)
-		e.int(int64(d.Depth))
-		e.str(d.Pass)
-		e.str(d.Verdict)
-		e.str(d.Technique)
-		e.str(d.Blocker)
-		e.str(d.Detail)
-		e.list(d.Evidence)
-		e.bool(d.Final)
-	}
+	e.Decisions(decisions)
 
-	e.int(totalNS)
-	e.uint(uint64(len(events)))
+	e.Int(totalNS)
+	e.Uint(uint64(len(events)))
 	for _, ev := range events {
-		e.int(int64(ev.Seq))
-		e.str(ev.Pass)
-		e.int(ev.DurationNS)
-		e.uint(uint64(len(ev.Mutations)))
+		e.Int(int64(ev.Seq))
+		e.Str(ev.Pass)
+		e.Int(ev.DurationNS)
+		e.Uint(uint64(len(ev.Mutations)))
 		for _, k := range sorted(e, ev.Mutations) {
-			e.str(k)
-			e.int(ev.Mutations[k])
+			e.Str(k)
+			e.Int(ev.Mutations[k])
 		}
-		e.str(ev.Err)
+		e.Str(ev.Err)
 	}
 }
 
@@ -352,15 +303,15 @@ func decode(v *View, entry, checksum, wantKey, label string) (*core.Result, erro
 	if got := sumHex(entry); got != checksum {
 		return nil, fmt.Errorf("fabric: entry checksum mismatch (got %.12s want %.12s)", got, checksum)
 	}
-	r := &reader{s: entry, view: v}
-	if key := r.header(); r.err == nil && key != wantKey {
+	r := newReader(entry, v)
+	if key := r.header(); r.Err == nil && key != wantKey {
 		return nil, fmt.Errorf("fabric: stale entry: route key %.20s..., want %.20s...", key, wantKey)
 	}
 	r.readTable(v)
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.err()
 	}
-	rendered := r.s[r.end:]
+	rendered := r.S[r.End:]
 	prog, err := parser.ParseProgram(rendered)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: reparse rendered program: %w", err)
@@ -379,8 +330,8 @@ func decode(v *View, entry, checksum, wantKey, label string) (*core.Result, erro
 	if res.Unit == nil {
 		return nil, fmt.Errorf("fabric: rendered program has no main unit")
 	}
-	if r.body(v, res, label); r.err != nil {
-		return nil, r.err
+	if r.body(v, res, label); r.Err != nil {
+		return nil, r.err()
 	}
 	// The fidelity proof: the reconstruction, annotations re-attached so
 	// the directives reappear, must render to the owner's rendering byte
@@ -423,13 +374,13 @@ var views = sync.Pool{New: func() any { return &View{pooled: true} }}
 // what a View allocates is bounded as DecodeEntry's is.
 func DecodeView(entry, label string) (*View, error) {
 	v := views.Get().(*View)
-	r := reader{s: entry, view: v}
+	r := newReader(entry, v)
 	r.header()
 	r.readTable(v)
 	r.body(v, nil, label)
-	if r.err != nil {
+	if err := r.err(); err != nil {
 		v.Release()
-		return nil, r.err
+		return nil, err
 	}
 	return v, nil
 }
@@ -456,158 +407,55 @@ func (v *View) Release() {
 
 type loopKey struct{ unit, id string }
 
-// reader decodes an entry. Its first error sticks: every later read
-// returns a zero value and every count is 0, so a failed decode
-// allocates nothing more.
-type reader struct {
-	s     string // every decoded string is a substring of it
-	p     int
-	end   int // the end of the section being read
-	table []string
-	err   error
-	// view is the View a read fills: a pooled one's lists share one
-	// backing array, where a full decode makes each its own.
-	view *View
+// reader decodes an entry with the decision codec's reader, whose first
+// error sticks: every later read returns a zero value and every count
+// is 0, so a failed decode allocates nothing more.
+type reader struct{ obsv.Reader }
+
+// newReader reads entry into v: a pooled View's lists share one backing
+// array, where a full decode makes each its own.
+func newReader(entry string, v *View) reader {
+	r := reader{obsv.Reader{S: entry, End: len(entry)}}
+	if v.pooled {
+		r.Shared = &v.lists
+	}
+	return r
+}
+
+// err returns the decode's first error, named as the fabric's.
+func (r *reader) err() error {
+	if r.Err == nil {
+		return nil
+	}
+	return fmt.Errorf("fabric: entry %w", r.Err)
 }
 
 // header reads an entry up to its string table — the magic, the schema
 // and the route key, which it returns.
 func (r *reader) header() string {
-	if !strings.HasPrefix(r.s, entryMagic) {
-		r.err = fmt.Errorf("fabric: not a schema-%d entry (no entry header)", EntrySchema)
+	if !strings.HasPrefix(r.S, entryMagic) {
+		r.Failf("not a schema-%d entry (no entry header)", EntrySchema)
 		return ""
 	}
-	r.p, r.end = len(entryMagic), len(r.s)
-	if v := r.uint(); r.err == nil && v != EntrySchema {
-		r.err = fmt.Errorf("fabric: entry schema %d, want %d", v, EntrySchema)
+	r.P = len(entryMagic)
+	if v := r.Uint(); r.Err == nil && v != EntrySchema {
+		r.Failf("entry schema %d, want %d", v, EntrySchema)
 		return ""
 	}
-	return r.raw()
+	return r.Raw()
 }
 
 // readTable reads the string table into v's and the body's length, and
-// leaves r at the body with r.end at its end: the rendering starts there.
+// leaves r at the body with r.End at its end: the rendering starts there.
 func (r *reader) readTable(v *View) {
-	v.table = resize(v.table, r.count(1))
-	for i := range v.table {
-		v.table[i] = r.raw()
+	v.table = r.ReadTable(v.table)
+	bodyLen := r.Uint()
+	if r.Err == nil && bodyLen > uint64(r.End-r.P) {
+		r.Failf("a body of %d bytes with %d left", bodyLen, r.End-r.P)
 	}
-	r.table = v.table
-	bodyLen := r.uint()
-	if r.err == nil && bodyLen > uint64(r.end-r.p) {
-		r.failf("a body of %d bytes with %d left", bodyLen, r.end-r.p)
+	if r.Err == nil {
+		r.End = r.P + int(bodyLen)
 	}
-	if r.err == nil {
-		r.end = r.p + int(bodyLen)
-	}
-}
-
-func (r *reader) failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("fabric: entry decode at byte %d: "+format, append([]any{r.p}, args...)...)
-	}
-}
-
-// uint reads a uvarint, as binary.Uvarint does.
-func (r *reader) uint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	var v uint64
-	for i := 0; i < binary.MaxVarintLen64 && r.p+i < r.end; i++ {
-		b := r.s[r.p+i]
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				break // past 64 bits
-			}
-			r.p += i + 1
-			return v | uint64(b)<<(7*i)
-		}
-		v |= uint64(b&0x7f) << (7 * i)
-	}
-	r.failf("truncated or overlong uvarint")
-	return 0
-}
-
-// int reads a zigzagged varint, as binary.Varint does.
-func (r *reader) int() int64 {
-	u := r.uint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (r *reader) bool() bool { return r.uint() != 0 }
-
-// count reads a length and checks that the bytes left could hold that
-// many elements of at least min bytes each.
-func (r *reader) count(min int) int {
-	n := r.uint()
-	if left := uint64((r.end - r.p) / min); n > left {
-		r.failf("a count of %d where the bytes left hold at most %d", n, left)
-		return 0
-	}
-	return int(n)
-}
-
-// capped is count with a fixed ceiling as well.
-func (r *reader) capped(min, max int) int {
-	n := r.count(min)
-	if n > max {
-		r.failf("a count of %d over the cap of %d", n, max)
-		return 0
-	}
-	return n
-}
-
-// raw reads an inline string.
-func (r *reader) raw() string {
-	n := r.count(1)
-	s := r.s[r.p : r.p+n]
-	r.p += n
-	return s
-}
-
-// str reads a table index.
-func (r *reader) str() string {
-	i := r.uint()
-	if i >= uint64(len(r.table)) {
-		if r.err == nil {
-			r.failf("string index %d in a table of %d", i, len(r.table))
-		}
-		return ""
-	}
-	return r.table[i]
-}
-
-// list reads a list of table indices; empty is nil, as the encoder
-// cannot tell them apart. A View's lists are clipped windows of its one
-// backing array.
-func (r *reader) list() []string {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	if v := r.view; v.pooled {
-		at := len(v.lists)
-		for ; n > 0; n-- {
-			v.lists = append(v.lists, r.str())
-		}
-		return v.lists[at:len(v.lists):len(v.lists)]
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-// resize returns s at length n, in s's own array when it is large
-// enough: a View reuses its scratch, and a full decode's empty View
-// gets each slice made at exactly its length.
-func resize[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return make([]T, n)
 }
 
 // The smallest encodings of the body's repeated elements: one byte per
@@ -615,7 +463,6 @@ func resize[T any](s []T, n int) []T {
 const (
 	minLoop      = 8 // ID, unit, index, depth, parallel, LRPD count, reason, has-clauses
 	minReduction = 3
-	minDecision  = 11
 	minEvent     = 5
 	minPair      = 2 // a map entry: key index and value
 )
@@ -627,60 +474,60 @@ const (
 // the bytes of both are read and checked, then dropped.
 func (r *reader) body(v *View, res *core.Result, label string) {
 	full := res != nil && !v.pooled
-	inlined, reduced, normalized := r.int(), r.int(), r.int()
-	inductionVars := r.list()
+	inlined, reduced, normalized := r.Int(), r.Int(), r.Int()
+	inductionVars := r.List()
 	if res != nil {
 		res.InlinedCalls, res.StrengthReduced, res.NormalizedLoops = int(inlined), int(reduced), int(normalized)
 		res.InductionVars = inductionVars
 	}
-	n := r.count(minPair)
+	n := r.Count(minPair)
 	if full {
 		res.InlineSkipped = make(map[string]string, n)
 	}
 	for ; n > 0; n-- {
-		if k, callee := r.str(), r.str(); full {
+		if k, callee := r.Str(), r.Str(); full {
 			res.InlineSkipped[k] = callee
 		}
 	}
-	if n = r.count(minPair); n > 0 && full {
+	if n = r.Count(minPair); n > 0 && full {
 		res.InterprocConstants = make(map[string]int64, n)
 	}
 	for ; n > 0; n-- {
-		if k, c := r.str(), r.int(); full {
+		if k, c := r.Str(), r.Int(); full {
 			res.InterprocConstants[k] = c
 		}
 	}
 
-	v.Loops = resize(v.Loops, r.count(minLoop))
+	v.Loops = obsv.Resize(v.Loops, r.Count(minLoop))
 	if res != nil {
-		v.pars = resize(v.pars, len(v.Loops))[:0] // holds every loop's clauses: &v.pars[i] stays put
+		v.pars = obsv.Resize(v.pars, len(v.Loops))[:0] // holds every loop's clauses: &v.pars[i] stays put
 	}
 	for i := range v.Loops {
 		l := &v.Loops[i]
-		*l = core.LoopReport{ID: r.str(), Unit: r.str(), Index: r.str(), Depth: int(r.int()), Parallel: r.bool()}
-		l.RunTimeTest, l.Reason = r.list(), r.str()
+		*l = core.LoopReport{ID: r.Str(), Unit: r.Str(), Index: r.Str(), Depth: int(r.Int()), Parallel: r.Bool()}
+		l.RunTimeTest, l.Reason = r.List(), r.Str()
 		var p ir.ParInfo
-		clauses := r.bool()
+		clauses := r.Bool()
 		if clauses {
-			p = ir.ParInfo{Parallel: r.bool(), Reason: r.str()}
-			p.Private, p.PrivateArrays, p.LastValue = r.list(), r.list(), r.list()
-			n := r.count(minReduction)
+			p = ir.ParInfo{Parallel: r.Bool(), Reason: r.Str()}
+			p.Private, p.PrivateArrays, p.LastValue = r.List(), r.List(), r.List()
+			n := r.Count(minReduction)
 			if res != nil && n > 0 {
 				p.Reductions = make([]ir.Reduction, n)
 			}
 			for j := 0; j < n; j++ {
-				if red := (ir.Reduction{Target: r.str(), Op: r.str(), Histogram: r.bool()}); res != nil {
+				if red := (ir.Reduction{Target: r.Str(), Op: r.Str(), Histogram: r.Bool()}); res != nil {
 					p.Reductions[j] = red
 				}
 			}
-			p.LRPD = r.list()
+			p.LRPD = r.List()
 		}
-		if r.err != nil || res == nil {
+		if r.Err != nil || res == nil {
 			continue
 		}
 		d := v.byID[loopKey{l.Unit, l.ID}]
 		if d == nil {
-			r.failf("the entry names loop %s/%s absent from the rendered program", l.Unit, l.ID)
+			r.Failf("the entry names loop %s/%s absent from the rendered program", l.Unit, l.ID)
 			return
 		}
 		if clauses {
@@ -689,41 +536,29 @@ func (r *reader) body(v *View, res *core.Result, label string) {
 		}
 	}
 
-	v.Decisions = resize(v.Decisions, r.count(minDecision))
-	for i := range v.Decisions {
-		v.Decisions[i] = obsv.Decision{
-			Label: label, Unit: r.str(), Loop: r.str(), Index: r.str(), Depth: int(r.int()),
-			Pass: r.str(), Verdict: r.str(), Technique: r.str(), Blocker: r.str(), Detail: r.str(),
-			Evidence: r.list(), Final: r.bool(),
-		}
-	}
+	v.Decisions = obsv.Resize(v.Decisions, r.DecisionCount())
+	r.ReadDecisions(v.Decisions, label)
 
-	v.Report.TotalNS = r.int()
-	v.Report.Events = resize(v.Report.Events, r.capped(minEvent, maxReportEvents))
+	v.Report.TotalNS = r.Int()
+	v.Report.Events = obsv.Resize(v.Report.Events, r.Capped(minEvent, maxReportEvents))
 	for i := range v.Report.Events {
 		ev := &v.Report.Events[i]
 		m := ev.Mutations // a View's, emptied by Release; nil in a full decode
-		*ev = obsv.Span{Seq: int(r.int()), Pass: r.str(), DurationNS: r.int()}
-		n := r.capped(minPair, maxMutationKeys)
+		*ev = obsv.Span{Seq: int(r.Int()), Pass: r.Str(), DurationNS: r.Int()}
+		n := r.Capped(minPair, maxMutationKeys)
 		if m == nil && n > 0 {
 			m = make(map[string]int64, n)
 		}
 		for ; n > 0; n-- {
-			k := r.str()
-			m[k] = r.int()
+			k := r.Str()
+			m[k] = r.Int()
 		}
-		ev.Mutations, ev.Err = m, r.str()
+		ev.Mutations, ev.Err = m, r.Str()
 	}
-	if r.err == nil && r.p != r.end {
-		r.err = fmt.Errorf("fabric: %d bytes left over in the entry body", r.end-r.p)
+	if r.P != r.End {
+		r.Failf("%d bytes left over in the entry body", r.End-r.P)
 	}
 }
-
-// uvarintLen is len(binary.AppendUvarint(nil, v)).
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// stringLen is the encoded length of an inline string.
-func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // sumHex is the hex SHA-256 of an entry, streamed to the digest where it
 // stands: converting it to bytes would copy it to the heap to hash it.

@@ -257,10 +257,10 @@ func loopNamed(prog *ir.Program, unit, id string) *ir.DoStmt {
 // header, the route key, the string table and the body — or false when
 // those do not decode.
 func renderingAt(entry string) (int, bool) {
-	r := &reader{s: entry}
+	r := newReader(entry, &View{})
 	r.header()
 	r.readTable(&View{})
-	return r.end, r.err == nil
+	return r.End, r.Err == nil
 }
 
 // TestWireRejections proves every tamper class is rejected before an
@@ -326,7 +326,7 @@ func TestWireRejections(t *testing.T) {
 	t.Run("count-lie", func(t *testing.T) {
 		// The string table's count, right after the route key, says a
 		// billion strings: more than the bytes left could hold.
-		at := len(entryMagic) + uvarintLen(EntrySchema) + stringLen(key)
+		at := len(entryMagic) + obsv.UvarintLen(EntrySchema) + obsv.StringLen(key)
 		_, n := binary.Uvarint([]byte(entry[at:]))
 		bad := string(binary.AppendUvarint([]byte(entry[:at]), 1<<30)) + entry[at+n:]
 		rejected(t, bad, sumHex(bad), key, "count of 1073741824")

@@ -244,10 +244,18 @@ func (o *Observer) ReplayDecisions(ds []Decision, label string) {
 		return
 	}
 	o.mu.Lock()
+	at := len(o.decisions)
 	o.decisions = append(slices.Grow(o.decisions, len(ds)), ds...)
+	o.replayed(at, label)
+}
+
+// replayed finishes a replay, called with o.mu held and the batch at
+// o.decisions[at:]: it labels the batch, unlocks, and hands the batch to
+// the trace writer, then to the next observer.
+func (o *Observer) replayed(at int, label string) {
 	// Records are never written after this, so the batch can be read
 	// outside the lock even if a later append moves the slice.
-	batch := o.decisions[len(o.decisions)-len(ds):]
+	batch := o.decisions[at:]
 	for i := range batch {
 		batch[i].Label = label
 	}
