@@ -185,7 +185,7 @@ func EmitGo(res *core.Result, opt GoOptions) (src string, err error) {
 	g := &goEmitter{res: res, p: res.Program, opt: opt, commonIdx: map[string]*commonMember{}}
 	size := len(goRuntime)
 	for _, u := range res.Program.Units {
-		size += goPerSourceByte * len(u.Source)
+		size += goPerSourceByte * u.SourceLen()
 	}
 	g.b.Grow(size)
 	g.collectCommons()

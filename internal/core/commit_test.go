@@ -74,31 +74,37 @@ func TestCommitSharesWhatTheParseShared(t *testing.T) {
 
 // TestOneUnitCommitAllocs: a one-unit edit commits one unit, and a
 // batch of one table builds no map and keeps its batch on the stack, so
-// the commit allocates what it did when each table was detached on its
-// own: 11 allocations and 904 bytes for mega10k's second unit, a clone
-// of its parse, the figures one table detached alone read.
+// the commit allocates what detaching the one table does: 10
+// allocations and 712 bytes for mega10k's second unit, a clone of its
+// parse. It copies no source text; when it did, it took 11 and 904.
+// The figures are the least of three rounds of 64 commits: on a loaded
+// machine a round can read 82 bytes more a commit, one stray
+// runtime allocation of some 5 KB inside the window.
 func TestOneUnitCommitAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	const runs = 64
 	unit := parser.MustParse(fuzzgen.MegaCorpus()[0].Generate().Source).Units[1]
-	states := make([]*incrState, runs)
-	works := make([]*ir.Program, runs)
-	for i := range states {
-		works[i] = &ir.Program{Units: []*ir.ProgramUnit{unit.Clone()}}
-		states[i] = claimAll(t, NewUnitMemo(MemoLimits{}), works[i])
+	allocs, bytes := uint64(1<<62), uint64(1<<62)
+	for range 3 {
+		states := make([]*incrState, runs)
+		works := make([]*ir.Program, runs)
+		for i := range states {
+			works[i] = &ir.Program{Units: []*ir.ProgramUnit{unit.Clone()}}
+			states[i] = claimAll(t, NewUnitMemo(MemoLimits{}), works[i])
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, st := range states {
+			st.commit(works[i])
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i, st := range states {
-		st.commit(works[i])
-	}
-	runtime.ReadMemStats(&after)
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("a one-unit commit of %s: %d allocations, %d bytes", unit.Name, allocs, bytes)
-	if allocs > 11 || bytes > 904 {
-		t.Errorf("a one-unit commit allocates %d times and %d bytes, budget 11 and 904", allocs, bytes)
+	if allocs > 10 || bytes > 712 {
+		t.Errorf("a one-unit commit allocates %d times and %d bytes, budget 10 and 712", allocs, bytes)
 	}
 }

@@ -187,7 +187,9 @@ func Compile(prog *ir.Program, opt Options) (*Result, error) {
 // pipeline reads prog's units where they stand — concurrent compiles
 // may share one parsed program — and copies a unit at the moment it is
 // about to rewrite it; a unit the memo answers for is never copied. No
-// unit of Result.Program is a unit of prog. Options.TrustedInput is the
+// unit of Result.Program is a unit of prog, and a copy keeps its
+// source's length, not its text (ir.ProgramUnit.SourceLen), so a Result
+// does not keep the input's text alive. Options.TrustedInput is the
 // one exception: the caller hands prog over, and the units are taken in
 // place instead of copied. prog must be consistent, as ParseProgram's
 // output is; only verify-ir checks, and only what the pipeline ran.
@@ -299,7 +301,9 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 	// applied, and installed in work. private asks for a copy the caller
 	// keeps to itself — the inliner cuts its templates from one — and
 	// leaves work as it was. Until a unit is owned it is the input's, and
-	// read-only.
+	// read-only. A copy keeps its source's length, not its text, which is
+	// a slice of the whole input: the unit-hash pass reads the text of
+	// the input's unit, which it picks its scheme by before it takes one.
 	var plan *interproc.Plan
 	owned := make([]bool, len(work.Units))
 	own := func(i int, private bool) *ir.ProgramUnit {
@@ -309,6 +313,7 @@ func buildPipeline(work *ir.Program, res *Result, opt Options, st *incrState, co
 		}
 		if private || !opt.TrustedInput {
 			u = u.Clone()
+			u.DropSource()
 			if copied != nil {
 				copied(u)
 			}

@@ -45,7 +45,6 @@ package core
 import (
 	"crypto/sha256"
 	"hash"
-	"strings"
 	"unsafe"
 
 	"polaris/internal/deps"
@@ -208,16 +207,16 @@ func (m *UnitMemo) Stats() MemoStats {
 
 // entrySize estimates a completed entry's resident size, as
 // TestUnitMemoBooksWhatItHolds measures it against the live heap: the
-// unit's IR but its symbol table, and its own copy of the source, come
-// to about six bytes per byte of the text that keyed it (rendered or
-// raw); the table to tabBytes, ir.DetachAll's figure, which books a
+// unit's IR but its symbol table comes to about five bytes per byte of
+// the text that keyed it (rendered or raw: the entry keeps neither);
+// the table to tabBytes, ir.DetachAll's figure, which books a
 // symbol the commit's units share to the first of them only; the memo's
 // bookkeeping to about 384 bytes an entry; and the record to its struct
 // plus its encoded provenance, reports and induction variables. The
 // estimate is computed once at commit and is therefore exact for the
 // add-on-insert / subtract-on-evict accounting.
 func entrySize(keyLen, tabBytes int, rec *unitRecord) int64 {
-	s := int64(keyLen)*6 + int64(tabBytes) + 384 + int64(unsafe.Sizeof(*rec)) + int64(len(rec.provenance))
+	s := int64(keyLen)*5 + int64(tabBytes) + 384 + int64(unsafe.Sizeof(*rec)) + int64(len(rec.provenance))
 	// A report's RunTimeTest list is its loop annotation's, held by the IR.
 	s += int64(len(rec.reports)) * int64(unsafe.Sizeof(LoopReport{}))
 	for _, v := range rec.solved {
@@ -340,10 +339,11 @@ func (st *incrState) commit(work *ir.Program) {
 			continue
 		}
 		u := work.Units[i]
-		// The parser slices Source out of the whole input; an entry
-		// owns its bytes, or it would keep the source of the compile
-		// that filled it alive for as long as it stays in the memo.
-		u.Source = strings.Clone(u.Source)
+		// The parser slices Source out of the whole input, which an
+		// entry would keep alive for as long as it stays in the memo. A
+		// cloned unit dropped it when it was taken; one taken in place
+		// under TrustedInput drops it here.
+		u.DropSource()
 		u.Symbols = batch[j].Table
 		rec := st.recs[i]
 		if rec.decisions != nil { // made by acquirePass: a record built without one has nothing to encode

@@ -109,7 +109,7 @@ func EncodeEntry(routeKey string, res *core.Result, decisions []obsv.Decision) (
 	// that falls short the builder grows.
 	est := 0
 	for _, u := range res.Program.Units {
-		est += len(u.Source) + len(u.Source)/2
+		est += u.SourceLen() + u.SourceLen()/2
 	}
 	var r strings.Builder
 	r.Grow(est)

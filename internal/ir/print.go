@@ -33,7 +33,7 @@ func (p *Program) WriteFortran(b *strings.Builder) {
 // there is no source, or the estimate falls short, the buffer grows.
 func (u *ProgramUnit) Fortran() string {
 	var b strings.Builder
-	b.Grow(len(u.Source) + len(u.Source)/2)
+	b.Grow(u.SourceLen() + u.SourceLen()/2)
 	u.write(&b)
 	return b.String()
 }

@@ -38,13 +38,36 @@ type ProgramUnit struct {
 	// to the variable named after the function.
 	ReturnType Type
 	// Source is the unit's raw source text as sliced by the parser at
-	// parse time ("" for units built programmatically). It is parse
-	// metadata, NOT an alternate rendering: transformation passes do
-	// not maintain it, so it describes the unit only as long as the
-	// unit is untransformed. Incremental compilation keys untouched
-	// units by it (together with Program.FuncsSig) to skip re-rendering
-	// their IR; use Fortran() for the canonical current-state text.
+	// parse time ("" for units built programmatically, and for a unit
+	// after DropSource). It is parse metadata, NOT an alternate
+	// rendering: transformation passes do not maintain it, so it
+	// describes the unit only as long as the unit is untransformed.
+	// Incremental compilation keys untouched units by it (together with
+	// Program.FuncsSig) to skip re-rendering their IR; a compile drops
+	// it from every unit it copies, and the unit memo from every unit it
+	// keeps, which keep only SourceLen. Use Fortran() for the canonical
+	// current-state text.
 	Source string
+	// sourceLen is len(Source) as of DropSource.
+	sourceLen int
+}
+
+// SourceLen returns the length of the unit's parse-time source text,
+// kept after DropSource: renderers size their buffers from it.
+func (u *ProgramUnit) SourceLen() int {
+	if u.Source != "" {
+		return len(u.Source)
+	}
+	return u.sourceLen
+}
+
+// DropSource lets go of the unit's source text and keeps its length.
+// The parser slices Source out of the whole input, so a unit that keeps
+// it keeps the input alive.
+func (u *ProgramUnit) DropSource() {
+	if u.Source != "" {
+		u.sourceLen, u.Source = len(u.Source), ""
+	}
 }
 
 // NewUnit returns an empty unit of the given kind.
@@ -58,7 +81,8 @@ func NewUnit(kind UnitKind, name string) *ProgramUnit {
 // BindFormal included, shows in u. Because the copy's table points at
 // u's symbols, a unit that outlives its compile in the unit memo has
 // its table replaced at commit by DetachAll's copy, made with those of
-// the other units the commit stores.
+// the other units the commit stores. The copy keeps u's Source, or,
+// after DropSource, its length.
 func (u *ProgramUnit) Clone() *ProgramUnit {
 	return &ProgramUnit{
 		Kind:       u.Kind,
@@ -68,6 +92,7 @@ func (u *ProgramUnit) Clone() *ProgramUnit {
 		Body:       u.Body.Clone(),
 		ReturnType: u.ReturnType,
 		Source:     u.Source,
+		sourceLen:  u.sourceLen,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 	"sync"
 )
@@ -354,7 +353,8 @@ func (o *Observer) ReplayList(enc string, k int, label string) error {
 	if r.Err == nil && n > 0 {
 		o.mu.Lock()
 		at := len(o.decisions)
-		o.decisions = slices.Grow(o.decisions, n)[:at+n]
+		o.grow(n)
+		o.decisions = o.decisions[:at+n]
 		if r.ReadDecisions(o.decisions[at:], label); r.Err != nil {
 			clear(o.decisions[at:])
 			o.decisions = o.decisions[:at]

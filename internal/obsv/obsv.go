@@ -25,7 +25,6 @@
 package obsv
 
 import (
-	"slices"
 	"sort"
 	"sync"
 )
@@ -227,6 +226,7 @@ func (o *Observer) Decision(d Decision) {
 		return
 	}
 	o.mu.Lock()
+	o.grow(1)
 	o.decisions = append(o.decisions, d)
 	t := o.trace
 	o.mu.Unlock()
@@ -245,8 +245,22 @@ func (o *Observer) ReplayDecisions(ds []Decision, label string) {
 	}
 	o.mu.Lock()
 	at := len(o.decisions)
-	o.decisions = append(slices.Grow(o.decisions, len(ds)), ds...)
+	o.grow(len(ds))
+	o.decisions = append(o.decisions, ds...)
 	o.replayed(at, label)
+}
+
+// grow makes room for n more records, called with o.mu held. It at
+// least doubles the list, where append and slices.Grow add about a
+// quarter to a long one: an observed edit compile replays a few records
+// at a time, per clean unit and pass, into a list thousands long.
+func (o *Observer) grow(n int) {
+	if len(o.decisions)+n <= cap(o.decisions) {
+		return
+	}
+	ds := make([]Decision, len(o.decisions), max(2*cap(o.decisions), len(o.decisions)+n))
+	copy(ds, o.decisions)
+	o.decisions = ds
 }
 
 // replayed finishes a replay, called with o.mu held and the batch at

@@ -32,14 +32,21 @@ func TestResultSharesLoops(t *testing.T) {
 		if len(res.Loops) == 0 || len(res.Loops) != len(res.inner.Loops) || &res.Loops[0] != &res.inner.Loops[0] {
 			t.Errorf("%s: Result.Loops (%d) is not the compile's list (%d)", name, len(res.Loops), len(res.inner.Loops))
 		}
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			wrapResult(res.inner, 1.0)
+		// The best of three rounds: a round the runtime allocates in
+		// beside the wraps reads high.
+		const rounds, runs = 3, 50
+		best := cost{1 << 62, 1 << 62}
+		for range rounds {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				wrapResult(res.inner, 1.0)
+			}
+			runtime.ReadMemStats(&after)
+			best.objects = min(best.objects, (after.Mallocs-before.Mallocs)/runs)
+			best.bytes = min(best.bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		return cost{(after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs}
+		return best
 	}
 	small := wrapCost("trfd", trfd.Source)
 	large := wrapCost(mega10k.Name, mega10k.Generate().Source)
