@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"polaris/internal/ir"
-	"polaris/internal/pattern"
+	"polaris/internal/reduction"
 )
 
 // redTarget is one reduction variable of a parallel loop, with the
@@ -102,7 +102,7 @@ func matchRed(s *ir.AssignStmt, target string) (op string, accLeft bool, contrib
 	default:
 		return "", false, nil, false
 	}
-	if tgt, _, addend, aok := pattern.MatchReductionStmt(s); aok && tgt == target {
+	if tgt, _, addend, aok := reduction.MatchReductionStmt(s); aok && tgt == target {
 		rhs := s.RHS.(*ir.Binary)
 		return "+", ir.Equal(rhs.L, s.LHS), addend, true
 	}

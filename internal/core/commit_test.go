@@ -59,7 +59,7 @@ func TestCommitSharesWhatTheParseShared(t *testing.T) {
 	st.commit(work)
 	held, refs := symbolSet(work.Units), 0
 	for _, u := range work.Units {
-		refs += u.Symbols.Len()
+		refs += len(u.Symbols.All())
 		for _, s := range u.Symbols.All() {
 			if before[s] {
 				t.Fatalf("%s's entry holds the input's symbol %s", u.Name, s.Name)

@@ -255,7 +255,7 @@ type incrState struct {
 //
 // Scheme selection per unit: the top unit (the inliner mutates it even
 // when it expands nothing — IDs and splices land there) and any unit
-// without parse metadata (Source or FuncsSig empty — built or merged
+// without parse metadata (Source or FuncsSig empty — built
 // programmatically) hash under the "ir" scheme over their canonical
 // rendering; every other unit hashes under the "src" scheme over its
 // raw parse-time source plus interproc's edit signature for it,

@@ -152,7 +152,7 @@ func TestFigure2RangeTest(t *testing.T) {
 	}
 	u := prog.Main()
 	ra := rng.New(u, symbolic.NewLeaves())
-	induction.Run(u, ra)
+	induction.RunWith(u, ra, induction.Options{})
 	tester := NewTester(u, ra)
 	loops := ir.Loops(u.Body)
 	if len(loops) != 3 {

@@ -53,19 +53,6 @@ func (g *Analyzer) ValueBefore(target ir.Stmt, name string, depth int) *symbolic
 	return g.valueBefore(g.unit.Body, target, name, depth)
 }
 
-// Resolver returns a symbolic resolver that resolves scalar names to
-// their GSA values before target. Names that resolve to themselves are
-// left free (avoiding infinite recursion through FromIR).
-func (g *Analyzer) Resolver(target ir.Stmt, depth int) symbolic.Resolver {
-	return func(name string) *symbolic.Expr {
-		v := g.ValueBefore(target, name, depth)
-		if symbolic.Equal(v, g.lv.Var(name)) {
-			return nil
-		}
-		return v
-	}
-}
-
 // valueBefore resolves name immediately before target, where target is
 // somewhere inside block b (possibly nested). It returns nil if target
 // is not in b.

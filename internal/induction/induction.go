@@ -44,18 +44,14 @@ type Options struct {
 	SimpleOnly bool
 }
 
-// Run performs induction variable substitution on every loop nest of
-// the unit, outermost nests first (larger substitution scope wins),
-// then inner nests — which catches variables reinitialized per outer
-// iteration, like X = X0 in the paper's TRFD example, whose entry value
-// GSA resolves. It iterates to a fixpoint so cascaded induction
-// variables (K2 = K2 + K1 with K1 itself an induction variable) are
-// solved once their feeders have been substituted.
-func Run(u *ir.ProgramUnit, ranges *rng.Analyzer) *Result {
-	return RunWith(u, ranges, Options{})
-}
-
-// RunWith is Run with explicit generality options.
+// RunWith performs induction variable substitution, under the
+// generality options, on every loop nest of the unit, outermost nests
+// first (larger substitution scope wins), then inner nests — which
+// catches variables reinitialized per outer iteration, like X = X0 in
+// the paper's TRFD example, whose entry value GSA resolves. It
+// iterates to a fixpoint so cascaded induction variables (K2 = K2 + K1
+// with K1 itself an induction variable) are solved once their feeders
+// have been substituted.
 func RunWith(u *ir.ProgramUnit, ranges *rng.Analyzer, opt Options) *Result {
 	res := &Result{}
 	for {

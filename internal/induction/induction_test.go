@@ -17,7 +17,7 @@ func run(t *testing.T, src string) (*ir.ProgramUnit, *Result) {
 		t.Fatalf("parse: %v", err)
 	}
 	u := prog.Main()
-	res := Run(u, rng.New(u, symbolic.NewLeaves()))
+	res := RunWith(u, rng.New(u, symbolic.NewLeaves()), Options{})
 	if err := prog.Check(); err != nil {
 		t.Fatalf("IR inconsistent after substitution: %v\n%s", err, u.Fortran())
 	}

@@ -37,7 +37,7 @@ func parseForcedDoall(t *testing.T) *ir.Program {
 	}
 	for _, d := range ir.Loops(prog.Main().Body) {
 		if d.Index == "I" {
-			d.EnsurePar().Parallel = true
+			d.Par = &ir.ParInfo{Parallel: true}
 			return prog
 		}
 	}

@@ -219,8 +219,6 @@ func (u *ProgramUnit) checkExprNode(n Expr, seen aliased) error {
 		}
 	case *VarRef:
 		u.Symbols.Declare(x.Name)
-	case *Wildcard:
-		return &ConsistencyError{Msg: fmt.Sprintf("unit %s: wildcard %s escaped into program text", u.Name, x.ID)}
 	}
 	return nil
 }

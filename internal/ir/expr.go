@@ -2,8 +2,7 @@
 // syntax tree for a Fortran 77 subset together with the high-level,
 // consistency-checked operations the Polaris paper describes in Section 2
 // (programs, program units, statement lists, expressions, symbols and
-// symbol tables, structural equality, pattern wildcards, and Fortran
-// source printing).
+// symbol tables, structural equality, and Fortran source printing).
 package ir
 
 import (
@@ -140,14 +139,6 @@ type Call struct {
 	Args []Expr
 }
 
-// Wildcard is a pattern-matching placeholder (the Polaris Wildcard
-// class underlying "Forbol"). It matches any subexpression, optionally
-// filtered by Pred, and records the binding under its ID.
-type Wildcard struct {
-	ID   string
-	Pred func(Expr) bool
-}
-
 func (*ConstInt) exprNode()     {}
 func (*ConstReal) exprNode()    {}
 func (*ConstLogical) exprNode() {}
@@ -156,7 +147,6 @@ func (*ArrayRef) exprNode()     {}
 func (*Binary) exprNode()       {}
 func (*Unary) exprNode()        {}
 func (*Call) exprNode()         {}
-func (*Wildcard) exprNode()     {}
 
 // Clone implementations (deep copies).
 
@@ -196,9 +186,6 @@ func (e *Call) Clone() Expr {
 	return c
 }
 
-// Clone returns a copy of the wildcard (the predicate is shared).
-func (e *Wildcard) Clone() Expr { c := *e; return &c }
-
 // String renderers. Parenthesization is conservative: nested binary
 // operands are parenthesized whenever precedence could be ambiguous.
 // Every String is appendExpr into one builder, so rendering costs what
@@ -213,7 +200,6 @@ func (e *ArrayRef) String() string     { return exprString(e) }
 func (e *Binary) String() string       { return exprString(e) }
 func (e *Unary) String() string        { return exprString(e) }
 func (e *Call) String() string         { return exprString(e) }
-func (e *Wildcard) String() string     { return "?" + e.ID }
 
 // exprString sizes the builder with exprLen before it renders: grown
 // from empty, a builder past 256 bytes grows by a quarter at a time and
@@ -248,9 +234,6 @@ func appendExpr(b *strings.Builder, e Expr) {
 		appendOperand(b, x.X, prec, true)
 	case *Call:
 		appendCall(b, x.Name, x.Args)
-	case *Wildcard:
-		b.WriteByte('?')
-		b.WriteString(x.ID)
 	}
 }
 
@@ -301,8 +284,6 @@ func exprLen(e Expr) int {
 		return len(prefix) + operandLen(x.X, prec, true)
 	case *Call:
 		return callLen(x.Name, x.Args)
-	case *Wildcard:
-		return 1 + len(x.ID)
 	}
 	return 0
 }
@@ -429,7 +410,6 @@ func Div(l, r Expr) *Binary { return Bin(OpDiv, l, r) }
 func Neg(x Expr) *Unary { return &Unary{Op: OpNeg, X: x} }
 
 // Equal reports deep structural equality of two expressions.
-// Wildcards are only equal to wildcards with the same ID.
 func Equal(a, b Expr) bool {
 	switch x := a.(type) {
 	case *ConstInt:
@@ -472,9 +452,6 @@ func Equal(a, b Expr) bool {
 			}
 		}
 		return true
-	case *Wildcard:
-		y, ok := b.(*Wildcard)
-		return ok && x.ID == y.ID
 	}
 	return false
 }

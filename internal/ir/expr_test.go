@@ -31,7 +31,6 @@ func TestExprString(t *testing.T) {
 		{Bin(OpAnd, Bin(OpLt, Var("I"), Var("N")), Logical(true)), "I.LT.N.AND..TRUE."},
 		{&Unary{Op: OpNot, X: Var("FLAG")}, ".NOT.FLAG"},
 		{&Call{Name: "MOD", Args: []Expr{Var("I"), Int(2)}}, "MOD(I,2)"},
-		{&Wildcard{ID: "x"}, "?x"},
 	}
 	for _, c := range cases {
 		if got := c.e.String(); got != c.want {
@@ -78,12 +77,6 @@ func TestEqual(t *testing.T) {
 	}
 	if Equal(Int(1), Real(1)) {
 		t.Errorf("ConstInt equal to ConstReal")
-	}
-	if !Equal(&Wildcard{ID: "x"}, &Wildcard{ID: "x"}) {
-		t.Errorf("same-ID wildcards unequal")
-	}
-	if Equal(&Wildcard{ID: "x"}, &Wildcard{ID: "y"}) {
-		t.Errorf("different-ID wildcards equal")
 	}
 }
 

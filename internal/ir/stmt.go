@@ -240,11 +240,3 @@ func (s *DoStmt) StepOr1() Expr {
 	}
 	return s.Step
 }
-
-// EnsurePar returns the loop's annotation, allocating it if needed.
-func (s *DoStmt) EnsurePar() *ParInfo {
-	if s.Par == nil {
-		s.Par = &ParInfo{}
-	}
-	return s.Par
-}

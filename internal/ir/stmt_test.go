@@ -203,15 +203,15 @@ func TestSymbolTable(t *testing.T) {
 	if s2.Type != TypeReal {
 		t.Errorf("implicit type of XVAL = %v, want REAL", s2.Type)
 	}
-	if st.Len() != 3 {
-		t.Errorf("Len = %d", st.Len())
+	if len(st.All()) != 3 {
+		t.Errorf("%d symbols, want 3", len(st.All()))
 	}
 	fresh := st.FreshName("X", Symbol{Type: TypeReal})
 	if fresh == "X" || st.Lookup(fresh) == nil {
 		t.Errorf("FreshName collided: %s", fresh)
 	}
 	st.Remove("X")
-	if st.Lookup("X") != nil || st.Len() != 3 {
+	if st.Lookup("X") != nil || len(st.All()) != 3 {
 		t.Errorf("Remove failed")
 	}
 	defer func() {
@@ -313,14 +313,6 @@ func TestCheckCatchesRealDoIndex(t *testing.T) {
 	}
 }
 
-func TestCheckCatchesEscapedWildcard(t *testing.T) {
-	u := NewUnit(UnitProgram, "MAIN")
-	u.Body.Append(&AssignStmt{LHS: Var("X"), RHS: &Wildcard{ID: "w"}})
-	if err := u.Check(); err == nil {
-		t.Errorf("Check missed escaped wildcard")
-	}
-}
-
 func TestCheckAcceptsValidProgram(t *testing.T) {
 	u := NewUnit(UnitProgram, "MAIN")
 	u.Symbols.Insert(&Symbol{Name: "A", Type: TypeReal, Dims: []Dim{{Hi: Int(10)}}})
@@ -346,7 +338,7 @@ func TestProgramAddDuplicatePanics(t *testing.T) {
 	p.Add(NewUnit(UnitSubroutine, "SUB"))
 }
 
-func TestProgramMainAndMerge(t *testing.T) {
+func TestProgramMain(t *testing.T) {
 	p := NewProgram()
 	s := NewUnit(UnitSubroutine, "SUB")
 	m := NewUnit(UnitProgram, "MAIN")
@@ -354,12 +346,6 @@ func TestProgramMainAndMerge(t *testing.T) {
 	p.Add(m)
 	if p.Main() != m {
 		t.Errorf("Main did not find PROGRAM unit")
-	}
-	q := NewProgram()
-	q.Add(NewUnit(UnitSubroutine, "OTHER"))
-	p.Merge(q)
-	if p.Unit("OTHER") == nil {
-		t.Errorf("Merge missed unit")
 	}
 }
 

@@ -328,15 +328,6 @@ func (t *SymbolTable) Lookup(name string) *Symbol {
 	return nil
 }
 
-// Remove deletes name from the table; missing names are ignored.
-func (t *SymbolTable) Remove(name string) {
-	if i := t.find(name); i >= 0 {
-		t.syms = append(t.syms[:i], t.syms[i+1:]...)
-		t.hashes = append(t.hashes[:i], t.hashes[i+1:]...)
-		delete(t.index, name)
-	}
-}
-
 // BindFormal makes the formal name a PARAMETER constant of value val,
 // which is what interprocedural constant propagation does to a formal
 // every call passes the same constant. It is the one write to a
@@ -365,18 +356,6 @@ func (t *SymbolTable) Declare(name string) *Symbol {
 // slice is the table's own, for callers that read it and neither keep
 // it nor change the table while they range over it.
 func (t *SymbolTable) All() []*Symbol { return t.syms }
-
-// Names returns a snapshot of the declared names in declaration order.
-func (t *SymbolTable) Names() []string {
-	names := make([]string, len(t.syms))
-	for i, s := range t.syms {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// Len returns the number of symbols.
-func (t *SymbolTable) Len() int { return len(t.syms) }
 
 // FreshName returns a name with the given prefix that does not collide
 // with any declared symbol, and declares sym, which it takes, under it.

@@ -100,12 +100,12 @@ func (u *ProgramUnit) Clone() *ProgramUnit {
 type Program struct {
 	Units []*ProgramUnit
 	// FuncsSig identifies the FUNCTION-name set the parser pre-scanned
-	// before parsing any unit ("" for programs built or merged
-	// programmatically). A unit's parse depends on this global set —
-	// F(I) parses as a call when F is a known function and as an array
-	// reference otherwise — so it is part of the parse context a unit's
-	// raw Source must be interpreted under. Like ProgramUnit.Source it
-	// is parse metadata, frozen at parse time.
+	// before parsing any unit ("" for programs built programmatically).
+	// A unit's parse depends on this global set — F(I) parses as a call
+	// when F is a known function and as an array reference otherwise —
+	// so it is part of the parse context a unit's raw Source must be
+	// interpreted under. Like ProgramUnit.Source it is parse metadata,
+	// frozen at parse time.
 	FuncsSig string
 }
 
@@ -129,18 +129,6 @@ func (p *Program) Add(u *ProgramUnit) {
 		panic(&ConsistencyError{Msg: fmt.Sprintf("duplicate program unit %s", u.Name)})
 	}
 	p.Units = append(p.Units, u)
-}
-
-// Merge adds every unit of other into p. The merged program is no
-// longer the product of a single parse, so its FuncsSig is cleared:
-// the incoming units' Sources were parsed under other's function set,
-// not p's, and keeping either signature would misdescribe half the
-// units.
-func (p *Program) Merge(other *Program) {
-	p.FuncsSig = ""
-	for _, u := range other.Units {
-		p.Add(u)
-	}
 }
 
 // Unit returns the unit named name, or nil.

@@ -195,17 +195,6 @@ func (o *Observer) Count(name string, delta int64) {
 	o.next.Count(name, delta)
 }
 
-// Counter returns the current value of one named counter (0 when the
-// counter has never been incremented).
-func (o *Observer) Counter(name string) int64 {
-	if o == nil {
-		return 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.counters[name]
-}
-
 // Counters returns a copy of the counter map.
 func (o *Observer) Counters() map[string]int64 {
 	if o == nil {
@@ -377,27 +366,6 @@ func FinalDecisions(ds []Decision, label string) []Decision {
 		if d.Final && (label == "" || d.Label == label) {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// LoopDecisions returns every record (evidence trail plus final
-// verdicts) for one loop ID under the given label.
-func (o *Observer) LoopDecisions(label, loop string) []Decision {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var out []Decision
-	for _, d := range o.decisions {
-		if d.Loop != loop {
-			continue
-		}
-		if label != "" && d.Label != label {
-			continue
-		}
-		out = append(out, d)
 	}
 	return out
 }

@@ -104,7 +104,7 @@ func TestNilObserverAndWriterAreSafe(t *testing.T) {
 	if o.Counters() != nil || o.Decisions() != nil || o.Spans() != nil || o.Runs() != nil {
 		t.Fatal("nil observer returned non-nil data")
 	}
-	if o.FinalDecisions("") != nil || o.LoopDecisions("", "MAIN/L10") != nil {
+	if o.FinalDecisions("") != nil {
 		t.Fatal("nil observer returned decisions")
 	}
 

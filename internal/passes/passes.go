@@ -134,15 +134,6 @@ func NewManager(label string) *Manager {
 // Add registers passes in pipeline order.
 func (m *Manager) Add(ps ...Pass) { m.passes = append(m.passes, ps...) }
 
-// Passes returns the registered pass names in order.
-func (m *Manager) Passes() []string {
-	names := make([]string, len(m.passes))
-	for i, p := range m.passes {
-		names[i] = p.Name()
-	}
-	return names
-}
-
 // Run executes the registered passes in order over prog. Cancellation
 // is checked between passes (and inside cooperating passes via
 // Context.Err); on cancellation ctx.Err() is returned promptly. A pass

@@ -66,12 +66,6 @@ func Analyze(u *ir.ProgramUnit, ra *rng.Analyzer, nest *deps.Nest) *Result {
 	return res
 }
 
-// scalarState tracks the flow walk for one scalar.
-type scalarState struct {
-	exposed bool // some use not preceded by a same-iteration def
-	written bool
-}
-
 // scalars runs the upward-exposed-use analysis for every scalar
 // assigned in the body.
 func (a *analyzer) scalars(res *Result) {

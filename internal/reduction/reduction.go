@@ -7,10 +7,10 @@
 // elsewhere in the loop outside other reduction statements on A. Both
 // single-address reductions (scalars or one fixed element) and
 // histogram reductions (different elements in different iterations) are
-// recognized. Candidates are flagged first (the Wildcard-based match);
-// the driver later validates them against the dependence pass and
-// removes the flags of statements whose loop is otherwise provably
-// parallel, as the paper describes.
+// recognized. Candidates are flagged first (MatchReductionStmt and its
+// multiplicative and MAX/MIN siblings); the driver later validates them
+// against the dependence pass and removes the flags of statements whose
+// loop is otherwise provably parallel, as the paper describes.
 //
 // MAX/MIN reductions through the intrinsic idiom S = MAX(S, expr) are
 // recognized as an extension.
@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"polaris/internal/ir"
-	"polaris/internal/pattern"
 )
 
 // Candidate is one recognized reduction group in a loop.
@@ -169,7 +168,7 @@ func Recognize(u *ir.ProgramUnit, loop *ir.DoStmt) *Result {
 // target, subscripts and operation.
 func matchUpdate(as *ir.AssignStmt) (name string, subs []ir.Expr, op string, ok bool) {
 	// Additive (covers subtraction via negation).
-	if n, s, _, okA := pattern.MatchReductionStmt(as); okA {
+	if n, s, _, okA := MatchReductionStmt(as); okA {
 		return n, s, "+", true
 	}
 	// Multiplicative: X = X * expr (real-typed accumulators; integer
@@ -191,6 +190,47 @@ func matchUpdate(as *ir.AssignStmt) (name string, subs []ir.Expr, op string, ok 
 		}
 	}
 	return "", nil, "", false
+}
+
+// MatchReductionStmt matches the Polaris reduction idiom
+//
+//	A(a1,...,an) = A(a1,...,an) op expr    (n may be 0: scalar)
+//
+// where op is + or -, the subscripts a_i and expr do not reference A.
+// It returns the target name, the subscripts, the accumulated
+// expression (normalized so the operation is always "+"; for "-" the
+// expression is negated), and ok.
+func MatchReductionStmt(s *ir.AssignStmt) (target string, subs []ir.Expr, addend ir.Expr, ok bool) {
+	rhs, isBin := s.RHS.(*ir.Binary)
+	if !isBin || (rhs.Op != ir.OpAdd && rhs.Op != ir.OpSub) {
+		return "", nil, nil, false
+	}
+	name, lhsSubs := refParts(s.LHS)
+	if name == "" {
+		return "", nil, nil, false
+	}
+	// The LHS reference must reappear as one side of the RHS; for "-"
+	// only A = A - expr is a reduction (not A = expr - A).
+	var other ir.Expr
+	if ir.Equal(rhs.L, s.LHS) {
+		other = rhs.R
+	} else if rhs.Op == ir.OpAdd && ir.Equal(rhs.R, s.LHS) {
+		other = rhs.L
+	} else {
+		return "", nil, nil, false
+	}
+	if ir.References(other, name) {
+		return "", nil, nil, false
+	}
+	for _, sub := range lhsSubs {
+		if ir.References(sub, name) {
+			return "", nil, nil, false
+		}
+	}
+	if rhs.Op == ir.OpSub {
+		other = ir.Neg(other.Clone())
+	}
+	return name, lhsSubs, other, true
 }
 
 // sideMatch checks that one of l, r equals the LHS reference and the

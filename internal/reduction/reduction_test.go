@@ -222,3 +222,68 @@ func TestConditionalReductionStillRecognized(t *testing.T) {
 		t.Errorf("conditional reduction not recognized")
 	}
 }
+
+func assign(t *testing.T, lhs, rhs string) *ir.AssignStmt {
+	t.Helper()
+	l, err := parser.ParseExpr(lhs)
+	if err != nil {
+		t.Fatalf("ParseExpr(%q): %v", lhs, err)
+	}
+	r, err := parser.ParseExpr(rhs)
+	if err != nil {
+		t.Fatalf("ParseExpr(%q): %v", rhs, err)
+	}
+	return &ir.AssignStmt{LHS: l, RHS: r}
+}
+
+func TestMatchReductionStmt(t *testing.T) {
+	cases := []struct {
+		lhs, rhs string
+		ok       bool
+		target   string
+		addend   string
+	}{
+		{"S", "S + A(I)", true, "S", "A(I)"},
+		{"S", "A(I) + S", true, "S", "A(I)"},
+		{"S", "S - A(I)", true, "S", "-A(I)"},
+		{"S", "A(I) - S", false, "", ""},
+		{"A(IND(I))", "A(IND(I)) + X", true, "A", "X"},
+		{"A(I)", "A(I+1) + X", false, "", ""},  // different element
+		{"S", "S + S", false, "", ""},          // addend references target
+		{"S", "S * 2", false, "", ""},          // not additive
+		{"A(I)", "A(I) + A(J)", false, "", ""}, // addend references array
+	}
+	for _, c := range cases {
+		st := assign(t, c.lhs, c.rhs)
+		target, _, addend, ok := MatchReductionStmt(st)
+		if ok != c.ok {
+			t.Errorf("%s = %s: ok=%v, want %v", c.lhs, c.rhs, ok, c.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if target != c.target || addend.String() != c.addend {
+			t.Errorf("%s = %s: target=%s addend=%s", c.lhs, c.rhs, target, addend)
+		}
+	}
+}
+
+func TestMatchHistogramReduction(t *testing.T) {
+	st := assign(t, "H(KEY(I))", "H(KEY(I)) + 1.0")
+	target, subs, addend, ok := MatchReductionStmt(st)
+	if !ok || target != "H" || len(subs) != 1 || addend.String() != "1.0" {
+		t.Errorf("histogram reduction not recognized: %v %v %v %v", target, subs, addend, ok)
+	}
+}
+
+func TestMatchReductionMulAndMax(t *testing.T) {
+	// Multiplication and MAX idioms go through sideMatch; the additive
+	// matcher must reject them (it only does +/-).
+	if _, _, _, ok := MatchReductionStmt(assign(t, "S", "S * 2.0")); ok {
+		t.Errorf("additive matcher accepted multiplication")
+	}
+	if _, _, _, ok := MatchReductionStmt(assign(t, "S", "MAX(S, 1.0)")); ok {
+		t.Errorf("additive matcher accepted MAX")
+	}
+}

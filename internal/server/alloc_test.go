@@ -319,7 +319,7 @@ func TestFillAllocBudget(t *testing.T) {
 		post(t, requester.Handler(), &w, "/v1/compile", "fill", body)
 	}
 	total := totalAlloc() - before
-	if got, want := requester.Observer().Counter("server_peer_hits"), int64(fills); got != want {
+	if got, want := requester.obs.Counters()["server_peer_hits"], int64(fills); got != want {
 		t.Fatalf("server_peer_hits = %d, want %d: the requests were not peer fills", got, want)
 	}
 	n := uint64(len(measured))

@@ -156,13 +156,13 @@ func TestFabricPeerFill(t *testing.T) {
 	assertSameAnswer(t, want2, resp)
 
 	// Counters: A served fills, B recorded one miss and one hit.
-	if n := p.a.Observer().Counter("server_fill_requests"); n < 2 {
+	if n := p.a.obs.Counters()["server_fill_requests"]; n < 2 {
 		t.Errorf("owner served %d fills, want >= 2", n)
 	}
-	if n := p.b.Observer().Counter("server_peer_misses"); n != 1 {
+	if n := p.b.obs.Counters()["server_peer_misses"]; n != 1 {
 		t.Errorf("server_peer_misses = %d, want 1", n)
 	}
-	if n := p.b.Observer().Counter("server_peer_hits"); n != 1 {
+	if n := p.b.obs.Counters()["server_peer_hits"]; n != 1 {
 		t.Errorf("server_peer_hits = %d, want 1", n)
 	}
 
@@ -220,7 +220,7 @@ func TestFabricExplainFills(t *testing.T) {
 	if !reflect.DeepEqual(want.Trail, got.Trail) {
 		t.Errorf("explain trail differs (%d vs %d records)", len(want.Trail), len(got.Trail))
 	}
-	if n := p.b.Observer().Counter("server_peer_hits"); n != 1 {
+	if n := p.b.obs.Counters()["server_peer_hits"]; n != 1 {
 		t.Errorf("server_peer_hits = %d, want 1", n)
 	}
 	if hot, main := p.b.hot.Stats(), p.b.cache.Stats(); hot.Entries != 1 || main.Entries != 0 {
@@ -423,7 +423,7 @@ func TestFabricDeadPeerMatrix(t *testing.T) {
 				t.Errorf("outcome = %q, want %s", resp.Outcome, wantOutcome)
 			}
 			assertSameAnswer(t, want, resp)
-			if n := p.b.Observer().Counter("server_peer_errors"); n != wantErrors {
+			if n := p.b.obs.Counters()["server_peer_errors"]; n != wantErrors {
 				t.Errorf("server_peer_errors = %d, want %d", n, wantErrors)
 			}
 			p.closeA()
@@ -471,7 +471,7 @@ func TestFabricStalledBodyCommitsNothing(t *testing.T) {
 		t.Errorf("outcome = %q, want cold (local fallback)", resp.Outcome)
 	}
 	assertSameAnswer(t, want, resp)
-	if n := p.b.Observer().Counter("server_peer_errors"); n != 1 {
+	if n := p.b.obs.Counters()["server_peer_errors"]; n != 1 {
 		t.Errorf("server_peer_errors = %d, want 1", n)
 	}
 	p.closeA()
@@ -503,7 +503,7 @@ func TestFabricStalledRequestCommitsNothing(t *testing.T) {
 	if during := liveHeap(); during > before+promised/2 {
 		t.Errorf("the owner's live heap grew by %d bytes while a requester stalled on a %d-byte promise", during-before, promised)
 	}
-	if n := p.a.Observer().Counter("server_fill_requests"); n != 1 {
+	if n := p.a.obs.Counters()["server_fill_requests"]; n != 1 {
 		t.Errorf("server_fill_requests = %d, want 1 (the stalled request in flight)", n)
 	}
 	conn.Close()
@@ -574,7 +574,7 @@ func TestFabricNewOwnerOldRequester(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("an old requester's fill: %d %s, want 400", w.Code, w.Body.String())
 	}
-	if n := p.a.Observer().Counter("server_fill_requests"); n != 1 {
+	if n := p.a.obs.Counters()["server_fill_requests"]; n != 1 {
 		t.Errorf("server_fill_requests = %d, want 1", n)
 	}
 	if st := p.a.cache.Stats(); st.Misses != 0 || st.Entries != 0 {

@@ -64,7 +64,7 @@ func BenchmarkFillOrCompile(b *testing.B) {
 		}
 		b.Run("fill/"+s.name, func(b *testing.B) {
 			fill, run := requester.compileFnFor(key, src, opt)
-			errsBefore := requester.Observer().Counter("server_peer_errors")
+			errsBefore := requester.obs.Counters()["server_peer_errors"]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -73,7 +73,7 @@ func BenchmarkFillOrCompile(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if run.outcome != telemetry.OutcomePeerHit || requester.Observer().Counter("server_peer_errors") != errsBefore {
+			if run.outcome != telemetry.OutcomePeerHit || requester.obs.Counters()["server_peer_errors"] != errsBefore {
 				b.Fatalf("%s: the fill fell back to a local compile (outcome %q)", s.name, run.outcome)
 			}
 			b.ReportMetric(float64(len(src)), "src_bytes")

@@ -128,7 +128,7 @@ func TestCompileIncrementalEndpoint(t *testing.T) {
 
 	// Memo stats flow to both metrics surfaces, and the incremental_hit
 	// outcome shows up as its own latency series.
-	if ms := s.MemoStats(); ms.Hits < 3 || ms.Misses < 5 {
+	if ms := s.memo.Stats(); ms.Hits < 3 || ms.Misses < 5 {
 		t.Errorf("memo stats hits=%d misses=%d, want ≥3 hits and ≥5 misses", ms.Hits, ms.Misses)
 	}
 	var m Metrics

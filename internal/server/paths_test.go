@@ -352,7 +352,7 @@ func readerRows(t *testing.T, src, label string) {
 		t.Fatal(err)
 	}
 	emit("emit_from_corrupted_entry", corrupt, "go", "cold")
-	if n := corrupt.Observer().Counter("server_entry_decode_errors"); n != 1 {
+	if n := corrupt.obs.Counters()["server_entry_decode_errors"]; n != 1 {
 		t.Errorf("emit_from_corrupted_entry as %q: server_entry_decode_errors = %d, want 1", label, n)
 	}
 }
@@ -511,10 +511,10 @@ func TestFillVerifyPoolRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got, want := p.b.Observer().Counter("server_peer_hits"), int64(len(fills)); got != want {
+	if got, want := p.b.obs.Counters()["server_peer_hits"], int64(len(fills)); got != want {
 		t.Errorf("server_peer_hits = %d, want %d", got, want)
 	}
-	if n := p.b.Observer().Counter("server_peer_errors"); n != 0 {
+	if n := p.b.obs.Counters()["server_peer_errors"]; n != 0 {
 		t.Errorf("server_peer_errors = %d: a fill was rejected", n)
 	}
 }

@@ -107,7 +107,7 @@ func TestMegaEntryHeldHot(t *testing.T) {
 	if hot.Entries != 1 || hot.Misses != 1 {
 		t.Errorf("the requester's hot tier: %+v, want the one entry, filled once", hot)
 	}
-	if n := requester.Observer().Counter("server_peer_hits"); n != 1 {
+	if n := requester.obs.Counters()["server_peer_hits"]; n != 1 {
 		t.Errorf("server_peer_hits = %d, want 1", n)
 	}
 }

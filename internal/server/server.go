@@ -221,9 +221,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Observer returns the shared counter observer (metrics surface).
-func (s *Server) Observer() *obsv.Observer { return s.obs }
-
 // CacheStats snapshots the compile cache: the totals over the main
 // cache and the hot tier.
 func (s *Server) CacheStats() store.Stats {
@@ -237,9 +234,6 @@ func (s *Server) CacheStats() store.Stats {
 		Retries:   m.Retries + h.Retries,
 	}
 }
-
-// MemoStats snapshots the per-unit incremental memo.
-func (s *Server) MemoStats() core.MemoStats { return s.memo.Stats() }
 
 // Serve accepts connections on l until Shutdown. Like http.Server, it
 // returns http.ErrServerClosed after a clean shutdown.

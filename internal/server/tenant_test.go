@@ -27,7 +27,7 @@ func TestTenantAdmissionBudget(t *testing.T) {
 		rel()
 		t.Fatal("tenant a's second request must shed at its budget")
 	}
-	if n := s.obs.Counter("server_tenant_shed_total"); n != 1 {
+	if n := s.obs.Counters()["server_tenant_shed_total"]; n != 1 {
 		t.Errorf("server_tenant_shed_total = %d, want 1", n)
 	}
 	relB, shed := s.admit(ctx, "compile", "b")
@@ -45,7 +45,7 @@ func TestTenantAdmissionBudget(t *testing.T) {
 		t.Fatal("headerless request must shed once global capacity is full")
 	}
 	s.queued.Store(before)
-	if n := s.obs.Counter("server_tenant_shed_total"); n != 1 {
+	if n := s.obs.Counters()["server_tenant_shed_total"]; n != 1 {
 		t.Errorf("server_tenant_shed_total = %d after global shed, want still 1", n)
 	}
 

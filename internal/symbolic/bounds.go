@@ -163,15 +163,6 @@ func (v *Env) ProveGE(e *Expr) bool { return v.prove(e, false, proveDepth) }
 // environment.
 func (v *Env) ProveGT(e *Expr) bool { return v.prove(e, true, proveDepth) }
 
-// ProveLE proves e <= 0.
-func (v *Env) ProveLE(e *Expr) bool { return v.prove(Neg(e), false, proveDepth) }
-
-// ProveLT proves e < 0.
-func (v *Env) ProveLT(e *Expr) bool { return v.prove(Neg(e), true, proveDepth) }
-
-// ProveEQ proves e == 0 (only by cancellation to the zero polynomial).
-func (v *Env) ProveEQ(e *Expr) bool { return e.IsZero() }
-
 // Monotonicity classifies the behaviour of an expression as one
 // integer variable increases by steps of one.
 type Monotonicity int
@@ -439,39 +430,4 @@ func (v *Env) MinOver(e *Expr, name string) (*Expr, bool) {
 		return e.Subst(name, b.Hi), true
 	}
 	return nil, false
-}
-
-// Compare classifies the relation between two expressions under the
-// environment, for range propagation's expression comparison.
-type CompareResult int
-
-// Compare outcomes.
-const (
-	CmpUnknown CompareResult = iota
-	CmpLT
-	CmpLE
-	CmpEQ
-	CmpGE
-	CmpGT
-)
-
-// Compare determines the provable relation of a versus b.
-func (v *Env) Compare(a, b *Expr) CompareResult {
-	d := Sub(a, b)
-	if d.IsZero() {
-		return CmpEQ
-	}
-	if v.ProveGT(d) {
-		return CmpGT
-	}
-	if v.ProveLT(d) {
-		return CmpLT
-	}
-	if v.ProveGE(d) {
-		return CmpGE
-	}
-	if v.ProveLE(d) {
-		return CmpLE
-	}
-	return CmpUnknown
 }

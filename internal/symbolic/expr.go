@@ -345,15 +345,6 @@ func mulTerms(a, b *term) term {
 // MulRat returns a scaled by the rational r.
 func MulRat(a *Expr, r *big.Rat) *Expr { return scale(a, qvFromRat(r)) }
 
-// DivInt returns a divided by the nonzero integer d (exact rational
-// division; see package comment for the soundness discussion).
-func DivInt(a *Expr, d int64) *Expr {
-	if d == 0 {
-		panic("symbolic: division by zero")
-	}
-	return MulRat(a, big.NewRat(1, d))
-}
-
 // Pow returns a**n for n >= 0.
 func Pow(a *Expr, n int) *Expr {
 	if n < 0 {
@@ -625,39 +616,6 @@ func (e *Expr) substSlow(name string, repl *Expr) *Expr {
 	return out
 }
 
-// SubstAtom replaces every occurrence of the atom with key atomKey by
-// repl (used to resolve opaque terms such as gated values).
-func (e *Expr) SubstAtom(atomKey string, repl *Expr) *Expr {
-	out := &Expr{}
-	for i := range e.terms {
-		t := &e.terms[i]
-		touched := false
-		for j := range t.factors {
-			if t.factors[j].atomKey() == atomKey {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			out.insert(*t)
-			continue
-		}
-		part := single(term{coef: t.coef})
-		for j := range t.factors {
-			f := &t.factors[j]
-			base := repl
-			if f.atomKey() != atomKey {
-				base = OpaqueAtom(f.atom)
-			}
-			part = Mul(part, Pow(base, f.pow))
-		}
-		for _, pt := range part.terms {
-			out.insert(pt)
-		}
-	}
-	return out
-}
-
 // ForwardDiff returns e(v+1) - e(v): the first forward difference with
 // respect to the integer variable v, the monotonicity probe of the
 // range test. Where v occurs only to the first power and in no opaque
@@ -759,42 +717,6 @@ func (e *Expr) coeff(v string, d int) *Expr {
 		c.insert(term{coef: t.coef, factors: rest, mk: monoKey(rest)})
 	}
 	return c
-}
-
-// Eval evaluates e with atom values supplied by env. It returns false
-// if env cannot supply some atom. Opaque atoms are looked up by
-// canonical key after evaluating nothing (the env receives the atom).
-func (e *Expr) Eval(env func(Atom) (*big.Rat, bool)) (*big.Rat, bool) {
-	total := big.NewRat(0, 1)
-	for i := range e.terms {
-		v := e.terms[i].coef.Rat()
-		for _, f := range e.terms[i].factors {
-			av, ok := env(f.atom)
-			if !ok {
-				return nil, false
-			}
-			for i := 0; i < f.pow; i++ {
-				v.Mul(v, av)
-			}
-		}
-		total.Add(total, v)
-	}
-	return total, true
-}
-
-// EvalInt evaluates e over an integer variable assignment, for property
-// tests. Opaque atoms make it fail.
-func (e *Expr) EvalInt(vals map[string]int64) (*big.Rat, bool) {
-	return e.Eval(func(a Atom) (*big.Rat, bool) {
-		if a.Args != nil {
-			return nil, false
-		}
-		v, ok := vals[a.Name]
-		if !ok {
-			return nil, false
-		}
-		return big.NewRat(v, 1), true
-	})
 }
 
 // DenominatorLCM returns the least common multiple of all coefficient
