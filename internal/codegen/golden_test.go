@@ -4,9 +4,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"polaris/internal/core"
+	"polaris/internal/fuzzgen"
+	"polaris/internal/parser"
 	"polaris/internal/suite"
 )
 
@@ -72,5 +75,74 @@ func TestEmitGoDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Error("EmitGo is not deterministic across calls")
+	}
+}
+
+const goSumsPath = "testdata/emitgo.sha256"
+
+// refusedSrc is a program the Go back end refuses partway through its
+// main unit, after the runtime and the COMMON state are written: a
+// MAX of an integer and a real has no static kind.
+const refusedSrc = `
+      PROGRAM P
+      INTEGER I
+      REAL X, A(10)
+      DO I = 1, 10
+        A(I) = MAX(I, X)
+      END DO
+      END
+`
+
+// TestEmitGoSums holds EmitGo to the bytes the commit before the
+// fmt-free writer produced, for every program the suite_cold workload
+// emits and for mega10k (testdata/emitgo.sha256 was written by that
+// commit with -update). A program the back end refuses is pinned by
+// its refusal reason in place of a sum.
+func TestEmitGoSums(t *testing.T) {
+	names := []string{}
+	src := map[string]string{}
+	for _, p := range suite.All() {
+		names = append(names, p.Name)
+		src[p.Name] = p.Source
+	}
+	names = append(names, "mega10k", "refused")
+	src["mega10k"] = fuzzgen.MegaCorpus()[0].Generate().Source
+	src["refused"] = refusedSrc
+	emit := func(name string) string {
+		res, err := core.Compile(parser.MustParse(src[name]), core.PolarisOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, err := EmitGo(res, GoOptions{Processors: 8, Label: name})
+		if ue, ok := err.(*UnsupportedError); ok {
+			return "refused  " + name + "  " + ue.Reason
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return sha256Hex(out) + "  " + name
+	}
+	if *updateGolden {
+		var out strings.Builder
+		for _, name := range names {
+			out.WriteString(emit(name) + "\n")
+		}
+		if err := os.WriteFile(goSumsPath, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goSumsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(want) != len(names) {
+		t.Fatalf("%s has %d lines, want %d", goSumsPath, len(want), len(names))
+	}
+	for i, name := range names {
+		if got := emit(name); got != want[i] {
+			t.Errorf("%s: emitted Go reads\n\t%s\nthe parent's\n\t%s", name, got, want[i])
+		}
 	}
 }
