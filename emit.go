@@ -2,6 +2,7 @@ package polaris
 
 import (
 	"io"
+	"strings"
 
 	"polaris/internal/codegen"
 )
@@ -44,9 +45,12 @@ func WithEmitLabel(label string) EmitOption {
 
 // Emit writes the compiled program to w in the selected target
 // language. With no options it emits annotated Fortran. It does not
-// stream: either backend builds the whole text in memory — the Fortran
-// one in a single buffer sized from the source — and w receives it in
-// one Write, so peak memory includes the output.
+// stream. Fortran given a *strings.Builder renders straight into it,
+// grown once by an estimate of the text; any other w receives the
+// Fortran in one Write, from a buffer of the backend's own. The Go
+// backend always builds the whole program in its own buffer and w
+// receives it in one Write, or nothing when the backend refuses the
+// program. Peak memory includes the output.
 func (r *Result) Emit(w io.Writer, opts ...EmitOption) error {
 	cfg := emitConfig{procs: r.processors}
 	for _, o := range opts {
@@ -59,6 +63,10 @@ func (r *Result) Emit(w io.Writer, opts ...EmitOption) error {
 		}
 		_, err = io.WriteString(w, src)
 		return err
+	}
+	if b, ok := w.(*strings.Builder); ok {
+		codegen.WriteFortran(b, r.inner)
+		return nil
 	}
 	_, err := io.WriteString(w, codegen.EmitFortran(r.inner))
 	return err

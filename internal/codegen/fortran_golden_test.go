@@ -125,35 +125,72 @@ func TestEmitFortranGolden(t *testing.T) {
 	}
 }
 
-// TestEmitFortranAllocs holds the render to one buffer: header and
-// program written into a builder sized from the source, so emitting
-// allocates little more than the text (the buffer runs up to a half over
-// it; expression strings make the rest). Rendering the program into one
-// doubling builder and copying that under the header into a second
-// allocated near eight times the output.
-func TestEmitFortranAllocs(t *testing.T) {
+// TestEmitAllocs holds each back end's emission to a budget of bytes
+// allocated per byte of output, best of three emissions of every
+// program in its row.
+//
+// Fortran renders header and program into one builder sized from the
+// source, so emitting allocates little more than the text (the buffer
+// runs up to a half over it; expression strings make the rest).
+// Rendering the program into one doubling builder and copying that
+// under the header into a second allocated near eight times the output.
+//
+// Go writes its lines and expressions straight into one buffer sized
+// from the source (twelve bytes a source byte, which most of the suite
+// does not fill), with no fmt and no string per expression node: 1.80
+// times the suite's output, where formatting each line through fmt and
+// building each node as a string allocated 3.34 times.
+func TestEmitAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("-race: sync.Pool keeps no printers, fmt allocates one per call")
 	}
-	mega10k := fuzzgen.MegaCorpus()[0]
-	res, err := core.Compile(parser.MustParse(mega10k.Generate().Source), core.PolarisOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := uint64(1 << 62)
-	var out string
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		out = EmitFortran(res)
-		runtime.ReadMemStats(&after)
-		if d := after.TotalAlloc - before.TotalAlloc; d < best {
-			best = d
+	compile := func(src string) *core.Result {
+		res, err := core.Compile(parser.MustParse(src), core.PolarisOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	ratio := float64(best) / float64(len(out))
-	t.Logf("EmitFortran(mega10k): %d bytes allocated for %d bytes of output (%.2fx)", best, len(out), ratio)
-	if ratio > 2.5 {
-		t.Errorf("EmitFortran allocates %.2f times its output; budget 2.5", ratio)
+	var suiteResults []*core.Result
+	for _, p := range suite.All() {
+		suiteResults = append(suiteResults, compile(p.Source))
+	}
+	emitGo := func(res *core.Result) string {
+		out, err := EmitGo(res, GoOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, row := range []struct {
+		name    string
+		results []*core.Result
+		emit    func(*core.Result) string
+		budget  float64
+	}{
+		{"EmitFortran(mega10k)", []*core.Result{compile(fuzzgen.MegaCorpus()[0].Generate().Source)}, EmitFortran, 2.5},
+		{"EmitGo(suite)", suiteResults, emitGo, 2.0},
+	} {
+		var allocated, output uint64
+		for _, res := range row.results {
+			best := uint64(1 << 62)
+			var out string
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				out = row.emit(res)
+				runtime.ReadMemStats(&after)
+				if d := after.TotalAlloc - before.TotalAlloc; d < best {
+					best = d
+				}
+			}
+			allocated += best
+			output += uint64(len(out))
+		}
+		ratio := float64(allocated) / float64(output)
+		t.Logf("%s: %d bytes allocated for %d bytes of output (%.2fx)", row.name, allocated, output, ratio)
+		if ratio > row.budget {
+			t.Errorf("%s allocates %.2f times its output; budget %.1f", row.name, ratio, row.budget)
+		}
 	}
 }

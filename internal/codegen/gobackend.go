@@ -96,29 +96,43 @@ type specInfo struct {
 }
 
 // uctx is the emission context for one statement region: the unit, the
-// name bindings (with worker-local overrides inside parallel bodies),
-// and the parallel-nesting state.
+// name bindings, and the parallel-nesting state. A context inside a
+// parallel body binds only its worker-local overrides and reads every
+// other name through outer, the unit's context.
 type uctx struct {
 	u     *ir.ProgramUnit
 	par   string // expression for the par_ argument at call sites
 	inPar bool   // inside a worker or speculative body: loops emit serial-only
 	sc    map[string]scEntry
 	ar    map[string]arEntry
+	outer *uctx
 	spec  map[string]*specInfo
-	red   map[*ir.AssignStmt]*redStmtInfo
-	wVar  string // worker-index variable, for reduction log appends
+	reds  []*redTarget // a worker's reductions, whose updates it logs
+	wVar  string       // worker-index variable, for reduction log appends
 }
 
-func (c *uctx) clone() *uctx {
-	d := &uctx{u: c.u, par: c.par, inPar: c.inPar, wVar: c.wVar,
-		sc: make(map[string]scEntry, len(c.sc)), ar: make(map[string]arEntry, len(c.ar))}
-	for k, v := range c.sc {
-		d.sc[k] = v
+// inner is a context for a parallel body of c: loops inside emit
+// serial-only, and calls pass par_=false (the interpreter's inDoall).
+func (c *uctx) inner() *uctx {
+	return &uctx{u: c.u, par: "false", inPar: true, outer: c}
+}
+
+func (c *uctx) scalarAt(name string) (scEntry, bool) {
+	for ; c != nil; c = c.outer {
+		if e, ok := c.sc[name]; ok {
+			return e, true
+		}
 	}
-	for k, v := range c.ar {
-		d.ar[k] = v
+	return scEntry{}, false
+}
+
+func (c *uctx) arrayAt(name string) (arEntry, bool) {
+	for ; c != nil; c = c.outer {
+		if e, ok := c.ar[name]; ok {
+			return e, true
+		}
 	}
-	return d
+	return arEntry{}, false
 }
 
 // commonMember is one (block, name) COMMON entry. Storage is allocated
@@ -139,9 +153,12 @@ type goEmitter struct {
 	p   *ir.Program
 	opt GoOptions
 
-	b   strings.Builder
-	ind int
-	tmp int
+	out     strings.Builder  // the program
+	b       *strings.Builder // where writes go: out, or aside
+	aside   strings.Builder  // lowering whose text nothing reads
+	scratch []byte           // formatting of numbers and quoted strings
+	ind     int
+	tmp     int
 
 	commons   []*commonMember
 	commonIdx map[string]*commonMember
@@ -183,6 +200,7 @@ func EmitGo(res *core.Result, opt GoOptions) (src string, err error) {
 		opt.Processors = 8
 	}
 	g := &goEmitter{res: res, p: res.Program, opt: opt, commonIdx: map[string]*commonMember{}}
+	g.b = &g.out
 	size := len(goRuntime)
 	for _, u := range res.Program.Units {
 		size += goPerSourceByte * u.SourceLen()
@@ -205,17 +223,63 @@ func EmitGo(res *core.Result, opt GoOptions) (src string, err error) {
 	for _, u := range g.p.Units {
 		g.unit(u)
 	}
-	return g.b.String(), nil
+	return g.out.String(), nil
 }
 
 // ---- output helpers ----
 
+// w writes one line at the current indentation. The format takes %s and
+// %q (a string), %d (an int or int64) and %v (a bool), and nothing else:
+// w formats them straight into the buffer, and its arguments do not
+// escape, so a call allocates nothing of its own.
 func (g *goEmitter) w(format string, args ...any) {
-	for i := 0; i < g.ind; i++ {
-		g.b.WriteByte('\t')
+	g.indent()
+	for len(format) > 0 {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			g.b.WriteString(format)
+			break
+		}
+		g.b.WriteString(format[:i])
+		verb, arg := format[i+1], args[0]
+		format, args = format[i+2:], args[1:]
+		switch verb {
+		case 's':
+			g.b.WriteString(arg.(string))
+		case 'q':
+			g.scratch = strconv.AppendQuote(g.scratch[:0], arg.(string))
+			g.b.Write(g.scratch)
+		case 'd':
+			switch v := arg.(type) {
+			case int:
+				g.int(int64(v))
+			case int64:
+				g.int(v)
+			default:
+				panic("codegen: %d of a non-integer")
+			}
+		case 'v':
+			g.b.WriteString(strconv.FormatBool(arg.(bool)))
+		default:
+			panic("codegen: unsupported verb in an emitter format")
+		}
 	}
-	fmt.Fprintf(&g.b, format, args...)
 	g.b.WriteByte('\n')
+}
+
+func (g *goEmitter) indent() {
+	const tabs = "\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t"
+	for n := g.ind; n > 0; n -= len(tabs) {
+		g.b.WriteString(tabs[:min(n, len(tabs))])
+	}
+}
+
+// put writes its strings one after another, on the current line.
+func (g *goEmitter) put(parts ...string) { writeAll(g.b, parts...) }
+
+func (g *goEmitter) int(v int64) {
+	g.scratch = strconv.AppendInt(g.scratch[:0], v, 10)
+	g.b.Write(g.scratch)
 }
 
 func (g *goEmitter) open(format string, args ...any) {
@@ -234,7 +298,8 @@ func (g *goEmitter) close(format string, args ...any) {
 // used here).
 func (g *goEmitter) nt(prefix string) string {
 	g.tmp++
-	return fmt.Sprintf("%s%d", prefix, g.tmp)
+	g.scratch = strconv.AppendInt(append(g.scratch[:0], prefix...), int64(g.tmp), 10)
+	return string(g.scratch)
 }
 
 // ---- program scaffolding ----
@@ -300,8 +365,8 @@ func (g *goEmitter) collectCommons() {
 			i := len(g.commons)
 			m := &commonMember{
 				block: sym.Common, name: name, sym: sym,
-				varName:  fmt.Sprintf("c%d_%s_%s", i, mangled(sym.Common), mangled(name)),
-				flagName: fmt.Sprintf("b%d_%s_%s", i, mangled(sym.Common), mangled(name)),
+				varName:  "c" + strconv.Itoa(i) + "_" + mangled(sym.Common) + "_" + mangled(name),
+				flagName: "b" + strconv.Itoa(i) + "_" + mangled(sym.Common) + "_" + mangled(name),
 			}
 			g.commons = append(g.commons, m)
 			g.commonIdx[key] = m
@@ -397,10 +462,10 @@ func arraySym(u *ir.ProgramUnit, name string) *ir.Symbol {
 // the function result. Names that are array symbols are excluded (a
 // VarRef to one is refused at its use site).
 func collectScalars(u *ir.ProgramUnit) []string {
-	set := map[string]bool{}
+	set := map[string]bool{} // name → a scalar, each name looked up once
 	add := func(name string) {
-		if arraySym(u, name) == nil {
-			set[name] = true
+		if _, seen := set[name]; !seen {
+			set[name] = arraySym(u, name) == nil
 		}
 	}
 	for _, sym := range u.Symbols.All() {
@@ -429,8 +494,10 @@ func collectScalars(u *ir.ProgramUnit) []string {
 	// PARAMETER declarators may reference names too, but params are
 	// symbols and thus already present.
 	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
+	for n, scalar := range set {
+		if scalar {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -440,25 +507,24 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 	c := &uctx{u: u, par: "par_", sc: map[string]scEntry{}, ar: map[string]arEntry{}}
 
 	// Signature.
-	var sig strings.Builder
-	fmt.Fprintf(&sig, "func u_%s(par_ bool", u.Name)
+	g.indent()
+	g.put("func u_", u.Name, "(par_ bool")
 	for _, f := range u.Formals {
 		if sym := arraySym(u, f); sym != nil {
-			fmt.Fprintf(&sig, ", %s arr", f)
+			g.put(", ", f, " arr")
 			c.ar[f] = arEntry{ex: f, isInt: sym.Type == ir.TypeInteger}
 		} else {
 			k := scalarKind(u, f)
-			fmt.Fprintf(&sig, ", %s *%s", f, goType(k))
+			g.put(", ", f, " *", goType(k))
 			c.sc[f] = scEntry{lv: "(*" + f + ")", addr: f, k: k}
 		}
 	}
-	sig.WriteString(")")
-	retKind := gF
+	g.put(")")
 	if u.Kind == ir.UnitFunction {
-		retKind = scalarKind(u, u.Name)
-		fmt.Fprintf(&sig, " %s", goType(retKind))
+		g.put(" ", goType(scalarKind(u, u.Name)))
 	}
-	g.open("%s {", sig.String())
+	g.put(" {\n")
+	g.ind++
 
 	// Bindings for commons and locals.
 	for _, sym := range u.Symbols.All() {
@@ -501,8 +567,10 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 		if !bound {
 			refuse("PARAMETER %s has no scalar binding", name)
 		}
-		rhs, rk := g.expr(c, sym.Param)
-		g.w("%s = %s", e.lv, convTo(e.k, rhs, rk))
+		g.indent()
+		g.put(e.lv, " = ")
+		g.store(c, sym.Param, e.k)
+		g.put("\n")
 	}
 
 	// Prologue pass 2: COMMON wiring, formal reshapes, local arrays —
@@ -514,9 +582,7 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 			m := g.commonIdx[sym.Common+"\x00"+name]
 			if sym.IsArray() {
 				g.open("if !%s {", m.flagName)
-				lo, sz := g.dimExprs(c, sym, name)
-				g.w("%s = mkarr(%v, []int64{%s}, []int64{%s})",
-					m.varName, sym.Type == ir.TypeInteger, strings.Join(lo, ", "), strings.Join(sz, ", "))
+				g.mkarr(c, sym, m.varName, " = ")
 				g.w("%s = true", m.flagName)
 				g.close("}")
 			} else {
@@ -526,19 +592,21 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 			g.w("%s = rshp(%s, []rdim{", name, name)
 			g.ind++
 			for _, d := range sym.Dims {
-				loFn := g.rdimFn(c, d.LoOr1())
+				g.indent()
+				g.put("{lo: ")
+				g.rdimFn(c, d.LoOr1())
 				if d.Hi == nil {
-					g.w("{lo: %s, assumed: true},", loFn)
+					g.put(", assumed: true},\n")
 				} else {
-					g.w("{lo: %s, hi: %s},", loFn, g.rdimFn(c, d.Hi))
+					g.put(", hi: ")
+					g.rdimFn(c, d.Hi)
+					g.put("},\n")
 				}
 			}
 			g.ind--
 			g.w("})")
 		case !sym.Formal && sym.IsArray() && sym.Param == nil:
-			lo, sz := g.dimExprs(c, sym, name)
-			g.w("%s := mkarr(%v, []int64{%s}, []int64{%s})",
-				name, sym.Type == ir.TypeInteger, strings.Join(lo, ", "), strings.Join(sz, ", "))
+			g.mkarr(c, sym, name, " := ")
 			g.w("_ = %s", name)
 			c.ar[name] = arEntry{ex: name, isInt: sym.Type == ir.TypeInteger}
 		}
@@ -554,65 +622,76 @@ func (g *goEmitter) unit(u *ir.ProgramUnit) {
 	g.w("")
 }
 
-// dimExprs renders the lower bounds and extents of a non-formal array
-// declaration, evaluated in declarator order (lo then hi per
-// dimension). Assumed-size dimensions on non-formals are an
-// interpreter runtime error; refusing keeps the program skippable.
-func (g *goEmitter) dimExprs(c *uctx, sym *ir.Symbol, name string) (lo, sz []string) {
+// mkarr writes a non-formal array's declaration: its bounds into
+// temporaries, evaluated in declarator order (lo then hi per
+// dimension), then lhs assign mkarr(...). Assumed-size dimensions on
+// non-formals are an interpreter runtime error; refusing keeps the
+// program skippable.
+func (g *goEmitter) mkarr(c *uctx, sym *ir.Symbol, lhs, assign string) {
 	if len(sym.Dims) > 7 {
-		refuse("array %s has rank %d > 7", name, len(sym.Dims))
+		refuse("array %s has rank %d > 7", sym.Name, len(sym.Dims))
 	}
-	for _, d := range sym.Dims {
+	var lo, hi [7]string
+	for i, d := range sym.Dims {
 		if d.Hi == nil {
-			refuse("assumed-size declarator on non-formal array %s", name)
+			refuse("assumed-size declarator on non-formal array %s", sym.Name)
 		}
-		lv := g.nt("d")
-		g.w("%s := %s", lv, g.exprI(c, d.LoOr1()))
-		hv := g.nt("d")
-		g.w("%s := %s", hv, g.exprI(c, d.Hi))
-		lo = append(lo, lv)
-		sz = append(sz, fmt.Sprintf("%s - %s + 1", hv, lv))
+		lo[i] = g.nt("d")
+		g.intDef(c, lo[i], d.LoOr1())
+		hi[i] = g.nt("d")
+		g.intDef(c, hi[i], d.Hi)
 	}
-	return lo, sz
+	g.indent()
+	g.put(lhs, assign, "mkarr(", strconv.FormatBool(sym.Type == ir.TypeInteger), ", []int64{")
+	for i := range sym.Dims {
+		if i > 0 {
+			g.put(", ")
+		}
+		g.put(lo[i])
+	}
+	g.put("}, []int64{")
+	for i := range sym.Dims {
+		if i > 0 {
+			g.put(", ")
+		}
+		g.put(hi[i], " - ", lo[i], " + 1")
+	}
+	g.put("})\n")
 }
 
-// rdimFn renders one bound of a formal-array reshape as a closure that
+// intDef writes "v := e" with e as an integer.
+func (g *goEmitter) intDef(c *uctx, v string, e ir.Expr) {
+	g.indent()
+	g.put(v, " := ")
+	g.exprI(c, e)
+	g.put("\n")
+}
+
+// rdimFn writes one bound of a formal-array reshape as a closure that
 // reports evaluation failure instead of aborting, replicating
 // reshapeView's keep-the-actual-shape fallback.
-func (g *goEmitter) rdimFn(c *uctx, e ir.Expr) string {
-	return fmt.Sprintf("func() (v int64, ok bool) { defer func() { _ = recover() }(); v = %s; ok = true; return }",
-		g.exprI(c, e))
+func (g *goEmitter) rdimFn(c *uctx, e ir.Expr) {
+	g.put("func() (v int64, ok bool) { defer func() { _ = recover() }(); v = ")
+	g.exprI(c, e)
+	g.put("; ok = true; return }")
 }
 
-// ---- literals and conversions ----
+// ---- literals ----
 
-func goFloatLit(v float64) string {
+func (g *goEmitter) floatLit(v float64) {
 	switch {
 	case math.IsNaN(v):
-		return "math.NaN()"
+		g.put("math.NaN()")
 	case math.IsInf(v, 1):
-		return "math.Inf(1)"
+		g.put("math.Inf(1)")
 	case math.IsInf(v, -1):
-		return "math.Inf(-1)"
+		g.put("math.Inf(-1)")
 	case v == 0 && math.Signbit(v):
-		return "math.Copysign(0, -1)"
+		g.put("math.Copysign(0, -1)")
+	default:
+		g.put("float64(")
+		g.scratch = strconv.AppendFloat(g.scratch[:0], v, 'g', -1, 64)
+		g.b.Write(g.scratch)
+		g.put(")")
 	}
-	return "float64(" + strconv.FormatFloat(v, 'g', -1, 64) + ")"
-}
-
-// convTo converts a rendered value of kind rk to storage kind k with
-// the interpreter's cell.store rules (AsInt truncates toward zero; Go's
-// float-to-int conversion is the same operation the interpreter runs).
-func convTo(k gKind, s string, rk gKind) string {
-	if k == rk {
-		return s
-	}
-	switch {
-	case k == gF && rk == gI:
-		return "float64(" + s + ")"
-	case k == gI && rk == gF:
-		return "int64(" + s + ")"
-	}
-	refuse("logical/numeric kind mismatch in assignment")
-	return ""
 }

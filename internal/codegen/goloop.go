@@ -1,8 +1,6 @@
 package codegen
 
 import (
-	"fmt"
-
 	"polaris/internal/ir"
 	"polaris/internal/reduction"
 )
@@ -226,7 +224,7 @@ func (g *goEmitter) planParallel(c *uctx, d *ir.DoStmt, lrpd bool) (*loopPlan, s
 			return nil, "no matched reduction statement"
 		}
 		for _, si := range rt.stmts {
-			_, ck := g.expr(c, si.contrib)
+			ck := g.lowerAside(c, si.contrib)
 			if ck == gB {
 				return nil, "logical reduction contribution"
 			}
@@ -401,11 +399,11 @@ func anyRedStmt(reds []*redTarget, s *ir.AssignStmt) (*redStmtInfo, bool) {
 
 func (g *goEmitter) doStmt(c *uctx, d *ir.DoStmt) {
 	iv := g.nt("q")
-	g.w("%s := %s", iv, g.exprI(c, d.Init))
+	g.intDef(c, iv, d.Init)
 	lv := g.nt("m")
-	g.w("%s := %s", lv, g.exprI(c, d.Limit))
+	g.intDef(c, lv, d.Limit)
 	sv := g.nt("s")
-	g.w("%s := %s", sv, g.exprI(c, d.StepOr1()))
+	g.intDef(c, sv, d.StepOr1())
 	g.open("if %s == 0 {", sv)
 	g.w("panic(%q)", "interp: DO step is zero")
 	g.close("}")
@@ -443,16 +441,27 @@ func (g *goEmitter) doStmt(c *uctx, d *ir.DoStmt) {
 		g.close("}")
 	}
 	// The index's exit value: init + trips*step.
-	g.storeIndexVal(c, d.Index, fmt.Sprintf("%s + %s*%s", iv, nv, sv))
+	g.storeIndexVal(c, d.Index, iv, nv, sv)
 }
 
-func (g *goEmitter) storeIndexVal(c *uctx, name, val string) {
+// lowerAside lowers e where nothing reads the text, for the refusals
+// it raises and its kind.
+func (g *goEmitter) lowerAside(c *uctx, e ir.Expr) gKind {
+	g.b = &g.aside
+	k := g.x(c, e)
+	g.b = &g.out
+	g.aside.Reset()
+	return k
+}
+
+// storeIndexVal writes the DO index's value for trip k: init + k*step.
+func (g *goEmitter) storeIndexVal(c *uctx, name, init, k, step string) {
 	e := g.scalar(c, name)
 	switch e.k {
 	case gI:
-		g.w("%s = %s", e.lv, val)
+		g.w("%s = %s + %s*%s", e.lv, init, k, step)
 	case gF:
-		g.w("%s = float64(%s)", e.lv, val)
+		g.w("%s = float64(%s + %s*%s)", e.lv, init, k, step)
 	default:
 		refuse("logical DO index %s", name)
 	}
@@ -461,30 +470,25 @@ func (g *goEmitter) storeIndexVal(c *uctx, name, val string) {
 func (g *goEmitter) serialFor(c *uctx, d *ir.DoStmt, iv, sv, nv string) {
 	kv := g.nt("k")
 	g.open("for %s := int64(0); %s < %s; %s++ {", kv, kv, nv, kv)
-	g.storeIndexVal(c, d.Index, fmt.Sprintf("%s + %s*%s", iv, kv, sv))
+	g.storeIndexVal(c, d.Index, iv, kv, sv)
 	g.block(c, d.Body)
 	g.close("}")
 }
 
 // workerCtx builds the emission context for a parallel worker body:
-// private scalars and arrays become worker locals, loops inside emit
-// serial-only, and calls pass par_=false (the interpreter's inDoall).
+// private scalars and arrays become worker locals.
 func (g *goEmitter) workerCtx(c *uctx, plan *loopPlan, wv string) *uctx {
-	wc := c.clone()
-	wc.inPar = true
-	wc.par = "false"
+	wc := c.inner()
 	wc.wVar = wv
-	wc.red = map[*ir.AssignStmt]*redStmtInfo{}
-	for _, rt := range plan.reds {
-		for st, si := range rt.stmtMap {
-			wc.red[st] = si
-		}
-	}
+	wc.sc = make(map[string]scEntry, len(plan.privates))
+	wc.ar = make(map[string]arEntry, len(plan.privArrs))
+	wc.reds = plan.reds
 	for _, n := range plan.privates {
 		pn := n + "_p"
-		g.w("var %s %s", pn, goType(wc.sc[n].k))
+		shared, _ := c.scalarAt(n)
+		g.w("var %s %s", pn, goType(shared.k))
 		g.w("_ = %s", pn)
-		wc.sc[n] = scEntry{lv: pn, addr: "&" + pn, k: wc.sc[n].k}
+		wc.sc[n] = scEntry{lv: pn, addr: "&" + pn, k: shared.k}
 	}
 	for _, n := range plan.privArrs {
 		pn := n + "_w"
@@ -514,7 +518,7 @@ func (g *goEmitter) emitDoall(c *uctx, d *ir.DoStmt, plan *loopPlan, iv, sv, nv 
 	wc := g.workerCtx(c, plan, wv)
 	kv := g.nt("k")
 	g.open("for %s := %s; %s < %s; %s++ {", kv, lov, kv, hiv, kv)
-	g.storeIndexVal(wc, d.Index, fmt.Sprintf("%s + %s*%s", iv, kv, sv))
+	g.storeIndexVal(wc, d.Index, iv, kv, sv)
 	g.block(wc, d.Body)
 	g.close("}")
 	if len(plan.lastVals) > 0 {
@@ -576,10 +580,10 @@ func (g *goEmitter) emitLRPD(c *uctx, d *ir.DoStmt, plan *loopPlan, iv, sv, nv s
 		g.w("%s := newShadow(total(%s))", shv, base.ex)
 		g.w("%s[%s] = %s", copyVars[n], wv, cpv)
 		g.w("%s[%s] = %s", shadowVars[n], wv, shv)
-		wc.spec[n] = &specInfo{copyVar: cpv, shVar: shv, iter: fmt.Sprintf("(%s + 1)", kv)}
+		wc.spec[n] = &specInfo{copyVar: cpv, shVar: shv, iter: "(" + kv + " + 1)"}
 	}
 	g.open("for %s := %s; %s < %s; %s++ {", kv, lov, kv, hiv, kv)
-	g.storeIndexVal(wc, d.Index, fmt.Sprintf("%s + %s*%s", iv, kv, sv))
+	g.storeIndexVal(wc, d.Index, iv, kv, sv)
 	g.block(wc, d.Body)
 	g.close("}")
 	if len(plan.lastVals) > 0 {
@@ -618,10 +622,7 @@ func (g *goEmitter) emitLRPD(c *uctx, d *ir.DoStmt, plan *loopPlan, iv, sv, nv s
 	}
 	g.ind--
 	g.open("} else {")
-	rc := c.clone()
-	rc.inPar = true
-	rc.par = "false"
-	g.serialFor(rc, d, iv, sv, nv)
+	g.serialFor(c.inner(), d, iv, sv, nv)
 	g.close("}")
 }
 
@@ -638,31 +639,41 @@ func (g *goEmitter) redLog(c *uctx, s *ir.AssignStmt, si *redStmtInfo) {
 	if rt.histo {
 		lhsRef = s.LHS.(*ir.ArrayRef)
 	}
-	accIx := func() string {
+	accIx := func(lhs string) {
 		a := g.array(c, rt.name)
-		return g.ixCall(c, a.ex, rt.name, lhsRef.Subs)
+		g.indent()
+		g.put(lhs)
+		g.ixCall(c, a.ex, rt.name, lhsRef.Subs)
+		g.put("\n")
 	}
 	if rt.histo && si.accLeft {
-		g.w("_ = %s", accIx())
+		accIx("_ = ")
 	}
-	cs, ck := g.expr(c, si.contrib)
 	cv := g.nt("c")
-	g.w("%s := %s", cv, cs)
+	g.indent()
+	g.put(cv, " := ")
+	ck := g.x(c, si.contrib)
+	g.put("\n")
 	if rt.histo && !si.accLeft {
-		g.w("_ = %s", accIx())
+		accIx("_ = ")
 	}
-	fields := fmt.Sprintf("sid: %d", si.sid)
+	xv := ""
 	if rt.histo {
-		xv := g.nt("x")
-		g.w("%s := %s", xv, accIx())
-		fields += ", ix: " + xv
+		xv = g.nt("x")
+		accIx(xv + " := ")
+	}
+	g.indent()
+	g.put(rt.logVar, "[", c.wVar, "] = append(", rt.logVar, "[", c.wVar, "], rev{sid: ")
+	g.int(int64(si.sid))
+	if rt.histo {
+		g.put(", ix: ", xv)
 	}
 	if ck == gI {
-		fields += ", isI: true, i: " + cv
+		g.put(", isI: true, i: ", cv)
 	} else {
-		fields += ", f: " + cv
+		g.put(", f: ", cv)
 	}
-	g.w("%s[%s] = append(%s[%s], rev{%s})", rt.logVar, c.wVar, rt.logVar, c.wVar, fields)
+	g.put("})\n")
 }
 
 // replay applies one target's logs in worker order — global serial
@@ -694,7 +705,7 @@ func (g *goEmitter) applyRed(c *uctx, rt *redTarget, si *redStmtInfo, eb string)
 	var acc string
 	if rt.histo {
 		a := g.array(c, rt.name)
-		acc = fmt.Sprintf("%s.%s[%s.ix]", a.ex, elemField(a.isInt), eb)
+		acc = a.ex + "." + elemField(a.isInt) + "[" + eb + ".ix]"
 	} else {
 		acc = g.scalar(c, rt.name).lv
 	}

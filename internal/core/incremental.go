@@ -308,6 +308,23 @@ func (st *incrState) acquirePass(c *passes.Context, work *ir.Program, res *Resul
 	}
 	c.Count("units_reused", int64(res.UnitsReused))
 	c.Count("units_recompiled", int64(res.UnitsRecompiled))
+	if opt.Observer != nil && res.UnitsReused > 0 {
+		// The records this compile adds: every clean unit's kept lists,
+		// replayed pass by pass and as final verdicts, and for each
+		// dirty unit as many as the most any clean unit keeps. Reserved
+		// at once, the observer's list is allocated once, where growing
+		// it by doubling ended an observed mega10k edit at 8192 slots
+		// for 4707 records.
+		n, most := 0, 0
+		for _, e := range reuse {
+			if e != nil {
+				k := obsv.ListsLen(e.rec.provenance)
+				n += k
+				most = max(most, k)
+			}
+		}
+		opt.Observer.Reserve(n + most*res.UnitsRecompiled)
+	}
 	return nil
 }
 

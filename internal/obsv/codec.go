@@ -238,9 +238,10 @@ func (r *Reader) ReadDecisions(ds []Decision, label string) {
 }
 
 // skipDecisions reads past a decision section, checking it as
-// ReadDecisions does, and keeps nothing.
-func (r *Reader) skipDecisions() {
-	for n := r.DecisionCount(); n > 0; n-- {
+// ReadDecisions does, keeps nothing, and returns its count.
+func (r *Reader) skipDecisions() int {
+	count := r.DecisionCount()
+	for n := count; n > 0; n-- {
 		for range 3 {
 			r.Str() // unit, loop, index
 		}
@@ -253,6 +254,7 @@ func (r *Reader) skipDecisions() {
 		}
 		r.Bool()
 	}
+	return count
 }
 
 // Resize returns s at length n, in s's own array when it is large
@@ -337,6 +339,21 @@ func DecodeList(enc string, k int, label string) ([]Decision, error) {
 		return nil, fmt.Errorf("obsv: decision list %d: %w", k, r.Err)
 	}
 	return ds, nil
+}
+
+// ListsLen returns how many records the lists of enc, an EncodeLists
+// string, hold together; 0 when enc does not read.
+func ListsLen(enc string) int {
+	r, t := listAt(enc, 0)
+	defer putTable(t)
+	n := 0
+	for r.P < r.End && r.Err == nil {
+		n += r.skipDecisions()
+	}
+	if r.Err != nil {
+		return 0
+	}
+	return n
 }
 
 // ReplayList records list k of enc, an EncodeLists string, under label,

@@ -52,6 +52,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		all := obs.Decisions()
 		lists := [][]obsv.Decision{all, obs.FinalDecisions(p.name)}
 		enc := obsv.EncodeLists(lists...)
+		if n := obsv.ListsLen(enc); n != len(lists[0])+len(lists[1]) {
+			t.Fatalf("%s: ListsLen %d, lists of %d and %d", p.name, n, len(lists[0]), len(lists[1]))
+		}
 		for k, want := range lists {
 			want = slices.Clone(want)
 			for i := range want {

@@ -239,6 +239,24 @@ func (o *Observer) ReplayDecisions(ds []Decision, label string) {
 	o.replayed(at, label)
 }
 
+// Reserve makes room for n more records, in this observer and the ones
+// it forwards to, each list grown once to exactly what it will hold: a
+// compile that knows how many records it will replay reserves them
+// before the first, where grow would double the list past its end.
+func (o *Observer) Reserve(n int) {
+	if o == nil || n <= 0 {
+		return
+	}
+	o.mu.Lock()
+	if len(o.decisions)+n > cap(o.decisions) {
+		ds := make([]Decision, len(o.decisions), len(o.decisions)+n)
+		copy(ds, o.decisions)
+		o.decisions = ds
+	}
+	o.mu.Unlock()
+	o.next.Reserve(n)
+}
+
 // grow makes room for n more records, called with o.mu held. It at
 // least doubles the list, where append and slices.Grow add about a
 // quarter to a long one: an observed edit compile replays a few records

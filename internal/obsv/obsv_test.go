@@ -97,6 +97,7 @@ func TestNilObserverAndWriterAreSafe(t *testing.T) {
 	o.Decision(Decision{Pass: "dependence"})
 	o.Span(Span{Pass: "p"})
 	o.Run(RunMetrics{})
+	o.Reserve(8)
 	o.SetTrace(nil)
 	if err := o.TraceErr(); err != nil {
 		t.Fatalf("nil observer TraceErr: %v", err)
@@ -272,6 +273,29 @@ func TestReplayDecisionsMatchesOneByOne(t *testing.T) {
 
 // TestTakeDecisions: taking hands over the observer's own array and
 // leaves it empty, and the list explains without an observer.
+// TestReserveGrowsOnce: a reservation makes room for exactly that many
+// more records, in the observer and the one it forwards to, and they
+// then arrive without growing either list.
+func TestReserveGrowsOnce(t *testing.T) {
+	next := NewObserver()
+	o := NewCapture(next)
+	o.Decision(Decision{Pass: "inline"})
+	o.Reserve(5)
+	for _, obs := range []*Observer{o, next} {
+		if got := cap(obs.decisions); got != 6 {
+			t.Fatalf("after a reservation of 5 behind 1 record: cap %d, want 6", got)
+		}
+	}
+	o.ReplayDecisions(make([]Decision, 3), "r")
+	o.Decision(Decision{Pass: "verdict"})
+	o.Decision(Decision{Pass: "verdict"})
+	for _, obs := range []*Observer{o, next} {
+		if len(obs.decisions) != 6 || cap(obs.decisions) != 6 {
+			t.Fatalf("6 records into a reservation of 6: len %d cap %d", len(obs.decisions), cap(obs.decisions))
+		}
+	}
+}
+
 func TestTakeDecisions(t *testing.T) {
 	o := NewObserver()
 	o.Decision(Decision{Label: "p", Loop: "MAIN/L10", Pass: "verdict", Final: true})
