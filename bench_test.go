@@ -23,10 +23,10 @@ import (
 	"polaris/internal/deps"
 	"polaris/internal/interp"
 	"polaris/internal/ir"
-	"polaris/internal/lrpd"
 	"polaris/internal/machine"
 	"polaris/internal/parser"
 	"polaris/internal/rng"
+	"polaris/internal/rt"
 	"polaris/internal/suite"
 	"polaris/internal/symbolic"
 )
@@ -175,13 +175,12 @@ func BenchmarkPDTestScaling(b *testing.B) {
 		a := a
 		b.Run(fmt.Sprintf("a%d", a), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sh := lrpd.NewShadow(a)
-				for e := 0; e < a; e++ {
-					sh.MarkWrite(e, int64(e%7)+1)
-					sh.MarkRead(e, int64(e%7)+1)
+				sh := rt.NewShadow(int64(a))
+				for e := int64(0); e < int64(a); e++ {
+					sh.MarkWrite(e, e%7+1)
+					sh.MarkRead(e, e%7+1)
 				}
-				r := sh.Analyze()
-				if !r.Pass {
+				if !sh.PDTest() {
 					b.Fatal("disjoint trace failed")
 				}
 			}

@@ -17,9 +17,6 @@ import (
 	"polaris/internal/suite"
 )
 
-// raceDetector is set by race_test.go.
-var raceDetector bool
-
 const fortranGoldenPath = "testdata/emitfortran.sha256"
 
 // fortranGoldenSources are the programs whose emitted Fortran is pinned:
@@ -141,9 +138,6 @@ func TestEmitFortranGolden(t *testing.T) {
 // times the suite's output, where formatting each line through fmt and
 // building each node as a string allocated 3.34 times.
 func TestEmitAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("-race: sync.Pool keeps no printers, fmt allocates one per call")
-	}
 	compile := func(src string) *core.Result {
 		res, err := core.Compile(parser.MustParse(src), core.PolarisOptions())
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"polaris/internal/core"
 	"polaris/internal/ir"
+	"polaris/internal/rt"
 )
 
 // GoOptions configures EmitGo.
@@ -201,7 +202,7 @@ func EmitGo(res *core.Result, opt GoOptions) (src string, err error) {
 	}
 	g := &goEmitter{res: res, p: res.Program, opt: opt, commonIdx: map[string]*commonMember{}}
 	g.b = &g.out
-	size := len(goRuntime)
+	size := len(rt.Runtime)
 	for _, u := range res.Program.Units {
 		size += goPerSourceByte * u.SourceLen()
 	}
@@ -334,7 +335,7 @@ func (g *goEmitter) header() {
 	g.w("var _ = math.Abs")
 	g.w("")
 	g.w("const defaultProcs = %d", g.opt.Processors)
-	g.b.WriteString(goRuntime)
+	g.b.WriteString(rt.Runtime)
 	g.w("")
 }
 

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,13 +11,31 @@ import (
 	"polaris/internal/core"
 	"polaris/internal/fuzzgen"
 	"polaris/internal/parser"
+	"polaris/internal/rt"
 	"polaris/internal/suite"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden emitted-Go files")
 
-// TestEmitGoGolden pins the exact emitted Go for the flagship programs.
-// A diff here means the lowering changed: inspect it, re-run the native
+// perProgram returns an emitted program without the runtime, which must
+// follow its const defaultProcs line verbatim.
+func perProgram(out string) (string, error) {
+	const procs = "\nconst defaultProcs = "
+	i := strings.Index(out, procs)
+	if i < 0 {
+		return "", errors.New("no const defaultProcs line")
+	}
+	i += len(procs)
+	j := i + strings.IndexByte(out[i:], '\n') + 1
+	if j <= i || !strings.HasPrefix(out[j:], rt.Runtime) {
+		return "", errors.New("the const defaultProcs line is not followed by rt.Runtime")
+	}
+	return out[:j] + out[j+len(rt.Runtime):], nil
+}
+
+// TestEmitGoGolden pins the exact emitted Go for the flagship programs,
+// less the runtime (TestEmitGoSums holds that part). A diff
+// here means the lowering changed: inspect it, re-run the native
 // oracle, then refresh with
 //
 //	go test ./internal/codegen -run TestEmitGoGolden -update
@@ -32,7 +51,11 @@ func TestEmitGoGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EmitGo(res, GoOptions{Processors: 8, Label: name})
+			out, err := EmitGo(res, GoOptions{Processors: 8, Label: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := perProgram(out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,8 +119,9 @@ const refusedSrc = `
 // TestEmitGoSums holds EmitGo to the bytes the commit before the
 // fmt-free writer produced, for every program the suite_cold workload
 // emits and for mega10k (testdata/emitgo.sha256 was written by that
-// commit with -update). A program the back end refuses is pinned by
-// its refusal reason in place of a sum.
+// commit with -update), and holds that each carries internal/rt's
+// runtime verbatim after its const defaultProcs line. A program the
+// back end refuses is pinned by its refusal reason in place of a sum.
 func TestEmitGoSums(t *testing.T) {
 	names := []string{}
 	src := map[string]string{}
@@ -119,6 +143,9 @@ func TestEmitGoSums(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := perProgram(out); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 		return sha256Hex(out) + "  " + name
 	}

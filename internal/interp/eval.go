@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"polaris/internal/ir"
+	"polaris/internal/rt"
 )
 
 // eval evaluates an expression, charging cycle costs per operation.
@@ -29,7 +30,7 @@ func (in *Interp) eval(fr *frame, e ir.Expr) (Value, error) {
 		}
 		if in.shadows != nil {
 			if sh := in.shadows[arr]; sh != nil {
-				sh.MarkRead(idx, in.curIter)
+				sh.MarkRead(int64(idx), in.curIter)
 				in.markCycles += in.Model.PDMarkCyclesPerAccess
 			}
 		}
@@ -145,7 +146,7 @@ func (in *Interp) evalBinary(fr *frame, x *ir.Binary) (Value, error) {
 			default:
 				in.charge(in.Cost.Pow)
 			}
-			return IntVal(ipow(l.I, r.I)), nil
+			return IntVal(rt.IPow(l.I, r.I)), nil
 		}
 		in.charge(in.Cost.Pow)
 		return RealVal(math.Pow(l.AsFloat(), r.AsFloat())), nil
@@ -189,26 +190,6 @@ func floatRel(op ir.BinOp, l, r float64) bool {
 	return false
 }
 
-func ipow(b, e int64) int64 {
-	if e < 0 {
-		if b == 1 {
-			return 1
-		}
-		if b == -1 {
-			if e%2 == 0 {
-				return 1
-			}
-			return -1
-		}
-		return 0
-	}
-	out := int64(1)
-	for i := int64(0); i < e; i++ {
-		out *= b
-	}
-	return out
-}
-
 // evalCall evaluates intrinsics and user function calls.
 //
 // The arguments go on in.args, above those of the calls being
@@ -244,10 +225,7 @@ func (in *Interp) evalCall(fr *frame, x *ir.Call) (Value, error) {
 		return reduceArgs("MIN", args), nil
 	case "ABS", "IABS":
 		if args[0].Kind == ir.TypeInteger {
-			if args[0].I < 0 {
-				return IntVal(-args[0].I), nil
-			}
-			return args[0], nil
+			return IntVal(rt.IAbs(args[0].I)), nil
 		}
 		return RealVal(math.Abs(args[0].F)), nil
 	case "SQRT":
@@ -272,11 +250,7 @@ func (in *Interp) evalCall(fr *frame, x *ir.Call) (Value, error) {
 		return RealVal(args[0].AsFloat()), nil
 	case "SIGN":
 		if len(args) == 2 {
-			m := math.Abs(args[0].AsFloat())
-			if args[1].AsFloat() < 0 {
-				m = -m
-			}
-			return RealVal(m), nil
+			return RealVal(rt.Sign(args[0].AsFloat(), args[1].AsFloat())), nil
 		}
 	}
 	// User function.

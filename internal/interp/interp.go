@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"polaris/internal/ir"
-	"polaris/internal/lrpd"
 	"polaris/internal/machine"
 	"polaris/internal/obsv"
+	"polaris/internal/rt"
 )
 
 // Interp executes a program on the simulated machine.
@@ -61,7 +61,7 @@ type Interp struct {
 	// Worker state (see newWorker): shadows are a speculative loop's
 	// PD-test shadows, marked in iteration curIter; markCycles counts
 	// the marking work.
-	shadows    map[*Array]*lrpd.Shadow
+	shadows    map[*Array]*rt.Shadow
 	curIter    int64
 	markCycles int64
 	// redTargets/redUpdates count a parallel loop's reduction updates
@@ -439,7 +439,7 @@ func (in *Interp) assign(fr *frame, lhs ir.Expr, v Value) error {
 		}
 		if in.shadows != nil {
 			if sh := in.shadows[arr]; sh != nil {
-				sh.MarkWrite(idx, in.curIter)
+				sh.MarkWrite(int64(idx), in.curIter)
 				in.markCycles += in.Model.PDMarkCyclesPerAccess
 			}
 		}
@@ -487,18 +487,6 @@ func (in *Interp) element(fr *frame, ref *ir.ArrayRef) (*Array, int, error) {
 	return arr, int(idx), nil
 }
 
-// trips computes the Fortran DO trip count.
-func trips(init, limit, step int64) int64 {
-	if step == 0 {
-		return 0
-	}
-	n := (limit-init)/step + 1
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
 // execDo runs a loop serially, or on the parallel-loop executor when
 // it is a DOALL or speculative.
 func (in *Interp) execDo(fr *frame, d *ir.DoStmt) (control, error) {
@@ -518,7 +506,7 @@ func (in *Interp) execDo(fr *frame, d *ir.DoStmt) (control, error) {
 	if step == 0 {
 		return ctlNormal, fmt.Errorf("interp: zero DO step")
 	}
-	n := trips(init, limit, step)
+	n := rt.Trips(init, limit, step)
 	par := d.Par
 	if in.Parallel && !in.inDoall && par != nil && n > 1 && (par.Parallel || len(par.LRPD) > 0) {
 		return in.execDoall(fr, d, init, step, n)

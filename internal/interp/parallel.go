@@ -7,8 +7,8 @@ import (
 	"sync"
 
 	"polaris/internal/ir"
-	"polaris/internal/lrpd"
 	"polaris/internal/machine"
+	"polaris/internal/rt"
 )
 
 // execDoall is the interpreter's one parallel-loop executor, for
@@ -42,13 +42,13 @@ func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (contr
 			fr.getCell(r.Target, fr.unit)
 		}
 	}
-	var shadows map[*Array]*lrpd.Shadow
+	var shadows map[*Array]*rt.Shadow
 	tested := int64(0)
 	if !par.Parallel {
-		shadows = map[*Array]*lrpd.Shadow{}
+		shadows = map[*Array]*rt.Shadow{}
 		for _, name := range par.LRPD {
 			if arr := fr.arrays[name]; arr != nil {
-				shadows[arr] = lrpd.NewShadow(arr.Total())
+				shadows[arr] = rt.NewShadow(int64(arr.Total()))
 				tested += int64(arr.Total())
 			}
 		}
@@ -112,7 +112,7 @@ func (in *Interp) execDoall(fr *frame, d *ir.DoStmt, init, step, n int64) (contr
 
 	pass := true
 	for _, sh := range shadows {
-		if !sh.Analyze().Pass {
+		if !sh.PDTest() {
 			pass = false
 		}
 	}
@@ -159,7 +159,7 @@ type worker struct {
 // concurrently the reduction targets are partials at the operator's
 // identity. A worker that marks shadows runs forward.
 func (in *Interp) newWorker(fr *frame, d *ir.DoStmt, idxKind ir.Type, targets map[string]bool,
-	shadows map[*Array]*lrpd.Shadow, concurrent bool, lo, hi int64) *worker {
+	shadows map[*Array]*rt.Shadow, concurrent bool, lo, hi int64) *worker {
 	child := &Interp{Prog: in.Prog, Model: in.Model, Cost: in.Cost, Validate: in.Validate && shadows == nil,
 		commons: in.commons, shadows: shadows, redTargets: targets, inDoall: true, depth: in.depth, ctx: in.ctx}
 	wfr := &frame{unit: fr.unit, scalars: maps.Clone(fr.scalars), arrays: maps.Clone(fr.arrays)}

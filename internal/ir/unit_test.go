@@ -6,18 +6,12 @@ import (
 	"testing"
 )
 
-// raceDetector is set by race_test.go.
-var raceDetector bool
-
 // TestDropSourceKeepsLength: a unit that drops its parse-time text
 // keeps its length, and Fortran sizes its one buffer from that length
 // as it did from the text, so rendering a dropped unit allocates
 // exactly what rendering it with the text does. A unit built without
 // text shows the measurement sees the estimate: its buffer grows.
 func TestDropSourceKeepsLength(t *testing.T) {
-	if raceDetector {
-		t.Skip("-race: sync.Pool keeps no printers, fmt allocates one per call")
-	}
 	build := func() *ProgramUnit {
 		u := NewUnit(UnitSubroutine, "SCALE")
 		u.Formals = []string{"A", "N"}
