@@ -3,15 +3,15 @@
 // EXPERIMENTS.md for paper-vs-measured):
 //
 //	E1  BenchmarkTable1/*            Table 1 serial times
-//	E2  BenchmarkFig7                Figure 7 Polaris-vs-PFA speedups
-//	E3  BenchmarkFig6Speedup/*       Figure 6 (top)
-//	E4  BenchmarkFig6Slowdown/*      Figure 6 (bottom)
+//	E2  BenchmarkSweep               Figure 7 Polaris-vs-PFA speedups,
+//	E3  (fig7_p8_*, fig6_p*_speedup, Figure 6 (top and bottom) and the
+//	E4   fig6_p*_slowdown,           ablation table (E12)
+//	E12  ablation_p8_geomean_*)
 //	E10 BenchmarkDirectionVectors/*  range test O(n^2) vs Banerjee O(3^n)
 //	E11 BenchmarkPDTestScaling/*     PD test O(a/p + log p)
 //
 // Speedups and counts are attached as benchmark metrics
-// (speedup, speedup_<program>, pfa_speedup_<program>, slowdown,
-// dv_tested, ...).
+// (fig7_p8_speedup_<program>, fig6_p4_slowdown, dv_tested, ...).
 package polaris_test
 
 import (
@@ -50,55 +50,42 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// E2 — Figure 7: speedup under Polaris and under the PFA baseline on
-// the simulated 8-processor machine, one metric pair per program.
-func BenchmarkFig7(b *testing.B) {
-	var rows []suite.Fig7Row
+// E2–E4, E12 — the paper's evaluation as one sweep at p = 8: Figure
+// 7's speedups under Polaris and PFA per program, Figure 6's TRACK
+// loop-level speedup and potential slowdown at p = 1, 2, 4, 8, and the
+// ablation table's geometric means, each metric named by its figure
+// and p.
+func BenchmarkSweep(b *testing.B) {
+	var pts []suite.Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows, err = suite.NewRunner().Figure7(context.Background(), 8); err != nil {
+		if pts, err = suite.NewRunner().Sweep(context.Background(), 8); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Polaris, "speedup_"+r.Name)
-		b.ReportMetric(r.PFA, "pfa_speedup_"+r.Name)
-	}
-}
-
-// E3/E4 — Figure 6: TRACK loop-level speedup and potential slowdown
-// per processor count.
-func BenchmarkFig6Speedup(b *testing.B) {
-	for _, procs := range []int{1, 2, 4, 8} {
-		procs := procs
-		b.Run(fmt.Sprintf("p%d", procs), func(b *testing.B) {
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				rows, err := suite.NewRunner().Figure6(context.Background(), procs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				speedup = rows[procs-1].Speedup
+	byConfig := map[string][]suite.Point{}
+	for _, pt := range pts {
+		pow2 := pt.Procs&(pt.Procs-1) == 0
+		switch {
+		case pt.Program == "track":
+			if pow2 {
+				b.ReportMetric(float64(pt.LRPDBodyWork)/float64(pt.LRPDTime), fmt.Sprintf("fig6_p%d_speedup", pt.Procs))
 			}
-			b.ReportMetric(speedup, "speedup")
-		})
-	}
-}
-
-func BenchmarkFig6Slowdown(b *testing.B) {
-	for _, procs := range []int{1, 2, 4, 8} {
-		procs := procs
-		b.Run(fmt.Sprintf("p%d", procs), func(b *testing.B) {
-			var slowdown float64
-			for i := 0; i < b.N; i++ {
-				rows, err := suite.NewRunner().Figure6(context.Background(), procs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				slowdown = rows[procs-1].Slowdown
+		case pt.Program == "track-fail":
+			if pow2 {
+				b.ReportMetric(float64(pt.LRPDTime)/float64(pt.LRPDBodyWork), fmt.Sprintf("fig6_p%d_slowdown", pt.Procs))
 			}
-			b.ReportMetric(slowdown, "slowdown")
-		})
+		case pt.Config == suite.PFA:
+			b.ReportMetric(pt.Speedup(), "fig7_p8_pfa_speedup_"+pt.Program)
+		default:
+			if pt.Config == suite.Full {
+				b.ReportMetric(pt.Speedup(), "fig7_p8_speedup_"+pt.Program)
+			}
+			byConfig[pt.Config] = append(byConfig[pt.Config], pt)
+		}
+	}
+	for config, ps := range byConfig {
+		b.ReportMetric(suite.GeoMean(ps), "ablation_p8_geomean_"+sanitize(config))
 	}
 }
 
@@ -205,30 +192,6 @@ func BenchmarkCompile(b *testing.B) {
 			}
 		})
 	}
-}
-
-// E12 — technique ablation: the suite geometric-mean speedup with one
-// technique removed at a time (reported as a metric per sub-benchmark).
-func BenchmarkAblation(b *testing.B) {
-	var rows []suite.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = suite.Ablation(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = rows
-	b.Run("report", func(b *testing.B) {
-		rows, err := suite.Ablation(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.GeoMean, "geomean_"+sanitize(r.Technique))
-		}
-		b.ReportMetric(rows[0].FullGeoMean, "geomean_full")
-	})
 }
 
 func sanitize(s string) string {

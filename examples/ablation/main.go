@@ -8,24 +8,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"strings"
 
 	"polaris/internal/suite"
 )
 
 func main() {
-	rows, err := suite.Ablation(8)
+	pts, err := suite.NewRunner().Sweep(context.Background(), 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(rows) == 0 {
-		log.Fatal("no ablation rows")
-	}
-	fmt.Printf("full pipeline geometric-mean speedup: %.2f\n\n", rows[0].FullGeoMean)
-	fmt.Printf("%-24s %8s   %s\n", "removed technique", "geomean", "programs losing > 20%")
-	for _, r := range rows {
-		fmt.Printf("%-24s %8.2f   %s\n", r.Technique, r.GeoMean, strings.Join(r.HurtPrograms, " "))
-	}
+	fmt.Print(suite.AblationTable(pts))
 }

@@ -119,7 +119,8 @@ const refusedSrc = `
 // TestEmitGoSums holds EmitGo to the bytes the commit before the
 // fmt-free writer produced, for every program the suite_cold workload
 // emits and for mega10k (testdata/emitgo.sha256 was written by that
-// commit with -update), and holds that each carries internal/rt's
+// commit with -update, and re-pinned once since, when two comments of
+// the runtime were reworded), and holds that each carries internal/rt's
 // runtime verbatim after its const defaultProcs line. A program the
 // back end refuses is pinned by its refusal reason in place of a sum.
 func TestEmitGoSums(t *testing.T) {

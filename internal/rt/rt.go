@@ -268,7 +268,7 @@ func parfor(n, workers int64, body func(w, lo, hi int64)) {
 	wg.Wait()
 }
 
-// ipow is integer exponentiation, verbatim from the interpreter.
+// ipow is integer exponentiation; the interpreter also calls it.
 func ipow(b, e int64) int64 {
 	if e < 0 {
 		if b == 1 {
@@ -361,9 +361,9 @@ func (e rev) asF() float64 {
 	return e.f
 }
 
-// shadow is the LRPD PD-test shadow state machine, replicated verbatim
-// from the reference implementation; iteration numbers are 1-based so
-// the zero value never collides.
+// shadow is the LRPD PD-test shadow state machine, which the
+// interpreter's PDTest runs too; iteration numbers are 1-based so the
+// zero value never collides.
 type shadow struct {
 	aw, ar, anp  []bool
 	wIter, rIter []int64

@@ -2,44 +2,35 @@ package suite
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 )
 
-// TestAblationGridDeterministic runs the full ablation grid twice on
-// fresh 8-worker Runners and requires byte-identical reports. This
-// guards the serial-run memo and the worker pool against ordering races:
-// any map-iteration or completion-order nondeterminism leaking into
-// results shows up as a diff here.
+// TestAblationGridDeterministic sweeps again on a fresh 8-worker Runner
+// and requires the package's sweep, also fresh on 8 workers, point for
+// point: the ablation grid's cycles and every other figure's, compared
+// as bits. This guards the serial-run memo and the worker pool against
+// ordering races: any map-iteration or completion-order nondeterminism
+// leaking into results shows up as a diff here.
 func TestAblationGridDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-grid run; skipped with -short")
+		t.Skip("full-sweep run; skipped with -short")
 	}
-	ctx := context.Background()
-	render := func() string {
-		r := NewRunner()
-		r.Workers = 8
-		rows, err := r.Ablation(ctx, 8)
-		if err != nil {
-			t.Fatal(err)
+	_, first := paperSweep(t)
+	r := NewRunner()
+	r.Workers = 8
+	second, err := r.Sweep(context.Background(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second) != len(first) {
+		t.Fatalf("%d points, then %d", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("two -j 8 sweeps differ at point %d:\n first %+v\nsecond %+v", i, first[i], second[i])
 		}
-		var b strings.Builder
-		for _, row := range rows {
-			// Full float precision: a single-ulp divergence between
-			// runs must fail the comparison.
-			fmt.Fprintf(&b, "%s|%.17g|%.17g|%d|%s\n",
-				row.Technique, row.GeoMean, row.FullGeoMean, row.Hurt,
-				strings.Join(row.HurtPrograms, ","))
-		}
-		return b.String()
 	}
-	first := render()
-	second := render()
-	if first != second {
-		t.Fatalf("two -j 8 ablation runs differ:\n--- first ---\n%s--- second ---\n%s", first, second)
-	}
-	if !strings.Contains(first, "range test|") {
-		t.Fatalf("report missing expected technique rows:\n%s", first)
+	if len(pick(first, "range test", "")) != len(All()) {
+		t.Fatal("sweep has no range-test removal over the suite")
 	}
 }

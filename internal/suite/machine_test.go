@@ -3,22 +3,16 @@ package suite
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"polaris/internal/core"
 	"polaris/internal/interp"
 	"polaris/internal/machine"
 )
-
-var updateMachine = flag.Bool("update", false, "rewrite testdata/machine.golden from this build's interpreter")
 
 // TestSimulatedMachinePinned pins the simulated machine's numbers for
 // every suite program (and TRACK, the speculative loop's home, with
@@ -49,30 +43,7 @@ func TestSimulatedMachinePinned(t *testing.T) {
 			}
 		}
 	}
-	golden := filepath.Join("testdata", "machine.golden")
-	if *updateMachine {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with -update): %v", err)
-	}
-	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Fatalf("machine.golden line %d:\n got %s\nwant %s", i+1, g, w)
-		}
-	}
+	checkGolden(t, "machine.golden", out.String())
 }
 
 // stateHash hashes a COMMON snapshot with its names sorted, so map

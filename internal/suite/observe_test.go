@@ -17,12 +17,14 @@ import (
 	"polaris/internal/obsv"
 )
 
-// TestObservabilityEndToEnd runs the whole suite through a concurrent
-// Runner sharing one Observer and one TraceWriter (the -j N shape the
-// CLIs use) and checks the full observability contract in one pass:
+// TestObservabilityEndToEnd reads the package's sweep, whose Runner
+// shares one Observer and one TraceWriter across its pool workers (the
+// -j N shape the CLIs use), and checks the full observability contract
+// in one pass:
 //
 //   - the shared trace stream is gapless and totally ordered under
-//     concurrency (run with -race, this also proves thread safety);
+//     concurrency (run with -race, this also proves thread safety),
+//     and holds one final decision record per (label, loop);
 //   - every loop of every program gets a final decision record naming
 //     an enabling technique or a blocking dependence;
 //   - the flagship loops of the paper's evaluation explain themselves
@@ -32,34 +34,14 @@ import (
 //     the parallel-coverage fraction is consistent everywhere it is
 //     reported.
 func TestObservabilityEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	r := NewRunner()
-	r.Workers = 4
-	obs := obsv.NewObserver()
-	r.Observer = obs
-	var buf bytes.Buffer
-	obs.SetTrace(obsv.NewTraceWriter(&buf))
-
-	rows, err := r.Figure7(ctx, 8)
-	if err != nil {
-		t.Fatalf("Figure7: %v", err)
-	}
-	rep, err := r.Bench(ctx, 8) // compiles again; serial runs come from the memo
-	if err != nil {
-		t.Fatalf("Bench: %v", err)
-	}
-	// TRACK sits outside the Figure 7 sixteen (it is Figure 6's
-	// speculative-execution study); run it through the same Runner so
-	// the LRPD verdict and its pass/fail runtime metrics are observed.
-	if _, err := r.runOne(ctx, Track(), 8, true, true); err != nil {
-		t.Fatalf("track: %v", err)
-	}
+	r, pts := paperSweep(t)
+	obs := r.Observer
 	if err := obs.TraceErr(); err != nil {
 		t.Fatalf("trace writer error: %v", err)
 	}
 
 	t.Run("trace-ordered", func(t *testing.T) {
-		envs, err := obsv.ReadTrace(bytes.NewReader(buf.Bytes()))
+		envs, err := obsv.ReadTrace(bytes.NewReader(sweepTrace.Bytes()))
 		if err != nil {
 			t.Fatalf("ReadTrace: %v", err)
 		}
@@ -67,11 +49,20 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Fatal("empty trace stream")
 		}
 		kinds := map[string]int{}
+		finals := map[[2]string]int{}
 		for i, e := range envs {
 			if e.Seq != int64(i) {
 				t.Fatalf("line %d carries seq %d: stream not totally ordered", i, e.Seq)
 			}
 			kinds[e.Type]++
+			if d := e.Decision; d != nil && d.Final {
+				finals[[2]string{d.Label, d.Loop}]++
+			}
+		}
+		for key, n := range finals {
+			if n != 1 {
+				t.Errorf("%d final records for label %q, loop %s", n, key[0], key[1])
+			}
 		}
 		for _, k := range []string{obsv.TypeSpan, obsv.TypeDecision, obsv.TypeRun} {
 			if kinds[k] == 0 {
@@ -136,8 +127,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	t.Run("metrics-reconcile", func(t *testing.T) {
 		coverage := map[string]float64{}
-		for _, row := range rows {
-			coverage[row.Name] = row.Coverage
+		for _, pt := range pick(pts, Full, "") {
+			coverage[pt.Program] = pt.Coverage
 		}
 		for _, run := range obs.Runs() {
 			doall, lrpd := map[string]bool{}, map[string]bool{}
@@ -185,7 +176,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 				t.Errorf("%s: parallel loops executed but coverage is 0", run.Label)
 			}
 			if rowCov, ok := coverage[run.Label]; ok && math.Abs(run.Coverage-rowCov) > 1e-9 {
-				t.Errorf("%s: run coverage %v disagrees with Fig7Row coverage %v", run.Label, run.Coverage, rowCov)
+				t.Errorf("%s: run coverage %v disagrees with its point's coverage %v", run.Label, run.Coverage, rowCov)
 			}
 		}
 		// The TRACK run must surface speculation outcomes: the LRPD
@@ -216,6 +207,24 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	})
 
 	t.Run("bench-report", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			SchemaVersion string `json:"schema_version"`
+			Programs      []struct {
+				Name             string  `json:"name"`
+				SerialCycles     int64   `json:"serial_cycles"`
+				PolarisSpeedup   float64 `json:"polaris_speedup"`
+				ParallelCoverage float64 `json:"parallel_coverage"`
+			} `json:"programs"`
+			PolarisGeoMean float64 `json:"polaris_geomean"`
+			PFAGeoMean     float64 `json:"pfa_geomean"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+			t.Fatalf("report does not unmarshal: %v", err)
+		}
 		if rep.SchemaVersion != obsv.SchemaVersion {
 			t.Errorf("schema version %q, want %q", rep.SchemaVersion, obsv.SchemaVersion)
 		}
@@ -233,24 +242,17 @@ func TestObservabilityEndToEnd(t *testing.T) {
 				t.Errorf("%s: implausible row %+v", p.Name, p)
 			}
 		}
-		if _, err := json.Marshal(rep); err != nil {
-			t.Fatalf("report does not marshal: %v", err)
-		}
 	})
 }
 
-// TestAblationProvenanceLabels runs the ablation grid on a fresh
-// observed Runner and checks that each configuration's provenance lands
-// under its own label: the bare program name holds exactly the final
-// records a direct full-pipeline compile gives (one per loop), and
+// TestAblationProvenanceLabels checks that each configuration of the
+// package's observed sweep lands its provenance under its own label:
+// the bare program name holds exactly the final records a direct
+// full-pipeline compile gives (one per loop), and
 // "ocean/-loop permutation" holds the ablated verdict.
 func TestAblationProvenanceLabels(t *testing.T) {
 	ctx := context.Background()
-	r := NewRunner()
-	r.Observer = obsv.NewObserver()
-	if _, err := r.Ablation(ctx, 8); err != nil {
-		t.Fatalf("Ablation: %v", err)
-	}
+	r, _ := paperSweep(t)
 	p, _ := ByName("ocean")
 	direct := obsv.NewObserver()
 	opt := core.PolarisOptions()

@@ -6,7 +6,6 @@ package suite
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -74,58 +73,33 @@ func TestForEachCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRunnerConcurrentMatchesSerial runs Figure 7 with a wide pool and
-// a single-worker pool and demands identical rows: concurrency (and the
-// shared serial-run memo) must be invisible in the results.
+// TestRunnerConcurrentMatchesSerial sweeps again with a single-worker
+// pool on the warm serial-run memo of the package's 8-worker sweep and
+// demands the same points, bit for bit: concurrency and the memo must
+// be invisible in the results. (TestAblationGridDeterministic holds
+// two fresh 8-worker sweeps, cold memos both, to each other.)
 func TestRunnerConcurrentMatchesSerial(t *testing.T) {
-	ctx := context.Background()
-	wide := NewRunner()
-	wide.Workers = 8
-	narrow := NewRunner()
-	narrow.Workers = 1
-	wideRows, err := wide.Figure7(ctx, 8)
-	if err != nil {
-		t.Fatalf("wide: %v", err)
-	}
-	narrowRows, err := narrow.Figure7(ctx, 8)
+	wideRunner, wide := paperSweep(t)
+	narrow := &Runner{Workers: 1, serial: wideRunner.serial}
+	pts, err := narrow.Sweep(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("narrow: %v", err)
 	}
-	if len(wideRows) != len(narrowRows) {
-		t.Fatalf("row counts differ: %d vs %d", len(wideRows), len(narrowRows))
+	if len(pts) != len(wide) {
+		t.Fatalf("%d points, want %d", len(pts), len(wide))
 	}
-	for i := range wideRows {
-		if wideRows[i] != narrowRows[i] {
-			t.Errorf("row %d differs:\nwide:   %+v\nnarrow: %+v", i, wideRows[i], narrowRows[i])
-		}
-	}
-	// A second pass on the warm serial-run memo must agree with the first.
-	again, err := wide.Figure7(ctx, 8)
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	for i := range again {
-		if again[i] != wideRows[i] {
-			t.Errorf("warm-memo row %d differs: %+v vs %+v", i, again[i], wideRows[i])
+	for i := range pts {
+		if pts[i] != wide[i] {
+			t.Errorf("point %d differs:\n got %+v\nwant %+v", i, pts[i], wide[i])
 		}
 	}
 }
 
 func TestRunnerCancellation(t *testing.T) {
-	r := NewRunner()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Table1(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("Table1: want context.Canceled, got %v", err)
-	}
-	if _, err := r.Figure7(ctx, 8); !errors.Is(err, context.Canceled) {
-		t.Errorf("Figure7: want context.Canceled, got %v", err)
-	}
-	if _, err := r.Figure6(ctx, 8); !errors.Is(err, context.Canceled) {
-		t.Errorf("Figure6: want context.Canceled, got %v", err)
-	}
-	if _, err := r.Ablation(ctx, 8); !errors.Is(err, context.Canceled) {
-		t.Errorf("Ablation: want context.Canceled, got %v", err)
+	if _, err := NewRunner().Sweep(ctx, 8); !errors.Is(err, context.Canceled) {
+		t.Errorf("Sweep: want context.Canceled, got %v", err)
 	}
 }
 
@@ -159,28 +133,5 @@ func TestRunnerMidFlightCancellation(t *testing.T) {
 		// Cached serial runs may complete before polling; the pool must
 		// still report cancellation at the end.
 		t.Errorf("want context.Canceled in chain, got %v", err)
-	}
-}
-
-// TestRunOneValidateFlag pins that the validate flag changes execution,
-// not compilation: both settings compile the same program and time it
-// alike, each in its own interpreter state.
-func TestRunOneValidateFlag(t *testing.T) {
-	r := NewRunner()
-	p, _ := ByName("trfd")
-	ctx := context.Background()
-	o1, err := r.runOne(ctx, p, 8, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := r.runOne(ctx, p, 8, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.cycles != o2.cycles {
-		t.Errorf("validate flag changed timing: %d vs %d", o1.cycles, o2.cycles)
-	}
-	if fmt.Sprintf("%.6g", o1.sum) != fmt.Sprintf("%.6g", o2.sum) {
-		t.Errorf("validate flag changed checksum beyond float drift: %v vs %v", o1.sum, o2.sum)
 	}
 }

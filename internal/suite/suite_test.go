@@ -11,23 +11,24 @@ import (
 	"polaris/internal/machine"
 )
 
+// TestAllProgramsParseAndRunSerially reads Table 1's column from the
+// sweep, whose every point has passed the point runner's check of
+// RESULT against the serial run.
 func TestAllProgramsParseAndRunSerially(t *testing.T) {
-	rows, err := NewRunner().Table1(context.Background())
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
+	r, pts := paperSweep(t)
+	full := pick(pts, Full, "")
+	if len(full) != 16 {
+		t.Fatalf("want 16 programs, got %d", len(full))
 	}
-	if len(rows) != 16 {
-		t.Fatalf("want 16 programs, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.SerialCycles <= 0 {
-			t.Errorf("%s: no work executed", r.Name)
+	for i, p := range All() {
+		if full[i].Program != p.Name || full[i].SerialCycles <= 0 {
+			t.Errorf("%s: point %+v", p.Name, full[i])
 		}
-		if r.Lines < 25 {
-			t.Errorf("%s: suspiciously small (%d lines)", r.Name, r.Lines)
+		if p.Lines() < 25 {
+			t.Errorf("%s: suspiciously small (%d lines)", p.Name, p.Lines())
 		}
-		if math.IsNaN(r.Checksum) || math.IsInf(r.Checksum, 0) {
-			t.Errorf("%s: bad checksum %v", r.Name, r.Checksum)
+		if _, sum, _ := r.serialTime(context.Background(), p); math.IsNaN(sum) || math.IsInf(sum, 0) {
+			t.Errorf("%s: bad checksum %v", p.Name, sum)
 		}
 	}
 }
@@ -63,23 +64,6 @@ func TestParallelSemanticsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestPFASemanticsMatchSerial repeats the check for the baseline.
-func TestPFASemanticsMatchSerial(t *testing.T) {
-	rows, err := NewRunner().Figure7(context.Background(), 8)
-	if err != nil {
-		t.Fatalf("Figure7: %v", err)
-	}
-	for _, r := range rows {
-		tol := 1e-9 * (1 + math.Abs(r.SerialChecksum))
-		if math.Abs(r.PolarisChecksum-r.SerialChecksum) > tol {
-			t.Errorf("%s: Polaris checksum %v != serial %v", r.Name, r.PolarisChecksum, r.SerialChecksum)
-		}
-		if math.Abs(r.PFAChecksum-r.SerialChecksum) > tol {
-			t.Errorf("%s: PFA checksum %v != serial %v", r.Name, r.PFAChecksum, r.SerialChecksum)
-		}
-	}
-}
-
 // TestFigure7Shape asserts the qualitative structure of the paper's
 // Figure 7 on the synthetic suite:
 //   - Polaris achieves substantial speedups (>= 3 at 8 processors) on
@@ -91,13 +75,12 @@ func TestPFASemanticsMatchSerial(t *testing.T) {
 //   - PFA's code generation backfires (speedup < 1) on appsp/tomcatv's
 //     shape at least once.
 func TestFigure7Shape(t *testing.T) {
-	rows, err := NewRunner().Figure7(context.Background(), 8)
-	if err != nil {
-		t.Fatalf("Figure7: %v", err)
-	}
-	byName := map[string]Fig7Row{}
-	for _, r := range rows {
-		byName[r.Name] = r
+	_, pts := paperSweep(t)
+	type bars struct{ Polaris, PFA float64 }
+	byName := map[string]bars{}
+	pfa := pick(pts, PFA, "")
+	for i, pt := range pick(pts, Full, "") {
+		byName[pt.Program] = bars{pt.Speedup(), pfa[i].Speedup()}
 	}
 	polarisWins := []string{"trfd", "ocean", "bdna", "mdg", "arc2d", "flo52", "tfft2", "cmhog", "cloud3d", "wave5", "tomcatv"}
 	for _, name := range polarisWins {
@@ -116,11 +99,11 @@ func TestFigure7Shape(t *testing.T) {
 		}
 	}
 	pfaWins := 0
-	for _, r := range rows {
+	for name, r := range byName {
 		if r.PFA > r.Polaris {
 			pfaWins++
-			if r.Name != "swim" && r.Name != "hydro2d" {
-				t.Errorf("unexpected PFA win on %s (PFA %.2f vs Polaris %.2f)", r.Name, r.PFA, r.Polaris)
+			if name != "swim" && name != "hydro2d" {
+				t.Errorf("unexpected PFA win on %s (PFA %.2f vs Polaris %.2f)", name, r.PFA, r.Polaris)
 			}
 		}
 	}
@@ -142,43 +125,47 @@ func TestFigure7Shape(t *testing.T) {
 // processors despite 10% failed speculation, and the potential
 // slowdown stays a small constant factor.
 func TestFigure6Shape(t *testing.T) {
-	rows, err := NewRunner().Figure6(context.Background(), 8)
-	if err != nil {
-		t.Fatalf("Figure6: %v", err)
+	_, pts := paperSweep(t)
+	trk, fail := pick(pts, Full, track.Name), pick(pts, Full, failingTrack.Name)
+	if len(trk) != 8 || len(fail) != 8 {
+		t.Fatalf("points = %d and %d, want 8 each", len(trk), len(fail))
 	}
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Failures == 0 || r.Passes == 0 {
-			t.Fatalf("p=%d: passes=%d failures=%d, want mixed outcomes", r.Procs, r.Passes, r.Failures)
+	var speedup, slowdown [8]float64
+	for i, r := range trk {
+		if r.LRPDFailures == 0 || r.LRPDPasses == 0 {
+			t.Fatalf("p=%d: passes=%d failures=%d, want mixed outcomes", r.Procs, r.LRPDPasses, r.LRPDFailures)
 		}
-		ratio := float64(r.Passes) / float64(r.Passes+r.Failures)
+		if fail[i].LRPDPasses != 0 || fail[i].LRPDFailures == 0 {
+			t.Fatalf("p=%d: track-fail passes=%d failures=%d, want failures only", r.Procs, fail[i].LRPDPasses, fail[i].LRPDFailures)
+		}
+		ratio := float64(r.LRPDPasses) / float64(r.LRPDPasses+r.LRPDFailures)
 		if math.Abs(ratio-0.9) > 0.01 {
 			t.Errorf("p=%d: parallel invocation ratio %.2f, want 0.90", r.Procs, ratio)
 		}
-		if r.Slowdown < 1.0 {
-			t.Errorf("p=%d: slowdown %.3f < 1", r.Procs, r.Slowdown)
+		speedup[i] = float64(r.LRPDBodyWork) / float64(r.LRPDTime)
+		slowdown[i] = float64(fail[i].LRPDTime) / float64(fail[i].LRPDBodyWork)
+		if slowdown[i] < 1.0 {
+			t.Errorf("p=%d: slowdown %.3f < 1", r.Procs, slowdown[i])
 		}
 		// The failed attempt costs about T_seq/p extra, so the ratio
 		// starts near 2 at p=1 and falls toward 1 (paper 3.5.3).
-		if r.Slowdown > 2.5 {
-			t.Errorf("p=%d: slowdown %.3f implausibly large", r.Procs, r.Slowdown)
+		if slowdown[i] > 2.5 {
+			t.Errorf("p=%d: slowdown %.3f implausibly large", r.Procs, slowdown[i])
 		}
 	}
-	if !(rows[7].Speedup > rows[3].Speedup && rows[3].Speedup > rows[1].Speedup) {
-		t.Errorf("speedup not increasing with processors: %+v", rows)
+	if !(speedup[7] > speedup[3] && speedup[3] > speedup[1]) {
+		t.Errorf("speedup not increasing with processors: %v", speedup)
 	}
-	if rows[7].Speedup < 2.5 {
-		t.Errorf("8-processor TRACK speedup %.2f, want > 2.5", rows[7].Speedup)
+	if speedup[7] < 2.5 {
+		t.Errorf("8-processor TRACK speedup %.2f, want > 2.5", speedup[7])
 	}
-	if rows[7].Slowdown > 1.5 {
-		t.Errorf("8-processor slowdown %.3f, want < 1.5", rows[7].Slowdown)
+	if slowdown[7] > 1.5 {
+		t.Errorf("8-processor slowdown %.3f, want < 1.5", slowdown[7])
 	}
 	// Slowdown shrinks (or stays flat) as processors increase: the PD
 	// test parallelizes (paper Section 3.5.3).
-	if rows[7].Slowdown > rows[0].Slowdown+1e-9 {
-		t.Errorf("slowdown grew with processors: p1=%.3f p8=%.3f", rows[0].Slowdown, rows[7].Slowdown)
+	if slowdown[7] > slowdown[0]+1e-9 {
+		t.Errorf("slowdown grew with processors: p1=%.3f p8=%.3f", slowdown[0], slowdown[7])
 	}
 }
 
@@ -234,18 +221,21 @@ func TestKeyLoopVerdicts(t *testing.T) {
 // programs designed to need it (the paper's implicit claim that all
 // five technique families are necessary).
 func TestAblationShape(t *testing.T) {
-	rows, err := Ablation(8)
-	if err != nil {
-		t.Fatalf("Ablation: %v", err)
-	}
+	_, pts := paperSweep(t)
+	full := pick(pts, Full, "")
 	hurtBy := map[string][]string{}
-	for _, r := range rows {
-		hurtBy[r.Technique] = r.HurtPrograms
+	for _, a := range Ablations() {
+		removed := pick(pts, a.Name, "")
+		for i, pt := range removed {
+			if pt.Speedup() < full[i].Speedup()*0.8 {
+				hurtBy[a.Name] = append(hurtBy[a.Name], pt.Program)
+			}
+		}
 		// Removing a technique must never help much; tiny gains are
 		// possible when the runtime's outermost-parallel choice is not
 		// optimal for small trip counts (ocean's permuted outer loop).
-		if r.GeoMean > r.FullGeoMean*1.05 {
-			t.Errorf("removing %s improved the geomean (%.3f > %.3f)", r.Technique, r.GeoMean, r.FullGeoMean)
+		if g, f := GeoMean(removed), GeoMean(full); g > f*1.05 {
+			t.Errorf("removing %s improved the geomean (%.3f > %.3f)", a.Name, g, f)
 		}
 	}
 	expect := map[string]string{
