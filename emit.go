@@ -48,21 +48,18 @@ func WithEmitLabel(label string) EmitOption {
 // stream. Fortran given a *strings.Builder renders straight into it,
 // grown once by an estimate of the text; any other w receives the
 // Fortran in one Write, from a buffer of the backend's own. The Go
-// backend always builds the whole program in its own buffer and w
-// receives it in one Write, or nothing when the backend refuses the
-// program. Peak memory includes the output.
+// backend builds the per-program text in its own buffer and w receives
+// three Writes: that text's head, the runtime, which every emitted
+// program carries verbatim, and the text's tail. A *strings.Builder is
+// grown once by the whole program first. When the backend refuses the
+// program w receives nothing. Peak memory includes the output.
 func (r *Result) Emit(w io.Writer, opts ...EmitOption) error {
 	cfg := emitConfig{procs: r.processors}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.goTarget {
-		src, err := codegen.EmitGo(r.inner, codegen.GoOptions{Processors: cfg.procs, Label: cfg.label})
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, src)
-		return err
+		return codegen.WriteGo(w, r.inner, codegen.GoOptions{Processors: cfg.procs, Label: cfg.label})
 	}
 	if b, ok := w.(*strings.Builder); ok {
 		codegen.WriteFortran(b, r.inner)

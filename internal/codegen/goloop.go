@@ -403,7 +403,7 @@ func (g *goEmitter) doStmt(c *uctx, d *ir.DoStmt) {
 	lv := g.nt("m")
 	g.intDef(c, lv, d.Limit)
 	sv := g.nt("s")
-	g.intDef(c, sv, d.StepOr1())
+	g.intDef(c, sv, orOne(d.Step))
 	g.open("if %s == 0 {", sv)
 	g.w("panic(%q)", "interp: DO step is zero")
 	g.close("}")
